@@ -9,8 +9,8 @@ tampered table is rejected instead of producing a wrong label.
 import random
 
 from dualgc import (AND, OR, XOR, Circuit, EvaluationError, decode,
-                    eval_plain, evaluate, garble, parse_tables_blob,
-                    random_input_encodings, select_labels)
+                    eval_plain, evaluate, garble, gate_rows,
+                    parse_tables_blob, random_input_encodings, select_labels)
 
 
 def main():
@@ -53,7 +53,8 @@ def main():
 
     print("\n=== 3. Tampering is caught ===")
     tampered = bytearray(blob)
-    for off in range(36, 36 + 4 * 18):  # every row byte of gate 0
+    rows = gate_rows(circuit, 0)
+    for off in range(rows.start, rows.stop):  # every row byte of gate 0
         tampered[off] ^= 0x5A
     labels = select_labels(enc, {a: 1, b: 0, cin: 1})
     try:

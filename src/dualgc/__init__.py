@@ -38,7 +38,7 @@ from .errors import (CoinTossCheatError, DecodeError, DualGCError,
                      ProtocolError, TransportError, TransportTimeout,
                      UsageError, WidthError)
 from .garbling import (Encoding, GarbledCircuit, decode, evaluate, garble,
-                       parse_tables_blob, random_input_encodings,
+                       gate_rows, parse_tables_blob, random_input_encodings,
                        select_labels)
 from .messages import MessageType, Role, audit_flow_table
 from .outputs import (FailureProof, OutputCommitments, OutputDecision,
@@ -64,7 +64,7 @@ __all__ = [
     "audit_flow_table", "build_auction_circuit", "circuit_run",
     "coin_toss_commit", "coin_toss_open", "combine_challenge", "commit",
     "decode", "encode_bid_bits", "eval_plain", "evaluate", "from_netlist",
-    "garble", "gate_count", "generate_input_material", "load_bids_file",
+    "garble", "gate_count", "gate_rows", "generate_input_material", "load_bids_file",
     "load_config_file", "open_commitment", "oracle_run",
     "parse_tables_blob", "random_input_encodings", "run_session",
     "select_labels", "to_netlist", "verify_check_failure_claim",

@@ -3,7 +3,9 @@
 Each gate row is ``SHA-256(K_a || [K_b ||] gate_index_be4 || row_byte)``
 truncated to 18 bytes and XORed with ``output_label || 0x0000``; the 16-bit
 all-zero authenticator tells the evaluator whether a row decrypted validly.
-Binary gates carry 4 rows, NOT gates 2.
+Binary gates carry 4 rows, NOT gates 2. Both sides do this arithmetic on
+ints: a row is the big-endian int of the truncated hash XOR
+``output_label << 16``, and it authenticates when ``row & 0xFFFF == 0``.
 
 Row placement (point-and-permute): every wire has a pointer function mapping
 plaintext bit -> row half-index. Internal wires use the label's least
@@ -16,7 +18,16 @@ compute. Gates reading input wires are therefore evaluated by trial: the
 evaluator decrypts every candidate row and accepts the unique one whose
 authenticator is zero. The garbler re-garbles under a fresh salt in the
 (~2^-16 per candidate) event a wrong candidate row would also authenticate,
-so an honestly garbled circuit never presents an ambiguous gate.
+so an honestly garbled circuit never presents an ambiguous gate. A binary
+gate on two distinct internal wires needs no such scan: its operands'
+pointer bits place its 4 rows directly.
+
+Table layout: a garbled circuit is one flat byte string, the same in memory
+and on the wire: circuit hash (32) || gate count (4, big-endian) || every
+gate's rows in gate order, ``ROW_BYTES`` each. ``GarbledCircuit.tables`` is
+that string, ``parse_tables_blob`` checks a received one's header and exact
+length and returns it, and ``evaluate`` reads each candidate row straight
+from it at the row's offset. ``gate_rows`` gives one gate's row offsets.
 """
 
 from __future__ import annotations
@@ -26,16 +37,31 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .circuits import AND, NOT, OR, Circuit
+from .circuits import AND, NOT, OR, XOR, Circuit
 from .errors import DecodeError, EncodingCoverageError, EvaluationError, ProtocolError
 
 LABEL_BYTES = 16
 ROW_BYTES = LABEL_BYTES + 2
 AUTH_ZERO = b"\x00\x00"
+AUTH_MASK = 0xFFFF  # the authenticator bits of a row read as an int
+HEADER_BYTES = 32 + 4  # circuit hash + gate count
 MAX_GARBLE_ATTEMPTS = 64
 
 _sha256 = hashlib.sha256
+_from_bytes = int.from_bytes
 _ROW_TAG = [bytes([r]) for r in range(4)]
+
+# Output bit of each binary gate kind, indexed by bit_a * 2 + bit_b.
+_TRUTH = {AND: (0, 0, 0, 1), OR: (0, 1, 1, 1), XOR: (0, 1, 1, 0)}
+# The same truth tables in row order, for operands on internal wires whose
+# 0-labels have pointer bits (sa, sb): _ROW_BITS[kind][sa * 2 + sb][r] is
+# the output bit of row r = pa * 2 + pb, whose operands hold the bits
+# pa ^ sa and pb ^ sb.
+_ROW_BITS = {
+    kind: tuple(tuple(truth[(pa ^ sa) * 2 + (pb ^ sb)]
+                      for pa in (0, 1) for pb in (0, 1))
+                for sa in (0, 1) for sb in (0, 1))
+    for kind, truth in _TRUTH.items()}
 
 
 class Encoding(NamedTuple):
@@ -55,54 +81,107 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
 @dataclass
 class GarbledCircuit:
     circuit_hash: bytes
-    tables: list[list[bytes]]
+    tables: bytes  # the flat layout of the module docstring, header included
     input_encodings: dict[int, Encoding]
     output_encodings: dict[int, Encoding]
     wire_encodings: dict[int, Encoding] | None = None
 
     def tables_blob(self) -> bytes:
         """Wire format: circuit hash (32) || gate count (4 BE) || rows in gate order."""
-        parts = [self.circuit_hash, len(self.tables).to_bytes(4, "big")]
-        for rows in self.tables:
-            parts.extend(rows)
-        return b"".join(parts)
+        return self.tables
 
 
-def parse_tables_blob(circuit: Circuit, blob: bytes) -> list[list[bytes]]:
-    """Split a received blob back into per-gate tables; checks the header."""
-    if len(blob) < 36:
+def _row_count(kind: int) -> int:
+    return 2 if kind == NOT else 4
+
+
+def gate_rows(circuit: Circuit, gi: int) -> range:
+    """Offsets of gate ``gi``'s rows in the tables (and so in the blob)."""
+    start = HEADER_BYTES + ROW_BYTES * sum(
+        _row_count(gate[0]) for gate in circuit.gates[:gi])
+    return range(start, start + ROW_BYTES * _row_count(circuit.gates[gi][0]),
+                 ROW_BYTES)
+
+
+def parse_tables_blob(circuit: Circuit, blob: bytes) -> bytes:
+    """Check a received blob's header and exact length; returns the tables."""
+    if len(blob) < HEADER_BYTES:
         raise ProtocolError("garbled circuit blob too short")
     if blob[:32] != circuit.hash():
         raise ProtocolError("garbled circuit hash does not match the agreed circuit")
     count = int.from_bytes(blob[32:36], "big")
     if count != len(circuit.gates):
         raise ProtocolError("garbled circuit gate count mismatch")
-    tables = []
-    off = 36
-    for kind, _a, _b, _out in circuit.gates:
-        n_rows = 2 if kind == NOT else 4
-        rows = [blob[off + i * ROW_BYTES: off + (i + 1) * ROW_BYTES] for i in range(n_rows)]
-        off += n_rows * ROW_BYTES
-        tables.append(rows)
-    if off != len(blob):
+    size = HEADER_BYTES + ROW_BYTES * sum(
+        _row_count(gate[0]) for gate in circuit.gates)
+    if len(blob) < size:
+        raise ProtocolError("garbled circuit blob is truncated")
+    if len(blob) > size:
         raise ProtocolError("garbled circuit blob has trailing bytes")
-    return tables
+    return bytes(blob)
 
 
-def _fresh_pair(rng: random.Random) -> Encoding:
-    # Complementary LSBs so internal point-and-permute rows never collide.
-    zero = rng.randbytes(LABEL_BYTES)
-    one = rng.randbytes(LABEL_BYTES)
-    one = one[:-1] + bytes([(one[-1] & 0xFE) | ((zero[-1] & 1) ^ 1)])
-    return Encoding(zero, one)
+def _pad(key: bytes, gate_tag: bytes, row: int) -> int:
+    """The row-``row`` pad under ``key`` (one label, or two concatenated)."""
+    return _from_bytes(_sha256(key + gate_tag + _ROW_TAG[row]).digest()[:ROW_BYTES],
+                       "big")
 
 
-def _row2(ka: bytes, kb: bytes, gate_tag: bytes, row: int) -> bytes:
-    return _sha256(ka + kb + gate_tag + _ROW_TAG[row]).digest()[:ROW_BYTES]
+def _operand(w: int, zeros: list, ones: list, pointer_bit: dict[int, int]):
+    """A gate operand's labels and row half by plaintext bit, and whether
+    it is a circuit-input wire (whose row half the evaluator must try)."""
+    labels = (zeros[w], ones[w])
+    if w in pointer_bit:
+        return labels, (pointer_bit[w], pointer_bit[w] ^ 1), True
+    return labels, (labels[0][-1] & 1, labels[1][-1] & 1), False
 
 
-def _row1(ka: bytes, gate_tag: bytes, row: int) -> bytes:
-    return _sha256(ka + gate_tag + _ROW_TAG[row]).digest()[:ROW_BYTES]
+def _general_rows(kind: int, a: int, b: int, gate_tag: bytes, zeros: list,
+                  ones: list, pointer_bit: dict[int, int],
+                  masks: tuple[int, int], randbytes) -> tuple[bytes, bool]:
+    """Rows of a gate that reads a circuit-input wire or one wire twice.
+
+    Returns the rows and whether a wrong candidate row the evaluator would
+    try also authenticates, which forces a re-garble.
+    """
+    ka, ptr_a, a_in = _operand(a, zeros, ones, pointer_bit)
+    if kind == NOT:
+        rows = [0, 0]
+        for bit in (0, 1):
+            r = ptr_a[bit]
+            rows[r] = _pad(ka[bit], gate_tag, r) ^ masks[1 - bit]
+        ambiguous = a_in and any(
+            not (_pad(ka[bit], gate_tag, 1 - ptr_a[bit]) ^ rows[1 - ptr_a[bit]])
+            & AUTH_MASK for bit in (0, 1))
+        return b"".join(row.to_bytes(ROW_BYTES, "big") for row in rows), ambiguous
+
+    kb, ptr_b, b_in = _operand(b, zeros, ones, pointer_bit)
+    truth = _TRUTH[kind]
+    combos = ((0, 0), (1, 1)) if a == b else ((0, 0), (0, 1), (1, 0), (1, 1))
+    rows: list[int | None] = [None, None, None, None]
+    for x, y in combos:
+        r = ptr_a[x] * 2 + ptr_b[y]
+        rows[r] = _pad(ka[x] + kb[y], gate_tag, r) ^ masks[truth[x * 2 + y]]
+    for r in range(4):
+        if rows[r] is None:
+            rows[r] = _from_bytes(randbytes(ROW_BYTES), "big")
+
+    ambiguous = False
+    if a_in or b_in:
+        for x, y in combos:
+            key = ka[x] + kb[y]
+            true_r = ptr_a[x] * 2 + ptr_b[y]
+            cand_a = (0, 1) if a_in else (ptr_a[x],)
+            cand_b = (0, 1) if b_in else (ptr_b[y],)
+            if a == b:
+                candidates = [p * 3 for p in cand_a]
+            else:
+                candidates = [p * 2 + q for p in cand_a for q in cand_b]
+            if any(r != true_r and not (_pad(key, gate_tag, r) ^ rows[r]) & AUTH_MASK
+                   for r in candidates):
+                ambiguous = True
+                break
+    return b"".join(row.to_bytes(ROW_BYTES, "big") for row in rows), ambiguous
 
 
 def garble(circuit: Circuit, input_encodings: dict[int, Encoding], rng_seed,
@@ -124,166 +203,171 @@ def garble(circuit: Circuit, input_encodings: dict[int, Encoding], rng_seed,
         if len(e.zero) != LABEL_BYTES or len(e.one) != LABEL_BYTES:
             raise ValueError("labels must be 16 bytes")
 
+    gates = circuit.gates
     # A unary or self gate on an input wire derives both of its true rows
     # from the wire's fixed labels at fixed row positions, so a 16-bit
     # auth-tail collision there survives every redraw.  Refuse up front
     # instead of burning all attempts.
-    for gi, (kind, a, b, _out) in enumerate(circuit.gates):
+    for gi, (kind, a, b, _out) in enumerate(gates):
         if a not in input_set or (kind != NOT and a != b):
             continue
         gate_tag = gi.to_bytes(4, "big")
         e = input_encodings[a]
-        for r in (0, 1) if kind == NOT else (0, 3):
-            if kind == NOT:
-                t0, t1 = _row1(e.zero, gate_tag, r), _row1(e.one, gate_tag, r)
-            else:
-                t0 = _row2(e.zero, e.zero, gate_tag, r)
-                t1 = _row2(e.one, e.one, gate_tag, r)
-            if t0[LABEL_BYTES:] == t1[LABEL_BYTES:]:
+        if kind == NOT:
+            k0, k1, candidates = e.zero, e.one, (0, 1)
+        else:
+            k0, k1, candidates = e.zero + e.zero, e.one + e.one, (0, 3)
+        for r in candidates:
+            if not (_pad(k0, gate_tag, r) ^ _pad(k1, gate_tag, r)) & AUTH_MASK:
                 raise ValueError(
                     f"gate {gi} reads input wire {a} as a unary or self "
                     f"gate and the wire's labels collide under the row "
                     f"hash; no unambiguous table exists - route the wire "
                     f"through an internal gate first")
 
+    sha, from_bytes = _sha256, _from_bytes
+    header = circuit.hash() + len(gates).to_bytes(4, "big")
     for attempt in range(MAX_GARBLE_ATTEMPTS):
         rng = random.Random(f"garble:{rng_seed}:{attempt}")
-        enc: dict[int, Encoding] = dict(input_encodings)
+        randbytes = rng.randbytes
         pointer_bit = {w: rng.getrandbits(1) for w in input_wires}
-        tables: list[list[bytes]] = []
+        # The 0- and 1-label of every wire, by wire id.
+        zeros: list = [None] * circuit.wire_count
+        ones: list = [None] * circuit.wire_count
+        for w in input_wires:
+            zeros[w], ones[w] = input_encodings[w].zero, input_encodings[w].one
+        parts = [header]
         ambiguous = False
 
-        for gi, (kind, a, b, out) in enumerate(circuit.gates):
-            out_enc = _fresh_pair(rng)
-            enc[out] = out_enc
+        for gi, (kind, a, b, out) in enumerate(gates):
+            # Complementary LSBs so internal point-and-permute rows never collide.
+            zero = randbytes(LABEL_BYTES)
+            one = (from_bytes(randbytes(LABEL_BYTES), "big") & ~1) | ((zero[-1] & 1) ^ 1)
+            zeros[out] = zero
+            ones[out] = one.to_bytes(LABEL_BYTES, "big")
+            # Output label || 0x0000 by output bit, as ints.
+            masks = (from_bytes(zero, "big") << 16, one << 16)
             gate_tag = gi.to_bytes(4, "big")
-            ea = enc[a]
-            a_is_input = a in input_set
 
-            if kind == NOT:
-                rows: list[bytes | None] = [None, None]
-                for bit in (0, 1):
-                    la = ea.label(bit)
-                    r = (bit ^ pointer_bit[a]) if a_is_input else (la[-1] & 1)
-                    msg = out_enc.label(1 - bit) + AUTH_ZERO
-                    rows[r] = xor_bytes(_row1(la, gate_tag, r), msg)
-                if a_is_input:
-                    for bit in (0, 1):
-                        la = ea.label(bit)
-                        true_r = bit ^ pointer_bit[a]
-                        other = 1 - true_r
-                        if xor_bytes(_row1(la, gate_tag, other), rows[other])[-2:] == AUTH_ZERO:
-                            ambiguous = True
-                tables.append(rows)  # type: ignore[arg-type]
+            # Gates the evaluator decrypts by trial, and self gates with
+            # their two filler rows, take the general path.
+            if a in input_set or b in input_set or a == b:
+                rows, ambiguous = _general_rows(kind, a, b, gate_tag, zeros, ones,
+                                                pointer_bit, masks, randbytes)
+                parts.append(rows)
                 if ambiguous:
                     break
                 continue
 
-            eb = enc[b]
-            b_is_input = b in input_set
-            rows = [None, None, None, None]
-            combos = [(x, x) for x in (0, 1)] if a == b else \
-                     [(x, y) for x in (0, 1) for y in (0, 1)]
-            for bit_a, bit_b in combos:
-                la, lb = ea.label(bit_a), eb.label(bit_b)
-                pa = (bit_a ^ pointer_bit[a]) if a_is_input else (la[-1] & 1)
-                pb = (bit_b ^ pointer_bit[b]) if b_is_input else (lb[-1] & 1)
-                r = pa * 2 + pb
-                if kind == AND:
-                    out_bit = bit_a & bit_b
-                elif kind == OR:
-                    out_bit = bit_a | bit_b
-                else:
-                    out_bit = bit_a ^ bit_b
-                rows[r] = xor_bytes(_row2(la, lb, gate_tag, r),
-                                    out_enc.label(out_bit) + AUTH_ZERO)
-            for r in range(4):
-                if rows[r] is None:
-                    rows[r] = rng.randbytes(ROW_BYTES)
-
-            if a_is_input or b_is_input:
-                for bit_a, bit_b in combos:
-                    la, lb = ea.label(bit_a), eb.label(bit_b)
-                    pa = (bit_a ^ pointer_bit[a]) if a_is_input else (la[-1] & 1)
-                    pb = (bit_b ^ pointer_bit[b]) if b_is_input else (lb[-1] & 1)
-                    true_r = pa * 2 + pb
-                    cand_a = (0, 1) if a_is_input else (pa,)
-                    cand_b = (0, 1) if b_is_input else (pb,)
-                    if a == b:
-                        candidates = [(p, p) for p in cand_a]
-                    else:
-                        candidates = [(x, y) for x in cand_a for y in cand_b]
-                    for ca, cb in candidates:
-                        r = ca * 2 + cb
-                        if r == true_r:
-                            continue
-                        if xor_bytes(_row2(la, lb, gate_tag, r), rows[r])[-2:] == AUTH_ZERO:
-                            ambiguous = True
-                            break
-                    if ambiguous:
-                        break
-            tables.append(rows)  # type: ignore[arg-type]
-            if ambiguous:
-                break
+            # Internal operands: a label's pointer bit is its LSB, and a0/a1
+            # (b0/b1) are the labels whose pointer bit is 0/1, so row
+            # pa * 2 + pb is keyed by the pair a<pa>, b<pb>.
+            za = zeros[a]
+            sa = za[-1] & 1
+            a0, a1 = (ones[a], za) if sa else (za, ones[a])
+            if kind == NOT:
+                parts.append(
+                    (from_bytes(sha(a0 + gate_tag + b"\x00").digest()[:ROW_BYTES], "big")
+                     ^ masks[sa ^ 1]).to_bytes(ROW_BYTES, "big")
+                    + (from_bytes(sha(a1 + gate_tag + b"\x01").digest()[:ROW_BYTES], "big")
+                       ^ masks[sa]).to_bytes(ROW_BYTES, "big"))
+                continue
+            zb = zeros[b]
+            sb = zb[-1] & 1
+            b0, b1 = (ones[b], zb) if sb else (zb, ones[b])
+            bit0, bit1, bit2, bit3 = _ROW_BITS[kind][sa * 2 + sb]
+            parts.append(
+                (from_bytes(sha(a0 + b0 + gate_tag + b"\x00").digest()[:ROW_BYTES], "big")
+                 ^ masks[bit0]).to_bytes(ROW_BYTES, "big")
+                + (from_bytes(sha(a0 + b1 + gate_tag + b"\x01").digest()[:ROW_BYTES], "big")
+                   ^ masks[bit1]).to_bytes(ROW_BYTES, "big")
+                + (from_bytes(sha(a1 + b0 + gate_tag + b"\x02").digest()[:ROW_BYTES], "big")
+                   ^ masks[bit2]).to_bytes(ROW_BYTES, "big")
+                + (from_bytes(sha(a1 + b1 + gate_tag + b"\x03").digest()[:ROW_BYTES], "big")
+                   ^ masks[bit3]).to_bytes(ROW_BYTES, "big"))
 
         if not ambiguous:
-            out_enc_map = {w: enc[w] for w in circuit.output_wires}
+            wire_encodings = None
+            if keep_wire_encodings:
+                wire_encodings = dict(input_encodings)
+                for _kind, _a, _b, out in gates:
+                    wire_encodings[out] = Encoding(zeros[out], ones[out])
             return GarbledCircuit(
-                circuit.hash(), tables, dict(input_encodings), out_enc_map,
-                wire_encodings=enc if keep_wire_encodings else None)
+                circuit.hash(), b"".join(parts), dict(input_encodings),
+                {w: Encoding(zeros[w], ones[w]) for w in circuit.output_wires},
+                wire_encodings=wire_encodings)
 
     raise RuntimeError("garbling kept producing ambiguous tables")  # pragma: no cover
 
 
-def evaluate(circuit: Circuit, tables: list[list[bytes]],
+def _trial(gi: int, tables: bytes, off: int, key: bytes, gate_tag: bytes,
+           candidates) -> int:
+    """Decrypt each candidate row; returns the one that authenticates."""
+    found = None
+    for r in candidates:
+        o = off + r * ROW_BYTES
+        dec = _pad(key, gate_tag, r) ^ _from_bytes(tables[o:o + ROW_BYTES], "big")
+        if not dec & AUTH_MASK:
+            if found is not None:
+                raise EvaluationError(f"gate {gi}: ambiguous rows")
+            found = dec
+    if found is None:
+        raise EvaluationError(f"gate {gi}: no row authenticates")
+    return found
+
+
+def evaluate(circuit: Circuit, tables: bytes,
              input_labels: dict[int, bytes]) -> list[list[bytes]]:
     """Evaluate garbled tables on one label per input wire.
 
-    Returns labels grouped like the circuit's output map. Raises
-    EvaluationError when no candidate row (or more than one) authenticates.
+    ``tables`` is the flat layout ``garble`` and ``parse_tables_blob``
+    return; each candidate row is read at its offset. Returns labels grouped
+    like the circuit's output map. Raises EvaluationError when no candidate
+    row (or more than one) authenticates.
     """
     input_set = frozenset(circuit.input_wires)
-    vals: dict[int, bytes] = {}
+    vals: list = [None] * circuit.wire_count
     for w in input_set:
         lab = input_labels.get(w)
         if lab is None:
             raise EncodingCoverageError(f"input wire {w} lacks a label")
         vals[w] = lab
+    sha, from_bytes = _sha256, _from_bytes
+    off = HEADER_BYTES
     for gi, (kind, a, b, out) in enumerate(circuit.gates):
         gate_tag = gi.to_bytes(4, "big")
         la = vals[a]
-        rows = tables[gi]
+        # The row the pointer bits select, or every candidate row when an
+        # operand is a circuit-input wire.
+        candidates = None
         if kind == NOT:
-            cands = (0, 1) if a in input_set else ((la[-1] & 1),)
-            found = None
-            for r in cands:
-                dec = xor_bytes(_row1(la, gate_tag, r), rows[r])
-                if dec[-2:] == AUTH_ZERO:
-                    if found is not None:
-                        raise EvaluationError(f"gate {gi}: ambiguous rows")
-                    found = dec[:LABEL_BYTES]
-            if found is None:
-                raise EvaluationError(f"gate {gi}: no row authenticates")
-            vals[out] = found
-            continue
-        lb = vals[b]
-        cand_a = (0, 1) if a in input_set else ((la[-1] & 1),)
-        cand_b = (0, 1) if b in input_set else ((lb[-1] & 1),)
-        if a == b:
-            pairs = [(p, p) for p in cand_a]
+            key = la
+            r = la[-1] & 1
+            if a in input_set:
+                candidates = (0, 1)
+            size = 2 * ROW_BYTES
         else:
-            pairs = [(x, y) for x in cand_a for y in cand_b]
-        found = None
-        for pa, pb in pairs:
-            r = pa * 2 + pb
-            dec = xor_bytes(_row2(la, lb, gate_tag, r), rows[r])
-            if dec[-2:] == AUTH_ZERO:
-                if found is not None:
-                    raise EvaluationError(f"gate {gi}: ambiguous rows")
-                found = dec[:LABEL_BYTES]
-        if found is None:
-            raise EvaluationError(f"gate {gi}: no row authenticates")
-        vals[out] = found
+            lb = vals[b]
+            key = la + lb
+            r = (la[-1] & 1) * 2 + (lb[-1] & 1)
+            if a in input_set or b in input_set:
+                cand_a = (0, 1) if a in input_set else (la[-1] & 1,)
+                cand_b = (0, 1) if b in input_set else (lb[-1] & 1,)
+                if a == b:
+                    candidates = [p * 3 for p in cand_a]
+                else:
+                    candidates = [p * 2 + q for p in cand_a for q in cand_b]
+            size = 4 * ROW_BYTES
+        if candidates is None:
+            o = off + r * ROW_BYTES
+            dec = (from_bytes(sha(key + gate_tag + _ROW_TAG[r]).digest()[:ROW_BYTES], "big")
+                   ^ from_bytes(tables[o:o + ROW_BYTES], "big"))
+            if dec & AUTH_MASK:
+                raise EvaluationError(f"gate {gi}: no row authenticates")
+        else:
+            dec = _trial(gi, tables, off, key, gate_tag, candidates)
+        off += size
+        vals[out] = (dec >> 16).to_bytes(LABEL_BYTES, "big")
     return [[vals[w] for w in group] for group in circuit.output_map]
 
 

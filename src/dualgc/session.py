@@ -73,7 +73,8 @@ from .errors import (
     TransportTimeout,
     UsageError,
 )
-from .garbling import LABEL_BYTES, evaluate, garble, parse_tables_blob
+from .garbling import (LABEL_BYTES, evaluate, garble, gate_rows,
+                       parse_tables_blob)
 from .outputs import (
     ACCEPT,
     BLAME,
@@ -851,14 +852,9 @@ class Session:
         gates = self.circuit.gates
         gi = adv.gate if adv.gate is not None else \
             self.adv_rng.randrange(len(gates))
-        from .garbling import ROW_BYTES
-        from .circuits import NOT
-        off = 36
-        for kind, _a, _b, _out in gates[:gi]:
-            off += (2 if kind == NOT else 4) * ROW_BYTES
-        rows = 2 if gates[gi][0] == NOT else 4
+        rows = gate_rows(self.circuit, gi)
         region = bytearray(blob)
-        for i in range(off, off + rows * ROW_BYTES):
+        for i in range(rows.start, rows.stop):
             region[i] ^= adv.mask
         return bytes(region)
 

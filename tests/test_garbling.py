@@ -10,8 +10,8 @@ from dualgc.errors import (DecodeError, EncodingCoverageError, EvaluationError,
                            ProtocolError)
 from dualgc.garbling import (AUTH_ZERO, LABEL_BYTES, ROW_BYTES, Encoding,
                              GarbledCircuit, decode, evaluate, garble,
-                             parse_tables_blob, random_input_encodings,
-                             select_labels, xor_bytes)
+                             gate_rows, parse_tables_blob,
+                             random_input_encodings, select_labels, xor_bytes)
 
 from oracles import random_circuit, random_inputs
 
@@ -19,6 +19,11 @@ from oracles import random_circuit, random_inputs
 def two_in_circuit(kind):
     return Circuit(wire_count=3, gates=[(kind, 0, 1, 2)],
                    input_map=[[0], [1]], output_map=[[2]])
+
+
+def rows_of(circuit, tables, gi):
+    """Gate ``gi``'s rows, read at the offsets ``evaluate`` reads."""
+    return [tables[o:o + ROW_BYTES] for o in gate_rows(circuit, gi)]
 
 
 def run_garbled(circuit, inputs, seed=0):
@@ -44,7 +49,7 @@ def test_row_format_matches_hash_recomputation():
     enc = random_input_encodings(circuit, rng)
     gc = garble(circuit, enc, 7, keep_wire_encodings=True)
     out_enc = gc.wire_encodings[2]
-    rows = gc.tables[0]
+    rows = rows_of(circuit, gc.tables, 0)
     assert len(rows) == 4 and all(len(r) == ROW_BYTES for r in rows)
     for ba in (0, 1):
         for bb in (0, 1):
@@ -66,13 +71,14 @@ def test_not_gate_rows_and_format():
     rng = random.Random(3)
     enc = random_input_encodings(circuit, rng)
     gc = garble(circuit, enc, 3, keep_wire_encodings=True)
-    assert len(gc.tables[0]) == 2
+    rows = rows_of(circuit, gc.tables, 0)
+    assert len(rows) == 2
     for bit in (0, 1):
         la = enc[0].label(bit)
         hits = []
         for r in range(2):
             pad = hashlib.sha256(la + (0).to_bytes(4, "big") + bytes([r])).digest()[:18]
-            dec = bytes(x ^ y for x, y in zip(pad, gc.tables[0][r]))
+            dec = bytes(x ^ y for x, y in zip(pad, rows[r]))
             if dec[16:] == b"\x00\x00":
                 hits.append(dec[:16])
         assert hits == [gc.wire_encodings[1].label(1 - bit)]
@@ -217,13 +223,15 @@ def test_row_tampering_never_yields_silent_wrong_output():
         bits = {w: v for group, vals in zip(circuit.input_map, inputs)
                 for w, v in zip(group, vals)}
         gi = rng.randrange(len(circuit.gates))
-        ri = rng.randrange(len(gc.tables[gi]))
+        ri = rng.randrange(len(gate_rows(circuit, gi)))
         flip = 1 << rng.randrange(ROW_BYTES * 8)
-        tampered = [list(rows) for rows in gc.tables]
-        row_int = int.from_bytes(tampered[gi][ri], "big") ^ flip
-        tampered[gi][ri] = row_int.to_bytes(ROW_BYTES, "big")
+        tampered = bytearray(gc.tables)
+        off = gate_rows(circuit, gi)[ri]
+        row_int = int.from_bytes(tampered[off:off + ROW_BYTES], "big") ^ flip
+        tampered[off:off + ROW_BYTES] = row_int.to_bytes(ROW_BYTES, "big")
         try:
-            out_labels = evaluate(circuit, tampered, select_labels(enc, bits))
+            out_labels = evaluate(circuit, bytes(tampered),
+                                  select_labels(enc, bits))
             got = [decode(group, [gc.output_encodings[w] for w in wires])
                    for group, wires in zip(out_labels, circuit.output_map)]
         except (EvaluationError, DecodeError):

@@ -9,7 +9,7 @@ from dualgc import messages as M
 from dualgc.auction import AuctionConfig, oracle_run
 from dualgc.errors import (DecodeError, ProtocolError, TransportTimeout,
                            UsageError)
-from dualgc.garbling import decode
+from dualgc.garbling import ROW_BYTES, decode
 from dualgc.outputs import ACCEPT, REJECT
 from dualgc.session import (AdversaryScript, Session, Transcript,
                             make_adversary, run_session)
@@ -147,6 +147,54 @@ def test_silent_role_times_out_into_an_abort():
     assert res.status == "abort"
     assert res.reason.startswith("timeout")
     assert res.phase == "input"
+    assert res.result is None
+
+
+class GarbledBlobFault(InProcessTransport):
+    """Rewrites the tables blob one party sends in its GARBLED_CIRCUIT frame,
+    keeping the frame itself well formed."""
+
+    def __init__(self, producer, rewrite):
+        super().__init__()
+        self.producer = producer
+        self.rewrite = rewrite
+
+    def send(self, sender, receiver, frame):
+        mtype, sid, who, body = M.decode_frame(frame)
+        if mtype == M.MessageType.GARBLED_CIRCUIT and \
+                sender.name == self.producer:
+            frame = M.encode_frame(mtype, sid, who, self.rewrite(body))
+        super().send(sender, receiver, frame)
+
+
+# fault -> (blob rewrite, words of the header or length check that must
+# catch it before any row is read)
+BLOB_FAULTS = {
+    "truncated_byte": (lambda blob: blob[:-1], "truncated"),
+    "truncated_row": (lambda blob: blob[:-ROW_BYTES], "truncated"),
+    "appended_byte": (lambda blob: blob + b"\x00", "trailing bytes"),
+    "flipped_hash_byte": (
+        lambda blob: blob[:5] + bytes([blob[5] ^ 0x80]) + blob[6:],
+        "hash does not match"),
+    "gate_count": (
+        lambda blob: blob[:32] + (int.from_bytes(blob[32:36], "big") - 1)
+        .to_bytes(4, "big") + blob[36:],
+        "gate count mismatch"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BLOB_FAULTS))
+@pytest.mark.parametrize("producer", ["P1", "P2"])
+def test_malformed_garbled_circuit_aborts_against_its_producer(producer,
+                                                              fault):
+    rewrite, check = BLOB_FAULTS[fault]
+    res = run_session(SMALL, BIDS, s=4, seed=3,
+                      transport=GarbledBlobFault(producer, rewrite))
+    assert res.status == "abort"
+    assert res.blamed == producer
+    assert res.phase == "compute"
+    assert res.reason.startswith("garbled circuit rejected")
+    assert check in res.reason
     assert res.result is None
 
 
