@@ -6,11 +6,13 @@ outcome neither side can steer.  This script walks through both,
 including what happens when someone tries to cheat.
 """
 
+import hashlib
 import random
 
 from dualgc import (CoinTossCheatError, Commitment, Opening, coin_toss_commit,
                     coin_toss_open, combine_challenge, commit,
                     open_commitment)
+from dualgc.consistency import unpack_bits
 
 
 def main():
@@ -32,32 +34,42 @@ def main():
     print("A different message can never match the digest (binding).\n")
 
     print("=== 2. Joint coin toss ===")
-    print("Each party commits to a random share, then both reveal;")
-    print("the challenge is the XOR of the shares, so neither party")
-    print("could pick it alone.")
+    print("Each party commits to a random 32-byte seed share, then both")
+    print("reveal; every wire's challenge is hashed from both shares and")
+    print("the wire id, so neither party could pick any challenge alone.")
     s = 6
-    share1, com1, open1 = coin_toss_commit(rng, s)
-    share2, com2, open2 = coin_toss_commit(rng, s)
-    print(f"P1 share: {share1}  (committed first: {com1.digest.hex()[:16]}...)")
-    print(f"P2 share: {share2}  (committed first: {com2.digest.hex()[:16]}...)")
-    got1 = coin_toss_open(com1, open1, s, "P1")
-    got2 = coin_toss_open(com2, open2, s, "P2")
-    rho = combine_challenge(got1, got2)
-    print(f"challenge rho = {rho}  (1 = audit that copy, 0 = evaluate it)")
+    share1, com1, open1 = coin_toss_commit(rng)
+    share2, com2, open2 = coin_toss_commit(rng)
+    print(f"P1 share: {share1.hex()[:16]}...  "
+          f"(committed first: {com1.digest.hex()[:16]}...)")
+    print(f"P2 share: {share2.hex()[:16]}...  "
+          f"(committed first: {com2.digest.hex()[:16]}...)")
+    got1 = coin_toss_open(com1, open1, "P1")
+    got2 = coin_toss_open(com2, open2, "P2")
+    for wire in range(3):
+        rho = combine_challenge(got1, got2, wire, s)
+        print(f"wire {wire}: challenge rho = {rho}")
+    print("(1 = audit that copy, 0 = evaluate it)")
 
     print("\nA party who reveals something other than its commitment is")
     print("caught immediately:")
     bad = Opening(open1.message[:-1] + bytes([open1.message[-1] ^ 1]),
                   open1.randomness)
     try:
-        coin_toss_open(com1, bad, s, "P1")
+        coin_toss_open(com1, bad, "P1")
     except CoinTossCheatError as exc:
         print(f"  CoinTossCheatError (blaming {exc.party}): {exc}")
 
-    print("\nDegenerate challenges (all-audit or all-evaluate) are refused")
-    print("and force a re-toss:")
-    all_ones = combine_challenge((1,) * s, (0,) * s)
-    print(f"  combine_challenge on an all-ones outcome -> {all_ones}")
+    print("\nDegenerate challenges (all-audit or all-evaluate) are never")
+    print("returned: the first s bits of SHAKE-256(share1 || share2 ||")
+    print("wire || ctr) are drawn again with ctr + 1 until they mix both")
+    print("kinds.  With s = 2 half of the ctr = 0 strings are degenerate:")
+    for wire in range(8):
+        first = unpack_bits(hashlib.shake_256(
+            got1 + got2 + wire.to_bytes(4, "big") + bytes(4)).digest(1), 2)
+        rho = combine_challenge(got1, got2, wire, 2)
+        note = "kept" if first == rho else "degenerate, counter bumped"
+        print(f"  wire {wire}: ctr 0 gives {first} ({note}) -> rho = {rho}")
 
 
 if __name__ == "__main__":

@@ -173,30 +173,25 @@ def generate_cheating_material(rng: random.Random, x: int, s: int,
 
 # --- challenge coin toss -----------------------------------------------------
 
-def pack_bits(bits) -> bytes:
-    out = bytearray((len(bits) + 7) // 8)
-    for i, bit in enumerate(bits):
-        if bit:
-            out[i >> 3] |= 0x80 >> (i & 7)
-    return bytes(out)
+SEED_SHARE_BYTES = 32
 
 
 def unpack_bits(data: bytes, count: int) -> list[int]:
     return [(data[i >> 3] >> (7 - (i & 7))) & 1 for i in range(count)]
 
 
-def coin_toss_commit(rng: random.Random, s: int):
-    """Draw a challenge share and commit to it; returns (share, commitment,
-    opening)."""
-    share = [rng.getrandbits(1) for _ in range(s)]
-    commitment, opening = tagged_commit(TAG_COIN, pack_bits(share),
+def coin_toss_commit(rng: random.Random):
+    """Draw a 32-byte seed share and commit to it; returns (share,
+    commitment, opening)."""
+    share = rng.randbytes(SEED_SHARE_BYTES)
+    commitment, opening = tagged_commit(TAG_COIN, share,
                                         rng.randbytes(NONCE_BYTES))
     return share, commitment, opening
 
 
-def coin_toss_open(commitment: Commitment, opening: Opening, s: int,
-                   party: str) -> list[int]:
-    """Verify a counterpart's reveal against its commitment."""
+def coin_toss_open(commitment: Commitment, opening: Opening,
+                   party: str) -> bytes:
+    """Verify a counterpart's seed-share reveal against its commitment."""
     if not open_commitment(commitment, opening):
         raise CoinTossCheatError("challenge share reveal does not match its "
                                  "commitment", party=party)
@@ -205,18 +200,29 @@ def coin_toss_open(commitment: Commitment, opening: Opening, s: int,
     except ValueError:
         raise CoinTossCheatError("malformed challenge share reveal",
                                  party=party)
-    if len(body) != (s + 7) // 8:
+    if len(body) != SEED_SHARE_BYTES:
         raise CoinTossCheatError("challenge share has the wrong length",
                                  party=party)
-    return unpack_bits(body, s)
+    return body
 
 
-def combine_challenge(share1, share2) -> list[int] | None:
-    """XOR the two shares; None demands a re-toss (degenerate challenge)."""
-    rho = [a ^ b for a, b in zip(share1, share2)]
-    if all(rho) or not any(rho):
-        return None
-    return rho
+def combine_challenge(share_p1: bytes, share_p2: bytes, wire: int,
+                      s: int) -> list[int]:
+    """Wire ``wire``'s challenge: the first ``s`` bits of
+    SHAKE-256(share_p1 || share_p2 || wire || ctr), bumping ``ctr`` past
+    degenerate (all-check or all-evaluate) strings, so the challenge is
+    uniform over the 2^s - 2 valid ones."""
+    if s < 2:
+        raise ValueError("need at least two copies")
+    prefix = share_p1 + share_p2 + wire.to_bytes(4, "big")
+    ctr = 0
+    while True:
+        digest = hashlib.shake_256(prefix + ctr.to_bytes(4, "big")).digest(
+            (s + 7) // 8)
+        rho = unpack_bits(digest, s)
+        if 0 < sum(rho) < s:
+            return rho
+        ctr += 1
 
 
 # --- construction check (check copies) --------------------------------------

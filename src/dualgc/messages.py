@@ -255,36 +255,28 @@ def decode_input_commitments(body: bytes) -> dict[int, list[CommitmentSetPair]]:
     return out
 
 
-def encode_coin_commits(entries: list[tuple[int, Commitment]]) -> bytes:
+def encode_coin_commit(com: Commitment) -> bytes:
+    return com.digest
+
+
+def decode_coin_commit(body: bytes) -> Commitment:
+    r = Reader(body)
+    com = r.commitment()
+    r.end()
+    return com
+
+
+def encode_coin_reveal(opening: Opening) -> bytes:
     w = Writer()
-    w.u32(len(entries))
-    for wire_id, com in entries:
-        w.u32(wire_id)
-        w.commitment(com)
+    w.opening(opening)
     return w.done()
 
 
-def decode_coin_commits(body: bytes) -> list[tuple[int, Commitment]]:
+def decode_coin_reveal(body: bytes) -> Opening:
     r = Reader(body)
-    out = [(r.u32(), r.commitment()) for _ in range(r.u32())]
+    opening = r.opening()
     r.end()
-    return out
-
-
-def encode_coin_reveals(entries: list[tuple[int, Opening]]) -> bytes:
-    w = Writer()
-    w.u32(len(entries))
-    for wire_id, opening in entries:
-        w.u32(wire_id)
-        w.opening(opening)
-    return w.done()
-
-
-def decode_coin_reveals(body: bytes) -> list[tuple[int, Opening]]:
-    r = Reader(body)
-    out = [(r.u32(), r.opening()) for _ in range(r.u32())]
-    r.end()
-    return out
+    return opening
 
 
 def encode_checkset_openings(wires: dict[int, list[tuple[int, tuple]]]) -> bytes:

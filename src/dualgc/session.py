@@ -6,10 +6,11 @@ provider (an input-less recipient of every output) through the three
 protocol phases:
 
 * input: providers broadcast the committed copies of their input-wire
-  material; the parties coin-toss the challenge string for every wire,
-  verify the opened check copies, and derive their final input encodings
-  and cross labels from the evaluation copies, confirming agreement via
-  the broadcast hash tuples.
+  material; the parties coin-toss one challenge seed, from which every
+  role derives each wire's challenge string, verify the opened check
+  copies, and derive their final input encodings and cross labels from
+  the evaluation copies, confirming agreement via the broadcast hash
+  tuples.
 * compute: both garbled circuits are exchanged (each sent before either
   side evaluates) and evaluated on the cross labels.
 * output: both parties commit to output encodings and evaluated labels
@@ -45,6 +46,7 @@ from .auction import (
     decode_cloud_bits,
     encode_bid_bits,
 )
+from .commitments import Opening
 from .consistency import (
     ConsistencyProof,
     VERDICT_CHEATING_PARTY,
@@ -260,8 +262,6 @@ class _RoleState:
     phase: str = M.PHASE_INPUT
     pairs: dict = field(default_factory=dict)        # wire -> [CommitmentSetPair]
     wire_owner: dict = field(default_factory=dict)   # wire -> provider Role
-    coin_coms: dict = field(default_factory=dict)    # party name -> {wire: Commitment}
-    opened_shares: dict = field(default_factory=dict)  # wire -> {party name: bits}
     rho: dict = field(default_factory=dict)          # wire -> tuple[int, ...]
     nonces: list = field(default_factory=list)
 
@@ -273,8 +273,6 @@ class _RoleState:
 
 @dataclass(eq=False)
 class _PartyState(_RoleState):
-    shares: dict = field(default_factory=dict)       # wire -> own share bits
-    coin_openings: dict = field(default_factory=dict)
     triples: dict = field(default_factory=dict)      # wire -> eval triples (asc copy)
     final_enc: dict = field(default_factory=dict)    # wire -> own-circuit Encoding
     cross_label: dict = field(default_factory=dict)  # wire -> other-circuit label
@@ -507,83 +505,43 @@ class Session:
                 st.wire_owner[w] = role
 
     def _toss_challenges(self):
-        pending = sorted(w for st in self.providers.values() for w in st.wires)
-        rounds = 0
-        while pending:
-            if rounds > 64:
-                raise ProtocolError("challenge toss failed to converge")
-            self._toss_round(pending)
-            still = []
-            reference = None
-            for st in self._all_states():
-                for w in pending:
-                    rho = combine_challenge(st.opened_shares[w]["P1"],
-                                            st.opened_shares[w]["P2"])
-                    if rho is None:
-                        st.opened_shares.pop(w)
-                        if st is self.p1:
-                            still.append(w)
-                    else:
-                        st.rho[w] = tuple(rho)
-            if reference is None:
-                reference = {w: self.p1.rho.get(w) for w in pending}
-            for st in self._all_states():
-                for w in pending:
-                    if st.rho.get(w) != reference[w]:
-                        raise ProtocolError("challenge views diverged")
-            pending = still
-            rounds += 1
-
-    def _toss_round(self, pending):
-        s = self.s
+        """One joint toss per session: each party commits to a seed share,
+        then reveals it, and every role derives each wire's challenge from
+        the two shares it holds."""
+        commits, shares = {}, {}  # (holder role, party role) -> value
+        openings = {}             # party state -> its own opening
         for party in (self.p1, self.p2):
-            entries = []
-            for w in pending:
-                share, com, opening = coin_toss_commit(party.rng, s)
-                party.shares[w] = share
-                party.coin_openings[w] = opening
-                party.nonces.append(opening.randomness)
-                entries.append((w, com))
+            share, com, openings[party] = coin_toss_commit(party.rng)
+            shares[party.role, party.role] = share
+            party.nonces.append(openings[party].randomness)
             self._broadcast(M.MessageType.COIN_COMMIT, party.role,
-                            M.encode_coin_commits(entries))
+                            M.encode_coin_commit(com))
         for party in (self.p1, self.p2):
             for other in self._others(party.role):
-                got = dict(M.decode_coin_commits(self._recv(
-                    other, party.role, M.MessageType.COIN_COMMIT)))
-                if set(got) != set(pending):
-                    raise _Abort(other, party.role,
-                                 "coin commitments cover the wrong wires")
-                self._state(other).coin_coms.setdefault(
-                    party.role.name, {}).update(got)
+                commits[other, party.role] = M.decode_coin_commit(self._recv(
+                    other, party.role, M.MessageType.COIN_COMMIT))
         for party in (self.p1, self.p2):
-            entries = [(w, party.coin_openings[w]) for w in pending]
+            opening = openings[party]
             if self._cheats("bias_coin_toss", party.role):
-                w0, honest = entries[0]
-                flipped = bytes([honest.message[0] ^ 1]) + honest.message[1:]
-                entries[0] = (w0, type(honest)(flipped, honest.randomness))
+                flipped = bytes([opening.message[0] ^ 1]) + opening.message[1:]
+                opening = Opening(flipped, opening.randomness)
             self._broadcast(M.MessageType.COIN_REVEAL, party.role,
-                            M.encode_coin_reveals(entries))
+                            M.encode_coin_reveal(opening))
         for party in (self.p1, self.p2):
             for other in self._others(party.role):
-                got = dict(M.decode_coin_reveals(self._recv(
-                    other, party.role, M.MessageType.COIN_REVEAL)))
-                if set(got) != set(pending):
-                    raise _Abort(other, party.role,
-                                 "coin reveals cover the wrong wires")
-                other_st = self._state(other)
-                for w in pending:
-                    try:
-                        bits = coin_toss_open(
-                            other_st.coin_coms[party.role.name][w], got[w],
-                            s, party=party.role.name)
-                    except CoinTossCheatError as exc:
-                        raise _Abort(other, party.role, str(exc))
-                    other_st.opened_shares.setdefault(
-                        w, {})[party.role.name] = bits
-            party.opened_shares = {
-                w: {**party.opened_shares.get(w, {}),
-                    party.role.name: party.shares[w]}
-                for w in set(pending) | set(party.opened_shares)}
+                got = M.decode_coin_reveal(self._recv(
+                    other, party.role, M.MessageType.COIN_REVEAL))
+                try:
+                    shares[other, party.role] = coin_toss_open(
+                        commits[other, party.role], got,
+                        party=party.role.name)
+                except CoinTossCheatError as exc:
+                    raise _Abort(other, party.role, str(exc))
+        wires = sorted(w for st in self.providers.values() for w in st.wires)
+        for st in self._all_states():
+            held = (shares[st.role, self.p1.role], shares[st.role, self.p2.role])
+            for w in wires:
+                st.rho[w] = tuple(combine_challenge(*held, w, self.s))
 
     def _verify_check_sets(self):
         for role in self.bidder_roles:
@@ -616,18 +574,14 @@ class Session:
                                                       openings)
                         if err:
                             failures.append((party, role, w, j, openings, err))
-        if self._cheats("falsify_check_failure", self.p1.role) and not failures:
-            w0 = self.providers[self.bidder_roles[0]].wires[0]
-            j0 = next(j for j in range(self.s) if self.p1.rho[w0][j])
-            failures.append((self.p1, self.bidder_roles[0], w0, j0,
-                             self.p1.stashed_check[(w0, j0)],
-                             "claimed construction failure"))
-        if self._cheats("falsify_check_failure", self.p2.role) and not failures:
-            w0 = self.providers[self.bidder_roles[0]].wires[0]
-            j0 = next(j for j in range(self.s) if self.p2.rho[w0][j])
-            failures.append((self.p2, self.bidder_roles[0], w0, j0,
-                             self.p2.stashed_check[(w0, j0)],
-                             "claimed construction failure"))
+        for party in (self.p1, self.p2):
+            if self._cheats("falsify_check_failure", party.role) \
+                    and not failures:
+                w0 = self.providers[self.bidder_roles[0]].wires[0]
+                j0 = next(j for j in range(self.s) if party.rho[w0][j])
+                failures.append((party, self.bidder_roles[0], w0, j0,
+                                 party.stashed_check[(w0, j0)],
+                                 "claimed construction failure"))
         if failures:
             self._arbitrate_check_failure(failures)
 

@@ -98,14 +98,11 @@ def test_criterion_2_cut_and_choose_soundness_bound():
         consistent = [j != 0 for j in range(s)]
         material = generate_cheating_material(
             rng, rng.getrandbits(1), s, consistent)
-        while True:
-            share1, com1, op1 = coin_toss_commit(rng, s)
-            share2, com2, op2 = coin_toss_commit(rng, s)
-            assert coin_toss_open(com1, op1, s, "P1") == share1
-            assert coin_toss_open(com2, op2, s, "P2") == share2
-            rho = combine_challenge(share1, share2)
-            if rho is not None:
-                break
+        share1, com1, op1 = coin_toss_commit(rng)
+        share2, com2, op2 = coin_toss_commit(rng)
+        assert coin_toss_open(com1, op1, "P1") == share1
+        assert coin_toss_open(com2, op2, "P2") == share2
+        rho = combine_challenge(share1, share2, 0, s)
         if wire_outcome(material, rho, rng) == "divergent":
             divergent += 1
     rate = divergent / trials

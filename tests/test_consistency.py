@@ -1,11 +1,13 @@
 """Input-consistency tests: commitment sets, coin toss, checks, proofs."""
 
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from dualgc.commitments import open_commitment
+from dualgc.commitments import (NONCE_BYTES, TAG_COIN, TAG_POSITION,
+                                open_commitment, tagged_commit)
 from dualgc.consistency import (COMMITMENTS_PER_COPY, VERDICT_CHEATING_PARTY,
                                 VERDICT_CHEATING_PROVIDER,
                                 VERDICT_PROOF_INVALID, CommitmentSetPair,
@@ -17,10 +19,10 @@ from dualgc.consistency import (COMMITMENTS_PER_COPY, VERDICT_CHEATING_PARTY,
                                 generate_input_material, hash_label,
                                 issue_consistency_proof, label_check_passes,
                                 make_hash_tuple, open_eval_triple,
-                                open_position, pack_bits, unpack_bits,
+                                open_position, unpack_bits,
                                 verify_check_failure_claim,
                                 verify_consistency_proof)
-from dualgc.errors import OpeningError
+from dualgc.errors import CoinTossCheatError, OpeningError
 from dualgc.garbling import Encoding
 
 from oracles import expected_wire_outcome, wire_outcome
@@ -172,29 +174,79 @@ def test_detection_combinatorics_exhaustive_s3():
         assert divergent == (1 if 1 <= sum(pattern) <= 2 else 0)
 
 
+def raw_challenge(share1, share2, wire, ctr, s):
+    digest = hashlib.shake_256(share1 + share2 + wire.to_bytes(4, "big")
+                               + ctr.to_bytes(4, "big")).digest(8)
+    return unpack_bits(digest, s)
+
+
 def test_coin_toss_round_trip_and_cheating():
     rng = random.Random(12)
-    share, com, opening = coin_toss_commit(rng, 10)
-    assert coin_toss_open(com, opening, 10, "P1") == share
-    _, com2, _ = coin_toss_commit(rng, 10)
-    with pytest.raises(OpeningError) as err:
-        coin_toss_open(com2, opening, 10, "P2")
+    share, com, opening = coin_toss_commit(rng)
+    assert len(share) == 32
+    assert coin_toss_open(com, opening, "P1") == share
+    _, foreign_com, _ = coin_toss_commit(rng)
+    with pytest.raises(CoinTossCheatError) as err:
+        coin_toss_open(foreign_com, opening, "P2")
     assert err.value.party == "P2"
-    with pytest.raises(OpeningError):
-        coin_toss_open(com, opening, 99, "P1")
+    assert "commitment" in str(err.value)
+    nonce = rng.randbytes(NONCE_BYTES)
+    short_com, short_op = tagged_commit(TAG_COIN, share[:31], nonce)
+    with pytest.raises(CoinTossCheatError) as err:
+        coin_toss_open(short_com, short_op, "P1")
+    assert err.value.party == "P1"
+    assert "length" in str(err.value)
+    long_com, long_op = tagged_commit(TAG_COIN, share + b"\x00", nonce)
+    with pytest.raises(CoinTossCheatError):
+        coin_toss_open(long_com, long_op, "P1")
+    tagged_com, tagged_op = tagged_commit(TAG_POSITION, share, nonce)
+    with pytest.raises(CoinTossCheatError) as err:
+        coin_toss_open(tagged_com, tagged_op, "P2")
+    assert err.value.party == "P2"
+    assert "malformed" in str(err.value)
+
+
+def test_combine_challenge_is_deterministic_and_never_degenerate():
+    rng = random.Random(14)
+    for s in range(2, 11):
+        for wire in range(20):
+            share1, share2 = rng.randbytes(32), rng.randbytes(32)
+            rho = combine_challenge(share1, share2, wire, s)
+            assert len(rho) == s
+            assert 0 < sum(rho) < s
+            assert combine_challenge(share1, share2, wire, s) == rho
+    with pytest.raises(ValueError):
+        combine_challenge(share1, share2, 0, 1)
 
 
 def test_combine_challenge_degenerate_cases():
-    assert combine_challenge([0, 1, 1], [0, 1, 1]) is None      # all zero
-    assert combine_challenge([0, 1, 0], [1, 0, 1]) is None      # all one
-    assert combine_challenge([0, 1, 1], [1, 1, 0]) == [1, 0, 1]
+    # At s=2 half of the raw strings are degenerate, so some share pair
+    # needs the counter bumped; the result is the first valid raw string.
+    rng = random.Random(15)
+    bumped = 0
+    for wire in range(40):
+        share1, share2 = rng.randbytes(32), rng.randbytes(32)
+        ctr = 0
+        while sum(raw_challenge(share1, share2, wire, ctr, 2)) in (0, 2):
+            ctr += 1
+        assert combine_challenge(share1, share2, wire, 2) == \
+            raw_challenge(share1, share2, wire, ctr, 2)
+        bumped += ctr > 0
+    assert bumped > 0
 
 
-def test_pack_unpack_bits():
-    rng = random.Random(13)
-    for n in (1, 7, 8, 9, 10, 16, 17):
-        bits = [rng.getrandbits(1) for _ in range(n)]
-        assert unpack_bits(pack_bits(bits), n) == bits
+def test_combine_challenge_reaches_every_valid_challenge():
+    rng = random.Random(16)
+    share1, share2 = rng.randbytes(32), rng.randbytes(32)
+    reached = {tuple(combine_challenge(share1, share2, wire, 3))
+               for wire in range(200)}
+    assert reached == {tuple(rho) for rho in all_valid_challenges(3)}
+
+
+def test_unpack_bits_reads_msb_first():
+    assert unpack_bits(b"\x80\x01", 16) == [1] + [0] * 14 + [1]
+    assert unpack_bits(b"\xa0", 3) == [1, 0, 1]
+    assert unpack_bits(b"\xff\x00", 9) == [1] * 8 + [0]
 
 
 def test_hash_tuple_structure_and_permutation():

@@ -77,13 +77,18 @@ def test_input_commitment_codec_round_trip():
 
 def test_coin_codec_round_trip():
     rng = random.Random(3)
-    entries_c, entries_r = [], []
-    for wire_id in range(4):
-        com, opening = tagged_commit(TAG_COIN, rng.randbytes(2), rng.randbytes(16))
-        entries_c.append((wire_id, com))
-        entries_r.append((wire_id, opening))
-    assert M.decode_coin_commits(M.encode_coin_commits(entries_c)) == entries_c
-    assert M.decode_coin_reveals(M.encode_coin_reveals(entries_r)) == entries_r
+    com, opening = tagged_commit(TAG_COIN, rng.randbytes(32), rng.randbytes(16))
+    commit_body = M.encode_coin_commit(com)
+    reveal_body = M.encode_coin_reveal(opening)
+    assert len(commit_body) == 32
+    assert M.decode_coin_commit(commit_body) == com
+    assert M.decode_coin_reveal(reveal_body) == opening
+    for decode, body in ((M.decode_coin_commit, commit_body),
+                         (M.decode_coin_reveal, reveal_body)):
+        with pytest.raises(FramingError):
+            decode(body[:-1])
+        with pytest.raises(FramingError):
+            decode(body + b"\x00")
 
 
 def test_set_opening_codecs_round_trip():
