@@ -2,9 +2,19 @@
 
 Frame layout: ``length (4 BE) || type (1) || session_id (8 BE) || payload``,
 where ``length`` counts everything after itself (9 + payload bytes) and the
-payload starts with the sender's role tag (kind byte + 2-byte index). All
-multi-byte integers are big-endian; commitments travel as their 32-byte
-digests and openings as a length-prefixed message plus 16-byte randomness.
+payload is the sender's role tag (kind byte + 2-byte index) followed by the
+message body. ``encode_frame``/``decode_frame`` are this raw frame layer.
+
+``SCHEMAS`` is the wire specification of every body: one codec per message
+type, composed from field codecs. Integers are big-endian ``u8``/``u16``/
+``u32``; ``raw(n)`` is n bytes; commitments are their 32-byte digests;
+``text`` is a u32 length and UTF-8 bytes, an opening a u32 length, the
+message and 16 bytes of randomness; ``listof`` is a count and the items,
+``wire_map`` a u32 count and (u32 wire, value) pairs in ascending wire
+order; ``record`` a dataclass's fields in declaration order.
+``encode_body``/``decode_body`` run a schema; decoding refuses a truncated
+body, trailing bytes or non-UTF-8 text with ``FramingError``, alike for
+every type.
 
 ``FLOW`` declares, for each message type, which role kinds may send it, who
 receives it, and the protocol phase it belongs to. The table is the basis
@@ -15,8 +25,12 @@ about the decoded results.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter, methodcaller
 
 from .commitments import DIGEST_BYTES, NONCE_BYTES, Commitment, Opening
 from .consistency import CommitmentSetPair, ConsistencyProof, HashTuple
@@ -128,75 +142,6 @@ def check_flow(mtype: MessageType, sender: Role, receiver: Role) -> None:
             f"{mtype.name} not allowed from {sender.name} to {receiver.name}")
 
 
-# --- primitive readers/writers ----------------------------------------------
-
-class Writer:
-    def __init__(self):
-        self.parts: list[bytes] = []
-
-    def u8(self, v: int):
-        self.parts.append(bytes([v]))
-
-    def u16(self, v: int):
-        self.parts.append(v.to_bytes(2, "big"))
-
-    def u32(self, v: int):
-        self.parts.append(v.to_bytes(4, "big"))
-
-    def raw(self, b: bytes):
-        self.parts.append(b)
-
-    def var(self, b: bytes):
-        self.u32(len(b))
-        self.parts.append(b)
-
-    def commitment(self, c: Commitment):
-        self.parts.append(c.digest)
-
-    def opening(self, o: Opening):
-        self.var(o.message)
-        self.parts.append(o.randomness)
-
-    def done(self) -> bytes:
-        return b"".join(self.parts)
-
-
-class Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def raw(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise FramingError("message payload truncated")
-        out = self.data[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def u8(self) -> int:
-        return self.raw(1)[0]
-
-    def u16(self) -> int:
-        return int.from_bytes(self.raw(2), "big")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.raw(4), "big")
-
-    def var(self) -> bytes:
-        return self.raw(self.u32())
-
-    def commitment(self) -> Commitment:
-        return Commitment(self.raw(DIGEST_BYTES))
-
-    def opening(self) -> Opening:
-        message = self.var()
-        return Opening(message, self.raw(NONCE_BYTES))
-
-    def end(self):
-        if self.off != len(self.data):
-            raise FramingError("message payload has trailing bytes")
-
-
 # --- frame -------------------------------------------------------------------
 
 def encode_frame(mtype: MessageType, session_id: int, sender: Role,
@@ -223,299 +168,252 @@ def decode_frame(frame: bytes):
     return mtype, session_id, sender, frame[16:]
 
 
-# --- payload codecs ----------------------------------------------------------
+# --- field codecs ------------------------------------------------------------
 
-def encode_input_commitments(wires: dict[int, list[CommitmentSetPair]]) -> bytes:
-    w = Writer()
-    w.u32(len(wires))
-    for wire_id in sorted(wires):
-        pairs = wires[wire_id]
-        w.u32(wire_id)
-        w.u16(len(pairs))
-        for pair in pairs:
-            for com in (pair.w[0], pair.w[1], pair.w_prime[0],
-                        pair.w_prime[1], pair.position):
-                w.commitment(com)
-    return w.done()
+# ``write(out, value)`` appends the value's bytes to the list ``out``;
+# ``read(data, off)`` returns ``(value, offset after it)`` and raises
+# ``FramingError`` if ``data`` ends first.
+Codec = namedtuple("Codec", "write read")
 
 
-def decode_input_commitments(body: bytes) -> dict[int, list[CommitmentSetPair]]:
-    r = Reader(body)
-    out: dict[int, list[CommitmentSetPair]] = {}
-    for _ in range(r.u32()):
-        wire_id = r.u32()
-        pairs = []
-        for _ in range(r.u16()):
-            coms = [r.commitment() for _ in range(5)]
-            pairs.append(CommitmentSetPair(
-                w=(coms[0], coms[1]), w_prime=(coms[2], coms[3]),
-                position=coms[4]))
-        out[wire_id] = pairs
-    r.end()
-    return out
+_TRUNCATED = "message payload truncated"
 
 
-def encode_coin_commit(com: Commitment) -> bytes:
-    return com.digest
+def _fixed(n: int, to_bytes, from_bytes) -> Codec:
+    """An ``n``-byte field."""
+    def write(out, value):
+        out.append(to_bytes(value))
+
+    def read(data, off):
+        end = off + n
+        if end > len(data):
+            raise FramingError(_TRUNCATED)
+        return from_bytes(data[off:end]), end
+
+    return Codec(write, read)
 
 
-def decode_coin_commit(body: bytes) -> Commitment:
-    r = Reader(body)
-    com = r.commitment()
-    r.end()
-    return com
+def _uint(n: int) -> Codec:
+    return _fixed(n, methodcaller("to_bytes", n, "big"),
+                  partial(int.from_bytes, byteorder="big"))
 
 
-def encode_coin_reveal(opening: Opening) -> bytes:
-    w = Writer()
-    w.opening(opening)
-    return w.done()
+u8, u16, u32 = _uint(1), _uint(2), _uint(4)
 
 
-def decode_coin_reveal(body: bytes) -> Opening:
-    r = Reader(body)
-    opening = r.opening()
-    r.end()
-    return opening
+def raw(n: int) -> Codec:
+    """Exactly ``n`` bytes."""
+    return _fixed(n, bytes, bytes)
 
 
-def encode_checkset_openings(wires: dict[int, list[tuple[int, tuple]]]) -> bytes:
-    w = Writer()
-    w.u32(len(wires))
-    for wire_id in sorted(wires):
-        entries = wires[wire_id]
-        w.u32(wire_id)
-        w.u16(len(entries))
-        for copy_j, openings in entries:
-            w.u16(copy_j)
-            for opening in openings:
-                w.opening(opening)
-    return w.done()
+commitment = _fixed(DIGEST_BYTES, attrgetter("digest"), Commitment)
+# A role tag, or three zero bytes for None.
+role_or_none = _fixed(
+    ROLE_PREFIX_BYTES, lambda r: b"\0\0\0" if r is None else r.tag(),
+    lambda tag: None if tag[0] == 0 else role_from_tag(tag))
 
 
-def decode_checkset_openings(body: bytes) -> dict[int, list[tuple[int, tuple]]]:
-    r = Reader(body)
-    out: dict[int, list[tuple[int, tuple]]] = {}
-    for _ in range(r.u32()):
-        wire_id = r.u32()
-        entries = []
-        for _ in range(r.u16()):
-            copy_j = r.u16()
-            entries.append((copy_j, tuple(r.opening() for _ in range(4))))
-        out[wire_id] = entries
-    r.end()
-    return out
+def _write_var(out, value: bytes):
+    out.append(len(value).to_bytes(4, "big"))
+    out.append(value)
 
 
-def encode_evalset_openings(wires: dict[int, list[tuple[int, Opening, Opening]]]) -> bytes:
-    w = Writer()
-    w.u32(len(wires))
-    for wire_id in sorted(wires):
-        entries = wires[wire_id]
-        w.u32(wire_id)
-        w.u16(len(entries))
-        for copy_j, pos_opening, set_opening in entries:
-            w.u16(copy_j)
-            w.opening(pos_opening)
-            w.opening(set_opening)
-    return w.done()
+def _read_var(data, off):
+    end = off + 4
+    if end > len(data):
+        raise FramingError(_TRUNCATED)
+    off, end = end, end + int.from_bytes(data[off:end], "big")
+    if end > len(data):
+        raise FramingError(_TRUNCATED)
+    return data[off:end], end
 
 
-def decode_evalset_openings(body: bytes) -> dict[int, list[tuple[int, Opening, Opening]]]:
-    r = Reader(body)
-    out: dict[int, list[tuple[int, Opening, Opening]]] = {}
-    for _ in range(r.u32()):
-        wire_id = r.u32()
-        entries = []
-        for _ in range(r.u16()):
-            entries.append((r.u16(), r.opening(), r.opening()))
-        out[wire_id] = entries
-    r.end()
-    return out
+def _write_opening(out, opening: Opening):
+    _write_var(out, opening.message)
+    out.append(opening.randomness)
 
 
-def encode_hash_tuples(wires: dict[int, HashTuple]) -> bytes:
-    w = Writer()
-    w.u32(len(wires))
-    for wire_id in sorted(wires):
-        tup = wires[wire_id]
-        w.u32(wire_id)
-        w.raw(tup.h_pair[0])
-        w.raw(tup.h_pair[1])
-        w.commitment(tup.c_pair[0])
-        w.commitment(tup.c_pair[1])
-        w.commitment(tup.c_cross)
-    return w.done()
+def _read_opening(data, off):
+    message, off = _read_var(data, off)
+    end = off + NONCE_BYTES
+    if end > len(data):
+        raise FramingError(_TRUNCATED)
+    return Opening(message, data[off:end]), end
 
 
-def decode_hash_tuples(body: bytes) -> dict[int, HashTuple]:
-    r = Reader(body)
-    out = {}
-    for _ in range(r.u32()):
-        wire_id = r.u32()
-        out[wire_id] = HashTuple(
-            h_pair=(r.raw(32), r.raw(32)),
-            c_pair=(r.commitment(), r.commitment()),
-            c_cross=r.commitment())
-    r.end()
-    return out
+def _read_text(data, off):
+    value, off = _read_var(data, off)
+    try:
+        return value.decode("utf-8"), off
+    except UnicodeDecodeError:
+        raise FramingError("text field is not valid UTF-8")
 
 
-def encode_consistency_proof(proof: ConsistencyProof) -> bytes:
-    w = Writer()
-    w.u16(proof.provider)
-    w.u32(proof.wire)
-    for h in proof.h_triple:
-        w.raw(h)
-    for c in proof.c_triple:
-        w.commitment(c)
-    return w.done()
+opening = Codec(_write_opening, _read_opening)
+text = Codec(lambda out, s: _write_var(out, s.encode("utf-8")), _read_text)
+# Everything left in the body, unchecked (the garbled-tables blob).
+rest = Codec(lambda out, b: out.append(b),
+             lambda data, off: (data[off:], len(data)))
 
 
-def decode_consistency_proof(body: bytes) -> ConsistencyProof:
-    r = Reader(body)
-    provider = r.u16()
-    wire = r.u32()
-    h = tuple(r.raw(32) for _ in range(3))
-    c = tuple(r.commitment() for _ in range(3))
-    r.end()
-    return ConsistencyProof(provider=provider, wire=wire, h_triple=h, c_triple=c)
+def seq(*fields: Codec) -> Codec:
+    """The fields one after another, as a tuple."""
+    writers = tuple(f.write for f in fields)
+    readers = tuple(f.read for f in fields)
 
+    def write(out, values):
+        if len(values) != len(writers):
+            raise ProtocolError(f"expected {len(writers)} fields")
+        for w, value in zip(writers, values):
+            w(out, value)
+
+    def read(data, off):
+        values = []
+        for r in readers:
+            value, off = r(data, off)
+            values.append(value)
+        return tuple(values), off
+
+    return Codec(write, read)
+
+
+def array(n: int, item: Codec) -> Codec:
+    """``n`` items and no count, as a tuple."""
+    return seq(*(item,) * n)
+
+
+def record(cls, **fields: Codec) -> Codec:
+    """A dataclass, its fields on the wire in declaration order."""
+    if tuple(fields) != tuple(f.name for f in dataclasses.fields(cls)):
+        raise ProtocolError(f"schema fields do not match {cls.__name__}")
+    writers = tuple((name, f.write) for name, f in fields.items())
+    readers = tuple(f.read for f in fields.values())
+
+    def write(out, value):
+        for name, w in writers:
+            w(out, getattr(value, name))
+
+    def read(data, off):
+        values = []
+        for r in readers:
+            value, off = r(data, off)
+            values.append(value)
+        return cls(*values), off
+
+    return Codec(write, read)
+
+
+def listof(count: Codec, item: Codec) -> Codec:
+    """A count, then that many items; decodes to a list."""
+    write_count, read_count = count
+    write_item, read_item = item
+
+    def write(out, values):
+        write_count(out, len(values))
+        for value in values:
+            write_item(out, value)
+
+    def read(data, off):
+        n, off = read_count(data, off)
+        values = []
+        for _ in range(n):
+            value, off = read_item(data, off)
+            values.append(value)
+        return values, off
+
+    return Codec(write, read)
+
+
+def wire_map(value: Codec) -> Codec:
+    """``{wire id: value}``: a u32 count, then u32 wire id and value pairs in
+    ascending wire order."""
+    write_value, read_value, read_u32 = value.write, value.read, u32.read
+
+    def write(out, mapping):
+        out.append(len(mapping).to_bytes(4, "big"))
+        for wire in sorted(mapping):
+            out.append(wire.to_bytes(4, "big"))
+            write_value(out, mapping[wire])
+
+    def read(data, off):
+        n, off = read_u32(data, off)
+        out = {}
+        for _ in range(n):
+            wire, off = read_u32(data, off)
+            out[wire], off = read_value(data, off)
+        return out, off
+
+    return Codec(write, read)
+
+
+def one_of(field: Codec, allowed: tuple) -> Codec:
+    """``field``, refused on decode unless its value is in ``allowed``."""
+    def read(data, off):
+        value, off = field.read(data, off)
+        if value not in allowed:
+            raise ProtocolError(f"unexpected field value {value}")
+        return value, off
+
+    return Codec(field.write, read)
+
+
+# --- message schemas ---------------------------------------------------------
 
 OPEN_PAIR = 0
 OPEN_CROSS = 1
 
-
-def encode_proof_opening_request(wire: int, which: int) -> bytes:
-    w = Writer()
-    w.u32(wire)
-    w.u8(which)
-    return w.done()
-
-
-def decode_proof_opening_request(body: bytes) -> tuple[int, int]:
-    r = Reader(body)
-    wire, which = r.u32(), r.u8()
-    r.end()
-    if which not in (OPEN_PAIR, OPEN_CROSS):
-        raise ProtocolError("unknown proof opening request")
-    return wire, which
-
-
-def encode_proof_opening_response(wire: int, which: int, openings) -> bytes:
-    w = Writer()
-    w.u32(wire)
-    w.u8(which)
-    w.u8(len(openings))
-    for opening in openings:
-        w.opening(opening)
-    return w.done()
-
-
-def decode_proof_opening_response(body: bytes):
-    r = Reader(body)
-    wire, which = r.u32(), r.u8()
-    openings = tuple(r.opening() for _ in range(r.u8()))
-    r.end()
-    return wire, which, openings
-
-
-def encode_output_commitments(entries: list[tuple[int, Commitment, Commitment]]) -> bytes:
-    w = Writer()
-    w.u16(len(entries))
-    for recipient, enc_com, label_com in entries:
-        w.u16(recipient)
-        w.commitment(enc_com)
-        w.commitment(label_com)
-    return w.done()
+# The wire specification of every message body, and its decoded value.
+SCHEMAS: dict[MessageType, Codec] = {
+    # {wire: [CommitmentSetPair per copy]}
+    MessageType.INPUT_COMMITMENTS: wire_map(listof(u16, record(
+        CommitmentSetPair, w=array(2, commitment),
+        w_prime=array(2, commitment), position=commitment))),
+    MessageType.COIN_COMMIT: commitment,
+    MessageType.COIN_REVEAL: opening,
+    # {wire: [(copy, four check-set openings)]}
+    MessageType.CHECKSET_OPENINGS: wire_map(listof(u16, seq(
+        u16, array(4, opening)))),
+    # {wire: [(copy, position opening, input-set opening)]}
+    MessageType.EVALSET_OPENINGS: wire_map(listof(u16, seq(
+        u16, opening, opening))),
+    MessageType.HASH_TUPLE: wire_map(record(
+        HashTuple, h_pair=array(2, raw(32)), c_pair=array(2, commitment),
+        c_cross=commitment)),
+    MessageType.CONSISTENCY_PROOF: record(
+        ConsistencyProof, provider=u16, wire=u32, h_triple=array(3, raw(32)),
+        c_triple=array(3, commitment)),
+    # (wire, OPEN_PAIR or OPEN_CROSS)
+    MessageType.PROOF_OPENING_REQUEST: seq(
+        u32, one_of(u8, (OPEN_PAIR, OPEN_CROSS))),
+    # (wire, which, [openings])
+    MessageType.PROOF_OPENING_RESPONSE: seq(u32, u8, listof(u8, opening)),
+    # (provider index, wire, copy, the copy's four check-set openings)
+    MessageType.CHECK_FAILURE_CLAIM: seq(u16, u32, u16, array(4, opening)),
+    # the tables blob, checked by garbling.parse_tables_blob
+    MessageType.GARBLED_CIRCUIT: rest,
+    # [(recipient, encoding commitment, label commitment)]
+    MessageType.OUTPUT_COMMITMENTS: listof(u16, seq(
+        u16, commitment, commitment)),
+    # (recipient, encoding opening, label opening)
+    MessageType.OUTPUT_OPENINGS: seq(u16, opening, opening),
+    MessageType.BUNDLE_HASH: raw(32),
+    MessageType.FAILURE_PROOF: record(
+        FailureProof, recipient=u16, openings=record(
+            OutputOpenings, e1=opening, o1=opening, e2=opening, o2=opening)),
+    # (blamed role or None, reason)
+    MessageType.ABORT: seq(role_or_none, text),
+}
 
 
-def decode_output_commitments(body: bytes) -> list[tuple[int, Commitment, Commitment]]:
-    r = Reader(body)
-    out = [(r.u16(), r.commitment(), r.commitment()) for _ in range(r.u16())]
-    r.end()
-    return out
+def encode_body(mtype: MessageType, value) -> bytes:
+    out: list[bytes] = []
+    SCHEMAS[mtype].write(out, value)
+    return b"".join(out)
 
 
-def encode_output_openings(recipient: int, enc_opening: Opening,
-                           label_opening: Opening) -> bytes:
-    w = Writer()
-    w.u16(recipient)
-    w.opening(enc_opening)
-    w.opening(label_opening)
-    return w.done()
-
-
-def decode_output_openings(body: bytes):
-    r = Reader(body)
-    out = (r.u16(), r.opening(), r.opening())
-    r.end()
-    return out
-
-
-def encode_bundle_hash(digest: bytes) -> bytes:
-    return digest
-
-
-def decode_bundle_hash(body: bytes) -> bytes:
-    if len(body) != 32:
-        raise FramingError("bundle hash must be 32 bytes")
-    return body
-
-
-def encode_failure_proof(proof: FailureProof) -> bytes:
-    w = Writer()
-    w.u16(proof.recipient)
-    for opening in (proof.openings.e1, proof.openings.o1,
-                    proof.openings.e2, proof.openings.o2):
-        w.opening(opening)
-    return w.done()
-
-
-def decode_failure_proof(body: bytes) -> FailureProof:
-    r = Reader(body)
-    recipient = r.u16()
-    ops = [r.opening() for _ in range(4)]
-    r.end()
-    return FailureProof(recipient=recipient, openings=OutputOpenings(
-        e1=ops[0], o1=ops[1], e2=ops[2], o2=ops[3]))
-
-
-def encode_check_failure_claim(provider: int, wire: int, copy_j: int,
-                               openings) -> bytes:
-    w = Writer()
-    w.u16(provider)
-    w.u32(wire)
-    w.u16(copy_j)
-    for opening in openings:
-        w.opening(opening)
-    return w.done()
-
-
-def decode_check_failure_claim(body: bytes):
-    r = Reader(body)
-    provider, wire, copy_j = r.u16(), r.u32(), r.u16()
-    openings = tuple(r.opening() for _ in range(4))
-    r.end()
-    return provider, wire, copy_j, openings
-
-
-def encode_abort(reason: str, blamed: Role | None) -> bytes:
-    w = Writer()
-    if blamed is None:
-        w.u8(0)
-        w.u16(0)
-    else:
-        w.raw(blamed.tag())
-    w.var(reason.encode("utf-8"))
-    return w.done()
-
-
-def decode_abort(body: bytes) -> tuple[str, Role | None]:
-    r = Reader(body)
-    kind = r.u8()
-    index = r.u16()
-    reason = r.var().decode("utf-8")
-    r.end()
-    blamed = None if kind == 0 else Role(kind, index)
-    return reason, blamed
+def decode_body(mtype: MessageType, body: bytes):
+    """The value of a message body; FramingError/ProtocolError if malformed."""
+    value, off = SCHEMAS[mtype].read(body, 0)
+    if off != len(body):
+        raise FramingError("message payload has trailing bytes")
+    return value

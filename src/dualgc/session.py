@@ -70,15 +70,16 @@ from .consistency import (
 from .errors import (
     CoinTossCheatError,
     EvaluationError,
+    FramingError,
     OpeningError,
     ProtocolError,
+    TransportError,
     TransportTimeout,
     UsageError,
 )
 from .garbling import (LABEL_BYTES, evaluate, garble, gate_rows,
                        parse_tables_blob)
 from .outputs import (
-    ACCEPT,
     BLAME,
     CONFIRMED,
     REJECT,
@@ -379,31 +380,44 @@ class Session:
         return int((time.perf_counter() - self._t0) * 1_000_000)
 
     def _send(self, mtype: M.MessageType, sender: M.Role, receiver: M.Role,
-              body: bytes):
-        M.check_flow(mtype, sender, receiver)
-        frame = M.encode_frame(mtype, self.session_id, sender, body)
-        self.transport.send(sender, receiver, frame)
-        self.transcript.add(self._phase, sender.name, receiver.name,
-                            mtype.name, len(frame), self._micros())
+              value):
+        self._broadcast(mtype, sender, value, receivers=(receiver,))
 
-    def _recv(self, receiver: M.Role, sender: M.Role,
-              mtype: M.MessageType) -> bytes:
-        frame = self.transport.recv(receiver, sender)
-        got_type, sid, got_sender, body = M.decode_frame(frame)
-        if got_type != mtype:
-            raise ProtocolError(f"expected {mtype.name}, got {got_type.name}")
-        if sid != self.session_id:
-            raise ProtocolError("frame belongs to a different session")
-        if got_sender != sender:
-            raise ProtocolError("frame sender does not match the channel")
-        return body
+    def _broadcast(self, mtype, sender, value, receivers=None):
+        """Encode ``value`` once and send the frame to every receiver (by
+        default, every other role)."""
+        frame = M.encode_frame(mtype, self.session_id, sender,
+                               M.encode_body(mtype, value))
+        for r in (receivers if receivers is not None else self._others(sender)):
+            M.check_flow(mtype, sender, r)
+            self.transport.send(sender, r, frame)
+            self.transcript.add(self._phase, sender.name, r.name,
+                                mtype.name, len(frame), self._micros())
+
+    def _recv(self, receiver: M.Role, sender: M.Role, mtype: M.MessageType):
+        """The decoded value of the next frame from ``sender``. This is the
+        one place frames are checked: a transport failure other than a
+        timeout, a malformed frame or body, or a frame of the wrong type,
+        session or sender is an abort blaming ``sender``."""
+        try:
+            frame = self.transport.recv(receiver, sender)
+            got_type, sid, got_sender, body = M.decode_frame(frame)
+            if got_type != mtype:
+                raise ProtocolError(
+                    f"expected {mtype.name}, got {got_type.name}")
+            if sid != self.session_id:
+                raise ProtocolError("frame belongs to a different session")
+            if got_sender != sender:
+                raise ProtocolError("frame sender does not match the channel")
+            return M.decode_body(mtype, body)
+        except TransportTimeout:
+            raise
+        except (FramingError, ProtocolError, TransportError) as exc:
+            raise _Abort(receiver, sender,
+                         f"malformed {mtype.name} frame: {exc}")
 
     def _others(self, sender: M.Role) -> list[M.Role]:
         return [r for r in self.all_roles if r != sender]
-
-    def _broadcast(self, mtype, sender, body, receivers=None):
-        for r in (receivers if receivers is not None else self._others(sender)):
-            self._send(mtype, sender, r, body)
 
     @contextmanager
     def _timed(self, phase: str):
@@ -445,10 +459,13 @@ class Session:
         return [self.p1, self.p2] + list(self.providers.values())
 
     def _aborted(self, sig: _Abort) -> SessionResult:
-        body = M.encode_abort(sig.reason, sig.blamed)
+        self._broadcast(M.MessageType.ABORT, sig.detector,
+                        (sig.blamed, sig.reason))
         for other in self._others(sig.detector):
-            self._send(M.MessageType.ABORT, sig.detector, other, body)
-            M.decode_abort(self._recv(other, sig.detector, M.MessageType.ABORT))
+            try:
+                self._recv(other, sig.detector, M.MessageType.ABORT)
+            except (_Abort, TransportTimeout):
+                pass  # the abort being announced is already the verdict
         for st in self._all_states():
             st.phase = "aborted"
         return SessionResult(
@@ -487,13 +504,11 @@ class Session:
                     st.nonces += [o.randomness for o in
                                   copy.w_openings + copy.w_prime_openings
                                   + (copy.position_opening,)]
-            body = M.encode_input_commitments(
-                {w: st.pairs[w] for w in st.wires})
-            self._broadcast(M.MessageType.INPUT_COMMITMENTS, role, body)
+            self._broadcast(M.MessageType.INPUT_COMMITMENTS, role,
+                            {w: st.pairs[w] for w in st.wires})
             expected = set(st.wires)
             for other in self._others(role):
-                got = M.decode_input_commitments(self._recv(
-                    other, role, M.MessageType.INPUT_COMMITMENTS))
+                got = self._recv(other, role, M.MessageType.INPUT_COMMITMENTS)
                 if (set(got) != expected
                         or any(len(pairs) != s for pairs in got.values())):
                     raise _Abort(other, role, "malformed input commitments")
@@ -514,23 +529,20 @@ class Session:
             share, com, openings[party] = coin_toss_commit(party.rng)
             shares[party.role, party.role] = share
             party.nonces.append(openings[party].randomness)
-            self._broadcast(M.MessageType.COIN_COMMIT, party.role,
-                            M.encode_coin_commit(com))
+            self._broadcast(M.MessageType.COIN_COMMIT, party.role, com)
         for party in (self.p1, self.p2):
             for other in self._others(party.role):
-                commits[other, party.role] = M.decode_coin_commit(self._recv(
-                    other, party.role, M.MessageType.COIN_COMMIT))
+                commits[other, party.role] = self._recv(
+                    other, party.role, M.MessageType.COIN_COMMIT)
         for party in (self.p1, self.p2):
             opening = openings[party]
             if self._cheats("bias_coin_toss", party.role):
                 flipped = bytes([opening.message[0] ^ 1]) + opening.message[1:]
                 opening = Opening(flipped, opening.randomness)
-            self._broadcast(M.MessageType.COIN_REVEAL, party.role,
-                            M.encode_coin_reveal(opening))
+            self._broadcast(M.MessageType.COIN_REVEAL, party.role, opening)
         for party in (self.p1, self.p2):
             for other in self._others(party.role):
-                got = M.decode_coin_reveal(self._recv(
-                    other, party.role, M.MessageType.COIN_REVEAL))
+                got = self._recv(other, party.role, M.MessageType.COIN_REVEAL)
                 try:
                     shares[other, party.role] = coin_toss_open(
                         commits[other, party.role], got,
@@ -550,16 +562,14 @@ class Session:
             for w in st.wires:
                 payload[w] = [(j, st.material[w].check_openings(j))
                               for j in range(self.s) if st.rho[w][j]]
-            body = M.encode_checkset_openings(payload)
-            for party in (self.p1, self.p2):
-                self._send(M.MessageType.CHECKSET_OPENINGS, role,
-                           party.role, body)
+            self._broadcast(M.MessageType.CHECKSET_OPENINGS, role, payload,
+                            receivers=(self.p1.role, self.p2.role))
         failures = []
         for party in (self.p1, self.p2):
             for role in self.bidder_roles:
                 st = self.providers[role]
-                got = M.decode_checkset_openings(self._recv(
-                    party.role, role, M.MessageType.CHECKSET_OPENINGS))
+                got = self._recv(party.role, role,
+                                 M.MessageType.CHECKSET_OPENINGS)
                 if set(got) != set(st.wires):
                     raise _Abort(party.role, role,
                                  "check openings cover the wrong wires")
@@ -587,16 +597,22 @@ class Session:
 
     def _arbitrate_check_failure(self, failures):
         party, role, w, j, openings, err = failures[0]
-        claim = M.encode_check_failure_claim(role.index, w, j, openings)
-        self._broadcast(M.MessageType.CHECK_FAILURE_CLAIM, party.role, claim)
+        self._broadcast(M.MessageType.CHECK_FAILURE_CLAIM, party.role,
+                        (role.index, w, j, openings))
         verdicts = []
         for other in self._others(party.role):
-            prov, wire, copy, got = M.decode_check_failure_claim(self._recv(
-                other, party.role, M.MessageType.CHECK_FAILURE_CLAIM))
+            prov, wire, copy, got = self._recv(
+                other, party.role, M.MessageType.CHECK_FAILURE_CLAIM)
             if _is_party(other.name):
                 continue  # the other party records the claim; providers judge
-            pair = self._state(other).pairs[wire][copy]
-            verdicts.append(verify_check_failure_claim(pair, got))
+            st = self._state(other)
+            if (wire not in st.pairs or not 0 <= copy < self.s
+                    or not st.rho[wire][copy]
+                    or st.wire_owner[wire].index != prov):
+                raise _Abort(other, party.role,
+                             "check-failure claim names no check copy")
+            verdicts.append(verify_check_failure_claim(st.pairs[wire][copy],
+                                                       got))
         if len({v.kind for v in verdicts}) != 1:
             raise ProtocolError("check-failure arbitration diverged")
         if verdicts[0].kind == VERDICT_CHEATING_PROVIDER:
@@ -622,12 +638,12 @@ class Session:
                                         first if slot == 0 else second))
                     payload[w] = entries
                 self._send(M.MessageType.EVALSET_OPENINGS, role, party.role,
-                           M.encode_evalset_openings(payload))
+                           payload)
         for party, slot in ((self.p1, 0), (self.p2, 1)):
             for role in self.bidder_roles:
                 st = self.providers[role]
-                got = M.decode_evalset_openings(self._recv(
-                    party.role, role, M.MessageType.EVALSET_OPENINGS))
+                got = self._recv(party.role, role,
+                                 M.MessageType.EVALSET_OPENINGS)
                 if set(got) != set(st.wires):
                     raise _Abort(party.role, role,
                                  "evaluation openings cover the wrong wires")
@@ -669,12 +685,10 @@ class Session:
                 party.tuple_secrets[w] = secret
                 party.nonces += [o.randomness for o in secret.openings]
                 tuples[w] = tup
-            self._broadcast(M.MessageType.HASH_TUPLE, party.role,
-                            M.encode_hash_tuples(tuples))
+            self._broadcast(M.MessageType.HASH_TUPLE, party.role, tuples)
         for party in (self.p1, self.p2):
             for other in self._others(party.role):
-                got = M.decode_hash_tuples(self._recv(
-                    other, party.role, M.MessageType.HASH_TUPLE))
+                got = self._recv(other, party.role, M.MessageType.HASH_TUPLE)
                 if set(got) != set(party.triples):
                     raise _Abort(other, party.role,
                                  "hash tuples cover the wrong wires")
@@ -710,36 +724,32 @@ class Session:
 
     def _arbitrate_consistency_proof(self, party, other, proof):
         w = proof.wire
-        self._broadcast(M.MessageType.CONSISTENCY_PROOF, party.role,
-                        M.encode_consistency_proof(proof))
+        self._broadcast(M.MessageType.CONSISTENCY_PROOF, party.role, proof)
         for role in self._others(party.role):
-            M.decode_consistency_proof(self._recv(
-                role, party.role, M.MessageType.CONSISTENCY_PROOF))
-        self._send(M.MessageType.PROOF_OPENING_REQUEST, self.cloud_role,
-                   other.role, M.encode_proof_opening_request(w, M.OPEN_PAIR))
-        self._send(M.MessageType.PROOF_OPENING_REQUEST, self.cloud_role,
-                   party.role, M.encode_proof_opening_request(w, M.OPEN_CROSS))
-        wire, which = M.decode_proof_opening_request(self._recv(
-            other.role, self.cloud_role, M.MessageType.PROOF_OPENING_REQUEST))
-        pair_body = M.encode_proof_opening_response(
-            wire, which, other.tuple_secrets[wire].openings[:2])
-        wire, which = M.decode_proof_opening_request(self._recv(
-            party.role, self.cloud_role, M.MessageType.PROOF_OPENING_REQUEST))
-        cross_body = M.encode_proof_opening_response(
-            wire, which, (party.tuple_secrets[wire].openings[2],))
-        for sender_st, body in ((other, pair_body), (party, cross_body)):
-            self._broadcast(M.MessageType.PROOF_OPENING_RESPONSE,
-                            sender_st.role, body,
+            self._recv(role, party.role, M.MessageType.CONSISTENCY_PROOF)
+        # The garbler opens its two pair commitments, the complainer its
+        # cross commitment.
+        requests = ((other, M.OPEN_PAIR), (party, M.OPEN_CROSS))
+        for st, which in requests:
+            self._send(M.MessageType.PROOF_OPENING_REQUEST, self.cloud_role,
+                       st.role, (w, which))
+        for st, which in requests:
+            if self._recv(st.role, self.cloud_role,
+                          M.MessageType.PROOF_OPENING_REQUEST) != (w, which):
+                raise _Abort(st.role, self.cloud_role,
+                             "proof opening request does not match the proof")
+            openings = st.tuple_secrets[w].openings
+            self._broadcast(M.MessageType.PROOF_OPENING_RESPONSE, st.role,
+                            (w, which, openings[:2] if which == M.OPEN_PAIR
+                             else openings[2:]),
                             receivers=self.provider_roles)
         verdicts = []
         for prov_role in self.provider_roles:
             st = self.providers[prov_role]
-            _w, _which, pair_openings = M.decode_proof_opening_response(
-                self._recv(prov_role, other.role,
-                           M.MessageType.PROOF_OPENING_RESPONSE))
-            _w, _which, cross_openings = M.decode_proof_opening_response(
-                self._recv(prov_role, party.role,
-                           M.MessageType.PROOF_OPENING_RESPONSE))
+            pair_openings = self._proof_openings(prov_role, other.role, w,
+                                                 M.OPEN_PAIR, 2)
+            cross_openings = self._proof_openings(prov_role, party.role, w,
+                                                  M.OPEN_CROSS, 1)
             try:
                 verdicts.append(verify_consistency_proof(
                     proof, complainer=party.role.name,
@@ -766,6 +776,14 @@ class Session:
             reason = (f"consistency proof for wire {w} shows no "
                       "inconsistency; the complaint was false")
         raise _Abort(self.cloud_role, blamed, reason)
+
+    def _proof_openings(self, receiver, sender, w, which, count):
+        got_w, got_which, openings = self._recv(
+            receiver, sender, M.MessageType.PROOF_OPENING_RESPONSE)
+        if (got_w, got_which, len(openings)) != (w, which, count):
+            raise _Abort(receiver, sender,
+                         "proof opening response does not answer the request")
+        return openings
 
     # -------------------------------------------------------- compute phase
 
@@ -850,11 +868,11 @@ class Session:
                 party.nonces += [enc_op.randomness, lab_op.randomness]
                 entries.append((u, enc_com, lab_com))
             self._broadcast(M.MessageType.OUTPUT_COMMITMENTS, party.role,
-                            M.encode_output_commitments(entries))
+                            entries)
         for party in (self.p1, self.p2):
             for other in self._others(party.role):
-                got = M.decode_output_commitments(self._recv(
-                    other, party.role, M.MessageType.OUTPUT_COMMITMENTS))
+                got = self._recv(other, party.role,
+                                 M.MessageType.OUTPUT_COMMITMENTS)
                 if [u for u, _e, _l in got] != recipients:
                     raise _Abort(other, party.role,
                                  "output commitments cover the wrong "
@@ -871,16 +889,15 @@ class Session:
                 for u in recipients}
             st.digest = bundle_digest([st.bundles[u] for u in recipients])
         for prov_role in self.provider_roles:
-            body = M.encode_bundle_hash(self.providers[prov_role].digest)
             others = [r for r in self.provider_roles if r != prov_role]
-            self._broadcast(M.MessageType.BUNDLE_HASH, prov_role, body,
-                            receivers=others)
+            self._broadcast(M.MessageType.BUNDLE_HASH, prov_role,
+                            self.providers[prov_role].digest, receivers=others)
         for prov_role in self.provider_roles:
             for other in self.provider_roles:
                 if other == prov_role:
                     continue
-                digest = M.decode_bundle_hash(self._recv(
-                    other, prov_role, M.MessageType.BUNDLE_HASH))
+                digest = self._recv(other, prov_role,
+                                    M.MessageType.BUNDLE_HASH)
                 if digest != self.providers[other].digest:
                     raise _Abort(other, None,
                                  "output commitment views diverged")
@@ -888,20 +905,21 @@ class Session:
             for u in recipients:
                 enc_op, lab_op = party.out_openings[u]
                 self._send(M.MessageType.OUTPUT_OPENINGS, party.role,
-                           recipient_role(u),
-                           M.encode_output_openings(u, enc_op, lab_op))
+                           recipient_role(u), (u, enc_op, lab_op))
         decisions: dict[str, OutputDecision] = {}
         complaints: list[int] = []
         for u in recipients:
             r_role = recipient_role(u)
             st = self.providers[r_role]
-            u1, e1_op, o2_op = M.decode_output_openings(self._recv(
-                r_role, self.p1.role, M.MessageType.OUTPUT_OPENINGS))
-            u2, e2_op, o1_op = M.decode_output_openings(self._recv(
-                r_role, self.p2.role, M.MessageType.OUTPUT_OPENINGS))
-            if u1 != u or u2 != u:
-                raise ProtocolError("output openings routed to the wrong "
-                                    "recipient")
+            opened = {}
+            for party in (self.p1, self.p2):
+                got_u, enc_op, lab_op = self._recv(
+                    r_role, party.role, M.MessageType.OUTPUT_OPENINGS)
+                if got_u != u:
+                    raise _Abort(r_role, party.role, "output openings name "
+                                 f"recipient {got_u}, not {u}")
+                opened[party] = (enc_op, lab_op)
+            (e1_op, o2_op), (e2_op, o1_op) = opened[self.p1], opened[self.p2]
             st.openings = OutputOpenings(e1=e1_op, o1=o1_op, e2=e2_op,
                                          o2=o2_op)
             st.decision = verify_output(st.bundles[u], st.openings,
@@ -910,43 +928,32 @@ class Session:
             if st.decision.status == BLAME:
                 raise _Abort(r_role, self._role_named(st.decision.blamed),
                              "an output opening failed to verify")
-            if st.decision.status == REJECT:
+            if (st.decision.status == REJECT
+                    or self._cheats("false_output_complaint", r_role)):
                 complaints.append(u)
         spurious: str | None = None
-        forced = None
-        adv = self.adversary
-        if adv is not None and adv.behavior == "false_output_complaint":
-            target = self._role_named(adv.target)
-            u = target.index if target.kind == M.PROVIDER else self.n
-            if u not in complaints and decisions[target.name].status == ACCEPT:
-                complaints.append(u)
-                forced = u
         confirmed = False
-        for u in sorted(complaints):
+        for u in complaints:
             r_role = recipient_role(u)
-            st = self.providers[r_role]
-            proof = FailureProof(recipient=u, openings=st.openings)
             others = [r for r in self.provider_roles if r != r_role]
-            body = M.encode_failure_proof(proof)
-            for other in others:
-                self._send(M.MessageType.FAILURE_PROOF, r_role, other, body)
+            self._broadcast(M.MessageType.FAILURE_PROOF, r_role, FailureProof(
+                recipient=u, openings=self.providers[r_role].openings),
+                receivers=others)
             verdicts = []
             for other in others:
-                got = M.decode_failure_proof(self._recv(
-                    other, r_role, M.MessageType.FAILURE_PROOF))
-                ost = self.providers[other]
+                got = self._recv(other, r_role, M.MessageType.FAILURE_PROOF)
+                if got.recipient != u:
+                    raise _Abort(other, r_role,
+                                 "failure proof names another recipient")
                 verdicts.append(verify_failure_proof(
-                    ost.bundles[got.recipient], got,
-                    wires=len(circuit.output_map[got.recipient])))
+                    self.providers[other].bundles[u], got,
+                    wires=len(circuit.output_map[u])))
             if len(set(verdicts)) != 1:
                 raise ProtocolError("failure-proof arbitration diverged")
             if verdicts[0] == CONFIRMED:
                 confirmed = True
             else:
                 spurious = r_role.name
-                if forced != u:
-                    raise ProtocolError("an honest rejection arbitrated as "
-                                        "spurious")
         if confirmed:
             return SessionResult(
                 status=STATUS_REJECT, result=None, blamed=None,

@@ -2,6 +2,7 @@
 transcript determinism and accounting, and the catch-the-cheater paths."""
 
 import hashlib
+import random
 
 import pytest
 
@@ -10,7 +11,7 @@ from dualgc.auction import AuctionConfig, oracle_run
 from dualgc.errors import (DecodeError, ProtocolError, TransportTimeout,
                            UsageError)
 from dualgc.garbling import ROW_BYTES, decode
-from dualgc.outputs import ACCEPT, REJECT
+from dualgc.outputs import ACCEPT, REJECT, FailureProof
 from dualgc.session import (AdversaryScript, Session, Transcript,
                             make_adversary, run_session)
 from dualgc.transport import InProcessTransport, TcpTransport
@@ -157,21 +158,27 @@ def test_silent_role_times_out_into_an_abort():
     assert res.result is None
 
 
-class GarbledBlobFault(InProcessTransport):
-    """Rewrites the tables blob one party sends in its GARBLED_CIRCUIT frame,
-    keeping the frame itself well formed."""
+class BodyFault(InProcessTransport):
+    """Rewrites the body of every frame of one type (from one sender, if
+    given), keeping the frame itself well formed."""
 
-    def __init__(self, producer, rewrite):
+    def __init__(self, mtype, rewrite, sender=None):
         super().__init__()
-        self.producer = producer
+        self.mtype = mtype
         self.rewrite = rewrite
+        self.sender = sender
 
     def send(self, sender, receiver, frame):
         mtype, sid, who, body = M.decode_frame(frame)
-        if mtype == M.MessageType.GARBLED_CIRCUIT and \
-                sender.name == self.producer:
+        if mtype == self.mtype and self.sender in (None, sender.name):
             frame = M.encode_frame(mtype, sid, who, self.rewrite(body))
         super().send(sender, receiver, frame)
+
+
+def value_fault(mtype, rewrite, sender=None):
+    """A ``BodyFault`` that re-encodes ``rewrite(decoded value)``."""
+    return BodyFault(mtype, lambda body: M.encode_body(
+        mtype, rewrite(M.decode_body(mtype, body))), sender)
 
 
 # fault -> (blob rewrite, words of the header or length check that must
@@ -195,14 +202,135 @@ BLOB_FAULTS = {
 def test_malformed_garbled_circuit_aborts_against_its_producer(producer,
                                                               fault):
     rewrite, check = BLOB_FAULTS[fault]
-    res = run_session(SMALL, BIDS, s=4, seed=3,
-                      transport=GarbledBlobFault(producer, rewrite))
+    res = run_session(SMALL, BIDS, s=4, seed=3, transport=BodyFault(
+        M.MessageType.GARBLED_CIRCUIT, rewrite, producer))
     assert res.status == "abort"
     assert res.blamed == producer
     assert res.phase == "compute"
     assert res.reason.startswith("garbled circuit rejected")
     assert check in res.reason
     assert res.result is None
+
+
+class FirstFrameFault(InProcessTransport):
+    """Applies ``mutate`` to the first frame of one type and records who
+    sent it."""
+
+    def __init__(self, mtype, mutate):
+        super().__init__()
+        self.mtype = mtype
+        self.mutate = mutate
+        self.sender = None
+
+    def send(self, sender, receiver, frame):
+        if self.sender is None and frame[4] == self.mtype:
+            self.sender = sender.name
+            frame = self.mutate(frame)
+        super().send(sender, receiver, frame)
+
+
+def reframed(edit):
+    def mutate(frame):
+        mtype, sid, who, body = M.decode_frame(frame)
+        return M.encode_frame(mtype, sid, who, edit(body))
+    return mutate
+
+
+def retyped(frame):
+    other = random.Random(frame[4]).choice(
+        [t for t in M.MessageType if t != frame[4]])
+    return frame[:4] + bytes([other]) + frame[5:]
+
+
+FRAME_MUTATIONS = {
+    "truncated": reframed(lambda body: body[:-1]),
+    "appended": reframed(lambda body: body + b"\x00"),
+    "retyped": retyped,
+}
+
+# message type -> a scripted behaviour whose run sends it (None: honest)
+SENT_BY = dict.fromkeys(M.MessageType)
+SENT_BY.update({
+    M.MessageType.CHECK_FAILURE_CLAIM: "falsify_check_failure",
+    M.MessageType.CONSISTENCY_PROOF: "forge_consistency_proof",
+    M.MessageType.PROOF_OPENING_REQUEST: "forge_consistency_proof",
+    M.MessageType.PROOF_OPENING_RESPONSE: "forge_consistency_proof",
+    M.MessageType.FAILURE_PROOF: "false_output_complaint",
+    M.MessageType.ABORT: "bias_coin_toss",
+})
+
+
+@pytest.mark.parametrize("mutation", sorted(FRAME_MUTATIONS))
+@pytest.mark.parametrize("mtype", list(M.MessageType), ids=lambda t: t.name)
+def test_mutated_frame_ends_in_a_verdict(mtype, mutation):
+    adversary = SENT_BY[mtype]
+    transport = FirstFrameFault(mtype, FRAME_MUTATIONS[mutation])
+    res = run_session(SMALL, BIDS, s=4, seed=3, adversary=adversary,
+                      transport=transport)
+    assert transport.sender is not None
+    assert not (res.status == "accept" and res.result != oracle_run(SMALL,
+                                                                    BIDS))
+    cheater = make_adversary(adversary).target if adversary else None
+    assert res.blamed in {transport.sender, cheater, None}
+    if mtype is M.MessageType.ABORT:
+        clean = run_session(SMALL, BIDS, s=4, seed=3, adversary=adversary)
+        assert (res.status, res.blamed, res.reason) == (
+            clean.status, clean.blamed, clean.reason)
+
+
+def _claim_at(wire=None, copy=None):
+    def rewrite(claim):
+        prov, w, j, openings = claim
+        return (prov, w if wire is None else wire,
+                j if copy is None else copy, openings)
+    return rewrite
+
+
+# case -> (behaviour, type, value rewrite, rewritten sender or None, blamed)
+VALUE_FAULTS = {
+    "claim_unknown_wire": ("falsify_check_failure",
+                           M.MessageType.CHECK_FAILURE_CLAIM,
+                           _claim_at(wire=9999), None, "P1"),
+    "claim_copy_out_of_range": ("falsify_check_failure",
+                                M.MessageType.CHECK_FAILURE_CLAIM,
+                                _claim_at(copy=99), None, "P1"),
+    "failure_proof_other_recipient": (
+        "false_output_complaint", M.MessageType.FAILURE_PROOF,
+        lambda p: FailureProof(recipient=99, openings=p.openings), None,
+        "provider:0"),
+    "output_openings_other_recipient": (
+        None, M.MessageType.OUTPUT_OPENINGS,
+        lambda o: ((o[0] + 1) % len(BIDS),) + o[1:], "P2", "P2"),
+    "proof_request_other_wire": (
+        "forge_consistency_proof", M.MessageType.PROOF_OPENING_REQUEST,
+        lambda r: (r[0] + 1, r[1]), None, "cloud"),
+    "proof_response_short": (
+        "forge_consistency_proof", M.MessageType.PROOF_OPENING_RESPONSE,
+        lambda r: (r[0], r[1], r[2][:1]), "P2", "P2"),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("case", sorted(VALUE_FAULTS))
+def test_decoded_values_are_checked_before_use(case, seed):
+    adversary, mtype, rewrite, sender, blamed = VALUE_FAULTS[case]
+    res = run_session(SMALL, BIDS, s=4, seed=seed, adversary=adversary,
+                      transport=value_fault(mtype, rewrite, sender))
+    assert res.status == "abort"
+    assert res.blamed == blamed
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_abort_with_a_non_utf8_reason_keeps_the_verdict(seed):
+    fault = BodyFault(M.MessageType.ABORT,
+                      lambda body: body[:3] + bytes.fromhex("00000002ff41"))
+    res = run_session(SMALL, BIDS, s=4, seed=seed, adversary="bias_coin_toss",
+                      transport=fault)
+    clean = run_session(SMALL, BIDS, s=4, seed=seed,
+                        adversary="bias_coin_toss")
+    assert (res.status, res.blamed, res.reason) == (
+        clean.status, clean.blamed, clean.reason)
+    assert (res.status, res.blamed) == ("abort", "P2")
 
 
 def test_adversary_validation():

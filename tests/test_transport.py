@@ -1,21 +1,12 @@
-"""Frame codec, payload codecs, flow table, and the two transports."""
+"""Frame codec, message schemas, flow table, and the two transports."""
 
 import random
 
 import pytest
 
 from dualgc import messages as M
-from dualgc.commitments import (
-    Opening,
-    tagged_commit,
-    TAG_COIN,
-    TAG_OUTPUT_ENCODING,
-    TAG_OUTPUT_LABEL,
-)
-from dualgc.consistency import (
-    generate_input_material,
-    make_hash_tuple,
-)
+from dualgc.commitments import Commitment, Opening
+from dualgc.consistency import CommitmentSetPair, ConsistencyProof, HashTuple
 from dualgc.errors import FramingError, ProtocolError, TransportError
 from dualgc.outputs import FailureProof, OutputOpenings
 from dualgc.transport import InProcessTransport, TcpTransport
@@ -61,112 +52,169 @@ def test_frame_rejects_malformed():
         M.decode_frame(bad_role)
 
 
-def test_input_commitment_codec_round_trip():
-    rng = random.Random(2)
-    wires = {}
-    for wire_id in (3, 17):
-        material = generate_input_material(rng, x=wire_id & 1, s=3)
-        wires[wire_id] = material.pairs()
-    body = M.encode_input_commitments(wires)
-    assert M.decode_input_commitments(body) == wires
-    with pytest.raises(FramingError):
-        M.decode_input_commitments(body + b"\x00")
-    with pytest.raises(FramingError):
-        M.decode_input_commitments(body[:-1])
+def C(k):
+    return Commitment(bytes([k]) * 32)
 
 
-def test_coin_codec_round_trip():
-    rng = random.Random(3)
-    com, opening = tagged_commit(TAG_COIN, rng.randbytes(32), rng.randbytes(16))
-    commit_body = M.encode_coin_commit(com)
-    reveal_body = M.encode_coin_reveal(opening)
-    assert len(commit_body) == 32
-    assert M.decode_coin_commit(commit_body) == com
-    assert M.decode_coin_reveal(reveal_body) == opening
-    for decode, body in ((M.decode_coin_commit, commit_body),
-                         (M.decode_coin_reveal, reveal_body)):
+def O(message, k):
+    return Opening(message, bytes([k]) * 16)
+
+
+def set_pair(k):
+    return CommitmentSetPair(w=(C(k), C(k + 1)), w_prime=(C(k + 2), C(k + 3)),
+                             position=C(k + 4))
+
+
+T = M.MessageType
+
+# One decoded value per message type.
+SAMPLES = {
+    T.INPUT_COMMITMENTS: {9: [set_pair(1)], 2: [set_pair(6), set_pair(11)]},
+    T.COIN_COMMIT: C(7),
+    T.COIN_REVEAL: O(b"seed", 8),
+    T.CHECKSET_OPENINGS: {
+        5: [(0, (O(b"a", 1), O(b"b", 2), O(b"", 3), O(b"d", 4)))]},
+    T.EVALSET_OPENINGS: {4: [(1, O(b"p", 1), O(b"q", 2)),
+                             (3, O(b"r", 3), O(b"s", 4))], 1: []},
+    T.HASH_TUPLE: {6: HashTuple(h_pair=(b"\x11" * 32, b"\x22" * 32),
+                                c_pair=(C(1), C(2)), c_cross=C(3))},
+    T.CONSISTENCY_PROOF: ConsistencyProof(
+        provider=2, wire=6,
+        h_triple=(b"\x11" * 32, b"\x22" * 32, b"\x33" * 32),
+        c_triple=(C(1), C(2), C(3))),
+    T.PROOF_OPENING_REQUEST: (6, M.OPEN_CROSS),
+    T.PROOF_OPENING_RESPONSE: (6, M.OPEN_PAIR, [O(b"x", 1), O(b"yy", 2)]),
+    T.CHECK_FAILURE_CLAIM: (2, 14, 5, (O(b"a", 1), O(b"b", 2), O(b"c", 3),
+                                       O(b"d", 4))),
+    T.GARBLED_CIRCUIT: b"\x00\x01tables",
+    T.OUTPUT_COMMITMENTS: [(0, C(1), C(2)), (3, C(3), C(4))],
+    T.OUTPUT_OPENINGS: (3, O(b"enc", 1), O(b"lab", 2)),
+    T.BUNDLE_HASH: bytes(range(32)),
+    T.FAILURE_PROOF: FailureProof(recipient=1, openings=OutputOpenings(
+        e1=O(b"e1", 1), o1=O(b"o1", 2), e2=O(b"e2", 3), o2=O(b"o2", 4))),
+    T.ABORT: (M.Role(M.PROVIDER, 2), "label mismatch"),
+}
+
+# Each sample's body as the per-type encoders of the previous wire format
+# wrote it (GARBLED_CIRCUIT had none: its body is the blob itself).
+RECORDED_HEX = {
+    "INPUT_COMMITMENTS": (
+        "0000000200000002000206060606060606060606060606060606060606060606"
+        "0606060606060606060607070707070707070707070707070707070707070707"
+        "0707070707070707070708080808080808080808080808080808080808080808"
+        "0808080808080808080809090909090909090909090909090909090909090909"
+        "090909090909090909090a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a"
+        "0a0a0a0a0a0a0a0a0a0a0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b"
+        "0b0b0b0b0b0b0b0b0b0b0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c"
+        "0c0c0c0c0c0c0c0c0c0c0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d"
+        "0d0d0d0d0d0d0d0d0d0d0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e"
+        "0e0e0e0e0e0e0e0e0e0e0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f"
+        "0f0f0f0f0f0f0f0f0f0f00000009000101010101010101010101010101010101"
+        "0101010101010101010101010101010102020202020202020202020202020202"
+        "0202020202020202020202020202020203030303030303030303030303030303"
+        "0303030303030303030303030303030304040404040404040404040404040404"
+        "0404040404040404040404040404040405050505050505050505050505050505"
+        "05050505050505050505050505050505"),
+    "COIN_COMMIT": (
+        "0707070707070707070707070707070707070707070707070707070707070707"),
+    "COIN_REVEAL": "000000047365656408080808080808080808080808080808",
+    "CHECKSET_OPENINGS": (
+        "0000000100000005000100000000000161010101010101010101010101010101"
+        "0100000001620202020202020202020202020202020200000000030303030303"
+        "03030303030303030303000000016404040404040404040404040404040404"),
+    "EVALSET_OPENINGS": (
+        "0000000200000001000000000004000200010000000170010101010101010101"
+        "0101010101010100000001710202020202020202020202020202020200030000"
+        "0001720303030303030303030303030303030300000001730404040404040404"
+        "0404040404040404"),
+    "HASH_TUPLE": (
+        "0000000100000006111111111111111111111111111111111111111111111111"
+        "1111111111111111222222222222222222222222222222222222222222222222"
+        "2222222222222222010101010101010101010101010101010101010101010101"
+        "0101010101010101020202020202020202020202020202020202020202020202"
+        "0202020202020202030303030303030303030303030303030303030303030303"
+        "0303030303030303"),
+    "CONSISTENCY_PROOF": (
+        "0002000000061111111111111111111111111111111111111111111111111111"
+        "1111111111112222222222222222222222222222222222222222222222222222"
+        "2222222222223333333333333333333333333333333333333333333333333333"
+        "3333333333330101010101010101010101010101010101010101010101010101"
+        "0101010101010202020202020202020202020202020202020202020202020202"
+        "0202020202020303030303030303030303030303030303030303030303030303"
+        "030303030303"),
+    "PROOF_OPENING_REQUEST": "0000000601",
+    "PROOF_OPENING_RESPONSE": (
+        "0000000600020000000178010101010101010101010101010101010000000279"
+        "7902020202020202020202020202020202"),
+    "CHECK_FAILURE_CLAIM": (
+        "00020000000e0005000000016101010101010101010101010101010101000000"
+        "0162020202020202020202020202020202020000000163030303030303030303"
+        "03030303030303000000016404040404040404040404040404040404"),
+    "GARBLED_CIRCUIT": "00017461626c6573",
+    "OUTPUT_COMMITMENTS": (
+        "0002000001010101010101010101010101010101010101010101010101010101"
+        "0101010102020202020202020202020202020202020202020202020202020202"
+        "0202020200030303030303030303030303030303030303030303030303030303"
+        "0303030303030404040404040404040404040404040404040404040404040404"
+        "040404040404"),
+    "OUTPUT_OPENINGS": (
+        "000300000003656e6301010101010101010101010101010101000000036c6162"
+        "02020202020202020202020202020202"),
+    "BUNDLE_HASH": (
+        "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"),
+    "FAILURE_PROOF": (
+        "000100000002653101010101010101010101010101010101000000026f310202"
+        "0202020202020202020202020202000000026532030303030303030303030303"
+        "03030303000000026f3204040404040404040404040404040404"),
+    "ABORT": "0300020000000e6c6162656c206d69736d61746368",
+}
+
+
+def test_schema_table_covers_every_type():
+    assert set(M.SCHEMAS) == set(SAMPLES) == set(T)
+    assert set(RECORDED_HEX) == {t.name for t in T}
+
+
+@pytest.mark.parametrize("mtype", list(T), ids=lambda t: t.name)
+def test_schema_sample(mtype):
+    value = SAMPLES[mtype]
+    body = M.encode_body(mtype, value)
+    assert body.hex() == "".join(RECORDED_HEX[mtype.name])
+    assert M.decode_body(mtype, body) == value
+    if mtype is T.GARBLED_CIRCUIT:
+        return  # the blob's length is checked by garbling.parse_tables_blob
+    for cut in range(len(body)):
         with pytest.raises(FramingError):
-            decode(body[:-1])
-        with pytest.raises(FramingError):
-            decode(body + b"\x00")
-
-
-def test_set_opening_codecs_round_trip():
-    rng = random.Random(4)
-    material = generate_input_material(rng, x=1, s=4)
-    check = {5: [(j, material.check_openings(j)) for j in (0, 2)]}
-    assert M.decode_checkset_openings(M.encode_checkset_openings(check)) == check
-    evals = {}
-    for wire_id in (5, 9):
-        entries = []
-        for j in (1, 3):
-            pos, first, _second = material.eval_openings(j)
-            entries.append((j, pos, first))
-        evals[wire_id] = entries
-    assert M.decode_evalset_openings(M.encode_evalset_openings(evals)) == evals
-
-
-def test_hash_tuple_and_proof_codecs():
-    rng = random.Random(5)
-    material = generate_input_material(rng, x=0, s=3)
-    triples = []
-    for j in range(3):
-        pos, first, second = material.eval_openings(j)
-        triples.append(tuple(material.copies[j].enc1.label(b) for b in (0, 1))
-                       + (material.copies[j].enc2.label(0),))
-    tup, secret = make_hash_tuple(rng, [
-        (material.copies[j].enc1.zero, material.copies[j].enc1.one,
-         material.copies[j].enc2.zero) for j in range(3)])
-    wires = {0: tup, 6: tup}
-    assert M.decode_hash_tuples(M.encode_hash_tuples(wires)) == wires
-
-    from dualgc.consistency import ConsistencyProof
-    proof = ConsistencyProof(provider=2, wire=6,
-                             h_triple=(tup.h_pair[0], tup.h_pair[1], rng.randbytes(32)),
-                             c_triple=(tup.c_pair[0], tup.c_pair[1], tup.c_cross))
-    assert M.decode_consistency_proof(M.encode_consistency_proof(proof)) == proof
-
-    body = M.encode_proof_opening_request(6, M.OPEN_CROSS)
-    assert M.decode_proof_opening_request(body) == (6, M.OPEN_CROSS)
-    with pytest.raises(ProtocolError):
-        M.decode_proof_opening_request(M.encode_proof_opening_request(6, 2))
-
-    openings = tuple(secret.openings)
-    body = M.encode_proof_opening_response(6, M.OPEN_PAIR, openings[:2])
-    assert M.decode_proof_opening_response(body) == (6, M.OPEN_PAIR, openings[:2])
-
-
-def test_output_codecs_round_trip():
-    rng = random.Random(6)
-    com1, op1 = tagged_commit(TAG_OUTPUT_ENCODING, rng.randbytes(64),
-                              rng.randbytes(16))
-    com2, op2 = tagged_commit(TAG_OUTPUT_LABEL, rng.randbytes(32),
-                              rng.randbytes(16))
-    entries = [(0, com1, com2), (3, com2, com1)]
-    assert M.decode_output_commitments(M.encode_output_commitments(entries)) == entries
-
-    body = M.encode_output_openings(3, op1, op2)
-    assert M.decode_output_openings(body) == (3, op1, op2)
-
-    digest = rng.randbytes(32)
-    assert M.decode_bundle_hash(M.encode_bundle_hash(digest)) == digest
+            M.decode_body(mtype, body[:cut])
     with pytest.raises(FramingError):
-        M.decode_bundle_hash(digest[:-1])
-
-    proof = FailureProof(recipient=1, openings=OutputOpenings(
-        e1=op1, o1=op2, e2=op1, o2=op2))
-    assert M.decode_failure_proof(M.encode_failure_proof(proof)) == proof
-
-    claim = (2, 14, 5, (op1, op2, op1, op2))
-    body = M.encode_check_failure_claim(*claim)
-    assert M.decode_check_failure_claim(body) == claim
+        M.decode_body(mtype, body + b"\x00")
 
 
-def test_abort_codec_round_trip():
-    body = M.encode_abort("label mismatch", M.Role(M.PROVIDER, 2))
-    assert M.decode_abort(body) == ("label mismatch", M.Role(M.PROVIDER, 2))
-    body = M.encode_abort("", None)
-    assert M.decode_abort(body) == ("", None)
+# Extra inputs: (type, body, decoded value or the exception it must raise).
+EXTRA_INPUTS = [
+    (T.PROOF_OPENING_REQUEST, bytes.fromhex("0000000602"), ProtocolError),
+    (T.BUNDLE_HASH, bytes(32), bytes(32)),
+    (T.BUNDLE_HASH, bytes(31), FramingError),
+    (T.BUNDLE_HASH, bytes(33), FramingError),
+    (T.ABORT, bytes(7), (None, "")),
+    (T.ABORT, bytes(3) + bytes.fromhex("00000002ff41"), FramingError),
+    (T.ABORT, bytes.fromhex("09000000000000"), ProtocolError),
+    (T.COIN_COMMIT, bytes(31), FramingError),
+    (T.COIN_COMMIT, bytes(33), FramingError),
+    (T.COIN_REVEAL, bytes.fromhex("00000001ff") + bytes(15), FramingError),
+    (T.COIN_REVEAL, bytes.fromhex("00000001ff") + bytes(17), FramingError),
+    (T.PROOF_OPENING_RESPONSE, bytes.fromhex("000000060000"), (6, 0, [])),
+]
+
+
+@pytest.mark.parametrize("mtype,body,expected", EXTRA_INPUTS)
+def test_schema_extra_inputs(mtype, body, expected):
+    if isinstance(expected, type) and issubclass(expected, Exception):
+        with pytest.raises(expected):
+            M.decode_body(mtype, body)
+    else:
+        assert M.decode_body(mtype, body) == expected
+        assert M.encode_body(mtype, expected) == body
 
 
 def test_flow_table_covers_every_type_and_passes_audit():
