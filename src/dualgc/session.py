@@ -616,9 +616,11 @@ class Session:
         if len({v.kind for v in verdicts}) != 1:
             raise ProtocolError("check-failure arbitration diverged")
         if verdicts[0].kind == VERDICT_CHEATING_PROVIDER:
-            raise _Abort(self.cloud_role, role,
-                         f"check copy {j} of wire {w} failed construction: "
-                         f"{err} ({len(failures)} failure(s) collected)")
+            # The cloud, the last receiver, words the verdict from its claim.
+            err = check_pair_construction(st.pairs[wire][copy], got)
+            raise _Abort(self.cloud_role, st.wire_owner[wire],
+                         f"check copy {copy} of wire {wire} failed "
+                         f"construction: {err}")
         raise _Abort(self.cloud_role, party.role,
                      "check-failure claim did not verify; the claim was "
                      "fabricated")

@@ -27,8 +27,8 @@ GOLDEN = [
      "ba4037bc46c7f75cbed782d7efbdcf215ca2299439353760e4f8a6d0cda61c62",
      "e04d2e07bac84e2499b7acfa79901279916fe458a1ba30e8ebf4929522248d8a"),
     (0, 'inconsistent_labels', 'abort', 'provider:0',
-     "c937c80d6bd8d534ee021ac162e11a5eeea330d605459d10820ee1ce8e725191",
-     "d33c07d94ab0d2b3a78d08ebabc8b3d585a8625abd1706105132c0053f246527"),
+     "3ab79c17fe97131508e17e6485c0395dbabb2aecd7c2ba7cdbcd2aef54c8e3ff",
+     "89c06ae677174dadff850a4f97ed1c7e427e9d00ca01657d6c17bc7415582640"),
     (0, 'tamper_garbled_gate', 'abort', 'P1',
      "676f7775a22f46242b169e4487ad346fb6c2b547d994e8e23704ad7916a7de79",
      "fb3c2aa98cf655b252d1790becf73e087a8a306304d200e61e34f642429addae"),
