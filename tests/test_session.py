@@ -1,6 +1,7 @@
 """End-to-end session tests: honest agreement with the plaintext oracle,
 transcript determinism and accounting, and the catch-the-cheater paths."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -12,7 +13,7 @@ from dualgc.errors import (DecodeError, ProtocolError, TransportTimeout,
                            UsageError)
 from dualgc.garbling import ROW_BYTES, decode
 from dualgc.outputs import ACCEPT, REJECT, FailureProof
-from dualgc.session import (AdversaryScript, Session, Transcript,
+from dualgc.session import (BEHAVIORS, AdversaryScript, Session, Transcript,
                             make_adversary, run_session)
 from dualgc.transport import InProcessTransport, TcpTransport
 
@@ -362,17 +363,21 @@ def inconsistent_labels_scan():
     0's first wire, grouped by that wire's challenge: the copy is checked,
     mixed into the evaluation set, or is the whole evaluation set."""
     runs = {"checked": [], "mixed": [], "evaluated_alone": []}
+    seeds = {kind: [] for kind in runs}
     for seed in range(60):
         sess = Session(SMALL, BIDS, s=4, seed=seed,
                        adversary="inconsistent_labels")
         res = sess.run()
         rho = sess.p1.rho[sess.circuit.input_map[0][0]]
         if rho[0]:
-            runs["checked"].append(res)
+            kind = "checked"
         elif sum(rho) < sess.s - 1:
-            runs["mixed"].append(res)
+            kind = "mixed"
         else:
-            runs["evaluated_alone"].append(res)
+            kind = "evaluated_alone"
+        runs[kind].append(res)
+        seeds[kind].append(seed)
+    runs["seeds"] = seeds
     return runs
 
 
@@ -396,6 +401,34 @@ def test_tampered_eval_copy_fails_the_hash_comparison(
         assert res.blamed == "provider:0"
         assert res.phase == "input"
         assert "inconsistent inputs" in res.reason
+
+
+# rewrite of a broadcast CONSISTENCY_PROOF -> what it breaks
+PROOF_REWRITES = {
+    "other_provider": lambda p: dataclasses.replace(
+        p, provider=(p.provider + 1) % len(BIDS)),
+    "no_input_wire": lambda p: dataclasses.replace(p, wire=9999),
+}
+
+
+@pytest.mark.parametrize("rewrite", sorted(PROOF_REWRITES))
+def test_rewritten_consistency_proof_blames_its_sender(
+        inconsistent_labels_scan, rewrite):
+    """Every receiver judges the proof it received, so a proof naming a
+    wire its provider does not own convicts the complainer that sent it,
+    never an honest provider."""
+    seeds = inconsistent_labels_scan["seeds"]["mixed"]
+    assert seeds
+    for seed in seeds:
+        fault = value_fault(M.MessageType.CONSISTENCY_PROOF,
+                            PROOF_REWRITES[rewrite])
+        res = run_session(SMALL, BIDS, s=4, seed=seed,
+                          adversary="inconsistent_labels", transport=fault)
+        senders = {e.sender for e in res.transcript.entries
+                   if e.type == "CONSISTENCY_PROOF"}
+        assert len(senders) == 1 and senders <= {"P1", "P2"}
+        assert (res.status, res.blamed) == ("abort", senders.pop()), seed
+        assert "consistency proof names no input wire" in res.reason
 
 
 def test_fully_tampered_eval_set_diverges_and_is_rejected(
@@ -527,3 +560,27 @@ def test_aborted_session_marks_every_state():
     aborts = [e for e in res.transcript.entries if e.type == "ABORT"]
     assert len(aborts) == len(sess.all_roles) - 1
     assert all(e.sender == "P1" for e in aborts)  # first verifier broadcasts
+
+
+def _held(value):
+    """``value`` and everything inside its dicts, lists, tuples and sets."""
+    yield value
+    if isinstance(value, dict):
+        for item in value.items():
+            yield from _held(item)
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        for item in value:
+            yield from _held(item)
+
+
+@pytest.mark.parametrize("adversary", [None] + list(BEHAVIORS))
+def test_roles_hold_no_session_and_no_other_role(adversary):
+    sess = Session(SMALL, BIDS, s=4, seed=3, adversary=adversary)
+    sess.run()
+    roles = sess._all_states()
+    assert len(roles) == len(sess.all_roles)
+    for role in roles:
+        for held in _held(list(vars(role).values())):
+            assert not isinstance(held, Session), role.role.name
+            assert not any(held is other for other in roles
+                           if other is not role), role.role.name
