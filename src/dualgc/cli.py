@@ -4,8 +4,6 @@ Subcommands:
 
 * ``demo``: run one full protocol session and print the winning set and
   payments (identical to the plaintext auction on the same bids).
-* ``bench``: sweep a parameter grid, one session per point, and emit a
-  ``n,m,k,time_seconds,bytes`` CSV.
 * ``attack``: run seeded sessions against a scripted adversary and report
   detection rates, abort phases, and verdict correctness.
 * ``dump-circuit``: write the compiled auction circuit as a text netlist.
@@ -20,7 +18,6 @@ import argparse
 import os
 import random
 import sys
-import time
 
 from . import messages as M
 from .auction import (AuctionConfig, gate_count, load_bids_file, oracle_run,
@@ -36,32 +33,16 @@ DEFAULT_BITS = 16
 DEFAULT_CAPACITY = 3
 DEFAULT_MAX_QUANTITY = 3
 DEFAULT_MAX_BID = 100
-DESK_SCALE_BIDDERS = 50
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: "
-                                         f"{text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
-
-
-def _common_flags(sub, *, grid: bool = False):
-    many = _int_list if grid else int
-    sub.add_argument("--bidders", type=many, default=None,
-                     help="number of bidders" + (" (comma list sweeps)"
-                                                 if grid else ""))
-    sub.add_argument("--vm-types", type=many, default=None,
-                     help=f"VM types per bid (default {DEFAULT_VM_TYPES})"
-                          + (" (comma list sweeps)" if grid else ""))
-    sub.add_argument("--capacity", type=many, default=None,
+def _common_flags(sub, *, bidders: int, vm_types: int):
+    sub.add_argument("--bidders", type=int, default=bidders,
+                     help=f"number of bidders (default {bidders})")
+    sub.add_argument("--vm-types", type=int, default=vm_types,
+                     help=f"VM types per bid (default {vm_types})")
+    sub.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY,
                      help=f"cloud instances per VM type (default "
-                          f"{DEFAULT_CAPACITY})" + (" (comma list sweeps)"
-                                                    if grid else ""))
+                          f"{DEFAULT_CAPACITY})")
     sub.add_argument("--copies", type=int, default=DEFAULT_COPIES,
                      help="committed copies per input wire (default "
                           f"{DEFAULT_COPIES})")
@@ -80,30 +61,20 @@ def _common_flags(sub, *, grid: bool = False):
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dualgc",
-        description="Mutually garbled auction sessions: demos, benchmarks, "
-                    "and adversary experiments.")
+        description="Mutually garbled auction sessions: demos and "
+                    "adversary experiments.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
     demo = subs.add_parser("demo", help="run one session and print the "
                                         "auction outcome")
-    _common_flags(demo)
+    _common_flags(demo, bidders=4, vm_types=DEFAULT_VM_TYPES)
     demo.add_argument("--bids-file", default=None,
                       help="CSV of bidder_id,k_1,b_1,...,k_m,b_m rows")
     demo.set_defaults(func=cmd_demo)
 
-    bench = subs.add_parser("bench", help="sweep a grid and emit a timing/"
-                                          "traffic CSV")
-    _common_flags(bench, grid=True)
-    bench.add_argument("--out", default=None, help="CSV path (default "
-                                                   "stdout)")
-    bench.add_argument("--full-scale", action="store_true",
-                       help=f"allow more than {DESK_SCALE_BIDDERS} bidders "
-                            "(slow)")
-    bench.set_defaults(func=cmd_bench)
-
     attack = subs.add_parser("attack", help="run sessions against a "
                                             "scripted adversary")
-    _common_flags(attack)
+    _common_flags(attack, bidders=2, vm_types=2)
     attack.add_argument("--adversary", default=None,
                         help="one of: " + ", ".join(BEHAVIORS) +
                              " (default: honest baseline)")
@@ -115,21 +86,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     dump = subs.add_parser("dump-circuit", help="write the auction circuit "
                                                 "as a text netlist")
-    _common_flags(dump)
+    _common_flags(dump, bidders=4, vm_types=DEFAULT_VM_TYPES)
     dump.add_argument("--out", default=None, help="netlist path (default "
                                                   "stdout)")
     dump.set_defaults(func=cmd_dump_circuit)
     return parser
-
-
-def _single(value, default: int, what: str) -> int:
-    if value is None:
-        return default
-    if isinstance(value, list):
-        if len(value) != 1:
-            raise UsageError(f"{what} takes a single value here")
-        value = value[0]
-    return value
 
 
 def _make_config(m: int, k: int, w: int, max_q: int, max_b: int
@@ -176,9 +137,7 @@ def _format_payment(fp: int, config: AuctionConfig) -> str:
 
 
 def cmd_demo(args) -> int:
-    n = _single(args.bidders, 4, "--bidders")
-    m = _single(args.vm_types, DEFAULT_VM_TYPES, "--vm-types")
-    k = _single(args.capacity, DEFAULT_CAPACITY, "--capacity")
+    n, m, k = args.bidders, args.vm_types, args.capacity
     if args.bids_file is not None:
         try:
             bids = load_bids_file(args.bids_file)
@@ -219,51 +178,6 @@ def cmd_demo(args) -> int:
     return 0 if check == outcome else 1
 
 
-def _bench_rows(args):
-    ns = args.bidders if args.bidders is not None else [4, 8, 16]
-    ms = args.vm_types if args.vm_types is not None else [DEFAULT_VM_TYPES]
-    ks = args.capacity if args.capacity is not None else [DEFAULT_CAPACITY]
-    if min(ns) < 1 or min(ms) < 1 or min(ks) < 1:
-        raise UsageError("grid values must be positive")
-    if max(ns) > DESK_SCALE_BIDDERS and not args.full_scale:
-        raise UsageError(
-            f"more than {DESK_SCALE_BIDDERS} bidders takes minutes per "
-            "session; pass --full-scale to confirm")
-    rows = []
-    for n in ns:
-        for m in ms:
-            for k in ks:
-                config = _make_config(m, k, args.bits, args.max_quantity,
-                                      args.max_bid)
-                rng = random.Random(f"bench:{args.seed}:{n}:{m}:{k}")
-                bids = _random_bids(rng, n, m, args.max_quantity,
-                                    args.max_bid)
-                start = time.perf_counter()
-                result = _run(config, bids, args.copies, args.seed, args)
-                elapsed = time.perf_counter() - start
-                if result.status != "accept":
-                    raise DualGCError(
-                        f"bench point n={n} m={m} k={k} did not accept: "
-                        f"{result.reason}")
-                nbytes = result.transcript.measure()["bytes_total"]
-                rows.append((n, m, k, elapsed, nbytes))
-    return rows
-
-
-def cmd_bench(args) -> int:
-    rows = _bench_rows(args)
-    lines = ["n,m,k,time_seconds,bytes"]
-    lines += [f"{n},{m},{k},{t:.6f},{b}" for n, m, k, t, b in rows]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {len(rows)} grid points to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def _detected(result, script) -> bool:
     """Whether the run caught the scripted misbehavior.
 
@@ -281,9 +195,7 @@ def _detected(result, script) -> bool:
 
 def cmd_attack(args) -> int:
     script = make_adversary(args.adversary)
-    n = _single(args.bidders, 2, "--bidders")
-    m = _single(args.vm_types, 2, "--vm-types")
-    k = _single(args.capacity, DEFAULT_CAPACITY, "--capacity")
+    n, m, k = args.bidders, args.vm_types, args.capacity
     if args.trials < 1:
         raise UsageError("--trials must be positive")
     config = _make_config(m, k, args.bits, args.max_quantity, args.max_bid)
@@ -338,9 +250,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_dump_circuit(args) -> int:
-    n = _single(args.bidders, 4, "--bidders")
-    m = _single(args.vm_types, DEFAULT_VM_TYPES, "--vm-types")
-    k = _single(args.capacity, DEFAULT_CAPACITY, "--capacity")
+    n, m, k = args.bidders, args.vm_types, args.capacity
     if n < 1:
         raise UsageError("--bidders must be positive")
     config = _make_config(m, k, args.bits, args.max_quantity, args.max_bid)

@@ -1,5 +1,5 @@
-"""Command-line behavior: demo output, bench CSV shape and reproducibility,
-attack reports, circuit dumps, and argument validation."""
+"""Command-line behavior: demo output, attack reports, circuit dumps, and
+argument validation."""
 
 import random
 
@@ -57,39 +57,6 @@ def test_demo_missing_bids_file_is_a_usage_error(capsys):
                            + FAST)
     assert code == 2
     assert "cannot read bids file" in err
-
-
-def test_bench_csv_shape_and_reproducible_bytes(capsys, tmp_path):
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    argv = ["bench", "--bidders", "2,3", "--vm-types", "1", "--capacity",
-            "3,5", "--bits", "4", "--max-bid", "15", "--copies", "3",
-            "--seed", "7"]
-    code, msg, _ = run_cli(capsys, argv + ["--out", str(out1)])
-    assert code == 0 and "4 grid points" in msg
-    code, _, _ = run_cli(capsys, argv + ["--out", str(out2)])
-    assert code == 0
-    rows1 = out1.read_text().splitlines()
-    rows2 = out2.read_text().splitlines()
-    assert rows1[0] == "n,m,k,time_seconds,bytes"
-    assert len(rows1) == 5
-    strip_time = lambda rows: [",".join(r.split(",")[:3] + r.split(",")[4:])
-                               for r in rows]
-    assert strip_time(rows1) == strip_time(rows2)
-    for row in rows1[1:]:
-        n, m, k, t, b = row.split(",")
-        assert int(b) > 0 and float(t) > 0
-
-
-def test_bench_stdout_and_grid_validation(capsys):
-    code, out, _ = run_cli(capsys, [
-        "bench", "--bidders", "2", "--vm-types", "1", "--capacity", "3",
-        "--bits", "4", "--max-bid", "15", "--copies", "3"])
-    assert code == 0
-    assert out.startswith("n,m,k,time_seconds,bytes\n")
-    code, _, err = run_cli(capsys, ["bench", "--bidders", "0"])
-    assert code == 2 and "positive" in err
-    code, _, err = run_cli(capsys, ["bench", "--bidders", "51"])
-    assert code == 2 and "full-scale" in err
 
 
 def test_attack_reports_full_detection(capsys, tmp_path):
