@@ -229,7 +229,7 @@ class Party(Participant):
         self.tuples = {}         # own broadcast HashTuple per wire
         self.tuple_secrets = {}
         self.other_tuples = {}
-        self.dispute = None      # (wire, which) this party must open
+        self.dispute = None      # (wire or None: any, which) it must open
         self.gc = None           # own garbled circuit
         self.eval_labels = None  # other circuit's output labels
         self.out_openings = {}   # recipient -> (enc, labels)
@@ -328,14 +328,18 @@ class Party(Participant):
 
     def take_consistency_proof(self, sender, proof):
         super().take_consistency_proof(sender, proof)
-        self.dispute = (proof.wire, M.OPEN_PAIR)
+        self.dispute = (None, M.OPEN_PAIR)  # the arbiter names the wire
 
     def take_proof_opening_request(self, sender: M.Role, request):
-        """The PROOF_OPENING_RESPONSE to the cloud's request."""
-        if request != self.dispute:
+        """The PROOF_OPENING_RESPONSE to the cloud's request: the
+        complainer opens its cross commitment of the wire it complained
+        about, the garbler its pair commitments of the wire the cloud
+        names."""
+        w, which = request
+        wire, opens = self.dispute or (-1, None)
+        if which != opens or wire not in (None, w) or w not in self.tuple_secrets:
             raise _Abort(self.role, sender,
                          "proof opening request does not match the proof")
-        w, which = request
         openings = self.tuple_secrets[w].openings
         return (w, which,
                 openings[:2] if which == M.OPEN_PAIR else openings[2:])
@@ -657,6 +661,8 @@ BEHAVIORS = tuple(_SCRIPTED)
 # ------------------------------------------------------------------ driver
 
 class Session:
+    """One protocol run: builds the roles, then ``run()`` drives them."""
+
     def __init__(self, config: AuctionConfig, bids, s: int = 10, seed: int = 0,
                  adversary=None, transport: Transport | None = None):
         if s < 2:
@@ -858,6 +864,7 @@ class Session:
                                   lambda _: claim)
         if len({v.kind for v in verdicts if v is not None}) != 1:
             raise ProtocolError("check-failure arbitration diverged")
+        # The cloud receives last and words the ruling.
         raise self.cloud.check_claim_ruling(party.role, verdicts[-1])
 
     def _derive_final_labels(self):
@@ -886,7 +893,7 @@ class Session:
             verdicts.append(prov.judge_consistency_proof())
         if len({(v.kind, v.blamed) for v in verdicts}) != 1:
             raise ProtocolError("consistency arbitration diverged")
-        raise self.cloud.consistency_ruling(verdicts[-1])
+        raise self.cloud.consistency_ruling(verdicts[-1])  # the cloud's
 
     # -------------------------------------------------------- compute phase
 
