@@ -497,16 +497,18 @@ class Provider(Participant):
             raise _Abort(self.role, _role_named(exc.party), str(exc))
 
     def consistency_ruling(self, verdict) -> _Abort:
-        """An invalid proof is the complainer's fault: its verdict blames
-        the complainer."""
+        """The abort for a verdict; an invalid proof's verdict blames the
+        complainer."""
         w = self.dispute[1].wire
-        reason = {
-            VERDICT_CHEATING_PROVIDER: f"labels of wire {w} disagree between "
-            f"the circuits; {verdict.blamed} submitted inconsistent inputs",
-            VERDICT_CHEATING_PARTY: f"consistency proof for wire {w} "
-            "contradicts the broadcast transcript",
-        }.get(verdict.kind, f"consistency proof for wire {w} shows no "
-              "inconsistency; the complaint was false")
+        if verdict.kind == VERDICT_CHEATING_PROVIDER:
+            reason = (f"labels of wire {w} disagree between the circuits; "
+                      f"{verdict.blamed} submitted inconsistent inputs")
+        elif verdict.kind == VERDICT_CHEATING_PARTY:
+            reason = (f"consistency proof for wire {w} contradicts the "
+                      "broadcast transcript")
+        else:
+            reason = (f"consistency proof for wire {w} shows no "
+                      "inconsistency; the complaint was false")
         return _Abort(self.role, _role_named(verdict.blamed), reason)
 
     def take_output_commitments(self, sender, got):
