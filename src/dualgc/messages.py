@@ -20,15 +20,13 @@ every type.
 receives it, and the protocol phase it belongs to. The table is the basis
 of the static privacy audit: in the output phase no message flows from a
 data provider to a computation party, so the parties cannot learn anything
-about the decoded results. ``Transcript`` logs every frame a session
-sends and audits the same invariant on what was actually sent.
+about the decoded results.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial
@@ -142,81 +140,6 @@ def check_flow(mtype: MessageType, sender: Role, receiver: Role) -> None:
     if sender.kind not in senders or receiver.kind not in receivers:
         raise ProtocolError(
             f"{mtype.name} not allowed from {sender.name} to {receiver.name}")
-
-
-@dataclass(frozen=True)
-class TranscriptEntry:
-    phase: str
-    sender: str
-    receiver: str
-    type: str
-    nbytes: int
-    micros: int
-
-
-def _is_party(name: str) -> bool:
-    return name in ("P1", "P2")
-
-
-class Transcript:
-    """Append-only message log with byte-exact accounting.
-
-    The identity of a run is the sequence of (phase, sender, receiver,
-    type, bytes); timestamps are recorded for the CSV export but excluded
-    from ``signature`` so equal runs compare equal.
-    """
-
-    def __init__(self):
-        self.entries: list[TranscriptEntry] = []
-        self.phase_seconds: dict[str, float] = {}
-
-    def add(self, phase, sender, receiver, type_name, nbytes, micros):
-        self.entries.append(TranscriptEntry(
-            phase, sender, receiver, type_name, nbytes, micros))
-
-    def measure(self) -> dict:
-        bytes_by_phase: dict[str, int] = {}
-        bytes_by_role: dict[str, int] = {}
-        total = 0
-        for e in self.entries:
-            total += e.nbytes
-            bytes_by_phase[e.phase] = bytes_by_phase.get(e.phase, 0) + e.nbytes
-            bytes_by_role[e.sender] = bytes_by_role.get(e.sender, 0) + e.nbytes
-        return {
-            "bytes_total": total,
-            "messages_total": len(self.entries),
-            "bytes_by_phase": bytes_by_phase,
-            "bytes_by_role": bytes_by_role,
-            "wall_time_by_phase": dict(self.phase_seconds),
-        }
-
-    def signature(self) -> str:
-        h = hashlib.sha256()
-        for e in self.entries:
-            h.update(f"{e.phase},{e.sender},{e.receiver},{e.type},{e.nbytes}\n"
-                     .encode())
-        return h.hexdigest()
-
-    def to_csv(self) -> str:
-        lines = ["phase,sender,receiver,type,bytes,micros"]
-        for e in self.entries:
-            lines.append(f"{e.phase},{e.sender},{e.receiver},{e.type},"
-                         f"{e.nbytes},{e.micros}")
-        return "\n".join(lines) + "\n"
-
-    def audit_output_privacy(self):
-        """No provider-to-party traffic once outputs are in play."""
-        opened = False
-        for e in self.entries:
-            if e.type == MessageType.OUTPUT_OPENINGS.name:
-                opened = True
-            if e.type == MessageType.ABORT.name:
-                continue
-            leak = not _is_party(e.sender) and _is_party(e.receiver)
-            if leak and (opened or e.phase == PHASE_OUTPUT):
-                raise ProtocolError(
-                    f"{e.type} from {e.sender} to {e.receiver} after output "
-                    "openings leaks recipient-side data to a party")
 
 
 # --- frame -------------------------------------------------------------------

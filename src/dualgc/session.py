@@ -39,28 +39,61 @@ import time
 from dataclasses import dataclass
 
 from . import messages as M
-from .auction import (AuctionConfig, AuctionResult, build_auction_circuit,
-                      decode_bidder_bits, decode_cloud_bits, encode_bid_bits)
+from .auction import (
+    AuctionConfig,
+    AuctionResult,
+    build_auction_circuit,
+    decode_bidder_bits,
+    decode_cloud_bits,
+    encode_bid_bits,
+)
 from .commitments import Opening
 from .consistency import (
-    VERDICT_CHEATING_PARTY, VERDICT_CHEATING_PROVIDER, ConsistencyProof,
-    check_pair_construction, coin_toss_commit, coin_toss_open,
-    combine_challenge, cross_hash_aggregate, evaluate_final_labels,
-    generate_cheating_material, generate_input_material,
-    issue_consistency_proof, label_check_passes, make_hash_tuple,
-    open_eval_triple, open_position, verify_check_failure_claim,
-    verify_consistency_proof)
-from .errors import (CoinTossCheatError, EvaluationError, FramingError,
-                     OpeningError, ProtocolError, TransportError,
-                     TransportTimeout, UsageError)
+    ConsistencyProof,
+    VERDICT_CHEATING_PARTY,
+    VERDICT_CHEATING_PROVIDER,
+    check_pair_construction,
+    coin_toss_commit,
+    coin_toss_open,
+    combine_challenge,
+    cross_hash_aggregate,
+    evaluate_final_labels,
+    generate_cheating_material,
+    generate_input_material,
+    issue_consistency_proof,
+    label_check_passes,
+    make_hash_tuple,
+    open_eval_triple,
+    open_position,
+    verify_check_failure_claim,
+    verify_consistency_proof,
+)
+from .errors import (
+    CoinTossCheatError,
+    EvaluationError,
+    FramingError,
+    OpeningError,
+    ProtocolError,
+    TransportError,
+    TransportTimeout,
+    UsageError,
+)
 from .garbling import (LABEL_BYTES, evaluate, garble, gate_rows,
                        parse_tables_blob)
-from .messages import Transcript
-from .outputs import (BLAME, CONFIRMED, REJECT, FailureProof,
-                      OutputCommitments, OutputDecision, OutputOpenings,
-                      bundle_digest, commit_output_encodings,
-                      commit_output_labels, verify_failure_proof,
-                      verify_output)
+from .outputs import (
+    BLAME,
+    CONFIRMED,
+    REJECT,
+    FailureProof,
+    OutputCommitments,
+    OutputDecision,
+    OutputOpenings,
+    bundle_digest,
+    commit_output_encodings,
+    commit_output_labels,
+    verify_failure_proof,
+    verify_output,
+)
 from .transport import InProcessTransport, Transport
 
 STATUS_ACCEPT = "accept"
@@ -105,6 +138,81 @@ def make_adversary(spec) -> AdversaryScript | None:
     if isinstance(spec, str):
         return AdversaryScript(behavior=spec)
     raise UsageError("adversary must be None, a behavior name, or a script")
+
+
+@dataclass(frozen=True)
+class TranscriptEntry:
+    phase: str
+    sender: str
+    receiver: str
+    type: str
+    nbytes: int
+    micros: int
+
+
+def _is_party(name: str) -> bool:
+    return name in ("P1", "P2")
+
+
+class Transcript:
+    """Append-only message log with byte-exact accounting.
+
+    The identity of a run is the sequence of (phase, sender, receiver,
+    type, bytes); timestamps are recorded for the CSV export but excluded
+    from ``signature`` so equal runs compare equal.
+    """
+
+    def __init__(self):
+        self.entries: list[TranscriptEntry] = []
+        self.phase_seconds: dict[str, float] = {}
+
+    def add(self, phase, sender, receiver, type_name, nbytes, micros):
+        self.entries.append(TranscriptEntry(
+            phase, sender, receiver, type_name, nbytes, micros))
+
+    def measure(self) -> dict:
+        bytes_by_phase: dict[str, int] = {}
+        bytes_by_role: dict[str, int] = {}
+        total = 0
+        for e in self.entries:
+            total += e.nbytes
+            bytes_by_phase[e.phase] = bytes_by_phase.get(e.phase, 0) + e.nbytes
+            bytes_by_role[e.sender] = bytes_by_role.get(e.sender, 0) + e.nbytes
+        return {
+            "bytes_total": total,
+            "messages_total": len(self.entries),
+            "bytes_by_phase": bytes_by_phase,
+            "bytes_by_role": bytes_by_role,
+            "wall_time_by_phase": dict(self.phase_seconds),
+        }
+
+    def signature(self) -> str:
+        h = hashlib.sha256()
+        for e in self.entries:
+            h.update(f"{e.phase},{e.sender},{e.receiver},{e.type},{e.nbytes}\n"
+                     .encode())
+        return h.hexdigest()
+
+    def to_csv(self) -> str:
+        lines = ["phase,sender,receiver,type,bytes,micros"]
+        for e in self.entries:
+            lines.append(f"{e.phase},{e.sender},{e.receiver},{e.type},"
+                         f"{e.nbytes},{e.micros}")
+        return "\n".join(lines) + "\n"
+
+    def audit_output_privacy(self):
+        """No provider-to-party traffic once outputs are in play."""
+        opened = False
+        for e in self.entries:
+            if e.type == M.MessageType.OUTPUT_OPENINGS.name:
+                opened = True
+            if e.type == M.MessageType.ABORT.name:
+                continue
+            leak = not _is_party(e.sender) and _is_party(e.receiver)
+            if leak and (opened or e.phase == M.PHASE_OUTPUT):
+                raise ProtocolError(
+                    f"{e.type} from {e.sender} to {e.receiver} after output "
+                    "openings leaks recipient-side data to a party")
 
 
 @dataclass
