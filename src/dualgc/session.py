@@ -337,7 +337,7 @@ class Party(Participant):
         self.tuples = {}         # own broadcast HashTuple per wire
         self.tuple_secrets = {}
         self.other_tuples = {}
-        self.dispute = None      # (wire or None: any, which) it must open
+        self.dispute = None      # (wire, which) it must open
         self.gc = None           # own garbled circuit
         self.eval_labels = None  # other circuit's output labels
         self.out_openings = {}   # recipient -> (enc, labels)
@@ -436,18 +436,17 @@ class Party(Participant):
 
     def take_consistency_proof(self, sender, proof):
         super().take_consistency_proof(sender, proof)
-        self.dispute = (None, M.OPEN_PAIR)  # the arbiter names the wire
+        self.dispute = (proof.wire, M.OPEN_PAIR)
 
     def take_proof_opening_request(self, sender: M.Role, request):
         """The PROOF_OPENING_RESPONSE to the cloud's request: the
         complainer opens its cross commitment of the wire it complained
-        about, the garbler its pair commitments of the wire the cloud
-        names."""
-        w, which = request
-        wire, opens = self.dispute or (-1, None)
-        if which != opens or wire not in (None, w) or w not in self.tuple_secrets:
+        about, the garbler its pair commitments of the wire in the proof
+        it received."""
+        if request != self.dispute:
             raise _Abort(self.role, sender,
                          "proof opening request does not match the proof")
+        w, which = request
         openings = self.tuple_secrets[w].openings
         return (w, which,
                 openings[:2] if which == M.OPEN_PAIR else openings[2:])
@@ -998,7 +997,10 @@ class Session:
                 receivers=self.providers)
         verdicts = []
         for prov in self.providers:
-            for member in (garbler, party):
+            # The complainer's response first: it answers for the proof the
+            # complainer sent, so a provider that received another proof
+            # convicts the complainer rather than the garbler.
+            for member in (party, garbler):
                 self._take(prov, member, MT.PROOF_OPENING_RESPONSE)
             verdicts.append(prov.judge_consistency_proof())
         if len({(v.kind, v.blamed) for v in verdicts}) != 1:

@@ -160,26 +160,28 @@ def test_silent_role_times_out_into_an_abort():
 
 
 class BodyFault(InProcessTransport):
-    """Rewrites the body of every frame of one type (from one sender, if
-    given), keeping the frame itself well formed."""
+    """Rewrites the body of every frame of one type (from one sender and to
+    one receiver, if given), keeping the frame itself well formed."""
 
-    def __init__(self, mtype, rewrite, sender=None):
+    def __init__(self, mtype, rewrite, sender=None, receiver=None):
         super().__init__()
         self.mtype = mtype
         self.rewrite = rewrite
         self.sender = sender
+        self.receiver = receiver
 
     def send(self, sender, receiver, frame):
         mtype, sid, who, body = M.decode_frame(frame)
-        if mtype == self.mtype and self.sender in (None, sender.name):
+        if (mtype == self.mtype and self.sender in (None, sender.name)
+                and self.receiver in (None, receiver.name)):
             frame = M.encode_frame(mtype, sid, who, self.rewrite(body))
         super().send(sender, receiver, frame)
 
 
-def value_fault(mtype, rewrite, sender=None):
+def value_fault(mtype, rewrite, sender=None, receiver=None):
     """A ``BodyFault`` that re-encodes ``rewrite(decoded value)``."""
     return BodyFault(mtype, lambda body: M.encode_body(
-        mtype, rewrite(M.decode_body(mtype, body))), sender)
+        mtype, rewrite(M.decode_body(mtype, body))), sender, receiver)
 
 
 # fault -> (blob rewrite, words of the header or length check that must
@@ -322,6 +324,22 @@ def test_decoded_values_are_checked_before_use(case, seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("member", ["P1", "P2"])
+def test_request_to_one_party_for_another_wire_blames_the_cloud(member,
+                                                                seed):
+    """The complainer (P1) and the garbler (P2) each check the cloud's
+    request against the proof they hold, so a request altered on one
+    channel only convicts the cloud."""
+    res = run_session(SMALL, BIDS, s=4, seed=seed,
+                      adversary="forge_consistency_proof",
+                      transport=value_fault(
+                          M.MessageType.PROOF_OPENING_REQUEST,
+                          lambda r: (r[0] + 1, r[1]), receiver=member))
+    assert (res.status, res.blamed) == ("abort", "cloud")
+    assert "request does not match the proof" in res.reason
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
 def test_abort_with_a_non_utf8_reason_keeps_the_verdict(seed):
     fault = BodyFault(M.MessageType.ABORT,
                       lambda body: body[:3] + bytes.fromhex("00000002ff41"))
@@ -429,6 +447,37 @@ def test_rewritten_consistency_proof_blames_its_sender(
         assert len(senders) == 1 and senders <= {"P1", "P2"}
         assert (res.status, res.blamed) == ("abort", senders.pop()), seed
         assert "consistency proof names no input wire" in res.reason
+
+
+def _to_another_wire_of_its_provider(proof):
+    group = Session(SMALL, BIDS, s=4).circuit.input_map[proof.provider]
+    return dataclasses.replace(
+        proof, wire=group[(group.index(proof.wire) + 1) % len(group)])
+
+
+@pytest.mark.parametrize("receiver",
+                         ["provider:0", "provider:1", "cloud", "garbler"])
+def test_consistency_proof_sent_differently_to_one_receiver(
+        inconsistent_labels_scan, receiver):
+    """A complainer that sends one receiver a proof for another wire. A
+    bidder that got the odd copy sees the complainer's own opening answer
+    another wire and convicts the complainer. The cloud's and the
+    garbler's copies are not compared with anyone's: the garbler finds the
+    cloud's request off its copy and blames the cloud, an honest role.
+    Pinned until proofs are echo-broadcast (ROADMAP item 5)."""
+    for seed, clean in zip(inconsistent_labels_scan["seeds"]["mixed"],
+                           inconsistent_labels_scan["mixed"]):
+        complainer = next(e.sender for e in clean.transcript.entries
+                          if e.type == "CONSISTENCY_PROOF")
+        to = {"garbler": "P2" if complainer == "P1" else "P1"}.get(
+            receiver, receiver)
+        res = run_session(SMALL, BIDS, s=4, seed=seed,
+                          adversary="inconsistent_labels",
+                          transport=value_fault(
+                              M.MessageType.CONSISTENCY_PROOF,
+                              _to_another_wire_of_its_provider, receiver=to))
+        expect = complainer if to.startswith("provider") else "cloud"
+        assert (res.status, res.blamed) == ("abort", expect), seed
 
 
 def test_fully_tampered_eval_set_diverges_and_is_rejected(
