@@ -370,9 +370,6 @@ class Party(Participant):
         openings) this party can make."""
         return self.failures
 
-    def take_check_failure_claim(self, sender: M.Role, claim):
-        return None  # providers judge the claim
-
     def take_evalset_openings(self, sender: M.Role, got):
         if set(got) != set(self.circuit.input_map[sender.index]):
             raise _Abort(self.role, sender,
@@ -868,22 +865,16 @@ class Session:
             raise _Abort(receiver.role, sender.role,
                          f"malformed {mtype.name} frame: {exc}")
 
-    def _take(self, receiver: Participant, sender: Participant, mtype: MT):
-        """Receive the next ``mtype`` frame from ``sender`` and hand its
-        value to the receiver's ``take_<type>`` step; returns the step's
-        result."""
-        step = getattr(receiver, f"take_{mtype.name.lower()}")
-        return step(sender.role, self._recv(receiver, sender, mtype))
-
-    def _exchange(self, mtype: MT, senders, make, pool=None) -> list:
+    def _exchange(self, mtype: MT, senders, make, take, pool=None) -> list:
         """Each sender broadcasts ``make(sender)`` to the rest of ``pool``
-        (default: every role); then those receivers take the frames, sender
-        by sender. Returns what the ``take`` steps return, in that order."""
+        (default: every role); then each receiver hands the value of each
+        frame, sender by sender, to its step ``take(receiver)``. Returns
+        what the steps return, in that order."""
         pool = self._all_states() if pool is None else pool
         for sender in senders:
             self._broadcast(mtype, sender, make(sender),
                             [r for r in pool if r is not sender])
-        return [self._take(other, sender, mtype)
+        return [take(other)(sender.role, self._recv(other, sender, mtype))
                 for sender in senders for other in pool if other is not sender]
 
     def _others(self, sender: Participant) -> list[Participant]:
@@ -942,15 +933,19 @@ class Session:
     def _input_phase(self):
         for prov in self.bidders:
             self._exchange(MT.INPUT_COMMITMENTS, [prov],
-                           lambda p: p.input_commitments())
+                           lambda p: p.input_commitments(),
+                           lambda r: r.take_input_commitments)
         # One joint toss per session: each party commits to a seed share,
         # then reveals it, and every role derives each wire's challenge
         # from the two shares it holds.
-        self._exchange(MT.COIN_COMMIT, self.parties, lambda p: p.coin_commit())
-        self._exchange(MT.COIN_REVEAL, self.parties, lambda p: p.coin_reveal())
+        self._exchange(MT.COIN_COMMIT, self.parties, lambda p: p.coin_commit(),
+                       lambda r: r.take_coin_commit)
+        self._exchange(MT.COIN_REVEAL, self.parties, lambda p: p.coin_reveal(),
+                       lambda r: r.take_coin_reveal)
         self._verify_check_sets()
         self._derive_final_labels()
-        self._exchange(MT.HASH_TUPLE, self.parties, lambda p: p.hash_tuples())
+        self._exchange(MT.HASH_TUPLE, self.parties, lambda p: p.hash_tuples(),
+                       lambda r: r.take_hash_tuple)
         for party in self.parties:
             proof = party.consistency_proof()
             if proof is not None:
@@ -962,16 +957,21 @@ class Session:
                             prov.checkset_openings(), receivers=self.parties)
         for party in self.parties:
             for prov in self.bidders:
-                self._take(party, prov, MT.CHECKSET_OPENINGS)
+                party.take_checkset_openings(
+                    prov.role, self._recv(party, prov, MT.CHECKSET_OPENINGS))
         for party in self.parties:
             claims = party.check_failure_claims()
             if claims:
                 self._arbitrate_check_failure(party, claims[0])
 
     def _arbitrate_check_failure(self, party, claim):
-        verdicts = self._exchange(MT.CHECK_FAILURE_CLAIM, [party],
-                                  lambda _: claim)
-        if len({v.kind for v in verdicts if v is not None}) != 1:
+        self._broadcast(MT.CHECK_FAILURE_CLAIM, party, claim)
+        verdicts = []
+        for other in self._others(party):
+            got = self._recv(other, party, MT.CHECK_FAILURE_CLAIM)
+            if other in self.providers:
+                verdicts.append(other.take_check_failure_claim(party.role, got))
+        if len({v.kind for v in verdicts}) != 1:
             raise ProtocolError("check-failure arbitration diverged")
         # The cloud receives last and words the ruling.
         raise self.cloud.check_claim_ruling(party.role, verdicts[-1])
@@ -983,25 +983,30 @@ class Session:
                            prov.evalset_openings(party.role))
         for party in self.parties:
             for prov in self.bidders:
-                self._take(party, prov, MT.EVALSET_OPENINGS)
+                party.take_evalset_openings(
+                    prov.role, self._recv(party, prov, MT.EVALSET_OPENINGS))
 
     def _arbitrate_consistency_proof(self, party, proof):
         garbler = self._member(_other_party(party.role))
-        self._exchange(MT.CONSISTENCY_PROOF, [party], lambda _: proof)
+        self._exchange(MT.CONSISTENCY_PROOF, [party], lambda _: proof,
+                       lambda r: r.take_consistency_proof)
         for member in (garbler, party):
             self._send(MT.PROOF_OPENING_REQUEST, self.cloud, member,
                        self.cloud.proof_opening_request(member.role))
         for member in (garbler, party):
-            self._broadcast(MT.PROOF_OPENING_RESPONSE, member, self._take(
-                member, self.cloud, MT.PROOF_OPENING_REQUEST),
-                receivers=self.providers)
+            request = self._recv(member, self.cloud, MT.PROOF_OPENING_REQUEST)
+            self._broadcast(MT.PROOF_OPENING_RESPONSE, member,
+                            member.take_proof_opening_request(self.cloud.role,
+                                                              request),
+                            receivers=self.providers)
         verdicts = []
         for prov in self.providers:
             # The complainer's response first: it answers for the proof the
             # complainer sent, so a provider that received another proof
             # convicts the complainer rather than the garbler.
             for member in (party, garbler):
-                self._take(prov, member, MT.PROOF_OPENING_RESPONSE)
+                prov.take_proof_opening_response(member.role, self._recv(
+                    prov, member, MT.PROOF_OPENING_RESPONSE))
             verdicts.append(prov.judge_consistency_proof())
         if len({(v.kind, v.blamed) for v in verdicts}) != 1:
             raise ProtocolError("consistency arbitration diverged")
@@ -1030,9 +1035,11 @@ class Session:
 
     def _output_phase(self) -> SessionResult:
         self._exchange(MT.OUTPUT_COMMITMENTS, self.parties,
-                       lambda p: p.output_commitments())
+                       lambda p: p.output_commitments(),
+                       lambda r: r.take_output_commitments)
         self._exchange(MT.BUNDLE_HASH, self.providers,
-                       lambda p: p.bundle_hash(), pool=self.providers)
+                       lambda p: p.bundle_hash(), lambda r: r.take_bundle_hash,
+                       pool=self.providers)
         for party in self.parties:
             for prov in self.providers:
                 self._send(MT.OUTPUT_OPENINGS, party, prov,
@@ -1041,7 +1048,8 @@ class Session:
         complainers = []
         for prov in self.providers:
             for party in self.parties:
-                self._take(prov, party, MT.OUTPUT_OPENINGS)
+                prov.take_output_openings(
+                    party.role, self._recv(prov, party, MT.OUTPUT_OPENINGS))
             decisions[prov.role.name] = prov.decide()
             if prov.complains():
                 complainers.append(prov)
@@ -1050,6 +1058,7 @@ class Session:
         for prov in complainers:
             verdicts = self._exchange(MT.FAILURE_PROOF, [prov],
                                       lambda p: p.failure_proof(),
+                                      lambda r: r.take_failure_proof,
                                       pool=self.providers)
             if len(set(verdicts)) != 1:
                 raise ProtocolError("failure-proof arbitration diverged")
