@@ -365,10 +365,10 @@ class Party(Participant):
                 if check_pair_construction(self.pairs[w][j], openings):
                     self.failures.append((sender.index, w, j, openings))
 
-    def check_failure_claims(self) -> list:
-        """CHECK_FAILURE_CLAIM values (provider index, wire, copy,
-        openings) this party can make."""
-        return self.failures
+    def check_failure_claim(self):
+        """The CHECK_FAILURE_CLAIM (provider index, wire, copy, openings)
+        for the first failure this party found, if any."""
+        return self.failures[0] if self.failures else None
 
     def take_evalset_openings(self, sender: M.Role, got):
         if set(got) != set(self.circuit.input_map[sender.index]):
@@ -412,24 +412,24 @@ class Party(Participant):
         super().take_hash_tuple(sender, got)
         self.other_tuples = got
 
-    def consistency_complaints(self) -> list[ConsistencyProof]:
-        proofs = []
+    def consistency_complaint(self) -> ConsistencyProof | None:
+        """A proof for the first wire whose cross labels fail the other
+        party's hash tuple, if any."""
         for w in sorted(self.triples):
             agg = cross_hash_aggregate(self.triples[w])
             if not label_check_passes(agg, self.other_tuples[w]):
-                proofs.append(issue_consistency_proof(
+                return issue_consistency_proof(
                     self.wire_owner[w].index, w, self.other_tuples[w], agg,
-                    self.tuples[w].c_cross))
-        return proofs
+                    self.tuples[w].c_cross)
+        return None
 
     def consistency_proof(self) -> ConsistencyProof | None:
         """The complaint to broadcast, if any; this party must then open
         its cross commitment of that wire."""
-        proofs = self.consistency_complaints()
-        if proofs:
-            self.dispute = (proofs[0].wire, M.OPEN_CROSS)
-            return proofs[0]
-        return None
+        proof = self.consistency_complaint()
+        if proof is not None:
+            self.dispute = (proof.wire, M.OPEN_CROSS)
+        return proof
 
     def take_consistency_proof(self, sender, proof):
         super().take_consistency_proof(sender, proof)
@@ -719,30 +719,28 @@ class _FalsifyCheckFailure(_Scripted, Party):
     """Claims provider 0's first checked copy is bad when it found no
     failure."""
 
-    def check_failure_claims(self):
-        claims = super().check_failure_claims()
-        if claims:
-            return claims
+    def check_failure_claim(self):
         w0 = self.circuit.input_map[0][0]
         j0 = next(j for j in range(self.s) if self.rho[w0][j])
-        return [(0, w0, j0, self.stashed_check[(w0, j0)])]
+        return (super().check_failure_claim()
+                or (0, w0, j0, self.stashed_check[(w0, j0)]))
 
 
 class _ForgeConsistencyProof(_Scripted, Party):
     """Complains about provider 0's first wire with a made-up cross
     aggregate when it found no inconsistency."""
 
-    def consistency_complaints(self):
-        proofs = super().consistency_complaints()
-        if proofs:
-            return proofs
+    def consistency_complaint(self):
+        proof = super().consistency_complaint()
+        if proof is not None:
+            return proof
         w0 = self.circuit.input_map[0][0]
         fake = self.adv_rng.randbytes(32)
         tup = self.other_tuples[w0]
-        return [ConsistencyProof(
+        return ConsistencyProof(
             provider=0, wire=w0,
             h_triple=(tup.h_pair[0], tup.h_pair[1], fake),
-            c_triple=(tup.c_pair[0], tup.c_pair[1], self.tuples[w0].c_cross))]
+            c_triple=(tup.c_pair[0], tup.c_pair[1], self.tuples[w0].c_cross))
 
 
 class _FalseOutputComplaint(_Scripted, Provider):
@@ -960,9 +958,9 @@ class Session:
                 party.take_checkset_openings(
                     prov.role, self._recv(party, prov, MT.CHECKSET_OPENINGS))
         for party in self.parties:
-            claims = party.check_failure_claims()
-            if claims:
-                self._arbitrate_check_failure(party, claims[0])
+            claim = party.check_failure_claim()
+            if claim is not None:
+                self._arbitrate_check_failure(party, claim)
 
     def _arbitrate_check_failure(self, party, claim):
         self._broadcast(MT.CHECK_FAILURE_CLAIM, party, claim)
