@@ -2,15 +2,18 @@
 
 A garbled circuit lets one side evaluate a boolean circuit on labels
 instead of bits: the evaluator learns the output labels but not what any
-wire means.  Every table row carries a 16-bit authenticator, so a
-tampered table is rejected instead of producing a wrong label.
+wire means.  XOR gates are free: the evaluator XORs labels.  AND and OR
+gates carry 4 table rows, and each input and output wire a 2-row
+projection; every row carries a 16-bit authenticator, so a tampered table
+is rejected instead of producing a wrong label.
 """
 
 import random
 
 from dualgc import (AND, OR, XOR, Circuit, EvaluationError, decode,
                     eval_plain, evaluate, garble, gate_rows,
-                    parse_tables_blob, random_input_encodings, select_labels)
+                    parse_tables_blob, random_input_encodings, select_labels,
+                    tabled_gates)
 
 
 def main():
@@ -33,8 +36,9 @@ def main():
     enc = random_input_encodings(circuit, rng)
     gc = garble(circuit, enc, rng_seed=2024)
     blob = gc.tables_blob()
-    print(f"tables blob: {len(blob)} bytes "
-          f"(32-byte circuit hash + 4-byte gate count + 18-byte rows)")
+    print(f"tables blob: {len(blob)} bytes (32-byte circuit hash, 4-byte "
+          f"gate count, 16-byte salt, 18-byte rows: 2 per input and output "
+          f"wire, 4 per AND/OR gate, none for the 2 XOR gates)")
     zero_label = enc[a].zero
     one_label = enc[a].one
     print(f"wire a: 0 -> {zero_label.hex()[:16]}...  1 -> {one_label.hex()[:16]}...")
@@ -53,8 +57,9 @@ def main():
 
     print("\n=== 3. Tampering is caught ===")
     tampered = bytearray(blob)
-    rows = gate_rows(circuit, 0)
-    for off in range(rows.start, rows.stop):  # every row byte of gate 0
+    first_and = tabled_gates(circuit)[0]  # gate 0 is an XOR: it has no rows
+    rows = gate_rows(circuit, first_and)
+    for off in range(rows.start, rows.stop):  # every row byte of that gate
         tampered[off] ^= 0x5A
     labels = select_labels(enc, {a: 1, b: 0, cin: 1})
     try:

@@ -39,7 +39,7 @@ from .errors import (CoinTossCheatError, DecodeError, DualGCError,
                      UsageError, WidthError)
 from .garbling import (Encoding, GarbledCircuit, decode, evaluate, garble,
                        gate_rows, parse_tables_blob, random_input_encodings,
-                       select_labels)
+                       select_labels, tabled_gates)
 from .messages import MessageType, Role, audit_flow_table
 from .outputs import (FailureProof, OutputCommitments, OutputDecision,
                       OutputOpenings, verify_failure_proof, verify_output)
@@ -67,6 +67,7 @@ __all__ = [
     "garble", "gate_count", "gate_rows", "generate_input_material", "load_bids_file",
     "load_config_file", "open_commitment", "oracle_run",
     "parse_tables_blob", "random_input_encodings", "run_session",
-    "select_labels", "to_netlist", "verify_check_failure_claim",
+    "select_labels", "tabled_gates", "to_netlist",
+    "verify_check_failure_claim",
     "verify_consistency_proof", "verify_failure_proof", "verify_output",
 ]

@@ -27,7 +27,6 @@ class Builder:
         self.gates = []
         self.wire_count = 0
         self.input_groups: list[tuple[int, ...]] = []
-        self._input_wires: set[int] = set()
         self._const_wires = [None, None]
         self._const_of = {}
         self._not_of = {}
@@ -40,28 +39,23 @@ class Builder:
     def inputs(self, nbits: int) -> list[int]:
         group = [self.new_wire() for _ in range(nbits)]
         self.input_groups.append(tuple(group))
-        self._input_wires.update(group)
         return group
 
     def const(self, bit: int) -> int:
         if self._const_wires[bit] is None:
-            if self.wire_count < 2:
+            if self.wire_count < 1:
                 raise RuntimeError(
-                    "declare at least two inputs before requesting constants")
+                    "declare an input before requesting constants")
             if bit == 0:
-                # x XOR x == 0, derived on an internal wire: unary and
-                # self gates must stay off input wires, whose externally
-                # fixed labels cannot be redrawn around a garbling
-                # row-tail collision.
-                mix = self._emit(XOR, 0, 1)
-                out = self._emit(XOR, mix, mix)
+                out = self._emit(XOR, 0, 0)  # x XOR x == 0
             else:
-                zero = self.const(0)
-                out = self.new_wire()
-                self.gates.append((NOT, zero, -1, out))
+                out = self._emit(NOT, self.const(0), -1)
             self._const_wires[bit] = out
             self._const_of[out] = bit
         return self._const_wires[bit]
+
+    def is_const(self, w: int) -> bool:
+        return w in self._const_of
 
     def _emit(self, kind: int, a: int, b: int) -> int:
         out = self.new_wire()
@@ -113,13 +107,7 @@ class Builder:
         inv = self._not_of.get(a)
         if inv is not None:
             return inv
-        if a in self._input_wires:
-            # A NOT gate reading an input wire pins both row pads to the
-            # wire's fixed labels; XOR against the internal one-constant
-            # computes the same bit without that garbling hazard.
-            out = self._emit(XOR, a, self.const(1))
-        else:
-            out = self._emit(NOT, a, -1)
+        out = self._emit(NOT, a, -1)
         self._not_of[a] = out
         self._not_of[out] = a
         return out
@@ -152,13 +140,20 @@ def add(bld: Builder, a, b) -> list[int]:
     out = []
     for i in range(w - 1, -1, -1):
         ai, bi = a[i], b[i]
-        axb = bld.XOR(ai, bi)
         if carry is None:
-            out.append(axb)
+            out.append(bld.XOR(ai, bi))
             carry = bld.AND(ai, bi)
-        else:
+        elif bld.is_const(ai) or bld.is_const(bi):
+            # Folds to fewer gates than the 1-AND form below.
+            axb = bld.XOR(ai, bi)
             out.append(bld.XOR(axb, carry))
             carry = bld.OR(bld.AND(ai, bi), bld.AND(axb, carry))
+        else:
+            # One AND per bit (Kolesnikov-Sadeghi-Schneider, CANS 2009):
+            # carry = c ^ ((a ^ c) & (b ^ c)).
+            axc = bld.XOR(ai, carry)
+            out.append(bld.XOR(axc, bi))
+            carry = bld.XOR(carry, bld.AND(axc, bld.XOR(bi, carry)))
     out.append(carry)
     out.reverse()
     return out
@@ -178,14 +173,19 @@ def sub(bld: Builder, a, b) -> tuple[list[int], int]:
     out = []
     for i in range(w - 1, -1, -1):
         ai, bi = a[i], b[i]
-        axb = bld.XOR(ai, bi)
         if borrow is None:
-            out.append(axb)
+            out.append(bld.XOR(ai, bi))
             borrow = bld.AND(bld.NOT(ai), bi)
-        else:
+        elif bld.is_const(ai) or bld.is_const(bi):
+            axb = bld.XOR(ai, bi)
             out.append(bld.XOR(axb, borrow))
             borrow = bld.OR(bld.AND(bld.NOT(ai), bi),
                             bld.AND(bld.NOT(axb), borrow))
+        else:
+            # borrow = c ^ (~(a ^ c) & (b ^ c)), one AND per bit.
+            axc = bld.XOR(ai, borrow)
+            out.append(bld.XOR(axc, bi))
+            borrow = bld.XOR(borrow, bld.AND(bld.NOT(axc), bld.XOR(bi, borrow)))
     out.reverse()
     return out, borrow
 

@@ -79,7 +79,7 @@ from .errors import (
     UsageError,
 )
 from .garbling import (LABEL_BYTES, evaluate, garble, gate_rows,
-                       parse_tables_blob)
+                       parse_tables_blob, tabled_gates)
 from .outputs import (
     BLAME,
     CONFIRMED,
@@ -107,7 +107,8 @@ class AdversaryScript:
 
     ``wires`` are offsets into the corrupted provider's input group;
     ``recipient``/``wire`` pick the output a party substitutes; ``gate``/
-    ``mask`` select the garbled table to corrupt (``gate=None`` picks one
+    ``mask`` select the garbled table to corrupt: ``gate`` must name an AND
+    or OR gate, since XOR and NOT gates have none (``gate=None`` picks one
     from the adversary's seed stream). ``pattern`` marks which of the s
     copies stay honest (``False`` entries are tampered); ``None`` tampers
     exactly one copy.
@@ -693,7 +694,7 @@ class _TamperGarbledGate(_Scripted, Party):
         blob = bytearray(super().garbled_blob())
         gi = self.script.gate
         if gi is None:
-            gi = self.adv_rng.randrange(len(self.circuit.gates))
+            gi = self.adv_rng.choice(tabled_gates(self.circuit))
         rows = gate_rows(self.circuit, gi)
         for i in range(rows.start, rows.stop):
             blob[i] ^= self.script.mask
@@ -822,6 +823,8 @@ class Session:
                              f"{adv.target}")
         if adv.pattern is not None and len(adv.pattern) != self.s:
             raise UsageError("pattern length must equal the copy count")
+        if adv.gate is not None and adv.gate not in tabled_gates(self.circuit):
+            raise UsageError(f"gate {adv.gate} has no garbled table")
 
     def _micros(self) -> int:
         return int((time.perf_counter() - self._t0) * 1_000_000)

@@ -215,23 +215,3 @@ def test_load_config_file(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(InputShapeError):
         load_config_file(bad)
-
-
-def test_builder_keeps_unary_and_self_gates_off_input_wires():
-    # Input-wire labels are fixed by the consistency layer, so a NOT or
-    # self gate reading one directly could hit an unfixable garbling
-    # collision; the builder must route such logic through internal wires.
-    from dualgc.circuits import NOT
-
-    for vm_types, bidders in ((1, 2), (2, 3)):
-        config = AuctionConfig(vm_types=vm_types, capacities=(3,) * vm_types,
-                               weights=(1,) * vm_types, width=4, max_bid=15)
-        circuit = build_auction_circuit(config, bidders)
-        inputs = set()
-        for group in circuit.input_map:
-            inputs.update(group)
-        for kind, a, b, _out in circuit.gates:
-            if kind == NOT:
-                assert a not in inputs
-            else:
-                assert not (a == b and a in inputs)

@@ -19,7 +19,8 @@ from dualgc.circuits import (
     validate,
 )
 from dualgc.errors import GadgetWidthError, InputShapeError
-from dualgc.gadgets import build_gadget, build_sorting_network
+from dualgc.gadgets import (Builder, add, build_gadget, build_sorting_network,
+                            ge, gt, sub)
 
 from oracles import random_circuit, random_inputs, recursive_eval
 
@@ -147,6 +148,47 @@ def test_two_operand_gadgets_exhaustive_small_width():
         for a in range(8):
             for b in range(8):
                 assert run1(g, a, b) == [oracle(a, b, w)], (kind, a, b)
+
+
+# gadget -> (output groups from two buses, expected groups from their
+# values x, y and the width w)
+ARITHMETIC = {
+    "add": (lambda bld, a, b: [add(bld, a, b)],
+            lambda x, y, w: [int_to_bits(x + y, w + 1)]),
+    "sub": (lambda bld, a, b: (lambda d, borrow: [d, [borrow]])(*sub(bld, a, b)),
+            lambda x, y, w: [int_to_bits((x - y) % (1 << w), w), [int(x < y)]]),
+    "ge": (lambda bld, a, b: [[ge(bld, a, b)]], lambda x, y, w: [[int(x >= y)]]),
+    "gt": (lambda bld, a, b: [[gt(bld, a, b)]], lambda x, y, w: [[int(x > y)]]),
+}
+
+
+def test_arithmetic_on_mixed_constant_and_input_bits_exhaustive():
+    # Each operand bit is an input ("x") or a builder constant, so both the
+    # one-AND carry/borrow and the constant-folded form are exercised, and
+    # every assignment of the input bits is checked against integers.
+    rng = random.Random("mixed-operands")
+    for w in range(1, 5):
+        patterns = [("x" * w, "x" * w), ("x" * w, "1" * w), ("0" * w, "x" * w)]
+        patterns += [("".join(rng.choice("xx01") for _ in range(w)),
+                      "".join(rng.choice("xx01") for _ in range(w)))
+                     for _ in range(12)]
+        for pa, pb in patterns:
+            n_in = (pa + pb).count("x")
+            if not n_in:
+                continue
+            for kind, (gadget, oracle) in ARITHMETIC.items():
+                bld = Builder()
+                inputs = iter(bld.inputs(n_in))
+                a, b = ([next(inputs) if p == "x" else bld.const(int(p))
+                         for p in pattern] for pattern in (pa, pb))
+                circuit = bld.finish(gadget(bld, a, b))
+                for value in range(1 << n_in):
+                    bits = iter(int_to_bits(value, n_in))
+                    x, y = (bits_to_int([next(bits) if p == "x" else int(p)
+                                         for p in pattern])
+                            for pattern in (pa, pb))
+                    assert eval_plain(circuit, [int_to_bits(value, n_in)]) \
+                        == oracle(x, y, w), (kind, pa, pb, x, y)
 
 
 def test_two_operand_gadgets_random_w16():

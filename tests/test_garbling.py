@@ -8,10 +8,11 @@ import pytest
 from dualgc.circuits import AND, NOT, OR, XOR, Circuit, eval_plain, int_to_bits
 from dualgc.errors import (DecodeError, EncodingCoverageError, EvaluationError,
                            ProtocolError)
-from dualgc.garbling import (AUTH_ZERO, LABEL_BYTES, ROW_BYTES, Encoding,
-                             GarbledCircuit, decode, evaluate, garble,
-                             gate_rows, parse_tables_blob,
-                             random_input_encodings, select_labels, xor_bytes)
+from dualgc.garbling import (AUTH_ZERO, HEADER_BYTES, LABEL_BYTES, ROW_BYTES,
+                             Encoding, GarbledCircuit, decode, evaluate,
+                             garble, gate_rows, parse_tables_blob,
+                             random_input_encodings, select_labels,
+                             tabled_gates, xor_bytes)
 
 from oracles import random_circuit, random_inputs
 
@@ -24,6 +25,40 @@ def two_in_circuit(kind):
 def rows_of(circuit, tables, gi):
     """Gate ``gi``'s rows, read at the offsets ``evaluate`` reads."""
     return [tables[o:o + ROW_BYTES] for o in gate_rows(circuit, gi)]
+
+
+def open_row(key, tables, index, tag, row):
+    """Independent hashlib decryption of one row: the label, or None when
+    the authenticator is wrong. The pad is SHA-256(key || salt ||
+    index_be4 || tag)[:18], the salt the 16 bytes after the header; the
+    authenticator is zero, or SHA-256(label)[:2] in an output projection
+    (tags 6, 7)."""
+    salt = tables[36:52]
+    pad = hashlib.sha256(key + salt + index.to_bytes(4, "big")
+                         + bytes([tag])).digest()[:ROW_BYTES]
+    dec = bytes(x ^ y for x, y in zip(pad, row))
+    auth = hashlib.sha256(dec[:16]).digest()[:2] if tag >= 6 else AUTH_ZERO
+    return dec[:16] if dec[16:] == auth else None
+
+
+def project_input(tables, w, i, label):
+    """Open the 2-row projection of input wire ``w`` (the ``i``-th input):
+    exactly one row must authenticate."""
+    off = HEADER_BYTES + 2 * ROW_BYTES * i
+    hits = [lab for r in (0, 1)
+            if (lab := open_row(label, tables, w, 4 + r,
+                                tables[off + r * ROW_BYTES:
+                                       off + (r + 1) * ROW_BYTES])) is not None]
+    assert len(hits) == 1
+    return hits[0]
+
+
+def project_output(tables, w, j, n_outputs, label):
+    """Open the output projection of the ``j``-th distinct output wire at
+    the row the label's pointer bit (its LSB) selects."""
+    r = label[-1] & 1
+    off = len(tables) - 2 * ROW_BYTES * (n_outputs - j) + r * ROW_BYTES
+    return open_row(label, tables, w, 6 + r, tables[off:off + ROW_BYTES])
 
 
 def run_garbled(circuit, inputs, seed=0):
@@ -41,47 +76,47 @@ def run_garbled(circuit, inputs, seed=0):
 
 
 # [DERIVED] row format pinned against an independent hashlib recomputation:
-# pad = SHA-256(K_a || K_b || gate_index_be4 || row_byte)[:18],
-# row XOR pad = output_label || 0x0000 for exactly one candidate row.
+# each unit's pad is SHA-256(key || salt || index_be4 || tag)[:18], and
+# row XOR pad = label || 0x0000. Input projections (tags 4, 5) map the
+# supplied labels to internal ones, the gate's row (tags 0-3, placed by the
+# keys' LSBs) maps them on, and the output projection (tags 6, 7) maps the
+# result to the output encoding.
 def test_row_format_matches_hash_recomputation():
     circuit = two_in_circuit(OR)
     rng = random.Random(7)
     enc = random_input_encodings(circuit, rng)
-    gc = garble(circuit, enc, 7, keep_wire_encodings=True)
-    out_enc = gc.wire_encodings[2]
-    rows = rows_of(circuit, gc.tables, 0)
+    gc = garble(circuit, enc, 7)
+    tables = gc.tables
+    rows = rows_of(circuit, tables, 0)
     assert len(rows) == 4 and all(len(r) == ROW_BYTES for r in rows)
+    assert len(tables) == HEADER_BYTES + ROW_BYTES * (2 + 2 + 4 + 2)
     for ba in (0, 1):
         for bb in (0, 1):
-            la, lb = enc[0].label(ba), enc[1].label(bb)
-            hits = []
-            for r in range(4):
-                pad = hashlib.sha256(
-                    la + lb + (0).to_bytes(4, "big") + bytes([r])).digest()[:18]
-                dec = bytes(x ^ y for x, y in zip(pad, rows[r]))
-                if dec[16:] == b"\x00\x00":
-                    hits.append(dec[:16])
+            ka = project_input(tables, 0, 0, enc[0].label(ba))
+            kb = project_input(tables, 1, 1, enc[1].label(bb))
+            r = (ka[-1] & 1) * 2 + (kb[-1] & 1)
+            hits = [lab for t in range(4)
+                    if (lab := open_row(ka + kb, tables, 0, t, rows[t]))]
             assert len(hits) == 1
-            assert hits[0] == out_enc.label(ba | bb)
+            assert open_row(ka + kb, tables, 0, r, rows[r]) == hits[0]
+            out = project_output(tables, 2, 0, 1, hits[0])
+            assert out == gc.output_encodings[2].label(ba | bb)
 
 
 def test_not_gate_rows_and_format():
+    # A NOT gate carries no rows: the evaluator keeps its operand's label,
+    # which the output projection maps to the flipped bit.
     circuit = Circuit(wire_count=2, gates=[(NOT, 0, -1, 1)],
                       input_map=[[0]], output_map=[[1]])
     rng = random.Random(3)
     enc = random_input_encodings(circuit, rng)
-    gc = garble(circuit, enc, 3, keep_wire_encodings=True)
-    rows = rows_of(circuit, gc.tables, 0)
-    assert len(rows) == 2
+    gc = garble(circuit, enc, 3)
+    assert rows_of(circuit, gc.tables, 0) == []
+    assert len(gc.tables) == HEADER_BYTES + 4 * ROW_BYTES
     for bit in (0, 1):
-        la = enc[0].label(bit)
-        hits = []
-        for r in range(2):
-            pad = hashlib.sha256(la + (0).to_bytes(4, "big") + bytes([r])).digest()[:18]
-            dec = bytes(x ^ y for x, y in zip(pad, rows[r]))
-            if dec[16:] == b"\x00\x00":
-                hits.append(dec[:16])
-        assert hits == [gc.wire_encodings[1].label(1 - bit)]
+        k = project_input(gc.tables, 0, 0, enc[0].label(bit))
+        assert project_output(gc.tables, 1, 0, 1, k) == \
+            gc.output_encodings[1].label(1 - bit)
 
 
 @pytest.mark.parametrize("kind,table", [
@@ -101,18 +136,22 @@ def test_not_truth_table():
 
 
 def test_identity_circuit_passes_input_labels_through():
+    # No gates: each output projection maps its wire's projected input label
+    # onto a fresh encoding, never back onto the supplied one.
     circuit = Circuit(wire_count=2, gates=[], input_map=[[0, 1]], output_map=[[1, 0]])
     rng = random.Random(1)
     enc = random_input_encodings(circuit, rng)
     gc = garble(circuit, enc, 1)
     labels = evaluate(circuit, gc.tables, select_labels(enc, {0: 1, 1: 0}))
-    assert labels == [[enc[1].zero, enc[0].one]]
-    assert decode(labels[0], [gc.output_encodings[1], gc.output_encodings[0]]) == [0, 1]
+    outs = [gc.output_encodings[1], gc.output_encodings[0]]
+    assert labels == [[outs[0].zero, outs[1].one]]
+    assert decode(labels[0], outs) == [0, 1]
+    assert not {enc[0].one, enc[1].zero} & set(labels[0])
 
 
 def test_colliding_pointer_bits_still_evaluate():
     # Both input encodings share the same LSB pattern on purpose; only the
-    # trial-evaluation path can disambiguate the first-layer rows.
+    # trial decryption of the input projections can tell their rows apart.
     circuit = two_in_circuit(AND)
     rng = random.Random(11)
     enc = {}
@@ -120,12 +159,12 @@ def test_colliding_pointer_bits_still_evaluate():
         zero = rng.randbytes(15) + b"\x00"
         one = rng.randbytes(15) + b"\x00"
         enc[w] = Encoding(zero, one)
-    gc = garble(circuit, enc, 11, keep_wire_encodings=True)
+    gc = garble(circuit, enc, 11)
     for ba in (0, 1):
         for bb in (0, 1):
             labels = evaluate(circuit, gc.tables,
                               {0: enc[0].label(ba), 1: enc[1].label(bb)})
-            assert decode(labels[0], [gc.wire_encodings[2]]) == [ba & bb]
+            assert decode(labels[0], [gc.output_encodings[2]]) == [ba & bb]
 
 
 def test_gate_with_repeated_operand():
@@ -222,11 +261,10 @@ def test_row_tampering_never_yields_silent_wrong_output():
         expected = eval_plain(circuit, inputs)
         bits = {w: v for group, vals in zip(circuit.input_map, inputs)
                 for w, v in zip(group, vals)}
-        gi = rng.randrange(len(circuit.gates))
-        ri = rng.randrange(len(gate_rows(circuit, gi)))
+        rows = (len(gc.tables) - HEADER_BYTES) // ROW_BYTES
+        off = HEADER_BYTES + ROW_BYTES * rng.randrange(rows)
         flip = 1 << rng.randrange(ROW_BYTES * 8)
         tampered = bytearray(gc.tables)
-        off = gate_rows(circuit, gi)[ri]
         row_int = int.from_bytes(tampered[off:off + ROW_BYTES], "big") ^ flip
         tampered[off:off + ROW_BYTES] = row_int.to_bytes(ROW_BYTES, "big")
         try:
@@ -279,7 +317,6 @@ def test_output_encodings_cover_exactly_output_wires():
     enc = random_input_encodings(circuit, rng)
     gc = garble(circuit, enc, 13)
     assert set(gc.output_encodings) == set(circuit.output_wires)
-    assert gc.wire_encodings is None
     assert isinstance(gc, GarbledCircuit)
 
 
@@ -289,44 +326,41 @@ def test_xor_bytes_helper():
     assert LABEL_BYTES == 16 and ROW_BYTES == 18 and AUTH_ZERO == b"\x00\x00"
 
 
-# [DERIVED] a unary gate on an input wire pins both row pads to the wire's
-# two fixed labels; if the pads' 16-bit auth tails collide at the same row
-# index no redraw can produce an unambiguous table, so garble must refuse.
-# The colliding pair is searched with an independent hashlib recomputation.
-def test_garble_refuses_unfixable_not_gate_collision():
-    circuit = Circuit(2, [(NOT, 0, -1, 1)], [[0]], [[1]])
-    tag = (0).to_bytes(4, "big")
-    rng = random.Random("collide-not")
-    zero = rng.randbytes(LABEL_BYTES)
-    t0 = [hashlib.sha256(zero + tag + bytes([r])).digest()[16:18]
-          for r in (0, 1)]
-    while True:
-        one = rng.randbytes(LABEL_BYTES)
-        t1 = [hashlib.sha256(one + tag + bytes([r])).digest()[16:18]
-              for r in (0, 1)]
-        if one != zero and (t0[0] == t1[0] or t0[1] == t1[1]):
-            break
-    with pytest.raises(ValueError, match="collide"):
-        garble(circuit, {0: Encoding(zero, one)}, 99)
+def attempt0_salt(seed):
+    return random.Random(f"garble:{seed}:0").randbytes(16)
 
 
-def test_garble_refuses_unfixable_self_gate_collision():
-    # Same trap for a self gate: its true rows sit at rows 0 and 3 under
-    # pads hashed from the doubled input labels.
-    circuit = Circuit(2, [(XOR, 0, 0, 1)], [[0]], [[1]])
-    tag = (0).to_bytes(4, "big")
-    rng = random.Random("collide-self")
+def tail(label, salt, w, tag):
+    return hashlib.sha256(label + salt + w.to_bytes(4, "big")
+                          + bytes([tag])).digest()[16:18]
+
+
+# [DERIVED] an input projection is ambiguous when the two supplied labels'
+# pad tails collide at a row position: the wrong row then authenticates too.
+# Encodings with that collision under attempt 0's salt are searched with an
+# independent hashlib recomputation; garble must move on to a later salt
+# and still evaluate correctly, also with a NOT or self gate on the wire.
+@pytest.mark.parametrize("gate", [(NOT, 0, -1, 1), (XOR, 0, 0, 1)],
+                         ids=["not", "self"])
+def test_ambiguous_input_projection_is_garbled_under_a_later_salt(gate):
+    circuit = Circuit(2, [gate], [[0]], [[1]])
+    seed = 99
+    salt = attempt0_salt(seed)
+    rng = random.Random(f"collide:{gate[0]}")
     zero = rng.randbytes(LABEL_BYTES)
-    t0 = [hashlib.sha256(zero + zero + tag + bytes([r])).digest()[16:18]
-          for r in (0, 3)]
+    tails = [tail(zero, salt, 0, tag) for tag in (4, 5)]
     while True:
         one = rng.randbytes(LABEL_BYTES)
-        t1 = [hashlib.sha256(one + one + tag + bytes([r])).digest()[16:18]
-              for r in (0, 3)]
-        if one != zero and (t0[0] == t1[0] or t0[1] == t1[1]):
+        if one != zero and any(tail(one, salt, 0, tag) == t
+                               for tag, t in zip((4, 5), tails)):
             break
-    with pytest.raises(ValueError, match="collide"):
-        garble(circuit, {0: Encoding(zero, one)}, 99)
+    enc = {0: Encoding(zero, one)}
+    gc = garble(circuit, enc, seed)
+    assert gc.tables[36:52] != salt
+    for bit in (0, 1):
+        labels = evaluate(circuit, gc.tables, {0: enc[0].label(bit)})
+        want = eval_plain(circuit, [[bit]])[0]
+        assert decode(labels[0], [gc.output_encodings[1]]) == want
 
 
 def test_unary_and_self_gates_on_inputs_evaluate_when_tails_differ():
@@ -335,3 +369,64 @@ def test_unary_and_self_gates_on_inputs_evaluate_when_tails_differ():
     for bit in (0, 1):
         assert run_garbled(not_circuit, [[bit]], seed=3) == [[1 - bit]]
         assert run_garbled(self_circuit, [[bit]], seed=3) == [[0]]
+
+
+def all_wires_out(circuit):
+    """The same gates with every wire an output, so a wrong label on any
+    wire meets an authenticated row (its output projection)."""
+    return Circuit(circuit.wire_count, circuit.gates, circuit.input_map,
+                   (tuple(range(circuit.wire_count)),))
+
+
+def unit_rows(circuit, blob, region, rng):
+    """The row offsets of one random unit of ``region``: an input
+    projection, an AND/OR gate or an output projection."""
+    if region == "input":
+        start = HEADER_BYTES + 2 * ROW_BYTES * rng.randrange(
+            len(circuit.input_wires))
+        return range(start, start + 2 * ROW_BYTES, ROW_BYTES)
+    if region == "gate":
+        return gate_rows(circuit, rng.choice(tabled_gates(circuit)))
+    start = len(blob) - 2 * ROW_BYTES * rng.randrange(
+        1, len(set(circuit.output_wires)) + 1)
+    return range(start, start + 2 * ROW_BYTES, ROW_BYTES)
+
+
+def test_output_encodings_do_not_expose_the_offset():
+    # Every internal wire's labels differ by the one offset R; the output
+    # encodings recipients open must not: zero ^ one differs across them.
+    rng = random.Random("offset")
+    for trial in range(20):
+        circuit = all_wires_out(random_circuit(rng))
+        gc = garble(circuit, random_input_encodings(circuit, rng), trial)
+        deltas = {xor_bytes(e.zero, e.one)
+                  for e in gc.output_encodings.values()}
+        assert len(deltas) == len(gc.output_encodings) == circuit.wire_count
+
+
+# A bit flipped in every row of one unit hits the row the evaluator reads,
+# and evaluation raises EvaluationError whatever the bit: an authenticator
+# bit fails that row, a label bit of an input projection or AND/OR row fails
+# the next row the wrong label keys (at the latest its wire's output
+# projection), and a label bit of an output projection fails that row's
+# label checksum.
+@pytest.mark.parametrize("region", ["input", "gate", "output"])
+def test_flipped_row_bit_raises_evaluation_error(region):
+    rng = random.Random(f"flip:{region}")
+    raised = 0
+    for trial in range(150):
+        circuit = all_wires_out(random_circuit(rng, max_gates=24))
+        if not tabled_gates(circuit):
+            continue
+        enc = random_input_encodings(circuit, rng)
+        gc = garble(circuit, enc, trial)
+        bits = {w: rng.getrandbits(1) for w in circuit.input_wires}
+        flip = 1 << rng.randrange(ROW_BYTES * 8)
+        tampered = bytearray(gc.tables)
+        for off in unit_rows(circuit, gc.tables, region, rng):
+            row = int.from_bytes(tampered[off:off + ROW_BYTES], "big") ^ flip
+            tampered[off:off + ROW_BYTES] = row.to_bytes(ROW_BYTES, "big")
+        with pytest.raises(EvaluationError):
+            evaluate(circuit, bytes(tampered), select_labels(enc, bits))
+        raised += 1
+    assert raised > 100

@@ -1,9 +1,10 @@
-"""The garbling kernel against its list-of-rows reference in ``oracles``.
+"""The garbling kernel against the plaintext oracle in ``oracles``.
 
-For the same circuit, input encodings and seed, ``garble`` must produce the
-reference's tables blob and encodings byte for byte, and ``parse_tables_blob``
-plus ``evaluate`` must return the reference's labels or raise the same
-exception type, on honest and on corrupted blobs.
+For honest labels, ``parse_tables_blob`` plus ``evaluate`` must decode to
+the oracle's outputs. A forged label must be refused by its input
+projection, a missing one reported as such, a truncated or extended blob
+refused before any row is read, and a corrupted blob must raise or still
+decode to the oracle's outputs, never to anything else.
 """
 
 import hashlib
@@ -12,80 +13,57 @@ import random
 import pytest
 
 from dualgc.auction import AuctionConfig, build_auction_circuit
-from dualgc.circuits import AND, NOT, OR, XOR, Circuit
-from dualgc.errors import DualGCError, EvaluationError
-from dualgc.garbling import (LABEL_BYTES, ROW_BYTES, Encoding, evaluate,
-                             garble, gate_rows, parse_tables_blob,
+from dualgc.circuits import AND, NOT, OR, XOR, Circuit, eval_plain
+from dualgc.errors import (DecodeError, DualGCError, EncodingCoverageError,
+                           EvaluationError, ProtocolError)
+from dualgc.garbling import (HEADER_BYTES, LABEL_BYTES, ROW_BYTES, Encoding,
+                             decode, evaluate, garble, parse_tables_blob,
                              random_input_encodings, select_labels)
 
-import oracles
-from oracles import random_circuit
+from oracles import random_circuit, recursive_eval
 
 # sha256 of garble(...).tables_blob() for the 6-bidder, 2-VM-type auction
-# circuit under the encodings and seed of test_n6m2_blob_is_pinned, recorded
-# with the reference implementation.
+# circuit under the encodings and seed of test_n6m2_blob_is_pinned.
 N6M2_BLOB_SHA256 = \
-    "b81f39b01b9e06d6dfe04bd021698c62b6735463ef34610db5fcacfd800e7011"
+    "a764df71b464ad64999cc65fa4b9c5d43b250c817be78dc740fe94bd44f6a860"
 
 
-def outcome(fn):
-    """A call's result, or the type of the package error it raised."""
+def outcome(circuit, gc, blob, labels):
+    """The decoded outputs, or the type of the package error raised."""
     try:
-        return fn()
-    except (DualGCError, ValueError) as exc:
+        groups = evaluate(circuit, parse_tables_blob(circuit, blob), labels)
+        return [decode(group, [gc.output_encodings[w] for w in wires])
+                for group, wires in zip(groups, circuit.output_map)]
+    except DualGCError as exc:
         return type(exc)
 
 
-def evaluated(circuit, blob, labels):
-    return outcome(lambda: evaluate(
-        circuit, parse_tables_blob(circuit, blob), labels))
-
-
-def reference_evaluated(circuit, blob, labels):
-    return outcome(lambda: oracles.reference_evaluate(
-        circuit, oracles.reference_parse_tables_blob(circuit, blob), labels))
-
-
-def assert_same_garbling(circuit, enc, seed):
-    """Garble both ways; returns the new GarbledCircuit (None if refused)."""
-    got = outcome(lambda: garble(circuit, enc, seed, keep_wire_encodings=True))
-    want = outcome(lambda: oracles.reference_garble(
-        circuit, enc, seed, keep_wire_encodings=True))
-    if isinstance(want, type):
-        assert got is want
-        return None
-    assert got.tables_blob() == want.tables_blob()
-    assert got.output_encodings == want.output_encodings
-    assert got.wire_encodings == want.wire_encodings
-    plain = garble(circuit, enc, seed)
-    assert plain.tables_blob() == want.tables_blob()
-    assert plain.wire_encodings is None
-    return got
-
-
-def assert_same_evaluation(circuit, enc, blob, rng, flips=12):
-    """Same labels or same error type on honest, forged and corrupted input."""
+def assert_evaluation_matches_the_oracle(circuit, enc, gc, rng, flips=12,
+                                         oracle=recursive_eval):
+    """Oracle outputs on honest labels; the right refusal on forged,
+    missing and truncated input; never a wrong output on corrupted rows."""
+    blob = gc.tables_blob()
     wires = circuit.input_wires
-    honest = select_labels(enc, {w: rng.getrandbits(1) for w in wires})
-    assert evaluated(circuit, blob, honest) == \
-        reference_evaluated(circuit, blob, honest)
-    assert not isinstance(evaluated(circuit, blob, honest), type)
+    inputs = [[rng.getrandbits(1) for _ in group] for group in circuit.input_map]
+    bits = {w: v for group, vals in zip(circuit.input_map, inputs)
+            for w, v in zip(group, vals)}
+    honest = select_labels(enc, bits)
+    expected = oracle(circuit, inputs)
+    assert outcome(circuit, gc, blob, honest) == expected
     forged = dict(honest)
     forged[rng.choice(wires)] = rng.randbytes(LABEL_BYTES)
-    assert evaluated(circuit, blob, forged) == \
-        reference_evaluated(circuit, blob, forged)
+    assert outcome(circuit, gc, blob, forged) is EvaluationError
     missing = dict(honest)
     del missing[rng.choice(wires)]
-    assert evaluated(circuit, blob, missing) == \
-        reference_evaluated(circuit, blob, missing)
+    assert outcome(circuit, gc, blob, missing) is EncodingCoverageError
     for _ in range(flips):
         bad = bytearray(blob)
         bad[rng.randrange(len(bad))] ^= 1 << rng.randrange(8)
-        assert evaluated(circuit, bytes(bad), honest) == \
-            reference_evaluated(circuit, bytes(bad), honest)
-    for bad in (blob[:-1], blob[:-18], blob + b"\x00", blob[:36]):
-        assert evaluated(circuit, bad, honest) == \
-            reference_evaluated(circuit, bad, honest)
+        assert outcome(circuit, gc, bytes(bad), honest) in (
+            expected, ProtocolError, EvaluationError, DecodeError)
+    for bad in (blob[:-1], blob[:-ROW_BYTES], blob + b"\x00",
+                blob[:HEADER_BYTES]):
+        assert outcome(circuit, gc, bad, honest) is ProtocolError
 
 
 def test_random_circuits_match_the_reference():
@@ -93,8 +71,8 @@ def test_random_circuits_match_the_reference():
     for trial in range(120):
         circuit = random_circuit(rng, max_gates=40)
         enc = random_input_encodings(circuit, rng)
-        gc = assert_same_garbling(circuit, enc, trial)
-        assert_same_evaluation(circuit, enc, gc.tables_blob(), rng)
+        gc = garble(circuit, enc, trial)
+        assert_evaluation_matches_the_oracle(circuit, enc, gc, rng)
 
 
 def mixed_circuit():
@@ -115,14 +93,10 @@ def mixed_circuit():
 def test_unary_and_self_gates_match_the_reference():
     circuit = mixed_circuit()
     rng = random.Random("mixed")
-    garbled = 0
     for seed in range(40):
         enc = random_input_encodings(circuit, rng)
-        gc = assert_same_garbling(circuit, enc, seed)
-        if gc is not None:
-            garbled += 1
-            assert_same_evaluation(circuit, enc, gc.tables_blob(), rng)
-    assert garbled == 40
+        gc = garble(circuit, enc, seed)
+        assert_evaluation_matches_the_oracle(circuit, enc, gc, rng)
 
 
 def test_colliding_input_pointer_bits_match_the_reference():
@@ -130,17 +104,16 @@ def test_colliding_input_pointer_bits_match_the_reference():
     rng = random.Random("colliding")
     for seed in range(20):
         # Every input label has LSB 0, so only the garbler's pointer bits
-        # separate the rows of the gates reading them.
+        # separate the rows of the input projections.
         enc = {w: Encoding(rng.randbytes(15) + b"\x00",
                            rng.randbytes(15) + b"\x00")
                for w in circuit.input_wires}
-        gc = assert_same_garbling(circuit, enc, seed)
-        assert_same_evaluation(circuit, enc, gc.tables_blob(), rng)
+        gc = garble(circuit, enc, seed)
+        assert_evaluation_matches_the_oracle(circuit, enc, gc, rng)
 
 
 def pair_circuit():
-    """200 binary gates on pairs of 16 input wires: many trial-decrypted
-    gates, so some pointer-bit draws leave a wrong row authenticating."""
+    """200 binary gates on pairs of 16 input wires."""
     rng = random.Random("ambiguity")
     gates = []
     for i in range(200):
@@ -151,54 +124,53 @@ def pair_circuit():
 
 
 def test_ambiguity_regarble_matches_the_reference():
+    # Wire 5's labels are searched so that their pad tails collide at a
+    # row position under attempt 0's salt: the projection would be
+    # ambiguous, so garble must use a later attempt's salt.
     circuit = pair_circuit()
     enc = random_input_encodings(circuit, random.Random("ambiguity:91"))
-    gc = assert_same_garbling(circuit, enc, 0)
-    # Attempt 0 would have given gate 0 this output 0-label; a different
-    # one proves the garbler re-garbled under attempt 1 or later.
-    attempt0 = random.Random("garble:0:0")
-    for _ in circuit.input_wires:
-        attempt0.getrandbits(1)
-    assert gc.wire_encodings[16].zero != attempt0.randbytes(LABEL_BYTES)
-    assert_same_evaluation(circuit, enc, gc.tables_blob(),
-                           random.Random("ambiguity"), flips=40)
+    salt = random.Random("garble:0:0").randbytes(16)
+
+    def tails(label):
+        return [hashlib.sha256(label + salt + (5).to_bytes(4, "big")
+                               + bytes([tag])).digest()[16:18]
+                for tag in (4, 5)]
+
+    zero_tails = tails(enc[5].zero)
+    rng = random.Random("ambiguity:search")
+    while True:
+        one = rng.randbytes(LABEL_BYTES)
+        if any(a == b for a, b in zip(tails(one), zero_tails)):
+            break
+    enc[5] = Encoding(enc[5].zero, one)
+    gc = garble(circuit, enc, 0)
+    assert gc.tables[36:HEADER_BYTES] != salt
+    assert_evaluation_matches_the_oracle(
+        circuit, enc, gc, random.Random("ambiguity"), flips=40)
 
 
 @pytest.mark.parametrize("gate", [(NOT, 0, -1, 2), (AND, 0, 0, 2),
                                   (XOR, 0, 1, 2)])
 def test_second_authenticating_row_is_ambiguous_like_the_reference(gate):
-    # Overwrite every row of a trial-decrypted gate so that each decrypts
-    # validly under the evaluator's labels: both evaluators must refuse.
+    # Overwrite both rows of input wire 0's projection so that each
+    # decrypts validly under the evaluator's label: it must refuse.
     circuit = Circuit(3, [gate], ((0, 1),), ((2,),))
     rng = random.Random("two-valid-rows")
     enc = random_input_encodings(circuit, rng)
-    blob = garble(circuit, enc, 5).tables_blob()
+    gc = garble(circuit, enc, 5)
+    blob = gc.tables_blob()
     labels = select_labels(enc, {0: 1, 1: 0})
-    key = labels[0] if gate[0] == NOT else labels[gate[1]] + labels[gate[2]]
+    salt = blob[36:HEADER_BYTES]
     bad = bytearray(blob)
-    for r, off in enumerate(gate_rows(circuit, 0)):
-        pad = hashlib.sha256(key + bytes(4) + bytes([r])).digest()[:ROW_BYTES]
+    for r in (0, 1):
+        off = HEADER_BYTES + r * ROW_BYTES
+        pad = hashlib.sha256(labels[0] + salt + bytes(4)
+                             + bytes([4 + r])).digest()[:ROW_BYTES]
         forged = rng.randbytes(LABEL_BYTES) + b"\x00\x00"
         bad[off:off + ROW_BYTES] = bytes(x ^ y for x, y in zip(pad, forged))
-    want = reference_evaluated(circuit, bytes(bad), labels)
-    assert want is EvaluationError
-    assert evaluated(circuit, bytes(bad), labels) is want
-
-
-def test_unfixable_collision_is_refused_like_the_reference():
-    circuit = Circuit(2, [(NOT, 0, -1, 1)], [[0]], [[1]])
-    tag = (0).to_bytes(4, "big")
-    rng = random.Random("collide-not")
-    zero = rng.randbytes(LABEL_BYTES)
-    tails = [hashlib.sha256(zero + tag + bytes([r])).digest()[16:18]
-             for r in (0, 1)]
-    while True:
-        one = rng.randbytes(LABEL_BYTES)
-        if one != zero and any(
-                hashlib.sha256(one + tag + bytes([r])).digest()[16:18] == t
-                for r, t in zip((0, 1), tails)):
-            break
-    assert assert_same_garbling(circuit, {0: Encoding(zero, one)}, 1) is None
+    assert outcome(circuit, gc, bytes(bad), labels) is EvaluationError
+    with pytest.raises(EvaluationError, match="input wire 0: ambiguous"):
+        evaluate(circuit, bytes(bad), labels)
 
 
 @pytest.fixture(scope="module")
@@ -212,11 +184,14 @@ def n6m2():
 
 def test_n6m2_blob_is_pinned(n6m2):
     circuit, _enc, gc = n6m2
-    assert len(circuit.gates) == 66_905
+    assert len(circuit.gates) == 65_598
+    # 384 input projections, 22,444 AND/OR gates, 126 output projections.
+    assert len(gc.tables_blob()) == HEADER_BYTES + ROW_BYTES * 90_796
     assert hashlib.sha256(gc.tables_blob()).hexdigest() == N6M2_BLOB_SHA256
 
 
 def test_n6m2_evaluation_matches_the_reference(n6m2):
     circuit, enc, gc = n6m2
-    assert_same_evaluation(circuit, enc, gc.tables_blob(),
-                           random.Random("pin-n6m2"), flips=2)
+    assert_evaluation_matches_the_oracle(circuit, enc, gc,
+                                         random.Random("pin-n6m2"), flips=2,
+                                         oracle=eval_plain)

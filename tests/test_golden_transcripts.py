@@ -24,8 +24,9 @@ BIDS = [((2, 9),), ((1, 5),), ((3, 14),)]
 # Scripts beyond each behaviour's default: other targets, recipients, wires
 # and gate choices.
 VARIANTS = {
-    "tamper_garbled_gate:gate0-mask01": AdversaryScript(
-        "tamper_garbled_gate", gate=0, mask=0x01),
+    # Gate 7 is the SMALL circuit's first AND gate, the first with a table.
+    "tamper_garbled_gate:gate7-mask01": AdversaryScript(
+        "tamper_garbled_gate", gate=7, mask=0x01),
     "tamper_garbled_gate:P2": AdversaryScript("tamper_garbled_gate",
                                               target="P2"),
     "substitute_output_label:P2-recipient1": AdversaryScript(
@@ -45,17 +46,17 @@ VARIANTS = {
 #  frame digest)
 GOLDEN = [
     (0, None, 'accept', None,
-     "ba4037bc46c7f75cbed782d7efbdcf215ca2299439353760e4f8a6d0cda61c62",
-     "e04d2e07bac84e2499b7acfa79901279916fe458a1ba30e8ebf4929522248d8a"),
+     "e453575866aabcc9b61ab0baa99344e6e1550e4fbf69f7504c5fd96d153c24e8",
+     "dd7e412745ece16d95f04766039f6884cc4502d9ab808bafa40915153d36bf44"),
     (0, 'inconsistent_labels', 'abort', 'provider:0',
      "3ab79c17fe97131508e17e6485c0395dbabb2aecd7c2ba7cdbcd2aef54c8e3ff",
      "89c06ae677174dadff850a4f97ed1c7e427e9d00ca01657d6c17bc7415582640"),
     (0, 'tamper_garbled_gate', 'abort', 'P1',
-     "676f7775a22f46242b169e4487ad346fb6c2b547d994e8e23704ad7916a7de79",
-     "fb3c2aa98cf655b252d1790becf73e087a8a306304d200e61e34f642429addae"),
+     "1521dfbb7c339aab6c08a11fbb70f589cf598e4ebbc2d39cf83345545d94bd8f",
+     "8f4fb2dda3eed7e4307c9dbe352b4d37c04ec43610c1e81c4d9fcd5e8aafff38"),
     (0, 'substitute_output_label', 'reject', None,
-     "16c48945fb6aadbeb3f16c82b96ec20afad3db6ab4b5e8d40247f3733543348b",
-     "1adb2dd0d98571d953b931f8d41c45871f6054269bc8a7ee04942ed8b72ad8ed"),
+     "8880693dd394badef39b6920118f5900b719a417a2aa05c6a795ae2298168a37",
+     "5e645807a096ce10bc16e956bf20910fbbf695d53278c340f9099d1e7da29060"),
     (0, 'bias_coin_toss', 'abort', 'P2',
      "78482d9ae8fc4fd38e51c12f04a8c97305d592f0b952e339a73bd53cb72240b4",
      "af060479066a1f1cbee46cee9e05db1019f46bfbcc285b3424e94fbd8ebda273"),
@@ -66,20 +67,20 @@ GOLDEN = [
      "964b841419b8c811d6a8758c571af8eddbd5e703131a12acc84dcaee9ecdf040",
      "d70d66c57e755dc1d8b684adeb0dcea17d7aef0710ed350e814662c0f17ab058"),
     (0, 'false_output_complaint', 'accept', 'provider:0',
-     "16c48945fb6aadbeb3f16c82b96ec20afad3db6ab4b5e8d40247f3733543348b",
-     "2a2fce6c3f1a14c7e3d69abfdd20b05a62644cb583fd5e3b73cc6062488d9831"),
+     "8880693dd394badef39b6920118f5900b719a417a2aa05c6a795ae2298168a37",
+     "4b81e636f7300a50fa8d50c416d47c2da7d1fb628a1a5ffc9232946abfa2715a"),
     (3, None, 'accept', None,
-     "a00840ffea6516ca4a8ae9098681e892f36d38cffd227877668c8bd4fd8ae5d5",
-     "d77339f35884f5b4f3250df28095976d2938bcf656e4d38721062b4f93899940"),
+     "0a16384b7d8e7ef139801d63a22c3d8b66371b07d8bb9683351d4e4a9ae68590",
+     "7b128d43ca431b0f1e6a5bd32b09f14c0f1fee6c576863387e8edf8f2c242ae7"),
     (3, 'inconsistent_labels', 'abort', 'provider:0',
      "ccf96a7053a15bdecc1f17e09edcff699fe0db8bd5a0536bbb88ac65cb4bb088",
      "368bf9dd67681e36dd2d84a815694088ba0baf3b22305875552d25688b0101b0"),
     (3, 'tamper_garbled_gate', 'abort', 'P1',
-     "52b852f56db01a9faa75092f4d06deef5c81307e607d0b01746ebb84d37d4f35",
-     "731ad5136fc9e192fba6d5012cb073c85e1dc22652d5f4a789d6426ab98ddf67"),
+     "99cc3b7e93804622241444967af129caa30204edba50dd405549cf724190aff8",
+     "b7d4234fdac25be045c7cedf3c3fc573ec6593f200063cb16415c42b13528c59"),
     (3, 'substitute_output_label', 'reject', None,
-     "c5a68a813e88f0a942727465ab49974a19b61bdd98dddf2848a97282ea2eb7bf",
-     "d3f9de9371d4edb5d2dba9f76ada23c1342ad414aca02766cf3bc353355ea625"),
+     "8a28bcdfaac95442281d041e387f5419dc57bafe96fb654abc61380aeb372fd1",
+     "0f5170f204e5abb99a1e941675db1f65fe6b839b0b3b65060ab28737f2b2f359"),
     (3, 'bias_coin_toss', 'abort', 'P2',
      "78482d9ae8fc4fd38e51c12f04a8c97305d592f0b952e339a73bd53cb72240b4",
      "ec2ad9a5ba44dd586be197aebfed0897095d85bde2d49229904b5996ecc4009c"),
@@ -90,20 +91,20 @@ GOLDEN = [
      "65f93ffdf27acefc07c6587898a9df2f31e5adc72b32d4cf78df1dea0068e254",
      "96587fb7467768e03e28944221f11831b727cb5e18584c9ead63e22f70077fd9"),
     (3, 'false_output_complaint', 'accept', 'provider:0',
-     "c5a68a813e88f0a942727465ab49974a19b61bdd98dddf2848a97282ea2eb7bf",
-     "d1215216191eedca22c536f9b81f7d3b44c4ab26a472ba21608ae351e5a72de9"),
+     "8a28bcdfaac95442281d041e387f5419dc57bafe96fb654abc61380aeb372fd1",
+     "fba8123c84606853b2df08987c968e30fe7f7d91f7494d4e2b9f5cedb12e4ab7"),
     (5, None, 'accept', None,
-     "131122211d55cb292b23434ecb2bd4717a501038d7e4ccdfa17020913e75775a",
-     "7505443b9c31b4fdd08b67a025277b488cf6d77fcebba7e9b96a0353b26d6768"),
+     "b85c32ffb3bd780582f0f1d2d58e55f7249838ad848c48b3f6c91e76b1d5270a",
+     "a4c095ef511deab219564885670f5d1a51a1a4675f38e1864cafcb1ba54cf5bb"),
     (5, 'inconsistent_labels', 'abort', 'provider:0',
      "b0bec85fd3ff0733a5b58956009ddefa5bd0dbabfb2866266761f1a3fb8ec804",
      "94cf418f56debfb3727360da887eb949842a05437566915b7e8991248dafc9b0"),
     (5, 'tamper_garbled_gate', 'abort', 'P1',
-     "61886f95118d4045c2ba9b28acf1e3b7123369464c3c75dfda12f9445dd06929",
-     "9a4bd5fbe0c9459f41040fb24cc27ccf9fb9371c515a42099a03b5cfa45901bb"),
+     "9322a8cc1802d24b2609f07594a7430eea43ad81145d6cff678c33ecb8bb8165",
+     "3268fb8fdebcb00ce3f3bc698e90ea130f123f040e00ddee93bbf2a88479cad9"),
     (5, 'substitute_output_label', 'reject', None,
-     "20dd86f3bf3d23650f273eca1adb8b745eaf4b699a3a625de60bca52458015c3",
-     "eb9997928806c53434122a552b4029035fe30120aa394608598f3b24e9959e9c"),
+     "deee8d8764407d40553f125d27bba9a60344270e2fdafd8a02acfd6445c61179",
+     "0415f02ea48f057f6d0665a3907b687890f4919d6e471dca2a88a870c03f51e5"),
     (5, 'bias_coin_toss', 'abort', 'P2',
      "78482d9ae8fc4fd38e51c12f04a8c97305d592f0b952e339a73bd53cb72240b4",
      "3f52ae2ae3df4f5c1d329d3a54406e58252f758923d1cd6f025c230b02ce6041"),
@@ -114,17 +115,17 @@ GOLDEN = [
      "809d6b2efaf64beea83522bc6cf0916afb01455ba42502d633e070b9b56e5205",
      "13b745bf128caf035b2d29d39f7cca9638f140ebb08d9de7051ffd6f5ef2d7c5"),
     (5, 'false_output_complaint', 'accept', 'provider:0',
-     "20dd86f3bf3d23650f273eca1adb8b745eaf4b699a3a625de60bca52458015c3",
-     "c9267a803065a64b3aa97721a410fb517419d5b27cc1255c03b0413f7793a4a7"),
-    (0, 'tamper_garbled_gate:gate0-mask01', 'abort', 'P1',
-     "045d06b37de91d676de09546c92d8146f8872307e0613c9f9cf81714d57646be",
-     "7596dae43c879e15f14fb120775c605e83aaa75bde98f500d761a6c36380d820"),
+     "deee8d8764407d40553f125d27bba9a60344270e2fdafd8a02acfd6445c61179",
+     "546b59cbebbb9bd1b33d6affc9cba88a67f4f945646f59c59861945bd3ab954d"),
+    (0, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
+     "6c70e4e122086f9740209951bd871f0b37a3dbb5cdb6ed6aa4f1f9e23ad9ff88",
+     "e836e3a5a81d483562a529675b2b2b3cbf7ec84a446ba6960ae21c5dbfff1d2e"),
     (0, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "bf848846b5de101ba7f827196feddcbd2d99f65a19122b9c805c08301a185158",
-     "0aa859d6ff6ca46a5ff9e018a79faf2d0a9589730098b64d5627a20e9b82bc66"),
+     "e1341918d66f13c96449a1b1211423956001afe5bd9e6cacc9637b8f2fd1f87c",
+     "8abb2f1208ee2fcac661b366bc0b7f6e559714eb4c412aef2f196fb2f1e3e537"),
     (0, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "8cdd23d160c2c3afd443dfd70fc3747483ac4340474c4ae1898d15a9ff3067ee",
-     "63ffd8f5d2036f3c33e49c6fc29bebfa4e091d07946fa4530fe63d9be0811d13"),
+     "a37994243bb7ef765ff641da7a74d6b27f9dea09b5a0a808908b46f15d85dfca",
+     "37f2efb396c4bbe66f271f18c99e1834016c9759852cd4865b93f9d60511a865"),
     (0, 'falsify_check_failure:P2', 'abort', 'P2',
      "97b0b4b20a6f893f7a3f6ab288e1f8541fcf397488e27ea06b25206b31b4e9ed",
      "5bfca0dfa15861e9a25d28c2332ef4e30b054a31ccd8a785e1ba054db5048013"),
@@ -138,17 +139,17 @@ GOLDEN = [
      "3ab79c17fe97131508e17e6485c0395dbabb2aecd7c2ba7cdbcd2aef54c8e3ff",
      "1b3c2c5e9f2b83bcc99e2fb02b3ec50ceb3fef9ca4fab477cc752918e23fb2eb"),
     (0, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "eb1d705001ddcb10b80ed145bffd37018278ff8e2d570177000656d3a4baf565",
-     "07a9a6a27ee9ec24b1e8418ce182517f0ef83644bec86cc77dae636d85e7b646"),
-    (3, 'tamper_garbled_gate:gate0-mask01', 'abort', 'P1',
-     "04eb118ef1f3eadc7a140b7ca86966d45e77450ceb441cb721a5fa2e7c8d5e96",
-     "7498db351647121a02f080fc6f5ecbece6eee6ebbf4a739f3d46337377c99830"),
+     "5f9cb30588bc1ca35818f18e211572c54f8eeead0992c4b6ccffcb742cdceeb3",
+     "d79bf26904b85f0de28c7b6e8e102a824714d48891b06ffd691e9c77f605ed3e"),
+    (3, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
+     "db76f0d5ea9bd6b3e7a5f4904b52080af4952df6639af3bdd26baad256165051",
+     "5ccd73f9d7b1a92ef5737ad82d09390099391f6be52cebc145ee9120d0e01b48"),
     (3, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "42828820873e904860d57977850d3a16421d6cdfa037d4c7eaebec6c9f96b553",
-     "a409d608943be84b6a3cda7f3064b2aa6f4be92f6683678d8660aeecf7637bd5"),
+     "97168acb035b078f879e41c15689f7c234549e4a847032629e70e947b14d634c",
+     "0d286b57364f5eb2108dff42c1f0499a1b7e8f8701fca9a8879f8a7f2288cf99"),
     (3, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "3a6362a61bd7c27122b09de528ab0bccdefdfc4da6ef5dbd3369081bc872ea90",
-     "ea07af0c124f451942158fea3036945bcac6839e0063213252dc87226dc85cdb"),
+     "2a52313a42807eec3b50c64686fce1dc634fc38bf6f3152bcf4ac9a45f6d59db",
+     "02ec1d0fa6a46456d4e31424ca0bb2fc45f7eecb1852b8a5d1f0adc1f58bfe81"),
     (3, 'falsify_check_failure:P2', 'abort', 'P2',
      "30c480ea8aa14255f0620923f3089ff3231ebc06cc3d3da51984d5737ed6f1b9",
      "ef619d1b04774f2666f35f867dadc2eb6ff12c9b2bea7d805bd90f007fbaaad0"),
@@ -162,17 +163,17 @@ GOLDEN = [
      "0d296e2d08753c129998845925fd0073c22e6857fe64ef507c65fe9c3021fdda",
      "24060a63e184b27af5869fec8fee1ba5e8028f17ffd811ecd786f3d5aa0ee427"),
     (3, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "5534c87ef4c9da39aa246fe0643e3eb262e51c6ea963ce2a25011157aa81b780",
-     "d914ff703de6c87a9d382fd7ce2acb4be18fb1828f6dbfdaea26495e22cb8134"),
-    (5, 'tamper_garbled_gate:gate0-mask01', 'abort', 'P1',
-     "56292c35ad1c678c22f086dc4ed869ea425e54f03f858890c46dc95bcd7c3fd7",
-     "7f50b6e65628cf0614299ad28718333ab6141ac5b4f71e19dae59870d6d3717b"),
+     "5866936d54a68f2c107cd19eaede807bc402c0d3c66d54eacb520dff48dac612",
+     "9c1d1047dd0f53da0a5d2815eeda717b6b20584b4f85020480248e6af4368042"),
+    (5, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
+     "cc8009d74c898efee106efa943faf9abd4234fb04f4bcc71365c308138991f7e",
+     "4938e38e5f8afae53b5708e38613fac4f73d63ef65f3a997b5e723af3d0661ae"),
     (5, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "60d9f07c8e82e417ae2d30856bb8a6d593d0e0635c5509161371205b618f4fda",
-     "29e947bbcf2db93628af78f18a9ad7b7542db3c16b891039d1f715052ee389b1"),
+     "43d9144e85cc2929c0b4125f8ff53e70fe2893a040604b43df5f0ed8c6b1bf65",
+     "37bd3ff2ae34a04366ac4f19b213027a901f9bb9783aadb074eaaa8e96878832"),
     (5, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "89ea218395bf06d273004136325e199148ce7a3048cb14e462b0043d842c9de3",
-     "86e8ad6bb27aa457bffca49e46446e98b1b70a46b98d98fcd57448d45fbec66b"),
+     "397f7f95c998a2709b87600d5583ed67ebbcddca4914045f570cdafb91eed4b0",
+     "1a9a5bd9bd0293a2684cbfc0df96a03a31777f1ebe787ee94c0fe5e9738e1553"),
     (5, 'falsify_check_failure:P2', 'abort', 'P2',
      "2c2697d0e1ae6efa54986a89e88d2c46ceeb2a1048a00be9201d77c119beec84",
      "d63eb7f52691c9c332e32808d12f925bdb8e9633c3d93aade066f0b058ddcd96"),
@@ -186,8 +187,8 @@ GOLDEN = [
      "b0bec85fd3ff0733a5b58956009ddefa5bd0dbabfb2866266761f1a3fb8ec804",
      "4d39bffef5f62a6c160ba77d13b863175f9b3d6c52535d6b7aecd2d33f3578da"),
     (5, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "02964453b8b9b95b2a6a1995254dcd6cee8938a9953195d1c2aba5dea62c244a",
-     "28489913f0d100dc8597035a456f0b31db39066487b05df26889869bb4423d12"),
+     "bd727d43db1a2810c4718079e962304bef53e1f310946fcb0609912885886241",
+     "0f4e83bbb342ce8c14cefd7c4bf97cf00d18cda510bb48fde0f0335acb61f4a5"),
 ]
 
 

@@ -8,10 +8,11 @@ import random
 import pytest
 
 from dualgc import messages as M
-from dualgc.auction import AuctionConfig, oracle_run
+from dualgc.auction import AuctionConfig, build_auction_circuit, oracle_run
 from dualgc.errors import (DecodeError, ProtocolError, TransportTimeout,
                            UsageError)
-from dualgc.garbling import ROW_BYTES, decode
+from dualgc.garbling import (HEADER_BYTES, ROW_BYTES, decode, gate_rows,
+                             tabled_gates)
 from dualgc.outputs import ACCEPT, REJECT, FailureProof
 from dualgc.session import (BEHAVIORS, AdversaryScript, Session, Transcript,
                             make_adversary, run_session)
@@ -345,6 +346,40 @@ def test_abort_with_a_non_utf8_reason_keeps_the_verdict(seed):
     assert (res.status, res.blamed) == ("abort", "P2")
 
 
+def flip_a_row_bit(region):
+    """A blob rewrite flipping one random bit in every row of the first
+    input projection, the first AND gate or the first output projection,
+    so the row the evaluator reads is corrupted."""
+    circuit = build_auction_circuit(SMALL, len(BIDS))
+    bit = random.Random(region).randrange(ROW_BYTES * 8)
+
+    def rewrite(blob):
+        if region == "input":
+            start, count = HEADER_BYTES, 2
+        elif region == "gate":
+            start = gate_rows(circuit, tabled_gates(circuit)[0]).start
+            count = 4
+        else:
+            start = len(blob) - 2 * ROW_BYTES * len(set(circuit.output_wires))
+            count = 2
+        bad = bytearray(blob)
+        for off in range(start, start + count * ROW_BYTES, ROW_BYTES):
+            bad[off + ROW_BYTES - 1 - bit // 8] ^= 1 << bit % 8
+        return bytes(bad)
+    return rewrite
+
+
+@pytest.mark.parametrize("region", ["input", "gate", "output"])
+@pytest.mark.parametrize("producer", ["P1", "P2"])
+def test_tampered_row_aborts_against_its_garbler(producer, region):
+    res = run_session(SMALL, BIDS, s=4, seed=3, transport=BodyFault(
+        M.MessageType.GARBLED_CIRCUIT, flip_a_row_bit(region), producer))
+    assert (res.status, res.blamed, res.phase) == ("abort", producer,
+                                                   "compute")
+    assert res.reason.startswith("garbled circuit rejected")
+    assert "no row authenticates" in res.reason
+
+
 def test_adversary_validation():
     with pytest.raises(UsageError):
         make_adversary("replay_attack")
@@ -362,6 +397,10 @@ def test_adversary_validation():
     with pytest.raises(UsageError):
         Session(SMALL, BIDS, s=4, adversary=AdversaryScript(
             "inconsistent_labels", pattern=(True, False)))
+    for gate in (0, 10 ** 6):  # an XOR gate, and no gate at all
+        with pytest.raises(UsageError, match="no garbled table"):
+            Session(SMALL, BIDS, s=4, adversary=AdversaryScript(
+                "tamper_garbled_gate", gate=gate))
     script = make_adversary("bias_coin_toss")
     assert script.target == "P2"
     assert make_adversary(script) is script
@@ -490,7 +529,9 @@ def test_tampered_garbled_gate_aborts_against_the_garbler():
     assert res.status == "abort"
     assert res.blamed == "P1"
     assert res.phase == "compute"
-    first = AdversaryScript("tamper_garbled_gate", gate=0, mask=0x01)
+    # Gate 0 is an XOR gate, which has no table; the first AND gate has.
+    first_and = tabled_gates(build_auction_circuit(SMALL, len(BIDS)))[0]
+    first = AdversaryScript("tamper_garbled_gate", gate=first_and, mask=0x01)
     res = run_session(SMALL, BIDS, s=4, seed=5, adversary=first)
     assert res.status == "abort"
     assert res.blamed == "P1"
