@@ -150,12 +150,17 @@ def test_two_operand_gadgets_exhaustive_small_width():
                 assert run1(g, a, b) == [oracle(a, b, w)], (kind, a, b)
 
 
+def sub_groups(bld, a, b):
+    diff, borrow = sub(bld, a, b)
+    return [diff, [borrow]]
+
+
 # gadget -> (output groups from two buses, expected groups from their
 # values x, y and the width w)
 ARITHMETIC = {
     "add": (lambda bld, a, b: [add(bld, a, b)],
             lambda x, y, w: [int_to_bits(x + y, w + 1)]),
-    "sub": (lambda bld, a, b: (lambda d, borrow: [d, [borrow]])(*sub(bld, a, b)),
+    "sub": (sub_groups,
             lambda x, y, w: [int_to_bits((x - y) % (1 << w), w), [int(x < y)]]),
     "ge": (lambda bld, a, b: [[ge(bld, a, b)]], lambda x, y, w: [[int(x >= y)]]),
     "gt": (lambda bld, a, b: [[gt(bld, a, b)]], lambda x, y, w: [[int(x > y)]]),

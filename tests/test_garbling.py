@@ -77,10 +77,11 @@ def run_garbled(circuit, inputs, seed=0):
 
 # [DERIVED] row format pinned against an independent hashlib recomputation:
 # each unit's pad is SHA-256(key || salt || index_be4 || tag)[:18], and
-# row XOR pad = label || 0x0000. Input projections (tags 4, 5) map the
-# supplied labels to internal ones, the gate's row (tags 0-3, placed by the
-# keys' LSBs) maps them on, and the output projection (tags 6, 7) maps the
-# result to the output encoding.
+# row XOR pad = label || authenticator. Input projections (tags 4, 5) map
+# the supplied labels to internal ones, the gate's row (tags 0-3, placed by
+# the keys' LSBs) maps them on, and the output projection (tags 6, 7, whose
+# authenticator is SHA-256(label)[:2]) maps the result to the output
+# encoding.
 def test_row_format_matches_hash_recomputation():
     circuit = two_in_circuit(OR)
     rng = random.Random(7)
@@ -326,10 +327,6 @@ def test_xor_bytes_helper():
     assert LABEL_BYTES == 16 and ROW_BYTES == 18 and AUTH_ZERO == b"\x00\x00"
 
 
-def attempt0_salt(seed):
-    return random.Random(f"garble:{seed}:0").randbytes(16)
-
-
 def tail(label, salt, w, tag):
     return hashlib.sha256(label + salt + w.to_bytes(4, "big")
                           + bytes([tag])).digest()[16:18]
@@ -345,7 +342,7 @@ def tail(label, salt, w, tag):
 def test_ambiguous_input_projection_is_garbled_under_a_later_salt(gate):
     circuit = Circuit(2, [gate], [[0]], [[1]])
     seed = 99
-    salt = attempt0_salt(seed)
+    salt = random.Random(f"garble:{seed}:0").randbytes(16)
     rng = random.Random(f"collide:{gate[0]}")
     zero = rng.randbytes(LABEL_BYTES)
     tails = [tail(zero, salt, 0, tag) for tag in (4, 5)]
@@ -413,7 +410,7 @@ def test_output_encodings_do_not_expose_the_offset():
 @pytest.mark.parametrize("region", ["input", "gate", "output"])
 def test_flipped_row_bit_raises_evaluation_error(region):
     rng = random.Random(f"flip:{region}")
-    raised = 0
+    checked = 0
     for trial in range(150):
         circuit = all_wires_out(random_circuit(rng, max_gates=24))
         if not tabled_gates(circuit):
@@ -428,5 +425,5 @@ def test_flipped_row_bit_raises_evaluation_error(region):
             tampered[off:off + ROW_BYTES] = row.to_bytes(ROW_BYTES, "big")
         with pytest.raises(EvaluationError):
             evaluate(circuit, bytes(tampered), select_labels(enc, bits))
-        raised += 1
-    assert raised > 100
+        checked += 1
+    assert checked > 100
