@@ -123,6 +123,21 @@ def pair_circuit():
                    (tuple(range(16, 216)),))
 
 
+def colliding_one(zero, salt, wire, rng):
+    """A one-label whose projection pad tails collide with ``zero``'s at a
+    row position under ``salt``, so that the projection is ambiguous."""
+    def tails(label):
+        return [hashlib.sha256(label + salt + wire.to_bytes(4, "big")
+                               + bytes([tag])).digest()[16:18]
+                for tag in (4, 5)]
+
+    zero_tails = tails(zero)
+    while True:
+        one = rng.randbytes(LABEL_BYTES)
+        if any(a == b for a, b in zip(tails(one), zero_tails)):
+            return one
+
+
 def test_ambiguity_regarble_matches_the_reference():
     # Wire 5's labels are searched so that their pad tails collide at a
     # row position under attempt 0's salt: the projection would be
@@ -130,23 +145,29 @@ def test_ambiguity_regarble_matches_the_reference():
     circuit = pair_circuit()
     enc = random_input_encodings(circuit, random.Random("ambiguity:91"))
     salt = random.Random("garble:0:0").randbytes(16)
-
-    def tails(label):
-        return [hashlib.sha256(label + salt + (5).to_bytes(4, "big")
-                               + bytes([tag])).digest()[16:18]
-                for tag in (4, 5)]
-
-    zero_tails = tails(enc[5].zero)
-    rng = random.Random("ambiguity:search")
-    while True:
-        one = rng.randbytes(LABEL_BYTES)
-        if any(a == b for a, b in zip(tails(one), zero_tails)):
-            break
+    one = colliding_one(enc[5].zero, salt, 5,
+                        random.Random("ambiguity:search"))
     enc[5] = Encoding(enc[5].zero, one)
     gc = garble(circuit, enc, 0)
     assert gc.tables[36:HEADER_BYTES] != salt
     assert_evaluation_matches_the_oracle(
         circuit, enc, gc, random.Random("ambiguity"), flips=40)
+
+
+def test_ambiguous_unary_input_matches_the_reference():
+    # A NOT gate on input wire 0, whose projection is ambiguous under
+    # attempt 0's salt: once refused, it now garbles under a later salt
+    # and decodes to the oracle's outputs.
+    circuit = mixed_circuit()
+    rng = random.Random("ambiguous-unary")
+    for seed in range(4):
+        enc = random_input_encodings(circuit, rng)
+        salt = random.Random(f"garble:{seed}:0").randbytes(16)
+        enc[0] = Encoding(enc[0].zero,
+                          colliding_one(enc[0].zero, salt, 0, rng))
+        gc = garble(circuit, enc, seed)
+        assert gc.tables[36:HEADER_BYTES] != salt
+        assert_evaluation_matches_the_oracle(circuit, enc, gc, rng)
 
 
 @pytest.mark.parametrize("gate", [(NOT, 0, -1, 2), (AND, 0, 0, 2),
