@@ -23,7 +23,7 @@ command-line tool.
 
 from .auction import (AuctionConfig, AuctionResult, build_auction_circuit,
                       circuit_run, encode_bid_bits, gate_count,
-                      load_bids_file, load_config_file, oracle_run)
+                      load_bids_file, oracle_run)
 from .circuits import (AND, NOT, OR, XOR, Circuit, eval_plain, from_netlist,
                        to_netlist)
 from .commitments import Commitment, Opening, commit, open_commitment
@@ -65,7 +65,7 @@ __all__ = [
     "coin_toss_commit", "coin_toss_open", "combine_challenge", "commit",
     "decode", "encode_bid_bits", "eval_plain", "evaluate", "from_netlist",
     "garble", "gate_count", "gate_rows", "generate_input_material", "load_bids_file",
-    "load_config_file", "open_commitment", "oracle_run",
+    "open_commitment", "oracle_run",
     "parse_tables_blob", "random_input_encodings", "run_session",
     "select_labels", "tabled_gates", "to_netlist",
     "verify_check_failure_claim",

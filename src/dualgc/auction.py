@@ -414,46 +414,5 @@ def load_bids_file(path) -> list:
     return bids
 
 
-def load_config_file(path) -> tuple[AuctionConfig, dict]:
-    """key = value lines; returns the config plus protocol extras (s, seed)."""
-    raw = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InputShapeError(f"{path}:{line_no}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            raw[key] = value
-
-    def int_list(text):
-        return tuple(int(p) for p in text.replace(",", " ").split())
-
-    known = {"m", "capacities", "weights", "w", "f", "max_quantity",
-             "max_bid", "s", "seed"}
-    unknown = set(raw) - known
-    if unknown:
-        raise InputShapeError(f"{path}: unknown keys {sorted(unknown)}")
-    for key in ("m", "capacities", "weights"):
-        if key not in raw:
-            raise InputShapeError(f"{path}: missing required key '{key}'")
-    kwargs = {
-        "vm_types": int(raw["m"]),
-        "capacities": int_list(raw["capacities"]),
-        "weights": int_list(raw["weights"]),
-    }
-    if "w" in raw:
-        kwargs["width"] = int(raw["w"])
-    if "f" in raw:
-        kwargs["fraction_bits"] = int(raw["f"])
-    if "max_quantity" in raw:
-        kwargs["max_quantity"] = int(raw["max_quantity"])
-    if "max_bid" in raw:
-        kwargs["max_bid"] = int(raw["max_bid"])
-    extras = {k: int(raw[k]) for k in ("s", "seed") if k in raw}
-    return AuctionConfig(**kwargs), extras
-
-
 def gate_count(config: AuctionConfig, bidders: int) -> int:
     return len(build_auction_circuit(config, bidders).gates)

@@ -46,7 +46,7 @@ VERDICT_PROOF_INVALID = "proof_invalid"
 @dataclass(frozen=True)
 class ProofVerdict:
     kind: str
-    blamed: str
+    blamed: object  # the complainer, garbler or provider the caller named
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,6 @@ class CommitmentSetPair:
 class CopyMaterial:
     """Provider-side secrets behind one copy's five commitments."""
 
-    enc1: Encoding
-    enc2: Encoding
     b: int
     w_openings: tuple[Opening, Opening]
     w_prime_openings: tuple[Opening, Opening]
@@ -120,8 +118,7 @@ def _commit_copy(rng: random.Random, enc1: Encoding, enc2: Encoding, b: int,
         w_prime=(wp_first[0], wp_second[0]),
         position=pos[0])
     return CopyMaterial(
-        enc1=enc1, enc2=enc2, b=b,
-        w_openings=(w_first[1], w_second[1]),
+        b=b, w_openings=(w_first[1], w_second[1]),
         w_prime_openings=(wp_first[1], wp_second[1]),
         position_opening=pos[1], pair=pair)
 
@@ -271,20 +268,18 @@ def check_pair_construction(pair: CommitmentSetPair, openings) -> str | None:
     return None
 
 
-def verify_check_failure_claim(pair: CommitmentSetPair, openings) -> ProofVerdict:
-    """Arbitrate a party's claim that a check copy was badly constructed.
+def verify_check_failure_claim(pair: CommitmentSetPair, openings) -> str | None:
+    """Arbitrate a party's claim that a check copy was badly constructed:
+    the construction fault the claim proves, or None when it proves none.
 
     The openings must match the provider's broadcast commitments (otherwise
     the claim is fabricated) and must actually fail the construction check.
-    ``blamed`` is filled in by the caller, who knows the role names.
     """
     commitments = pair.w + pair.w_prime
     if len(openings) != 4 or not all(
             open_commitment(c, o) for c, o in zip(commitments, openings)):
-        return ProofVerdict(VERDICT_PROOF_INVALID, "claimant")
-    if check_pair_construction(pair, tuple(openings)) is None:
-        return ProofVerdict(VERDICT_PROOF_INVALID, "claimant")
-    return ProofVerdict(VERDICT_CHEATING_PROVIDER, "provider")
+        return None
+    return check_pair_construction(pair, tuple(openings))
 
 
 # --- evaluation copies -------------------------------------------------------
@@ -347,7 +342,6 @@ class HashTuple:
 
 @dataclass
 class HashTupleSecret:
-    hash_lists: tuple[list[bytes], list[bytes], list[bytes]]
     openings: tuple[Opening, Opening, Opening]
 
 
@@ -366,7 +360,6 @@ def make_hash_tuple(rng: random.Random, triples) -> tuple[HashTuple, HashTupleSe
         c_pair=(coms[order[0]][0], coms[order[1]][0]),
         c_cross=coms[2][0])
     secret = HashTupleSecret(
-        hash_lists=(lists[order[0]], lists[order[1]], lists[2]),
         openings=(coms[order[0]][1], coms[order[1]][1], coms[2][1]))
     return tup, secret
 
@@ -405,7 +398,7 @@ def issue_consistency_proof(provider: int, wire: int, other: HashTuple,
         c_triple=(other.c_pair[0], other.c_pair[1], own_c_cross))
 
 
-def _parse_hash_list(opening: Opening, party: str) -> list[bytes]:
+def _parse_hash_list(opening: Opening, party) -> list[bytes]:
     try:
         body = opened_body(TAG_LABEL_HASH, opening)
     except ValueError:
@@ -415,17 +408,19 @@ def _parse_hash_list(opening: Opening, party: str) -> list[bytes]:
     return [body[i:i + 32] for i in range(0, len(body), 32)]
 
 
-def verify_consistency_proof(proof: ConsistencyProof, complainer: str,
-                             garbler: str, complainer_tuple: HashTuple,
+def verify_consistency_proof(proof: ConsistencyProof, complainer, garbler,
+                             provider, complainer_tuple: HashTuple,
                              garbler_tuple: HashTuple, pair_openings,
                              cross_opening: Opening) -> ProofVerdict:
     """A provider's arbitration of a hash-comparison failure proof.
 
     ``garbler`` is the party whose broadcast pair the proof questions;
-    ``complainer`` issued the proof. The openings come from those parties on
-    request. The verdict either confirms the named provider cheated, rejects
-    the proof (a false alarm is the complainer's fault), or catches a party
-    presenting data inconsistent with the broadcast transcript.
+    ``complainer`` issued the proof; ``provider`` owns the proof's wire.
+    The openings come from the parties on request. The verdict either
+    confirms the provider cheated, rejects the proof (a false alarm is the
+    complainer's fault), or catches a party presenting data inconsistent
+    with the broadcast transcript; it, or the ``OpeningError``, blames one
+    of the three as given.
     """
     stated = proof.h_triple
     if stated[2] in (stated[0], stated[1]):
@@ -452,4 +447,4 @@ def verify_consistency_proof(proof: ConsistencyProof, complainer: str,
     if all(h == g for h, g in zip(cross, lists[0])) or \
             all(h == g for h, g in zip(cross, lists[1])):
         return ProofVerdict(VERDICT_PROOF_INVALID, complainer)
-    return ProofVerdict(VERDICT_CHEATING_PROVIDER, f"provider:{proof.provider}")
+    return ProofVerdict(VERDICT_CHEATING_PROVIDER, provider)

@@ -28,10 +28,11 @@ class DecodeError(DualGCError):
 class OpeningError(DualGCError):
     """A commitment opening failed verification.
 
-    ``party`` names the role whose opening failed, when known.
+    ``party`` is the role whose opening failed, as the caller named it,
+    when known.
     """
 
-    def __init__(self, message: str, party: str | None = None):
+    def __init__(self, message: str, party=None):
         super().__init__(message)
         self.party = party
 

@@ -102,9 +102,7 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
 
 @dataclass
 class GarbledCircuit:
-    circuit_hash: bytes
     tables: bytes  # the flat layout of the module docstring, header included
-    input_encodings: dict[int, Encoding]
     output_encodings: dict[int, Encoding]
 
     def tables_blob(self) -> bytes:
@@ -201,8 +199,8 @@ def garble(circuit: Circuit, input_encodings: dict[int, Encoding],
     """Garble ``circuit`` under externally supplied input-wire encodings.
 
     Every other label derives from ``rng_seed``. The returned object keeps
-    the input and the (fresh) output encodings; they are never serialized
-    into the tables blob, and neither ``R`` nor any internal label is kept.
+    the (fresh) output encodings, which are never serialized into the
+    tables blob; neither ``R`` nor any internal label is kept.
     """
     input_wires = circuit.input_wires
     for w in input_wires:
@@ -279,8 +277,7 @@ def garble(circuit: Circuit, input_encodings: dict[int, Encoding],
             parts.append(_row(_pad(_label(lab), site, _OUT_TAG + r)
                               ^ _from_bytes(out + _checksum(out), "big")))
 
-    return GarbledCircuit(circuit.hash(), b"".join(parts),
-                          dict(input_encodings), output_encodings)
+    return GarbledCircuit(b"".join(parts), output_encodings)
 
 
 def evaluate(circuit: Circuit, tables: bytes,

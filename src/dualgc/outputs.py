@@ -65,7 +65,7 @@ class OutputOpenings:
 class OutputDecision:
     status: str
     value: tuple[int, ...] | None = None
-    blamed: str | None = None
+    blamed: object = None  # party1 or party2 of verify_output
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def bundle_digest(bundles) -> bytes:
 
 
 def verify_output(coms: OutputCommitments, ops: OutputOpenings, wires: int,
-                  party1: str = "P1", party2: str = "P2") -> OutputDecision:
+                  party1="P1", party2="P2") -> OutputDecision:
     """A recipient's view: open everything, decode twice, compare.
 
     An opening that fails to verify or parses to invalid material blames the

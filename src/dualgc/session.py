@@ -148,7 +148,6 @@ class TranscriptEntry:
     receiver: str
     type: str
     nbytes: int
-    micros: int
 
 
 def _is_party(name: str) -> bool:
@@ -159,31 +158,27 @@ class Transcript:
     """Append-only message log with byte-exact accounting.
 
     The identity of a run is the sequence of (phase, sender, receiver,
-    type, bytes); timestamps are recorded for the CSV export but excluded
-    from ``signature`` so equal runs compare equal.
+    type, bytes), which ``signature`` hashes.
     """
 
     def __init__(self):
         self.entries: list[TranscriptEntry] = []
         self.phase_seconds: dict[str, float] = {}
 
-    def add(self, phase, sender, receiver, type_name, nbytes, micros):
+    def add(self, phase, sender, receiver, type_name, nbytes):
         self.entries.append(TranscriptEntry(
-            phase, sender, receiver, type_name, nbytes, micros))
+            phase, sender, receiver, type_name, nbytes))
 
     def measure(self) -> dict:
         bytes_by_phase: dict[str, int] = {}
-        bytes_by_role: dict[str, int] = {}
         total = 0
         for e in self.entries:
             total += e.nbytes
             bytes_by_phase[e.phase] = bytes_by_phase.get(e.phase, 0) + e.nbytes
-            bytes_by_role[e.sender] = bytes_by_role.get(e.sender, 0) + e.nbytes
         return {
             "bytes_total": total,
             "messages_total": len(self.entries),
             "bytes_by_phase": bytes_by_phase,
-            "bytes_by_role": bytes_by_role,
             "wall_time_by_phase": dict(self.phase_seconds),
         }
 
@@ -193,13 +188,6 @@ class Transcript:
             h.update(f"{e.phase},{e.sender},{e.receiver},{e.type},{e.nbytes}\n"
                      .encode())
         return h.hexdigest()
-
-    def to_csv(self) -> str:
-        lines = ["phase,sender,receiver,type,bytes,micros"]
-        for e in self.entries:
-            lines.append(f"{e.phase},{e.sender},{e.receiver},{e.type},"
-                         f"{e.nbytes},{e.micros}")
-        return "\n".join(lines) + "\n"
 
     def audit_output_privacy(self):
         """No provider-to-party traffic once outputs are in play."""
@@ -235,15 +223,8 @@ class _Abort(Exception):
         self.reason = reason
 
 
-_PHASE_ORDER = (M.PHASE_INPUT, M.PHASE_COMPUTE, M.PHASE_OUTPUT, "done")
 _P1, _P2 = M.Role(M.P1), M.Role(M.P2)
-_KINDS = {"P1": M.P1, "P2": M.P2, "provider": M.PROVIDER, "cloud": M.CLOUD}
 MT = M.MessageType
-
-
-def _role_named(name: str) -> M.Role:
-    kind, _, index = name.partition(":")
-    return M.Role(_KINDS[kind], int(index or 0))
 
 
 def _other_party(role: M.Role) -> M.Role:
@@ -260,7 +241,7 @@ def _recipient(role: M.Role, circuit) -> int:
 
 class Participant:
     """What every role keeps: the input commitments, the challenge seed
-    shares and challenges, and the nonces of its own commitments.
+    shares and the challenges.
 
     A ``take_<message type>`` step checks a value received from ``sender``
     and keeps what it needs, or raises an abort blaming ``sender``.
@@ -268,18 +249,11 @@ class Participant:
 
     def __init__(self, role: M.Role, rng: random.Random, circuit, s: int):
         self.role, self.rng, self.circuit, self.s = role, rng, circuit, s
-        self.phase = M.PHASE_INPUT
         self.pairs = {}         # wire -> [CommitmentSetPair]
         self.wire_owner = {}    # wire -> provider Role
         self.coin_commits = {}  # party Role -> Commitment
         self.shares = {}        # party Role -> seed share
         self.rho = {}           # wire -> tuple[int, ...]
-        self.nonces = []
-
-    def advance(self, phase: str):
-        if _PHASE_ORDER.index(phase) < _PHASE_ORDER.index(self.phase):
-            raise ProtocolError(f"{self.role.name} phase moved backwards")
-        self.phase = phase
 
     def take_input_commitments(self, sender: M.Role, got):
         if (set(got) != set(self.circuit.input_map[sender.index])
@@ -346,7 +320,6 @@ class Party(Participant):
     def coin_commit(self):
         share, com, self.coin_opening = coin_toss_commit(self.rng)
         self.shares[self.role] = share
-        self.nonces.append(self.coin_opening.randomness)
         return com
 
     def coin_reveal(self) -> Opening:
@@ -406,7 +379,6 @@ class Party(Participant):
             tup, secret = make_hash_tuple(self.rng, self.triples[w])
             self.tuples[w] = tup
             self.tuple_secrets[w] = secret
-            self.nonces += [o.randomness for o in secret.openings]
         return dict(self.tuples)
 
     def take_hash_tuple(self, sender, got):
@@ -464,16 +436,6 @@ class Party(Participant):
             raise _Abort(self.role, sender,
                          f"garbled circuit rejected: {exc}")
 
-    def assert_secrecy(self):
-        """This party holds no label of its own circuit's outputs."""
-        own = self.gc.output_encodings
-        for group in self.eval_labels:
-            for label in group:
-                for enc in own.values():
-                    if label in (enc.zero, enc.one):
-                        raise ProtocolError(f"{self.role.name} can decode "
-                                            "its own circuit's outputs")
-
     def output_labels(self) -> list[list[bytes]]:
         return [list(group) for group in self.eval_labels]
 
@@ -485,7 +447,6 @@ class Party(Participant):
             enc_com, enc_op = commit_output_encodings(self.rng, encs)
             lab_com, lab_op = commit_output_labels(self.rng, labels[u])
             self.out_openings[u] = (enc_op, lab_op)
-            self.nonces += [enc_op.randomness, lab_op.randomness]
             entries.append((u, enc_com, lab_com))
         return entries
 
@@ -525,10 +486,6 @@ class Provider(Participant):
             material = self.material[w] = self.make_material(w)
             self.pairs[w] = material.pairs()
             self.wire_owner[w] = self.role
-            for copy in material.copies:
-                self.nonces += [o.randomness for o in
-                                copy.w_openings + copy.w_prime_openings
-                                + (copy.position_opening,)]
         return {w: self.pairs[w] for w in self.wires}
 
     def checkset_openings(self) -> dict:
@@ -544,7 +501,7 @@ class Provider(Participant):
                 for w in self.wires}
 
     def take_check_failure_claim(self, sender: M.Role, claim):
-        """This provider's verdict on the claim."""
+        """The construction fault the claim proves, or None."""
         prov, wire, copy, openings = claim
         if (wire not in self.pairs or not 0 <= copy < self.s
                 or not self.rho[wire][copy]
@@ -554,13 +511,12 @@ class Provider(Participant):
         self.claim = claim
         return verify_check_failure_claim(self.pairs[wire][copy], openings)
 
-    def check_claim_ruling(self, claimant: M.Role, verdict) -> _Abort:
-        _prov, wire, copy, openings = self.claim
-        if verdict.kind == VERDICT_CHEATING_PROVIDER:
-            err = check_pair_construction(self.pairs[wire][copy], openings)
+    def check_claim_ruling(self, claimant: M.Role, fault) -> _Abort:
+        _prov, wire, copy, _openings = self.claim
+        if fault is not None:
             return _Abort(self.role, self.wire_owner[wire],
                           f"check copy {copy} of wire {wire} failed "
-                          f"construction: {err}")
+                          f"construction: {fault}")
         return _Abort(self.role, claimant, "check-failure claim did not "
                       "verify; the claim was fabricated")
 
@@ -593,13 +549,14 @@ class Provider(Participant):
         garbler = _other_party(complainer)
         try:
             return verify_consistency_proof(
-                proof, complainer=complainer.name, garbler=garbler.name,
+                proof, complainer=complainer, garbler=garbler,
+                provider=self.wire_owner[proof.wire],
                 complainer_tuple=self.party_tuples[complainer.name][proof.wire],
                 garbler_tuple=self.party_tuples[garbler.name][proof.wire],
                 pair_openings=self.proof_openings[M.OPEN_PAIR],
                 cross_opening=self.proof_openings[M.OPEN_CROSS][0])
         except OpeningError as exc:
-            raise _Abort(self.role, _role_named(exc.party), str(exc))
+            raise _Abort(self.role, exc.party, str(exc))
 
     def consistency_ruling(self, verdict) -> _Abort:
         """The abort for a verdict; an invalid proof's verdict blames the
@@ -607,14 +564,14 @@ class Provider(Participant):
         w = self.dispute[1].wire
         if verdict.kind == VERDICT_CHEATING_PROVIDER:
             reason = (f"labels of wire {w} disagree between the circuits; "
-                      f"{verdict.blamed} submitted inconsistent inputs")
+                      f"{verdict.blamed.name} submitted inconsistent inputs")
         elif verdict.kind == VERDICT_CHEATING_PARTY:
             reason = (f"consistency proof for wire {w} contradicts the "
                       "broadcast transcript")
         else:
             reason = (f"consistency proof for wire {w} shows no "
                       "inconsistency; the complaint was false")
-        return _Abort(self.role, _role_named(verdict.blamed), reason)
+        return _Abort(self.role, verdict.blamed, reason)
 
     def take_output_commitments(self, sender, got):
         super().take_output_commitments(sender, got)
@@ -646,9 +603,10 @@ class Provider(Participant):
         self.openings = OutputOpenings(e1=e1_op, o1=o1_op, e2=e2_op,
                                        o2=o2_op)
         self.decision = verify_output(self.bundles[u], self.openings,
-                                      wires=len(self.circuit.output_map[u]))
+                                      wires=len(self.circuit.output_map[u]),
+                                      party1=_P1, party2=_P2)
         if self.decision.status == BLAME:
-            raise _Abort(self.role, _role_named(self.decision.blamed),
+            raise _Abort(self.role, self.decision.blamed,
                          "an output opening failed to verify")
         return self.decision
 
@@ -786,7 +744,6 @@ class Session:
         self.transport = transport if transport is not None else InProcessTransport()
         self.transcript = Transcript()
         self._phase = M.PHASE_INPUT
-        self._t0 = time.perf_counter()
         self.all_roles = ([_P1, _P2]
                           + [M.Role(M.PROVIDER, i) for i in range(self.n)]
                           + [M.Role(M.CLOUD)])
@@ -813,21 +770,30 @@ class Session:
     # ------------------------------------------------------------- plumbing
 
     def _check_adversary_target(self):
-        adv = self.adversary
-        if adv.target not in [r.name for r in self.all_roles]:
+        adv, circuit = self.adversary, self.circuit
+        target = next((r for r in self.all_roles if r.name == adv.target), None)
+        if target is None:
             raise UsageError(f"adversary target {adv.target} is not part of "
                              "this session")
         on_party = issubclass(_SCRIPTED[adv.behavior][0], Party)
         if adv.target == "cloud" or (adv.target in ("P1", "P2")) != on_party:
             raise UsageError(f"{adv.behavior} cannot be scripted on "
                              f"{adv.target}")
+        if not on_party:
+            group = range(len(circuit.input_map[target.index]))
+            if not adv.wires or any(off not in group for off in adv.wires):
+                raise UsageError("wires must be offsets into the target's "
+                                 "input group")
         if adv.pattern is not None and len(adv.pattern) != self.s:
             raise UsageError("pattern length must equal the copy count")
-        if adv.gate is not None and adv.gate not in tabled_gates(self.circuit):
+        if adv.gate is not None and adv.gate not in tabled_gates(circuit):
             raise UsageError(f"gate {adv.gate} has no garbled table")
-
-    def _micros(self) -> int:
-        return int((time.perf_counter() - self._t0) * 1_000_000)
+        if adv.mask not in range(1, 0x100):
+            raise UsageError("mask must be in 1..255")
+        outputs = circuit.output_map
+        if (adv.recipient not in range(len(outputs))
+                or adv.wire not in range(len(outputs[adv.recipient]))):
+            raise UsageError("recipient and wire must name an output wire")
 
     def _send(self, mtype: MT, sender: Participant, receiver: Participant,
               value):
@@ -842,7 +808,7 @@ class Session:
             M.check_flow(mtype, sender.role, r.role)
             self.transport.send(sender.role, r.role, frame)
             self.transcript.add(self._phase, sender.role.name, r.role.name,
-                                mtype.name, len(frame), self._micros())
+                                mtype.name, len(frame))
 
     def _recv(self, receiver: Participant, sender: Participant, mtype: MT):
         """The decoded value of the next frame from ``sender``. This is the
@@ -891,16 +857,12 @@ class Session:
             for phase, step in ((M.PHASE_INPUT, self._input_phase),
                                 (M.PHASE_COMPUTE, self._compute_phase),
                                 (M.PHASE_OUTPUT, self._output_phase)):
-                for st in self._all_states():
-                    st.advance(phase)
                 self._phase, start = phase, time.perf_counter()
                 try:
                     result = step()
                 finally:
                     self.transcript.phase_seconds[phase] = \
                         time.perf_counter() - start
-            for st in self._all_states():
-                st.advance("done")
             return result
         except _Abort as sig:
             return self._aborted(sig)
@@ -921,8 +883,6 @@ class Session:
                 self._recv(other, detector, MT.ABORT)
             except (_Abort, TransportTimeout):
                 pass  # the abort being announced is already the verdict
-        for st in self._all_states():
-            st.phase = "aborted"
         return SessionResult(
             status=STATUS_ABORT, result=None,
             blamed=sig.blamed.name if sig.blamed else None,
@@ -972,7 +932,7 @@ class Session:
             got = self._recv(other, party, MT.CHECK_FAILURE_CLAIM)
             if other in self.providers:
                 verdicts.append(other.take_check_failure_claim(party.role, got))
-        if len({v.kind for v in verdicts}) != 1:
+        if len({fault is None for fault in verdicts}) != 1:
             raise ProtocolError("check-failure arbitration diverged")
         # The cloud receives last and words the ruling.
         raise self.cloud.check_claim_ruling(party.role, verdicts[-1])
@@ -1024,13 +984,6 @@ class Session:
                     self.p1: self._recv(self.p1, self.p2, MT.GARBLED_CIRCUIT)}
         for evaluator, producer in ((self.p2, self.p1), (self.p1, self.p2)):
             evaluator.take_garbled_circuit(producer.role, received[evaluator])
-        self.assert_role_secrecy()
-
-    def assert_role_secrecy(self):
-        """Neither party may hold a circuit-k output label together with
-        circuit k's output encodings."""
-        for party in self.parties:
-            party.assert_secrecy()
 
     # --------------------------------------------------------- output phase
 
@@ -1089,19 +1042,6 @@ class Session:
             status=STATUS_ACCEPT, result=result, blamed=spurious,
             reason=reason, decisions=decisions, transcript=self.transcript,
             phase=self._phase)
-
-    # ------------------------------------------------------------ auditing
-
-    def collect_nonces(self) -> list[bytes]:
-        out = []
-        for st in self._all_states():
-            out.extend(st.nonces)
-        return out
-
-    def audit_nonces(self):
-        nonces = self.collect_nonces()
-        if len(nonces) != len(set(nonces)):
-            raise ProtocolError("a commitment nonce was reused")
 
 
 def run_session(config: AuctionConfig, bids, s: int = 10, seed: int = 0,

@@ -9,7 +9,7 @@ import pytest
 from dualgc.auction import (AuctionConfig, AuctionResult, build_auction_circuit,
                             circuit_run, decode_bidder_bits, decode_cloud_bits,
                             encode_bid_bits, gate_count, load_bids_file,
-                            load_config_file, oracle_run)
+                            oracle_run)
 from dualgc.errors import InputShapeError, WidthError
 
 ONE_TYPE = AuctionConfig(vm_types=1, capacities=(1,), weights=(1,), width=8)
@@ -191,27 +191,3 @@ def test_load_bids_file(tmp_path):
     bad.write_text("# only comments\n")
     with pytest.raises(InputShapeError):
         load_bids_file(bad)
-
-
-def test_load_config_file(tmp_path):
-    path = tmp_path / "auction.cfg"
-    path.write_text("m = 2\n"
-                    "capacities = 4, 6\n"
-                    "weights = 1 2\n"
-                    "w = 8          # value width\n"
-                    "f = 8\n"
-                    "s = 10\n"
-                    "seed = 3\n")
-    config, extras = load_config_file(path)
-    assert config == TWO_TYPE
-    assert extras == {"s": 10, "seed": 3}
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("m = 1\ncapacities = 1\n")
-    with pytest.raises(InputShapeError):
-        load_config_file(bad)
-    bad.write_text("m = 1\ncapacities = 1\nweights = 1\nbogus = 2\n")
-    with pytest.raises(InputShapeError):
-        load_config_file(bad)
-    bad.write_text("just words\n")
-    with pytest.raises(InputShapeError):
-        load_config_file(bad)

@@ -23,7 +23,6 @@ from dualgc.consistency import (COMMITMENTS_PER_COPY, VERDICT_CHEATING_PARTY,
                                 verify_check_failure_claim,
                                 verify_consistency_proof)
 from dualgc.errors import CoinTossCheatError, OpeningError
-from dualgc.garbling import Encoding
 
 from oracles import expected_wire_outcome, wire_outcome
 
@@ -256,14 +255,18 @@ def test_hash_tuple_structure_and_permutation():
     orders = set()
     plain = [cross_hash_aggregate([(t[0],) * 3 for t in p1]),
              cross_hash_aggregate([(t[1],) * 3 for t in p1])]
+    lists = {agg: b"".join(hash_label(t[k]) for t in p1)
+             for k, agg in enumerate(plain)}
+    cross = b"".join(hash_label(t[2]) for t in p1)
     for _ in range(40):
         tup, secret = make_hash_tuple(rng, p1)
         assert set(tup.h_pair) == set(plain)
         orders.add(tup.h_pair)
-        for com, opening, lst in zip(tup.c_pair + (tup.c_cross,),
-                                     secret.openings, secret.hash_lists):
+        for com, opening, body in zip(
+                tup.c_pair + (tup.c_cross,), secret.openings,
+                (lists[tup.h_pair[0]], lists[tup.h_pair[1]], cross)):
             assert open_commitment(com, opening)
-            assert opening.message[1:] == b"".join(lst)
+            assert opening.message[1:] == body
     assert len(orders) == 2  # both permutations occur
 
 
@@ -278,8 +281,9 @@ def test_consistency_proof_confirms_real_cheat():
     proof = issue_consistency_proof(3, 7, tup2, own_cross, tup1.c_cross)
     assert proof.provider == 3 and proof.wire == 7
     verdict = verify_consistency_proof(
-        proof, complainer="P1", garbler="P2", complainer_tuple=tup1,
-        garbler_tuple=tup2, pair_openings=sec2.openings[:2],
+        proof, complainer="P1", garbler="P2", provider="provider:3",
+        complainer_tuple=tup1, garbler_tuple=tup2,
+        pair_openings=sec2.openings[:2],
         cross_opening=sec1.openings[2])
     assert verdict.kind == VERDICT_CHEATING_PROVIDER
     assert verdict.blamed == "provider:3"
@@ -294,7 +298,7 @@ def test_consistency_proof_false_alarm_blames_complainer():
     own_cross = cross_hash_aggregate(p1)
     proof = issue_consistency_proof(0, 0, tup2, own_cross, tup1.c_cross)
     verdict = verify_consistency_proof(
-        proof, "P1", "P2", tup1, tup2, (None, None), None)
+        proof, "P1", "P2", "provider:0", tup1, tup2, (None, None), None)
     assert (verdict.kind, verdict.blamed) == (VERDICT_PROOF_INVALID, "P1")
 
 
@@ -310,14 +314,15 @@ def test_consistency_proof_forged_contents_blame_complainer():
     contradiction = ConsistencyProof(1, 2, (own_cross, honest.h_triple[1],
                                             own_cross), honest.c_triple)
     verdict = verify_consistency_proof(
-        contradiction, "P1", "P2", tup1, tup2, sec2.openings[:2],
-        sec1.openings[2])
+        contradiction, "P1", "P2", "provider:0", tup1, tup2,
+        sec2.openings[:2], sec1.openings[2])
     assert verdict.kind == VERDICT_PROOF_INVALID and verdict.blamed == "P1"
     # A proof whose tuple differs from the broadcast transcript is framing.
     forged = ConsistencyProof(1, 2, (bytes(32), honest.h_triple[1],
                                      honest.h_triple[2]), honest.c_triple)
     verdict = verify_consistency_proof(
-        forged, "P1", "P2", tup1, tup2, sec2.openings[:2], sec1.openings[2])
+        forged, "P1", "P2", "provider:0", tup1, tup2, sec2.openings[:2],
+        sec1.openings[2])
     assert verdict.kind == VERDICT_CHEATING_PARTY and verdict.blamed == "P1"
 
 
@@ -333,7 +338,8 @@ def test_consistency_proof_lying_garbler_caught_by_recompute():
     assert not label_check_passes(own_cross, lying)
     proof = issue_consistency_proof(0, 0, lying, own_cross, tup1.c_cross)
     verdict = verify_consistency_proof(
-        proof, "P1", "P2", tup1, lying, sec2.openings[:2], sec1.openings[2])
+        proof, "P1", "P2", "provider:0", tup1, lying, sec2.openings[:2],
+        sec1.openings[2])
     assert verdict.kind == VERDICT_CHEATING_PARTY and verdict.blamed == "P2"
 
 
@@ -346,30 +352,30 @@ def test_consistency_proof_bad_opening_names_its_party():
     own_cross = cross_hash_aggregate(p1)
     proof = issue_consistency_proof(0, 0, tup2, own_cross, tup1.c_cross)
     with pytest.raises(OpeningError) as err:
-        verify_consistency_proof(proof, "P1", "P2", tup1, tup2,
-                                 (sec2.openings[1], sec2.openings[0]),
+        verify_consistency_proof(proof, "P1", "P2", "provider:0", tup1,
+                                 tup2, (sec2.openings[1], sec2.openings[0]),
                                  sec1.openings[2])
     assert err.value.party == "P2"
     with pytest.raises(OpeningError) as err:
-        verify_consistency_proof(proof, "P1", "P2", tup1, tup2,
-                                 sec2.openings[:2], sec2.openings[2])
+        verify_consistency_proof(proof, "P1", "P2", "provider:0", tup1,
+                                 tup2, sec2.openings[:2], sec2.openings[2])
     assert err.value.party == "P1"
 
 
 def test_check_failure_claim_arbitration():
     rng = random.Random(20)
     bad = generate_cheating_material(rng, 0, 4, [False, True, True, True])
-    verdict = verify_check_failure_claim(bad.copies[0].pair,
-                                         bad.check_openings(0))
-    assert verdict.kind == VERDICT_CHEATING_PROVIDER
+    fault = verify_check_failure_claim(bad.copies[0].pair,
+                                       bad.check_openings(0))
+    assert fault == check_pair_construction(bad.copies[0].pair,
+                                            bad.check_openings(0))
+    assert fault is not None
     good = generate_input_material(rng, 0, 4)
-    verdict = verify_check_failure_claim(good.copies[0].pair,
-                                         good.check_openings(0))
-    assert verdict.kind == VERDICT_PROOF_INVALID
+    assert verify_check_failure_claim(good.copies[0].pair,
+                                      good.check_openings(0)) is None
     # Fabricated openings do not match the broadcast commitments.
-    verdict = verify_check_failure_claim(good.copies[0].pair,
-                                         good.check_openings(1))
-    assert verdict.kind == VERDICT_PROOF_INVALID
+    assert verify_check_failure_claim(good.copies[0].pair,
+                                      good.check_openings(1)) is None
 
 
 def test_check_detects_specific_malformations():
@@ -394,4 +400,4 @@ def test_cheating_material_keeps_public_shape():
     cheat = generate_cheating_material(rng, 0, 5, [False] * 5)
     assert isinstance(cheat.copies[0].pair, CommitmentSetPair)
     assert len(cheat.copies) == len(honest.copies)
-    assert isinstance(cheat.copies[0].enc1, Encoding)
+    assert cheat.copies[0].b in (0, 1)
