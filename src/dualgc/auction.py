@@ -25,8 +25,8 @@ from functools import lru_cache
 
 from .circuits import Circuit, bits_to_int, int_to_bits
 from .errors import InputShapeError, WidthError
-from .gadgets import (Builder, add, bitonic_sort, const_bus, divide, eq, ge,
-                      gt, isqrt, mul, mux, or_reduce, zext)
+from .gadgets import (Builder, add, const_bus, divide, eq, ge, gt, isqrt,
+                      mul, mux, odd_even_merge_sort, or_reduce, zext)
 
 MAX_CROSS_BITS = 64
 
@@ -181,7 +181,7 @@ def oracle_run(config: AuctionConfig, bids) -> AuctionResult:
 def _clamp(bld: Builder, bus, bound: int):
     """min(bus, bound) narrowed to bound.bit_length() bits."""
     bw = bound.bit_length()
-    if len(bus) <= bw:
+    if bound >= (1 << len(bus)) - 1:
         return zext(bld, bus, bw)
     over = gt(bld, bus, const_bus(bld, bound, len(bus)))
     return mux(bld, over, bus[-bw:], const_bus(bld, bound, bw))
@@ -223,8 +223,7 @@ def build_auction_circuit(config: AuctionConfig, bidders: int) -> Circuit:
     kq = config.quantity_bits
     s_w = config.value_width
     t_w = config.load_width
-    n_pad = 1 << max(0, (bidders - 1).bit_length())
-    i_w = max(1, (n_pad - 1).bit_length())
+    i_w = max(1, (bidders - 1).bit_length())
 
     bld = Builder()
     raw = []
@@ -246,12 +245,6 @@ def build_auction_circuit(config: AuctionConfig, bidders: int) -> Circuit:
         records.append({
             "s2": s2_bus, "t": t_bus, "has_t": or_reduce(bld, t_bus),
             "idx": const_bus(bld, j, i_w), "s": s_bus, "k": khat,
-        })
-    for j in range(bidders, n_pad):
-        records.append({
-            "s2": const_bus(bld, 0, 2 * s_w), "t": const_bus(bld, 0, t_w),
-            "has_t": bld.const(0), "idx": const_bus(bld, j, i_w),
-            "s": const_bus(bld, 0, s_w), "k": [const_bus(bld, 0, kq)] * m,
         })
 
     layout = [("s2", 2 * s_w), ("t", t_w), ("has_t", 1), ("idx", i_w),
@@ -286,7 +279,7 @@ def build_auction_circuit(config: AuctionConfig, bidders: int) -> Circuit:
             t_ties, bld_.OR(dens_wins, bld_.AND(dens_ties, idx_wins))))
 
     ranked = [unpack(flat) for flat in
-              bitonic_sort(bld, [pack(r) for r in records], rank_before)]
+              odd_even_merge_sort(bld, [pack(r) for r in records], rank_before)]
 
     # Size load accumulators by the configured word width, not the capacity
     # values, so the circuit (and hence message volume) does not depend on
@@ -318,12 +311,12 @@ def build_auction_circuit(config: AuctionConfig, bidders: int) -> Circuit:
     # skip, so the pass resumes from the snapshot taken before the skipped
     # position.
     pay = []
-    for p in range(n_pad):
+    for p in range(bidders):
         used_p = used_before[p]
         found = bld.const(0)
         crit_s = const_bus(bld, 0, s_w)
         crit_t = const_bus(bld, 0, t_w)
-        for r in range(p + 1, n_pad):
+        for r in range(p + 1, bidders):
             x_r, used_p = greedy_step(used_p, ranked[r])
             sel = bld.AND(bld.AND(bld.NOT(alloc[r]), x_r), bld.NOT(found))
             found = bld.OR(found, sel)
@@ -331,19 +324,19 @@ def build_auction_circuit(config: AuctionConfig, bidders: int) -> Circuit:
             crit_t = _onehot_select(bld, crit_t, sel, ranked[r]["t"])
         crit_t = mux(bld, found, const_bus(bld, 1, t_w), crit_t)
         dividend = ranked[p]["t"] + [bld.const(0)] * f2
-        quotient = divide(bld, dividend, zext(bld, crit_t, t_w + f2))
+        quotient = divide(bld, dividend, crit_t)
         root = isqrt(bld, quotient)
         amount = mul(bld, crit_s, root)
         pay.append([bld.AND(bit, alloc[p]) for bit in amount])
 
     # Restore bidder order by sorting on the carried index.
-    out_records = [ranked[p]["idx"] + [alloc[p]] + pay[p] for p in range(n_pad)]
+    out_records = [ranked[p]["idx"] + [alloc[p]] + pay[p] for p in range(bidders)]
 
     def idx_before(bld_, left, right):
         return gt(bld_, right[:i_w], left[:i_w])
 
-    unsorted = bitonic_sort(bld, out_records, idx_before)
-    groups = [rec[i_w:] for rec in unsorted[:bidders]]
+    groups = [rec[i_w:] for rec in
+              odd_even_merge_sort(bld, out_records, idx_before)]
     cloud = [wire for g in groups for wire in g]
     return bld.finish(groups + [cloud])
 

@@ -101,10 +101,12 @@ def _make_config(m: int, k: int, w: int, max_q: int, max_b: int
                          width=w, max_quantity=max_q, max_bid=max_b)
 
 
-def _random_bids(rng: random.Random, n: int, m: int, max_q: int,
-                 max_b: int) -> list:
+def _random_bids(rng: random.Random, n: int, config: AuctionConfig) -> list:
+    """Quantities and bids up to their maxima, but within the value width."""
+    top = (1 << config.width) - 1
+    max_q, max_b = min(config.max_quantity, top), min(config.max_bid, top)
     return [tuple((rng.randint(0, max_q), rng.randint(0, max_b))
-                  for _ in range(m)) for _ in range(n)]
+                  for _ in range(config.vm_types)) for _ in range(n)]
 
 
 def _transport(args, n: int):
@@ -146,8 +148,7 @@ def cmd_demo(args) -> int:
         n, m = len(bids), len(bids[0])
     config = _make_config(m, k, args.bits, args.max_quantity, args.max_bid)
     if args.bids_file is None:
-        bids = _random_bids(random.Random(f"demo:{args.seed}"), n, m,
-                            args.max_quantity, args.max_bid)
+        bids = _random_bids(random.Random(f"demo:{args.seed}"), n, config)
     print(f"auction: {n} bidders, {m} VM types, {k} instances per type, "
           f"{args.bits}-bit values, {args.copies} copies per wire")
     result = _run(config, bids, args.copies, args.seed, args)
@@ -208,7 +209,7 @@ def cmd_attack(args) -> int:
     for t in range(args.trials):
         seed = args.seed + t
         rng = random.Random(f"attack:{seed}")
-        bids = _random_bids(rng, n, m, args.max_quantity, args.max_bid)
+        bids = _random_bids(rng, n, config)
         result = _run(config, bids, args.copies, seed, args,
                       adversary=script)
         oracle = oracle_run(config, bids)

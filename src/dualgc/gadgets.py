@@ -6,18 +6,13 @@ mux gates so the gate sequence is a fixed function of the shape parameters.
 
 The builder constant-folds gates touching known-constant wires, which keeps
 circuits that compare against public constants (capacities, weights) small
-without changing semantics.
+without changing semantics, and ``Builder.finish`` drops every gate whose
+output reaches no output wire.
 """
 
 from __future__ import annotations
 
 from .circuits import AND, NOT, OR, XOR, Circuit, int_to_bits
-from .errors import GadgetWidthError
-
-GADGET_KINDS = (
-    "adder", "multiplier", "comparator", "mux",
-    "subtractor", "isqrt", "divider", "swap",
-)
 
 
 class Builder:
@@ -113,11 +108,40 @@ class Builder:
         return out
 
     def finish(self, output_groups) -> Circuit:
+        """The circuit of the gates whose outputs reach an output wire.
+
+        Wires are renumbered: the input wires first, in declaration order,
+        then the kept gates' outputs in emission (topological) order.
+        """
+        live = bytearray(self.wire_count)
+        for group in output_groups:
+            for w in group:
+                live[w] = 1
+        kept = []
+        for gate in reversed(self.gates):
+            kind, a, b, out = gate
+            if live[out]:
+                kept.append(gate)
+                live[a] = 1
+                if kind != NOT:
+                    live[b] = 1
+        renumber = [-1] * self.wire_count
+        n = 0
+        for group in self.input_groups:
+            for w in group:
+                renumber[w] = n
+                n += 1
+        gates = []
+        for kind, a, b, out in reversed(kept):
+            renumber[out] = n
+            gates.append((kind, renumber[a],
+                          -1 if kind == NOT else renumber[b], n))
+            n += 1
         return Circuit(
-            self.wire_count,
-            self.gates,
-            tuple(self.input_groups),
-            tuple(tuple(g) for g in output_groups),
+            n,
+            gates,
+            tuple(tuple(renumber[w] for w in g) for g in self.input_groups),
+            tuple(tuple(renumber[w] for w in g) for g in output_groups),
         )
 
 
@@ -157,11 +181,6 @@ def add(bld: Builder, a, b) -> list[int]:
     out.append(carry)
     out.reverse()
     return out
-
-
-def add_mod(bld: Builder, a, b, width: int) -> list[int]:
-    s = add(bld, a, b)
-    return s[len(s) - width:]
 
 
 def sub(bld: Builder, a, b) -> tuple[list[int], int]:
@@ -252,7 +271,9 @@ def mul(bld: Builder, a, b) -> list[int]:
 def divide(bld: Builder, a, d) -> list[int]:
     """Restoring long division: quotient of len(a) bits.
 
-    Division by zero yields all ones (every trial subtraction succeeds).
+    The divisor may be narrower than the dividend: the remainder stays
+    below d, so a register of len(d) + 1 bits holds it. Division by zero
+    yields all ones (every trial subtraction succeeds).
     """
     wd = len(d)
     rem = [bld.const(0)] * (wd + 1)
@@ -291,109 +312,31 @@ def isqrt(bld: Builder, a) -> list[int]:
     return res
 
 
-def bitonic_sort(bld: Builder, records: list[list[int]], rank_before) -> list[list[int]]:
-    """Sort equal-width records in place with a Batcher bitonic network.
+def odd_even_merge_sort(bld: Builder, records: list[list[int]],
+                        rank_before) -> list[list[int]]:
+    """Sort equal-width records with Batcher's odd-even merge network.
 
     ``rank_before(bld, x, y)`` must return a wire that is 1 iff record x
     belongs strictly before record y under a total order (callers break ties
-    with a distinct per-record index). Record count must be a power of two.
-    Position 0 receives the first-ranked record.
+    with a distinct per-record index). Every comparator puts the
+    first-ranked of its two records at the lower position, so position 0
+    receives the first-ranked record. Any record count works: the network
+    is the one for the next power of two without the comparators that reach
+    past the last record, which would only compare against records ranked
+    after every real one (Knuth, TAOCP vol. 3, section 5.3.4).
     """
     n = len(records)
-    if n & (n - 1):
-        raise ValueError("bitonic_sort needs a power-of-two record count")
     recs = [list(r) for r in records]
-    k = 2
-    while k <= n:
-        j = k >> 1
-        while j >= 1:
-            for i in range(n):
-                l = i ^ j
-                if l > i:
-                    if (i & k) == 0:
-                        flag = rank_before(bld, recs[l], recs[i])
-                    else:
-                        flag = rank_before(bld, recs[i], recs[l])
-                    recs[i], recs[l] = cond_swap(bld, flag, recs[i], recs[l])
-            j >>= 1
-        k <<= 1
+    p = 1
+    while p < n:
+        k = p
+        while k >= 1:
+            for j in range(k % p, n - k, 2 * k):
+                for i in range(j, min(j + k, n - k)):
+                    if i // (2 * p) == (i + k) // (2 * p):
+                        flag = rank_before(bld, recs[i + k], recs[i])
+                        recs[i], recs[i + k] = cond_swap(
+                            bld, flag, recs[i], recs[i + k])
+            k >>= 1
+        p <<= 1
     return recs
-
-
-def build_sorting_network(n: int, key_width: int, payload_width: int = 0) -> Circuit:
-    """Stable descending sort of n records by key, payloads carried along.
-
-    Ties break toward the earlier input position: internally each record is
-    extended with its original index and the comparison key is
-    (key descending, index ascending), which makes the network's order total
-    and the result identical to a stable descending comparison sort.
-    """
-    if n < 1:
-        raise GadgetWidthError("sorting network needs n >= 1")
-    if key_width < 1 or payload_width < 0:
-        raise GadgetWidthError("bad key or payload width")
-    bld = Builder()
-    groups = [bld.inputs(key_width + payload_width) for _ in range(n)]
-    if n == 1:
-        return bld.finish([tuple(groups[0])])
-    size = 1 << (n - 1).bit_length()
-    idx_w = max(1, (size - 1).bit_length())
-    records = []
-    for i, bits in enumerate(groups):
-        records.append(bits[:key_width] + const_bus(bld, i, idx_w) + bits[key_width:])
-    for i in range(n, size):
-        records.append(const_bus(bld, 0, key_width) + const_bus(bld, i, idx_w)
-                       + const_bus(bld, 0, payload_width))
-
-    def rank_before(b, x, y):
-        kx, ix = x[:key_width], x[key_width:key_width + idx_w]
-        ky, iy = y[:key_width], y[key_width:key_width + idx_w]
-        key_gt = gt(b, kx, ky)
-        key_eq = eq(b, kx, ky)
-        idx_lt = gt(b, iy, ix)
-        return b.OR(key_gt, b.AND(key_eq, idx_lt))
-
-    ranked = bitonic_sort(bld, records, rank_before)
-    outputs = [tuple(r[:key_width] + r[key_width + idx_w:]) for r in ranked[:n]]
-    return bld.finish(outputs)
-
-
-def build_gadget(kind: str, w: int = 16) -> Circuit:
-    """Standalone circuit fragment for one named gadget over w-bit operands.
-
-    Output widths: adder and subtractor return w bits (mod 2^w), multiplier
-    returns the full 2w-bit product, comparator returns a single bit
-    (1 iff first >= second), divider returns the w-bit quotient, isqrt
-    returns ceil(w/2) bits, mux returns w bits, swap returns two w-bit
-    groups. Select-bit convention for mux/swap: 0 keeps the operand order.
-    """
-    if not isinstance(w, int) or not 1 <= w <= 64:
-        raise GadgetWidthError(f"unsupported gadget width {w!r}")
-    if kind not in GADGET_KINDS:
-        raise ValueError(f"unknown gadget kind {kind!r}")
-    bld = Builder()
-    if kind == "adder":
-        a, b = bld.inputs(w), bld.inputs(w)
-        return bld.finish([add_mod(bld, a, b, w)])
-    if kind == "subtractor":
-        a, b = bld.inputs(w), bld.inputs(w)
-        diff, _ = sub(bld, a, b)
-        return bld.finish([diff])
-    if kind == "multiplier":
-        a, b = bld.inputs(w), bld.inputs(w)
-        return bld.finish([mul(bld, a, b)])
-    if kind == "comparator":
-        a, b = bld.inputs(w), bld.inputs(w)
-        return bld.finish([[ge(bld, a, b)]])
-    if kind == "mux":
-        sel, a, b = bld.inputs(1), bld.inputs(w), bld.inputs(w)
-        return bld.finish([mux(bld, sel[0], a, b)])
-    if kind == "swap":
-        sel, a, b = bld.inputs(1), bld.inputs(w), bld.inputs(w)
-        x, y = cond_swap(bld, sel[0], a, b)
-        return bld.finish([x, y])
-    if kind == "isqrt":
-        a = bld.inputs(w)
-        return bld.finish([isqrt(bld, a)])
-    a, d = bld.inputs(w), bld.inputs(w)
-    return bld.finish([divide(bld, a, d)])

@@ -58,6 +58,17 @@ def test_values_above_declared_maxima_are_clamped():
     assert circuit_run(TWO_TYPE, wild) == oracle_run(TWO_TYPE, tame)
 
 
+def test_maximum_as_wide_as_the_value_width_is_clamped():
+    # max_bid 176 needs all 8 bits of the value width, yet bids 177..255
+    # still lie above it.
+    config = AuctionConfig(vm_types=1, capacities=(4,), weights=(1,), width=8,
+                           max_bid=176)
+    wild = [((2, 255),), ((2, 177),), ((3, 150),)]
+    tame = [((2, 176),), ((2, 176),), ((3, 150),)]
+    assert oracle_run(config, wild) == oracle_run(config, tame)
+    assert circuit_run(config, wild) == oracle_run(config, tame)
+
+
 def test_zero_load_bidders_lose_and_pay_nothing():
     bids = [((0, 99),), ((1, 1),), ((0, 0),)]
     result = oracle_run(ONE_TYPE, bids)

@@ -18,9 +18,10 @@ from dualgc.circuits import (
     to_netlist,
     validate,
 )
+from dualgc.auction import AuctionConfig, build_auction_circuit
 from dualgc.errors import GadgetWidthError, InputShapeError
-from dualgc.gadgets import (Builder, add, build_gadget, build_sorting_network,
-                            ge, gt, sub)
+from dualgc.gadgets import (Builder, add, cond_swap, const_bus, divide, eq,
+                            ge, gt, isqrt, mul, mux, odd_even_merge_sort, sub)
 
 from oracles import random_circuit, random_inputs, recursive_eval
 
@@ -100,6 +101,53 @@ def test_identity_circuit():
 
 
 # --- gadget fragments ----------------------------------------------------
+
+GADGET_KINDS = (
+    "adder", "multiplier", "comparator", "mux",
+    "subtractor", "isqrt", "divider", "swap",
+)
+
+
+def build_gadget(kind: str, w: int = 16) -> Circuit:
+    """Standalone circuit fragment for one named gadget over w-bit operands.
+
+    Output widths: adder and subtractor return w bits (mod 2^w), multiplier
+    returns the full 2w-bit product, comparator returns a single bit
+    (1 iff first >= second), divider returns the w-bit quotient, isqrt
+    returns ceil(w/2) bits, mux returns w bits, swap returns two w-bit
+    groups. Select-bit convention for mux/swap: 0 keeps the operand order.
+    """
+    if not isinstance(w, int) or not 1 <= w <= 64:
+        raise GadgetWidthError(f"unsupported gadget width {w!r}")
+    if kind not in GADGET_KINDS:
+        raise ValueError(f"unknown gadget kind {kind!r}")
+    bld = Builder()
+    if kind == "adder":
+        a, b = bld.inputs(w), bld.inputs(w)
+        return bld.finish([add(bld, a, b)[1:]])
+    if kind == "subtractor":
+        a, b = bld.inputs(w), bld.inputs(w)
+        diff, _ = sub(bld, a, b)
+        return bld.finish([diff])
+    if kind == "multiplier":
+        a, b = bld.inputs(w), bld.inputs(w)
+        return bld.finish([mul(bld, a, b)])
+    if kind == "comparator":
+        a, b = bld.inputs(w), bld.inputs(w)
+        return bld.finish([[ge(bld, a, b)]])
+    if kind == "mux":
+        sel, a, b = bld.inputs(1), bld.inputs(w), bld.inputs(w)
+        return bld.finish([mux(bld, sel[0], a, b)])
+    if kind == "swap":
+        sel, a, b = bld.inputs(1), bld.inputs(w), bld.inputs(w)
+        x, y = cond_swap(bld, sel[0], a, b)
+        return bld.finish([x, y])
+    if kind == "isqrt":
+        a = bld.inputs(w)
+        return bld.finish([isqrt(bld, a)])
+    a, d = bld.inputs(w), bld.inputs(w)
+    return bld.finish([divide(bld, a, d)])
+
 
 def run1(circuit, *operands):
     groups = [int_to_bits(v, len(g)) for v, g in zip(operands, circuit.input_map)]
@@ -229,6 +277,36 @@ def test_mux_random_and_exhaustive_masks():
 
 # --- sorting network ------------------------------------------------------
 
+def build_sorting_network(n: int, key_width: int, payload_width: int = 0) -> Circuit:
+    """Stable descending sort of n records by key, payloads carried along.
+
+    Ties break toward the earlier input position: internally each record is
+    extended with its original index and the comparison key is
+    (key descending, index ascending), which makes the network's order total
+    and the result identical to a stable descending comparison sort.
+    """
+    if n < 1:
+        raise GadgetWidthError("sorting network needs n >= 1")
+    if key_width < 1 or payload_width < 0:
+        raise GadgetWidthError("bad key or payload width")
+    bld = Builder()
+    groups = [bld.inputs(key_width + payload_width) for _ in range(n)]
+    idx_w = max(1, (n - 1).bit_length())
+    records = [bits[:key_width] + const_bus(bld, i, idx_w) + bits[key_width:]
+               for i, bits in enumerate(groups)]
+
+    def rank_before(b, x, y):
+        kx, ix = x[:key_width], x[key_width:key_width + idx_w]
+        ky, iy = y[:key_width], y[key_width:key_width + idx_w]
+        key_gt = gt(b, kx, ky)
+        key_eq = eq(b, kx, ky)
+        idx_lt = gt(b, iy, ix)
+        return b.OR(key_gt, b.AND(key_eq, idx_lt))
+
+    ranked = odd_even_merge_sort(bld, records, rank_before)
+    return bld.finish([r[:key_width] + r[key_width + idx_w:] for r in ranked])
+
+
 def sort_oracle(keys):
     """Stable descending sort; returns the permuted original indices."""
     return sorted(range(len(keys)), key=lambda i: (-keys[i], i))
@@ -269,3 +347,73 @@ def test_sorting_network_is_a_permutation():
     keys = [rng.randrange(1 << 8) for _ in range(n)]
     got = run_network(n, 8, 8, keys, list(range(n)))
     assert sorted(p for _, p in got) == list(range(n))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_odd_even_network_sorts_every_zero_one_input(n):
+    # 1-bit keys with index tie-breaks: each key vector is one threshold of
+    # a permutation, so sorting all 2^n of them sorts every input (0-1
+    # principle).
+    for value in range(1 << n):
+        keys = int_to_bits(value, n)
+        got = run_network(n, 1, 3, keys, list(range(n)))
+        assert got == [(keys[i], i) for i in sort_oracle(keys)], keys
+
+
+@pytest.mark.parametrize("n,comparators", [(6, 12), (8, 19), (16, 63)])
+def test_odd_even_network_comparator_count(n, comparators):
+    calls = []
+
+    def rank_before(bld, x, y):
+        calls.append((x, y))
+        return x[0]
+
+    bld = Builder()
+    odd_even_merge_sort(bld, [bld.inputs(1) for _ in range(n)], rank_before)
+    assert len(calls) == comparators
+
+
+# --- division and the dead-gate sweep --------------------------------------
+
+def test_divide_by_a_narrower_divisor_exhaustive():
+    for wd in range(1, 4):
+        bld = Builder()
+        a, d = bld.inputs(6), bld.inputs(wd)
+        circuit = bld.finish([divide(bld, a, d)])
+        for x in range(1 << 6):
+            for y in range(1 << wd):
+                want = x // y if y else (1 << 6) - 1
+                assert run1(circuit, x, y) == [want], (wd, x, y)
+
+
+def test_finish_drops_dead_gates_and_numbers_inputs_first():
+    bld = Builder()
+    a = bld.inputs(2)
+    bld.AND(a[0], a[1])  # read by nothing
+    live = bld.XOR(a[0], a[1])
+    b = bld.inputs(1)  # declared after a gate
+    circuit = bld.finish([[bld.OR(live, b[0])]])
+    validate(circuit)
+    assert circuit.input_map == ((0, 1), (2,))
+    assert [g[0] for g in circuit.gates] == [XOR, OR]
+    for x in range(4):
+        for y in range(2):
+            bits = int_to_bits(x, 2)
+            assert eval_plain(circuit, [bits, [y]]) == [[(bits[0] ^ bits[1]) | y]]
+
+
+@pytest.mark.parametrize("bidders", [2, 6])
+def test_auction_circuit_has_no_dead_gates(bidders):
+    config = AuctionConfig(vm_types=2, capacities=(3, 3), weights=(1, 2),
+                           width=16)
+    circuit = build_auction_circuit(config, bidders)
+    validate(circuit)
+    group = 2 * config.vm_types * config.width
+    assert circuit.input_map == tuple(
+        tuple(range(j * group, (j + 1) * group)) for j in range(bidders))
+    reaches_output = set(circuit.output_wires)
+    for kind, a, b, out in reversed(circuit.gates):
+        assert out in reaches_output
+        reaches_output.add(a)
+        if kind != NOT:
+            reaches_output.add(b)

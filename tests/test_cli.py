@@ -52,6 +52,17 @@ def test_demo_random_bids_match_oracle(capsys):
     assert got == tuple(j for j, x in enumerate(oracle.allocations) if x)
 
 
+def test_demo_random_bids_fit_a_narrow_value_width(capsys):
+    # The default --max-bid 100 does not fit 4 bits; bids are drawn up to 15.
+    code, out, _ = run_cli(capsys, ["demo", "--bidders", "2", "--vm-types",
+                                    "1", "--bits", "4", "--copies", "2"])
+    assert code == 0
+    asks = [l.split()[2] for l in out.splitlines() if l.startswith("bidder ")]
+    assert len(asks) == 2
+    assert all(int(x) <= 15 for ask in asks for x in ask.split("x"))
+    assert "matches plaintext auction: yes" in out
+
+
 def test_demo_missing_bids_file_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, ["demo", "--bids-file", "/nonexistent.csv"]
                            + FAST)

@@ -18,14 +18,15 @@ from dualgc.errors import (DecodeError, DualGCError, EncodingCoverageError,
                            EvaluationError, ProtocolError)
 from dualgc.garbling import (HEADER_BYTES, LABEL_BYTES, ROW_BYTES, Encoding,
                              decode, evaluate, garble, parse_tables_blob,
-                             random_input_encodings, select_labels)
+                             random_input_encodings, select_labels,
+                             tabled_gates)
 
 from oracles import random_circuit, recursive_eval
 
 # sha256 of garble(...).tables_blob() for the 6-bidder, 2-VM-type auction
 # circuit under the encodings and seed of test_n6m2_blob_is_pinned.
 N6M2_BLOB_SHA256 = \
-    "a764df71b464ad64999cc65fa4b9c5d43b250c817be78dc740fe94bd44f6a860"
+    "988805e0826dff41c9e78f5a83c9e2194687f1f4e3cbe0d493d5950a288ab6f4"
 
 
 def outcome(circuit, gc, blob, labels):
@@ -205,10 +206,22 @@ def n6m2():
 
 def test_n6m2_blob_is_pinned(n6m2):
     circuit, _enc, gc = n6m2
-    assert len(circuit.gates) == 65_598
-    # 384 input projections, 22,444 AND/OR gates, 126 output projections.
-    assert len(gc.tables_blob()) == HEADER_BYTES + ROW_BYTES * 90_796
+    assert len(circuit.gates) == 29_364
+    # 384 input projections, 10,474 AND/OR gates, 126 output projections.
+    assert len(gc.tables_blob()) == HEADER_BYTES + ROW_BYTES * 42_916
     assert hashlib.sha256(gc.tables_blob()).hexdigest() == N6M2_BLOB_SHA256
+
+
+def test_n6m2_circuit_size_is_pinned(n6m2):
+    # Two rows per input wire and per distinct output wire, four per AND or
+    # OR gate. Both sorts are odd-even merge networks, the payment divides
+    # at the divisor's own width and no dead gate is kept.
+    circuit, _enc, _gc = n6m2
+    and_or = len(tabled_gates(circuit))
+    assert and_or == 10_474
+    rows = (2 * len(circuit.input_wires) + 4 * and_or
+            + 2 * len(set(circuit.output_wires)))
+    assert rows == 42_916
 
 
 def test_n6m2_evaluation_matches_the_reference(n6m2):

@@ -24,7 +24,7 @@ BIDS = [((2, 9),), ((1, 5),), ((3, 14),)]
 # Scripts beyond each behaviour's default: other targets, recipients, wires
 # and gate choices.
 VARIANTS = {
-    # Gate 7 is the SMALL circuit's first AND gate, the first with a table.
+    # Gate 7 is an AND gate of the SMALL circuit, so it has a table.
     "tamper_garbled_gate:gate7-mask01": AdversaryScript(
         "tamper_garbled_gate", gate=7, mask=0x01),
     "tamper_garbled_gate:P2": AdversaryScript("tamper_garbled_gate",
@@ -46,17 +46,17 @@ VARIANTS = {
 #  frame digest)
 GOLDEN = [
     (0, None, 'accept', None,
-     "e453575866aabcc9b61ab0baa99344e6e1550e4fbf69f7504c5fd96d153c24e8",
-     "dd7e412745ece16d95f04766039f6884cc4502d9ab808bafa40915153d36bf44"),
+     "64eb86baf31ca3c4d69ccc507855c13c94473f892999fb8cf2384ddf480faff5",
+     "8f9ff355a87262c5ff8908735ccea3f356d97ec4d49af24a4dbeeead2f5fb78a"),
     (0, 'inconsistent_labels', 'abort', 'provider:0',
      "3ab79c17fe97131508e17e6485c0395dbabb2aecd7c2ba7cdbcd2aef54c8e3ff",
      "89c06ae677174dadff850a4f97ed1c7e427e9d00ca01657d6c17bc7415582640"),
     (0, 'tamper_garbled_gate', 'abort', 'P1',
-     "1521dfbb7c339aab6c08a11fbb70f589cf598e4ebbc2d39cf83345545d94bd8f",
-     "8f4fb2dda3eed7e4307c9dbe352b4d37c04ec43610c1e81c4d9fcd5e8aafff38"),
+     "feba95f9258397ffbe84edfa6b4532f50f958682f1a7e17cdf55353fdfaaae23",
+     "4f1df4d365ef128e2e5a942350fe768e4c338898cc3ebaa135e51688c75ce37d"),
     (0, 'substitute_output_label', 'reject', None,
-     "8880693dd394badef39b6920118f5900b719a417a2aa05c6a795ae2298168a37",
-     "5e645807a096ce10bc16e956bf20910fbbf695d53278c340f9099d1e7da29060"),
+     "23c136089387537a444a233ca84b54d1be0fdff722d49fb9593f5b7dab6453df",
+     "e9e63bb9b730b2b99a34d1eda374fa51d2c3f32eb008748a83981bb78e6453fb"),
     (0, 'bias_coin_toss', 'abort', 'P2',
      "78482d9ae8fc4fd38e51c12f04a8c97305d592f0b952e339a73bd53cb72240b4",
      "af060479066a1f1cbee46cee9e05db1019f46bfbcc285b3424e94fbd8ebda273"),
@@ -67,20 +67,20 @@ GOLDEN = [
      "964b841419b8c811d6a8758c571af8eddbd5e703131a12acc84dcaee9ecdf040",
      "d70d66c57e755dc1d8b684adeb0dcea17d7aef0710ed350e814662c0f17ab058"),
     (0, 'false_output_complaint', 'accept', 'provider:0',
-     "8880693dd394badef39b6920118f5900b719a417a2aa05c6a795ae2298168a37",
-     "4b81e636f7300a50fa8d50c416d47c2da7d1fb628a1a5ffc9232946abfa2715a"),
+     "23c136089387537a444a233ca84b54d1be0fdff722d49fb9593f5b7dab6453df",
+     "e6f7669c1261a47b0c44ec4b1a8ec12499059b3cbfcc021a28add6c69b76a860"),
     (3, None, 'accept', None,
-     "0a16384b7d8e7ef139801d63a22c3d8b66371b07d8bb9683351d4e4a9ae68590",
-     "7b128d43ca431b0f1e6a5bd32b09f14c0f1fee6c576863387e8edf8f2c242ae7"),
+     "4701042d1201400b515a752126a68f56d2401094f3cb6864def954b673c2569c",
+     "e5d9e0c7a8aebd6e6806bdd64821604414f9556e0d7f3e6eb28e82ba7a94b660"),
     (3, 'inconsistent_labels', 'abort', 'provider:0',
      "ccf96a7053a15bdecc1f17e09edcff699fe0db8bd5a0536bbb88ac65cb4bb088",
      "368bf9dd67681e36dd2d84a815694088ba0baf3b22305875552d25688b0101b0"),
     (3, 'tamper_garbled_gate', 'abort', 'P1',
-     "99cc3b7e93804622241444967af129caa30204edba50dd405549cf724190aff8",
-     "b7d4234fdac25be045c7cedf3c3fc573ec6593f200063cb16415c42b13528c59"),
+     "57170dd786e09446181be9ba789dc576189c654e3f8c2f5acc30a57911eee12b",
+     "a02e12344426514514facd4c172852e3978617b2c7c7fe883d7fac7dc54de828"),
     (3, 'substitute_output_label', 'reject', None,
-     "8a28bcdfaac95442281d041e387f5419dc57bafe96fb654abc61380aeb372fd1",
-     "0f5170f204e5abb99a1e941675db1f65fe6b839b0b3b65060ab28737f2b2f359"),
+     "2e0193c7dfb06f1f54fc83258431416849da0d701abf75c8e0100d1fd809bd0a",
+     "1da9b1fa7c7455d795133735bca17d906e9e0c3c294cd0c2f4e5e719c4f4e3fd"),
     (3, 'bias_coin_toss', 'abort', 'P2',
      "78482d9ae8fc4fd38e51c12f04a8c97305d592f0b952e339a73bd53cb72240b4",
      "ec2ad9a5ba44dd586be197aebfed0897095d85bde2d49229904b5996ecc4009c"),
@@ -91,20 +91,20 @@ GOLDEN = [
      "65f93ffdf27acefc07c6587898a9df2f31e5adc72b32d4cf78df1dea0068e254",
      "96587fb7467768e03e28944221f11831b727cb5e18584c9ead63e22f70077fd9"),
     (3, 'false_output_complaint', 'accept', 'provider:0',
-     "8a28bcdfaac95442281d041e387f5419dc57bafe96fb654abc61380aeb372fd1",
-     "fba8123c84606853b2df08987c968e30fe7f7d91f7494d4e2b9f5cedb12e4ab7"),
+     "2e0193c7dfb06f1f54fc83258431416849da0d701abf75c8e0100d1fd809bd0a",
+     "fed9df4f28369d1bedebcf9b817d5cf4739426561d4848879a5b9f6b9c947514"),
     (5, None, 'accept', None,
-     "b85c32ffb3bd780582f0f1d2d58e55f7249838ad848c48b3f6c91e76b1d5270a",
-     "a4c095ef511deab219564885670f5d1a51a1a4675f38e1864cafcb1ba54cf5bb"),
+     "24ec6113dcf65b69f10a5f9f07ce2cd0e78ef1f57096152a0b5ade739f39f479",
+     "71474dc45393ae4fb02d148597457b147b35bc93fb38952debbb3766cf9fcc70"),
     (5, 'inconsistent_labels', 'abort', 'provider:0',
      "b0bec85fd3ff0733a5b58956009ddefa5bd0dbabfb2866266761f1a3fb8ec804",
      "94cf418f56debfb3727360da887eb949842a05437566915b7e8991248dafc9b0"),
     (5, 'tamper_garbled_gate', 'abort', 'P1',
-     "9322a8cc1802d24b2609f07594a7430eea43ad81145d6cff678c33ecb8bb8165",
-     "3268fb8fdebcb00ce3f3bc698e90ea130f123f040e00ddee93bbf2a88479cad9"),
+     "c05325798a53015b3f61ac59c7320bc60932f8600c4d0f3466e101f0969e69a6",
+     "e49b13576b0214b2aba2a9661d26a13894fef9d9b2ebbf847902e451ec825572"),
     (5, 'substitute_output_label', 'reject', None,
-     "deee8d8764407d40553f125d27bba9a60344270e2fdafd8a02acfd6445c61179",
-     "0415f02ea48f057f6d0665a3907b687890f4919d6e471dca2a88a870c03f51e5"),
+     "239ed5ba183b29944612d871936010e3ea45934e5b6cb04461d135e00a906fbc",
+     "ddac256fc08240bbbd5e3ef35fd411f75baba0f41063547e8e06ad45329bfabf"),
     (5, 'bias_coin_toss', 'abort', 'P2',
      "78482d9ae8fc4fd38e51c12f04a8c97305d592f0b952e339a73bd53cb72240b4",
      "3f52ae2ae3df4f5c1d329d3a54406e58252f758923d1cd6f025c230b02ce6041"),
@@ -115,17 +115,17 @@ GOLDEN = [
      "809d6b2efaf64beea83522bc6cf0916afb01455ba42502d633e070b9b56e5205",
      "13b745bf128caf035b2d29d39f7cca9638f140ebb08d9de7051ffd6f5ef2d7c5"),
     (5, 'false_output_complaint', 'accept', 'provider:0',
-     "deee8d8764407d40553f125d27bba9a60344270e2fdafd8a02acfd6445c61179",
-     "546b59cbebbb9bd1b33d6affc9cba88a67f4f945646f59c59861945bd3ab954d"),
+     "239ed5ba183b29944612d871936010e3ea45934e5b6cb04461d135e00a906fbc",
+     "2f3215cdddd023665fa99fcf7661bf8778b38851a5571660f393aea2da44c8a0"),
     (0, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "6c70e4e122086f9740209951bd871f0b37a3dbb5cdb6ed6aa4f1f9e23ad9ff88",
-     "e836e3a5a81d483562a529675b2b2b3cbf7ec84a446ba6960ae21c5dbfff1d2e"),
+     "9f049a8598b6bda663b173652e633e7d111e7bc004e8bd3069ba0055190d2ff2",
+     "fccaf5efbd8e983dc4138e53b770910bf894d08eedc6dd7a522310926fae275b"),
     (0, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "e1341918d66f13c96449a1b1211423956001afe5bd9e6cacc9637b8f2fd1f87c",
-     "8abb2f1208ee2fcac661b366bc0b7f6e559714eb4c412aef2f196fb2f1e3e537"),
+     "e8bb1fbecd0d6f065b3545b07afc26773c5d0c109d337bef2d1f21daece77588",
+     "88e69a254b48f70e125188847a91f5bcdfdb65abce6b7ffac152f44f755b866d"),
     (0, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "a37994243bb7ef765ff641da7a74d6b27f9dea09b5a0a808908b46f15d85dfca",
-     "37f2efb396c4bbe66f271f18c99e1834016c9759852cd4865b93f9d60511a865"),
+     "322534e5c281e0dd217653c19bb2e4b4ad4b1439bf417591019b787af75d61c8",
+     "1ae3b156cb09c6bc536e4705278e22f23a48d44e9d58e0840f5ff4da8450f1c2"),
     (0, 'falsify_check_failure:P2', 'abort', 'P2',
      "97b0b4b20a6f893f7a3f6ab288e1f8541fcf397488e27ea06b25206b31b4e9ed",
      "5bfca0dfa15861e9a25d28c2332ef4e30b054a31ccd8a785e1ba054db5048013"),
@@ -139,17 +139,17 @@ GOLDEN = [
      "3ab79c17fe97131508e17e6485c0395dbabb2aecd7c2ba7cdbcd2aef54c8e3ff",
      "1b3c2c5e9f2b83bcc99e2fb02b3ec50ceb3fef9ca4fab477cc752918e23fb2eb"),
     (0, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "5f9cb30588bc1ca35818f18e211572c54f8eeead0992c4b6ccffcb742cdceeb3",
-     "d79bf26904b85f0de28c7b6e8e102a824714d48891b06ffd691e9c77f605ed3e"),
+     "48605fe29e8d7d2944c090143725b3ea77fc0d8d231b3423d5624c603cf9c995",
+     "08d755cb052d57e754707699a85f004cba6242ed6d99d17fb095fd66aacfb831"),
     (3, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "db76f0d5ea9bd6b3e7a5f4904b52080af4952df6639af3bdd26baad256165051",
-     "5ccd73f9d7b1a92ef5737ad82d09390099391f6be52cebc145ee9120d0e01b48"),
+     "55ddf7bc9142b3747865e5dea76471fdb47de88499271a3dd93288e305c2d56d",
+     "277052aed2b9ed821b831303a147b295418cf13b6d43f20c6cbd328c931d81d2"),
     (3, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "97168acb035b078f879e41c15689f7c234549e4a847032629e70e947b14d634c",
-     "0d286b57364f5eb2108dff42c1f0499a1b7e8f8701fca9a8879f8a7f2288cf99"),
+     "ab837572d7ac3b0294ecb330762eb75bda9fe62848354f9e7fa39f536e73424b",
+     "9677691f3443572f9949effbf633e4e01f9c591bb9f93e004ab6bd9e613d8d26"),
     (3, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "2a52313a42807eec3b50c64686fce1dc634fc38bf6f3152bcf4ac9a45f6d59db",
-     "02ec1d0fa6a46456d4e31424ca0bb2fc45f7eecb1852b8a5d1f0adc1f58bfe81"),
+     "1d713ab4ce7a9a792b741342fe986f5959b59c34702a9a75dd8aacf09ab60dad",
+     "824190f72e8f08edbf344edeac77743e865a4ea6ab017beb326b062f6f6d7711"),
     (3, 'falsify_check_failure:P2', 'abort', 'P2',
      "30c480ea8aa14255f0620923f3089ff3231ebc06cc3d3da51984d5737ed6f1b9",
      "ef619d1b04774f2666f35f867dadc2eb6ff12c9b2bea7d805bd90f007fbaaad0"),
@@ -163,17 +163,17 @@ GOLDEN = [
      "0d296e2d08753c129998845925fd0073c22e6857fe64ef507c65fe9c3021fdda",
      "24060a63e184b27af5869fec8fee1ba5e8028f17ffd811ecd786f3d5aa0ee427"),
     (3, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "5866936d54a68f2c107cd19eaede807bc402c0d3c66d54eacb520dff48dac612",
-     "9c1d1047dd0f53da0a5d2815eeda717b6b20584b4f85020480248e6af4368042"),
+     "1e2cbb90dd923773a30ad8c318dc1782a37a7b645563aac45a15cbfa2d30550f",
+     "977a61ffd7d8987d3167cd9f110e9621bd7dd46a610cc637de4af268b37742be"),
     (5, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "cc8009d74c898efee106efa943faf9abd4234fb04f4bcc71365c308138991f7e",
-     "4938e38e5f8afae53b5708e38613fac4f73d63ef65f3a997b5e723af3d0661ae"),
+     "6d6f006847ad28d8bcfe3442278b2257eb353d3de6368dda536d6f3eac015f65",
+     "620b2b63a755784f2a6973580a2b7a1769195b74f432e81496fe68ff341cca7a"),
     (5, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "43d9144e85cc2929c0b4125f8ff53e70fe2893a040604b43df5f0ed8c6b1bf65",
-     "37bd3ff2ae34a04366ac4f19b213027a901f9bb9783aadb074eaaa8e96878832"),
+     "971651801f78ab86e34b6bdec88dfcef23af8ea32e6ae64cf502180844375804",
+     "05f578ebefaaee1eb2307a960fd425786c30f039b7942b48671d1c519d9cb07c"),
     (5, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "397f7f95c998a2709b87600d5583ed67ebbcddca4914045f570cdafb91eed4b0",
-     "1a9a5bd9bd0293a2684cbfc0df96a03a31777f1ebe787ee94c0fe5e9738e1553"),
+     "4e13780552a7ffbd91e1dd67fb14ddceba9fd93dafeb545f7674eeb162e23aed",
+     "c5f272ffeb87a70a3ad6610dff42bf87301bf1b2dcfe8eb9f454b2a19c101f74"),
     (5, 'falsify_check_failure:P2', 'abort', 'P2',
      "2c2697d0e1ae6efa54986a89e88d2c46ceeb2a1048a00be9201d77c119beec84",
      "d63eb7f52691c9c332e32808d12f925bdb8e9633c3d93aade066f0b058ddcd96"),
@@ -187,8 +187,8 @@ GOLDEN = [
      "b0bec85fd3ff0733a5b58956009ddefa5bd0dbabfb2866266761f1a3fb8ec804",
      "4d39bffef5f62a6c160ba77d13b863175f9b3d6c52535d6b7aecd2d33f3578da"),
     (5, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "bd727d43db1a2810c4718079e962304bef53e1f310946fcb0609912885886241",
-     "0f4e83bbb342ce8c14cefd7c4bf97cf00d18cda510bb48fde0f0335acb61f4a5"),
+     "b6717062b04699ce72896c3816ec4aec00e918b3e7f992e4ae684ac57d2825e8",
+     "065eaabc72702abfb87b9274650b9fa1dfab9c2579f9b6f43902b9c79ba4008b"),
 ]
 
 

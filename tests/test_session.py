@@ -411,7 +411,7 @@ def test_adversary_validation():
     with pytest.raises(UsageError):
         Session(SMALL, BIDS, s=4, adversary=AdversaryScript(
             "inconsistent_labels", pattern=(True, False)))
-    for gate in (0, 10 ** 6):  # an XOR gate, and no gate at all
+    for gate in (0, 10 ** 6):  # a NOT gate, and no gate at all
         with pytest.raises(UsageError, match="no garbled table"):
             Session(SMALL, BIDS, s=4, adversary=AdversaryScript(
                 "tamper_garbled_gate", gate=gate))
@@ -562,7 +562,7 @@ def test_tampered_garbled_gate_aborts_against_the_garbler():
     assert res.status == "abort"
     assert res.blamed == "P1"
     assert res.phase == "compute"
-    # Gate 0 is an XOR gate, which has no table; the first AND gate has.
+    # Gate 0 is a NOT gate, which has no table; the first AND gate has.
     first_and = tabled_gates(build_auction_circuit(SMALL, len(BIDS)))[0]
     first = AdversaryScript("tamper_garbled_gate", gate=first_and, mask=0x01)
     res = run_session(SMALL, BIDS, s=4, seed=5, adversary=first)
