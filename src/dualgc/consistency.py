@@ -125,20 +125,7 @@ def _commit_copy(rng: random.Random, enc1: Encoding, enc2: Encoding, b: int,
 
 def generate_input_material(rng: random.Random, x: int, s: int) -> WireMaterial:
     """Honest provider material for one wire carrying plaintext bit ``x``."""
-    if x not in (0, 1):
-        raise ValueError("input bit must be 0 or 1")
-    if s < 2:
-        raise ValueError("need at least two copies")
-    copies = []
-    for _ in range(s):
-        enc1 = _fresh_encoding(rng)
-        enc2 = _fresh_encoding(rng)
-        b = rng.getrandbits(1)
-        copies.append(_commit_copy(
-            rng, enc1, enc2, b, b ^ x,
-            cross1=(enc1.label(b), enc1.label(1 - b)),
-            cross2=(enc2.label(b), enc2.label(1 - b))))
-    return WireMaterial(x=x, copies=copies)
+    return generate_cheating_material(rng, x, s, [True] * s)
 
 
 def generate_cheating_material(rng: random.Random, x: int, s: int,
@@ -149,6 +136,10 @@ def generate_cheating_material(rng: random.Random, x: int, s: int,
     the construction check if opened, and mixing tampered with honest
     copies in the evaluation set trips the hash-comparison round.
     """
+    if x not in (0, 1):
+        raise ValueError("input bit must be 0 or 1")
+    if s < 2:
+        raise ValueError("need at least two copies")
     if len(consistent) != s:
         raise ValueError("need one consistency flag per copy")
     copies = []
@@ -245,14 +236,23 @@ def _set_orientation(first, second) -> int | None:
     return None
 
 
+def _opens_pair(pair: CommitmentSetPair, openings) -> bool:
+    """Whether the openings open the pair's four input-set commitments."""
+    return len(openings) == 4 and all(
+        open_commitment(c, o) for c, o in zip(pair.w + pair.w_prime, openings))
+
+
 def check_pair_construction(pair: CommitmentSetPair, openings) -> str | None:
     """Verify a check copy's four openings; None when well constructed."""
-    commitments = pair.w + pair.w_prime
     if len(openings) != 4:
         return "expected four input-set openings"
-    for com, op in zip(commitments, openings):
-        if not open_commitment(com, op):
-            return "opening does not match the broadcast commitment"
+    if not _opens_pair(pair, openings):
+        return "opening does not match the broadcast commitment"
+    return _construction_fault(openings)
+
+
+def _construction_fault(openings) -> str | None:
+    """What is wrong with a copy built from four opened input sets."""
     try:
         triples = [_parse_triple(op) for op in openings]
     except ValueError:
@@ -275,11 +275,9 @@ def verify_check_failure_claim(pair: CommitmentSetPair, openings) -> str | None:
     The openings must match the provider's broadcast commitments (otherwise
     the claim is fabricated) and must actually fail the construction check.
     """
-    commitments = pair.w + pair.w_prime
-    if len(openings) != 4 or not all(
-            open_commitment(c, o) for c, o in zip(commitments, openings)):
+    if not _opens_pair(pair, openings):
         return None
-    return check_pair_construction(pair, tuple(openings))
+    return _construction_fault(openings)
 
 
 # --- evaluation copies -------------------------------------------------------

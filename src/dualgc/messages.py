@@ -17,10 +17,14 @@ body, trailing bytes or non-UTF-8 text with ``FramingError``, alike for
 every type.
 
 ``FLOW`` declares, for each message type, which role kinds may send it, who
-receives it, and the protocol phase it belongs to. The table is the basis
-of the static privacy audit: in the output phase no message flows from a
-data provider to a computation party, so the parties cannot learn anything
-about the decoded results.
+receives it, and the protocol phase it belongs to. It routes every frame:
+a session round sends each sender's frames of a type to every other role
+of a kind listed as its receivers, all before any role receives; and
+``POINT_TO_POINT`` names the types that carry one value per receiver
+rather than one broadcast body. The table is also the basis of the static
+privacy audit: in the output phase no message flows from a data provider
+to a computation party, so the parties cannot learn anything about the
+decoded results.
 """
 
 from __future__ import annotations
@@ -123,6 +127,12 @@ FLOW: dict[MessageType, tuple[frozenset, frozenset, str]] = {
     MessageType.FAILURE_PROOF: (_PROVIDERS, _PROVIDERS, PHASE_OUTPUT),
     MessageType.ABORT: (_EVERYONE, _EVERYONE, PHASE_OUTPUT),
 }
+
+# Types whose sender gives each receiver its own value; every other type is
+# one body broadcast to all of its receivers.
+POINT_TO_POINT = frozenset({MessageType.EVALSET_OPENINGS,
+                            MessageType.PROOF_OPENING_REQUEST,
+                            MessageType.OUTPUT_OPENINGS})
 
 
 def audit_flow_table() -> None:

@@ -6,9 +6,12 @@ recipient of every output) are each one object, a ``Party`` or a
 ``Provider``, holding only its own state and the public parameters. Its
 methods are the protocol steps: build an outgoing value, or check a
 received one and keep it, aborting against the sender when it is wrong.
-``Session`` drives them through the three phases, saying only who sends
-what to whom and in which order, so the first role to receive a bad value
-is the one that detects it:
+``Session`` drives them through the three phases as a schedule of rounds,
+saying only who sends which message type and in which order; the
+receivers of each type are the ones ``messages.FLOW`` lists. A round sends
+all of its frames before any role receives and reads them all before any
+role checks one; the receivers then check each sender's value in turn,
+so the first to check a bad value is the one that detects it:
 
 * input: providers broadcast the committed copies of their input-wire
   material; the parties coin-toss one challenge seed, from which every
@@ -16,8 +19,8 @@ is the one that detects it:
   copies, and derive their final input encodings and cross labels from
   the evaluation copies, confirming agreement via the broadcast hash
   tuples.
-* compute: both garbled circuits are exchanged (each sent before either
-  side evaluates) and evaluated on the cross labels.
+* compute: both garbled circuits are exchanged in one round (so both are
+  sent before either side evaluates) and evaluated on the cross labels.
 * output: both parties commit to output encodings and evaluated labels
   for every recipient, open them privately, and each recipient decodes
   its result twice and accepts only on agreement. Rejections are argued
@@ -37,6 +40,7 @@ import hashlib
 import random
 import time
 from dataclasses import dataclass
+from operator import methodcaller
 
 from . import messages as M
 from .auction import (
@@ -243,8 +247,11 @@ class Participant:
     """What every role keeps: the input commitments, the challenge seed
     shares and the challenges.
 
-    A ``take_<message type>`` step checks a value received from ``sender``
-    and keeps what it needs, or raises an abort blaming ``sender``.
+    A ``<message type>`` step builds the value the role sends: one value,
+    or for a point-to-point type one per receiver role. A ``take_<message
+    type>`` step checks a value received from ``sender`` and keeps what it
+    needs, or raises an abort blaming ``sender``; a role without one reads
+    the value and drops it.
     """
 
     def __init__(self, role: M.Role, rng: random.Random, circuit, s: int):
@@ -330,8 +337,8 @@ class Party(Participant):
             raise _Abort(self.role, sender,
                          "check openings cover the wrong wires")
         for w in sorted(got):
-            expect = {j for j in range(self.s) if self.rho[w][j]}
-            if {j for j, _ in got[w]} != expect:
+            expect = [j for j in range(self.s) if self.rho[w][j]]
+            if sorted(j for j, _ in got[w]) != expect:
                 raise _Abort(self.role, sender,
                              "check openings cover the wrong copies")
             for j, openings in got[w]:
@@ -374,7 +381,7 @@ class Party(Participant):
             self.final_enc[w] = enc
             self.cross_label[w] = cross
 
-    def hash_tuples(self) -> dict:
+    def hash_tuple(self) -> dict:
         for w in sorted(self.triples):
             tup, secret = make_hash_tuple(self.rng, self.triples[w])
             self.tuples[w] = tup
@@ -409,19 +416,20 @@ class Party(Participant):
         self.dispute = (proof.wire, M.OPEN_PAIR)
 
     def take_proof_opening_request(self, sender: M.Role, request):
-        """The PROOF_OPENING_RESPONSE to the cloud's request: the
-        complainer opens its cross commitment of the wire it complained
-        about, the garbler its pair commitments of the wire in the proof
-        it received."""
         if request != self.dispute:
             raise _Abort(self.role, sender,
                          "proof opening request does not match the proof")
-        w, which = request
+
+    def proof_opening_response(self):
+        """The complainer opens its cross commitment of the wire it
+        complained about, the garbler its pair commitments of the wire in
+        the proof it received."""
+        w, which = self.dispute
         openings = self.tuple_secrets[w].openings
         return (w, which,
                 openings[:2] if which == M.OPEN_PAIR else openings[2:])
 
-    def garbled_blob(self) -> bytes:
+    def garbled_circuit(self) -> bytes:
         self.gc = garble(self.circuit, self.final_enc,
                          rng_seed=self.garble_seed)
         return self.gc.tables_blob()
@@ -450,8 +458,13 @@ class Party(Participant):
             entries.append((u, enc_com, lab_com))
         return entries
 
-    def output_openings(self, u: int):
-        return (u,) + self.out_openings[u]
+    def output_openings(self) -> dict:
+        """(recipient, encoding opening, label opening) per provider role:
+        bidder ``u`` receives output group ``u``, the cloud the last."""
+        roles = [M.Role(M.PROVIDER, u)
+                 for u in range(len(self.circuit.input_map))]
+        return {role: (u,) + self.out_openings[u]
+                for u, role in enumerate(roles + [M.Role(M.CLOUD)])}
 
 
 class Provider(Participant):
@@ -493,12 +506,15 @@ class Provider(Participant):
                     for j in range(self.s) if self.rho[w][j]]
                 for w in self.wires}
 
-    def evalset_openings(self, party: M.Role) -> dict:
-        def entry(w, j):
-            pos_op, first, second = self.material[w].eval_openings(j)
-            return (j, pos_op, first if party == _P1 else second)
-        return {w: [entry(w, j) for j in range(self.s) if not self.rho[w][j]]
-                for w in self.wires}
+    def evalset_openings(self) -> dict:
+        """Per party role, each evaluation copy's position opening and the
+        party's commitment of the selected input set."""
+        def entry(w, j, slot):
+            pos_op, *chosen = self.material[w].eval_openings(j)
+            return (j, pos_op, chosen[slot])
+        return {party: {w: [entry(w, j, slot) for j in range(self.s)
+                            if not self.rho[w][j]] for w in self.wires}
+                for slot, party in enumerate((_P1, _P2))}
 
     def take_check_failure_claim(self, sender: M.Role, claim):
         """The construction fault the claim proves, or None."""
@@ -528,7 +544,10 @@ class Provider(Participant):
         super().take_consistency_proof(sender, proof)
         self.dispute = (sender, proof)
 
-    def proof_opening_request(self, party: M.Role):
+    def proof_opening_request(self) -> dict:
+        return {party: self._requested(party) for party in (_P1, _P2)}
+
+    def _requested(self, party: M.Role):
         """The garbler opens its two pair commitments, the complainer its
         cross commitment."""
         complainer, proof = self.dispute
@@ -536,7 +555,7 @@ class Provider(Participant):
                 M.OPEN_CROSS if party == complainer else M.OPEN_PAIR)
 
     def take_proof_opening_response(self, sender: M.Role, got):
-        w, which = self.proof_opening_request(sender)
+        w, which = self._requested(sender)
         got_w, got_which, openings = got
         if (got_w, got_which, len(openings)) != (
                 w, which, 2 if which == M.OPEN_PAIR else 1):
@@ -648,8 +667,8 @@ class _InconsistentLabels(_Scripted, Provider):
 
 
 class _TamperGarbledGate(_Scripted, Party):
-    def garbled_blob(self):
-        blob = bytearray(super().garbled_blob())
+    def garbled_circuit(self):
+        blob = bytearray(super().garbled_circuit())
         gi = self.script.gate
         if gi is None:
             gi = self.adv_rng.choice(tabled_gates(self.circuit))
@@ -795,20 +814,47 @@ class Session:
                 or adv.wire not in range(len(outputs[adv.recipient]))):
             raise UsageError("recipient and wire must name an output wire")
 
-    def _send(self, mtype: MT, sender: Participant, receiver: Participant,
-              value):
-        self._broadcast(mtype, sender, value, receivers=(receiver,))
+    def _round(self, mtype: MT, senders, step=None) -> list:
+        """One round of ``mtype`` messages. Each sender's step (by default
+        its method named after the type) runs once, and its frames go to
+        every other role of a kind ``FLOW`` lists as a receiver of the
+        type: one broadcast frame, or for a point-to-point type one frame
+        per receiver role. Every frame is sent, then every frame is read,
+        sender by sender, before any receiver's ``take_*`` step judges a
+        value (a role without one drops it), so a step that aborts leaves
+        no frame of the round unread. Returns what the take steps
+        returned, in that order."""
+        step = step or methodcaller(mtype.name.lower())
+        kinds = M.FLOW[mtype][1]
+        routes = []
+        for sender in senders:
+            value = step(sender)
+            receivers = [r for r in self._all_states()
+                         if r.role.kind in kinds and r is not sender]
+            if mtype in M.POINT_TO_POINT:
+                frames = {r: self._frame(mtype, sender, value[r.role])
+                          for r in receivers}
+            else:
+                frames = dict.fromkeys(receivers,
+                                       self._frame(mtype, sender, value))
+            for r, data in frames.items():
+                M.check_flow(mtype, sender.role, r.role)
+                self.transport.send(sender.role, r.role, data)
+                self.transcript.add(self._phase, sender.role.name,
+                                    r.role.name, mtype.name, len(data))
+            routes.append((sender, receivers))
+        received = [(r, sender, self._recv(r, sender, mtype))
+                    for sender, receivers in routes for r in receivers]
+        results = []
+        for r, sender, value in received:
+            take = getattr(r, f"take_{mtype.name.lower()}", None)
+            if take is not None:
+                results.append(take(sender.role, value))
+        return results
 
-    def _broadcast(self, mtype, sender, value, receivers=None):
-        """Encode ``value`` once and send the frame to every receiver (by
-        default, every other role)."""
-        frame = M.encode_frame(mtype, self.session_id, sender.role,
-                               M.encode_body(mtype, value))
-        for r in (receivers if receivers is not None else self._others(sender)):
-            M.check_flow(mtype, sender.role, r.role)
-            self.transport.send(sender.role, r.role, frame)
-            self.transcript.add(self._phase, sender.role.name, r.role.name,
-                                mtype.name, len(frame))
+    def _frame(self, mtype: MT, sender: Participant, value) -> bytes:
+        return M.encode_frame(mtype, self.session_id, sender.role,
+                              M.encode_body(mtype, value))
 
     def _recv(self, receiver: Participant, sender: Participant, mtype: MT):
         """The decoded value of the next frame from ``sender``. This is the
@@ -831,21 +877,6 @@ class Session:
         except (FramingError, ProtocolError, TransportError) as exc:
             raise _Abort(receiver.role, sender.role,
                          f"malformed {mtype.name} frame: {exc}")
-
-    def _exchange(self, mtype: MT, senders, make, take, pool=None) -> list:
-        """Each sender broadcasts ``make(sender)`` to the rest of ``pool``
-        (default: every role); then each receiver hands the value of each
-        frame, sender by sender, to its step ``take(receiver)``. Returns
-        what the steps return, in that order."""
-        pool = self._all_states() if pool is None else pool
-        for sender in senders:
-            self._broadcast(mtype, sender, make(sender),
-                            [r for r in pool if r is not sender])
-        return [take(other)(sender.role, self._recv(other, sender, mtype))
-                for sender in senders for other in pool if other is not sender]
-
-    def _others(self, sender: Participant) -> list[Participant]:
-        return [r for r in self._all_states() if r is not sender]
 
     def _member(self, role: M.Role) -> Participant:
         return next(r for r in self._all_states() if r.role == role)
@@ -876,13 +907,11 @@ class Session:
         return [self.p1, self.p2] + self.providers
 
     def _aborted(self, sig: _Abort) -> SessionResult:
-        detector = self._member(sig.detector)
-        self._broadcast(MT.ABORT, detector, (sig.blamed, sig.reason))
-        for other in self._others(detector):
-            try:
-                self._recv(other, detector, MT.ABORT)
-            except (_Abort, TransportTimeout):
-                pass  # the abort being announced is already the verdict
+        try:
+            self._round(MT.ABORT, [self._member(sig.detector)],
+                        lambda _: (sig.blamed, sig.reason))
+        except (_Abort, TransportTimeout):
+            pass  # the abort being announced is already the verdict
         return SessionResult(
             status=STATUS_ABORT, result=None,
             blamed=sig.blamed.name if sig.blamed else None,
@@ -892,83 +921,42 @@ class Session:
     # ---------------------------------------------------------- input phase
 
     def _input_phase(self):
-        for prov in self.bidders:
-            self._exchange(MT.INPUT_COMMITMENTS, [prov],
-                           lambda p: p.input_commitments(),
-                           lambda r: r.take_input_commitments)
+        self._round(MT.INPUT_COMMITMENTS, self.bidders)
         # One joint toss per session: each party commits to a seed share,
         # then reveals it, and every role derives each wire's challenge
         # from the two shares it holds.
-        self._exchange(MT.COIN_COMMIT, self.parties, lambda p: p.coin_commit(),
-                       lambda r: r.take_coin_commit)
-        self._exchange(MT.COIN_REVEAL, self.parties, lambda p: p.coin_reveal(),
-                       lambda r: r.take_coin_reveal)
-        self._verify_check_sets()
-        self._derive_final_labels()
-        self._exchange(MT.HASH_TUPLE, self.parties, lambda p: p.hash_tuples(),
-                       lambda r: r.take_hash_tuple)
+        self._round(MT.COIN_COMMIT, self.parties)
+        self._round(MT.COIN_REVEAL, self.parties)
+        self._round(MT.CHECKSET_OPENINGS, self.bidders)
+        for party in self.parties:
+            claim = party.check_failure_claim()
+            if claim is not None:
+                self._arbitrate_check_failure(party, claim)
+        self._round(MT.EVALSET_OPENINGS, self.bidders)
+        self._round(MT.HASH_TUPLE, self.parties)
         for party in self.parties:
             proof = party.consistency_proof()
             if proof is not None:
                 self._arbitrate_consistency_proof(party, proof)
 
-    def _verify_check_sets(self):
-        for prov in self.bidders:
-            self._broadcast(MT.CHECKSET_OPENINGS, prov,
-                            prov.checkset_openings(), receivers=self.parties)
-        for party in self.parties:
-            for prov in self.bidders:
-                party.take_checkset_openings(
-                    prov.role, self._recv(party, prov, MT.CHECKSET_OPENINGS))
-        for party in self.parties:
-            claim = party.check_failure_claim()
-            if claim is not None:
-                self._arbitrate_check_failure(party, claim)
-
     def _arbitrate_check_failure(self, party, claim):
-        self._broadcast(MT.CHECK_FAILURE_CLAIM, party, claim)
-        verdicts = []
-        for other in self._others(party):
-            got = self._recv(other, party, MT.CHECK_FAILURE_CLAIM)
-            if other in self.providers:
-                verdicts.append(other.take_check_failure_claim(party.role, got))
+        # The other party has no take step: it waits for the ruling.
+        verdicts = self._round(MT.CHECK_FAILURE_CLAIM, [party],
+                               lambda _: claim)
         if len({fault is None for fault in verdicts}) != 1:
             raise ProtocolError("check-failure arbitration diverged")
         # The cloud receives last and words the ruling.
         raise self.cloud.check_claim_ruling(party.role, verdicts[-1])
 
-    def _derive_final_labels(self):
-        for prov in self.bidders:
-            for party in self.parties:
-                self._send(MT.EVALSET_OPENINGS, prov, party,
-                           prov.evalset_openings(party.role))
-        for party in self.parties:
-            for prov in self.bidders:
-                party.take_evalset_openings(
-                    prov.role, self._recv(party, prov, MT.EVALSET_OPENINGS))
-
     def _arbitrate_consistency_proof(self, party, proof):
+        self._round(MT.CONSISTENCY_PROOF, [party], lambda _: proof)
+        self._round(MT.PROOF_OPENING_REQUEST, [self.cloud])
+        # The complainer's response first: it answers for the proof the
+        # complainer sent, so a provider that received another proof
+        # convicts the complainer rather than the garbler.
         garbler = self._member(_other_party(party.role))
-        self._exchange(MT.CONSISTENCY_PROOF, [party], lambda _: proof,
-                       lambda r: r.take_consistency_proof)
-        for member in (garbler, party):
-            self._send(MT.PROOF_OPENING_REQUEST, self.cloud, member,
-                       self.cloud.proof_opening_request(member.role))
-        for member in (garbler, party):
-            request = self._recv(member, self.cloud, MT.PROOF_OPENING_REQUEST)
-            self._broadcast(MT.PROOF_OPENING_RESPONSE, member,
-                            member.take_proof_opening_request(self.cloud.role,
-                                                              request),
-                            receivers=self.providers)
-        verdicts = []
-        for prov in self.providers:
-            # The complainer's response first: it answers for the proof the
-            # complainer sent, so a provider that received another proof
-            # convicts the complainer rather than the garbler.
-            for member in (party, garbler):
-                prov.take_proof_opening_response(member.role, self._recv(
-                    prov, member, MT.PROOF_OPENING_RESPONSE))
-            verdicts.append(prov.judge_consistency_proof())
+        self._round(MT.PROOF_OPENING_RESPONSE, [party, garbler])
+        verdicts = [prov.judge_consistency_proof() for prov in self.providers]
         if len({(v.kind, v.blamed) for v in verdicts}) != 1:
             raise ProtocolError("consistency arbitration diverged")
         raise self.cloud.consistency_ruling(verdicts[-1])  # the cloud's
@@ -976,44 +964,22 @@ class Session:
     # -------------------------------------------------------- compute phase
 
     def _compute_phase(self):
-        blobs = {party: party.garbled_blob() for party in self.parties}
         # Both circuits cross before either evaluation starts.
-        self._send(MT.GARBLED_CIRCUIT, self.p1, self.p2, blobs[self.p1])
-        self._send(MT.GARBLED_CIRCUIT, self.p2, self.p1, blobs[self.p2])
-        received = {self.p2: self._recv(self.p2, self.p1, MT.GARBLED_CIRCUIT),
-                    self.p1: self._recv(self.p1, self.p2, MT.GARBLED_CIRCUIT)}
-        for evaluator, producer in ((self.p2, self.p1), (self.p1, self.p2)):
-            evaluator.take_garbled_circuit(producer.role, received[evaluator])
+        self._round(MT.GARBLED_CIRCUIT, self.parties)
 
     # --------------------------------------------------------- output phase
 
     def _output_phase(self) -> SessionResult:
-        self._exchange(MT.OUTPUT_COMMITMENTS, self.parties,
-                       lambda p: p.output_commitments(),
-                       lambda r: r.take_output_commitments)
-        self._exchange(MT.BUNDLE_HASH, self.providers,
-                       lambda p: p.bundle_hash(), lambda r: r.take_bundle_hash,
-                       pool=self.providers)
-        for party in self.parties:
-            for prov in self.providers:
-                self._send(MT.OUTPUT_OPENINGS, party, prov,
-                           party.output_openings(prov.recipient))
-        decisions: dict[str, OutputDecision] = {}
-        complainers = []
-        for prov in self.providers:
-            for party in self.parties:
-                prov.take_output_openings(
-                    party.role, self._recv(prov, party, MT.OUTPUT_OPENINGS))
-            decisions[prov.role.name] = prov.decide()
-            if prov.complains():
-                complainers.append(prov)
+        self._round(MT.OUTPUT_COMMITMENTS, self.parties)
+        self._round(MT.BUNDLE_HASH, self.providers)
+        self._round(MT.OUTPUT_OPENINGS, self.parties)
+        decisions = {prov.role.name: prov.decide() for prov in self.providers}
         spurious: str | None = None
         confirmed = False
-        for prov in complainers:
-            verdicts = self._exchange(MT.FAILURE_PROOF, [prov],
-                                      lambda p: p.failure_proof(),
-                                      lambda r: r.take_failure_proof,
-                                      pool=self.providers)
+        for prov in self.providers:
+            if not prov.complains():
+                continue
+            verdicts = self._round(MT.FAILURE_PROOF, [prov])
             if len(set(verdicts)) != 1:
                 raise ProtocolError("failure-proof arbitration diverged")
             if verdicts[0] == CONFIRMED:

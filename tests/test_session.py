@@ -75,9 +75,7 @@ def test_transcripts_are_deterministic_for_a_seed():
 
 
 def test_session_runs_over_tcp_with_identical_transcript():
-    roles = [M.Role(M.P1), M.Role(M.P2)] + \
-        [M.Role(M.PROVIDER, i) for i in range(len(BIDS))] + [M.Role(M.CLOUD)]
-    tcp = TcpTransport(roles)
+    tcp = TcpTransport(_tcp_roles())
     try:
         over_tcp = run_session(SMALL, BIDS, s=4, seed=9, transport=tcp)
     finally:
@@ -86,6 +84,66 @@ def test_session_runs_over_tcp_with_identical_transcript():
     assert over_tcp.status == "accept"
     assert over_tcp.result == in_proc.result
     assert over_tcp.transcript.signature() == in_proc.transcript.signature()
+
+
+def _tcp_roles():
+    return [M.Role(M.P1), M.Role(M.P2)] + \
+        [M.Role(M.PROVIDER, i) for i in range(len(BIDS))] + [M.Role(M.CLOUD)]
+
+
+@pytest.mark.parametrize("behavior", BEHAVIORS)
+def test_scripted_behaviour_runs_the_same_over_tcp(behavior):
+    tcp = TcpTransport(_tcp_roles())
+    try:
+        over_tcp = run_session(SMALL, BIDS, s=4, seed=3, adversary=behavior,
+                               transport=tcp)
+    finally:
+        tcp.close()
+    in_proc = run_session(SMALL, BIDS, s=4, seed=3, adversary=behavior)
+    assert (over_tcp.status, over_tcp.blamed, over_tcp.reason) == (
+        in_proc.status, in_proc.blamed, in_proc.reason)
+    assert over_tcp.transcript.signature() == in_proc.transcript.signature()
+
+
+class UnreadFrames(InProcessTransport):
+    """Counts the frames sent and not yet received."""
+
+    def __init__(self):
+        super().__init__()
+        self.unread = 0
+
+    def send(self, sender, receiver, frame):
+        self.unread += 1
+        super().send(sender, receiver, frame)
+
+    def recv(self, receiver, sender):
+        frame = super().recv(receiver, sender)
+        self.unread -= 1
+        return frame
+
+
+@pytest.mark.parametrize("adversary", [None] + list(BEHAVIORS))
+def test_every_frame_reaches_the_receivers_flow_lists(adversary):
+    """Each sender's frames of one type go to exactly the roles whose kinds
+    ``FLOW`` lists as receivers of that type, minus the sender. Every frame
+    is read, also in a run that aborts: a round reads all of its frames
+    before any step judges one, so none stays queued ahead of the abort
+    announcement."""
+    transport = UnreadFrames()
+    sess = Session(SMALL, BIDS, s=4, seed=3, adversary=adversary,
+                   transport=transport)
+    res = sess.run()
+    roles = {r.name: r for r in sess.all_roles}
+    sent = {}
+    for e in res.transcript.entries:
+        sent.setdefault((e.sender, e.type), []).append(e.receiver)
+    assert sent
+    for (sender, type_name), receivers in sent.items():
+        _senders, kinds, _phase = M.FLOW[M.MessageType[type_name]]
+        assert sorted(receivers) == sorted(
+            name for name, r in roles.items()
+            if r.kind in kinds and name != sender), (sender, type_name)
+    assert transport.unread == 0
 
 
 def test_one_coin_toss_per_session():
@@ -345,6 +403,27 @@ def test_decoded_values_are_checked_before_use(case, seed):
                       transport=value_fault(mtype, rewrite, *channel))
     assert res.status == "abort"
     assert res.blamed == blamed
+
+
+def _first_entry_repeated(openings):
+    """Provider openings with the first entry of the lowest wire sent
+    twice."""
+    w = min(openings)
+    return {**openings, w: [openings[w][0]] + list(openings[w])}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("mtype,kind", [
+    (M.MessageType.CHECKSET_OPENINGS, "check"),
+    (M.MessageType.EVALSET_OPENINGS, "evaluation")],
+    ids=["CHECKSET_OPENINGS", "EVALSET_OPENINGS"])
+def test_a_repeated_copy_is_refused(mtype, kind, seed):
+    """An opening repeated for one copy covers the challenged copies as a
+    set, but not as a list."""
+    res = run_session(SMALL, BIDS, s=4, seed=seed, transport=value_fault(
+        mtype, _first_entry_repeated, sender="provider:0"))
+    assert (res.status, res.blamed) == ("abort", "provider:0")
+    assert res.reason == f"{kind} openings cover the wrong copies"
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
