@@ -9,9 +9,9 @@ received one and keep it, aborting against the sender when it is wrong.
 ``Session`` drives them through the three phases as a schedule of rounds,
 saying only who sends which message type and in which order; the
 receivers of each type are the ones ``messages.FLOW`` lists. A round sends
-all of its frames before any role receives and reads them all before any
-role checks one; the receivers then check each sender's value in turn,
-so the first to check a bad value is the one that detects it:
+all of its frames before any role receives, then each receiver checks
+each sender's value in turn, so the first role to receive a bad value is
+the one that detects it:
 
 * input: providers broadcast the committed copies of their input-wire
   material; the parties coin-toss one challenge seed, from which every
@@ -819,11 +819,10 @@ class Session:
         its method named after the type) runs once, and its frames go to
         every other role of a kind ``FLOW`` lists as a receiver of the
         type: one broadcast frame, or for a point-to-point type one frame
-        per receiver role. Every frame is sent, then every frame is read,
-        sender by sender, before any receiver's ``take_*`` step judges a
-        value (a role without one drops it), so a step that aborts leaves
-        no frame of the round unread. Returns what the take steps
-        returned, in that order."""
+        per receiver role. Every frame is sent before any is received.
+        Then each receiver reads each sender's value, sender by sender, and
+        hands it to its ``take_*`` step (a role without one drops it).
+        Returns what the take steps returned, in that order."""
         step = step or methodcaller(mtype.name.lower())
         kinds = M.FLOW[mtype][1]
         routes = []
@@ -843,13 +842,13 @@ class Session:
                 self.transcript.add(self._phase, sender.role.name,
                                     r.role.name, mtype.name, len(data))
             routes.append((sender, receivers))
-        received = [(r, sender, self._recv(r, sender, mtype))
-                    for sender, receivers in routes for r in receivers]
         results = []
-        for r, sender, value in received:
-            take = getattr(r, f"take_{mtype.name.lower()}", None)
-            if take is not None:
-                results.append(take(sender.role, value))
+        for sender, receivers in routes:
+            for r in receivers:
+                value = self._recv(r, sender, mtype)
+                take = getattr(r, f"take_{mtype.name.lower()}", None)
+                if take is not None:
+                    results.append(take(sender.role, value))
         return results
 
     def _frame(self, mtype: MT, sender: Participant, value) -> bytes:
