@@ -27,22 +27,20 @@ from .auction import (AuctionConfig, AuctionResult, build_auction_circuit,
 from .circuits import (AND, NOT, OR, XOR, Circuit, eval_plain, from_netlist,
                        to_netlist)
 from .commitments import Commitment, Opening, commit, open_commitment
-from .consistency import (CommitmentSetPair, ConsistencyProof, HashTuple,
-                          ProofVerdict, WireMaterial, coin_toss_commit,
-                          coin_toss_open, combine_challenge,
-                          generate_input_material,
+from .consistency import (CommitmentSetPair, HashTuple, ProofVerdict,
+                          WireMaterial, coin_toss_commit, coin_toss_open,
+                          combine_challenge, generate_input_material,
                           verify_check_failure_claim, verify_consistency_proof)
 from .errors import (CoinTossCheatError, DecodeError, DualGCError,
                      EncodingCoverageError, EvaluationError, FramingError,
-                     GadgetWidthError, InputShapeError, OpeningError,
-                     ProtocolError, TransportError, TransportTimeout,
-                     UsageError, WidthError)
+                     InputShapeError, OpeningError, ProtocolError,
+                     TransportError, TransportTimeout, UsageError, WidthError)
 from .garbling import (Encoding, GarbledCircuit, decode, evaluate, garble,
                        gate_rows, parse_tables_blob, random_input_encodings,
                        select_labels, tabled_gates)
 from .messages import MessageType, Role, audit_flow_table
-from .outputs import (FailureProof, OutputCommitments, OutputDecision,
-                      OutputOpenings, verify_failure_proof, verify_output)
+from .outputs import (OutputCommitments, OutputDecision, OutputOpenings,
+                      verify_failure_proof, verify_output)
 from .session import (AdversaryScript, Session, SessionResult, Transcript,
                       run_session)
 from .transport import InProcessTransport, TcpTransport, Transport
@@ -53,9 +51,8 @@ __all__ = [
     "AND", "NOT", "OR", "XOR",
     "AdversaryScript", "AuctionConfig", "AuctionResult", "Circuit",
     "Commitment", "CommitmentSetPair", "CoinTossCheatError",
-    "ConsistencyProof", "DecodeError", "DualGCError", "Encoding",
-    "EncodingCoverageError", "EvaluationError", "FailureProof",
-    "FramingError", "GadgetWidthError", "GarbledCircuit", "HashTuple",
+    "DecodeError", "DualGCError", "Encoding", "EncodingCoverageError",
+    "EvaluationError", "FramingError", "GarbledCircuit", "HashTuple",
     "InProcessTransport", "InputShapeError", "MessageType", "Opening",
     "OpeningError", "OutputCommitments", "OutputDecision", "OutputOpenings",
     "ProofVerdict", "ProtocolError", "Role", "Session", "SessionResult",

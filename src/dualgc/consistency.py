@@ -377,72 +377,50 @@ def label_check_passes(own_cross_aggregate: bytes, other: HashTuple) -> bool:
     return own_cross_aggregate in other.h_pair
 
 
-@dataclass(frozen=True)
-class ConsistencyProof:
-    """A party's public evidence that a wire failed the hash comparison."""
-
-    provider: int
-    wire: int
-    h_triple: tuple[bytes, bytes, bytes]
-    c_triple: tuple[Commitment, Commitment, Commitment]
-
-
-def issue_consistency_proof(provider: int, wire: int, other: HashTuple,
-                            own_cross_aggregate: bytes,
-                            own_c_cross: Commitment) -> ConsistencyProof:
-    return ConsistencyProof(
-        provider=provider, wire=wire,
-        h_triple=(other.h_pair[0], other.h_pair[1], own_cross_aggregate),
-        c_triple=(other.c_pair[0], other.c_pair[1], own_c_cross))
-
-
-def _parse_hash_list(opening: Opening, party) -> list[bytes]:
+def _opened_hash_list(com: Commitment, opening: Opening, copies: int,
+                      party) -> list[bytes]:
+    """The hash list ``opening`` reveals: it must open ``com`` to one hash
+    per evaluation copy, or the ``OpeningError`` blames ``party``."""
+    if not open_commitment(com, opening):
+        raise OpeningError("hash-list opening does not match the broadcast "
+                           "commitment", party=party)
     try:
         body = opened_body(TAG_LABEL_HASH, opening)
     except ValueError:
         raise OpeningError("malformed hash-list opening", party=party)
-    if not body or len(body) % 32:
-        raise OpeningError("hash list must be whole 32-byte entries", party=party)
+    if len(body) != 32 * copies:
+        raise OpeningError("hash list must hold one hash per evaluation copy",
+                           party=party)
     return [body[i:i + 32] for i in range(0, len(body), 32)]
 
 
-def verify_consistency_proof(proof: ConsistencyProof, complainer, garbler,
-                             provider, complainer_tuple: HashTuple,
+def verify_consistency_proof(complainer, garbler, provider,
+                             complainer_tuple: HashTuple,
                              garbler_tuple: HashTuple, pair_openings,
-                             cross_opening: Opening) -> ProofVerdict:
-    """A provider's arbitration of a hash-comparison failure proof.
+                             cross_opening: Opening,
+                             copies: int) -> ProofVerdict:
+    """A provider's arbitration of a failed hash comparison on one wire.
 
-    ``garbler`` is the party whose broadcast pair the proof questions;
-    ``complainer`` issued the proof; ``provider`` owns the proof's wire.
-    The openings come from the parties on request. The verdict either
-    confirms the provider cheated, rejects the proof (a false alarm is the
-    complainer's fault), or catches a party presenting data inconsistent
-    with the broadcast transcript; it, or the ``OpeningError``, blames one
-    of the three as given.
+    ``complainer`` named the wire, ``garbler`` is the other party and
+    ``provider`` owns the wire, whose evaluation-copy count is ``copies``.
+    The complainer opened the cross commitment of its broadcast tuple, the
+    garbler the pair commitments of its own. The complainer's list is
+    checked first, so a complainer that sent this provider a proof for
+    another wire fails its own opening here; its aggregate must miss the
+    garbler's broadcast hashes, or the complaint was false. Then each of
+    the garbler's lists must match the hash it stands behind, or the
+    garbler lied. Otherwise the two circuits received inconsistent labels
+    from the provider. The verdict, or the ``OpeningError``, blames one of
+    the three as given. Each opened list must hold one hash per evaluation
+    copy, or the ``OpeningError`` blames its owner.
     """
-    stated = proof.h_triple
-    if stated[2] in (stated[0], stated[1]):
+    cross = _opened_hash_list(complainer_tuple.c_cross, cross_opening,
+                              copies, complainer)
+    if label_check_passes(_xor_all(cross), garbler_tuple):
         return ProofVerdict(VERDICT_PROOF_INVALID, complainer)
-    if (proof.c_triple[:2] != garbler_tuple.c_pair
-            or stated[:2] != garbler_tuple.h_pair
-            or proof.c_triple[2] != complainer_tuple.c_cross):
-        return ProofVerdict(VERDICT_CHEATING_PARTY, complainer)
-    for com, opening, party in ((proof.c_triple[0], pair_openings[0], garbler),
-                                (proof.c_triple[1], pair_openings[1], garbler),
-                                (proof.c_triple[2], cross_opening, complainer)):
-        if not open_commitment(com, opening):
-            raise OpeningError("hash-list opening does not match the "
-                               "broadcast commitment", party=party)
-    lists = [_parse_hash_list(pair_openings[0], garbler),
-             _parse_hash_list(pair_openings[1], garbler),
-             _parse_hash_list(cross_opening, complainer)]
-    if len({len(lst) for lst in lists}) != 1:
-        return ProofVerdict(VERDICT_CHEATING_PARTY, garbler)
-    for lst, expect, party in zip(lists, stated, (garbler, garbler, complainer)):
-        if _xor_all(lst) != expect:
-            return ProofVerdict(VERDICT_CHEATING_PARTY, party)
-    cross = lists[2]
-    if all(h == g for h, g in zip(cross, lists[0])) or \
-            all(h == g for h, g in zip(cross, lists[1])):
-        return ProofVerdict(VERDICT_PROOF_INVALID, complainer)
+    for com, opening, stated in zip(garbler_tuple.c_pair, pair_openings,
+                                    garbler_tuple.h_pair):
+        if _xor_all(_opened_hash_list(com, opening, copies,
+                                      garbler)) != stated:
+            return ProofVerdict(VERDICT_CHEATING_PARTY, garbler)
     return ProofVerdict(VERDICT_CHEATING_PROVIDER, provider)

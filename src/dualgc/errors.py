@@ -9,10 +9,6 @@ class InputShapeError(DualGCError):
     """An input bit vector does not match the circuit's input map."""
 
 
-class GadgetWidthError(DualGCError):
-    """A gadget was requested with an unsupported operand width."""
-
-
 class EncodingCoverageError(DualGCError):
     """Garbling was asked to run without an encoding for every input wire."""
 

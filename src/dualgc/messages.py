@@ -6,15 +6,23 @@ payload is the sender's role tag (kind byte + 2-byte index) followed by the
 message body. ``encode_frame``/``decode_frame`` are this raw frame layer.
 
 ``SCHEMAS`` is the wire specification of every body: one codec per message
-type, composed from field codecs. Integers are big-endian ``u8``/``u16``/
-``u32``; ``raw(n)`` is n bytes; commitments are their 32-byte digests;
-``text`` is a u32 length and UTF-8 bytes, an opening a u32 length, the
-message and 16 bytes of randomness; ``listof`` is a count and the items,
-``wire_map`` a u32 count and (u32 wire, value) pairs in ascending wire
-order; ``record`` a dataclass's fields in declaration order.
-``encode_body``/``decode_body`` run a schema; decoding refuses a truncated
-body, trailing bytes or non-UTF-8 text with ``FramingError``, alike for
-every type.
+type, composed from field codecs. Integers are big-endian ``u16``/``u32``;
+``raw(n)`` is n bytes; commitments are their 32-byte digests; ``text`` is
+a u32 length and UTF-8 bytes, an opening a u32 length, the message and 16
+bytes of randomness; ``listof`` is a u32 count and the items; ``record``
+a dataclass's fields in declaration order. ``encode_body``/``decode_body``
+run a schema; decoding refuses a truncated body, trailing bytes or
+non-UTF-8 text with ``FramingError``, alike for every type.
+
+A body carries only what its receiver cannot derive. Lists are positional
+in an order fixed by the public parameters (the input and output maps,
+the copy count ``s`` and the challenge), behind one u32 count, so a body
+decodes without context and the receiver checks the count against what
+it expects. Only a claim's wire and copy and a proof's wire are named.
+``PROOF_OPENING_REQUEST`` has no schema and no flow: it is never sent, and
+a frame of that type is refused like any unexpected type. It stays a
+member so that no type is renumbered and per-type metrics keep their
+names.
 
 ``FLOW`` declares, for each message type, which role kinds may send it, who
 receives it, and the protocol phase it belongs to. It routes every frame:
@@ -37,9 +45,9 @@ from functools import partial
 from operator import attrgetter, methodcaller
 
 from .commitments import DIGEST_BYTES, NONCE_BYTES, Commitment, Opening
-from .consistency import CommitmentSetPair, ConsistencyProof, HashTuple
+from .consistency import CommitmentSetPair, HashTuple
 from .errors import FramingError, ProtocolError
-from .outputs import FailureProof, OutputOpenings
+from .outputs import OutputOpenings
 
 HEADER_BYTES = 13  # length + type + session id
 ROLE_PREFIX_BYTES = 3
@@ -87,7 +95,7 @@ class MessageType(enum.IntEnum):
     EVALSET_OPENINGS = 5
     HASH_TUPLE = 6
     CONSISTENCY_PROOF = 7
-    PROOF_OPENING_REQUEST = 8
+    PROOF_OPENING_REQUEST = 8  # retired: never sent
     PROOF_OPENING_RESPONSE = 9
     GARBLED_CIRCUIT = 10
     OUTPUT_COMMITMENTS = 11
@@ -117,7 +125,6 @@ FLOW: dict[MessageType, tuple[frozenset, frozenset, str]] = {
     MessageType.EVALSET_OPENINGS: (_PROVIDERS, _PARTIES, PHASE_INPUT),
     MessageType.HASH_TUPLE: (_PARTIES, _EVERYONE, PHASE_INPUT),
     MessageType.CONSISTENCY_PROOF: (_PARTIES, _EVERYONE, PHASE_INPUT),
-    MessageType.PROOF_OPENING_REQUEST: (_PROVIDERS, _PARTIES, PHASE_INPUT),
     MessageType.PROOF_OPENING_RESPONSE: (_PARTIES, _PROVIDERS, PHASE_INPUT),
     MessageType.CHECK_FAILURE_CLAIM: (_PARTIES, _EVERYONE, PHASE_INPUT),
     MessageType.GARBLED_CIRCUIT: (_PARTIES, _PARTIES, PHASE_COMPUTE),
@@ -131,7 +138,6 @@ FLOW: dict[MessageType, tuple[frozenset, frozenset, str]] = {
 # Types whose sender gives each receiver its own value; every other type is
 # one body broadcast to all of its receivers.
 POINT_TO_POINT = frozenset({MessageType.EVALSET_OPENINGS,
-                            MessageType.PROOF_OPENING_REQUEST,
                             MessageType.OUTPUT_OPENINGS})
 
 
@@ -208,7 +214,7 @@ def _uint(n: int) -> Codec:
                   partial(int.from_bytes, byteorder="big"))
 
 
-u8, u16, u32 = _uint(1), _uint(2), _uint(4)
+u16, u32 = _uint(2), _uint(4)
 
 
 def raw(n: int) -> Codec:
@@ -313,9 +319,9 @@ def record(cls, **fields: Codec) -> Codec:
     return Codec(write, read)
 
 
-def listof(count: Codec, item: Codec) -> Codec:
-    """A count, then that many items; decodes to a list."""
-    write_count, read_count = count
+def listof(item: Codec) -> Codec:
+    """A u32 count, then that many items; decodes to a list."""
+    write_count, read_count = u32
     write_item, read_item = item
 
     def write(out, values):
@@ -334,82 +340,41 @@ def listof(count: Codec, item: Codec) -> Codec:
     return Codec(write, read)
 
 
-def wire_map(value: Codec) -> Codec:
-    """``{wire id: value}``: a u32 count, then u32 wire id and value pairs in
-    ascending wire order."""
-    write_value, read_value, read_u32 = value.write, value.read, u32.read
-
-    def write(out, mapping):
-        out.append(len(mapping).to_bytes(4, "big"))
-        for wire in sorted(mapping):
-            out.append(wire.to_bytes(4, "big"))
-            write_value(out, mapping[wire])
-
-    def read(data, off):
-        n, off = read_u32(data, off)
-        out = {}
-        for _ in range(n):
-            wire, off = read_u32(data, off)
-            out[wire], off = read_value(data, off)
-        return out, off
-
-    return Codec(write, read)
-
-
-def one_of(field: Codec, allowed: tuple) -> Codec:
-    """``field``, refused on decode unless its value is in ``allowed``."""
-    def read(data, off):
-        value, off = field.read(data, off)
-        if value not in allowed:
-            raise ProtocolError(f"unexpected field value {value}")
-        return value, off
-
-    return Codec(field.write, read)
-
-
 # --- message schemas ---------------------------------------------------------
-
-OPEN_PAIR = 0
-OPEN_CROSS = 1
 
 # The wire specification of every message body, and its decoded value.
 SCHEMAS: dict[MessageType, Codec] = {
-    # {wire: [CommitmentSetPair per copy]}
-    MessageType.INPUT_COMMITMENTS: wire_map(listof(u16, record(
+    # CommitmentSetPairs: s per wire, in the sender's input-map order
+    MessageType.INPUT_COMMITMENTS: listof(record(
         CommitmentSetPair, w=array(2, commitment),
-        w_prime=array(2, commitment), position=commitment))),
+        w_prime=array(2, commitment), position=commitment)),
     MessageType.COIN_COMMIT: commitment,
     MessageType.COIN_REVEAL: opening,
-    # {wire: [(copy, four check-set openings)]}
-    MessageType.CHECKSET_OPENINGS: wire_map(listof(u16, seq(
-        u16, array(4, opening)))),
-    # {wire: [(copy, position opening, input-set opening)]}
-    MessageType.EVALSET_OPENINGS: wire_map(listof(u16, seq(
-        u16, opening, opening))),
-    MessageType.HASH_TUPLE: wire_map(record(
+    # four input-set openings per check copy, by wire, then by copy
+    MessageType.CHECKSET_OPENINGS: listof(array(4, opening)),
+    # (position opening, input-set opening) per evaluation copy, by wire,
+    # then by copy
+    MessageType.EVALSET_OPENINGS: listof(seq(opening, opening)),
+    # one tuple per input wire, in ascending wire order
+    MessageType.HASH_TUPLE: listof(record(
         HashTuple, h_pair=array(2, raw(32)), c_pair=array(2, commitment),
         c_cross=commitment)),
-    MessageType.CONSISTENCY_PROOF: record(
-        ConsistencyProof, provider=u16, wire=u32, h_triple=array(3, raw(32)),
-        c_triple=array(3, commitment)),
-    # (wire, OPEN_PAIR or OPEN_CROSS)
-    MessageType.PROOF_OPENING_REQUEST: seq(
-        u32, one_of(u8, (OPEN_PAIR, OPEN_CROSS))),
-    # (wire, which, [openings])
-    MessageType.PROOF_OPENING_RESPONSE: seq(u32, u8, listof(u8, opening)),
-    # (provider index, wire, copy, the copy's four check-set openings)
-    MessageType.CHECK_FAILURE_CLAIM: seq(u16, u32, u16, array(4, opening)),
+    # the wire whose hash comparison failed
+    MessageType.CONSISTENCY_PROOF: u32,
+    # the complainer's cross opening, or the garbler's two pair openings
+    MessageType.PROOF_OPENING_RESPONSE: listof(opening),
+    # (wire, copy, the copy's four check-set openings)
+    MessageType.CHECK_FAILURE_CLAIM: seq(u32, u16, array(4, opening)),
     # the tables blob, checked by garbling.parse_tables_blob
     MessageType.GARBLED_CIRCUIT: rest,
-    # [(recipient, encoding commitment, label commitment)]
-    MessageType.OUTPUT_COMMITMENTS: listof(u16, seq(
-        u16, commitment, commitment)),
-    # (recipient, encoding opening, label opening)
-    MessageType.OUTPUT_OPENINGS: seq(u16, opening, opening),
+    # (encoding, label) commitments per recipient, in recipient order
+    MessageType.OUTPUT_COMMITMENTS: listof(seq(commitment, commitment)),
+    # the receiver's (encoding opening, label opening)
+    MessageType.OUTPUT_OPENINGS: seq(opening, opening),
     MessageType.BUNDLE_HASH: raw(32),
+    # the four openings of the sender's own bundle
     MessageType.FAILURE_PROOF: record(
-        FailureProof, recipient=u16, openings=record(
-            OutputOpenings, e1=opening, o1=opening, e2=opening, o2=opening)),
+        OutputOpenings, e1=opening, o1=opening, e2=opening, o2=opening),
     # (blamed role or None, reason)
     MessageType.ABORT: seq(role_or_none, text),
 }

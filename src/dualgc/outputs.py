@@ -68,12 +68,6 @@ class OutputDecision:
     blamed: object = None  # party1 or party2 of verify_output
 
 
-@dataclass(frozen=True)
-class FailureProof:
-    recipient: int
-    openings: OutputOpenings
-
-
 def commit_output_encodings(rng: random.Random, encodings) -> tuple[Commitment, Opening]:
     body = b"".join(e.zero + e.one for e in encodings)
     return tagged_commit(TAG_OUTPUT_ENCODING, body, rng.randbytes(NONCE_BYTES))
@@ -151,11 +145,11 @@ def verify_output(coms: OutputCommitments, ops: OutputOpenings, wires: int,
     return OutputDecision(ACCEPT, value=tuple(y1))
 
 
-def verify_failure_proof(coms: OutputCommitments, proof: FailureProof,
+def verify_failure_proof(coms: OutputCommitments, ops: OutputOpenings,
                          wires: int) -> str:
-    """Arbitrate a rejection: CONFIRMED discards the result everywhere,
-    SPURIOUS flags the complainer and lets everyone else accept."""
-    ops = proof.openings
+    """Arbitrate a rejection, proven by the complainer's four openings of
+    its bundle ``coms``: CONFIRMED discards the result everywhere, SPURIOUS
+    flags the complainer and lets everyone else accept."""
     for com, op in ((coms.e1, ops.e1), (coms.o1, ops.o1),
                     (coms.e2, ops.e2), (coms.o2, ops.o2)):
         if not open_commitment(com, op):

@@ -11,14 +11,18 @@ saying only who sends which message type and in which order; the
 receivers of each type are the ones ``messages.FLOW`` lists. A round sends
 all of its frames before any role receives, then each receiver checks
 each sender's value in turn, so the first role to receive a bad value is
-the one that detects it:
+the one that detects it. Bodies name nothing a receiver can derive: each
+list is positional, and its count is checked against the input map,
+``s``, the challenge or the output map, so a wrong list is short, long,
+or fails an opening, and any of these blames its sender:
 
 * input: providers broadcast the committed copies of their input-wire
   material; the parties coin-toss one challenge seed, from which every
   role derives each wire's challenge string, verify the opened check
   copies, and derive their final input encodings and cross labels from
   the evaluation copies, confirming agreement via the broadcast hash
-  tuples.
+  tuples. A consistency proof names a wire; the complainer opens its
+  cross hash list of it, the other party its pair; providers rule.
 * compute: both garbled circuits are exchanged in one round (so both are
   sent before either side evaluates) and evaluated on the cross labels.
 * output: both parties commit to output encodings and evaluated labels
@@ -53,7 +57,6 @@ from .auction import (
 )
 from .commitments import Opening
 from .consistency import (
-    ConsistencyProof,
     VERDICT_CHEATING_PARTY,
     VERDICT_CHEATING_PROVIDER,
     check_pair_construction,
@@ -64,7 +67,6 @@ from .consistency import (
     evaluate_final_labels,
     generate_cheating_material,
     generate_input_material,
-    issue_consistency_proof,
     label_check_passes,
     make_hash_tuple,
     open_eval_triple,
@@ -88,7 +90,6 @@ from .outputs import (
     BLAME,
     CONFIRMED,
     REJECT,
-    FailureProof,
     OutputCommitments,
     OutputDecision,
     OutputOpenings,
@@ -245,13 +246,15 @@ def _recipient(role: M.Role, circuit) -> int:
 
 class Participant:
     """What every role keeps: the input commitments, the challenge seed
-    shares and the challenges.
+    shares, the challenges and the parties' hash tuples.
 
     A ``<message type>`` step builds the value the role sends: one value,
     or for a point-to-point type one per receiver role. A ``take_<message
     type>`` step checks a value received from ``sender`` and keeps what it
     needs, or raises an abort blaming ``sender``; a role without one reads
-    the value and drops it.
+    the value and drops it. A list body is positional: its count is
+    checked against the public parameters, and each entry belongs to the
+    place it holds.
     """
 
     def __init__(self, role: M.Role, rng: random.Random, circuit, s: int):
@@ -261,13 +264,21 @@ class Participant:
         self.coin_commits = {}  # party Role -> Commitment
         self.shares = {}        # party Role -> seed share
         self.rho = {}           # wire -> tuple[int, ...]
+        self.tuples_of = {}     # party Role -> {wire: HashTuple} received
+
+    def copies(self, provider: int, checked: bool) -> list:
+        """(wire, copy) of a provider's check or evaluation copies, by wire,
+        then by copy: the order of its opening lists."""
+        return [(w, j) for w in self.circuit.input_map[provider]
+                for j in range(self.s) if self.rho[w][j] == checked]
 
     def take_input_commitments(self, sender: M.Role, got):
-        if (set(got) != set(self.circuit.input_map[sender.index])
-                or any(len(pairs) != self.s for pairs in got.values())):
-            raise _Abort(self.role, sender, "malformed input commitments")
-        self.pairs.update(got)
-        for w in got:
+        wires = self.circuit.input_map[sender.index]
+        if len(got) != len(wires) * self.s:
+            raise _Abort(self.role, sender,
+                         "input commitments hold the wrong number of copies")
+        for k, w in enumerate(wires):
+            self.pairs[w] = got[k * self.s:(k + 1) * self.s]
             self.wire_owner[w] = sender
 
     def take_coin_commit(self, sender: M.Role, com):
@@ -287,17 +298,18 @@ class Participant:
                 self.rho[w] = tuple(combine_challenge(*held, w, self.s))
 
     def take_hash_tuple(self, sender: M.Role, got):
-        if set(got) != set(self.circuit.input_wires):
+        wires = sorted(self.circuit.input_wires)
+        if len(got) != len(wires):
             raise _Abort(self.role, sender, "hash tuples cover the wrong wires")
+        self.tuples_of[sender] = dict(zip(wires, got))
 
-    def take_consistency_proof(self, sender: M.Role, proof):
-        owner = self.wire_owner.get(proof.wire)
-        if owner is None or owner.index != proof.provider:
-            raise _Abort(self.role, sender, "consistency proof names no "
-                         "input wire of that provider")
+    def take_consistency_proof(self, sender: M.Role, wire):
+        if wire not in self.wire_owner:
+            raise _Abort(self.role, sender,
+                         "consistency proof names no input wire")
 
     def take_output_commitments(self, sender: M.Role, got):
-        if [u for u, _e, _l in got] != list(range(len(self.circuit.output_map))):
+        if len(got) != len(self.circuit.output_map):
             raise _Abort(self.role, sender,
                          "output commitments cover the wrong recipients")
 
@@ -318,8 +330,7 @@ class Party(Participant):
         self.cross_label = {}    # wire -> other-circuit label
         self.tuples = {}         # own broadcast HashTuple per wire
         self.tuple_secrets = {}
-        self.other_tuples = {}
-        self.dispute = None      # (wire, which) it must open
+        self.to_open = ()        # hash-list openings a dispute asks for
         self.gc = None           # own garbled circuit
         self.eval_labels = None  # other circuit's output labels
         self.out_openings = {}   # recipient -> (enc, labels)
@@ -333,101 +344,73 @@ class Party(Participant):
         return self.coin_opening
 
     def take_checkset_openings(self, sender: M.Role, got):
-        if set(got) != set(self.circuit.input_map[sender.index]):
+        copies = self.copies(sender.index, checked=True)
+        if len(got) != len(copies):
             raise _Abort(self.role, sender,
-                         "check openings cover the wrong wires")
-        for w in sorted(got):
-            expect = [j for j in range(self.s) if self.rho[w][j]]
-            if sorted(j for j, _ in got[w]) != expect:
-                raise _Abort(self.role, sender,
-                             "check openings cover the wrong copies")
-            for j, openings in got[w]:
-                self.stashed_check[(w, j)] = openings
-                if check_pair_construction(self.pairs[w][j], openings):
-                    self.failures.append((sender.index, w, j, openings))
+                         "check openings cover the wrong copies")
+        for (w, j), openings in zip(copies, got):
+            self.stashed_check[(w, j)] = openings
+            if check_pair_construction(self.pairs[w][j], openings):
+                self.failures.append((w, j, openings))
 
     def check_failure_claim(self):
-        """The CHECK_FAILURE_CLAIM (provider index, wire, copy, openings)
-        for the first failure this party found, if any."""
+        """The CHECK_FAILURE_CLAIM (wire, copy, openings) for the first
+        failure this party found, if any."""
         return self.failures[0] if self.failures else None
 
     def take_evalset_openings(self, sender: M.Role, got):
-        if set(got) != set(self.circuit.input_map[sender.index]):
+        copies = self.copies(sender.index, checked=False)
+        if len(got) != len(copies):
             raise _Abort(self.role, sender,
-                         "evaluation openings cover the wrong wires")
-        for w in sorted(got):
-            expect = [j for j in range(self.s) if not self.rho[w][j]]
-            entries = sorted(got[w])
-            if [j for j, _p, _o in entries] != expect:
-                raise _Abort(self.role, sender,
-                             "evaluation openings cover the wrong copies")
-            triples = []
-            for j, pos_op, set_op in entries:
-                pair = self.pairs[w][j]
-                pos = open_position(pair, pos_op)
-                if pos is None:
-                    raise _Abort(self.role, sender, f"position opening "
-                                 f"failed on wire {w} copy {j}")
-                triple = open_eval_triple(pair, pos, self.slot, set_op)
-                if triple is None:
-                    raise _Abort(self.role, sender, f"input-set opening "
-                                 f"failed on wire {w} copy {j}")
-                triples.append(triple)
-            self.triples[w] = triples
-            enc, cross = evaluate_final_labels(triples)
+                         "evaluation openings cover the wrong copies")
+        for (w, j), (pos_op, set_op) in zip(copies, got):
+            pair = self.pairs[w][j]
+            pos = open_position(pair, pos_op)
+            if pos is None:
+                raise _Abort(self.role, sender, f"position opening "
+                             f"failed on wire {w} copy {j}")
+            triple = open_eval_triple(pair, pos, self.slot, set_op)
+            if triple is None:
+                raise _Abort(self.role, sender, f"input-set opening "
+                             f"failed on wire {w} copy {j}")
+            self.triples.setdefault(w, []).append(triple)
+        for w in self.circuit.input_map[sender.index]:
+            enc, cross = evaluate_final_labels(self.triples[w])
             if enc.zero == enc.one:
                 raise _Abort(self.role, sender,
                              f"wire {w} final encoding is degenerate")
             self.final_enc[w] = enc
             self.cross_label[w] = cross
 
-    def hash_tuple(self) -> dict:
+    def hash_tuple(self) -> list:
         for w in sorted(self.triples):
             tup, secret = make_hash_tuple(self.rng, self.triples[w])
             self.tuples[w] = tup
             self.tuple_secrets[w] = secret
-        return dict(self.tuples)
+        return [self.tuples[w] for w in sorted(self.tuples)]
 
-    def take_hash_tuple(self, sender, got):
-        super().take_hash_tuple(sender, got)
-        self.other_tuples = got
+    def consistency_complaint(self) -> int | None:
+        """The first wire whose cross labels fail the other party's hash
+        tuple, if any."""
+        other = self.tuples_of[_other_party(self.role)]
+        return next((w for w in sorted(self.triples) if not label_check_passes(
+            cross_hash_aggregate(self.triples[w]), other[w])), None)
 
-    def consistency_complaint(self) -> ConsistencyProof | None:
-        """A proof for the first wire whose cross labels fail the other
-        party's hash tuple, if any."""
-        for w in sorted(self.triples):
-            agg = cross_hash_aggregate(self.triples[w])
-            if not label_check_passes(agg, self.other_tuples[w]):
-                return issue_consistency_proof(
-                    self.wire_owner[w].index, w, self.other_tuples[w], agg,
-                    self.tuples[w].c_cross)
-        return None
-
-    def consistency_proof(self) -> ConsistencyProof | None:
-        """The complaint to broadcast, if any; this party must then open
+    def consistency_proof(self) -> int | None:
+        """The wire to complain about, if any; this party must then open
         its cross commitment of that wire."""
-        proof = self.consistency_complaint()
-        if proof is not None:
-            self.dispute = (proof.wire, M.OPEN_CROSS)
-        return proof
+        wire = self.consistency_complaint()
+        if wire is not None:
+            self.to_open = self.tuple_secrets[wire].openings[2:]
+        return wire
 
-    def take_consistency_proof(self, sender, proof):
-        super().take_consistency_proof(sender, proof)
-        self.dispute = (proof.wire, M.OPEN_PAIR)
+    def take_consistency_proof(self, sender, wire):
+        """The garbler must open its pair commitments of the wire."""
+        super().take_consistency_proof(sender, wire)
+        self.to_open = self.tuple_secrets[wire].openings[:2]
 
-    def take_proof_opening_request(self, sender: M.Role, request):
-        if request != self.dispute:
-            raise _Abort(self.role, sender,
-                         "proof opening request does not match the proof")
-
-    def proof_opening_response(self):
-        """The complainer opens its cross commitment of the wire it
-        complained about, the garbler its pair commitments of the wire in
-        the proof it received."""
-        w, which = self.dispute
-        openings = self.tuple_secrets[w].openings
-        return (w, which,
-                openings[:2] if which == M.OPEN_PAIR else openings[2:])
+    def proof_opening_response(self) -> list:
+        return list(self.to_open)
 
     def garbled_circuit(self) -> bytes:
         self.gc = garble(self.circuit, self.final_enc,
@@ -455,15 +438,15 @@ class Party(Participant):
             enc_com, enc_op = commit_output_encodings(self.rng, encs)
             lab_com, lab_op = commit_output_labels(self.rng, labels[u])
             self.out_openings[u] = (enc_op, lab_op)
-            entries.append((u, enc_com, lab_com))
+            entries.append((enc_com, lab_com))
         return entries
 
     def output_openings(self) -> dict:
-        """(recipient, encoding opening, label opening) per provider role:
-        bidder ``u`` receives output group ``u``, the cloud the last."""
+        """(encoding opening, label opening) per provider role: bidder
+        ``u`` receives output group ``u``, the cloud the last."""
         roles = [M.Role(M.PROVIDER, u)
                  for u in range(len(self.circuit.input_map))]
-        return {role: (u,) + self.out_openings[u]
+        return {role: self.out_openings[u]
                 for u, role in enumerate(roles + [M.Role(M.CLOUD)])}
 
 
@@ -481,10 +464,9 @@ class Provider(Participant):
         self.x_bits = dict(zip(self.wires, bits))
         self.material = {}        # wire -> WireMaterial
         self.claim = None         # the CHECK_FAILURE_CLAIM received
-        self.party_tuples = {}    # party name -> {wire: HashTuple}
-        self.dispute = None       # (complainer, CONSISTENCY_PROOF received)
-        self.proof_openings = {}  # OPEN_PAIR / OPEN_CROSS -> openings
-        self.out_coms = {}        # party name -> {u: (enc, labels)}
+        self.dispute = None       # (complainer, wire) of the proof received
+        self.proof_openings = {}  # party Role -> hash-list openings
+        self.out_coms = {}        # party name -> [(enc, labels)] by recipient
         self.bundles = {}         # recipient -> OutputCommitments
         self.digest = b""
         self.opened = {}          # party Role -> (enc, labels) openings
@@ -494,41 +476,39 @@ class Provider(Participant):
     def make_material(self, w: int):
         return generate_input_material(self.rng, self.x_bits[w], self.s)
 
-    def input_commitments(self) -> dict:
+    def input_commitments(self) -> list:
         for w in self.wires:
             material = self.material[w] = self.make_material(w)
             self.pairs[w] = material.pairs()
             self.wire_owner[w] = self.role
-        return {w: self.pairs[w] for w in self.wires}
+        return [pair for w in self.wires for pair in self.pairs[w]]
 
-    def checkset_openings(self) -> dict:
-        return {w: [(j, self.material[w].check_openings(j))
-                    for j in range(self.s) if self.rho[w][j]]
-                for w in self.wires}
+    def checkset_openings(self) -> list:
+        return [self.material[w].check_openings(j)
+                for w, j in self.copies(self.index, checked=True)]
 
     def evalset_openings(self) -> dict:
         """Per party role, each evaluation copy's position opening and the
         party's commitment of the selected input set."""
         def entry(w, j, slot):
             pos_op, *chosen = self.material[w].eval_openings(j)
-            return (j, pos_op, chosen[slot])
-        return {party: {w: [entry(w, j, slot) for j in range(self.s)
-                            if not self.rho[w][j]] for w in self.wires}
+            return (pos_op, chosen[slot])
+        copies = self.copies(self.index, checked=False)
+        return {party: [entry(w, j, slot) for w, j in copies]
                 for slot, party in enumerate((_P1, _P2))}
 
     def take_check_failure_claim(self, sender: M.Role, claim):
         """The construction fault the claim proves, or None."""
-        prov, wire, copy, openings = claim
+        wire, copy, openings = claim
         if (wire not in self.pairs or not 0 <= copy < self.s
-                or not self.rho[wire][copy]
-                or self.wire_owner[wire].index != prov):
+                or not self.rho[wire][copy]):
             raise _Abort(self.role, sender,
                          "check-failure claim names no check copy")
         self.claim = claim
         return verify_check_failure_claim(self.pairs[wire][copy], openings)
 
     def check_claim_ruling(self, claimant: M.Role, fault) -> _Abort:
-        _prov, wire, copy, _openings = self.claim
+        wire, copy, _openings = self.claim
         if fault is not None:
             return _Abort(self.role, self.wire_owner[wire],
                           f"check copy {copy} of wire {wire} failed "
@@ -536,51 +516,38 @@ class Provider(Participant):
         return _Abort(self.role, claimant, "check-failure claim did not "
                       "verify; the claim was fabricated")
 
-    def take_hash_tuple(self, sender, got):
-        super().take_hash_tuple(sender, got)
-        self.party_tuples[sender.name] = got
-
-    def take_consistency_proof(self, sender, proof):
-        super().take_consistency_proof(sender, proof)
-        self.dispute = (sender, proof)
-
-    def proof_opening_request(self) -> dict:
-        return {party: self._requested(party) for party in (_P1, _P2)}
-
-    def _requested(self, party: M.Role):
-        """The garbler opens its two pair commitments, the complainer its
-        cross commitment."""
-        complainer, proof = self.dispute
-        return (proof.wire,
-                M.OPEN_CROSS if party == complainer else M.OPEN_PAIR)
+    def take_consistency_proof(self, sender, wire):
+        super().take_consistency_proof(sender, wire)
+        self.dispute = (sender, wire)
 
     def take_proof_opening_response(self, sender: M.Role, got):
-        w, which = self._requested(sender)
-        got_w, got_which, openings = got
-        if (got_w, got_which, len(openings)) != (
-                w, which, 2 if which == M.OPEN_PAIR else 1):
-            raise _Abort(self.role, sender,
-                         "proof opening response does not answer the request")
-        self.proof_openings[which] = openings
+        """The complainer opens its cross commitment, the garbler its two
+        pair commitments."""
+        complainer, _wire = self.dispute
+        if len(got) != (1 if sender == complainer else 2):
+            raise _Abort(self.role, sender, "proof opening response holds "
+                         "the wrong number of openings")
+        self.proof_openings[sender] = got
 
     def judge_consistency_proof(self):
-        complainer, proof = self.dispute
+        complainer, w = self.dispute
         garbler = _other_party(complainer)
         try:
             return verify_consistency_proof(
-                proof, complainer=complainer, garbler=garbler,
-                provider=self.wire_owner[proof.wire],
-                complainer_tuple=self.party_tuples[complainer.name][proof.wire],
-                garbler_tuple=self.party_tuples[garbler.name][proof.wire],
-                pair_openings=self.proof_openings[M.OPEN_PAIR],
-                cross_opening=self.proof_openings[M.OPEN_CROSS][0])
+                complainer=complainer, garbler=garbler,
+                provider=self.wire_owner[w],
+                complainer_tuple=self.tuples_of[complainer][w],
+                garbler_tuple=self.tuples_of[garbler][w],
+                pair_openings=self.proof_openings[garbler],
+                cross_opening=self.proof_openings[complainer][0],
+                copies=self.s - sum(self.rho[w]))
         except OpeningError as exc:
             raise _Abort(self.role, exc.party, str(exc))
 
     def consistency_ruling(self, verdict) -> _Abort:
         """The abort for a verdict; an invalid proof's verdict blames the
         complainer."""
-        w = self.dispute[1].wire
+        w = self.dispute[1]
         if verdict.kind == VERDICT_CHEATING_PROVIDER:
             reason = (f"labels of wire {w} disagree between the circuits; "
                       f"{verdict.blamed.name} submitted inconsistent inputs")
@@ -594,7 +561,7 @@ class Provider(Participant):
 
     def take_output_commitments(self, sender, got):
         super().take_output_commitments(sender, got)
-        self.out_coms[sender.name] = {u: (e, l) for u, e, l in got}
+        self.out_coms[sender.name] = got
 
     def bundle_hash(self) -> bytes:
         coms = self.out_coms
@@ -610,11 +577,7 @@ class Provider(Participant):
             raise _Abort(self.role, None, "output commitment views diverged")
 
     def take_output_openings(self, sender: M.Role, got):
-        got_u, enc_op, lab_op = got
-        if got_u != self.recipient:
-            raise _Abort(self.role, sender, "output openings name recipient "
-                         f"{got_u}, not {self.recipient}")
-        self.opened[sender] = (enc_op, lab_op)
+        self.opened[sender] = got
 
     def decide(self) -> OutputDecision:
         u = self.recipient
@@ -632,15 +595,13 @@ class Provider(Participant):
     def complains(self) -> bool:
         return self.decision.status == REJECT
 
-    def failure_proof(self) -> FailureProof:
-        return FailureProof(recipient=self.recipient, openings=self.openings)
+    def failure_proof(self) -> OutputOpenings:
+        return self.openings
 
     def take_failure_proof(self, sender: M.Role, got):
-        """This provider's verdict on the sender's failure proof."""
+        """This provider's verdict on the sender's failure proof: openings
+        of the sender's own bundle."""
         u = _recipient(sender, self.circuit)
-        if got.recipient != u:
-            raise _Abort(self.role, sender,
-                         "failure proof names another recipient")
         return verify_failure_proof(self.bundles[u], got,
                                     wires=len(self.circuit.output_map[u]))
 
@@ -701,24 +662,16 @@ class _FalsifyCheckFailure(_Scripted, Party):
         w0 = self.circuit.input_map[0][0]
         j0 = next(j for j in range(self.s) if self.rho[w0][j])
         return (super().check_failure_claim()
-                or (0, w0, j0, self.stashed_check[(w0, j0)]))
+                or (w0, j0, self.stashed_check[(w0, j0)]))
 
 
 class _ForgeConsistencyProof(_Scripted, Party):
-    """Complains about provider 0's first wire with a made-up cross
-    aggregate when it found no inconsistency."""
+    """Complains about provider 0's first wire when it found no
+    inconsistency."""
 
     def consistency_complaint(self):
-        proof = super().consistency_complaint()
-        if proof is not None:
-            return proof
-        w0 = self.circuit.input_map[0][0]
-        fake = self.adv_rng.randbytes(32)
-        tup = self.other_tuples[w0]
-        return ConsistencyProof(
-            provider=0, wire=w0,
-            h_triple=(tup.h_pair[0], tup.h_pair[1], fake),
-            c_triple=(tup.c_pair[0], tup.c_pair[1], self.tuples[w0].c_cross))
+        wire = super().consistency_complaint()
+        return self.circuit.input_map[0][0] if wire is None else wire
 
 
 class _FalseOutputComplaint(_Scripted, Provider):
@@ -934,9 +887,9 @@ class Session:
         self._round(MT.EVALSET_OPENINGS, self.bidders)
         self._round(MT.HASH_TUPLE, self.parties)
         for party in self.parties:
-            proof = party.consistency_proof()
-            if proof is not None:
-                self._arbitrate_consistency_proof(party, proof)
+            wire = party.consistency_proof()
+            if wire is not None:
+                self._arbitrate_consistency_proof(party, wire)
 
     def _arbitrate_check_failure(self, party, claim):
         # The other party has no take step: it waits for the ruling.
@@ -947,12 +900,10 @@ class Session:
         # The cloud receives last and words the ruling.
         raise self.cloud.check_claim_ruling(party.role, verdicts[-1])
 
-    def _arbitrate_consistency_proof(self, party, proof):
-        self._round(MT.CONSISTENCY_PROOF, [party], lambda _: proof)
-        self._round(MT.PROOF_OPENING_REQUEST, [self.cloud])
-        # The complainer's response first: it answers for the proof the
-        # complainer sent, so a provider that received another proof
-        # convicts the complainer rather than the garbler.
+    def _arbitrate_consistency_proof(self, party, wire):
+        # The proof tells both parties what to open: the complainer its
+        # cross commitment of the wire, the garbler its pair.
+        self._round(MT.CONSISTENCY_PROOF, [party], lambda _: wire)
         garbler = self._member(_other_party(party.role))
         self._round(MT.PROOF_OPENING_RESPONSE, [party, garbler])
         verdicts = [prov.judge_consistency_proof() for prov in self.providers]

@@ -19,7 +19,7 @@ from dualgc.circuits import (
     validate,
 )
 from dualgc.auction import AuctionConfig, build_auction_circuit
-from dualgc.errors import GadgetWidthError, InputShapeError
+from dualgc.errors import InputShapeError
 from dualgc.gadgets import (Builder, add, cond_swap, const_bus, divide, eq,
                             ge, gt, isqrt, mul, mux, odd_even_merge_sort, sub)
 
@@ -101,6 +101,10 @@ def test_identity_circuit():
 
 
 # --- gadget fragments ----------------------------------------------------
+
+class GadgetWidthError(ValueError):
+    """A gadget fragment was requested with an unsupported operand width."""
+
 
 GADGET_KINDS = (
     "adder", "multiplier", "comparator", "mux",

@@ -6,18 +6,18 @@ import random
 
 import pytest
 
-from dualgc.commitments import (NONCE_BYTES, TAG_COIN, TAG_POSITION,
-                                open_commitment, tagged_commit)
+from dualgc.commitments import (NONCE_BYTES, TAG_COIN, TAG_LABEL_HASH,
+                                TAG_POSITION, open_commitment, tagged_commit)
 from dualgc.consistency import (COMMITMENTS_PER_COPY, VERDICT_CHEATING_PARTY,
                                 VERDICT_CHEATING_PROVIDER,
                                 VERDICT_PROOF_INVALID, CommitmentSetPair,
-                                ConsistencyProof, HashTuple,
+                                HashTuple,
                                 check_pair_construction, coin_toss_commit,
                                 coin_toss_open, combine_challenge,
                                 cross_hash_aggregate, evaluate_final_labels,
                                 generate_cheating_material,
                                 generate_input_material, hash_label,
-                                issue_consistency_proof, label_check_passes,
+                                label_check_passes,
                                 make_hash_tuple, open_eval_triple,
                                 open_position, unpack_bits,
                                 verify_check_failure_claim,
@@ -270,21 +270,25 @@ def test_hash_tuple_structure_and_permutation():
     assert len(orders) == 2  # both permutations occur
 
 
-def test_consistency_proof_confirms_real_cheat():
-    rng = random.Random(15)
+def _cheating_wire(seed):
+    """Both parties' hash tuples and secrets for a wire whose first copy,
+    evaluated alongside an honest one, fed the circuits different bits."""
+    rng = random.Random(seed)
     material = generate_cheating_material(rng, 0, 4, [False, True, True, True])
     p1, p2 = eval_triples(material, [0, 0, 1, 1])
     tup1, sec1 = make_hash_tuple(rng, p1)
     tup2, sec2 = make_hash_tuple(rng, p2)
-    own_cross = cross_hash_aggregate(p1)
-    assert not label_check_passes(own_cross, tup2)
-    proof = issue_consistency_proof(3, 7, tup2, own_cross, tup1.c_cross)
-    assert proof.provider == 3 and proof.wire == 7
+    assert not label_check_passes(cross_hash_aggregate(p1), tup2)
+    return rng, tup1, sec1, tup2, sec2
+
+
+def test_consistency_proof_confirms_real_cheat():
+    _rng, tup1, sec1, tup2, sec2 = _cheating_wire(15)
     verdict = verify_consistency_proof(
-        proof, complainer="P1", garbler="P2", provider="provider:3",
+        complainer="P1", garbler="P2", provider="provider:3",
         complainer_tuple=tup1, garbler_tuple=tup2,
-        pair_openings=sec2.openings[:2],
-        cross_opening=sec1.openings[2])
+        pair_openings=sec2.openings[:2], cross_opening=sec1.openings[2],
+        copies=2)
     assert verdict.kind == VERDICT_CHEATING_PROVIDER
     assert verdict.blamed == "provider:3"
 
@@ -293,72 +297,72 @@ def test_consistency_proof_false_alarm_blames_complainer():
     rng = random.Random(16)
     material = generate_input_material(rng, 1, 4)
     p1, p2 = eval_triples(material, [0, 1, 0, 1])
-    tup1, _ = make_hash_tuple(rng, p1)
+    tup1, sec1 = make_hash_tuple(rng, p1)
     tup2, _ = make_hash_tuple(rng, p2)
-    own_cross = cross_hash_aggregate(p1)
-    proof = issue_consistency_proof(0, 0, tup2, own_cross, tup1.c_cross)
     verdict = verify_consistency_proof(
-        proof, "P1", "P2", "provider:0", tup1, tup2, (None, None), None)
+        "P1", "P2", "provider:0", tup1, tup2, (None, None), sec1.openings[2],
+        copies=2)
     assert (verdict.kind, verdict.blamed) == (VERDICT_PROOF_INVALID, "P1")
 
 
+def _lengthened(rng, tup, secret, index):
+    """``tup`` and its openings with hash list ``index`` (pair 0, pair 1,
+    cross) committed one hash longer."""
+    opening = secret.openings[index]
+    com, longer = tagged_commit(TAG_LABEL_HASH,
+                                opening.message[1:] + bytes(32),
+                                rng.randbytes(NONCE_BYTES))
+    coms = list(tup.c_pair + (tup.c_cross,))
+    coms[index] = com
+    openings = list(secret.openings)
+    openings[index] = longer
+    return HashTuple(tup.h_pair, tuple(coms[:2]), coms[2]), openings
+
+
 def test_consistency_proof_forged_contents_blame_complainer():
-    rng = random.Random(17)
-    material = generate_cheating_material(rng, 0, 4, [False, True, True, True])
-    p1, p2 = eval_triples(material, [0, 0, 1, 1])
-    tup1, sec1 = make_hash_tuple(rng, p1)
-    tup2, sec2 = make_hash_tuple(rng, p2)
-    own_cross = cross_hash_aggregate(p1)
-    honest = issue_consistency_proof(1, 2, tup2, own_cross, tup1.c_cross)
-    # A proof that contradicts itself is rejected outright.
-    contradiction = ConsistencyProof(1, 2, (own_cross, honest.h_triple[1],
-                                            own_cross), honest.c_triple)
-    verdict = verify_consistency_proof(
-        contradiction, "P1", "P2", "provider:0", tup1, tup2,
-        sec2.openings[:2], sec1.openings[2])
-    assert verdict.kind == VERDICT_PROOF_INVALID and verdict.blamed == "P1"
-    # A proof whose tuple differs from the broadcast transcript is framing.
-    forged = ConsistencyProof(1, 2, (bytes(32), honest.h_triple[1],
-                                     honest.h_triple[2]), honest.c_triple)
-    verdict = verify_consistency_proof(
-        forged, "P1", "P2", "provider:0", tup1, tup2, sec2.openings[:2],
-        sec1.openings[2])
-    assert verdict.kind == VERDICT_CHEATING_PARTY and verdict.blamed == "P1"
+    rng, tup1, sec1, tup2, sec2 = _cheating_wire(17)
+    # A cross list longer than the wire's evaluation copies is the
+    # complainer's fault, though the garbler's lists are checked after it.
+    long1, ops1 = _lengthened(rng, tup1, sec1, 2)
+    with pytest.raises(OpeningError) as err:
+        verify_consistency_proof("P1", "P2", "provider:0", long1, tup2,
+                                 sec2.openings[:2], ops1[2], copies=2)
+    assert err.value.party == "P1"
+    # So is a cross opening of another wire's commitment.
+    _rng, other1, other_sec1, _tup2, _sec2 = _cheating_wire(20)
+    with pytest.raises(OpeningError) as err:
+        verify_consistency_proof("P1", "P2", "provider:0", tup1, tup2,
+                                 sec2.openings[:2], other_sec1.openings[2],
+                                 copies=2)
+    assert err.value.party == "P1"
 
 
 def test_consistency_proof_lying_garbler_caught_by_recompute():
-    rng = random.Random(18)
-    material = generate_cheating_material(rng, 0, 4, [False, True, True, True])
-    p1, p2 = eval_triples(material, [0, 0, 1, 1])
-    tup1, sec1 = make_hash_tuple(rng, p1)
-    tup2, sec2 = make_hash_tuple(rng, p2)
+    rng, tup1, sec1, tup2, sec2 = _cheating_wire(18)
     lying = HashTuple(h_pair=(bytes(32), tup2.h_pair[1]),
                       c_pair=tup2.c_pair, c_cross=tup2.c_cross)
-    own_cross = cross_hash_aggregate(p1)
-    assert not label_check_passes(own_cross, lying)
-    proof = issue_consistency_proof(0, 0, lying, own_cross, tup1.c_cross)
     verdict = verify_consistency_proof(
-        proof, "P1", "P2", "provider:0", tup1, lying, sec2.openings[:2],
-        sec1.openings[2])
+        "P1", "P2", "provider:0", tup1, lying, sec2.openings[:2],
+        sec1.openings[2], copies=2)
     assert verdict.kind == VERDICT_CHEATING_PARTY and verdict.blamed == "P2"
+    long2, ops2 = _lengthened(rng, tup2, sec2, 1)
+    with pytest.raises(OpeningError) as err:
+        verify_consistency_proof("P1", "P2", "provider:0", tup1, long2,
+                                 ops2[:2], sec1.openings[2], copies=2)
+    assert err.value.party == "P2"
 
 
 def test_consistency_proof_bad_opening_names_its_party():
-    rng = random.Random(19)
-    material = generate_cheating_material(rng, 0, 4, [False, True, True, True])
-    p1, p2 = eval_triples(material, [0, 0, 1, 1])
-    tup1, sec1 = make_hash_tuple(rng, p1)
-    tup2, sec2 = make_hash_tuple(rng, p2)
-    own_cross = cross_hash_aggregate(p1)
-    proof = issue_consistency_proof(0, 0, tup2, own_cross, tup1.c_cross)
+    _rng, tup1, sec1, tup2, sec2 = _cheating_wire(19)
     with pytest.raises(OpeningError) as err:
-        verify_consistency_proof(proof, "P1", "P2", "provider:0", tup1,
+        verify_consistency_proof("P1", "P2", "provider:0", tup1,
                                  tup2, (sec2.openings[1], sec2.openings[0]),
-                                 sec1.openings[2])
+                                 sec1.openings[2], copies=2)
     assert err.value.party == "P2"
     with pytest.raises(OpeningError) as err:
-        verify_consistency_proof(proof, "P1", "P2", "provider:0", tup1,
-                                 tup2, sec2.openings[:2], sec2.openings[2])
+        verify_consistency_proof("P1", "P2", "provider:0", tup1,
+                                 tup2, sec2.openings[:2], sec2.openings[2],
+                                 copies=2)
     assert err.value.party == "P1"
 
 

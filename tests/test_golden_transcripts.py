@@ -49,197 +49,197 @@ VARIANTS = {
 #  frame digest, order-free frame digest)
 GOLDEN = [
     (0, None, 'accept', None,
-     "64eb86baf31ca3c4d69ccc507855c13c94473f892999fb8cf2384ddf480faff5",
-     "8f9ff355a87262c5ff8908735ccea3f356d97ec4d49af24a4dbeeead2f5fb78a",
-     "b5c74204ffddc753d84f2fe6d1beb4d1269bd3025afdf3c8b11f8ae5023368a8"),
+     "75675b8943928f22821b1703228d3a8d8794af50ad81fadd15753d2d877297b6",
+     "8cf4dc7307ec111584b8b6aba9a61af3ed4ad6e87173f15300b1139aa81f7469",
+     "4b55b9efbfe207c8e538f810716e3f91001bb8e26ce6f557bf0dfb85416c9de0"),
     (0, 'inconsistent_labels', 'abort', 'provider:0',
-     "3ab79c17fe97131508e17e6485c0395dbabb2aecd7c2ba7cdbcd2aef54c8e3ff",
-     "89c06ae677174dadff850a4f97ed1c7e427e9d00ca01657d6c17bc7415582640",
-     "981b6b08d98250c81942ffd02e83935ef3f7cd159c3a779b3589dc6f2847ac33"),
+     "28edee2e8f19f0c9032d2a4f8b55d40a42c9918dc92635fc1f63fa866cdbb114",
+     "4597865b019aaf509166fb92e8cdf6913f01b82f8223456d8bce4bf04b5b8f56",
+     "16db9c153a91c15c49b878b5b32500d89e2a1ae8f5974d1ea06f1c4de43c854d"),
     (0, 'tamper_garbled_gate', 'abort', 'P1',
-     "feba95f9258397ffbe84edfa6b4532f50f958682f1a7e17cdf55353fdfaaae23",
-     "4f1df4d365ef128e2e5a942350fe768e4c338898cc3ebaa135e51688c75ce37d",
-     "223472df0529ce787bd54da19667732c6fdf6ea1bd0ed4627b862b091dc6e8bc"),
+     "1b84c79485369f494846a1f2f5df8d7b874a24831b0683346e378872a5928893",
+     "5942b6eb0850fd26198e0a29cff4d4e671eb851252691d8bac5ba0f8bfa8e7d4",
+     "e988e27e10d4c1911d23ce3edd9287b869118f88dd471d826fbd02b99c5befc8"),
     (0, 'substitute_output_label', 'reject', None,
-     "23c136089387537a444a233ca84b54d1be0fdff722d49fb9593f5b7dab6453df",
-     "e9e63bb9b730b2b99a34d1eda374fa51d2c3f32eb008748a83981bb78e6453fb",
-     "11ccdbf5fb359bd487d7a70dc93d26d3102f0c4643fd537684195ad3ab921c7c"),
+     "eeef1976c08cb05123d37b2d0d844537b76e1385ae636d913f60a2b8cb7f5d0e",
+     "6a59293e4a78d845ca1121217ce21ae332a838b66c8bc8f067c7c319d7c2b361",
+     "7367bc851971c3ad25a9b7b511b7a37f53d58ce348e7842f12f4ba5cd5249bed"),
     (0, 'bias_coin_toss', 'abort', 'P2',
-     "78482d9ae8fc4fd38e51c12f04a8c97305d592f0b952e339a73bd53cb72240b4",
-     "af060479066a1f1cbee46cee9e05db1019f46bfbcc285b3424e94fbd8ebda273",
-     "1255bb401cca05612fd22b354b72375a4c9c880a5436326febf9f5766cf4560d"),
+     "88aadb608ab4d7f053a8d24be490cb035dfa5d6701059bdd37eae84bd34bc4d3",
+     "02859d1c58142de667a23c01e8cbf484d9cb529a13078d5525443250f31c0517",
+     "18bf766f86e78f605be9d28c2a145091f20b161d93236aa885a886b2e95ddb9e"),
     (0, 'falsify_check_failure', 'abort', 'P1',
-     "88cd72da9fd3ed790ac7bdfea28e36663e30e0f066dd5d6ee3851ff17fb4ada0",
-     "222eff21fe87a878ff32afdaef2f568491fe50d9427fdba06626c99fbb8cdd9d",
-     "f282dde4906547fe3b318651cd491ac1912a2cff9f08e56da912d0e3e4f6198f"),
+     "25554a49b2cc110c90ecf06740aa903beca13bdac4fc0ceafad08e580972405f",
+     "6c8818a41fb98a4f7f765a9522ca5fab81553d454f3e1bf5c18df4765a164642",
+     "4d7d90db8b24943ff2baf335209e877c6cf0914004e2e4cc6db430dd02fe4441"),
     (0, 'forge_consistency_proof', 'abort', 'P1',
-     "cb05aaca7eaf3b296d6e6e4fc9f886254b40569d41e67ef51d03210b4e351234",
-     "31f159cc4342ee40b265ae648dcdee9e8b7a5e076d52109321e43d9af35bd599",
-     "a843e67247d22c04225405bed626f79fc52c24e1dd3ecfb2395493f1200c1172"),
+     "3401bd00a4136438f1bc575de533876b158b34e79cc28b2b4042dd69c1b2d88d",
+     "f21a96425bb40f426c5aaffc66825a3cb576eda34d83bf2dd1ecbc71ebdc39b6",
+     "01d60b13b124d51a06e285ff63bff7ba3e5efb4c852dd105c5c26317eff55d96"),
     (0, 'false_output_complaint', 'accept', 'provider:0',
-     "23c136089387537a444a233ca84b54d1be0fdff722d49fb9593f5b7dab6453df",
-     "e6f7669c1261a47b0c44ec4b1a8ec12499059b3cbfcc021a28add6c69b76a860",
-     "4558da9d450ab2845e8d6cd78e5c291c4318b5bdeea2815d54f3e6f8bdbf1f98"),
+     "eeef1976c08cb05123d37b2d0d844537b76e1385ae636d913f60a2b8cb7f5d0e",
+     "fdcf449b3b6094ac469a53927210d72d1e764c1a147ef3172d180a1e109038ae",
+     "13959ee81b6c3f53fc3fa6f3399bddafb719a424634d22910029979afa444031"),
     (3, None, 'accept', None,
-     "4701042d1201400b515a752126a68f56d2401094f3cb6864def954b673c2569c",
-     "e5d9e0c7a8aebd6e6806bdd64821604414f9556e0d7f3e6eb28e82ba7a94b660",
-     "c5103141bebae17316c5ee26e7ff37c7a80d9f704e006f17f939c3b59ab6309c"),
+     "f5d2ab02f31716a6d6a673f079e3f3ed59d2444b6a48e7862f4b2686e55e9c1a",
+     "252ec2d32e66daf746e38f1c1b43426b1c9fa87a1441095edf8f24d3d0b8471d",
+     "95daf94c0435179ed66411912ac38cf1c5fe22dc08dcbf843c0cce6d99667af9"),
     (3, 'inconsistent_labels', 'abort', 'provider:0',
-     "e275840289803975b309eac3cb680fa93b6a0e85ce91e62eac8127c75eed7eea",
-     "ce0c131abb2f2bbec7fa9325805fb465ec38c2540200e0984cbe09e5e90100b9",
-     "da800c1e8967bb9126f0b2f8bd1e4a480454857fc1f715f44a64c431ba82fb12"),
+     "340a0be9ea1a3d78415be618e4032231f3fbabcd0df7850532800883e7e45cb9",
+     "ed3d1ab1cf9536c4a0f12548f04ac76c863f2d68ca5cb7f208a831bd99e9e9c4",
+     "a469f6bc098c924758218aa06085a8cbddb96aaaa6f37a4e0db5d6f91bbf4d59"),
     (3, 'tamper_garbled_gate', 'abort', 'P1',
-     "57170dd786e09446181be9ba789dc576189c654e3f8c2f5acc30a57911eee12b",
-     "a02e12344426514514facd4c172852e3978617b2c7c7fe883d7fac7dc54de828",
-     "dc8bcd683d66acf5c0b81fb67df266a33c1f07bd93eb37cef83966cc76a0f3b6"),
+     "1cc902adccf4c2fa07d2b7840136059894348a241b377082f23cdabd8e0671d7",
+     "0b449d28d8d0bd7e5298b61caf3d036c51d92ee4274fa15b48dea88bc2b1c8de",
+     "6833286d1c1900a6df242ae284a952f3348a40842e42ea2498107c58f3a22284"),
     (3, 'substitute_output_label', 'reject', None,
-     "2e0193c7dfb06f1f54fc83258431416849da0d701abf75c8e0100d1fd809bd0a",
-     "1da9b1fa7c7455d795133735bca17d906e9e0c3c294cd0c2f4e5e719c4f4e3fd",
-     "07baff12fc4cb9ea537975dc404a05ff1197085d51bd49a2b84a10686b44d93a"),
+     "1148a09bacf4ed88eb15811c9ef4897e0730daaf60a5ab76e151f61800b2e848",
+     "096321000567e1baa3137517a090634143cc0d0763efd840a5c880a014aadb9c",
+     "2a0dbeed2e22bbd6d8e12aea8a1a26d4074a82408dca74ad7b4a366b6a5cfc67"),
     (3, 'bias_coin_toss', 'abort', 'P2',
-     "78482d9ae8fc4fd38e51c12f04a8c97305d592f0b952e339a73bd53cb72240b4",
-     "ec2ad9a5ba44dd586be197aebfed0897095d85bde2d49229904b5996ecc4009c",
-     "8d61671a6592a318b68e16e3798247fd1b98090fbc3b5c67e696037fc0685815"),
+     "88aadb608ab4d7f053a8d24be490cb035dfa5d6701059bdd37eae84bd34bc4d3",
+     "9df2c6d6b0f56d768e2433e57849671fd8b5cd3deca97dc3e25f0057e06aa5d8",
+     "55c08070af965f29b165d998a6ccb6e8a67d61dd4037c3ee709f337bf0841624"),
     (3, 'falsify_check_failure', 'abort', 'P1',
-     "b9f39ec00d7725317b1842d09a4de5d57e6bb2a170214c09b1958d25c4df873c",
-     "0139662572b397214911ef28596defa12ce465203de4ae876f3d037b36edfc91",
-     "a5b3e7f739aba45d4fa8dd3857539075be599c649466b170df7fac86acec235e"),
+     "32c7d79f80ecb05c9da018e45e675425eb9dccd890b6eeb1557577bae4b24835",
+     "7abedd16862986c7fa70868eb90a811b85e658db1a5a7addde53d951bb0ce804",
+     "25939c689ee7bebaeb355366d2fd2ccac90a16587bd6775005bcd8b32dc0fe4e"),
     (3, 'forge_consistency_proof', 'abort', 'P1',
-     "0c9fd4522521c98e29e99f56d9cc951c645d7ddde14f9e54581a684d10426b23",
-     "05e9811e472ca53e5363b416927eae1c4ae772b6f1c339fa42dae786a887d5b4",
-     "806c4c5c2ad54e0850210eab0cc88beb3fd5820d1018162e1e2086bae330a9df"),
+     "06c0d35c3747576afd8624363805f44ba77d3225a71292aa12248dae259398e7",
+     "0232e697386e9c491b3a6fb9955064e9398be7c7422c8176fd2be9ab767f36e9",
+     "30ed4170e14812637f579f66c6346b5b209614fb106b351b30df3ecd28f5e9a3"),
     (3, 'false_output_complaint', 'accept', 'provider:0',
-     "2e0193c7dfb06f1f54fc83258431416849da0d701abf75c8e0100d1fd809bd0a",
-     "fed9df4f28369d1bedebcf9b817d5cf4739426561d4848879a5b9f6b9c947514",
-     "b9b9757e74cf3b999c09520f2087fcca636f4646f31b2e29a2dac87e6c68e66e"),
+     "1148a09bacf4ed88eb15811c9ef4897e0730daaf60a5ab76e151f61800b2e848",
+     "f324ef9bd91b2ee36afb00b88d36b0b2f08eb7009e81cecf9cab515d1a2b1c58",
+     "ae5367c5e472954c2a3aa037707457023256fa09096dc65cca130aea7e0a281f"),
     (5, None, 'accept', None,
-     "24ec6113dcf65b69f10a5f9f07ce2cd0e78ef1f57096152a0b5ade739f39f479",
-     "71474dc45393ae4fb02d148597457b147b35bc93fb38952debbb3766cf9fcc70",
-     "eb74c68904adaa7d385d49f112f50e62bce9563f626ef194b17d8472ca2606f6"),
+     "ff7b4f0b316a4e744fc64897c9c7d886f063086e114de016cff4ac53339d8f0a",
+     "fdb71a03e2e4847d3312ab8cdb273a276f6dd2be5cc3ec9cd9526022ac0216fc",
+     "0c6655deeea850636ae44166e8c0dcf4a0ec1fd8109c47b8761100385468fbd3"),
     (5, 'inconsistent_labels', 'abort', 'provider:0',
-     "32cc9d63734102e25e74fb02001178c5166c9d24f5ac49c488e3bca3cf0e5054",
-     "eed197e1071273e06c9958e05bdfb30f0910f41ce175519545842fc883a9617f",
-     "b86c08412213c5f23f21c1787a720aa84a76e1578c6e0ce4ba1d09b65bca9ce5"),
+     "8e42c7e5b1b18b24210d058c5042142d24b67333c6e5afd8e00e23ebc2f4fb7a",
+     "feff7cb57806959e79b9996001c29362d5d3e752fc48e2f7457806780785345d",
+     "962a7929c89924d3e14ba215a40b2401d6b89befc29051993ce5c39f897b5760"),
     (5, 'tamper_garbled_gate', 'abort', 'P1',
-     "c05325798a53015b3f61ac59c7320bc60932f8600c4d0f3466e101f0969e69a6",
-     "e49b13576b0214b2aba2a9661d26a13894fef9d9b2ebbf847902e451ec825572",
-     "7c650fa87672cf448d93d97782847b72afe88af2382ad96031ac9a1baf44b6fb"),
+     "c986d89505393495531e0604e98f0d2f65ddfac426df5a4a7ac16cb5bedd37c3",
+     "a00cf7d527139d62e37280e7e7d49f1c9645c3d82390e0dc686410c15303f781",
+     "b14256a72a5f979b0f8158f1e322146423c6e2fb3474cbfcc7a3e93828deb6be"),
     (5, 'substitute_output_label', 'reject', None,
-     "239ed5ba183b29944612d871936010e3ea45934e5b6cb04461d135e00a906fbc",
-     "ddac256fc08240bbbd5e3ef35fd411f75baba0f41063547e8e06ad45329bfabf",
-     "b56cba8d1b7c6226706c2087fa6dcb9035322fcc8da1f4a1552066f717476c9f"),
+     "12e61df6d0372969adab25547811a36dcb5b471211e0945abb7426a444dd3db9",
+     "2c8f7a4eab173034d43b6edbff769f40e8d272b411f0f6dbf1e31c8f45d7bdb5",
+     "aff704884e04cfe35282499e31fecd3257df709e5455d8cae6707ae3fed96d25"),
     (5, 'bias_coin_toss', 'abort', 'P2',
-     "78482d9ae8fc4fd38e51c12f04a8c97305d592f0b952e339a73bd53cb72240b4",
-     "3f52ae2ae3df4f5c1d329d3a54406e58252f758923d1cd6f025c230b02ce6041",
-     "70c5cb1ea4deb62c43d7f0dc8dbc7d5d8894d9ddb1e78af1ebdedd9a5154a338"),
+     "88aadb608ab4d7f053a8d24be490cb035dfa5d6701059bdd37eae84bd34bc4d3",
+     "aa826662a3c2c4d7a1264f1cabfac6feb6523c61e43faf40abf2056cf890ffab",
+     "c4a31e193b9bd4ee25b95ca5d774f86969dcd0945b9d492d7b8ddd27d2e36e5a"),
     (5, 'falsify_check_failure', 'abort', 'P1',
-     "fc75064e7e51fc7f27076a6be7601279c64f2cb971b78f4158479d3b9963e746",
-     "19d488ef519327ad1a9221dd7e7ed137c8d971a7cd91d2e37edf24b4904ae934",
-     "02ededf1f14dbc792665f85f00854ac20bd55f45a3b19628fa8baa5792940e1f"),
+     "286f160eb36990f32112581e8587555dcfadc7b5087a18c41070b801c0375036",
+     "883939cbe9eb2f4abb13ad84b8444ff7ca63f0f44129ec934cea0fb83655db1f",
+     "034f9cbbc0a08a79abcda28e7a317b0b9dd2afc6194b31776f47e1d6c7fb0b1a"),
     (5, 'forge_consistency_proof', 'abort', 'P1',
-     "a18bcb921bcee2065ef84b03246fcaa030fc3330e0598b32657dd9f1eb01cc19",
-     "33c3af690c8d6eec8a5f1e2b581037396819007c494bca271a219b7679be9345",
-     "771de62082868aff471c1435310c8a08ea7415223c5a6d1cecd7210dfc68d178"),
+     "6a890c501e9deb1bd06d89206c0398090619f6caffc378eb61c9b556f589113f",
+     "0e5c67155e5b33c8a02dac367539d786aa6eaa9de584bcea13f17fb3deda7046",
+     "a95c30a72c0fd00acc252c427468a1f26fd4ac30e6ee6b2ba3840bc409912a12"),
     (5, 'false_output_complaint', 'accept', 'provider:0',
-     "239ed5ba183b29944612d871936010e3ea45934e5b6cb04461d135e00a906fbc",
-     "2f3215cdddd023665fa99fcf7661bf8778b38851a5571660f393aea2da44c8a0",
-     "3d37587138b6ff53e349c3bcff66af9117b4e98493a55923799d8067b0ac30fc"),
+     "12e61df6d0372969adab25547811a36dcb5b471211e0945abb7426a444dd3db9",
+     "13ecf6b9cd685b8a484a5502e4bb8a356e7dc5d9c8f5a4756adaee17e669ea2c",
+     "ba6dec3c6e8ce88ed0e9e3431bd7cfd1168e9e3dd7f75a006ad450bb7a8c3698"),
     (0, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "9f049a8598b6bda663b173652e633e7d111e7bc004e8bd3069ba0055190d2ff2",
-     "fccaf5efbd8e983dc4138e53b770910bf894d08eedc6dd7a522310926fae275b",
-     "35941e4becb72f3db73cb411e80a3f49f35da0bee7aeec89fdbc824a74c153fc"),
+     "747553d5806b1b998224b8331df1c8906c4e1a9067c8feee2af2386160e1e638",
+     "908b3059ab99556385cee38aa9b5ac7ae2e3b6810aab6438ffb2b5af05444433",
+     "0fcc18f62f2c83e013a03a4a432c5c571d48c39f9f7337999e1145f716a4354f"),
     (0, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "e8bb1fbecd0d6f065b3545b07afc26773c5d0c109d337bef2d1f21daece77588",
-     "88e69a254b48f70e125188847a91f5bcdfdb65abce6b7ffac152f44f755b866d",
-     "417ac9343ec66cf87243f59eedda2f09ff1d56eff43de7239ee790e796bf9254"),
+     "1b7e54141bf7e63ca291ceb0b7800decae09cfef47410855f9acc8ac702d6877",
+     "44e53ff86374ed167d1d7780bbc362e2a4006da6099754968e204d951449f9e4",
+     "dee0adaffc816b2519c3babd6a71cf8bb9dc51b862ecaaf14b5ecae21b7d5574"),
     (0, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "322534e5c281e0dd217653c19bb2e4b4ad4b1439bf417591019b787af75d61c8",
-     "1ae3b156cb09c6bc536e4705278e22f23a48d44e9d58e0840f5ff4da8450f1c2",
-     "3a4e7fe55845bf45cf57983d6121077932294749bea9a98813da7d057e7d6bb3"),
+     "7196abeea2e3bb8967cda6506596bcea285e5f96e721a025e4b7bdb6885bf9e8",
+     "c6f8eff2f9bd1ab95ab9bd946bec2203468debe9943561fc142bb0da693e20d0",
+     "cd29a03c1a9ab054d343cd74c7335379a38f6dec6c33c0dc103734323ae251a4"),
     (0, 'falsify_check_failure:P2', 'abort', 'P2',
-     "97b0b4b20a6f893f7a3f6ab288e1f8541fcf397488e27ea06b25206b31b4e9ed",
-     "5bfca0dfa15861e9a25d28c2332ef4e30b054a31ccd8a785e1ba054db5048013",
-     "741dad753730e156160bc4cf5b2f4835efdfbc0a0e7a25012f2830132f629dbc"),
+     "db89da0fded0bab42651b8728cf1fa40ce877da1b1f777adc49ec7a63add9d08",
+     "2e49d18b0de39ca47bc324525e3f7b49e759501b5c87f96fa1d8ff7443fbd5a5",
+     "4f844be910e432012fa3bf989e5fc5a399de7034351d5490e1fe8fcb490d8ca1"),
     (0, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "3d4b8360eab769f162b5f95271dcdebe85df61353471c0bd96dcc0d04db944cd",
-     "0b2486e57f3a3519b8fc60eb3edc0ebe279cb0ce3f880151a322e41021bc931f",
-     "4b6fb936a215ab32cc0b54052df44abe4e70e4c0c69609d3817f0ac0d5055416"),
+     "320fe626df32fad1e5a21f59972bf4141d48b98390fecf35db9a7fc62283b7d7",
+     "4d88ce9b59afb238dbf46df94881f33d5e339b4f19b845e4ae41efbbbc1bf52e",
+     "175113d65f1b0bdbe7dfc73740789e9ec9770bb5b9ac5e3f3c1c9cf04895988f"),
     (0, 'bias_coin_toss:P1', 'abort', 'P1',
-     "3e1b5d274613ccda0ea519102327b7b00d3ecb6f88f9860fcee07c0a3a5d96ab",
-     "0d2e74a51739a5c833aa352f44be296c916e0873a7c3a02664282614f8542ce1",
-     "a818d500f519770f0a38cbf10e87a80d5d7f513c923379974f95061ed9380a4f"),
+     "519bd6b69ee275d3e65fe16650804d527ea2cc23c686b0e99ee068f15150f217",
+     "9fa21f5963ca45434d7895236c3bebd34dfd26f48099533568d96fd18e74f6e4",
+     "64e8da1cebca3733d79292376a1f4733a5ba1f7778c31d3c8dd0297afc3a5c25"),
     (0, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "3ab79c17fe97131508e17e6485c0395dbabb2aecd7c2ba7cdbcd2aef54c8e3ff",
-     "1b3c2c5e9f2b83bcc99e2fb02b3ec50ceb3fef9ca4fab477cc752918e23fb2eb",
-     "b3ae721615fc27ce3aa1890aae29a94853f05402795485ea860689f5e0d8cc47"),
+     "28edee2e8f19f0c9032d2a4f8b55d40a42c9918dc92635fc1f63fa866cdbb114",
+     "924732707f7ad6e0223d39f72d7dfd46ba08cedf159d39418d21011e5c997d14",
+     "45aec00605ed2185537a87a287d353c0b184ee3b18c7097de63156b363881cab"),
     (0, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "48605fe29e8d7d2944c090143725b3ea77fc0d8d231b3423d5624c603cf9c995",
-     "08d755cb052d57e754707699a85f004cba6242ed6d99d17fb095fd66aacfb831",
-     "6bf87d2f0fa7aa2e8adce2323f38d59c1f2f9775b12c55983598e2329bd9e25d"),
+     "48097e5db7a840676bfff95fb6ecf4a9e1b4f0ed63dcd8142cdc6dca86f799f1",
+     "4e9bc6dbcdf05a244ffc10ad82a1ee3e865974b12540e998313470df259f4788",
+     "03d8f7e2d6d96dec6b8ffdf96457671bd53ecc0970ef193ebd1a5b2ea2dfed89"),
     (3, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "55ddf7bc9142b3747865e5dea76471fdb47de88499271a3dd93288e305c2d56d",
-     "277052aed2b9ed821b831303a147b295418cf13b6d43f20c6cbd328c931d81d2",
-     "4711e3a52b7006ae03285daec5db8a472e528dc84466ffa67a20fa5f59075367"),
+     "cdb8c294cc823c6bca2c574ab4e6d4b2612359bd937ea03ed3b71b0173ae7815",
+     "05c405fcb2498856456d2db727738f1768d646cba93bbc21ebaf58279e80d3bb",
+     "48229f38770180744b38c6893a6b35ca015c6d02a5d0be207a1b6dc0b78bf284"),
     (3, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "ab837572d7ac3b0294ecb330762eb75bda9fe62848354f9e7fa39f536e73424b",
-     "9677691f3443572f9949effbf633e4e01f9c591bb9f93e004ab6bd9e613d8d26",
-     "8649ccb2074f13a5fa4b0aeeacde8d570e58b5183dd970d4a1db0d20b2fd40a0"),
+     "7db7cae75b50e8797bb290e1b67b996b36aa9d761fdc672084f2b2bbb84b6842",
+     "f9730a14462525c80064f2a83d4c785a92a994e2e879721792f2fc0c8040c369",
+     "fb24516a1df4f77737c0a5c0bb1e7f7b90afda8bb1eac12a436c2c7b15901495"),
     (3, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "1d713ab4ce7a9a792b741342fe986f5959b59c34702a9a75dd8aacf09ab60dad",
-     "824190f72e8f08edbf344edeac77743e865a4ea6ab017beb326b062f6f6d7711",
-     "f031919a094eef760adf6d7bce5d96213264d9d59c8bb727f01fc2d12e51941c"),
+     "8220aeda025c34cb7af6eeffb87ba790c05dfd1c1b02462ab55a64039e0f3a45",
+     "80fcfbf75d9347a3c177d2b052cc95ab2686ff7a961fa42ad75cf3ca31a7ea75",
+     "9e0c2d4801e2b02e61dff6b1bc9dcbd144a16310005d09f468539373d43cd863"),
     (3, 'falsify_check_failure:P2', 'abort', 'P2',
-     "30c480ea8aa14255f0620923f3089ff3231ebc06cc3d3da51984d5737ed6f1b9",
-     "ef619d1b04774f2666f35f867dadc2eb6ff12c9b2bea7d805bd90f007fbaaad0",
-     "1e02c21c6994025d0dc1ee4eae8f73a10f262cd27546a50d32b2e3d3678b9429"),
+     "0718dba54b27e5ab84a2c52b1d4dd7a55b6f8e03af6fafd1b61e969356edbc1a",
+     "a05b87f9d5ce88e384580b4af6928ef1f69e9060916065bf121d4c5281fdf391",
+     "15b15032bb0add9940f8f71565ba7252c3b9df2a95f6cfb0c6b70173d9c4e082"),
     (3, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "dee782e7061d1b4d8189a3febe49ca81c3fc088c89513e3044bf9f10700eb722",
-     "b6a0eb649c951bb9bb8436b39ea0709108df9187985a9803e8d14840565722f4",
-     "dc6580fb1bbf6eb95a4881401e1cc6d6c8643d4649447fdf66edacb52aa3797a"),
+     "9686598b8d1ae6c3088c0cf151b6e3753b597c981bdc8d36584a56c449095767",
+     "4c9abf2d1b1753c52d5d18a52cfdf15444ea56590af17ea9988d7103dde57e23",
+     "b390128a2ca7862edd52841efb809a169f4947f4627a26b644f827067390b89a"),
     (3, 'bias_coin_toss:P1', 'abort', 'P1',
-     "3e1b5d274613ccda0ea519102327b7b00d3ecb6f88f9860fcee07c0a3a5d96ab",
-     "0bca5e2984e93dea438f9860738ce414b868c35e25bf49290f9134af91fa0289",
-     "2e532c6dbe54095830889ea7d02253930f6680f8e0b1fc1f079ce8a044fea95f"),
+     "519bd6b69ee275d3e65fe16650804d527ea2cc23c686b0e99ee068f15150f217",
+     "fff7085da01e0e6f206fdafd393f26a7fdd383cfa35bb8d4385b837cfdfb488c",
+     "491628aef80b10610dfccab61af0a64be54725b0e5079b102e13b62bd6bd205d"),
     (3, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "0d296e2d08753c129998845925fd0073c22e6857fe64ef507c65fe9c3021fdda",
-     "24060a63e184b27af5869fec8fee1ba5e8028f17ffd811ecd786f3d5aa0ee427",
-     "925267a7203977da237ea242f524b9e9e4c086728982f88eb0730f793a349a34"),
+     "363fbadfb184dc37b3f5f922c77fceccbf6d18154cc147553369a60b2fa1ca5c",
+     "f9fd3545fcaefa9740ca1c8831c7a70561b7e92b9c70916a2810ff54acb929d4",
+     "791caa430711cfd6f9f774051a3fae1455f8db77b20db70f580bdfe50d0af5f3"),
     (3, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "1e2cbb90dd923773a30ad8c318dc1782a37a7b645563aac45a15cbfa2d30550f",
-     "977a61ffd7d8987d3167cd9f110e9621bd7dd46a610cc637de4af268b37742be",
-     "5f3cff6f3a01297731c26902c9deb823960df29dc3491e75f1acbd06c6d12c5a"),
+     "dbc29be5175c80b506be9a13cb5dbbbb58d446002ef21627c03a50b0523b2aeb",
+     "c6dd1019a5d949932b512abd0dac1df2613cef37482c9d0b8eeb09b19be260e5",
+     "ed41f09cd18daad8d475184a6fb3e7a7c5c3e5d49852a379b5e8dbcd7bc76330"),
     (5, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "6d6f006847ad28d8bcfe3442278b2257eb353d3de6368dda536d6f3eac015f65",
-     "620b2b63a755784f2a6973580a2b7a1769195b74f432e81496fe68ff341cca7a",
-     "833712588c2753b97db898ce3dbd192f64b420edb5dd353f92b14d3a80460430"),
+     "e592c2d3c41b3dfb6e78d39d8779264a2631b66bceebf138bc5d1987ec312ee0",
+     "83fc4eeee3821d183c407b629161af0d24b2ceb42ddf29e91992b872acde57ed",
+     "874c94b19f7b68fd05d98898fa28346a03ec5771aae170ed743332d904e035f5"),
     (5, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "971651801f78ab86e34b6bdec88dfcef23af8ea32e6ae64cf502180844375804",
-     "05f578ebefaaee1eb2307a960fd425786c30f039b7942b48671d1c519d9cb07c",
-     "93fc256dcc8c5840314d2c667bbf5ef016eba7459dd5d8c225eb9ce985497ccf"),
+     "1d6cb45e69fe6f825d938a0ed9df1729a1540e9931dcda95d4a339473741ab2c",
+     "cb99047aeb7a502a8051b7324d2a11bd1d14f33d19cb02344c7c76e52e600da7",
+     "7d9700bb2a88e8a0edce13b88832e49e53444a3954119d0d71b221553982046e"),
     (5, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "4e13780552a7ffbd91e1dd67fb14ddceba9fd93dafeb545f7674eeb162e23aed",
-     "c5f272ffeb87a70a3ad6610dff42bf87301bf1b2dcfe8eb9f454b2a19c101f74",
-     "b7f929032add021e0b7cf46d4a26e623cb42ba782a454496e451d3bab7f7df23"),
+     "75b86f29d8881852df1a7ed019285e1e54caa1de9437651d3edfeb2213c397af",
+     "1eb54fb5e3e6ba7c5b8d0fcb05cab68c266402b8dfa403e9a997064638a14833",
+     "3680236e60ccee23ab309971df8ef979d0b8717226076898a9d80c79c717e9f6"),
     (5, 'falsify_check_failure:P2', 'abort', 'P2',
-     "2c2697d0e1ae6efa54986a89e88d2c46ceeb2a1048a00be9201d77c119beec84",
-     "d63eb7f52691c9c332e32808d12f925bdb8e9633c3d93aade066f0b058ddcd96",
-     "9347413594d4bfcd73ea68f174f54a6ae65db92686e5368a2f2dde1a2a2007b9"),
+     "c0d54af1982122ab82776f40d79ed41a08585717484ac1ffee1dfdffe4f28359",
+     "44690e1d606ae9e94d8bcc172fb6eb8d23e9d9883833bf9d4bd7441c3ac4f9d7",
+     "bdfdda928b100cd2088fffd450da133abbdd44c20989c1da5fc0418ed669fd5d"),
     (5, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "5a985cc1aee3e0810993510b663a9962a61f6f28ef9df5c24e27764c863d2d99",
-     "b410c3ae1eef9586861f6ac0e5f4024cf3ee2dec2113ea9a0303fb025884ed5a",
-     "b82b4b9a19b7afe33faeaa076b76fd3967d5a98d7c1d449d99a3c66256c2d936"),
+     "e84b9ec10185b21c61449c01b4f6697e9104dd0a209aebbeb566ff831501fc89",
+     "4d22f9be5bb9e668e94a083374cf85dfdd5afbfcffb23397968172abee4b9bcd",
+     "d0fa97fe05e19255749433075c080bb7020db0158a6df1ab5929c2739e20fda9"),
     (5, 'bias_coin_toss:P1', 'abort', 'P1',
-     "3e1b5d274613ccda0ea519102327b7b00d3ecb6f88f9860fcee07c0a3a5d96ab",
-     "ae90431a16175c569352d7bfced3f81606ecbbfd6765db2797a6467f9acda283",
-     "324311fd3bf417ebf420d8b56c0d9b5a0a80a6bda7093aca385f981051043c2c"),
+     "519bd6b69ee275d3e65fe16650804d527ea2cc23c686b0e99ee068f15150f217",
+     "17e61a04372f732268518f0d21b7f9da515e23b328b581a181eca3af14a6be5a",
+     "da407900b2769b50f5a1373160d8b8c86f0343851a749385b9161b5e2234884f"),
     (5, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "32cc9d63734102e25e74fb02001178c5166c9d24f5ac49c488e3bca3cf0e5054",
-     "7386bcae793208867166617242a0cdb757478ab49d4c469f232973857885f51d",
-     "51a5b1cd52f94542cf0f9172231f177875e3fa2f2941566d7a428c3bd0d2ec48"),
+     "8e42c7e5b1b18b24210d058c5042142d24b67333c6e5afd8e00e23ebc2f4fb7a",
+     "f9ebf9c4e5e128282859160ecc8c3aeaa97b02a5125e1421b76246d1e1110a59",
+     "c23bb0fe142bb465507f6aa5f6f5309b10fb90830977bc035f67d71a2215df5b"),
     (5, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "b6717062b04699ce72896c3816ec4aec00e918b3e7f992e4ae684ac57d2825e8",
-     "065eaabc72702abfb87b9274650b9fa1dfab9c2579f9b6f43902b9c79ba4008b",
-     "5ea6f3df70ce7ceb85e2a88381aff5294c51859f4d0bfc57848c55b5eefd7f49"),
+     "8510a07fc69c61f9dce2312ab99abf15034e615aa6c24ca6ea189759d4429eb3",
+     "9a2376a6923146561d1be8602b80a48600b20fb10664c30e45cc5adbe783e0ca",
+     "c372902533dbbbc9e646daa8ef3be5c474be21249e84200194948f03bdc4bc99"),
 ]
 
 

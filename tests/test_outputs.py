@@ -4,8 +4,8 @@ import random
 
 from dualgc.commitments import Opening
 from dualgc.outputs import (ACCEPT, BLAME, COMMITMENTS_PER_RECIPIENT,
-                            CONFIRMED, REJECT, SPURIOUS, FailureProof,
-                            OutputCommitments, OutputDecision, OutputOpenings,
+                            CONFIRMED, REJECT, SPURIOUS, OutputCommitments,
+                            OutputDecision, OutputOpenings,
                             bundle_digest, commit_output_encodings,
                             commit_output_labels, parse_output_encodings,
                             parse_output_labels, verify_failure_proof,
@@ -109,23 +109,20 @@ def test_failure_proof_confirmed_on_real_mismatch():
     coms, ops = build_reveal(rng, [1, 1], enc2=enc2,
                              labels2=[enc2[0].label(0), enc2[1].label(1)])
     assert verify_output(coms, ops, 2).status == REJECT
-    proof = FailureProof(recipient=0, openings=ops)
-    assert verify_failure_proof(coms, proof, 2) == CONFIRMED
+    assert verify_failure_proof(coms, ops, 2) == CONFIRMED
 
 
 def test_failure_proof_spurious_when_decodes_agree():
     rng = random.Random(9)
     coms, ops = build_reveal(rng, [0, 1])
-    proof = FailureProof(recipient=1, openings=ops)
-    assert verify_failure_proof(coms, proof, 2) == SPURIOUS
+    assert verify_failure_proof(coms, ops, 2) == SPURIOUS
 
 
 def test_failure_proof_with_tampered_openings_is_spurious():
     rng = random.Random(10)
     coms, ops = build_reveal(rng, [0, 1])
     _, other = build_reveal(rng, [1, 0])
-    proof = FailureProof(recipient=0, openings=other)
-    assert verify_failure_proof(coms, proof, 2) == SPURIOUS
+    assert verify_failure_proof(coms, other, 2) == SPURIOUS
 
 
 def test_failure_proof_confirmed_on_degenerate_material():
@@ -134,8 +131,7 @@ def test_failure_proof_confirmed_on_degenerate_material():
     rng = random.Random(11)
     lab = rng.randbytes(16)
     coms, ops = build_reveal(rng, [0], enc1=[Encoding(lab, lab)], labels1=[lab])
-    proof = FailureProof(recipient=0, openings=ops)
-    assert verify_failure_proof(coms, proof, 1) == CONFIRMED
+    assert verify_failure_proof(coms, ops, 1) == CONFIRMED
 
 
 def test_bundle_digest_depends_on_every_commitment():

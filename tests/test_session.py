@@ -7,14 +7,15 @@ import random
 
 import pytest
 
-from dualgc import consistency, outputs
+from dualgc import consistency, outputs, session
 from dualgc import messages as M
 from dualgc.auction import AuctionConfig, build_auction_circuit, oracle_run
+from dualgc.commitments import NONCE_BYTES, TAG_LABEL_HASH, tagged_commit
 from dualgc.errors import (DecodeError, ProtocolError, TransportTimeout,
                            UsageError)
 from dualgc.garbling import (HEADER_BYTES, ROW_BYTES, decode, gate_rows,
                              tabled_gates)
-from dualgc.outputs import ACCEPT, REJECT, FailureProof
+from dualgc.outputs import ACCEPT, REJECT
 from dualgc.session import (BEHAVIORS, AdversaryScript, Session, Transcript,
                             make_adversary, run_session)
 from dualgc.transport import InProcessTransport, TcpTransport
@@ -299,14 +300,17 @@ FRAME_MUTATIONS = {
     "truncated": reframed(lambda body: body[:-1]),
     "appended": reframed(lambda body: body + b"\x00"),
     "retyped": retyped,
+    # A type that has no schema and no flow is refused like any other
+    # unexpected type.
+    "retired_type": lambda frame: (
+        frame[:4] + bytes([M.MessageType.PROOF_OPENING_REQUEST]) + frame[5:]),
 }
 
 # message type -> a scripted behaviour whose run sends it (None: honest)
-SENT_BY = dict.fromkeys(M.MessageType)
+SENT_BY = dict.fromkeys(M.FLOW)
 SENT_BY.update({
     M.MessageType.CHECK_FAILURE_CLAIM: "falsify_check_failure",
     M.MessageType.CONSISTENCY_PROOF: "forge_consistency_proof",
-    M.MessageType.PROOF_OPENING_REQUEST: "forge_consistency_proof",
     M.MessageType.PROOF_OPENING_RESPONSE: "forge_consistency_proof",
     M.MessageType.FAILURE_PROOF: "false_output_complaint",
     M.MessageType.ABORT: "bias_coin_toss",
@@ -314,7 +318,7 @@ SENT_BY.update({
 
 
 @pytest.mark.parametrize("mutation", sorted(FRAME_MUTATIONS))
-@pytest.mark.parametrize("mtype", list(M.MessageType), ids=lambda t: t.name)
+@pytest.mark.parametrize("mtype", list(M.FLOW), ids=lambda t: t.name)
 def test_mutated_frame_ends_in_a_verdict(mtype, mutation):
     adversary = SENT_BY[mtype]
     transport = FirstFrameFault(mtype, FRAME_MUTATIONS[mutation])
@@ -333,74 +337,89 @@ def test_mutated_frame_ends_in_a_verdict(mtype, mutation):
 
 def _claim_at(wire=None, copy=None):
     def rewrite(claim):
-        prov, w, j, openings = claim
-        return (prov, w if wire is None else wire,
-                j if copy is None else copy, openings)
+        w, j, openings = claim
+        return (w if wire is None else wire, j if copy is None else copy,
+                openings)
     return rewrite
 
 
 # case -> (behaviour, type, value rewrite, rewritten channel (sender,
-# receiver), None for any, blamed)
+# receiver), None for any, (status, blamed))
 VALUE_FAULTS = {
     "claim_unknown_wire": ("falsify_check_failure",
                            M.MessageType.CHECK_FAILURE_CLAIM,
-                           _claim_at(wire=9999), (None, None), "P1"),
+                           _claim_at(wire=9999), (None, None),
+                           ("abort", "P1")),
     "claim_copy_out_of_range": ("falsify_check_failure",
                                 M.MessageType.CHECK_FAILURE_CLAIM,
-                                _claim_at(copy=99), (None, None), "P1"),
-    "failure_proof_other_recipient": (
+                                _claim_at(copy=99), (None, None),
+                                ("abort", "P1")),
+    # A failure proof that does not open the complainer's own bundle is
+    # spurious, like a false complaint.
+    "failure_proof_bad_opening": (
         "false_output_complaint", M.MessageType.FAILURE_PROOF,
-        lambda p: FailureProof(recipient=99, openings=p.openings),
-        (None, None), "provider:0"),
-    "output_openings_other_recipient": (
-        None, M.MessageType.OUTPUT_OPENINGS,
-        lambda o: ((o[0] + 1) % len(BIDS),) + o[1:], ("P2", None), "P2"),
-    "proof_request_other_wire": (
-        "forge_consistency_proof", M.MessageType.PROOF_OPENING_REQUEST,
-        lambda r: (r[0] + 1, r[1]), (None, None), "cloud"),
-    # P1 complains and P2 garbles; each checks the request on its own
-    # channel against the proof it holds.
-    "proof_request_to_complainer_other_wire": (
-        "forge_consistency_proof", M.MessageType.PROOF_OPENING_REQUEST,
-        lambda r: (r[0] + 1, r[1]), ("cloud", "P1"), "cloud"),
-    "proof_request_to_garbler_other_wire": (
-        "forge_consistency_proof", M.MessageType.PROOF_OPENING_REQUEST,
-        lambda r: (r[0] + 1, r[1]), ("cloud", "P2"), "cloud"),
+        lambda p: dataclasses.replace(p, e1=p.e2, e2=p.e1), (None, None),
+        ("accept", "provider:0")),
+    "output_openings_bad_opening": (
+        None, M.MessageType.OUTPUT_OPENINGS, lambda o: (o[1], o[0]),
+        ("P2", None), ("abort", "P2")),
     "proof_response_short": (
         "forge_consistency_proof", M.MessageType.PROOF_OPENING_RESPONSE,
-        lambda r: (r[0], r[1], r[2][:1]), ("P2", None), "P2"),
+        lambda openings: openings[:1], ("P2", None), ("abort", "P2")),
 }
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("case", sorted(VALUE_FAULTS))
 def test_decoded_values_are_checked_before_use(case, seed):
-    adversary, mtype, rewrite, channel, blamed = VALUE_FAULTS[case]
+    adversary, mtype, rewrite, channel, verdict = VALUE_FAULTS[case]
     res = run_session(SMALL, BIDS, s=4, seed=seed, adversary=adversary,
                       transport=value_fault(mtype, rewrite, *channel))
-    assert res.status == "abort"
-    assert res.blamed == blamed
+    assert (res.status, res.blamed) == verdict
 
 
-def _first_entry_repeated(openings):
-    """Provider openings with the first entry of the lowest wire sent
-    twice."""
-    w = min(openings)
-    return {**openings, w: [openings[w][0]] + list(openings[w])}
+def _first_entry_repeated(entries):
+    return [entries[0]] + list(entries)
+
+
+def _last_entry_dropped(entries):
+    return list(entries[:-1])
+
+
+# counted body -> (behaviour, the sender that fills it, rewrite, reason)
+COUNTED_BODIES = {
+    M.MessageType.CHECKSET_OPENINGS: (
+        None, "provider:0", _first_entry_repeated,
+        "check openings cover the wrong copies"),
+    M.MessageType.EVALSET_OPENINGS: (
+        None, "provider:0", _first_entry_repeated,
+        "evaluation openings cover the wrong copies"),
+    M.MessageType.INPUT_COMMITMENTS: (
+        None, "provider:0", _last_entry_dropped,
+        "input commitments hold the wrong number of copies"),
+    M.MessageType.HASH_TUPLE: (
+        None, "P1", _first_entry_repeated,
+        "hash tuples cover the wrong wires"),
+    M.MessageType.OUTPUT_COMMITMENTS: (
+        None, "P2", _last_entry_dropped,
+        "output commitments cover the wrong recipients"),
+    M.MessageType.PROOF_OPENING_RESPONSE: (
+        "forge_consistency_proof", "P2", _first_entry_repeated,
+        "proof opening response holds the wrong number of openings"),
+}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("mtype,kind", [
-    (M.MessageType.CHECKSET_OPENINGS, "check"),
-    (M.MessageType.EVALSET_OPENINGS, "evaluation")],
-    ids=["CHECKSET_OPENINGS", "EVALSET_OPENINGS"])
-def test_a_repeated_copy_is_refused(mtype, kind, seed):
-    """An opening repeated for one copy covers the challenged copies as a
-    set, but not as a list."""
-    res = run_session(SMALL, BIDS, s=4, seed=seed, transport=value_fault(
-        mtype, _first_entry_repeated, sender="provider:0"))
-    assert (res.status, res.blamed) == ("abort", "provider:0")
-    assert res.reason == f"{kind} openings cover the wrong copies"
+@pytest.mark.parametrize("mtype", list(COUNTED_BODIES), ids=lambda t: t.name)
+def test_a_repeated_copy_is_refused(mtype, seed):
+    """A positional body with its first entry repeated, or its last
+    dropped, fails the count its receiver derives from the public
+    parameters: a repeated copy covers the challenged copies as a set, but
+    not as a list."""
+    adversary, sender, rewrite, reason = COUNTED_BODIES[mtype]
+    res = run_session(SMALL, BIDS, s=4, seed=seed, adversary=adversary,
+                      transport=value_fault(mtype, rewrite, sender=sender))
+    assert (res.status, res.blamed, res.reason) == ("abort", sender, reason)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -544,18 +563,16 @@ def test_tampered_eval_copy_fails_the_hash_comparison(
 
 # rewrite of a broadcast CONSISTENCY_PROOF -> what it breaks
 PROOF_REWRITES = {
-    "other_provider": lambda p: dataclasses.replace(
-        p, provider=(p.provider + 1) % len(BIDS)),
-    "no_input_wire": lambda p: dataclasses.replace(p, wire=9999),
+    "no_input_wire": lambda wire: 9999,
 }
 
 
 @pytest.mark.parametrize("rewrite", sorted(PROOF_REWRITES))
 def test_rewritten_consistency_proof_blames_its_sender(
         inconsistent_labels_scan, rewrite):
-    """Every receiver judges the proof it received, so a proof naming a
-    wire its provider does not own convicts the complainer that sent it,
-    never an honest provider."""
+    """Every receiver judges the proof it received, so a proof naming no
+    input wire convicts the complainer that sent it, never an honest
+    provider."""
     seeds = inconsistent_labels_scan["seeds"]["mixed"]
     assert seeds
     for seed in seeds:
@@ -570,10 +587,10 @@ def test_rewritten_consistency_proof_blames_its_sender(
         assert "consistency proof names no input wire" in res.reason
 
 
-def _to_another_wire_of_its_provider(proof):
-    group = Session(SMALL, BIDS, s=4).circuit.input_map[proof.provider]
-    return dataclasses.replace(
-        proof, wire=group[(group.index(proof.wire) + 1) % len(group)])
+def _to_another_wire_of_its_provider(wire):
+    group = next(g for g in build_auction_circuit(SMALL, len(BIDS)).input_map
+                 if wire in g)
+    return group[(group.index(wire) + 1) % len(group)]
 
 
 @pytest.mark.parametrize("receiver",
@@ -581,11 +598,12 @@ def _to_another_wire_of_its_provider(proof):
 def test_consistency_proof_sent_differently_to_one_receiver(
         inconsistent_labels_scan, receiver):
     """A complainer that sends one receiver a proof for another wire. A
-    bidder that got the odd copy sees the complainer's own opening answer
-    another wire and convicts the complainer. The cloud's and the
-    garbler's copies are not compared with anyone's: the garbler finds the
-    cloud's request off its copy and blames the cloud, an honest role.
-    Pinned until proofs are echo-broadcast (ROADMAP item 5)."""
+    provider that got the odd copy, the cloud included, finds the
+    complainer's opening off the wire it holds and convicts the
+    complainer, as the complainer's list is checked first. The garbler's
+    copy is compared with no one's: it opens its pair for the other wire,
+    which every provider finds off the proof's wire, so the honest garbler
+    is blamed. Pinned until proofs are echo-broadcast (ROADMAP item 2)."""
     for seed, clean in zip(inconsistent_labels_scan["seeds"]["mixed"],
                            inconsistent_labels_scan["mixed"]):
         complainer = next(e.sender for e in clean.transcript.entries
@@ -597,7 +615,7 @@ def test_consistency_proof_sent_differently_to_one_receiver(
                           transport=value_fault(
                               M.MessageType.CONSISTENCY_PROOF,
                               _to_another_wire_of_its_provider, receiver=to))
-        expect = complainer if to.startswith("provider") else "cloud"
+        expect = to if to in ("P1", "P2") else complainer
         assert (res.status, res.blamed) == ("abort", expect), seed
 
 
@@ -668,7 +686,38 @@ def test_forged_consistency_proof_blames_the_forger():
     assert res.status == "abort"
     assert res.blamed == "P1"
     assert res.phase == "input"
-    assert "contradicts" in res.reason
+    assert "the complaint was false" in res.reason
+
+
+class _LongCrossList(session._ForgeConsistencyProof):
+    """Commits the cross hash list of provider 0's first wire to random
+    hashes, one more than the wire has evaluation copies, then complains
+    about that wire."""
+
+    def hash_tuple(self):
+        super().hash_tuple()
+        w0 = self.circuit.input_map[0][0]
+        hashes = b"".join(self.adv_rng.randbytes(32)
+                          for _ in range(len(self.triples[w0]) + 1))
+        com, opening = tagged_commit(TAG_LABEL_HASH, hashes,
+                                     self.adv_rng.randbytes(NONCE_BYTES))
+        self.tuples[w0] = dataclasses.replace(self.tuples[w0], c_cross=com)
+        self.tuple_secrets[w0] = consistency.HashTupleSecret(
+            self.tuple_secrets[w0].openings[:2] + (opening,))
+        return [self.tuples[w] for w in sorted(self.tuples)]
+
+
+def test_a_cross_hash_list_of_the_wrong_length_blames_the_complainer(
+        monkeypatch):
+    """The complainer's list is the odd one out: it, not the garbler whose
+    lists are as long as the wire's evaluation copies, is blamed."""
+    monkeypatch.setitem(session._SCRIPTED, "forge_consistency_proof",
+                        (_LongCrossList, "P1"))
+    for seed in range(6):
+        res = run_session(SMALL, BIDS, s=4, seed=seed,
+                          adversary="forge_consistency_proof")
+        assert (res.status, res.blamed) == ("abort", "P1"), seed
+        assert "one hash per evaluation copy" in res.reason
 
 
 def test_false_output_complaint_is_spurious_and_harmless():

@@ -6,9 +6,9 @@ import pytest
 
 from dualgc import messages as M
 from dualgc.commitments import Commitment, Opening
-from dualgc.consistency import CommitmentSetPair, ConsistencyProof, HashTuple
+from dualgc.consistency import CommitmentSetPair, HashTuple
 from dualgc.errors import FramingError, ProtocolError, TransportError
-from dualgc.outputs import FailureProof, OutputOpenings
+from dualgc.outputs import OutputOpenings
 from dualgc.transport import InProcessTransport, TcpTransport
 
 
@@ -67,115 +67,99 @@ def set_pair(k):
 
 T = M.MessageType
 
-# One decoded value per message type.
+# One decoded value per message type with a schema.
 SAMPLES = {
-    T.INPUT_COMMITMENTS: {9: [set_pair(1)], 2: [set_pair(6), set_pair(11)]},
+    T.INPUT_COMMITMENTS: [set_pair(1), set_pair(6), set_pair(11)],
     T.COIN_COMMIT: C(7),
     T.COIN_REVEAL: O(b"seed", 8),
-    T.CHECKSET_OPENINGS: {
-        5: [(0, (O(b"a", 1), O(b"b", 2), O(b"", 3), O(b"d", 4)))]},
-    T.EVALSET_OPENINGS: {4: [(1, O(b"p", 1), O(b"q", 2)),
-                             (3, O(b"r", 3), O(b"s", 4))], 1: []},
-    T.HASH_TUPLE: {6: HashTuple(h_pair=(b"\x11" * 32, b"\x22" * 32),
-                                c_pair=(C(1), C(2)), c_cross=C(3))},
-    T.CONSISTENCY_PROOF: ConsistencyProof(
-        provider=2, wire=6,
-        h_triple=(b"\x11" * 32, b"\x22" * 32, b"\x33" * 32),
-        c_triple=(C(1), C(2), C(3))),
-    T.PROOF_OPENING_REQUEST: (6, M.OPEN_CROSS),
-    T.PROOF_OPENING_RESPONSE: (6, M.OPEN_PAIR, [O(b"x", 1), O(b"yy", 2)]),
-    T.CHECK_FAILURE_CLAIM: (2, 14, 5, (O(b"a", 1), O(b"b", 2), O(b"c", 3),
-                                       O(b"d", 4))),
+    T.CHECKSET_OPENINGS: [(O(b"a", 1), O(b"b", 2), O(b"", 3), O(b"d", 4))],
+    T.EVALSET_OPENINGS: [(O(b"p", 1), O(b"q", 2)), (O(b"r", 3), O(b"s", 4))],
+    T.HASH_TUPLE: [HashTuple(h_pair=(b"\x11" * 32, b"\x22" * 32),
+                             c_pair=(C(1), C(2)), c_cross=C(3))],
+    T.CONSISTENCY_PROOF: 6,
+    T.PROOF_OPENING_RESPONSE: [O(b"x", 1), O(b"yy", 2)],
+    T.CHECK_FAILURE_CLAIM: (14, 5, (O(b"a", 1), O(b"b", 2), O(b"c", 3),
+                                    O(b"d", 4))),
     T.GARBLED_CIRCUIT: b"\x00\x01tables",
-    T.OUTPUT_COMMITMENTS: [(0, C(1), C(2)), (3, C(3), C(4))],
-    T.OUTPUT_OPENINGS: (3, O(b"enc", 1), O(b"lab", 2)),
+    T.OUTPUT_COMMITMENTS: [(C(1), C(2)), (C(3), C(4))],
+    T.OUTPUT_OPENINGS: (O(b"enc", 1), O(b"lab", 2)),
     T.BUNDLE_HASH: bytes(range(32)),
-    T.FAILURE_PROOF: FailureProof(recipient=1, openings=OutputOpenings(
-        e1=O(b"e1", 1), o1=O(b"o1", 2), e2=O(b"e2", 3), o2=O(b"o2", 4))),
+    T.FAILURE_PROOF: OutputOpenings(
+        e1=O(b"e1", 1), o1=O(b"o1", 2), e2=O(b"e2", 3), o2=O(b"o2", 4)),
     T.ABORT: (M.Role(M.PROVIDER, 2), "label mismatch"),
 }
 
-# Each sample's body as the per-type encoders of the previous wire format
-# wrote it (GARBLED_CIRCUIT had none: its body is the blob itself).
+# Each sample's body, pinned byte for byte.
 RECORDED_HEX = {
     "INPUT_COMMITMENTS": (
-        "0000000200000002000206060606060606060606060606060606060606060606"
-        "0606060606060606060607070707070707070707070707070707070707070707"
-        "0707070707070707070708080808080808080808080808080808080808080808"
-        "0808080808080808080809090909090909090909090909090909090909090909"
-        "090909090909090909090a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a"
-        "0a0a0a0a0a0a0a0a0a0a0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b"
-        "0b0b0b0b0b0b0b0b0b0b0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c"
-        "0c0c0c0c0c0c0c0c0c0c0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d"
-        "0d0d0d0d0d0d0d0d0d0d0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e"
-        "0e0e0e0e0e0e0e0e0e0e0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f"
-        "0f0f0f0f0f0f0f0f0f0f00000009000101010101010101010101010101010101"
-        "0101010101010101010101010101010102020202020202020202020202020202"
-        "0202020202020202020202020202020203030303030303030303030303030303"
-        "0303030303030303030303030303030304040404040404040404040404040404"
-        "0404040404040404040404040404040405050505050505050505050505050505"
-        "05050505050505050505050505050505"),
+        "0000000301010101010101010101010101010101010101010101010101010101"
+        "0101010102020202020202020202020202020202020202020202020202020202"
+        "0202020203030303030303030303030303030303030303030303030303030303"
+        "0303030304040404040404040404040404040404040404040404040404040404"
+        "0404040405050505050505050505050505050505050505050505050505050505"
+        "0505050506060606060606060606060606060606060606060606060606060606"
+        "0606060607070707070707070707070707070707070707070707070707070707"
+        "0707070708080808080808080808080808080808080808080808080808080808"
+        "0808080809090909090909090909090909090909090909090909090909090909"
+        "090909090a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a"
+        "0a0a0a0a0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b"
+        "0b0b0b0b0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c"
+        "0c0c0c0c0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d"
+        "0d0d0d0d0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e"
+        "0e0e0e0e0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f"
+        "0f0f0f0f"),
     "COIN_COMMIT": (
         "0707070707070707070707070707070707070707070707070707070707070707"),
     "COIN_REVEAL": "000000047365656408080808080808080808080808080808",
     "CHECKSET_OPENINGS": (
-        "0000000100000005000100000000000161010101010101010101010101010101"
-        "0100000001620202020202020202020202020202020200000000030303030303"
-        "03030303030303030303000000016404040404040404040404040404040404"),
+        "0000000100000001610101010101010101010101010101010100000001620202"
+        "0202020202020202020202020202000000000303030303030303030303030303"
+        "0303000000016404040404040404040404040404040404"),
     "EVALSET_OPENINGS": (
-        "0000000200000001000000000004000200010000000170010101010101010101"
-        "0101010101010100000001710202020202020202020202020202020200030000"
-        "0001720303030303030303030303030303030300000001730404040404040404"
-        "0404040404040404"),
+        "0000000200000001700101010101010101010101010101010100000001710202"
+        "0202020202020202020202020202000000017203030303030303030303030303"
+        "030303000000017304040404040404040404040404040404"),
     "HASH_TUPLE": (
-        "0000000100000006111111111111111111111111111111111111111111111111"
-        "1111111111111111222222222222222222222222222222222222222222222222"
-        "2222222222222222010101010101010101010101010101010101010101010101"
-        "0101010101010101020202020202020202020202020202020202020202020202"
-        "0202020202020202030303030303030303030303030303030303030303030303"
-        "0303030303030303"),
-    "CONSISTENCY_PROOF": (
-        "0002000000061111111111111111111111111111111111111111111111111111"
-        "1111111111112222222222222222222222222222222222222222222222222222"
-        "2222222222223333333333333333333333333333333333333333333333333333"
-        "3333333333330101010101010101010101010101010101010101010101010101"
-        "0101010101010202020202020202020202020202020202020202020202020202"
-        "0202020202020303030303030303030303030303030303030303030303030303"
-        "030303030303"),
-    "PROOF_OPENING_REQUEST": "0000000601",
+        "0000000111111111111111111111111111111111111111111111111111111111"
+        "1111111122222222222222222222222222222222222222222222222222222222"
+        "2222222201010101010101010101010101010101010101010101010101010101"
+        "0101010102020202020202020202020202020202020202020202020202020202"
+        "0202020203030303030303030303030303030303030303030303030303030303"
+        "03030303"),
+    "CONSISTENCY_PROOF": "00000006",
     "PROOF_OPENING_RESPONSE": (
-        "0000000600020000000178010101010101010101010101010101010000000279"
-        "7902020202020202020202020202020202"),
+        "0000000200000001780101010101010101010101010101010100000002797902"
+        "020202020202020202020202020202"),
     "CHECK_FAILURE_CLAIM": (
-        "00020000000e0005000000016101010101010101010101010101010101000000"
-        "0162020202020202020202020202020202020000000163030303030303030303"
-        "03030303030303000000016404040404040404040404040404040404"),
+        "0000000e00050000000161010101010101010101010101010101010000000162"
+        "0202020202020202020202020202020200000001630303030303030303030303"
+        "0303030303000000016404040404040404040404040404040404"),
     "GARBLED_CIRCUIT": "00017461626c6573",
     "OUTPUT_COMMITMENTS": (
-        "0002000001010101010101010101010101010101010101010101010101010101"
+        "0000000201010101010101010101010101010101010101010101010101010101"
         "0101010102020202020202020202020202020202020202020202020202020202"
-        "0202020200030303030303030303030303030303030303030303030303030303"
-        "0303030303030404040404040404040404040404040404040404040404040404"
-        "040404040404"),
+        "0202020203030303030303030303030303030303030303030303030303030303"
+        "0303030304040404040404040404040404040404040404040404040404040404"
+        "04040404"),
     "OUTPUT_OPENINGS": (
-        "000300000003656e6301010101010101010101010101010101000000036c6162"
-        "02020202020202020202020202020202"),
+        "00000003656e6301010101010101010101010101010101000000036c61620202"
+        "0202020202020202020202020202"),
     "BUNDLE_HASH": (
         "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"),
     "FAILURE_PROOF": (
-        "000100000002653101010101010101010101010101010101000000026f310202"
-        "0202020202020202020202020202000000026532030303030303030303030303"
-        "03030303000000026f3204040404040404040404040404040404"),
+        "00000002653101010101010101010101010101010101000000026f3102020202"
+        "0202020202020202020202020000000265320303030303030303030303030303"
+        "0303000000026f3204040404040404040404040404040404"),
     "ABORT": "0300020000000e6c6162656c206d69736d61746368",
 }
 
 
 def test_schema_table_covers_every_type():
-    assert set(M.SCHEMAS) == set(SAMPLES) == set(T)
-    assert set(RECORDED_HEX) == {t.name for t in T}
+    assert set(M.SCHEMAS) == set(SAMPLES) == set(T) - {T.PROOF_OPENING_REQUEST}
+    assert set(RECORDED_HEX) == {t.name for t in SAMPLES}
 
 
-@pytest.mark.parametrize("mtype", list(T), ids=lambda t: t.name)
+@pytest.mark.parametrize("mtype", list(SAMPLES), ids=lambda t: t.name)
 def test_schema_sample(mtype):
     value = SAMPLES[mtype]
     body = M.encode_body(mtype, value)
@@ -192,7 +176,7 @@ def test_schema_sample(mtype):
 
 # Extra inputs: (type, body, decoded value or the exception it must raise).
 EXTRA_INPUTS = [
-    (T.PROOF_OPENING_REQUEST, bytes.fromhex("0000000602"), ProtocolError),
+    (T.HASH_TUPLE, bytes.fromhex("00000001"), FramingError),
     (T.BUNDLE_HASH, bytes(32), bytes(32)),
     (T.BUNDLE_HASH, bytes(31), FramingError),
     (T.BUNDLE_HASH, bytes(33), FramingError),
@@ -203,7 +187,7 @@ EXTRA_INPUTS = [
     (T.COIN_COMMIT, bytes(33), FramingError),
     (T.COIN_REVEAL, bytes.fromhex("00000001ff") + bytes(15), FramingError),
     (T.COIN_REVEAL, bytes.fromhex("00000001ff") + bytes(17), FramingError),
-    (T.PROOF_OPENING_RESPONSE, bytes.fromhex("000000060000"), (6, 0, [])),
+    (T.PROOF_OPENING_RESPONSE, bytes.fromhex("00000000"), []),
 ]
 
 
@@ -218,7 +202,7 @@ def test_schema_extra_inputs(mtype, body, expected):
 
 
 def test_flow_table_covers_every_type_and_passes_audit():
-    assert set(M.FLOW) == set(M.MessageType)
+    assert set(M.FLOW) == set(M.MessageType) - {T.PROOF_OPENING_REQUEST}
     M.audit_flow_table()
     for _mtype, (_senders, _receivers, phase) in M.FLOW.items():
         assert phase in M.PHASES
