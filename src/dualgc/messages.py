@@ -11,8 +11,17 @@ type, composed from field codecs. Integers are big-endian ``u16``/``u32``;
 a u32 length and UTF-8 bytes, an opening a u32 length, the message and 16
 bytes of randomness; ``listof`` is a u32 count and the items; ``record``
 a dataclass's fields in declaration order. ``encode_body``/``decode_body``
-run a schema; decoding refuses a truncated body, trailing bytes or
-non-UTF-8 text with ``FramingError``, alike for every type.
+run a schema; decoding refuses a truncated body, trailing bytes, non-UTF-8
+text or a non-zero "no one" role tag with ``FramingError``, alike for
+every type.
+
+A codec whose read accepts any bytes of one width (an integer, ``raw(n)``,
+a commitment, or a ``seq``, ``array`` or ``record`` of such fields) has
+that ``size``. A list of sized items decodes to a ``Table``: its count is
+checked against the bytes left, and an item is decoded only when it is
+read, which cannot fail. The input commitments, hash tuples and output
+commitments are such lists; the opening lists have variable width and
+decode item by item.
 
 A body carries only what its receiver cannot derive. Lists are positional
 in an order fixed by the public parameters (the input and output maps,
@@ -40,6 +49,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections import namedtuple
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter, methodcaller
@@ -188,8 +198,10 @@ def decode_frame(frame: bytes):
 
 # ``write(out, value)`` appends the value's bytes to the list ``out``;
 # ``read(data, off)`` returns ``(value, offset after it)`` and raises
-# ``FramingError`` if ``data`` ends first.
-Codec = namedtuple("Codec", "write read")
+# ``FramingError`` if ``data`` ends first. ``size`` is the field's width in
+# bytes when it has one and its read cannot fail on any bytes of that
+# width, else None.
+Codec = namedtuple("Codec", "write read size", defaults=(None,))
 
 
 _TRUNCATED = "message payload truncated"
@@ -206,7 +218,7 @@ def _fixed(n: int, to_bytes, from_bytes) -> Codec:
             raise FramingError(_TRUNCATED)
         return from_bytes(data[off:end]), end
 
-    return Codec(write, read)
+    return Codec(write, read, n)
 
 
 def _uint(n: int) -> Codec:
@@ -223,10 +235,22 @@ def raw(n: int) -> Codec:
 
 
 commitment = _fixed(DIGEST_BYTES, attrgetter("digest"), Commitment)
-# A role tag, or three zero bytes for None.
+_NO_ROLE = bytes(ROLE_PREFIX_BYTES)
+
+
+def _role_or_none(tag: bytes):
+    if tag == _NO_ROLE:
+        return None
+    if tag[0] == 0:
+        raise FramingError("no-role tag must be all zero")
+    return role_from_tag(tag)
+
+
+# A role tag, or three zero bytes for None; it can refuse its bytes, so it
+# has no size.
 role_or_none = _fixed(
-    ROLE_PREFIX_BYTES, lambda r: b"\0\0\0" if r is None else r.tag(),
-    lambda tag: None if tag[0] == 0 else role_from_tag(tag))
+    ROLE_PREFIX_BYTES, lambda r: _NO_ROLE if r is None else r.tag(),
+    _role_or_none)._replace(size=None)
 
 
 def _write_var(out, value: bytes):
@@ -272,6 +296,12 @@ rest = Codec(lambda out, b: out.append(b),
              lambda data, off: (data[off:], len(data)))
 
 
+def _width(fields) -> int | None:
+    """The summed width of fixed-width fields, or None."""
+    sizes = [f.size for f in fields]
+    return None if None in sizes else sum(sizes)
+
+
 def seq(*fields: Codec) -> Codec:
     """The fields one after another, as a tuple."""
     writers = tuple(f.write for f in fields)
@@ -290,7 +320,7 @@ def seq(*fields: Codec) -> Codec:
             values.append(value)
         return tuple(values), off
 
-    return Codec(write, read)
+    return Codec(write, read, _width(fields))
 
 
 def array(n: int, item: Codec) -> Codec:
@@ -299,7 +329,8 @@ def array(n: int, item: Codec) -> Codec:
 
 
 def record(cls, **fields: Codec) -> Codec:
-    """A dataclass, its fields on the wire in declaration order."""
+    """A dataclass, its fields on the wire in declaration order. ``cls``
+    must accept any field values, so that a fixed-width record is total."""
     if tuple(fields) != tuple(f.name for f in dataclasses.fields(cls)):
         raise ProtocolError(f"schema fields do not match {cls.__name__}")
     writers = tuple((name, f.write) for name, f in fields.items())
@@ -316,13 +347,48 @@ def record(cls, **fields: Codec) -> Codec:
             values.append(value)
         return cls(*values), off
 
-    return Codec(write, read)
+    return Codec(write, read, _width(fields.values()))
+
+
+class Table(Sequence):
+    """A read-only list of ``count`` fixed-width ``item``s laid out in
+    ``data`` from ``off``. An item is decoded each time it is read, which
+    cannot fail; a unit-step slice is a view over the same bytes."""
+
+    __slots__ = ("data", "off", "count", "item")
+
+    def __init__(self, data, off: int, count: int, item: Codec):
+        self.data, self.off, self.count, self.item = data, off, count, item
+
+    def __len__(self):
+        return self.count
+
+    def __getitem__(self, i):
+        at = range(self.count)[i]
+        size = self.item.size
+        if isinstance(at, int):
+            return self.item.read(self.data, self.off + at * size)[0]
+        if at.step != 1:
+            return [self[k] for k in at]
+        return Table(self.data, self.off + at.start * size, len(at),
+                     self.item)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    def __repr__(self):
+        return f"Table({list(self)!r})"
 
 
 def listof(item: Codec) -> Codec:
-    """A u32 count, then that many items; decodes to a list."""
-    write_count, read_count = u32
-    write_item, read_item = item
+    """A u32 count, then that many items. A list of fixed-width items
+    decodes to a ``Table`` once the body is long enough for them; any other
+    list decodes to a list, item by item."""
+    write_count, read_count, _ = u32
+    write_item, read_item, size = item
 
     def write(out, values):
         write_count(out, len(values))
@@ -331,6 +397,11 @@ def listof(item: Codec) -> Codec:
 
     def read(data, off):
         n, off = read_count(data, off)
+        if size is not None:
+            end = off + n * size
+            if end > len(data):
+                raise FramingError(_TRUNCATED)
+            return Table(data, off, n, item), end
         values = []
         for _ in range(n):
             value, off = read_item(data, off)

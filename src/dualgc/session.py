@@ -264,7 +264,9 @@ class Participant:
         self.coin_commits = {}  # party Role -> Commitment
         self.shares = {}        # party Role -> seed share
         self.rho = {}           # wire -> tuple[int, ...]
-        self.tuples_of = {}     # party Role -> {wire: HashTuple} received
+        self.tuples_of = {}     # party Role -> [HashTuple] by wire rank
+        # wire -> its place in the ascending order of hash-tuple lists
+        self.rank = {w: k for k, w in enumerate(sorted(circuit.input_wires))}
 
     def copies(self, provider: int, checked: bool) -> list:
         """(wire, copy) of a provider's check or evaluation copies, by wire,
@@ -294,14 +296,17 @@ class Participant:
             raise _Abort(self.role, sender, str(exc))
         if len(self.shares) == 2:
             held = (self.shares[_P1], self.shares[_P2])
-            for w in sorted(self.circuit.input_wires):
+            for w in self.rank:
                 self.rho[w] = tuple(combine_challenge(*held, w, self.s))
 
     def take_hash_tuple(self, sender: M.Role, got):
-        wires = sorted(self.circuit.input_wires)
-        if len(got) != len(wires):
+        if len(got) != len(self.rank):
             raise _Abort(self.role, sender, "hash tuples cover the wrong wires")
-        self.tuples_of[sender] = dict(zip(wires, got))
+        self.tuples_of[sender] = got
+
+    def tuple_of(self, party: M.Role, wire: int):
+        """The hash tuple ``party`` broadcast for ``wire``."""
+        return self.tuples_of[party][self.rank[wire]]
 
     def take_consistency_proof(self, sender: M.Role, wire):
         if wire not in self.wire_owner:
@@ -392,9 +397,10 @@ class Party(Participant):
     def consistency_complaint(self) -> int | None:
         """The first wire whose cross labels fail the other party's hash
         tuple, if any."""
-        other = self.tuples_of[_other_party(self.role)]
+        other = _other_party(self.role)
         return next((w for w in sorted(self.triples) if not label_check_passes(
-            cross_hash_aggregate(self.triples[w]), other[w])), None)
+            cross_hash_aggregate(self.triples[w]), self.tuple_of(other, w))),
+            None)
 
     def consistency_proof(self) -> int | None:
         """The wire to complain about, if any; this party must then open
@@ -536,8 +542,8 @@ class Provider(Participant):
             return verify_consistency_proof(
                 complainer=complainer, garbler=garbler,
                 provider=self.wire_owner[w],
-                complainer_tuple=self.tuples_of[complainer][w],
-                garbler_tuple=self.tuples_of[garbler][w],
+                complainer_tuple=self.tuple_of(complainer, w),
+                garbler_tuple=self.tuple_of(garbler, w),
                 pair_openings=self.proof_openings[garbler],
                 cross_opening=self.proof_openings[complainer][0],
                 copies=self.s - sum(self.rho[w]))
@@ -566,9 +572,9 @@ class Provider(Participant):
     def bundle_hash(self) -> bytes:
         coms = self.out_coms
         self.bundles = {
-            u: OutputCommitments(e1=coms["P1"][u][0], o1=coms["P2"][u][1],
-                                 e2=coms["P2"][u][0], o2=coms["P1"][u][1])
-            for u in range(len(self.circuit.output_map))}
+            u: OutputCommitments(e1=e1, o1=o1, e2=e2, o2=o2)
+            for u, ((e1, o2), (e2, o1)) in enumerate(zip(coms["P1"],
+                                                         coms["P2"]))}
         self.digest = bundle_digest(list(self.bundles.values()))
         return self.digest
 

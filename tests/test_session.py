@@ -4,6 +4,7 @@ transcript determinism and accounting, and the catch-the-cheater paths."""
 import dataclasses
 import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -420,6 +421,55 @@ def test_a_repeated_copy_is_refused(mtype, seed):
     res = run_session(SMALL, BIDS, s=4, seed=seed, adversary=adversary,
                       transport=value_fault(mtype, rewrite, sender=sender))
     assert (res.status, res.blamed, res.reason) == ("abort", sender, reason)
+
+
+def _count_item_reads(monkeypatch) -> Counter:
+    """Counts, by message type, the items read out of fixed-width list
+    bodies from now on."""
+    counts = Counter()
+    for mtype in (M.MessageType.INPUT_COMMITMENTS, M.MessageType.HASH_TUPLE,
+                  M.MessageType.OUTPUT_COMMITMENTS):
+        item = M.decode_body(mtype, bytes(4)).item
+
+        def read(data, off, read_item=item.read, name=mtype.name):
+            counts[name] += 1
+            return read_item(data, off)
+
+        monkeypatch.setitem(M.SCHEMAS, mtype,
+                            M.listof(item._replace(read=read)))
+    return counts
+
+
+@pytest.mark.parametrize("adversary", [None, "falsify_check_failure",
+                                       "forge_consistency_proof"])
+def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
+    """Each party reads every commitment pair once, in its check or its
+    evaluation, and each of the other party's hash tuples once; every
+    provider reads both parties' output commitments. A bidder or the cloud
+    reads an input commitment or a hash tuple only to arbitrate."""
+    counts = _count_item_reads(monkeypatch)
+    sess = Session(SMALL, BIDS, s=4, seed=3, adversary=adversary)
+    res = sess.run()
+    wires, s = len(sess.circuit.input_wires), sess.s
+    providers = len(sess.providers)
+    if adversary is None:
+        assert res.status == "accept"
+        assert counts == {"INPUT_COMMITMENTS": 2 * wires * s,
+                          "HASH_TUPLE": 2 * wires,
+                          "OUTPUT_COMMITMENTS": providers * 2 * providers}
+    elif adversary == "falsify_check_failure":
+        # The session ends at the claim: each party has read its check
+        # copies, and every provider but the wire's owner, which holds its
+        # own pairs, reads the claimed pair.
+        assert (res.status, res.blamed) == ("abort", "P1")
+        checked = sum(map(sum, sess.p1.rho.values()))
+        assert counts == {"INPUT_COMMITMENTS": 2 * checked + providers - 1}
+    else:
+        # The complainer reads all of the garbler's tuples before it makes
+        # its complaint up; every provider reads both tuples of the wire.
+        assert (res.status, res.blamed) == ("abort", "P1")
+        assert counts == {"INPUT_COMMITMENTS": 2 * wires * s,
+                          "HASH_TUPLE": wires + 2 * providers}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -188,7 +188,28 @@ EXTRA_INPUTS = [
     (T.COIN_REVEAL, bytes.fromhex("00000001ff") + bytes(15), FramingError),
     (T.COIN_REVEAL, bytes.fromhex("00000001ff") + bytes(17), FramingError),
     (T.PROOF_OPENING_RESPONSE, bytes.fromhex("00000000"), []),
+    (T.ABORT, bytes.fromhex("00abcd00000000"), FramingError),
 ]
+
+# The lists of fixed-width items, by item width: their count is checked
+# against the bytes left before any item is read.
+FIXED_LISTS = {T.INPUT_COMMITMENTS: 160, T.HASH_TUPLE: 160,
+               T.OUTPUT_COMMITMENTS: 64}
+
+
+def _list_body(count, items, width):
+    return count.to_bytes(4, "big") + bytes(items * width)
+
+
+EXTRA_INPUTS += [
+    pytest.param(mtype, _list_body(count, items, width), expected,
+                 id=f"{mtype.name}-{case}")
+    for mtype, width in FIXED_LISTS.items()
+    for case, count, items, expected in (
+        ("count_ffffffff", 0xFFFFFFFF, 1, FramingError),
+        ("one_item_more", 2, 1, FramingError),
+        ("one_item_fewer", 1, 2, FramingError),
+        ("empty", 0, 0, []))]
 
 
 @pytest.mark.parametrize("mtype,body,expected", EXTRA_INPUTS)
@@ -199,6 +220,72 @@ def test_schema_extra_inputs(mtype, body, expected):
     else:
         assert M.decode_body(mtype, body) == expected
         assert M.encode_body(mtype, expected) == body
+
+
+def test_only_the_commitment_lists_decode_to_tables():
+    for mtype, value in SAMPLES.items():
+        got = M.decode_body(mtype, M.encode_body(mtype, value))
+        assert isinstance(got, M.Table) == (mtype in FIXED_LISTS)
+
+
+def test_a_table_reads_as_the_list_it_encodes():
+    mtype = T.INPUT_COMMITMENTS
+    body = M.encode_body(mtype, SAMPLES[mtype])
+    table = M.decode_body(mtype, body)
+    items = list(table)
+    assert items == SAMPLES[mtype]
+    assert table == items and len(table) == len(items)
+    assert list(iter(table)) == items
+    for i in range(-len(items), len(items)):
+        assert table[i] == items[i]
+    for i in (len(items), -len(items) - 1):
+        with pytest.raises(IndexError):
+            table[i]
+    for cut in (slice(None), slice(1, None), slice(None, -1), slice(1, 2),
+                slice(2, 1), slice(-2, None), slice(5, 9)):
+        view = table[cut]
+        assert isinstance(view, M.Table)
+        assert view == items[cut] and list(view) == items[cut]
+        assert M.encode_body(mtype, view) == M.encode_body(mtype, items[cut])
+    assert table[1:][1:] == items[2:]
+    assert table[::2] == items[::2] and table[::-1] == items[::-1]
+    assert table != items[:-1] and table != items[::-1]
+    assert M.encode_body(mtype, table) == body
+
+
+def _sized_codecs():
+    """Every fixed-width codec: the field codecs, the fixed-width bodies
+    and the items of the fixed-width lists."""
+    codecs = {"u16": M.u16, "u32": M.u32, "raw(32)": M.raw(32),
+              "commitment": M.commitment}
+    for mtype, codec in M.SCHEMAS.items():
+        if codec.size is not None:
+            codecs[mtype.name] = codec
+    for mtype in FIXED_LISTS:
+        item = M.decode_body(mtype, bytes(4)).item
+        assert item.size == FIXED_LISTS[mtype]
+        codecs[f"{mtype.name} item"] = item
+    return codecs
+
+
+@pytest.mark.parametrize("name", sorted(_sized_codecs()))
+def test_a_sized_codec_reads_any_bytes_of_its_width(name):
+    """A table decodes an item only when it is read, so an item's read must
+    not be able to fail once the list's length has been checked."""
+    codec = _sized_codecs()[name]
+    rng = random.Random(name)
+    for _ in range(200):
+        data = rng.randbytes(codec.size)
+        value, end = codec.read(data, 0)
+        assert end == codec.size
+        out = []
+        codec.write(out, value)
+        assert b"".join(out) == data
+
+
+def test_a_codec_that_can_refuse_its_bytes_has_no_size():
+    assert M.role_or_none.size is None
+    assert M.SCHEMAS[T.ABORT].size is None
 
 
 def test_flow_table_covers_every_type_and_passes_audit():
