@@ -5,7 +5,9 @@ Subcommands:
 * ``demo``: run one full protocol session and print the winning set and
   payments (identical to the plaintext auction on the same bids).
 * ``attack``: run seeded sessions against a scripted adversary and report
-  detection rates, abort phases, and verdict correctness.
+  detection rates, abort phases, and verdict correctness; it exits 1 if
+  any session accepted a wrong output or blamed a role that was not
+  scripted to cheat.
 * ``dump-circuit``: write the compiled auction circuit as a text netlist.
 
 Sessions run over in-memory queues by default; ``--tcp host:port`` moves
@@ -247,7 +249,7 @@ def cmd_attack(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
         print(f"wrote {len(trial_rows)} trial rows to {args.out}")
-    return 0
+    return 1 if wrong or honest_blamed else 0
 
 
 def cmd_dump_circuit(args) -> int:

@@ -18,10 +18,18 @@ its evaluation triples into final labels, and a hash-comparison round lets
 each party verify that the cross labels it received are consistent with the
 encodings the other party received, without learning the input bit.
 
+Only the two parties receive a wire's commitment pairs. Every other provider
+receives one ``wire_digest`` per wire instead: a SHA-256 over the wire's
+``s`` pairs in copy order, under a domain tag. This deviates from the
+paper, where every provider receives the full lists; the other providers
+need them only to arbitrate.
+
 Failures are publicly arbitrated: a party that claims a bad check copy or a
 failed hash comparison must present openings that the providers re-verify
-against the broadcast commitments, so a false accusation is attributed to
-the accuser and a real inconsistency to the provider.
+against the committed copies, so a false accusation is attributed to the
+accuser and a real inconsistency to the provider. A check-failure claim
+carries the wire's pairs, which count only if they hash to the digest the
+arbitrating provider holds.
 """
 
 from __future__ import annotations
@@ -56,6 +64,20 @@ class CommitmentSetPair:
     w: tuple[Commitment, Commitment]
     w_prime: tuple[Commitment, Commitment]
     position: Commitment
+
+
+WIRE_DIGEST_TAG = b"dualgc/wire-commitments/v1"
+
+
+def wire_digest(pairs) -> bytes:
+    """The 32-byte digest binding one wire's committed copies: SHA-256
+    under a domain tag over each pair's five commitments (``W``, ``W'``,
+    position) in copy order, the order they take on the wire."""
+    h = hashlib.sha256(WIRE_DIGEST_TAG)
+    for pair in pairs:
+        for com in pair.w + pair.w_prime + (pair.position,):
+            h.update(com.digest)
+    return h.digest()
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,20 @@ A codec whose read accepts any bytes of one width (an integer, ``raw(n)``,
 a commitment, or a ``seq``, ``array`` or ``record`` of such fields) has
 that ``size``. A list of sized items decodes to a ``Table``: its count is
 checked against the bytes left, and an item is decoded only when it is
-read, which cannot fail. The input commitments, hash tuples and output
-commitments are such lists; the opening lists have variable width and
-decode item by item.
+read, which cannot fail. The input commitments' digest and pair lists,
+a claim's pairs, the hash tuples and the output commitments are such
+lists; the opening lists have variable width and decode item by item.
 
 A body carries only what its receiver cannot derive. Lists are positional
 in an order fixed by the public parameters (the input and output maps,
 the copy count ``s`` and the challenge), behind one u32 count, so a body
 decodes without context and the receiver checks the count against what
 it expects. Only a claim's wire and copy and a proof's wire are named.
+Input commitments go point to point: the two parties receive each copy's
+commitment pairs and no digests, every other provider one 32-byte
+``consistency.wire_digest`` per wire and no pairs. A check-failure claim
+carries the claimed wire's pairs, so that every provider can arbitrate
+against its digest.
 ``PROOF_OPENING_REQUEST`` has no schema and no flow: it is never sent, and
 a frame of that type is refused like any unexpected type. It stays a
 member so that no type is renumbered and per-type metrics keep their
@@ -147,7 +152,8 @@ FLOW: dict[MessageType, tuple[frozenset, frozenset, str]] = {
 
 # Types whose sender gives each receiver its own value; every other type is
 # one body broadcast to all of its receivers.
-POINT_TO_POINT = frozenset({MessageType.EVALSET_OPENINGS,
+POINT_TO_POINT = frozenset({MessageType.INPUT_COMMITMENTS,
+                            MessageType.EVALSET_OPENINGS,
                             MessageType.OUTPUT_OPENINGS})
 
 
@@ -413,12 +419,16 @@ def listof(item: Codec) -> Codec:
 
 # --- message schemas ---------------------------------------------------------
 
+# A list of CommitmentSetPairs, s per wire: by wire, then by copy
+set_pairs = listof(record(
+    CommitmentSetPair, w=array(2, commitment), w_prime=array(2, commitment),
+    position=commitment))
+
 # The wire specification of every message body, and its decoded value.
 SCHEMAS: dict[MessageType, Codec] = {
-    # CommitmentSetPairs: s per wire, in the sender's input-map order
-    MessageType.INPUT_COMMITMENTS: listof(record(
-        CommitmentSetPair, w=array(2, commitment),
-        w_prime=array(2, commitment), position=commitment)),
+    # (wire digests, pairs): to a party no digests and the pairs; to any
+    # other role one digest per wire, in input-map order, and no pairs
+    MessageType.INPUT_COMMITMENTS: seq(listof(raw(32)), set_pairs),
     MessageType.COIN_COMMIT: commitment,
     MessageType.COIN_REVEAL: opening,
     # four input-set openings per check copy, by wire, then by copy
@@ -434,8 +444,9 @@ SCHEMAS: dict[MessageType, Codec] = {
     MessageType.CONSISTENCY_PROOF: u32,
     # the complainer's cross opening, or the garbler's two pair openings
     MessageType.PROOF_OPENING_RESPONSE: listof(opening),
-    # (wire, copy, the copy's four check-set openings)
-    MessageType.CHECK_FAILURE_CLAIM: seq(u32, u16, array(4, opening)),
+    # (wire, copy, the copy's four check-set openings, the wire's s pairs)
+    MessageType.CHECK_FAILURE_CLAIM: seq(u32, u16, array(4, opening),
+                                         set_pairs),
     # the tables blob, checked by garbling.parse_tables_blob
     MessageType.GARBLED_CIRCUIT: rest,
     # (encoding, label) commitments per recipient, in recipient order

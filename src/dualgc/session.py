@@ -16,13 +16,16 @@ list is positional, and its count is checked against the input map,
 ``s``, the challenge or the output map, so a wrong list is short, long,
 or fails an opening, and any of these blames its sender:
 
-* input: providers broadcast the committed copies of their input-wire
-  material; the parties coin-toss one challenge seed, from which every
-  role derives each wire's challenge string, verify the opened check
-  copies, and derive their final input encodings and cross labels from
-  the evaluation copies, confirming agreement via the broadcast hash
-  tuples. A consistency proof names a wire; the complainer opens its
-  cross hash list of it, the other party its pair; providers rule.
+* input: providers send the committed copies of their input-wire
+  material to the two parties, and every other provider one digest per
+  wire; the parties coin-toss one challenge seed, from which every role
+  derives each wire's challenge string, verify the opened check copies,
+  and derive their final input encodings and cross labels from the
+  evaluation copies, confirming agreement via the broadcast hash tuples.
+  A check-failure claim carries the wire's copies, which providers check
+  against their digest before they rule. A consistency proof names a
+  wire; the complainer opens its cross hash list of it, the other party
+  its pair; providers rule.
 * compute: both garbled circuits are exchanged in one round (so both are
   sent before either side evaluates) and evaluated on the cross labels.
 * output: both parties commit to output encodings and evaluated labels
@@ -73,6 +76,7 @@ from .consistency import (
     open_position,
     verify_check_failure_claim,
     verify_consistency_proof,
+    wire_digest,
 )
 from .errors import (
     CoinTossCheatError,
@@ -176,14 +180,17 @@ class Transcript:
 
     def measure(self) -> dict:
         bytes_by_phase: dict[str, int] = {}
+        bytes_by_type: dict[str, int] = {}
         total = 0
         for e in self.entries:
             total += e.nbytes
             bytes_by_phase[e.phase] = bytes_by_phase.get(e.phase, 0) + e.nbytes
+            bytes_by_type[e.type] = bytes_by_type.get(e.type, 0) + e.nbytes
         return {
             "bytes_total": total,
             "messages_total": len(self.entries),
             "bytes_by_phase": bytes_by_phase,
+            "bytes_by_type": bytes_by_type,
             "wall_time_by_phase": dict(self.phase_seconds),
         }
 
@@ -218,6 +225,7 @@ class SessionResult:
     decisions: dict[str, OutputDecision]
     transcript: Transcript
     phase: str
+    detector: str | None = None  # the role that aborted, if one did
 
 
 class _Abort(Exception):
@@ -242,11 +250,17 @@ def _recipient(role: M.Role, circuit) -> int:
     return role.index if role.kind == M.PROVIDER else len(circuit.input_map)
 
 
+def _provider_roles(circuit) -> list[M.Role]:
+    """Every bidder, by index, then the cloud."""
+    return ([M.Role(M.PROVIDER, u) for u in range(len(circuit.input_map))]
+            + [M.Role(M.CLOUD)])
+
+
 # ------------------------------------------------------------------- roles
 
 class Participant:
-    """What every role keeps: the input commitments, the challenge seed
-    shares, the challenges and the parties' hash tuples.
+    """What every role keeps: the owner of each input wire, the challenge
+    seed shares, the challenges and the parties' hash tuples.
 
     A ``<message type>`` step builds the value the role sends: one value,
     or for a point-to-point type one per receiver role. A ``take_<message
@@ -259,8 +273,9 @@ class Participant:
 
     def __init__(self, role: M.Role, rng: random.Random, circuit, s: int):
         self.role, self.rng, self.circuit, self.s = role, rng, circuit, s
-        self.pairs = {}         # wire -> [CommitmentSetPair]
-        self.wire_owner = {}    # wire -> provider Role
+        self.wire_owner = {     # wire -> provider Role
+            w: role for role, group in zip(_provider_roles(circuit),
+                                           circuit.input_map) for w in group}
         self.coin_commits = {}  # party Role -> Commitment
         self.shares = {}        # party Role -> seed share
         self.rho = {}           # wire -> tuple[int, ...]
@@ -273,15 +288,6 @@ class Participant:
         then by copy: the order of its opening lists."""
         return [(w, j) for w in self.circuit.input_map[provider]
                 for j in range(self.s) if self.rho[w][j] == checked]
-
-    def take_input_commitments(self, sender: M.Role, got):
-        wires = self.circuit.input_map[sender.index]
-        if len(got) != len(wires) * self.s:
-            raise _Abort(self.role, sender,
-                         "input commitments hold the wrong number of copies")
-        for k, w in enumerate(wires):
-            self.pairs[w] = got[k * self.s:(k + 1) * self.s]
-            self.wire_owner[w] = sender
 
     def take_coin_commit(self, sender: M.Role, com):
         self.coin_commits[sender] = com
@@ -328,8 +334,9 @@ class Party(Participant):
         self.slot = 0 if role == _P1 else 1
         self.garble_seed = garble_seed
         self.coin_opening = None
+        self.pairs = {}          # wire -> its s CommitmentSetPairs
         self.stashed_check = {}  # (wire, copy) -> check openings
-        self.failures = []       # check-failure claims, in receive order
+        self.failures = []       # (wire, copy) failing checks, in order
         self.triples = {}        # wire -> eval triples (asc copy)
         self.final_enc = {}      # wire -> own-circuit Encoding
         self.cross_label = {}    # wire -> other-circuit label
@@ -339,6 +346,17 @@ class Party(Participant):
         self.gc = None           # own garbled circuit
         self.eval_labels = None  # other circuit's output labels
         self.out_openings = {}   # recipient -> (enc, labels)
+
+    def take_input_commitments(self, sender: M.Role, got):
+        """A party receives no digests and ``s`` pairs per wire of the
+        sender."""
+        wires = self.circuit.input_map[sender.index]
+        digests, pairs = got
+        if len(digests) or len(pairs) != len(wires) * self.s:
+            raise _Abort(self.role, sender,
+                         "input commitments hold the wrong number of copies")
+        for k, w in enumerate(wires):
+            self.pairs[w] = pairs[k * self.s:(k + 1) * self.s]
 
     def coin_commit(self):
         share, com, self.coin_opening = coin_toss_commit(self.rng)
@@ -356,12 +374,17 @@ class Party(Participant):
         for (w, j), openings in zip(copies, got):
             self.stashed_check[(w, j)] = openings
             if check_pair_construction(self.pairs[w][j], openings):
-                self.failures.append((w, j, openings))
+                self.failures.append((w, j))
+
+    def claim_of(self, w: int, j: int):
+        """The CHECK_FAILURE_CLAIM of check copy ``j`` of wire ``w``: the
+        copy's four openings and the wire's pairs, which the providers
+        check against their digest of the wire."""
+        return w, j, self.stashed_check[(w, j)], self.pairs[w]
 
     def check_failure_claim(self):
-        """The CHECK_FAILURE_CLAIM (wire, copy, openings) for the first
-        failure this party found, if any."""
-        return self.failures[0] if self.failures else None
+        """The claim for the first failure this party found, if any."""
+        return self.claim_of(*self.failures[0]) if self.failures else None
 
     def take_evalset_openings(self, sender: M.Role, got):
         copies = self.copies(sender.index, checked=False)
@@ -450,10 +473,8 @@ class Party(Participant):
     def output_openings(self) -> dict:
         """(encoding opening, label opening) per provider role: bidder
         ``u`` receives output group ``u``, the cloud the last."""
-        roles = [M.Role(M.PROVIDER, u)
-                 for u in range(len(self.circuit.input_map))]
         return {role: self.out_openings[u]
-                for u, role in enumerate(roles + [M.Role(M.CLOUD)])}
+                for u, role in enumerate(_provider_roles(self.circuit))}
 
 
 class Provider(Participant):
@@ -469,6 +490,7 @@ class Provider(Participant):
                       else list(circuit.input_map[self.index]))
         self.x_bits = dict(zip(self.wires, bits))
         self.material = {}        # wire -> WireMaterial
+        self.digests = {}         # bidder Role -> wire digests, by input map
         self.claim = None         # the CHECK_FAILURE_CLAIM received
         self.dispute = None       # (complainer, wire) of the proof received
         self.proof_openings = {}  # party Role -> hash-list openings
@@ -482,12 +504,37 @@ class Provider(Participant):
     def make_material(self, w: int):
         return generate_input_material(self.rng, self.x_bits[w], self.s)
 
-    def input_commitments(self) -> list:
+    def input_commitments(self) -> dict:
+        """Per receiver role: each party gets every copy's pairs, by wire,
+        then by copy; every other provider one digest per wire. Receivers
+        of one kind share one value, which is encoded once."""
+        pairs, digests = [], []
         for w in self.wires:
-            material = self.material[w] = self.make_material(w)
-            self.pairs[w] = material.pairs()
-            self.wire_owner[w] = self.role
-        return [pair for w in self.wires for pair in self.pairs[w]]
+            self.material[w] = self.make_material(w)
+            copies = self.material[w].pairs()
+            digests.append(wire_digest(copies))
+            pairs += copies
+        self.digests[self.role] = digests
+        full, short = ([], pairs), (digests, [])
+        return {role: short for role in _provider_roles(self.circuit)
+                if role != self.role} | {_P1: full, _P2: full}
+
+    def take_input_commitments(self, sender: M.Role, got):
+        """A provider receives one digest per wire of the sender and no
+        pairs."""
+        wires = self.circuit.input_map[sender.index]
+        digests, pairs = got
+        if len(digests) != len(wires) or len(pairs):
+            raise _Abort(self.role, sender, "input commitments hold the "
+                         "wrong number of wire digests")
+        self.digests[sender] = digests
+
+    def digest_of(self, wire: int) -> bytes:
+        """The digest this provider holds for ``wire``'s copies: its own,
+        or the one the wire's owner sent it."""
+        owner = self.wire_owner[wire]
+        group = self.circuit.input_map[owner.index]
+        return self.digests[owner][group.index(wire)]
 
     def checkset_openings(self) -> list:
         return [self.material[w].check_openings(j)
@@ -504,17 +551,21 @@ class Provider(Participant):
                 for slot, party in enumerate((_P1, _P2))}
 
     def take_check_failure_claim(self, sender: M.Role, claim):
-        """The construction fault the claim proves, or None."""
-        wire, copy, openings = claim
-        if (wire not in self.pairs or not 0 <= copy < self.s
+        """The construction fault the claim proves, or None. The claim's
+        pairs count only if they hash to this provider's digest of the
+        wire; otherwise the claim proves nothing."""
+        wire, copy, openings, pairs = claim
+        if (wire not in self.wire_owner or not 0 <= copy < self.s
                 or not self.rho[wire][copy]):
             raise _Abort(self.role, sender,
                          "check-failure claim names no check copy")
         self.claim = claim
-        return verify_check_failure_claim(self.pairs[wire][copy], openings)
+        if wire_digest(pairs) != self.digest_of(wire):
+            return None
+        return verify_check_failure_claim(pairs[copy], openings)
 
     def check_claim_ruling(self, claimant: M.Role, fault) -> _Abort:
-        wire, copy, _openings = self.claim
+        wire, copy = self.claim[:2]
         if fault is not None:
             return _Abort(self.role, self.wire_owner[wire],
                           f"check copy {copy} of wire {wire} failed "
@@ -667,8 +718,7 @@ class _FalsifyCheckFailure(_Scripted, Party):
     def check_failure_claim(self):
         w0 = self.circuit.input_map[0][0]
         j0 = next(j for j in range(self.s) if self.rho[w0][j])
-        return (super().check_failure_claim()
-                or (w0, j0, self.stashed_check[(w0, j0)]))
+        return super().check_failure_claim() or self.claim_of(w0, j0)
 
 
 class _ForgeConsistencyProof(_Scripted, Party):
@@ -722,9 +772,7 @@ class Session:
         self.transport = transport if transport is not None else InProcessTransport()
         self.transcript = Transcript()
         self._phase = M.PHASE_INPUT
-        self.all_roles = ([_P1, _P2]
-                          + [M.Role(M.PROVIDER, i) for i in range(self.n)]
-                          + [M.Role(M.CLOUD)])
+        self.all_roles = [_P1, _P2] + _provider_roles(self.circuit)
         if self.adversary is not None:
             self._check_adversary_target()
 
@@ -778,10 +826,11 @@ class Session:
         its method named after the type) runs once, and its frames go to
         every other role of a kind ``FLOW`` lists as a receiver of the
         type: one broadcast frame, or for a point-to-point type one frame
-        per receiver role. Every frame is sent before any is received.
-        Then each receiver reads each sender's value, sender by sender, and
-        hands it to its ``take_*`` step (a role without one drops it).
-        Returns what the take steps returned, in that order."""
+        per receiver role, encoded once per distinct value. Every frame is
+        sent before any is received. Then each receiver reads each
+        sender's value, sender by sender, and hands it to its ``take_*``
+        step (a role without one drops it). Returns what the take steps
+        returned, in that order."""
         step = step or methodcaller(mtype.name.lower())
         kinds = M.FLOW[mtype][1]
         routes = []
@@ -790,8 +839,11 @@ class Session:
             receivers = [r for r in self._all_states()
                          if r.role.kind in kinds and r is not sender]
             if mtype in M.POINT_TO_POINT:
-                frames = {r: self._frame(mtype, sender, value[r.role])
-                          for r in receivers}
+                encoded = {}
+                for v in value.values():
+                    if id(v) not in encoded:
+                        encoded[id(v)] = self._frame(mtype, sender, v)
+                frames = {r: encoded[id(value[r.role])] for r in receivers}
             else:
                 frames = dict.fromkeys(receivers,
                                        self._frame(mtype, sender, value))
@@ -874,7 +926,7 @@ class Session:
             status=STATUS_ABORT, result=None,
             blamed=sig.blamed.name if sig.blamed else None,
             reason=sig.reason, decisions={}, transcript=self.transcript,
-            phase=self._phase)
+            phase=self._phase, detector=sig.detector.name)
 
     # ---------------------------------------------------------- input phase
 

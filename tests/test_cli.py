@@ -1,13 +1,17 @@
 """Command-line behavior: demo output, attack reports, circuit dumps, and
 argument validation."""
 
+import dataclasses
 import random
 
 import pytest
 
-from dualgc.auction import AuctionConfig, gate_count, oracle_run
+from dualgc import cli
+from dualgc.auction import (AuctionConfig, AuctionResult, gate_count,
+                            oracle_run)
 from dualgc.circuits import eval_plain, from_netlist
 from dualgc.cli import main
+from dualgc.session import run_session
 from dualgc.auction import encode_bid_bits, decode_cloud_bits
 
 FAST = ["--bits", "4", "--max-bid", "15", "--copies", "3",
@@ -92,6 +96,33 @@ def test_attack_honest_baseline_accepts_everything(capsys):
     assert code == 0
     assert "detected: 0 (0.00%)" in text
     assert "status counts: accept=3" in text
+
+
+def _misjudged(verdict):
+    """A ``run_session`` whose results are rewritten by ``verdict``."""
+    def run(*args, **kwargs):
+        return dataclasses.replace(run_session(*args, **kwargs), **verdict)
+    return run
+
+
+# rewrite of every session result -> the report line it must show
+MISJUDGED = {
+    "honest_role_blamed": ({"blamed": "P1"}, "honest roles blamed: 4"),
+    "wrong_output": ({"status": "accept", "blamed": None,
+                      "result": AuctionResult((0,), (1,))},
+                     "silent wrong outputs: 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISJUDGED))
+def test_attack_fails_when_a_verdict_is_wrong(capsys, monkeypatch, case):
+    verdict, line = MISJUDGED[case]
+    monkeypatch.setattr(cli, "run_session", _misjudged(verdict))
+    code, text, _ = run_cli(capsys, [
+        "attack", "--adversary", "bias_coin_toss", "--trials", "4",
+        "--bidders", "1"] + FAST)
+    assert code == 1
+    assert line in text
 
 
 def test_attack_unknown_adversary_is_a_usage_error(capsys):

@@ -49,197 +49,197 @@ VARIANTS = {
 #  frame digest, order-free frame digest)
 GOLDEN = [
     (0, None, 'accept', None,
-     "75675b8943928f22821b1703228d3a8d8794af50ad81fadd15753d2d877297b6",
-     "8cf4dc7307ec111584b8b6aba9a61af3ed4ad6e87173f15300b1139aa81f7469",
-     "4b55b9efbfe207c8e538f810716e3f91001bb8e26ce6f557bf0dfb85416c9de0"),
+     "03bd7152a11da797d938af962eb071f32e20ca5c51bd5d58e8e0f6775391ab31",
+     "230f1df7d9e87332725608465d7386c064cc9400bc48268c3f1faba481b136a9",
+     "ba63337da0b0328e026733255fbf6d033fc7520f6bafb3201887a36bb06e1aed"),
     (0, 'inconsistent_labels', 'abort', 'provider:0',
-     "28edee2e8f19f0c9032d2a4f8b55d40a42c9918dc92635fc1f63fa866cdbb114",
-     "4597865b019aaf509166fb92e8cdf6913f01b82f8223456d8bce4bf04b5b8f56",
-     "16db9c153a91c15c49b878b5b32500d89e2a1ae8f5974d1ea06f1c4de43c854d"),
+     "9be10aac321909cf25df4600fabb4547cfb336918b362c21c410c38414e03d6c",
+     "2da0e0a73991eb45f28b28c14b852e98585328f3f29a97379e2568da800f3c9d",
+     "6539693f1e177193ff49f32b9a437fc8079474e76bfe69e05100435225103c3a"),
     (0, 'tamper_garbled_gate', 'abort', 'P1',
-     "1b84c79485369f494846a1f2f5df8d7b874a24831b0683346e378872a5928893",
-     "5942b6eb0850fd26198e0a29cff4d4e671eb851252691d8bac5ba0f8bfa8e7d4",
-     "e988e27e10d4c1911d23ce3edd9287b869118f88dd471d826fbd02b99c5befc8"),
+     "af095ccc3d3233231a93be0c54ef95cf45793022e7dafe76235b6df88b0d9d28",
+     "21274487e09f89e582105a15f66512ecb891b380452d236e8fee82d6b354eacf",
+     "a3689964e524cfc58e9798ccf3e1d7427fba60e3526ca53b5deded3d6cf78fa4"),
     (0, 'substitute_output_label', 'reject', None,
-     "eeef1976c08cb05123d37b2d0d844537b76e1385ae636d913f60a2b8cb7f5d0e",
-     "6a59293e4a78d845ca1121217ce21ae332a838b66c8bc8f067c7c319d7c2b361",
-     "7367bc851971c3ad25a9b7b511b7a37f53d58ce348e7842f12f4ba5cd5249bed"),
+     "087950e47288294a9ecf70c2a9b3a6cc8aeba2a1a490e25130d8895c2dfcf97d",
+     "6056de292eaa804a065bcc08b2a886a29225b27706af5367ded766cda6233e0b",
+     "785f0e0663a276858d1124a00b6b3a4bf709a9c45cd4307074c565bca446d567"),
     (0, 'bias_coin_toss', 'abort', 'P2',
-     "88aadb608ab4d7f053a8d24be490cb035dfa5d6701059bdd37eae84bd34bc4d3",
-     "02859d1c58142de667a23c01e8cbf484d9cb529a13078d5525443250f31c0517",
-     "18bf766f86e78f605be9d28c2a145091f20b161d93236aa885a886b2e95ddb9e"),
+     "f943349a196354b049766b424ed24c9bde9d473330f03e9808c952b1775ae7ed",
+     "821c654dab88d470426cfa4bfad64581005c184c2eab225d7083a3446ae4dd56",
+     "759dda1c194a8550240cacecf4095a686e23af016306f7e0d1f3e173a42c6c8f"),
     (0, 'falsify_check_failure', 'abort', 'P1',
-     "25554a49b2cc110c90ecf06740aa903beca13bdac4fc0ceafad08e580972405f",
-     "6c8818a41fb98a4f7f765a9522ca5fab81553d454f3e1bf5c18df4765a164642",
-     "4d7d90db8b24943ff2baf335209e877c6cf0914004e2e4cc6db430dd02fe4441"),
+     "34101c46c55733ec3d47e40a5ff059d7c45b6165a5a40dc0a12d49e05a699b03",
+     "5c3ceb844ad20759c67f8565ce1b03b10cbf13eef730d6b70e16d4e82d3843c7",
+     "bf6cec7e51776e2c6752dd62e54b0da2c97cb47a6842a7db74458592818571e0"),
     (0, 'forge_consistency_proof', 'abort', 'P1',
-     "3401bd00a4136438f1bc575de533876b158b34e79cc28b2b4042dd69c1b2d88d",
-     "f21a96425bb40f426c5aaffc66825a3cb576eda34d83bf2dd1ecbc71ebdc39b6",
-     "01d60b13b124d51a06e285ff63bff7ba3e5efb4c852dd105c5c26317eff55d96"),
+     "0f43669017debcb8d2adb2d4f977dba0e19f1876c915c131aa12252baef4e8af",
+     "582a7fa1c4bed08452af7483b27e8d7f9fb2b84863c8f18da1a1f26f058aecd1",
+     "a611b886d5b2bd9419485268fca795392bdec5c53823ba78566c6585be12ff57"),
     (0, 'false_output_complaint', 'accept', 'provider:0',
-     "eeef1976c08cb05123d37b2d0d844537b76e1385ae636d913f60a2b8cb7f5d0e",
-     "fdcf449b3b6094ac469a53927210d72d1e764c1a147ef3172d180a1e109038ae",
-     "13959ee81b6c3f53fc3fa6f3399bddafb719a424634d22910029979afa444031"),
+     "087950e47288294a9ecf70c2a9b3a6cc8aeba2a1a490e25130d8895c2dfcf97d",
+     "660f075b1795c41afc9d4adb4d0dd2f5625f20ad1334f2ef2561d68dc1c92e35",
+     "dd28fa512659200540560ba217555d1edec90210edbdb903c248428c68fc89b6"),
     (3, None, 'accept', None,
-     "f5d2ab02f31716a6d6a673f079e3f3ed59d2444b6a48e7862f4b2686e55e9c1a",
-     "252ec2d32e66daf746e38f1c1b43426b1c9fa87a1441095edf8f24d3d0b8471d",
-     "95daf94c0435179ed66411912ac38cf1c5fe22dc08dcbf843c0cce6d99667af9"),
+     "bb8a90b7f8eb89e5d828faab98b220f7b08d5daedc390b13805346fd9043949c",
+     "8b73ed8faa8875f3b4b43b19c2628bd7073dd39c85906e79f63c50971ec604ce",
+     "780790dc02c6d970df6ca633b6e1110c4170e140627ad05a32d3d9551785c6ec"),
     (3, 'inconsistent_labels', 'abort', 'provider:0',
-     "340a0be9ea1a3d78415be618e4032231f3fbabcd0df7850532800883e7e45cb9",
-     "ed3d1ab1cf9536c4a0f12548f04ac76c863f2d68ca5cb7f208a831bd99e9e9c4",
-     "a469f6bc098c924758218aa06085a8cbddb96aaaa6f37a4e0db5d6f91bbf4d59"),
+     "089da82f76dcf2bf0577086cd91158b7680fb3038675fc1968ed2cb13eae76d5",
+     "c076b70c92cdecf889f5fde85c0409fa9446bf9c8060b0c111f3ebd14811d9de",
+     "c12bb8efe5837c77d05afe7a4caa0fafad20bcefbca0f36234dfd5c86ecb0503"),
     (3, 'tamper_garbled_gate', 'abort', 'P1',
-     "1cc902adccf4c2fa07d2b7840136059894348a241b377082f23cdabd8e0671d7",
-     "0b449d28d8d0bd7e5298b61caf3d036c51d92ee4274fa15b48dea88bc2b1c8de",
-     "6833286d1c1900a6df242ae284a952f3348a40842e42ea2498107c58f3a22284"),
+     "ad973628db19c64d744188d2f99358c2d9d5a34d0ca9adcc0528887b66e15b27",
+     "5f49b49294b7e74004f6d8cbd5216ce80cc8d16c4e4701f125db9ab1e06dd295",
+     "b2874aed72657f7d79ee0b9b5f361d6f65dfd6845b810c74f167652f0a50413f"),
     (3, 'substitute_output_label', 'reject', None,
-     "1148a09bacf4ed88eb15811c9ef4897e0730daaf60a5ab76e151f61800b2e848",
-     "096321000567e1baa3137517a090634143cc0d0763efd840a5c880a014aadb9c",
-     "2a0dbeed2e22bbd6d8e12aea8a1a26d4074a82408dca74ad7b4a366b6a5cfc67"),
+     "0303a9326bf4ee12b7c5edd961fce320564f9c2a905ea1a910fa6f91aca06cb7",
+     "3fbb1d7a7c4c6be2b7f9d3cd88acad00472dd564ee97d29fcba4e122f724596e",
+     "8ecb2e63f53b5d7705eed81f7373a84ce53d4485793ee0e50153d14cffd9b534"),
     (3, 'bias_coin_toss', 'abort', 'P2',
-     "88aadb608ab4d7f053a8d24be490cb035dfa5d6701059bdd37eae84bd34bc4d3",
-     "9df2c6d6b0f56d768e2433e57849671fd8b5cd3deca97dc3e25f0057e06aa5d8",
-     "55c08070af965f29b165d998a6ccb6e8a67d61dd4037c3ee709f337bf0841624"),
+     "f943349a196354b049766b424ed24c9bde9d473330f03e9808c952b1775ae7ed",
+     "596e21a34290997f0836065b3c78093b3d72d705aa4b708d13441ce85bb468aa",
+     "aa8974ae50862a49ffcf152ee5e8acf4ccee0599d45ea599143861d426f30018"),
     (3, 'falsify_check_failure', 'abort', 'P1',
-     "32c7d79f80ecb05c9da018e45e675425eb9dccd890b6eeb1557577bae4b24835",
-     "7abedd16862986c7fa70868eb90a811b85e658db1a5a7addde53d951bb0ce804",
-     "25939c689ee7bebaeb355366d2fd2ccac90a16587bd6775005bcd8b32dc0fe4e"),
+     "7947cd71a30bbe8470fa9519e0b3433668a510d57ec222b70e8e214bee3e0702",
+     "75320d9a7e251cd0d42d41af19aa526559395aa65ba00d81efa2f4cbc87c3d78",
+     "8a62383d467f7b34b133da6e4b7092509a530da9b25c195ad63a137256636324"),
     (3, 'forge_consistency_proof', 'abort', 'P1',
-     "06c0d35c3747576afd8624363805f44ba77d3225a71292aa12248dae259398e7",
-     "0232e697386e9c491b3a6fb9955064e9398be7c7422c8176fd2be9ab767f36e9",
-     "30ed4170e14812637f579f66c6346b5b209614fb106b351b30df3ecd28f5e9a3"),
+     "ceebb440ecc302a7a2e85e2a80b216c23d5e0f3bcccebdd9fcafcb050e75c1e6",
+     "8b4dd64935f69ba2cbc6870c9ab5c148c9a3b08a12fb587269029c1190c43aab",
+     "a5805a9e9a22e269f2cb246cde80658d6e2a14e7b51c9607b39f6dbc84595083"),
     (3, 'false_output_complaint', 'accept', 'provider:0',
-     "1148a09bacf4ed88eb15811c9ef4897e0730daaf60a5ab76e151f61800b2e848",
-     "f324ef9bd91b2ee36afb00b88d36b0b2f08eb7009e81cecf9cab515d1a2b1c58",
-     "ae5367c5e472954c2a3aa037707457023256fa09096dc65cca130aea7e0a281f"),
+     "0303a9326bf4ee12b7c5edd961fce320564f9c2a905ea1a910fa6f91aca06cb7",
+     "48bf2fc89a18a896386f579b93c6e0f5271ddffb6075f9b79f178ff9778ad008",
+     "5a4a1cedcee2a038a8b87b22162b56a5b611616f2e01e37118829014c1276813"),
     (5, None, 'accept', None,
-     "ff7b4f0b316a4e744fc64897c9c7d886f063086e114de016cff4ac53339d8f0a",
-     "fdb71a03e2e4847d3312ab8cdb273a276f6dd2be5cc3ec9cd9526022ac0216fc",
-     "0c6655deeea850636ae44166e8c0dcf4a0ec1fd8109c47b8761100385468fbd3"),
+     "39a9f6b0ede69075d38c4322287be199b50376cb641dfea705e22b0c2ef13c39",
+     "be0a102d486156ee911743660b5bf8e3a44c7389983fafa8325969eee39ed204",
+     "63dd70edc3aad76b0d4790d80374c1544377304cc2a70fcdeffb6031b704451e"),
     (5, 'inconsistent_labels', 'abort', 'provider:0',
-     "8e42c7e5b1b18b24210d058c5042142d24b67333c6e5afd8e00e23ebc2f4fb7a",
-     "feff7cb57806959e79b9996001c29362d5d3e752fc48e2f7457806780785345d",
-     "962a7929c89924d3e14ba215a40b2401d6b89befc29051993ce5c39f897b5760"),
+     "d7e0d7cb0359c6ce9b748de0cb558eb36804560ca3a11cb237d6a461980729c4",
+     "79d2e1af6fe89d0ed27e7cd62cb0833af5f905ca80b189f30f0226b3eb7b2f2c",
+     "041dd269ef2045bae856d8c2a3e2760db302f88a4175bc6abfe5439be807ff3d"),
     (5, 'tamper_garbled_gate', 'abort', 'P1',
-     "c986d89505393495531e0604e98f0d2f65ddfac426df5a4a7ac16cb5bedd37c3",
-     "a00cf7d527139d62e37280e7e7d49f1c9645c3d82390e0dc686410c15303f781",
-     "b14256a72a5f979b0f8158f1e322146423c6e2fb3474cbfcc7a3e93828deb6be"),
+     "0c737cb6f38aa14acebd45a3af6ffcd533b00518f7796ee4b14dd49e3823dc31",
+     "0d27c09480ca758aa5a01b3d0ae6463d58228129deb85d364e5f545ba087e08d",
+     "663a1013dd8edb86cf4bf55abd340bfc7cea4869731a48972611c04ed12c8d99"),
     (5, 'substitute_output_label', 'reject', None,
-     "12e61df6d0372969adab25547811a36dcb5b471211e0945abb7426a444dd3db9",
-     "2c8f7a4eab173034d43b6edbff769f40e8d272b411f0f6dbf1e31c8f45d7bdb5",
-     "aff704884e04cfe35282499e31fecd3257df709e5455d8cae6707ae3fed96d25"),
+     "ca16683f4b823c29956dbae3b5f902dec09ea42e5a631179772a187a413a648d",
+     "e703a599c383db1d65d6e896c21a4135c0afb5718e05449e4159fa296156b727",
+     "a66f666fe7481cb2e840355de4d349505f700c9d37ad35a0ff33ddcc55c898b8"),
     (5, 'bias_coin_toss', 'abort', 'P2',
-     "88aadb608ab4d7f053a8d24be490cb035dfa5d6701059bdd37eae84bd34bc4d3",
-     "aa826662a3c2c4d7a1264f1cabfac6feb6523c61e43faf40abf2056cf890ffab",
-     "c4a31e193b9bd4ee25b95ca5d774f86969dcd0945b9d492d7b8ddd27d2e36e5a"),
+     "f943349a196354b049766b424ed24c9bde9d473330f03e9808c952b1775ae7ed",
+     "5b10c5571b59411bf0d05e84b9812cb8a7aebb89d428556f7f2426ea01b7d165",
+     "70aa896476334ce19ac94f08a4049ee596c08c49faff24f9cafb69aa0fd18d31"),
     (5, 'falsify_check_failure', 'abort', 'P1',
-     "286f160eb36990f32112581e8587555dcfadc7b5087a18c41070b801c0375036",
-     "883939cbe9eb2f4abb13ad84b8444ff7ca63f0f44129ec934cea0fb83655db1f",
-     "034f9cbbc0a08a79abcda28e7a317b0b9dd2afc6194b31776f47e1d6c7fb0b1a"),
+     "bc6165a5a6d25d43f25e99619d8faa0987a41a42323dbde96bae4e748738e439",
+     "181b9854eb4679bcd1fc9feaec743ec31ffdf1aca0b2a0600aa849f1eab2138c",
+     "57873ddfbefe861a6b540c0e98dddafa47797894e33b86c16ff423dfd2adb7f8"),
     (5, 'forge_consistency_proof', 'abort', 'P1',
-     "6a890c501e9deb1bd06d89206c0398090619f6caffc378eb61c9b556f589113f",
-     "0e5c67155e5b33c8a02dac367539d786aa6eaa9de584bcea13f17fb3deda7046",
-     "a95c30a72c0fd00acc252c427468a1f26fd4ac30e6ee6b2ba3840bc409912a12"),
+     "c7b27346530eabebbcc9f345983a366ab339afc5aec958c9e53f65380d0e8b25",
+     "f65cc76c308f0b48463a59046612e1313dc9a70e1697c0c612bf2f4cf5e10c90",
+     "1c4ef2250050bd04653b4d6159ed762942e63d152fbc2f5d52056f3b13717086"),
     (5, 'false_output_complaint', 'accept', 'provider:0',
-     "12e61df6d0372969adab25547811a36dcb5b471211e0945abb7426a444dd3db9",
-     "13ecf6b9cd685b8a484a5502e4bb8a356e7dc5d9c8f5a4756adaee17e669ea2c",
-     "ba6dec3c6e8ce88ed0e9e3431bd7cfd1168e9e3dd7f75a006ad450bb7a8c3698"),
+     "ca16683f4b823c29956dbae3b5f902dec09ea42e5a631179772a187a413a648d",
+     "cd24ca45cacd3373eb812267b4bdca62c663a145027943434a442733ef8d4821",
+     "f5fb39bf5dd7451ee770788618e39c1e4eb0b08d42fb3ad29397da2a9953857d"),
     (0, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "747553d5806b1b998224b8331df1c8906c4e1a9067c8feee2af2386160e1e638",
-     "908b3059ab99556385cee38aa9b5ac7ae2e3b6810aab6438ffb2b5af05444433",
-     "0fcc18f62f2c83e013a03a4a432c5c571d48c39f9f7337999e1145f716a4354f"),
+     "d540cf4c3e7ac49d57ad001391e9233764d47266e46a2719fe3cf8c70a34e221",
+     "0f335f7a6eb8a8719d4c1961be66632586cee9453f14c64e6f67cec83395dd64",
+     "90c5decb0cac06c69ea351bf77ccefa449618b96b304e6e45e8ba5fb9e168b73"),
     (0, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "1b7e54141bf7e63ca291ceb0b7800decae09cfef47410855f9acc8ac702d6877",
-     "44e53ff86374ed167d1d7780bbc362e2a4006da6099754968e204d951449f9e4",
-     "dee0adaffc816b2519c3babd6a71cf8bb9dc51b862ecaaf14b5ecae21b7d5574"),
+     "242a2b849085f6d9d19b02565827f1f49fed22ab3012ed2ea6ece580e1f28f53",
+     "81699d175a46e29096c03e81960e6ffe37d350b700b481f7a420674fc5bc7525",
+     "00f1be5cb07572868263be279debf15920d899ede5c4143827975026a3673274"),
     (0, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "7196abeea2e3bb8967cda6506596bcea285e5f96e721a025e4b7bdb6885bf9e8",
-     "c6f8eff2f9bd1ab95ab9bd946bec2203468debe9943561fc142bb0da693e20d0",
-     "cd29a03c1a9ab054d343cd74c7335379a38f6dec6c33c0dc103734323ae251a4"),
+     "986ba3dda7f7f84aa8e8d12e446148841b4474a2ae189b320add3163915d5a75",
+     "88137b9f4cf526bfebac1d31342c61ba387ba957a54f091a73a8c69a989bd05d",
+     "8d1cdf3d180227e1f134ac5948b1356cf4af3dfef5cfe2af4f86f06fdbeb45ee"),
     (0, 'falsify_check_failure:P2', 'abort', 'P2',
-     "db89da0fded0bab42651b8728cf1fa40ce877da1b1f777adc49ec7a63add9d08",
-     "2e49d18b0de39ca47bc324525e3f7b49e759501b5c87f96fa1d8ff7443fbd5a5",
-     "4f844be910e432012fa3bf989e5fc5a399de7034351d5490e1fe8fcb490d8ca1"),
+     "441df8fa1edc98636c9760c6c8529bb37a392a3b2d33e9a5d58a4eef26e05d60",
+     "782597b8bfa3f1f8dfb011c38a3febf86e3edc787edb4102cba669a5be2e5405",
+     "f0545d8a6c7d02eb71ccc8a2a6a3fd071c601d3dc05c43e4519fc267a240dc73"),
     (0, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "320fe626df32fad1e5a21f59972bf4141d48b98390fecf35db9a7fc62283b7d7",
-     "4d88ce9b59afb238dbf46df94881f33d5e339b4f19b845e4ae41efbbbc1bf52e",
-     "175113d65f1b0bdbe7dfc73740789e9ec9770bb5b9ac5e3f3c1c9cf04895988f"),
+     "f53da6cff51c63b5f4e6a7c577c928185b7b13ebd0ddccb7b8169326a98680ff",
+     "bbb83f73e8c6e05505480857feba56a26bcacd0a0fd983e0a994a2dc81e1b2b1",
+     "eb1cc1ca88f3b549276e44079ee9463e5ba636a6cfcccd3a029c65d63179a213"),
     (0, 'bias_coin_toss:P1', 'abort', 'P1',
-     "519bd6b69ee275d3e65fe16650804d527ea2cc23c686b0e99ee068f15150f217",
-     "9fa21f5963ca45434d7895236c3bebd34dfd26f48099533568d96fd18e74f6e4",
-     "64e8da1cebca3733d79292376a1f4733a5ba1f7778c31d3c8dd0297afc3a5c25"),
+     "61b2e897a0506973b4d92c948f8d4605488f73db0db1d1827c01c7b9fc7ee5ff",
+     "7fed823878f4c7d349644f06f6e5cdfff8526d1054ae7a029cce4a50f3e06f73",
+     "b7f47072171702ee0665456b87ea006a62c5ce5f235e15f9c30e781e807bfc60"),
     (0, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "28edee2e8f19f0c9032d2a4f8b55d40a42c9918dc92635fc1f63fa866cdbb114",
-     "924732707f7ad6e0223d39f72d7dfd46ba08cedf159d39418d21011e5c997d14",
-     "45aec00605ed2185537a87a287d353c0b184ee3b18c7097de63156b363881cab"),
+     "9be10aac321909cf25df4600fabb4547cfb336918b362c21c410c38414e03d6c",
+     "f067b96c191be35a5f831ce3d2e8c21772e5cbab9d7005f0317f0eb6442ba43f",
+     "4bba67ca384699b82f915ec60494dd2362563160d108bf6b69a10a0ece55002e"),
     (0, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "48097e5db7a840676bfff95fb6ecf4a9e1b4f0ed63dcd8142cdc6dca86f799f1",
-     "4e9bc6dbcdf05a244ffc10ad82a1ee3e865974b12540e998313470df259f4788",
-     "03d8f7e2d6d96dec6b8ffdf96457671bd53ecc0970ef193ebd1a5b2ea2dfed89"),
+     "e401748da69605add06b12b38cb3b9d8956750d8f33983c273ee1799a543e5e6",
+     "d3ff63b89f2181c71d0f9836a45322e4bf840ef3a47c5d8d731b3556bae915e5",
+     "2dd0b96c02d3c161c8cbb171a43d071e83d1ed86eaaedd2012ac6026a9e4ad2f"),
     (3, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "cdb8c294cc823c6bca2c574ab4e6d4b2612359bd937ea03ed3b71b0173ae7815",
-     "05c405fcb2498856456d2db727738f1768d646cba93bbc21ebaf58279e80d3bb",
-     "48229f38770180744b38c6893a6b35ca015c6d02a5d0be207a1b6dc0b78bf284"),
+     "ba140bdad794cd072ab1fce6cef42c1ccda821ffb4ea983e754fe4505883536e",
+     "d02ece32730b68ba326b4086ebd866c05a4e091a7ae3d2fadc2f652056c36051",
+     "23aee715acc54d331ef1161103e2cd7d3a8c28e51accfcb2407547f8dfd15e5f"),
     (3, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "7db7cae75b50e8797bb290e1b67b996b36aa9d761fdc672084f2b2bbb84b6842",
-     "f9730a14462525c80064f2a83d4c785a92a994e2e879721792f2fc0c8040c369",
-     "fb24516a1df4f77737c0a5c0bb1e7f7b90afda8bb1eac12a436c2c7b15901495"),
+     "4d1faadf7bf9dcdf2c3eda0c89a95b856cb8546059b2929977a3a579d067b740",
+     "429b4efecd543adab64655e6e53b38f1b4cf8b5d29743a35fc597caaac9c8514",
+     "0fcc0aced55f4b4f6952fb92ed1b603fd8669d53b9d8c1a932abc61864aa1a83"),
     (3, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "8220aeda025c34cb7af6eeffb87ba790c05dfd1c1b02462ab55a64039e0f3a45",
-     "80fcfbf75d9347a3c177d2b052cc95ab2686ff7a961fa42ad75cf3ca31a7ea75",
-     "9e0c2d4801e2b02e61dff6b1bc9dcbd144a16310005d09f468539373d43cd863"),
+     "23ed4d169c4a76206edbef0a3fbf6bf059781c12f0fe12b52fbf7fa72a068ab1",
+     "bae586bf4b1162d83f90d93f53e8c76906e27e250759e708177a2b3ddb536910",
+     "8161f54bfbc0e8b51a86d3a18f4082d8deeeed1cfb1dbf7ea8e2cb64e3b90caf"),
     (3, 'falsify_check_failure:P2', 'abort', 'P2',
-     "0718dba54b27e5ab84a2c52b1d4dd7a55b6f8e03af6fafd1b61e969356edbc1a",
-     "a05b87f9d5ce88e384580b4af6928ef1f69e9060916065bf121d4c5281fdf391",
-     "15b15032bb0add9940f8f71565ba7252c3b9df2a95f6cfb0c6b70173d9c4e082"),
+     "a52bd2ae6622613b1a8f16572c86be717852388449b64637944fe8e6bf28de09",
+     "72d504317bf9015ee88e24847a2f22f83cf45bd3d4733eddd38794ebf289be72",
+     "c9cf1ea161a8ed3c48711bce8d84128159bcf052b846230d3bc890d1680597c8"),
     (3, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "9686598b8d1ae6c3088c0cf151b6e3753b597c981bdc8d36584a56c449095767",
-     "4c9abf2d1b1753c52d5d18a52cfdf15444ea56590af17ea9988d7103dde57e23",
-     "b390128a2ca7862edd52841efb809a169f4947f4627a26b644f827067390b89a"),
+     "05247900d0ce99bf105b4c9cec98f3d188858508daf606f3033ae2be1d0e3d69",
+     "1884c982ab086403147cce25893f163e3a2d32496fd27e1903d1feab735e2059",
+     "c2f4ba1e0b95fa66fc5d838872b180d04e74aeee7e65cbf45ec25677696bbec7"),
     (3, 'bias_coin_toss:P1', 'abort', 'P1',
-     "519bd6b69ee275d3e65fe16650804d527ea2cc23c686b0e99ee068f15150f217",
-     "fff7085da01e0e6f206fdafd393f26a7fdd383cfa35bb8d4385b837cfdfb488c",
-     "491628aef80b10610dfccab61af0a64be54725b0e5079b102e13b62bd6bd205d"),
+     "61b2e897a0506973b4d92c948f8d4605488f73db0db1d1827c01c7b9fc7ee5ff",
+     "52d515a0de29a2256e4e56f9fa350c051c4260d05772304bd6572333c77cc93b",
+     "8d20366a10f6d4ca82e31d91e87e53082f33296523d9da0cab8b8513d12cef45"),
     (3, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "363fbadfb184dc37b3f5f922c77fceccbf6d18154cc147553369a60b2fa1ca5c",
-     "f9fd3545fcaefa9740ca1c8831c7a70561b7e92b9c70916a2810ff54acb929d4",
-     "791caa430711cfd6f9f774051a3fae1455f8db77b20db70f580bdfe50d0af5f3"),
+     "8ec4cd6a51b73da5df0fb26950a356315dab7df227fdacdfad37094e964c8ae1",
+     "ed2a879755979a2547cd547d60ecebac170e2cc61f2a9513edb15c34d7053105",
+     "8a4ff420d5c045f25afdb3e7f8bf57120197380b447581623270f2a80e321038"),
     (3, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "dbc29be5175c80b506be9a13cb5dbbbb58d446002ef21627c03a50b0523b2aeb",
-     "c6dd1019a5d949932b512abd0dac1df2613cef37482c9d0b8eeb09b19be260e5",
-     "ed41f09cd18daad8d475184a6fb3e7a7c5c3e5d49852a379b5e8dbcd7bc76330"),
+     "55686293eaa4848e851948a83036ad27ee2701c85ec76c58f4b2216deb307487",
+     "3bd578be76415116b3d88c7010234b0865360af618d93c9adfdb29720a718f7b",
+     "eb57d699f7e3f02b5d060c366f16c144a949908060dbe92ae41ed80bb54cc9cc"),
     (5, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "e592c2d3c41b3dfb6e78d39d8779264a2631b66bceebf138bc5d1987ec312ee0",
-     "83fc4eeee3821d183c407b629161af0d24b2ceb42ddf29e91992b872acde57ed",
-     "874c94b19f7b68fd05d98898fa28346a03ec5771aae170ed743332d904e035f5"),
+     "74ecad456dffde7dec3624c12a7325b14681d15ff871d62f615b9dd47131c6c5",
+     "17e738277e1a510e1ab23e1ec345e9ce82aa58c429cfaa5c3550e1a39039313e",
+     "979bbfb67fbe8377ac51699a3f6fadd310617ee45bd5c3add9930caa0ab18ba2"),
     (5, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "1d6cb45e69fe6f825d938a0ed9df1729a1540e9931dcda95d4a339473741ab2c",
-     "cb99047aeb7a502a8051b7324d2a11bd1d14f33d19cb02344c7c76e52e600da7",
-     "7d9700bb2a88e8a0edce13b88832e49e53444a3954119d0d71b221553982046e"),
+     "1113e342eb8b89906a20ca11301bb31e3dc283b4251312886e19faa576e1cf1f",
+     "7d8eabf26ac0d1ddd12e38a54fabc528c4ece9e962a572a8b2e35d0be31225b0",
+     "02f6f54a2461498cf3dcfb74d12195bbdde43d9c6f05165114498d7049047a75"),
     (5, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "75b86f29d8881852df1a7ed019285e1e54caa1de9437651d3edfeb2213c397af",
-     "1eb54fb5e3e6ba7c5b8d0fcb05cab68c266402b8dfa403e9a997064638a14833",
-     "3680236e60ccee23ab309971df8ef979d0b8717226076898a9d80c79c717e9f6"),
+     "0b582bfb12af72cc8b8948052988abed9eba45160ab7ec17db06531eaf9d7814",
+     "004114f78f3537099a041aa1b4f99f8f17a97ec8ac4e9386761782461ba4a8e9",
+     "d0f8b5d9e061dce5020963b00d7ed946fed36e4266fabd63859bd9db99b64d72"),
     (5, 'falsify_check_failure:P2', 'abort', 'P2',
-     "c0d54af1982122ab82776f40d79ed41a08585717484ac1ffee1dfdffe4f28359",
-     "44690e1d606ae9e94d8bcc172fb6eb8d23e9d9883833bf9d4bd7441c3ac4f9d7",
-     "bdfdda928b100cd2088fffd450da133abbdd44c20989c1da5fc0418ed669fd5d"),
+     "2d6be7a38faf18874a961209b3ef1e306e7eed9b7149f0f5ee182306b2bbf2f7",
+     "8e7ecd974b3ca33216376806ee4f71cbdb084713741f897ef090a1d2f0061f59",
+     "d57ad64745c929f2cbf460abb1f065183bf109b53c9ccfe463836076e702e693"),
     (5, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "e84b9ec10185b21c61449c01b4f6697e9104dd0a209aebbeb566ff831501fc89",
-     "4d22f9be5bb9e668e94a083374cf85dfdd5afbfcffb23397968172abee4b9bcd",
-     "d0fa97fe05e19255749433075c080bb7020db0158a6df1ab5929c2739e20fda9"),
+     "f69ef65a49c96fbde789dc060d32ba176ab62c60a09bc142aca999555d678e38",
+     "f5594a330a9f2f8f64243985db91ca704dccc31267d7016101d0a145d9a95a3a",
+     "7d284812ba33fca49c14e7d83cabc1af6fe651d388c52fd5a8a8b7a4c67321a7"),
     (5, 'bias_coin_toss:P1', 'abort', 'P1',
-     "519bd6b69ee275d3e65fe16650804d527ea2cc23c686b0e99ee068f15150f217",
-     "17e61a04372f732268518f0d21b7f9da515e23b328b581a181eca3af14a6be5a",
-     "da407900b2769b50f5a1373160d8b8c86f0343851a749385b9161b5e2234884f"),
+     "61b2e897a0506973b4d92c948f8d4605488f73db0db1d1827c01c7b9fc7ee5ff",
+     "a3d368b31d4adf6116204426525f76065cea2701c51f09d5f3884ad04c6383a9",
+     "a8bdcf027749ca4027a640e0dac33240e008a6f3a13d3ddeaf2e66b4d6d011cd"),
     (5, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "8e42c7e5b1b18b24210d058c5042142d24b67333c6e5afd8e00e23ebc2f4fb7a",
-     "f9ebf9c4e5e128282859160ecc8c3aeaa97b02a5125e1421b76246d1e1110a59",
-     "c23bb0fe142bb465507f6aa5f6f5309b10fb90830977bc035f67d71a2215df5b"),
+     "d7e0d7cb0359c6ce9b748de0cb558eb36804560ca3a11cb237d6a461980729c4",
+     "f9863f12ccfed5f0bf9c31a59813ad09346b8b5eef591e2e2911e1e15e1067f5",
+     "e04a00423d7f23b2b6c90f9bfdd631c89a12a6a19983ca8d90893df998a67c8a"),
     (5, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "8510a07fc69c61f9dce2312ab99abf15034e615aa6c24ca6ea189759d4429eb3",
-     "9a2376a6923146561d1be8602b80a48600b20fb10664c30e45cc5adbe783e0ca",
-     "c372902533dbbbc9e646daa8ef3be5c474be21249e84200194948f03bdc4bc99"),
+     "d8d6b323ababbba2a795b0fab51264e5ada8984be8b71012108e0b05ad60a3ab",
+     "5df7208533cd7a4aab59a7f056fb8fbc0964fed59889f9112cc7a500ae73eb2a",
+     "369df68076087931bcb9a8bf07f050559d8b74566f2e905c37fbbda8e2d00204"),
 ]
 
 

@@ -11,7 +11,8 @@ import pytest
 from dualgc import consistency, outputs, session
 from dualgc import messages as M
 from dualgc.auction import AuctionConfig, build_auction_circuit, oracle_run
-from dualgc.commitments import NONCE_BYTES, TAG_LABEL_HASH, tagged_commit
+from dualgc.commitments import (NONCE_BYTES, TAG_LABEL_HASH, Commitment,
+                                tagged_commit)
 from dualgc.errors import (DecodeError, ProtocolError, TransportTimeout,
                            UsageError)
 from dualgc.garbling import (HEADER_BYTES, ROW_BYTES, decode, gate_rows,
@@ -338,9 +339,9 @@ def test_mutated_frame_ends_in_a_verdict(mtype, mutation):
 
 def _claim_at(wire=None, copy=None):
     def rewrite(claim):
-        w, j, openings = claim
+        w, j, openings, pairs = claim
         return (w if wire is None else wire, j if copy is None else copy,
-                openings)
+                openings, pairs)
     return rewrite
 
 
@@ -387,6 +388,11 @@ def _last_entry_dropped(entries):
     return list(entries[:-1])
 
 
+def _last_pair_dropped(got):
+    digests, pairs = got
+    return digests, _last_entry_dropped(pairs)
+
+
 # counted body -> (behaviour, the sender that fills it, rewrite, reason)
 COUNTED_BODIES = {
     M.MessageType.CHECKSET_OPENINGS: (
@@ -396,7 +402,7 @@ COUNTED_BODIES = {
         None, "provider:0", _first_entry_repeated,
         "evaluation openings cover the wrong copies"),
     M.MessageType.INPUT_COMMITMENTS: (
-        None, "provider:0", _last_entry_dropped,
+        None, "provider:0", _last_pair_dropped,
         "input commitments hold the wrong number of copies"),
     M.MessageType.HASH_TUPLE: (
         None, "P1", _first_entry_repeated,
@@ -424,19 +430,30 @@ def test_a_repeated_copy_is_refused(mtype, seed):
 
 
 def _count_item_reads(monkeypatch) -> Counter:
-    """Counts, by message type, the items read out of fixed-width list
-    bodies from now on."""
+    """Counts, by list, the items read out of fixed-width lists from now
+    on: an input commitment body's digests ("wire digests") and pairs, a
+    claim's pairs, the hash tuples and the output commitments."""
+    T = M.MessageType
     counts = Counter()
-    for mtype in (M.MessageType.INPUT_COMMITMENTS, M.MessageType.HASH_TUPLE,
-                  M.MessageType.OUTPUT_COMMITMENTS):
-        item = M.decode_body(mtype, bytes(4)).item
 
-        def read(data, off, read_item=item.read, name=mtype.name):
+    def counted(name, item):
+        def read(data, off, read_item=item.read):
             counts[name] += 1
             return read_item(data, off)
+        return M.listof(item._replace(read=read))
 
-        monkeypatch.setitem(M.SCHEMAS, mtype,
-                            M.listof(item._replace(read=read)))
+    pair = M.decode_body(T.INPUT_COMMITMENTS, bytes(8))[1].item
+    schemas = {
+        T.INPUT_COMMITMENTS: M.seq(counted("wire digests", M.raw(32)),
+                                   counted("INPUT_COMMITMENTS", pair)),
+        T.CHECK_FAILURE_CLAIM: M.seq(M.u32, M.u16, M.array(4, M.opening),
+                                     counted("CHECK_FAILURE_CLAIM", pair)),
+    }
+    for mtype in (T.HASH_TUPLE, T.OUTPUT_COMMITMENTS):
+        schemas[mtype] = counted(mtype.name,
+                                 M.decode_body(mtype, bytes(4)).item)
+    for mtype, schema in schemas.items():
+        monkeypatch.setitem(M.SCHEMAS, mtype, schema)
     return counts
 
 
@@ -446,7 +463,8 @@ def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
     """Each party reads every commitment pair once, in its check or its
     evaluation, and each of the other party's hash tuples once; every
     provider reads both parties' output commitments. A bidder or the cloud
-    reads an input commitment or a hash tuple only to arbitrate."""
+    reads a wire digest, a commitment pair or a hash tuple only to
+    arbitrate."""
     counts = _count_item_reads(monkeypatch)
     sess = Session(SMALL, BIDS, s=4, seed=3, adversary=adversary)
     res = sess.run()
@@ -459,11 +477,15 @@ def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
                           "OUTPUT_COMMITMENTS": providers * 2 * providers}
     elif adversary == "falsify_check_failure":
         # The session ends at the claim: each party has read its check
-        # copies, and every provider but the wire's owner, which holds its
-        # own pairs, reads the claimed pair.
+        # copies and the claimant the claimed wire's s pairs, to send
+        # them; every provider but the wire's owner, which holds its own
+        # digests, reads the wire's digest; every provider hashes the
+        # claim's s pairs and then reads the claimed one.
         assert (res.status, res.blamed) == ("abort", "P1")
         checked = sum(map(sum, sess.p1.rho.values()))
-        assert counts == {"INPUT_COMMITMENTS": 2 * checked + providers - 1}
+        assert counts == {"INPUT_COMMITMENTS": 2 * checked + s,
+                          "wire digests": providers - 1,
+                          "CHECK_FAILURE_CLAIM": providers * (s + 1)}
     else:
         # The complainer reads all of the garbler's tuples before it makes
         # its complaint up; every provider reads both tuples of the wire.
@@ -728,6 +750,137 @@ def test_fabricated_check_failure_blames_the_claimant():
     on_p2 = AdversaryScript("falsify_check_failure", target="P2")
     res = run_session(SMALL, BIDS, s=4, seed=5, adversary=on_p2)
     assert res.blamed == "P2"
+
+
+def test_input_commitments_go_in_full_to_the_parties_only():
+    """Each party's frame holds the sender's s pairs per wire, 160 bytes
+    each; every other provider's holds one 32-byte digest per wire. Each
+    frame also carries the 16-byte header and two 4-byte counts."""
+    sess = Session(SMALL, BIDS, s=4, seed=3)
+    res = sess.run()
+    assert res.status == "accept"
+    frames = [e for e in res.transcript.entries
+              if e.type == "INPUT_COMMITMENTS"]
+    assert len(frames) == len(BIDS) * (len(sess.all_roles) - 1)
+    for e in frames:
+        w_p = len(sess.circuit.input_map[int(e.sender.split(":")[1])])
+        full = e.receiver in ("P1", "P2")
+        assert e.nbytes == 24 + (160 * w_p * sess.s if full else 32 * w_p)
+    assert res.transcript.measure()["bytes_by_type"]["INPUT_COMMITMENTS"] \
+        == sum(e.nbytes for e in frames)
+
+
+def _one_commitment_altered(claim):
+    wire, copy, openings, pairs = claim
+    pairs = list(pairs)
+    pairs[-1] = dataclasses.replace(pairs[-1], position=pairs[0].position)
+    return wire, copy, openings, pairs
+
+
+# rewrite of a genuine claim's pairs -> why they miss the wire's digest
+CLAIM_PAIR_REWRITES = {
+    "one_commitment_altered": _one_commitment_altered,
+    "last_pair_dropped": lambda claim: claim[:3] + (list(claim[3])[:-1],),
+    "first_pair_repeated": lambda claim: claim[:3] + (
+        [claim[3][0]] + list(claim[3]),),
+}
+
+
+@pytest.mark.parametrize("rewrite", sorted(CLAIM_PAIR_REWRITES))
+def test_claim_pairs_that_miss_the_digest_blame_the_claimant(
+        inconsistent_labels_scan, rewrite):
+    """A genuine claim convicts the provider. The same claim with its
+    pairs changed no longer hashes to the digest every provider holds, so
+    it proves nothing and convicts the claimant."""
+    runs = inconsistent_labels_scan["checked"]
+    seeds = inconsistent_labels_scan["seeds"]["checked"]
+    assert seeds
+    for seed, clean in zip(seeds, runs):
+        claimant = next(e.sender for e in clean.transcript.entries
+                        if e.type == "CHECK_FAILURE_CLAIM")
+        res = run_session(SMALL, BIDS, s=4, seed=seed,
+                          adversary="inconsistent_labels",
+                          transport=value_fault(
+                              M.MessageType.CHECK_FAILURE_CLAIM,
+                              CLAIM_PAIR_REWRITES[rewrite]))
+        assert (res.status, res.blamed) == ("abort", claimant), seed
+        assert "the claim was fabricated" in res.reason
+
+
+class _OwnBadCopyClaim(session._FalsifyCheckFailure):
+    """Puts a badly built copy of its own in place of the claimed pair:
+    its openings open that pair and show a construction fault, but the
+    claim's pairs no longer hash to the wire's digest."""
+
+    def claim_of(self, w, j):
+        w, j, _openings, pairs = super().claim_of(w, j)
+        bad = consistency.generate_cheating_material(
+            self.adv_rng, 0, self.s, [False] * self.s)
+        pairs = list(pairs)
+        pairs[j] = bad.copies[j].pair
+        assert consistency.verify_check_failure_claim(
+            pairs[j], bad.check_openings(j)) is not None
+        return w, j, bad.check_openings(j), pairs
+
+
+def test_a_claim_about_a_copy_the_provider_never_sent_blames_the_claimant(
+        monkeypatch):
+    monkeypatch.setitem(session._SCRIPTED, "falsify_check_failure",
+                        (_OwnBadCopyClaim, "P1"))
+    for seed in range(6):
+        res = run_session(SMALL, BIDS, s=4, seed=seed,
+                          adversary="falsify_check_failure")
+        assert (res.status, res.blamed) == ("abort", "P1"), seed
+        assert "the claim was fabricated" in res.reason
+
+
+_ZERO = Commitment(bytes(32))
+_ZERO_PAIR = consistency.CommitmentSetPair(
+    w=(_ZERO, _ZERO), w_prime=(_ZERO, _ZERO), position=_ZERO)
+
+# case -> (receiver, rewrite of provider 0's input commitments, reason)
+INPUT_COMMITMENT_FAULTS = {
+    "digest_dropped": (
+        "provider:1", lambda got: (list(got[0])[:-1], got[1]),
+        "input commitments hold the wrong number of wire digests"),
+    "pairs_to_a_provider": (
+        "cloud", lambda got: (got[0], [_ZERO_PAIR]),
+        "input commitments hold the wrong number of wire digests"),
+    "digests_to_a_party": (
+        "P2", lambda got: ([bytes(32)], got[1]),
+        "input commitments hold the wrong number of copies"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_COMMITMENT_FAULTS))
+def test_input_commitments_of_the_wrong_shape_blame_their_sender(case):
+    receiver, rewrite, reason = INPUT_COMMITMENT_FAULTS[case]
+    res = run_session(SMALL, BIDS, s=4, seed=3, transport=value_fault(
+        M.MessageType.INPUT_COMMITMENTS, rewrite, "provider:0", receiver))
+    assert (res.status, res.blamed, res.reason) == (
+        "abort", "provider:0", reason)
+    assert res.detector == receiver
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_wrong_digest_is_harmless_without_a_claim(seed):
+    """Digests are read only to arbitrate a claim, so an honest session
+    whose provider sent another provider wrong digests still accepts."""
+    fault = value_fault(M.MessageType.INPUT_COMMITMENTS,
+                        lambda got: ([bytes(32)] * len(got[0]), got[1]),
+                        "provider:0", "provider:1")
+    res = run_session(SMALL, BIDS, s=4, seed=seed, transport=fault)
+    assert (res.status, res.blamed) == ("accept", None)
+    assert res.result == oracle_run(SMALL, BIDS)
+
+
+def test_a_result_names_the_role_that_aborted():
+    res = run_session(SMALL, BIDS, s=4, seed=5, adversary="bias_coin_toss")
+    assert (res.status, res.blamed, res.detector) == ("abort", "P2", "P1")
+    assert run_session(SMALL, BIDS, s=4, seed=5).detector is None
+    silent = run_session(SMALL, BIDS, s=4, seed=3,
+                         transport=SilentRole("provider:1"))
+    assert silent.status == "abort" and silent.detector is None
 
 
 def test_forged_consistency_proof_blames_the_forger():

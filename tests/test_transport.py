@@ -1,6 +1,7 @@
 """Frame codec, message schemas, flow table, and the two transports."""
 
 import random
+from collections import namedtuple
 
 import pytest
 
@@ -69,7 +70,8 @@ T = M.MessageType
 
 # One decoded value per message type with a schema.
 SAMPLES = {
-    T.INPUT_COMMITMENTS: [set_pair(1), set_pair(6), set_pair(11)],
+    T.INPUT_COMMITMENTS: ([b"\x21" * 32, b"\x22" * 32],
+                          [set_pair(1), set_pair(6), set_pair(11)]),
     T.COIN_COMMIT: C(7),
     T.COIN_REVEAL: O(b"seed", 8),
     T.CHECKSET_OPENINGS: [(O(b"a", 1), O(b"b", 2), O(b"", 3), O(b"d", 4))],
@@ -79,7 +81,7 @@ SAMPLES = {
     T.CONSISTENCY_PROOF: 6,
     T.PROOF_OPENING_RESPONSE: [O(b"x", 1), O(b"yy", 2)],
     T.CHECK_FAILURE_CLAIM: (14, 5, (O(b"a", 1), O(b"b", 2), O(b"c", 3),
-                                    O(b"d", 4))),
+                                    O(b"d", 4)), [set_pair(1)]),
     T.GARBLED_CIRCUIT: b"\x00\x01tables",
     T.OUTPUT_COMMITMENTS: [(C(1), C(2)), (C(3), C(4))],
     T.OUTPUT_OPENINGS: (O(b"enc", 1), O(b"lab", 2)),
@@ -92,22 +94,24 @@ SAMPLES = {
 # Each sample's body, pinned byte for byte.
 RECORDED_HEX = {
     "INPUT_COMMITMENTS": (
-        "0000000301010101010101010101010101010101010101010101010101010101"
-        "0101010102020202020202020202020202020202020202020202020202020202"
-        "0202020203030303030303030303030303030303030303030303030303030303"
-        "0303030304040404040404040404040404040404040404040404040404040404"
-        "0404040405050505050505050505050505050505050505050505050505050505"
-        "0505050506060606060606060606060606060606060606060606060606060606"
-        "0606060607070707070707070707070707070707070707070707070707070707"
-        "0707070708080808080808080808080808080808080808080808080808080808"
-        "0808080809090909090909090909090909090909090909090909090909090909"
-        "090909090a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a"
-        "0a0a0a0a0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b"
-        "0b0b0b0b0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c"
-        "0c0c0c0c0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d"
-        "0d0d0d0d0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e"
-        "0e0e0e0e0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f"
-        "0f0f0f0f"),
+        "0000000221212121212121212121212121212121212121212121212121212121"
+        "2121212122222222222222222222222222222222222222222222222222222222"
+        "2222222200000003010101010101010101010101010101010101010101010101"
+        "0101010101010101020202020202020202020202020202020202020202020202"
+        "0202020202020202030303030303030303030303030303030303030303030303"
+        "0303030303030303040404040404040404040404040404040404040404040404"
+        "0404040404040404050505050505050505050505050505050505050505050505"
+        "0505050505050505060606060606060606060606060606060606060606060606"
+        "0606060606060606070707070707070707070707070707070707070707070707"
+        "0707070707070707080808080808080808080808080808080808080808080808"
+        "0808080808080808090909090909090909090909090909090909090909090909"
+        "09090909090909090a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a"
+        "0a0a0a0a0a0a0a0a0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b"
+        "0b0b0b0b0b0b0b0b0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c"
+        "0c0c0c0c0c0c0c0c0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d"
+        "0d0d0d0d0d0d0d0d0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e"
+        "0e0e0e0e0e0e0e0e0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f"
+        "0f0f0f0f0f0f0f0f"),
     "COIN_COMMIT": (
         "0707070707070707070707070707070707070707070707070707070707070707"),
     "COIN_REVEAL": "000000047365656408080808080808080808080808080808",
@@ -133,7 +137,12 @@ RECORDED_HEX = {
     "CHECK_FAILURE_CLAIM": (
         "0000000e00050000000161010101010101010101010101010101010000000162"
         "0202020202020202020202020202020200000001630303030303030303030303"
-        "0303030303000000016404040404040404040404040404040404"),
+        "0303030303000000016404040404040404040404040404040404000000010101"
+        "0101010101010101010101010101010101010101010101010101010101010202"
+        "0202020202020202020202020202020202020202020202020202020202020303"
+        "0303030303030303030303030303030303030303030303030303030303030404"
+        "0404040404040404040404040404040404040404040404040404040404040505"
+        "050505050505050505050505050505050505050505050505050505050505"),
     "GARBLED_CIRCUIT": "00017461626c6573",
     "OUTPUT_COMMITMENTS": (
         "0000000201010101010101010101010101010101010101010101010101010101"
@@ -191,25 +200,45 @@ EXTRA_INPUTS = [
     (T.ABORT, bytes.fromhex("00abcd00000000"), FramingError),
 ]
 
-# The lists of fixed-width items, by item width: their count is checked
-# against the bytes left before any item is read.
-FIXED_LISTS = {T.INPUT_COMMITMENTS: 160, T.HASH_TUPLE: 160,
-               T.OUTPUT_COMMITMENTS: 64}
+# A list of fixed-width items in a body: the body's type, its bytes before
+# the list, the item width, its bytes after the list, its value when the
+# list is empty, and the list's field in that value (None: the whole body).
+FixedList = namedtuple("FixedList", "mtype head width tail empty field")
+
+_CLAIM_HEAD = M.encode_body(
+    T.CHECK_FAILURE_CLAIM, SAMPLES[T.CHECK_FAILURE_CLAIM][:3] + ([],))[:-4]
+
+# The lists of fixed-width items, by name: their count is checked against
+# the bytes left before any item is read.
+FIXED_LISTS = {
+    "INPUT_COMMITMENTS": FixedList(T.INPUT_COMMITMENTS, bytes(4), 160, b"",
+                                   ([], []), 1),
+    "INPUT_COMMITMENTS digests": FixedList(T.INPUT_COMMITMENTS, b"", 32,
+                                           bytes(4), ([], []), 0),
+    "CHECK_FAILURE_CLAIM": FixedList(
+        T.CHECK_FAILURE_CLAIM, _CLAIM_HEAD, 160, b"",
+        SAMPLES[T.CHECK_FAILURE_CLAIM][:3] + ([],), 3),
+    "HASH_TUPLE": FixedList(T.HASH_TUPLE, b"", 160, b"", [], None),
+    "OUTPUT_COMMITMENTS": FixedList(T.OUTPUT_COMMITMENTS, b"", 64, b"", [],
+                                    None),
+}
 
 
-def _list_body(count, items, width):
-    return count.to_bytes(4, "big") + bytes(items * width)
+def _list_body(fixed, count, items):
+    return (fixed.head + count.to_bytes(4, "big")
+            + bytes(items * fixed.width) + fixed.tail)
 
 
 EXTRA_INPUTS += [
-    pytest.param(mtype, _list_body(count, items, width), expected,
-                 id=f"{mtype.name}-{case}")
-    for mtype, width in FIXED_LISTS.items()
+    pytest.param(fixed.mtype, _list_body(fixed, count, items),
+                 fixed.empty if expected is None else expected,
+                 id=f"{name}-{case}")
+    for name, fixed in FIXED_LISTS.items()
     for case, count, items, expected in (
         ("count_ffffffff", 0xFFFFFFFF, 1, FramingError),
         ("one_item_more", 2, 1, FramingError),
         ("one_item_fewer", 1, 2, FramingError),
-        ("empty", 0, 0, []))]
+        ("empty", 0, 0, None))]
 
 
 @pytest.mark.parametrize("mtype,body,expected", EXTRA_INPUTS)
@@ -222,18 +251,34 @@ def test_schema_extra_inputs(mtype, body, expected):
         assert M.encode_body(mtype, expected) == body
 
 
+def _table(fixed: FixedList) -> M.Table:
+    """The fixed-width list of a body whose list is empty."""
+    value = M.decode_body(fixed.mtype, _list_body(fixed, 0, 0))
+    return value if fixed.field is None else value[fixed.field]
+
+
 def test_only_the_commitment_lists_decode_to_tables():
     for mtype, value in SAMPLES.items():
         got = M.decode_body(mtype, M.encode_body(mtype, value))
-        assert isinstance(got, M.Table) == (mtype in FIXED_LISTS)
+        fields = got if isinstance(got, tuple) else (got,)
+        tables = [f for f in fields if isinstance(f, M.Table)]
+        assert len(tables) == sum(f.mtype is mtype
+                                  for f in FIXED_LISTS.values())
+
+
+def _encode(codec, value) -> bytes:
+    out = []
+    codec.write(out, value)
+    return b"".join(out)
 
 
 def test_a_table_reads_as_the_list_it_encodes():
-    mtype = T.INPUT_COMMITMENTS
-    body = M.encode_body(mtype, SAMPLES[mtype])
-    table = M.decode_body(mtype, body)
-    items = list(table)
-    assert items == SAMPLES[mtype]
+    codec = M.set_pairs
+    items = SAMPLES[T.INPUT_COMMITMENTS][1]
+    body = _encode(codec, items)
+    table, end = codec.read(body, 0)
+    assert end == len(body)
+    assert list(table) == items
     assert table == items and len(table) == len(items)
     assert list(iter(table)) == items
     for i in range(-len(items), len(items)):
@@ -246,11 +291,11 @@ def test_a_table_reads_as_the_list_it_encodes():
         view = table[cut]
         assert isinstance(view, M.Table)
         assert view == items[cut] and list(view) == items[cut]
-        assert M.encode_body(mtype, view) == M.encode_body(mtype, items[cut])
+        assert _encode(codec, view) == _encode(codec, items[cut])
     assert table[1:][1:] == items[2:]
     assert table[::2] == items[::2] and table[::-1] == items[::-1]
     assert table != items[:-1] and table != items[::-1]
-    assert M.encode_body(mtype, table) == body
+    assert _encode(codec, table) == body
 
 
 def _sized_codecs():
@@ -261,10 +306,10 @@ def _sized_codecs():
     for mtype, codec in M.SCHEMAS.items():
         if codec.size is not None:
             codecs[mtype.name] = codec
-    for mtype in FIXED_LISTS:
-        item = M.decode_body(mtype, bytes(4)).item
-        assert item.size == FIXED_LISTS[mtype]
-        codecs[f"{mtype.name} item"] = item
+    for name, fixed in FIXED_LISTS.items():
+        item = _table(fixed).item
+        assert item.size == fixed.width
+        codecs[f"{name} item"] = item
     return codecs
 
 
