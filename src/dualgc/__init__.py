@@ -27,10 +27,10 @@ from .auction import (AuctionConfig, AuctionResult, build_auction_circuit,
 from .circuits import (AND, NOT, OR, XOR, Circuit, eval_plain, from_netlist,
                        to_netlist)
 from .commitments import Commitment, Opening, commit, open_commitment
-from .consistency import (CommitmentSetPair, HashTuple, ProofVerdict,
-                          WireMaterial, coin_toss_commit, coin_toss_open,
-                          combine_challenge, generate_input_material,
-                          verify_check_failure_claim, verify_consistency_proof)
+from .consistency import (CommitmentSetPair, WireMaterial, coin_toss_commit,
+                          coin_toss_open, combine_challenge,
+                          generate_input_material, label_set,
+                          labels_consistent, verify_check_failure_claim)
 from .errors import (CoinTossCheatError, DecodeError, DualGCError,
                      EncodingCoverageError, EvaluationError, FramingError,
                      InputShapeError, OpeningError, ProtocolError,
@@ -52,19 +52,19 @@ __all__ = [
     "AdversaryScript", "AuctionConfig", "AuctionResult", "Circuit",
     "Commitment", "CommitmentSetPair", "CoinTossCheatError",
     "DecodeError", "DualGCError", "Encoding", "EncodingCoverageError",
-    "EvaluationError", "FramingError", "GarbledCircuit", "HashTuple",
+    "EvaluationError", "FramingError", "GarbledCircuit",
     "InProcessTransport", "InputShapeError", "MessageType", "Opening",
     "OpeningError", "OutputCommitments", "OutputDecision", "OutputOpenings",
-    "ProofVerdict", "ProtocolError", "Role", "Session", "SessionResult",
+    "ProtocolError", "Role", "Session", "SessionResult",
     "TcpTransport", "Transcript", "Transport", "TransportError",
     "TransportTimeout", "UsageError", "WidthError", "WireMaterial",
     "audit_flow_table", "build_auction_circuit", "circuit_run",
     "coin_toss_commit", "coin_toss_open", "combine_challenge", "commit",
     "decode", "encode_bid_bits", "eval_plain", "evaluate", "from_netlist",
-    "garble", "gate_count", "gate_rows", "generate_input_material", "load_bids_file",
+    "garble", "gate_count", "gate_rows", "generate_input_material",
+    "label_set", "labels_consistent", "load_bids_file",
     "open_commitment", "oracle_run",
     "parse_tables_blob", "random_input_encodings", "run_session",
     "select_labels", "tabled_gates", "to_netlist",
-    "verify_check_failure_claim",
-    "verify_consistency_proof", "verify_failure_proof", "verify_output",
+    "verify_check_failure_claim", "verify_failure_proof", "verify_output",
 ]

@@ -14,9 +14,15 @@ challenge string marks each copy as a *check* copy (all four input-set
 commitments opened, construction verified) or an *evaluation* copy (the
 position is opened, then the selected set's first commitment goes to the
 first party and its second commitment to the second party). Each party XORs
-its evaluation triples into final labels, and a hash-comparison round lets
-each party verify that the cross labels it received are consistent with the
-encodings the other party received, without learning the input bit.
+its evaluation triples into final labels.
+
+The provider then attests each wire's two *label sets*, one per circuit:
+the sorted pair ``{XOR_j H(K_0,j), XOR_j H(K_1,j)}`` over the evaluation
+copies. A party checks that its own encoding gives its circuit's set and
+that its cross labels give one value of the other circuit's set, so a
+mixed evaluation set is caught without the party learning the input bit.
+This deviates from the paper, where the two parties compare label hashes
+with each other.
 
 Only the two parties receive a wire's commitment pairs. Every other provider
 receives one ``wire_digest`` per wire instead: a SHA-256 over the wire's
@@ -25,11 +31,10 @@ paper, where every provider receives the full lists; the other providers
 need them only to arbitrate.
 
 Failures are publicly arbitrated: a party that claims a bad check copy or a
-failed hash comparison must present openings that the providers re-verify
-against the committed copies, so a false accusation is attributed to the
-accuser and a real inconsistency to the provider. A check-failure claim
-carries the wire's pairs, which count only if they hash to the digest the
-arbitrating provider holds.
+failed label-set check presents the wire's pairs, which count only if they
+hash to the digest the arbitrating provider holds, and openings that only
+the provider could have made. A false accusation is attributed to the
+accuser and a real inconsistency to the provider.
 """
 
 from __future__ import annotations
@@ -39,22 +44,12 @@ import random
 from dataclasses import dataclass
 
 from .commitments import (NONCE_BYTES, TAG_COIN, TAG_INPUT_SET,
-                          TAG_LABEL_HASH, TAG_POSITION, Commitment, Opening,
-                          open_commitment, opened_body, tagged_commit)
-from .errors import CoinTossCheatError, OpeningError
+                          TAG_POSITION, Commitment, Opening, open_commitment,
+                          opened_body, tagged_commit)
+from .errors import CoinTossCheatError
 from .garbling import LABEL_BYTES, Encoding, xor_bytes
 
 COMMITMENTS_PER_COPY = 5
-
-VERDICT_CHEATING_PROVIDER = "cheating_provider"
-VERDICT_CHEATING_PARTY = "cheating_party"
-VERDICT_PROOF_INVALID = "proof_invalid"
-
-
-@dataclass(frozen=True)
-class ProofVerdict:
-    kind: str
-    blamed: object  # the complainer, garbler or provider the caller named
 
 
 @dataclass(frozen=True)
@@ -115,6 +110,13 @@ class WireMaterial:
         chosen = c.w_openings if (c.b ^ self.x) == 0 else c.w_prime_openings
         return c.position_opening, chosen[0], chosen[1]
 
+    def label_sets(self, rho) -> tuple:
+        """Circuit 1's and circuit 2's label sets over the evaluation
+        copies, those with ``rho[j] == 0``."""
+        triples = [[_parse_triple(o) for o in self.eval_openings(j)[1:]]
+                   for j in range(self.s) if not rho[j]]
+        return tuple(label_set([t[slot] for t in triples]) for slot in (0, 1))
+
 
 def _fresh_encoding(rng: random.Random) -> Encoding:
     zero = rng.randbytes(LABEL_BYTES)
@@ -156,7 +158,7 @@ def generate_cheating_material(rng: random.Random, x: int, s: int,
     to the first party's circuit-2 cross while keeping everything else
     honest: the classic input-inconsistency attack. A tampered copy fails
     the construction check if opened, and mixing tampered with honest
-    copies in the evaluation set trips the hash-comparison round.
+    copies in the evaluation set fails the label-set check.
     """
     if x not in (0, 1):
         raise ValueError("input bit must be 0 or 1")
@@ -343,106 +345,44 @@ def evaluate_final_labels(triples):
     return Encoding(k1, k2), k3
 
 
-# --- label consistency check -------------------------------------------------
+# --- label-set check ---------------------------------------------------------
 
 def hash_label(label: bytes) -> bytes:
     return hashlib.sha256(label).digest()
 
 
-@dataclass(frozen=True)
-class HashTuple:
-    """One party's broadcast for one wire: the permuted aggregate hashes of
-    its encoding halves, commitments to the per-copy hash lists behind them,
-    and a commitment to the hash list of its received cross labels."""
-
-    h_pair: tuple[bytes, bytes]
-    c_pair: tuple[Commitment, Commitment]
-    c_cross: Commitment
-
-
-@dataclass
-class HashTupleSecret:
-    openings: tuple[Opening, Opening, Opening]
-
-
-def make_hash_tuple(rng: random.Random, triples) -> tuple[HashTuple, HashTupleSecret]:
-    """Build a party's wire broadcast from its evaluation triples."""
-    lists = ([hash_label(t[0]) for t in triples],
-             [hash_label(t[1]) for t in triples],
-             [hash_label(t[2]) for t in triples])
-    coms = [tagged_commit(TAG_LABEL_HASH, b"".join(lst),
-                          rng.randbytes(NONCE_BYTES)) for lst in lists]
-    aggregates = [_xor_all(lst) for lst in lists]
-    perm = rng.getrandbits(1)
-    order = (1, 0) if perm else (0, 1)
-    tup = HashTuple(
-        h_pair=(aggregates[order[0]], aggregates[order[1]]),
-        c_pair=(coms[order[0]][0], coms[order[1]][0]),
-        c_cross=coms[2][0])
-    secret = HashTupleSecret(
-        openings=(coms[order[0]][1], coms[order[1]][1], coms[2][1]))
-    return tup, secret
-
-
-def _xor_all(hashes) -> bytes:
+def _xor_hashes(labels) -> bytes:
     acc = bytes(32)
-    for h in hashes:
-        acc = xor_bytes(acc, h)
+    for label in labels:
+        acc = xor_bytes(acc, hash_label(label))
     return acc
 
 
-def cross_hash_aggregate(triples) -> bytes:
-    return _xor_all([hash_label(t[2]) for t in triples])
+def label_set(triples) -> tuple[bytes, bytes]:
+    """One circuit's label set: its two aggregates ``XOR_j H(K_0,j)`` and
+    ``XOR_j H(K_1,j)`` over the triples, sorted so they hide which is 0."""
+    return tuple(sorted((_xor_hashes(t[0] for t in triples),
+                         _xor_hashes(t[1] for t in triples))))
 
 
-def label_check_passes(own_cross_aggregate: bytes, other: HashTuple) -> bool:
-    return own_cross_aggregate in other.h_pair
+def labels_consistent(triples, sets, slot: int) -> bool:
+    """Whether the triples of party ``slot`` (0 for the first) agree with a
+    wire's label sets: its own encoding gives its circuit's set, and its
+    cross labels one value of the other circuit's set."""
+    return (label_set(triples) == tuple(sets[slot])
+            and _xor_hashes(t[2] for t in triples) in sets[1 - slot])
 
 
-def _opened_hash_list(com: Commitment, opening: Opening, copies: int,
-                      party) -> list[bytes]:
-    """The hash list ``opening`` reveals: it must open ``com`` to one hash
-    per evaluation copy, or the ``OpeningError`` blames ``party``."""
-    if not open_commitment(com, opening):
-        raise OpeningError("hash-list opening does not match the broadcast "
-                           "commitment", party=party)
-    try:
-        body = opened_body(TAG_LABEL_HASH, opening)
-    except ValueError:
-        raise OpeningError("malformed hash-list opening", party=party)
-    if len(body) != 32 * copies:
-        raise OpeningError("hash list must hold one hash per evaluation copy",
-                           party=party)
-    return [body[i:i + 32] for i in range(0, len(body), 32)]
-
-
-def verify_consistency_proof(complainer, garbler, provider,
-                             complainer_tuple: HashTuple,
-                             garbler_tuple: HashTuple, pair_openings,
-                             cross_opening: Opening,
-                             copies: int) -> ProofVerdict:
-    """A provider's arbitration of a failed hash comparison on one wire.
-
-    ``complainer`` named the wire, ``garbler`` is the other party and
-    ``provider`` owns the wire, whose evaluation-copy count is ``copies``.
-    The complainer opened the cross commitment of its broadcast tuple, the
-    garbler the pair commitments of its own. The complainer's list is
-    checked first, so a complainer that sent this provider a proof for
-    another wire fails its own opening here; its aggregate must miss the
-    garbler's broadcast hashes, or the complaint was false. Then each of
-    the garbler's lists must match the hash it stands behind, or the
-    garbler lied. Otherwise the two circuits received inconsistent labels
-    from the provider. The verdict, or the ``OpeningError``, blames one of
-    the three as given. Each opened list must hold one hash per evaluation
-    copy, or the ``OpeningError`` blames its owner.
-    """
-    cross = _opened_hash_list(complainer_tuple.c_cross, cross_opening,
-                              copies, complainer)
-    if label_check_passes(_xor_all(cross), garbler_tuple):
-        return ProofVerdict(VERDICT_PROOF_INVALID, complainer)
-    for com, opening, stated in zip(garbler_tuple.c_pair, pair_openings,
-                                    garbler_tuple.h_pair):
-        if _xor_all(_opened_hash_list(com, opening, copies,
-                                      garbler)) != stated:
-            return ProofVerdict(VERDICT_CHEATING_PARTY, garbler)
-    return ProofVerdict(VERDICT_CHEATING_PROVIDER, provider)
+def open_evidence(pairs, copies, slot: int, openings) -> list | None:
+    """The triples that party ``slot``'s (position, input-set) openings of
+    the evaluation copies ``copies`` reveal, or None when one fails."""
+    triples = []
+    for j, (pos_op, set_op) in zip(copies, openings):
+        pair = pairs[j]
+        pos = open_position(pair, pos_op)
+        triple = None if pos is None else open_eval_triple(pair, pos, slot,
+                                                           set_op)
+        if triple is None:
+            return None
+        triples.append(triple)
+    return triples

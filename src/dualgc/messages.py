@@ -20,8 +20,9 @@ a commitment, or a ``seq``, ``array`` or ``record`` of such fields) has
 that ``size``. A list of sized items decodes to a ``Table``: its count is
 checked against the bytes left, and an item is decoded only when it is
 read, which cannot fail. The input commitments' digest and pair lists,
-a claim's pairs, the hash tuples and the output commitments are such
-lists; the opening lists have variable width and decode item by item.
+the pairs of a claim or a proof, the label sets and the output
+commitments are such lists; the opening lists have variable width and
+decode item by item.
 
 A body carries only what its receiver cannot derive. Lists are positional
 in an order fixed by the public parameters (the input and output maps,
@@ -31,12 +32,13 @@ it expects. Only a claim's wire and copy and a proof's wire are named.
 Input commitments go point to point: the two parties receive each copy's
 commitment pairs and no digests, every other provider one 32-byte
 ``consistency.wire_digest`` per wire and no pairs. A check-failure claim
-carries the claimed wire's pairs, so that every provider can arbitrate
-against its digest.
-``PROOF_OPENING_REQUEST`` has no schema and no flow: it is never sent, and
-a frame of that type is refused like any unexpected type. It stays a
-member so that no type is renumbered and per-type metrics keep their
-names.
+and a consistency proof carry the wire's pairs, so that every provider
+can arbitrate against its digest. ``HASH_TUPLE`` keeps its name but now
+carries a bidder's label sets, two per wire.
+``PROOF_OPENING_REQUEST`` and ``PROOF_OPENING_RESPONSE`` have no schema and
+no flow: they are never sent, and a frame of either type is refused like
+any unexpected type. They stay members so that no type is renumbered and
+per-type metrics keep their names.
 
 ``FLOW`` declares, for each message type, which role kinds may send it, who
 receives it, and the protocol phase it belongs to. It routes every frame:
@@ -60,7 +62,7 @@ from functools import partial
 from operator import attrgetter, methodcaller
 
 from .commitments import DIGEST_BYTES, NONCE_BYTES, Commitment, Opening
-from .consistency import CommitmentSetPair, HashTuple
+from .consistency import CommitmentSetPair
 from .errors import FramingError, ProtocolError
 from .outputs import OutputOpenings
 
@@ -111,7 +113,7 @@ class MessageType(enum.IntEnum):
     HASH_TUPLE = 6
     CONSISTENCY_PROOF = 7
     PROOF_OPENING_REQUEST = 8  # retired: never sent
-    PROOF_OPENING_RESPONSE = 9
+    PROOF_OPENING_RESPONSE = 9  # retired: never sent
     GARBLED_CIRCUIT = 10
     OUTPUT_COMMITMENTS = 11
     OUTPUT_OPENINGS = 12
@@ -128,7 +130,8 @@ PHASE_OUTPUT = "output"
 PHASES = (PHASE_INPUT, PHASE_COMPUTE, PHASE_OUTPUT)
 
 _PARTIES = frozenset({P1, P2})
-_PROVIDERS = frozenset({PROVIDER, CLOUD})
+_BIDDERS = frozenset({PROVIDER})
+_PROVIDERS = _BIDDERS | {CLOUD}
 _EVERYONE = _PARTIES | _PROVIDERS
 
 # type -> (allowed sender kinds, allowed receiver kinds, phase)
@@ -138,9 +141,8 @@ FLOW: dict[MessageType, tuple[frozenset, frozenset, str]] = {
     MessageType.COIN_REVEAL: (_PARTIES, _EVERYONE, PHASE_INPUT),
     MessageType.CHECKSET_OPENINGS: (_PROVIDERS, _PARTIES, PHASE_INPUT),
     MessageType.EVALSET_OPENINGS: (_PROVIDERS, _PARTIES, PHASE_INPUT),
-    MessageType.HASH_TUPLE: (_PARTIES, _EVERYONE, PHASE_INPUT),
-    MessageType.CONSISTENCY_PROOF: (_PARTIES, _EVERYONE, PHASE_INPUT),
-    MessageType.PROOF_OPENING_RESPONSE: (_PARTIES, _PROVIDERS, PHASE_INPUT),
+    MessageType.HASH_TUPLE: (_BIDDERS, _EVERYONE, PHASE_INPUT),
+    MessageType.CONSISTENCY_PROOF: (_PARTIES, _PROVIDERS, PHASE_INPUT),
     MessageType.CHECK_FAILURE_CLAIM: (_PARTIES, _EVERYONE, PHASE_INPUT),
     MessageType.GARBLED_CIRCUIT: (_PARTIES, _PARTIES, PHASE_COMPUTE),
     MessageType.OUTPUT_COMMITMENTS: (_PARTIES, _EVERYONE, PHASE_OUTPUT),
@@ -436,14 +438,13 @@ SCHEMAS: dict[MessageType, Codec] = {
     # (position opening, input-set opening) per evaluation copy, by wire,
     # then by copy
     MessageType.EVALSET_OPENINGS: listof(seq(opening, opening)),
-    # one tuple per input wire, in ascending wire order
-    MessageType.HASH_TUPLE: listof(record(
-        HashTuple, h_pair=array(2, raw(32)), c_pair=array(2, commitment),
-        c_cross=commitment)),
-    # the wire whose hash comparison failed
-    MessageType.CONSISTENCY_PROOF: u32,
-    # the complainer's cross opening, or the garbler's two pair openings
-    MessageType.PROOF_OPENING_RESPONSE: listof(opening),
+    # circuit 1's and circuit 2's sorted label sets per wire of the
+    # sender, in input-map order
+    MessageType.HASH_TUPLE: listof(array(2, array(2, raw(32)))),
+    # (wire, the sender's (position, input-set) openings of its evaluation
+    # copies, the wire's s pairs)
+    MessageType.CONSISTENCY_PROOF: seq(u32, listof(seq(opening, opening)),
+                                       set_pairs),
     # (wire, copy, the copy's four check-set openings, the wire's s pairs)
     MessageType.CHECK_FAILURE_CLAIM: seq(u32, u16, array(4, opening),
                                          set_pairs),

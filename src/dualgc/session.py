@@ -21,11 +21,11 @@ or fails an opening, and any of these blames its sender:
   wire; the parties coin-toss one challenge seed, from which every role
   derives each wire's challenge string, verify the opened check copies,
   and derive their final input encodings and cross labels from the
-  evaluation copies, confirming agreement via the broadcast hash tuples.
-  A check-failure claim carries the wire's copies, which providers check
-  against their digest before they rule. A consistency proof names a
-  wire; the complainer opens its cross hash list of it, the other party
-  its pair; providers rule.
+  evaluation copies, checking them against the label sets each bidder
+  attests for its wires. A check-failure claim or a consistency proof
+  carries the wire's copies and the claimant's openings; every provider
+  but the wire's owner checks the copies against its digest and rules,
+  and the cloud's ruling stands unless another differs.
 * compute: both garbled circuits are exchanged in one round (so both are
   sent before either side evaluates) and evaluated on the cross labels.
 * output: both parties commit to output encodings and evaluated labels
@@ -60,29 +60,24 @@ from .auction import (
 )
 from .commitments import Opening
 from .consistency import (
-    VERDICT_CHEATING_PARTY,
-    VERDICT_CHEATING_PROVIDER,
     check_pair_construction,
     coin_toss_commit,
     coin_toss_open,
     combine_challenge,
-    cross_hash_aggregate,
     evaluate_final_labels,
     generate_cheating_material,
     generate_input_material,
-    label_check_passes,
-    make_hash_tuple,
+    labels_consistent,
     open_eval_triple,
+    open_evidence,
     open_position,
     verify_check_failure_claim,
-    verify_consistency_proof,
     wire_digest,
 )
 from .errors import (
     CoinTossCheatError,
     EvaluationError,
     FramingError,
-    OpeningError,
     ProtocolError,
     TransportError,
     TransportTimeout,
@@ -240,10 +235,6 @@ _P1, _P2 = M.Role(M.P1), M.Role(M.P2)
 MT = M.MessageType
 
 
-def _other_party(role: M.Role) -> M.Role:
-    return _P2 if role == _P1 else _P1
-
-
 def _recipient(role: M.Role, circuit) -> int:
     """A provider's output group: its bidder index, or the last group for
     the cloud."""
@@ -260,7 +251,7 @@ def _provider_roles(circuit) -> list[M.Role]:
 
 class Participant:
     """What every role keeps: the owner of each input wire, the challenge
-    seed shares, the challenges and the parties' hash tuples.
+    seed shares, the challenges and the bidders' label sets.
 
     A ``<message type>`` step builds the value the role sends: one value,
     or for a point-to-point type one per receiver role. A ``take_<message
@@ -279,9 +270,7 @@ class Participant:
         self.coin_commits = {}  # party Role -> Commitment
         self.shares = {}        # party Role -> seed share
         self.rho = {}           # wire -> tuple[int, ...]
-        self.tuples_of = {}     # party Role -> [HashTuple] by wire rank
-        # wire -> its place in the ascending order of hash-tuple lists
-        self.rank = {w: k for k, w in enumerate(sorted(circuit.input_wires))}
+        self.label_sets = {}    # bidder Role -> label sets, by input map
 
     def copies(self, provider: int, checked: bool) -> list:
         """(wire, copy) of a provider's check or evaluation copies, by wire,
@@ -302,22 +291,18 @@ class Participant:
             raise _Abort(self.role, sender, str(exc))
         if len(self.shares) == 2:
             held = (self.shares[_P1], self.shares[_P2])
-            for w in self.rank:
+            for w in self.wire_owner:
                 self.rho[w] = tuple(combine_challenge(*held, w, self.s))
 
+    def held(self, lists: dict, wire: int):
+        """``wire``'s entry in the list its owner sent, by input map."""
+        owner = self.wire_owner[wire]
+        return lists[owner][self.circuit.input_map[owner.index].index(wire)]
+
     def take_hash_tuple(self, sender: M.Role, got):
-        if len(got) != len(self.rank):
-            raise _Abort(self.role, sender, "hash tuples cover the wrong wires")
-        self.tuples_of[sender] = got
-
-    def tuple_of(self, party: M.Role, wire: int):
-        """The hash tuple ``party`` broadcast for ``wire``."""
-        return self.tuples_of[party][self.rank[wire]]
-
-    def take_consistency_proof(self, sender: M.Role, wire):
-        if wire not in self.wire_owner:
-            raise _Abort(self.role, sender,
-                         "consistency proof names no input wire")
+        if len(got) != len(self.circuit.input_map[sender.index]):
+            raise _Abort(self.role, sender, "label sets cover the wrong wires")
+        self.label_sets[sender] = got
 
     def take_output_commitments(self, sender: M.Role, got):
         if len(got) != len(self.circuit.output_map):
@@ -338,11 +323,9 @@ class Party(Participant):
         self.stashed_check = {}  # (wire, copy) -> check openings
         self.failures = []       # (wire, copy) failing checks, in order
         self.triples = {}        # wire -> eval triples (asc copy)
+        self.evidence = {}       # wire -> their eval openings (asc copy)
         self.final_enc = {}      # wire -> own-circuit Encoding
         self.cross_label = {}    # wire -> other-circuit label
-        self.tuples = {}         # own broadcast HashTuple per wire
-        self.tuple_secrets = {}
-        self.to_open = ()        # hash-list openings a dispute asks for
         self.gc = None           # own garbled circuit
         self.eval_labels = None  # other circuit's output labels
         self.out_openings = {}   # recipient -> (enc, labels)
@@ -391,7 +374,8 @@ class Party(Participant):
         if len(got) != len(copies):
             raise _Abort(self.role, sender,
                          "evaluation openings cover the wrong copies")
-        for (w, j), (pos_op, set_op) in zip(copies, got):
+        for (w, j), entry in zip(copies, got):
+            pos_op, set_op = entry
             pair = self.pairs[w][j]
             pos = open_position(pair, pos_op)
             if pos is None:
@@ -402,6 +386,7 @@ class Party(Participant):
                 raise _Abort(self.role, sender, f"input-set opening "
                              f"failed on wire {w} copy {j}")
             self.triples.setdefault(w, []).append(triple)
+            self.evidence.setdefault(w, []).append(entry)
         for w in self.circuit.input_map[sender.index]:
             enc, cross = evaluate_final_labels(self.triples[w])
             if enc.zero == enc.one:
@@ -410,36 +395,19 @@ class Party(Participant):
             self.final_enc[w] = enc
             self.cross_label[w] = cross
 
-    def hash_tuple(self) -> list:
-        for w in sorted(self.triples):
-            tup, secret = make_hash_tuple(self.rng, self.triples[w])
-            self.tuples[w] = tup
-            self.tuple_secrets[w] = secret
-        return [self.tuples[w] for w in sorted(self.tuples)]
-
     def consistency_complaint(self) -> int | None:
-        """The first wire whose cross labels fail the other party's hash
-        tuple, if any."""
-        other = _other_party(self.role)
-        return next((w for w in sorted(self.triples) if not label_check_passes(
-            cross_hash_aggregate(self.triples[w]), self.tuple_of(other, w))),
-            None)
+        """The first wire whose triples fail its owner's label sets, if
+        any."""
+        return next((w for w in sorted(self.triples) if not labels_consistent(
+            self.triples[w], self.held(self.label_sets, w), self.slot)), None)
 
-    def consistency_proof(self) -> int | None:
-        """The wire to complain about, if any; this party must then open
-        its cross commitment of that wire."""
+    def consistency_proof(self):
+        """The CONSISTENCY_PROOF of the complaint, if any: the wire, this
+        party's openings of its evaluation copies and the wire's pairs."""
         wire = self.consistency_complaint()
         if wire is not None:
-            self.to_open = self.tuple_secrets[wire].openings[2:]
-        return wire
-
-    def take_consistency_proof(self, sender, wire):
-        """The garbler must open its pair commitments of the wire."""
-        super().take_consistency_proof(sender, wire)
-        self.to_open = self.tuple_secrets[wire].openings[:2]
-
-    def proof_opening_response(self) -> list:
-        return list(self.to_open)
+            return wire, self.evidence[wire], self.pairs[wire]
+        return None
 
     def garbled_circuit(self) -> bytes:
         self.gc = garble(self.circuit, self.final_enc,
@@ -491,9 +459,6 @@ class Provider(Participant):
         self.x_bits = dict(zip(self.wires, bits))
         self.material = {}        # wire -> WireMaterial
         self.digests = {}         # bidder Role -> wire digests, by input map
-        self.claim = None         # the CHECK_FAILURE_CLAIM received
-        self.dispute = None       # (complainer, wire) of the proof received
-        self.proof_openings = {}  # party Role -> hash-list openings
         self.out_coms = {}        # party name -> [(enc, labels)] by recipient
         self.bundles = {}         # recipient -> OutputCommitments
         self.digest = b""
@@ -514,7 +479,6 @@ class Provider(Participant):
             copies = self.material[w].pairs()
             digests.append(wire_digest(copies))
             pairs += copies
-        self.digests[self.role] = digests
         full, short = ([], pairs), (digests, [])
         return {role: short for role in _provider_roles(self.circuit)
                 if role != self.role} | {_P1: full, _P2: full}
@@ -528,13 +492,6 @@ class Provider(Participant):
             raise _Abort(self.role, sender, "input commitments hold the "
                          "wrong number of wire digests")
         self.digests[sender] = digests
-
-    def digest_of(self, wire: int) -> bytes:
-        """The digest this provider holds for ``wire``'s copies: its own,
-        or the one the wire's owner sent it."""
-        owner = self.wire_owner[wire]
-        group = self.circuit.input_map[owner.index]
-        return self.digests[owner][group.index(wire)]
 
     def checkset_openings(self) -> list:
         return [self.material[w].check_openings(j)
@@ -550,71 +507,64 @@ class Provider(Participant):
         return {party: [entry(w, j, slot) for w, j in copies]
                 for slot, party in enumerate((_P1, _P2))}
 
+    def hash_tuple(self) -> list:
+        """Circuit 1's and circuit 2's label sets of each wire, by input
+        map."""
+        return [self.material[w].label_sets(self.rho[w]) for w in self.wires]
+
+    def _ruling(self, claimant, wire, pairs, fault,
+                false_claim) -> _Abort | None:
+        """The ruling on a claim about ``wire``: none from its owner; the
+        owner when the claim's pairs hash to this provider's digest of the
+        wire and ``fault(pairs)`` words a fault; else the claimant."""
+        owner = self.wire_owner[wire]
+        if owner == self.role:
+            return None
+        if wire_digest(pairs) == self.held(self.digests, wire):
+            found = fault(pairs)
+            if found:
+                return _Abort(self.role, owner, found)
+        return _Abort(self.role, claimant, false_claim)
+
     def take_check_failure_claim(self, sender: M.Role, claim):
-        """The construction fault the claim proves, or None. The claim's
-        pairs count only if they hash to this provider's digest of the
-        wire; otherwise the claim proves nothing."""
+        """The ruling on a claim that a check copy was badly built."""
         wire, copy, openings, pairs = claim
         if (wire not in self.wire_owner or not 0 <= copy < self.s
                 or not self.rho[wire][copy]):
             raise _Abort(self.role, sender,
                          "check-failure claim names no check copy")
-        self.claim = claim
-        if wire_digest(pairs) != self.digest_of(wire):
-            return None
-        return verify_check_failure_claim(pairs[copy], openings)
 
-    def check_claim_ruling(self, claimant: M.Role, fault) -> _Abort:
-        wire, copy = self.claim[:2]
-        if fault is not None:
-            return _Abort(self.role, self.wire_owner[wire],
-                          f"check copy {copy} of wire {wire} failed "
-                          f"construction: {fault}")
-        return _Abort(self.role, claimant, "check-failure claim did not "
-                      "verify; the claim was fabricated")
+        def fault(pairs):
+            found = verify_check_failure_claim(pairs[copy], openings)
+            return found and (f"check copy {copy} of wire {wire} failed "
+                              f"construction: {found}")
+        return self._ruling(sender, wire, pairs, fault, "check-failure claim "
+                            "did not verify; the claim was fabricated")
 
-    def take_consistency_proof(self, sender, wire):
-        super().take_consistency_proof(sender, wire)
-        self.dispute = (sender, wire)
+    def take_consistency_proof(self, sender: M.Role, proof):
+        """The ruling on a proof that the sender's re-opened triples miss
+        the owner's label sets."""
+        wire, openings, pairs = proof
+        if wire not in self.wire_owner:
+            raise _Abort(self.role, sender,
+                         "consistency proof names no input wire")
+        copies = [j for j, checked in enumerate(self.rho[wire]) if not checked]
+        if len(openings) != len(copies):
+            raise _Abort(self.role, sender, "consistency proof holds the "
+                         "wrong number of openings")
+        slot = 0 if sender == _P1 else 1
 
-    def take_proof_opening_response(self, sender: M.Role, got):
-        """The complainer opens its cross commitment, the garbler its two
-        pair commitments."""
-        complainer, _wire = self.dispute
-        if len(got) != (1 if sender == complainer else 2):
-            raise _Abort(self.role, sender, "proof opening response holds "
-                         "the wrong number of openings")
-        self.proof_openings[sender] = got
-
-    def judge_consistency_proof(self):
-        complainer, w = self.dispute
-        garbler = _other_party(complainer)
-        try:
-            return verify_consistency_proof(
-                complainer=complainer, garbler=garbler,
-                provider=self.wire_owner[w],
-                complainer_tuple=self.tuple_of(complainer, w),
-                garbler_tuple=self.tuple_of(garbler, w),
-                pair_openings=self.proof_openings[garbler],
-                cross_opening=self.proof_openings[complainer][0],
-                copies=self.s - sum(self.rho[w]))
-        except OpeningError as exc:
-            raise _Abort(self.role, exc.party, str(exc))
-
-    def consistency_ruling(self, verdict) -> _Abort:
-        """The abort for a verdict; an invalid proof's verdict blames the
-        complainer."""
-        w = self.dispute[1]
-        if verdict.kind == VERDICT_CHEATING_PROVIDER:
-            reason = (f"labels of wire {w} disagree between the circuits; "
-                      f"{verdict.blamed.name} submitted inconsistent inputs")
-        elif verdict.kind == VERDICT_CHEATING_PARTY:
-            reason = (f"consistency proof for wire {w} contradicts the "
-                      "broadcast transcript")
-        else:
-            reason = (f"consistency proof for wire {w} shows no "
-                      "inconsistency; the complaint was false")
-        return _Abort(self.role, verdict.blamed, reason)
+        def fault(pairs):
+            triples = open_evidence(pairs, copies, slot, openings)
+            if triples is None or labels_consistent(
+                    triples, self.held(self.label_sets, wire), slot):
+                return None
+            return (f"labels of wire {wire} disagree between the circuits; "
+                    f"{self.wire_owner[wire].name} submitted inconsistent "
+                    "inputs")
+        return self._ruling(sender, wire, pairs, fault, f"consistency proof "
+                            f"for wire {wire} shows no inconsistency; the "
+                            "complaint was false")
 
     def take_output_commitments(self, sender, got):
         super().take_output_commitments(sender, got)
@@ -941,33 +891,24 @@ class Session:
         for party in self.parties:
             claim = party.check_failure_claim()
             if claim is not None:
-                self._arbitrate_check_failure(party, claim)
+                self._arbitrate(MT.CHECK_FAILURE_CLAIM, party, claim)
         self._round(MT.EVALSET_OPENINGS, self.bidders)
-        self._round(MT.HASH_TUPLE, self.parties)
+        self._round(MT.HASH_TUPLE, self.bidders)
         for party in self.parties:
-            wire = party.consistency_proof()
-            if wire is not None:
-                self._arbitrate_consistency_proof(party, wire)
+            proof = party.consistency_proof()
+            if proof is not None:
+                self._arbitrate(MT.CONSISTENCY_PROOF, party, proof)
 
-    def _arbitrate_check_failure(self, party, claim):
-        # The other party has no take step: it waits for the ruling.
-        verdicts = self._round(MT.CHECK_FAILURE_CLAIM, [party],
-                               lambda _: claim)
-        if len({fault is None for fault in verdicts}) != 1:
-            raise ProtocolError("check-failure arbitration diverged")
-        # The cloud receives last and words the ruling.
-        raise self.cloud.check_claim_ruling(party.role, verdicts[-1])
-
-    def _arbitrate_consistency_proof(self, party, wire):
-        # The proof tells both parties what to open: the complainer its
-        # cross commitment of the wire, the garbler its pair.
-        self._round(MT.CONSISTENCY_PROOF, [party], lambda _: wire)
-        garbler = self._member(_other_party(party.role))
-        self._round(MT.PROOF_OPENING_RESPONSE, [party, garbler])
-        verdicts = [prov.judge_consistency_proof() for prov in self.providers]
-        if len({(v.kind, v.blamed) for v in verdicts}) != 1:
-            raise ProtocolError("consistency arbitration diverged")
-        raise self.cloud.consistency_ruling(verdicts[-1])  # the cloud's
+    def _arbitrate(self, mtype: MT, party, claim):
+        """Ends the session on ``party``'s claim. The cloud, which receives
+        last and owns no wire, gives the verdict; rulings that differ mean
+        an arbitrator was sent something else, so no one is blamed."""
+        rulings = [r for r in self._round(mtype, [party], lambda _: claim)
+                   if r is not None]
+        if len({r.blamed for r in rulings}) > 1:
+            raise _Abort(self.cloud.role, None, "arbitrators ruled apart on "
+                         f"the {mtype.name}")
+        raise rulings[-1]
 
     # -------------------------------------------------------- compute phase
 
@@ -987,10 +928,9 @@ class Session:
         for prov in self.providers:
             if not prov.complains():
                 continue
-            verdicts = self._round(MT.FAILURE_PROOF, [prov])
-            if len(set(verdicts)) != 1:
-                raise ProtocolError("failure-proof arbitration diverged")
-            if verdicts[0] == CONFIRMED:
+            # BUNDLE_HASH pinned the bundles, so one confirmation proves
+            # that the decoded outputs disagree.
+            if CONFIRMED in self._round(MT.FAILURE_PROOF, [prov]):
                 confirmed = True
             else:
                 spurious = prov.role.name

@@ -7,6 +7,7 @@ the package cannot hide inside its own oracle.
 
 from __future__ import annotations
 
+import hashlib
 import sys
 
 from dualgc.circuits import AND, NOT, OR, XOR, Circuit
@@ -68,18 +69,27 @@ def random_inputs(rng, circuit: Circuit) -> list[list[int]]:
 
 # --- cut-and-choose wire harness --------------------------------------------
 
-def wire_outcome(material, rho, rng):
+def _aggregate(labels) -> bytes:
+    """XOR of the labels' SHA-256 hashes, as integers."""
+    acc = 0
+    for label in labels:
+        acc ^= int.from_bytes(hashlib.sha256(label).digest(), "big")
+    return acc.to_bytes(32, "big")
+
+
+def wire_outcome(material, rho):
     """Drive one wire's consistency protocol between two honest parties.
 
     Returns "construction" (a check copy failed), "label_p1"/"label_p2"
-    (hash comparison failed on that side), "pass" (labels agree on the
-    provider's bit) or "divergent" (checks passed but the two circuits
-    received different bits).
+    (that party's triples failed the provider's label sets), "pass" (labels
+    agree on the provider's bit) or "divergent" (checks passed but the two
+    circuits received different bits). The provider attests, per circuit,
+    the unordered pair of aggregates over the evaluation copies; a party's
+    own encoding must give its circuit's pair and its cross labels one
+    member of the other circuit's pair.
     """
     from dualgc.consistency import (check_pair_construction,
-                                    cross_hash_aggregate,
-                                    evaluate_final_labels, label_check_passes,
-                                    make_hash_tuple, open_eval_triple,
+                                    evaluate_final_labels, open_eval_triple,
                                     open_position)
 
     bad = False
@@ -103,12 +113,14 @@ def wire_outcome(material, rho, rng):
         assert t1 is not None and t2 is not None
         p1_triples.append(t1)
         p2_triples.append(t2)
-    tup1, _sec1 = make_hash_tuple(rng, p1_triples)
-    tup2, _sec2 = make_hash_tuple(rng, p2_triples)
-    if not label_check_passes(cross_hash_aggregate(p1_triples), tup2):
-        return "label_p1"
-    if not label_check_passes(cross_hash_aggregate(p2_triples), tup1):
-        return "label_p2"
+    # An honest provider's sets: what it opened is what the parties hold.
+    sets = [{_aggregate(t[0] for t in triples),
+             _aggregate(t[1] for t in triples)}
+            for triples in (p1_triples, p2_triples)]
+    for name, own, triples in (("label_p1", 0, p1_triples),
+                               ("label_p2", 1, p2_triples)):
+        if _aggregate(t[2] for t in triples) not in sets[1 - own]:
+            return name
     enc1, cross2 = evaluate_final_labels(p1_triples)
     enc2, cross1 = evaluate_final_labels(p2_triples)
     bit1 = 0 if cross1 == enc1.zero else 1 if cross1 == enc1.one else None

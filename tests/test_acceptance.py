@@ -103,7 +103,7 @@ def test_criterion_2_cut_and_choose_soundness_bound():
         assert coin_toss_open(com1, op1, "P1") == share1
         assert coin_toss_open(com2, op2, "P2") == share2
         rho = combine_challenge(share1, share2, 0, s)
-        if wire_outcome(material, rho, rng) == "divergent":
+        if wire_outcome(material, rho) == "divergent":
             divergent += 1
     rate = divergent / trials
     sigma = math.sqrt(p * (1 - p) / trials)

@@ -6,23 +6,19 @@ import random
 
 import pytest
 
-from dualgc.commitments import (NONCE_BYTES, TAG_COIN, TAG_LABEL_HASH,
-                                TAG_POSITION, open_commitment, tagged_commit)
-from dualgc.consistency import (COMMITMENTS_PER_COPY, VERDICT_CHEATING_PARTY,
-                                VERDICT_CHEATING_PROVIDER,
-                                VERDICT_PROOF_INVALID, CommitmentSetPair,
-                                HashTuple,
+from dualgc.commitments import (NONCE_BYTES, TAG_COIN, TAG_POSITION, Opening,
+                                tagged_commit)
+from dualgc.consistency import (COMMITMENTS_PER_COPY, CommitmentSetPair,
                                 check_pair_construction, coin_toss_commit,
                                 coin_toss_open, combine_challenge,
-                                cross_hash_aggregate, evaluate_final_labels,
+                                evaluate_final_labels,
                                 generate_cheating_material,
                                 generate_input_material, hash_label,
-                                label_check_passes,
-                                make_hash_tuple, open_eval_triple,
+                                label_set, labels_consistent,
+                                open_eval_triple, open_evidence,
                                 open_position, unpack_bits,
-                                verify_check_failure_claim,
-                                verify_consistency_proof)
-from dualgc.errors import CoinTossCheatError, OpeningError
+                                verify_check_failure_claim)
+from dualgc.errors import CoinTossCheatError
 
 from oracles import expected_wire_outcome, wire_outcome
 
@@ -117,7 +113,7 @@ def test_honest_wire_passes_for_every_challenge():
     for x in (0, 1):
         material = generate_input_material(rng, x=x, s=4)
         for rho in all_valid_challenges(4):
-            assert wire_outcome(material, rho, rng) == "pass"
+            assert wire_outcome(material, rho) == "pass"
 
 
 def test_tampered_copy_fails_construction_check():
@@ -137,19 +133,18 @@ def test_mixed_evaluation_set_detected_by_first_party_only():
     material = generate_cheating_material(
         rng, 0, 4, [False, True, True, True])
     p1, p2 = eval_triples(material, [0, 0, 1, 1])
-    tup1, _ = make_hash_tuple(rng, p1)
-    tup2, _ = make_hash_tuple(rng, p2)
-    assert not label_check_passes(cross_hash_aggregate(p1), tup2)
-    assert label_check_passes(cross_hash_aggregate(p2), tup1)
+    sets = material.label_sets([0, 0, 1, 1])
+    assert not labels_consistent(p1, sets, 0)
+    assert labels_consistent(p2, sets, 1)
 
 
 def test_uniformly_tampered_evaluation_set_diverges_silently():
-    # All evaluation copies inconsistent: the hash comparison passes, but
+    # All evaluation copies inconsistent: the label-set check passes, but
     # the two circuits receive different bits (caught later at output).
     rng = random.Random(10)
     material = generate_cheating_material(
         rng, 1, 4, [False, False, True, True])
-    assert wire_outcome(material, [0, 0, 1, 1], rng) == "divergent"
+    assert wire_outcome(material, [0, 0, 1, 1]) == "divergent"
     p1, p2 = eval_triples(material, [0, 0, 1, 1])
     enc1, cross2 = evaluate_final_labels(p1)
     enc2, cross1 = evaluate_final_labels(p2)
@@ -166,7 +161,7 @@ def test_detection_combinatorics_exhaustive_s3():
         material = generate_cheating_material(rng, 0, 3, list(pattern))
         divergent = 0
         for rho in all_valid_challenges(3):
-            got = wire_outcome(material, rho, rng)
+            got = wire_outcome(material, rho)
             assert got == expected_wire_outcome(pattern, rho), \
                 f"pattern {pattern} rho {rho}"
             divergent += got == "divergent"
@@ -248,122 +243,103 @@ def test_unpack_bits_reads_msb_first():
     assert unpack_bits(b"\xff\x00", 9) == [1] * 8 + [0]
 
 
+def _aggregate(labels) -> bytes:
+    acc = bytes(32)
+    for label in labels:
+        acc = bytes(a ^ b for a, b in zip(acc, hashlib.sha256(label).digest()))
+    return acc
+
+
 def test_hash_tuple_structure_and_permutation():
+    """A wire's HASH_TUPLE entry is each circuit's two aggregates over the
+    evaluation copies, sorted: which of them is the 0 label's varies."""
     rng = random.Random(14)
-    material = generate_input_material(rng, 0, 6)
-    p1, _ = eval_triples(material, [0, 0, 0, 1, 1, 1])
-    orders = set()
-    plain = [cross_hash_aggregate([(t[0],) * 3 for t in p1]),
-             cross_hash_aggregate([(t[1],) * 3 for t in p1])]
-    lists = {agg: b"".join(hash_label(t[k]) for t in p1)
-             for k, agg in enumerate(plain)}
-    cross = b"".join(hash_label(t[2]) for t in p1)
+    rho = [0, 0, 0, 1, 1, 1]
+    zero_first = set()
     for _ in range(40):
-        tup, secret = make_hash_tuple(rng, p1)
-        assert set(tup.h_pair) == set(plain)
-        orders.add(tup.h_pair)
-        for com, opening, body in zip(
-                tup.c_pair + (tup.c_cross,), secret.openings,
-                (lists[tup.h_pair[0]], lists[tup.h_pair[1]], cross)):
-            assert open_commitment(com, opening)
-            assert opening.message[1:] == body
-    assert len(orders) == 2  # both permutations occur
+        material = generate_input_material(rng, rng.getrandbits(1), 6)
+        sets = material.label_sets(rho)
+        for triples, got in zip(eval_triples(material, rho), sets):
+            zero = _aggregate(t[0] for t in triples)
+            one = _aggregate(t[1] for t in triples)
+            assert got == label_set(triples) == tuple(sorted((zero, one)))
+            zero_first.add(got[0] == zero)
+    assert zero_first == {True, False}
+
+
+def _evidence(material, rho, slot):
+    """Party ``slot``'s (position, input-set) openings of the evaluation
+    copies, and those copies."""
+    copies = [j for j, bit in enumerate(rho) if not bit]
+    return [material.eval_openings(j)[:2] if slot == 0
+            else material.eval_openings(j)[::2] for j in copies], copies
 
 
 def _cheating_wire(seed):
-    """Both parties' hash tuples and secrets for a wire whose first copy,
-    evaluated alongside an honest one, fed the circuits different bits."""
+    """A wire whose first copy, evaluated alongside an honest one, fed the
+    circuits different bits: its material, challenge and label sets."""
     rng = random.Random(seed)
     material = generate_cheating_material(rng, 0, 4, [False, True, True, True])
-    p1, p2 = eval_triples(material, [0, 0, 1, 1])
-    tup1, sec1 = make_hash_tuple(rng, p1)
-    tup2, sec2 = make_hash_tuple(rng, p2)
-    assert not label_check_passes(cross_hash_aggregate(p1), tup2)
-    return rng, tup1, sec1, tup2, sec2
+    rho = [0, 0, 1, 1]
+    return material, rho, material.label_sets(rho)
 
 
 def test_consistency_proof_confirms_real_cheat():
-    _rng, tup1, sec1, tup2, sec2 = _cheating_wire(15)
-    verdict = verify_consistency_proof(
-        complainer="P1", garbler="P2", provider="provider:3",
-        complainer_tuple=tup1, garbler_tuple=tup2,
-        pair_openings=sec2.openings[:2], cross_opening=sec1.openings[2],
-        copies=2)
-    assert verdict.kind == VERDICT_CHEATING_PROVIDER
-    assert verdict.blamed == "provider:3"
+    material, rho, sets = _cheating_wire(15)
+    openings, copies = _evidence(material, rho, 0)
+    triples = open_evidence(material.pairs(), copies, 0, openings)
+    assert triples == eval_triples(material, rho)[0]
+    assert not labels_consistent(triples, sets, 0)
 
 
 def test_consistency_proof_false_alarm_blames_complainer():
+    """Honest evidence agrees with the label sets, so the complaint is
+    false."""
     rng = random.Random(16)
     material = generate_input_material(rng, 1, 4)
-    p1, p2 = eval_triples(material, [0, 1, 0, 1])
-    tup1, sec1 = make_hash_tuple(rng, p1)
-    tup2, _ = make_hash_tuple(rng, p2)
-    verdict = verify_consistency_proof(
-        "P1", "P2", "provider:0", tup1, tup2, (None, None), sec1.openings[2],
-        copies=2)
-    assert (verdict.kind, verdict.blamed) == (VERDICT_PROOF_INVALID, "P1")
-
-
-def _lengthened(rng, tup, secret, index):
-    """``tup`` and its openings with hash list ``index`` (pair 0, pair 1,
-    cross) committed one hash longer."""
-    opening = secret.openings[index]
-    com, longer = tagged_commit(TAG_LABEL_HASH,
-                                opening.message[1:] + bytes(32),
-                                rng.randbytes(NONCE_BYTES))
-    coms = list(tup.c_pair + (tup.c_cross,))
-    coms[index] = com
-    openings = list(secret.openings)
-    openings[index] = longer
-    return HashTuple(tup.h_pair, tuple(coms[:2]), coms[2]), openings
+    rho = [0, 1, 0, 1]
+    for slot in (0, 1):
+        openings, copies = _evidence(material, rho, slot)
+        triples = open_evidence(material.pairs(), copies, slot, openings)
+        assert labels_consistent(triples, material.label_sets(rho), slot)
 
 
 def test_consistency_proof_forged_contents_blame_complainer():
-    rng, tup1, sec1, tup2, sec2 = _cheating_wire(17)
-    # A cross list longer than the wire's evaluation copies is the
-    # complainer's fault, though the garbler's lists are checked after it.
-    long1, ops1 = _lengthened(rng, tup1, sec1, 2)
-    with pytest.raises(OpeningError) as err:
-        verify_consistency_proof("P1", "P2", "provider:0", long1, tup2,
-                                 sec2.openings[:2], ops1[2], copies=2)
-    assert err.value.party == "P1"
-    # So is a cross opening of another wire's commitment.
-    _rng, other1, other_sec1, _tup2, _sec2 = _cheating_wire(20)
-    with pytest.raises(OpeningError) as err:
-        verify_consistency_proof("P1", "P2", "provider:0", tup1, tup2,
-                                 sec2.openings[:2], other_sec1.openings[2],
-                                 copies=2)
-    assert err.value.party == "P1"
+    """Openings of another wire, or the other party's, open nothing."""
+    material, rho, _sets = _cheating_wire(17)
+    other, _rho, _sets = _cheating_wire(20)
+    openings, copies = _evidence(other, rho, 0)
+    assert open_evidence(material.pairs(), copies, 0, openings) is None
+    openings, copies = _evidence(material, rho, 1)
+    assert open_evidence(material.pairs(), copies, 0, openings) is None
 
 
-def test_consistency_proof_lying_garbler_caught_by_recompute():
-    rng, tup1, sec1, tup2, sec2 = _cheating_wire(18)
-    lying = HashTuple(h_pair=(bytes(32), tup2.h_pair[1]),
-                      c_pair=tup2.c_pair, c_cross=tup2.c_cross)
-    verdict = verify_consistency_proof(
-        "P1", "P2", "provider:0", tup1, lying, sec2.openings[:2],
-        sec1.openings[2], copies=2)
-    assert verdict.kind == VERDICT_CHEATING_PARTY and verdict.blamed == "P2"
-    long2, ops2 = _lengthened(rng, tup2, sec2, 1)
-    with pytest.raises(OpeningError) as err:
-        verify_consistency_proof("P1", "P2", "provider:0", tup1, long2,
-                                 ops2[:2], sec1.openings[2], copies=2)
-    assert err.value.party == "P2"
+def test_consistency_proof_lying_provider_caught_by_recompute():
+    """A provider whose circuit-2 set is not its copies' fails both honest
+    parties' evidence: the first party's cross labels and the second
+    party's own encoding."""
+    rng = random.Random(18)
+    material = generate_input_material(rng, 0, 4)
+    rho = [0, 0, 1, 1]
+    sets = material.label_sets(rho)
+    lying = (sets[0], (bytes(32), b"\xff" * 32))
+    for slot in (0, 1):
+        openings, copies = _evidence(material, rho, slot)
+        triples = open_evidence(material.pairs(), copies, slot, openings)
+        assert labels_consistent(triples, sets, slot)
+        assert not labels_consistent(triples, lying, slot)
 
 
 def test_consistency_proof_bad_opening_names_its_party():
-    _rng, tup1, sec1, tup2, sec2 = _cheating_wire(19)
-    with pytest.raises(OpeningError) as err:
-        verify_consistency_proof("P1", "P2", "provider:0", tup1,
-                                 tup2, (sec2.openings[1], sec2.openings[0]),
-                                 sec1.openings[2], copies=2)
-    assert err.value.party == "P2"
-    with pytest.raises(OpeningError) as err:
-        verify_consistency_proof("P1", "P2", "provider:0", tup1,
-                                 tup2, sec2.openings[:2], sec2.openings[2],
-                                 copies=2)
-    assert err.value.party == "P1"
+    """Evidence with one opening that fails is no evidence: the
+    complainer that sent it is blamed."""
+    material, rho, _sets = _cheating_wire(19)
+    openings, copies = _evidence(material, rho, 0)
+    pos_op, set_op = openings[0]
+    for bad in ((set_op, pos_op),
+                (pos_op, Opening(set_op.message, bytes(NONCE_BYTES)))):
+        forged = [bad] + openings[1:]
+        assert open_evidence(material.pairs(), copies, 0, forged) is None
 
 
 def test_check_failure_claim_arbitration():

@@ -11,8 +11,7 @@ import pytest
 from dualgc import consistency, outputs, session
 from dualgc import messages as M
 from dualgc.auction import AuctionConfig, build_auction_circuit, oracle_run
-from dualgc.commitments import (NONCE_BYTES, TAG_LABEL_HASH, Commitment,
-                                tagged_commit)
+from dualgc.commitments import NONCE_BYTES, Commitment, Opening
 from dualgc.errors import (DecodeError, ProtocolError, TransportTimeout,
                            UsageError)
 from dualgc.garbling import (HEADER_BYTES, ROW_BYTES, decode, gate_rows,
@@ -174,7 +173,6 @@ def test_commitment_nonces_are_never_reused(monkeypatch):
         monkeypatch.setattr(module, "tagged_commit", recording)
     wires = len(BIDS) * 2 * SMALL.vm_types * SMALL.width
     floor = (wires * 4 * 5        # provider copies: five commitments each
-             + 2 * 3 * wires      # both parties' hash-tuple commitments
              + 2 * 2 * (len(BIDS) + 1)  # output commitments per recipient
              + 2)                 # one coin-toss commitment per party
     for adversary in [None] + list(BEHAVIORS):
@@ -313,7 +311,6 @@ SENT_BY = dict.fromkeys(M.FLOW)
 SENT_BY.update({
     M.MessageType.CHECK_FAILURE_CLAIM: "falsify_check_failure",
     M.MessageType.CONSISTENCY_PROOF: "forge_consistency_proof",
-    M.MessageType.PROOF_OPENING_RESPONSE: "forge_consistency_proof",
     M.MessageType.FAILURE_PROOF: "false_output_complaint",
     M.MessageType.ABORT: "bias_coin_toss",
 })
@@ -365,9 +362,6 @@ VALUE_FAULTS = {
     "output_openings_bad_opening": (
         None, M.MessageType.OUTPUT_OPENINGS, lambda o: (o[1], o[0]),
         ("P2", None), ("abort", "P2")),
-    "proof_response_short": (
-        "forge_consistency_proof", M.MessageType.PROOF_OPENING_RESPONSE,
-        lambda openings: openings[:1], ("P2", None), ("abort", "P2")),
 }
 
 
@@ -405,14 +399,11 @@ COUNTED_BODIES = {
         None, "provider:0", _last_pair_dropped,
         "input commitments hold the wrong number of copies"),
     M.MessageType.HASH_TUPLE: (
-        None, "P1", _first_entry_repeated,
-        "hash tuples cover the wrong wires"),
+        None, "provider:0", _first_entry_repeated,
+        "label sets cover the wrong wires"),
     M.MessageType.OUTPUT_COMMITMENTS: (
         None, "P2", _last_entry_dropped,
         "output commitments cover the wrong recipients"),
-    M.MessageType.PROOF_OPENING_RESPONSE: (
-        "forge_consistency_proof", "P2", _first_entry_repeated,
-        "proof opening response holds the wrong number of openings"),
 }
 
 
@@ -431,8 +422,9 @@ def test_a_repeated_copy_is_refused(mtype, seed):
 
 def _count_item_reads(monkeypatch) -> Counter:
     """Counts, by list, the items read out of fixed-width lists from now
-    on: an input commitment body's digests ("wire digests") and pairs, a
-    claim's pairs, the hash tuples and the output commitments."""
+    on: an input commitment body's digests ("wire digests") and pairs, the
+    pairs of a claim or a proof, the label sets and the output
+    commitments."""
     T = M.MessageType
     counts = Counter()
 
@@ -448,6 +440,9 @@ def _count_item_reads(monkeypatch) -> Counter:
                                    counted("INPUT_COMMITMENTS", pair)),
         T.CHECK_FAILURE_CLAIM: M.seq(M.u32, M.u16, M.array(4, M.opening),
                                      counted("CHECK_FAILURE_CLAIM", pair)),
+        T.CONSISTENCY_PROOF: M.seq(M.u32, M.listof(M.seq(M.opening,
+                                                         M.opening)),
+                                   counted("CONSISTENCY_PROOF", pair)),
     }
     for mtype in (T.HASH_TUPLE, T.OUTPUT_COMMITMENTS):
         schemas[mtype] = counted(mtype.name,
@@ -461,10 +456,10 @@ def _count_item_reads(monkeypatch) -> Counter:
                                        "forge_consistency_proof"])
 def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
     """Each party reads every commitment pair once, in its check or its
-    evaluation, and each of the other party's hash tuples once; every
-    provider reads both parties' output commitments. A bidder or the cloud
-    reads a wire digest, a commitment pair or a hash tuple only to
-    arbitrate."""
+    evaluation, and each wire's label sets once; every provider reads both
+    parties' output commitments. A bidder or the cloud reads a wire
+    digest, a commitment pair or a label set only to arbitrate, and the
+    owner of the wire in dispute reads none."""
     counts = _count_item_reads(monkeypatch)
     sess = Session(SMALL, BIDS, s=4, seed=3, adversary=adversary)
     res = sess.run()
@@ -478,20 +473,27 @@ def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
     elif adversary == "falsify_check_failure":
         # The session ends at the claim: each party has read its check
         # copies and the claimant the claimed wire's s pairs, to send
-        # them; every provider but the wire's owner, which holds its own
-        # digests, reads the wire's digest; every provider hashes the
-        # claim's s pairs and then reads the claimed one.
+        # them; every provider but the wire's owner reads the wire's
+        # digest, hashes the claim's s pairs and then reads the claimed
+        # one.
         assert (res.status, res.blamed) == ("abort", "P1")
         checked = sum(map(sum, sess.p1.rho.values()))
         assert counts == {"INPUT_COMMITMENTS": 2 * checked + s,
                           "wire digests": providers - 1,
-                          "CHECK_FAILURE_CLAIM": providers * (s + 1)}
+                          "CHECK_FAILURE_CLAIM": (providers - 1) * (s + 1)}
     else:
-        # The complainer reads all of the garbler's tuples before it makes
-        # its complaint up; every provider reads both tuples of the wire.
+        # The complainer reads every wire's label sets before it makes
+        # its complaint up, and the wire's s pairs to send them; every
+        # provider but the wire's owner reads the wire's digest and label
+        # sets, hashes the proof's s pairs and reads each evaluated one.
         assert (res.status, res.blamed) == ("abort", "P1")
-        assert counts == {"INPUT_COMMITMENTS": 2 * wires * s,
-                          "HASH_TUPLE": wires + 2 * providers}
+        w0 = sess.circuit.input_map[0][0]
+        evaluated = s - sum(sess.p1.rho[w0])
+        assert counts == {"INPUT_COMMITMENTS": 2 * wires * s + s,
+                          "HASH_TUPLE": wires + providers - 1,
+                          "wire digests": providers - 1,
+                          "CONSISTENCY_PROOF": (providers - 1)
+                          * (s + evaluated)}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -635,7 +637,7 @@ def test_tampered_eval_copy_fails_the_hash_comparison(
 
 # rewrite of a broadcast CONSISTENCY_PROOF -> what it breaks
 PROOF_REWRITES = {
-    "no_input_wire": lambda wire: 9999,
+    "no_input_wire": lambda proof: (9999,) + proof[1:],
 }
 
 
@@ -659,35 +661,41 @@ def test_rewritten_consistency_proof_blames_its_sender(
         assert "consistency proof names no input wire" in res.reason
 
 
-def _to_another_wire_of_its_provider(wire):
+def _another_wire_of_its_provider(wire):
     group = next(g for g in build_auction_circuit(SMALL, len(BIDS)).input_map
                  if wire in g)
     return group[(group.index(wire) + 1) % len(group)]
 
 
-@pytest.mark.parametrize("receiver",
-                         ["provider:0", "provider:1", "cloud", "garbler"])
+@pytest.mark.parametrize("receiver", ["provider:0", "provider:1", "cloud"])
 def test_consistency_proof_sent_differently_to_one_receiver(
         inconsistent_labels_scan, receiver):
-    """A complainer that sends one receiver a proof for another wire. A
-    provider that got the odd copy, the cloud included, finds the
-    complainer's opening off the wire it holds and convicts the
-    complainer, as the complainer's list is checked first. The garbler's
-    copy is compared with no one's: it opens its pair for the other wire,
-    which every provider finds off the proof's wire, so the honest garbler
-    is blamed. Pinned until proofs are echo-broadcast (ROADMAP item 2)."""
+    """A complainer that sends one provider its proof with another wire of
+    the same owner named. Where that wire has another number of
+    evaluation copies, that receiver blames the complainer at once.
+    Otherwise the owner, provider 0, gives no ruling on either wire, so
+    the others convict it; an odd copy at another provider misses its
+    digest there, and the rulings differ, so no one is blamed: that
+    provider cannot tell this from an owner that sent it wrong digests."""
     for seed, clean in zip(inconsistent_labels_scan["seeds"]["mixed"],
                            inconsistent_labels_scan["mixed"]):
         complainer = next(e.sender for e in clean.transcript.entries
                           if e.type == "CONSISTENCY_PROOF")
-        to = {"garbler": "P2" if complainer == "P1" else "P1"}.get(
-            receiver, receiver)
-        res = run_session(SMALL, BIDS, s=4, seed=seed,
-                          adversary="inconsistent_labels",
-                          transport=value_fault(
-                              M.MessageType.CONSISTENCY_PROOF,
-                              _to_another_wire_of_its_provider, receiver=to))
-        expect = to if to in ("P1", "P2") else complainer
+        sess = Session(SMALL, BIDS, s=4, seed=seed,
+                       adversary="inconsistent_labels",
+                       transport=value_fault(
+                           M.MessageType.CONSISTENCY_PROOF,
+                           lambda proof: (_another_wire_of_its_provider(
+                               proof[0]),) + proof[1:], receiver=receiver))
+        res = sess.run()
+        wire = sess.circuit.input_map[0][0]
+        rho = sess.p1.rho
+        if sum(rho[wire]) != sum(rho[_another_wire_of_its_provider(wire)]):
+            expect = complainer
+        elif receiver == "provider:0":
+            expect = "provider:0"
+        else:
+            expect = None
         assert (res.status, res.blamed) == ("abort", expect), seed
 
 
@@ -892,35 +900,114 @@ def test_forged_consistency_proof_blames_the_forger():
     assert "the complaint was false" in res.reason
 
 
-class _LongCrossList(session._ForgeConsistencyProof):
-    """Commits the cross hash list of provider 0's first wire to random
-    hashes, one more than the wire has evaluation copies, then complains
-    about that wire."""
+class _ExtraEvidence(session._ForgeConsistencyProof):
+    """Complains about provider 0's first wire with its first evaluation
+    opening repeated."""
 
-    def hash_tuple(self):
-        super().hash_tuple()
-        w0 = self.circuit.input_map[0][0]
-        hashes = b"".join(self.adv_rng.randbytes(32)
-                          for _ in range(len(self.triples[w0]) + 1))
-        com, opening = tagged_commit(TAG_LABEL_HASH, hashes,
-                                     self.adv_rng.randbytes(NONCE_BYTES))
-        self.tuples[w0] = dataclasses.replace(self.tuples[w0], c_cross=com)
-        self.tuple_secrets[w0] = consistency.HashTupleSecret(
-            self.tuple_secrets[w0].openings[:2] + (opening,))
-        return [self.tuples[w] for w in sorted(self.tuples)]
+    def consistency_proof(self):
+        wire, openings, pairs = super().consistency_proof()
+        return wire, [openings[0]] + openings, pairs
 
 
-def test_a_cross_hash_list_of_the_wrong_length_blames_the_complainer(
+def test_a_wrong_number_of_evidence_openings_blames_the_complainer(
         monkeypatch):
-    """The complainer's list is the odd one out: it, not the garbler whose
-    lists are as long as the wire's evaluation copies, is blamed."""
     monkeypatch.setitem(session._SCRIPTED, "forge_consistency_proof",
-                        (_LongCrossList, "P1"))
+                        (_ExtraEvidence, "P1"))
+    for seed in range(6):
+        res = run_session(SMALL, BIDS, s=4, seed=seed,
+                          adversary="forge_consistency_proof")
+        assert (res.status, res.blamed, res.detector) == (
+            "abort", "P1", "provider:0"), seed
+        assert "wrong number of openings" in res.reason
+
+
+def _nonce_changed(party, openings):
+    pos_op, set_op = openings[-1]
+    nonce = bytes([set_op.randomness[0] ^ 1]) + set_op.randomness[1:]
+    return openings[:-1] + [(pos_op, Opening(set_op.message, nonce))]
+
+
+def _another_wires_openings(party, openings):
+    w0 = party.circuit.input_map[0][0]
+    return party.evidence[_another_wire_of_its_provider(w0)]
+
+
+@pytest.mark.parametrize("evidence", [_nonce_changed,
+                                      _another_wires_openings],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_evidence_that_does_not_open_blames_the_complainer(monkeypatch,
+                                                           evidence):
+    """A party that complains about provider 0's consistent first wire
+    with openings that only it could have changed, or with another wire's,
+    is blamed, never the provider."""
+    class Forger(session._ForgeConsistencyProof):
+        def consistency_proof(self):
+            wire, openings, pairs = super().consistency_proof()
+            return wire, evidence(self, openings), pairs
+
+    monkeypatch.setitem(session._SCRIPTED, "forge_consistency_proof",
+                        (Forger, "P1"))
     for seed in range(6):
         res = run_session(SMALL, BIDS, s=4, seed=seed,
                           adversary="forge_consistency_proof")
         assert (res.status, res.blamed) == ("abort", "P1"), seed
-        assert "one hash per evaluation copy" in res.reason
+
+
+class _WrongCircuit2Set(session._InconsistentLabels):
+    """An honest provider but for the circuit-2 label set it attests for
+    its first wire."""
+
+    make_material = session.Provider.make_material
+
+    def hash_tuple(self):
+        sets = super().hash_tuple()
+        sets[0] = (sets[0][0], tuple(sorted(
+            (self.adv_rng.randbytes(32), self.adv_rng.randbytes(32)))))
+        return sets
+
+
+def test_a_bidder_that_attests_a_wrong_label_set_is_blamed(monkeypatch):
+    """The first party's cross labels miss the wrong set, and every
+    provider but the owner, which gives no ruling on its own wire, finds
+    the evidence consistent with the copies and blames the owner."""
+    monkeypatch.setitem(session._SCRIPTED, "inconsistent_labels",
+                        (_WrongCircuit2Set, "provider:0"))
+    for seed in range(6):
+        res = run_session(SMALL, BIDS, s=4, seed=seed,
+                          adversary="inconsistent_labels")
+        assert (res.status, res.blamed) == ("abort", "provider:0"), seed
+        assert "inconsistent inputs" in res.reason
+
+
+def test_digests_equivocated_to_one_arbitrator_blame_no_party():
+    """Provider 0 sends provider 1 zero digests and cheats on its first
+    wire. A genuine claim or proof then gets rulings that differ, which end
+    in an abort blaming no one; no honest party is ever blamed."""
+    for seed in range(30):
+        fault = value_fault(M.MessageType.INPUT_COMMITMENTS,
+                            lambda got: ([bytes(32)] * len(got[0]), got[1]),
+                            "provider:0", "provider:1")
+        res = run_session(SMALL, BIDS, s=4, seed=seed,
+                          adversary="inconsistent_labels", transport=fault)
+        assert res.status in ("abort", "reject"), seed
+        assert res.blamed is None, seed
+
+
+@pytest.mark.parametrize("receiver", ["provider:1", "cloud"])
+def test_a_failure_proof_confirmed_by_one_provider_rejects(receiver):
+    """A complainer's failure proof with one opening's nonce zeroed to one
+    provider: that provider finds it spurious, the others confirm it. The
+    bundles are pinned by BUNDLE_HASH, so one confirmation rejects."""
+    def zeroed(proof):
+        return dataclasses.replace(proof, e1=Opening(proof.e1.message,
+                                                     bytes(NONCE_BYTES)))
+    for seed in range(6):
+        res = run_session(SMALL, BIDS, s=4, seed=seed,
+                          adversary="substitute_output_label",
+                          transport=value_fault(M.MessageType.FAILURE_PROOF,
+                                                zeroed, "provider:0",
+                                                receiver))
+        assert (res.status, res.blamed) == ("reject", None), seed
 
 
 def test_false_output_complaint_is_spurious_and_harmless():

@@ -7,7 +7,7 @@ import pytest
 
 from dualgc import messages as M
 from dualgc.commitments import Commitment, Opening
-from dualgc.consistency import CommitmentSetPair, HashTuple
+from dualgc.consistency import CommitmentSetPair
 from dualgc.errors import FramingError, ProtocolError, TransportError
 from dualgc.outputs import OutputOpenings
 from dualgc.transport import InProcessTransport, TcpTransport
@@ -67,6 +67,7 @@ def set_pair(k):
 
 
 T = M.MessageType
+RETIRED = {T.PROOF_OPENING_REQUEST, T.PROOF_OPENING_RESPONSE}
 
 # One decoded value per message type with a schema.
 SAMPLES = {
@@ -76,10 +77,9 @@ SAMPLES = {
     T.COIN_REVEAL: O(b"seed", 8),
     T.CHECKSET_OPENINGS: [(O(b"a", 1), O(b"b", 2), O(b"", 3), O(b"d", 4))],
     T.EVALSET_OPENINGS: [(O(b"p", 1), O(b"q", 2)), (O(b"r", 3), O(b"s", 4))],
-    T.HASH_TUPLE: [HashTuple(h_pair=(b"\x11" * 32, b"\x22" * 32),
-                             c_pair=(C(1), C(2)), c_cross=C(3))],
-    T.CONSISTENCY_PROOF: 6,
-    T.PROOF_OPENING_RESPONSE: [O(b"x", 1), O(b"yy", 2)],
+    T.HASH_TUPLE: [((b"\x11" * 32, b"\x22" * 32),
+                    (b"\x33" * 32, b"\x44" * 32))],
+    T.CONSISTENCY_PROOF: (6, [(O(b"p", 1), O(b"q", 2))], [set_pair(1)]),
     T.CHECK_FAILURE_CLAIM: (14, 5, (O(b"a", 1), O(b"b", 2), O(b"c", 3),
                                     O(b"d", 4)), [set_pair(1)]),
     T.GARBLED_CIRCUIT: b"\x00\x01tables",
@@ -126,14 +126,17 @@ RECORDED_HEX = {
     "HASH_TUPLE": (
         "0000000111111111111111111111111111111111111111111111111111111111"
         "1111111122222222222222222222222222222222222222222222222222222222"
-        "2222222201010101010101010101010101010101010101010101010101010101"
-        "0101010102020202020202020202020202020202020202020202020202020202"
-        "0202020203030303030303030303030303030303030303030303030303030303"
-        "03030303"),
-    "CONSISTENCY_PROOF": "00000006",
-    "PROOF_OPENING_RESPONSE": (
-        "0000000200000001780101010101010101010101010101010100000002797902"
-        "020202020202020202020202020202"),
+        "2222222233333333333333333333333333333333333333333333333333333333"
+        "3333333344444444444444444444444444444444444444444444444444444444"
+        "44444444"),
+    "CONSISTENCY_PROOF": (
+        "0000000600000001000000017001010101010101010101010101010101000000"
+        "0171020202020202020202020202020202020000000101010101010101010101"
+        "0101010101010101010101010101010101010101010102020202020202020202"
+        "0202020202020202020202020202020202020202020203030303030303030303"
+        "0303030303030303030303030303030303030303030304040404040404040404"
+        "0404040404040404040404040404040404040404040405050505050505050505"
+        "05050505050505050505050505050505050505050505"),
     "CHECK_FAILURE_CLAIM": (
         "0000000e00050000000161010101010101010101010101010101010000000162"
         "0202020202020202020202020202020200000001630303030303030303030303"
@@ -164,7 +167,7 @@ RECORDED_HEX = {
 
 
 def test_schema_table_covers_every_type():
-    assert set(M.SCHEMAS) == set(SAMPLES) == set(T) - {T.PROOF_OPENING_REQUEST}
+    assert set(M.SCHEMAS) == set(SAMPLES) == set(T) - RETIRED
     assert set(RECORDED_HEX) == {t.name for t in SAMPLES}
 
 
@@ -196,7 +199,7 @@ EXTRA_INPUTS = [
     (T.COIN_COMMIT, bytes(33), FramingError),
     (T.COIN_REVEAL, bytes.fromhex("00000001ff") + bytes(15), FramingError),
     (T.COIN_REVEAL, bytes.fromhex("00000001ff") + bytes(17), FramingError),
-    (T.PROOF_OPENING_RESPONSE, bytes.fromhex("00000000"), []),
+    (T.CONSISTENCY_PROOF, bytes(12), (0, [], [])),
     (T.ABORT, bytes.fromhex("00abcd00000000"), FramingError),
 ]
 
@@ -207,6 +210,8 @@ FixedList = namedtuple("FixedList", "mtype head width tail empty field")
 
 _CLAIM_HEAD = M.encode_body(
     T.CHECK_FAILURE_CLAIM, SAMPLES[T.CHECK_FAILURE_CLAIM][:3] + ([],))[:-4]
+_PROOF_HEAD = M.encode_body(
+    T.CONSISTENCY_PROOF, SAMPLES[T.CONSISTENCY_PROOF][:2] + ([],))[:-4]
 
 # The lists of fixed-width items, by name: their count is checked against
 # the bytes left before any item is read.
@@ -218,7 +223,10 @@ FIXED_LISTS = {
     "CHECK_FAILURE_CLAIM": FixedList(
         T.CHECK_FAILURE_CLAIM, _CLAIM_HEAD, 160, b"",
         SAMPLES[T.CHECK_FAILURE_CLAIM][:3] + ([],), 3),
-    "HASH_TUPLE": FixedList(T.HASH_TUPLE, b"", 160, b"", [], None),
+    "CONSISTENCY_PROOF": FixedList(
+        T.CONSISTENCY_PROOF, _PROOF_HEAD, 160, b"",
+        SAMPLES[T.CONSISTENCY_PROOF][:2] + ([],), 2),
+    "HASH_TUPLE": FixedList(T.HASH_TUPLE, b"", 128, b"", [], None),
     "OUTPUT_COMMITMENTS": FixedList(T.OUTPUT_COMMITMENTS, b"", 64, b"", [],
                                     None),
 }
@@ -334,7 +342,7 @@ def test_a_codec_that_can_refuse_its_bytes_has_no_size():
 
 
 def test_flow_table_covers_every_type_and_passes_audit():
-    assert set(M.FLOW) == set(M.MessageType) - {T.PROOF_OPENING_REQUEST}
+    assert set(M.FLOW) == set(M.MessageType) - RETIRED
     M.audit_flow_table()
     for _mtype, (_senders, _receivers, phase) in M.FLOW.items():
         assert phase in M.PHASES
