@@ -20,9 +20,9 @@ a commitment, or a ``seq``, ``array`` or ``record`` of such fields) has
 that ``size``. A list of sized items decodes to a ``Table``: its count is
 checked against the bytes left, and an item is decoded only when it is
 read, which cannot fail. The input commitments' digest and pair lists,
-the pairs of a claim or a proof, the label sets and the output
-commitments are such lists; the opening lists have variable width and
-decode item by item.
+the pairs of a claim or a proof, the label sets and their echo digests
+and the output commitments are such lists; the opening lists have
+variable width and decode item by item.
 
 A body carries only what its receiver cannot derive. Lists are positional
 in an order fixed by the public parameters (the input and output maps,
@@ -34,7 +34,9 @@ commitment pairs and no digests, every other provider one 32-byte
 ``consistency.wire_digest`` per wire and no pairs. A check-failure claim
 and a consistency proof carry the wire's pairs, so that every provider
 can arbitrate against its digest. ``HASH_TUPLE`` keeps its name but now
-carries a bidder's label sets, two per wire.
+is ``(echo digests, label sets)``: a bidder sends no digest and two label
+sets per wire, then each party one digest of every bidder's sets as it
+received them and no sets.
 ``PROOF_OPENING_REQUEST`` and ``PROOF_OPENING_RESPONSE`` have no schema and
 no flow: they are never sent, and a frame of either type is refused like
 any unexpected type. They stay members so that no type is renumbered and
@@ -141,7 +143,7 @@ FLOW: dict[MessageType, tuple[frozenset, frozenset, str]] = {
     MessageType.COIN_REVEAL: (_PARTIES, _EVERYONE, PHASE_INPUT),
     MessageType.CHECKSET_OPENINGS: (_PROVIDERS, _PARTIES, PHASE_INPUT),
     MessageType.EVALSET_OPENINGS: (_PROVIDERS, _PARTIES, PHASE_INPUT),
-    MessageType.HASH_TUPLE: (_BIDDERS, _EVERYONE, PHASE_INPUT),
+    MessageType.HASH_TUPLE: (_BIDDERS | _PARTIES, _EVERYONE, PHASE_INPUT),
     MessageType.CONSISTENCY_PROOF: (_PARTIES, _PROVIDERS, PHASE_INPUT),
     MessageType.CHECK_FAILURE_CLAIM: (_PARTIES, _EVERYONE, PHASE_INPUT),
     MessageType.GARBLED_CIRCUIT: (_PARTIES, _PARTIES, PHASE_COMPUTE),
@@ -381,6 +383,11 @@ class Table(Sequence):
         return Table(self.data, self.off + at.start * size, len(at),
                      self.item)
 
+    def __bytes__(self):
+        """The items as they lie in the body, none of them decoded."""
+        size = self.item.size
+        return bytes(self.data[self.off:self.off + self.count * size])
+
     def __eq__(self, other):
         if not isinstance(other, Sequence):
             return NotImplemented
@@ -438,9 +445,11 @@ SCHEMAS: dict[MessageType, Codec] = {
     # (position opening, input-set opening) per evaluation copy, by wire,
     # then by copy
     MessageType.EVALSET_OPENINGS: listof(seq(opening, opening)),
-    # circuit 1's and circuit 2's sorted label sets per wire of the
-    # sender, in input-map order
-    MessageType.HASH_TUPLE: listof(array(2, array(2, raw(32)))),
+    # (echo digests, label sets): from a bidder no digest and circuit 1's
+    # and circuit 2's sorted label sets per wire, in input-map order; from
+    # a party one digest of every bidder's sets and no sets
+    MessageType.HASH_TUPLE: seq(listof(raw(32)),
+                                listof(array(2, array(2, raw(32))))),
     # (wire, the sender's (position, input-set) openings of its evaluation
     # copies, the wire's s pairs)
     MessageType.CONSISTENCY_PROOF: seq(u32, listof(seq(opening, opening)),

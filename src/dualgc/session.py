@@ -22,10 +22,11 @@ or fails an opening, and any of these blames its sender:
   derives each wire's challenge string, verify the opened check copies,
   and derive their final input encodings and cross labels from the
   evaluation copies, checking them against the label sets each bidder
-  attests for its wires. A check-failure claim or a consistency proof
-  carries the wire's copies and the claimant's openings; every provider
-  but the wire's owner checks the copies against its digest and rules,
-  and the cloud's ruling stands unless another differs.
+  attests for its wires, once the parties' echo shows every role holds
+  the same sets. A check-failure claim or a consistency proof carries
+  the wire's copies and the claimant's openings; every provider but the
+  wire's owner checks the copies against its digest and rules, and the
+  cloud's ruling stands unless another differs.
 * compute: both garbled circuits are exchanged in one round (so both are
   sent before either side evaluates) and evaluated on the cross labels.
 * output: both parties commit to output encodings and evaluated labels
@@ -271,6 +272,7 @@ class Participant:
         self.shares = {}        # party Role -> seed share
         self.rho = {}           # wire -> tuple[int, ...]
         self.label_sets = {}    # bidder Role -> label sets, by input map
+        self.set_bytes = {}     # bidder Role -> its label sets' bytes
 
     def copies(self, provider: int, checked: bool) -> list:
         """(wire, copy) of a provider's check or evaluation copies, by wire,
@@ -299,10 +301,27 @@ class Participant:
         owner = self.wire_owner[wire]
         return lists[owner][self.circuit.input_map[owner.index].index(wire)]
 
+    def sets_digest(self) -> bytes:
+        """SHA-256 over every bidder's label sets, as they lie on the wire."""
+        return hashlib.sha256(b"".join(
+            self.set_bytes[r] for r in sorted(self.set_bytes))).digest()
+
     def take_hash_tuple(self, sender: M.Role, got):
-        if len(got) != len(self.circuit.input_map[sender.index]):
+        """A bidder's label sets, or a party's echo of them all. An echo
+        that misses this role's sets blames no one: a bidder sent roles
+        different sets, or the party lies."""
+        digests, sets = got
+        if sender.kind != M.PROVIDER:
+            if len(digests) != 1 or len(sets):
+                raise _Abort(self.role, sender, "echo holds the wrong items")
+            if digests[0] != self.sets_digest():
+                raise _Abort(self.role, None, "label set views diverged")
+        elif len(digests) or len(sets) != len(
+                self.circuit.input_map[sender.index]):
             raise _Abort(self.role, sender, "label sets cover the wrong wires")
-        self.label_sets[sender] = got
+        else:
+            self.label_sets[sender] = sets
+            self.set_bytes[sender] = bytes(sets)
 
     def take_output_commitments(self, sender: M.Role, got):
         if len(got) != len(self.circuit.output_map):
@@ -394,6 +413,10 @@ class Party(Participant):
                              f"wire {w} final encoding is degenerate")
             self.final_enc[w] = enc
             self.cross_label[w] = cross
+
+    def hash_tuple(self):
+        """The echo: one digest of every bidder's label sets, no sets."""
+        return [self.sets_digest()], []
 
     def consistency_complaint(self) -> int | None:
         """The first wire whose triples fail its owner's label sets, if
@@ -507,10 +530,13 @@ class Provider(Participant):
         return {party: [entry(w, j, slot) for w, j in copies]
                 for slot, party in enumerate((_P1, _P2))}
 
-    def hash_tuple(self) -> list:
-        """Circuit 1's and circuit 2's label sets of each wire, by input
-        map."""
-        return [self.material[w].label_sets(self.rho[w]) for w in self.wires]
+    def hash_tuple(self):
+        """No digest, and circuit 1's and circuit 2's label sets of each
+        wire, by input map."""
+        sets = [self.material[w].label_sets(self.rho[w]) for w in self.wires]
+        self.set_bytes[self.role] = b"".join(
+            v for wire in sets for pair in wire for v in pair)
+        return [], sets
 
     def _ruling(self, claimant, wire, pairs, fault,
                 false_claim) -> _Abort | None:
@@ -894,6 +920,8 @@ class Session:
                 self._arbitrate(MT.CHECK_FAILURE_CLAIM, party, claim)
         self._round(MT.EVALSET_OPENINGS, self.bidders)
         self._round(MT.HASH_TUPLE, self.bidders)
+        # Each party echoes the sets it holds, so no role can hold others.
+        self._round(MT.HASH_TUPLE, self.parties)
         for party in self.parties:
             proof = party.consistency_proof()
             if proof is not None:

@@ -362,6 +362,14 @@ VALUE_FAULTS = {
     "output_openings_bad_opening": (
         None, M.MessageType.OUTPUT_OPENINGS, lambda o: (o[1], o[0]),
         ("P2", None), ("abort", "P2")),
+    "echo_with_two_digests": (
+        None, M.MessageType.HASH_TUPLE, lambda got: (2 * list(got[0]), []),
+        ("P1", None), ("abort", "P1")),
+    # A party that echoes other sets to one role may be lying, or a
+    # bidder may have sent that role other sets: no one is blamed.
+    "echo_zeroed_to_the_cloud": (
+        None, M.MessageType.HASH_TUPLE, lambda got: ([bytes(32)], []),
+        ("P2", "cloud"), ("abort", None)),
 }
 
 
@@ -387,6 +395,11 @@ def _last_pair_dropped(got):
     return digests, _last_entry_dropped(pairs)
 
 
+def _first_set_repeated(got):
+    digests, sets = got
+    return digests, _first_entry_repeated(sets)
+
+
 # counted body -> (behaviour, the sender that fills it, rewrite, reason)
 COUNTED_BODIES = {
     M.MessageType.CHECKSET_OPENINGS: (
@@ -399,7 +412,7 @@ COUNTED_BODIES = {
         None, "provider:0", _last_pair_dropped,
         "input commitments hold the wrong number of copies"),
     M.MessageType.HASH_TUPLE: (
-        None, "provider:0", _first_entry_repeated,
+        None, "provider:0", _first_set_repeated,
         "label sets cover the wrong wires"),
     M.MessageType.OUTPUT_COMMITMENTS: (
         None, "P2", _last_entry_dropped,
@@ -423,8 +436,8 @@ def test_a_repeated_copy_is_refused(mtype, seed):
 def _count_item_reads(monkeypatch) -> Counter:
     """Counts, by list, the items read out of fixed-width lists from now
     on: an input commitment body's digests ("wire digests") and pairs, the
-    pairs of a claim or a proof, the label sets and the output
-    commitments."""
+    pairs of a claim or a proof, the label sets, the parties' echo
+    digests and the output commitments."""
     T = M.MessageType
     counts = Counter()
 
@@ -435,6 +448,7 @@ def _count_item_reads(monkeypatch) -> Counter:
         return M.listof(item._replace(read=read))
 
     pair = M.decode_body(T.INPUT_COMMITMENTS, bytes(8))[1].item
+    sets = M.decode_body(T.HASH_TUPLE, bytes(8))[1].item
     schemas = {
         T.INPUT_COMMITMENTS: M.seq(counted("wire digests", M.raw(32)),
                                    counted("INPUT_COMMITMENTS", pair)),
@@ -443,10 +457,12 @@ def _count_item_reads(monkeypatch) -> Counter:
         T.CONSISTENCY_PROOF: M.seq(M.u32, M.listof(M.seq(M.opening,
                                                          M.opening)),
                                    counted("CONSISTENCY_PROOF", pair)),
+        T.HASH_TUPLE: M.seq(counted("echo digests", M.raw(32)),
+                            counted("HASH_TUPLE", sets)),
+        T.OUTPUT_COMMITMENTS: counted(
+            "OUTPUT_COMMITMENTS",
+            M.decode_body(T.OUTPUT_COMMITMENTS, bytes(4)).item),
     }
-    for mtype in (T.HASH_TUPLE, T.OUTPUT_COMMITMENTS):
-        schemas[mtype] = counted(mtype.name,
-                                 M.decode_body(mtype, bytes(4)).item)
     for mtype, schema in schemas.items():
         monkeypatch.setitem(M.SCHEMAS, mtype, schema)
     return counts
@@ -456,10 +472,11 @@ def _count_item_reads(monkeypatch) -> Counter:
                                        "forge_consistency_proof"])
 def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
     """Each party reads every commitment pair once, in its check or its
-    evaluation, and each wire's label sets once; every provider reads both
-    parties' output commitments. A bidder or the cloud reads a wire
-    digest, a commitment pair or a label set only to arbitrate, and the
-    owner of the wire in dispute reads none."""
+    evaluation, and each wire's label sets once; every role reads each
+    other party's echo digest once; every provider reads both parties'
+    output commitments. A bidder or the cloud reads a wire digest, a
+    commitment pair or a label set only to arbitrate, and the owner of
+    the wire in dispute reads none."""
     counts = _count_item_reads(monkeypatch)
     sess = Session(SMALL, BIDS, s=4, seed=3, adversary=adversary)
     res = sess.run()
@@ -469,6 +486,7 @@ def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
         assert res.status == "accept"
         assert counts == {"INPUT_COMMITMENTS": 2 * wires * s,
                           "HASH_TUPLE": 2 * wires,
+                          "echo digests": 2 * (providers + 1),
                           "OUTPUT_COMMITMENTS": providers * 2 * providers}
     elif adversary == "falsify_check_failure":
         # The session ends at the claim: each party has read its check
@@ -491,6 +509,7 @@ def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
         evaluated = s - sum(sess.p1.rho[w0])
         assert counts == {"INPUT_COMMITMENTS": 2 * wires * s + s,
                           "HASH_TUPLE": wires + providers - 1,
+                          "echo digests": 2 * (providers + 1),
                           "wire digests": providers - 1,
                           "CONSISTENCY_PROOF": (providers - 1)
                           * (s + evaluated)}
@@ -960,10 +979,12 @@ class _WrongCircuit2Set(session._InconsistentLabels):
     make_material = session.Provider.make_material
 
     def hash_tuple(self):
-        sets = super().hash_tuple()
+        digests, sets = super().hash_tuple()
         sets[0] = (sets[0][0], tuple(sorted(
             (self.adv_rng.randbytes(32), self.adv_rng.randbytes(32)))))
-        return sets
+        self.set_bytes[self.role] = b"".join(
+            v for wire in sets for pair in wire for v in pair)
+        return digests, sets
 
 
 def test_a_bidder_that_attests_a_wrong_label_set_is_blamed(monkeypatch):
@@ -977,6 +998,57 @@ def test_a_bidder_that_attests_a_wrong_label_set_is_blamed(monkeypatch):
                           adversary="inconsistent_labels")
         assert (res.status, res.blamed) == ("abort", "provider:0"), seed
         assert "inconsistent inputs" in res.reason
+
+
+def _circuit2_set_to_p1(sess, fake):
+    """A transport that replaces, to P1 only, the circuit-2 set provider 0
+    attests for its first wire by ``fake(sess, wire)``."""
+    def rewrite(got):
+        digests, sets = got
+        sets = list(sets)
+        sets[0] = (sets[0][0], fake(sess, sess.circuit.input_map[0][0]))
+        return digests, sets
+    return value_fault(M.MessageType.HASH_TUPLE, rewrite, "provider:0", "P1")
+
+
+def _holding_p1s_cross_aggregate(sess, wire):
+    cross = consistency._xor_hashes(t[2] for t in sess.p1.triples[wire])
+    return tuple(sorted((cross, bytes(32))))
+
+
+def _junk_set(sess, wire):
+    return bytes(32), b"\xff" * 32
+
+
+@pytest.mark.parametrize("adversary,fake,seeds", [
+    # An honest provider but for the set it shows P1; without the echo
+    # P1's evidence matched the arbitrators' sets and P1 was blamed.
+    (None, _junk_set, range(6)),
+    # Provider 0 mixes a tampered copy into the evaluation set and shows
+    # P1 a set holding P1's own cross aggregate, so that P1's check
+    # passes; without the echo neither party complained and P1 blamed
+    # P2 for the circuit it could not evaluate.
+    ("inconsistent_labels", _holding_p1s_cross_aggregate, range(24)),
+], ids=["honest", "inconsistent_labels"])
+def test_label_sets_shown_to_one_party_only_abort_blaming_no_one(
+        adversary, fake, seeds):
+    """The parties' echo shows that the roles hold different label sets
+    before any role checks them, so the session ends blaming no one,
+    unless a check copy already convicted the provider."""
+    diverged = 0
+    for seed in seeds:
+        sess = Session(SMALL, BIDS, s=4, seed=seed, adversary=adversary)
+        sess.transport = _circuit2_set_to_p1(sess, fake)
+        res = sess.run()
+        if res.reason.startswith("check copy 0 of wire"):
+            assert res.blamed == "provider:0", seed
+            continue
+        assert (res.status, res.blamed, res.reason) == (
+            "abort", None, "label set views diverged"), seed
+        assert not any(e.type == "CONSISTENCY_PROOF"
+                       for e in res.transcript.entries), seed
+        diverged += 1
+    assert diverged
 
 
 def test_digests_equivocated_to_one_arbitrator_blame_no_party():

@@ -77,8 +77,8 @@ SAMPLES = {
     T.COIN_REVEAL: O(b"seed", 8),
     T.CHECKSET_OPENINGS: [(O(b"a", 1), O(b"b", 2), O(b"", 3), O(b"d", 4))],
     T.EVALSET_OPENINGS: [(O(b"p", 1), O(b"q", 2)), (O(b"r", 3), O(b"s", 4))],
-    T.HASH_TUPLE: [((b"\x11" * 32, b"\x22" * 32),
-                    (b"\x33" * 32, b"\x44" * 32))],
+    T.HASH_TUPLE: ([b"\x55" * 32], [((b"\x11" * 32, b"\x22" * 32),
+                                     (b"\x33" * 32, b"\x44" * 32))]),
     T.CONSISTENCY_PROOF: (6, [(O(b"p", 1), O(b"q", 2))], [set_pair(1)]),
     T.CHECK_FAILURE_CLAIM: (14, 5, (O(b"a", 1), O(b"b", 2), O(b"c", 3),
                                     O(b"d", 4)), [set_pair(1)]),
@@ -124,11 +124,12 @@ RECORDED_HEX = {
         "0202020202020202020202020202000000017203030303030303030303030303"
         "030303000000017304040404040404040404040404040404"),
     "HASH_TUPLE": (
-        "0000000111111111111111111111111111111111111111111111111111111111"
-        "1111111122222222222222222222222222222222222222222222222222222222"
-        "2222222233333333333333333333333333333333333333333333333333333333"
-        "3333333344444444444444444444444444444444444444444444444444444444"
-        "44444444"),
+        "0000000155555555555555555555555555555555555555555555555555555555"
+        "5555555500000001111111111111111111111111111111111111111111111111"
+        "1111111111111111222222222222222222222222222222222222222222222222"
+        "2222222222222222333333333333333333333333333333333333333333333333"
+        "3333333333333333444444444444444444444444444444444444444444444444"
+        "4444444444444444"),
     "CONSISTENCY_PROOF": (
         "0000000600000001000000017001010101010101010101010101010101000000"
         "0171020202020202020202020202020202020000000101010101010101010101"
@@ -226,7 +227,9 @@ FIXED_LISTS = {
     "CONSISTENCY_PROOF": FixedList(
         T.CONSISTENCY_PROOF, _PROOF_HEAD, 160, b"",
         SAMPLES[T.CONSISTENCY_PROOF][:2] + ([],), 2),
-    "HASH_TUPLE": FixedList(T.HASH_TUPLE, b"", 128, b"", [], None),
+    "HASH_TUPLE": FixedList(T.HASH_TUPLE, bytes(4), 128, b"", ([], []), 1),
+    "HASH_TUPLE digests": FixedList(T.HASH_TUPLE, b"", 32, bytes(4),
+                                    ([], []), 0),
     "OUTPUT_COMMITMENTS": FixedList(T.OUTPUT_COMMITMENTS, b"", 64, b"", [],
                                     None),
 }
@@ -300,6 +303,7 @@ def test_a_table_reads_as_the_list_it_encodes():
         assert isinstance(view, M.Table)
         assert view == items[cut] and list(view) == items[cut]
         assert _encode(codec, view) == _encode(codec, items[cut])
+        assert bytes(view) == _encode(codec, items[cut])[4:]
     assert table[1:][1:] == items[2:]
     assert table[::2] == items[::2] and table[::-1] == items[::-1]
     assert table != items[:-1] and table != items[::-1]
