@@ -3,9 +3,11 @@
 A garbled circuit lets one side evaluate a boolean circuit on labels
 instead of bits: the evaluator learns the output labels but not what any
 wire means.  XOR gates are free: the evaluator XORs labels.  AND and OR
-gates carry 4 table rows, and each input and output wire a 2-row
-projection; every row carries a 16-bit authenticator, so a tampered table
-is rejected instead of producing a wrong label.
+gates send 3 table rows: the row the evaluator would decrypt at pointer
+bits (0, 0) is implicit, its label taken from the hash pad.  Each input and
+output wire sends a 2-row projection.  Every sent row carries a 16-bit
+authenticator, so a tampered row the evaluator reads is rejected instead of
+producing a wrong label.
 """
 
 import random
@@ -38,7 +40,7 @@ def main():
     blob = gc.tables_blob()
     print(f"tables blob: {len(blob)} bytes (32-byte circuit hash, 4-byte "
           f"gate count, 16-byte salt, 18-byte rows: 2 per input and output "
-          f"wire, 4 per AND/OR gate, none for the 2 XOR gates)")
+          f"wire, 3 per AND/OR gate, none for the 2 XOR gates)")
     zero_label = enc[a].zero
     one_label = enc[a].one
     print(f"wire a: 0 -> {zero_label.hex()[:16]}...  1 -> {one_label.hex()[:16]}...")
@@ -55,19 +57,30 @@ def main():
         print(f"a,b,cin = {bits} -> sum,carry = {tuple(out_bits)} "
               f"(plain evaluation agrees: {out_bits == plain})")
 
-    print("\n=== 3. Tampering is caught ===")
+    print("\n=== 3. Tampering is caught when a tampered row is read ===")
     tampered = bytearray(blob)
     first_and = tabled_gates(circuit)[0]  # gate 0 is an XOR: it has no rows
     rows = gate_rows(circuit, first_and)
-    for off in range(rows.start, rows.stop):  # every row byte of that gate
+    for off in range(rows.start, rows.stop):  # every sent row byte of a & b
         tampered[off] ^= 0x5A
-    labels = select_labels(enc, {a: 1, b: 0, cin: 1})
-    try:
-        evaluate(circuit, parse_tables_blob(circuit, bytes(tampered)), labels)
-    except EvaluationError as exc:
-        print(f"EvaluationError: {exc}")
-    print("No row authenticates, so the evaluator aborts instead of")
-    print("propagating a corrupted label.")
+    tables = parse_tables_blob(circuit, bytes(tampered))
+    for bits in ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)):
+        labels = select_labels(enc, dict(zip((a, b, cin), bits)))
+        try:
+            out_labels = evaluate(circuit, tables, labels)
+        except EvaluationError as exc:
+            print(f"a,b = {bits[:2]}: EvaluationError: {exc}")
+            continue
+        out_bits = decode(out_labels[0],
+                          [gc.output_encodings[w] for w in circuit.output_map[0]])
+        print(f"a,b = {bits[:2]}: sum,carry = {tuple(out_bits)}, correct: "
+              f"{out_bits == eval_plain(circuit, [list(bits)])[0]}")
+    print(f"Gate {first_and} sends 3 rows.  For the one pair of a and b whose")
+    print("labels have pointer bits (0, 0), the evaluator reads no row: it")
+    print("takes the label from the hash pad, which cannot be tampered with,")
+    print("so the result is right.  For every other pair the row it reads")
+    print("does not authenticate, so it aborts instead of propagating a")
+    print("corrupted label.")
 
 
 if __name__ == "__main__":

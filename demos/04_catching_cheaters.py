@@ -30,8 +30,9 @@ def main():
         print(f"{behavior:<26} {result.status:<8} {result.phase:<8} "
               f"{result.blamed or '-'}")
     print()
-    print("tamper_garbled_gate dies at evaluation: no table row of the")
-    print("modified gate authenticates, which convicts the garbler.")
+    print("tamper_garbled_gate dies at evaluation: it corrupts every sent")
+    print("AND/OR row, so the first such row the evaluator reads fails its")
+    print("authenticator, which convicts the garbler.")
     print("substitute_output_label ends in a confirmed failure proof: the")
     print("forged label opens to neither encoding half, the result is")
     print("discarded, and nobody honest is blamed.")

@@ -1,4 +1,4 @@
-"""Garbling scheme: free-XOR labels, authenticated AND/OR tables.
+"""Garbling scheme: free-XOR labels, row-reduced authenticated AND/OR tables.
 
 Labels. Each garbling draws one global offset ``R`` (128 bits, least
 significant bit 1) and gives every wire a 0-label ``K``; its 1-label is
@@ -21,16 +21,27 @@ sent in the blob. Three kinds of units carry rows:
   The supplied labels' LSBs may coincide, so the rows sit at a random
   garbler-chosen pointer bit and the evaluator decrypts both, accepting the
   unique one that authenticates. These are the only rows tried blind.
-* each AND/OR gate ``gi``: 4 point-and-permute rows keyed by
-  ``K_a || K_b``, index ``gi``, tags 0-3; the operands' pointer bits pick
-  the one row the evaluator decrypts.
+* each AND/OR gate ``gi``: 3 point-and-permute rows keyed by
+  ``K_a || K_b``, index ``gi``, tags 1-3; the operands' pointer bits
+  ``(pa, pb)`` pick the one row ``r = pa * 2 + pb`` the evaluator decrypts.
+  Row 0 is implicit and never sent (garbled row reduction,
+  Naor-Pinkas-Sumner, EC 1999; with free-XOR as in
+  Pinkas-Schneider-Smart-Williams, ASIACRYPT 2009): the first 16 bytes of
+  its tag-0 pad are the output label of its output bit, which fixes the
+  wire's 0-label, so an evaluator at ``(0, 0)`` takes its label from the
+  pad and reads no row. Row ``r`` of 1-3 is sent at position ``r - 1``.
+  The garbler still hashes all four positions.
 * each distinct output wire ``w``: a 2-row projection from ``(K, K ^ R)``
   onto a fresh, independent pair, placed by pointer bits; index ``w``,
   tags 6 and 7. The output encodings are what recipients later open, so
   ``R`` never leaves the garbler. These rows are the last an output label
   passes, so their authenticator is ``SHA-256(label)[:2]`` instead of
   zero: a flipped label bit fails it too. Elsewhere a flipped label bit
-  fails the next row the wrong label keys.
+  fails the next *sent* row the wrong label keys, or its output
+  projection: through an implicit row a wrong label only yields another
+  wrong label. A row that is not sent cannot be tampered with, so
+  tampering with a gate convicts its garbler only when the evaluator
+  reads one of its sent rows.
 
 Ambiguity. An input projection is ambiguous when the wrong row also
 authenticates under one of the supplied labels: the two labels' pad tails
@@ -70,7 +81,8 @@ MAX_GARBLE_ATTEMPTS = 64
 
 _sha256 = hashlib.sha256
 _from_bytes = int.from_bytes
-# Row tags: AND/OR rows 0-3, input projections 4-5, output projections 6-7.
+# Row tags: AND/OR positions 0-3 (position 0 is never sent), input
+# projections 4-5, output projections 6-7.
 _ROW_TAG = [bytes([t]) for t in range(8)]
 _IN_TAG, _OUT_TAG = 4, 6
 
@@ -131,8 +143,8 @@ def gate_rows(circuit: Circuit, gi: int) -> range:
     """Offsets of gate ``gi``'s rows in the tables (and so in the blob);
     empty for an XOR or NOT gate."""
     start = HEADER_BYTES + ROW_BYTES * (
-        2 * len(circuit.input_wires) + 4 * _and_or_count(circuit.gates[:gi]))
-    rows = 4 if _tabled(circuit.gates[gi][0]) else 0
+        2 * len(circuit.input_wires) + 3 * _and_or_count(circuit.gates[:gi]))
+    rows = 3 if _tabled(circuit.gates[gi][0]) else 0
     return range(start, start + ROW_BYTES * rows, ROW_BYTES)
 
 
@@ -146,7 +158,7 @@ def parse_tables_blob(circuit: Circuit, blob: bytes) -> bytes:
     if count != len(circuit.gates):
         raise ProtocolError("garbled circuit gate count mismatch")
     size = HEADER_BYTES + ROW_BYTES * (
-        2 * len(circuit.input_wires) + 4 * _and_or_count(circuit.gates)
+        2 * len(circuit.input_wires) + 3 * _and_or_count(circuit.gates)
         + 2 * len(_distinct_outputs(circuit)))
     if len(blob) < size:
         raise ProtocolError("garbled circuit blob is truncated")
@@ -241,9 +253,6 @@ def garble(circuit: Circuit, input_encodings: dict[int, Encoding],
         if kind == NOT:
             zeros[out] = zeros[a] ^ offset
             continue
-        k = zeros[out] = getrandbits(128)
-        # Output label || 0x0000 by output bit.
-        masks = (k << 16, (k ^ offset) << 16)
         # a0/a1 (b0/b1) are the operand labels whose pointer bit is 0/1, so
         # row pa * 2 + pb is keyed by the pair a<pa>, b<pb>.
         za, zb = zeros[a], zeros[b]
@@ -254,11 +263,15 @@ def garble(circuit: Circuit, input_encodings: dict[int, Encoding],
         b0, b1 = lb.to_bytes(LABEL_BYTES, "big"), (lb ^ offset).to_bytes(LABEL_BYTES, "big")
         site = salt + gi.to_bytes(4, "big")
         bit0, bit1, bit2, bit3 = _ROW_BITS[kind][sa * 2 + sb]
+        # Row 0 is not sent: its pad's label part is the label of its
+        # output bit, which fixes the wire's 0-label.
+        k = from_bytes(sha(a0 + b0 + site + b"\x00").digest()[:LABEL_BYTES], "big")
+        k = zeros[out] = k ^ offset if bit0 else k
+        # Output label || 0x0000 by output bit.
+        masks = (k << 16, (k ^ offset) << 16)
         parts.append(
-            (from_bytes(sha(a0 + b0 + site + b"\x00").digest()[:ROW_BYTES], "big")
-             ^ masks[bit0]).to_bytes(ROW_BYTES, "big")
-            + (from_bytes(sha(a0 + b1 + site + b"\x01").digest()[:ROW_BYTES], "big")
-               ^ masks[bit1]).to_bytes(ROW_BYTES, "big")
+            (from_bytes(sha(a0 + b1 + site + b"\x01").digest()[:ROW_BYTES], "big")
+             ^ masks[bit1]).to_bytes(ROW_BYTES, "big")
             + (from_bytes(sha(a1 + b0 + site + b"\x02").digest()[:ROW_BYTES], "big")
                ^ masks[bit2]).to_bytes(ROW_BYTES, "big")
             + (from_bytes(sha(a1 + b1 + site + b"\x03").digest()[:ROW_BYTES], "big")
@@ -322,16 +335,19 @@ def evaluate(circuit: Circuit, tables: bytes,
         else:
             la, lb = vals[a], vals[b]
             r = (la & 1) * 2 + (lb & 1)
-            o = off + r * ROW_BYTES
-            dec = (from_bytes(sha(la.to_bytes(LABEL_BYTES, "big")
-                                  + lb.to_bytes(LABEL_BYTES, "big") + salt
-                                  + gi.to_bytes(4, "big") + _ROW_TAG[r])
-                              .digest()[:ROW_BYTES], "big")
-                   ^ from_bytes(tables[o:o + ROW_BYTES], "big"))
-            if dec & AUTH_MASK:
-                raise EvaluationError(f"gate {gi}: no row authenticates")
-            vals[out] = dec >> 16
-            off += 4 * ROW_BYTES
+            pad = from_bytes(sha(la.to_bytes(LABEL_BYTES, "big")
+                                 + lb.to_bytes(LABEL_BYTES, "big") + salt
+                                 + gi.to_bytes(4, "big") + _ROW_TAG[r])
+                             .digest()[:ROW_BYTES], "big")
+            if r:
+                o = off + (r - 1) * ROW_BYTES
+                dec = pad ^ from_bytes(tables[o:o + ROW_BYTES], "big")
+                if dec & AUTH_MASK:
+                    raise EvaluationError(f"gate {gi}: no row authenticates")
+                vals[out] = dec >> 16
+            else:  # the implicit row: the label is the pad's
+                vals[out] = pad >> 16
+            off += 3 * ROW_BYTES
 
     out_labels = {}
     for w in _distinct_outputs(circuit):

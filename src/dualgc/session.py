@@ -112,9 +112,9 @@ class AdversaryScript:
 
     ``wires`` are offsets into the corrupted provider's input group;
     ``recipient``/``wire`` pick the output a party substitutes; ``gate``/
-    ``mask`` select the garbled table to corrupt: ``gate`` must name an AND
-    or OR gate, since XOR and NOT gates have none (``gate=None`` picks one
-    from the adversary's seed stream). ``pattern`` marks which of the s
+    ``mask`` select the garbled rows to corrupt: ``gate`` must name an AND
+    or OR gate, since XOR and NOT gates have none (``gate=None`` corrupts
+    every AND/OR gate's rows). ``pattern`` marks which of the s
     copies stay honest (``False`` entries are tampered); ``None`` tampers
     exactly one copy.
     """
@@ -661,14 +661,19 @@ class _InconsistentLabels(_Scripted, Provider):
 
 
 class _TamperGarbledGate(_Scripted, Party):
+    """XORs the mask into every byte of one AND/OR gate's rows or, by
+    default, of every AND/OR gate's: the evaluator reads no row of a gate
+    where it holds pointer bits (0, 0), since that row is never sent."""
+
     def garbled_circuit(self):
         blob = bytearray(super().garbled_circuit())
-        gi = self.script.gate
-        if gi is None:
-            gi = self.adv_rng.choice(tabled_gates(self.circuit))
-        rows = gate_rows(self.circuit, gi)
-        for i in range(rows.start, rows.stop):
-            blob[i] ^= self.script.mask
+        gates = ([self.script.gate] if self.script.gate is not None
+                 else tabled_gates(self.circuit))
+        # The AND/OR rows lie back to back in gate order.
+        start = gate_rows(self.circuit, gates[0]).start
+        stop = gate_rows(self.circuit, gates[-1]).stop
+        flip = bytes(b ^ self.script.mask for b in range(256))
+        blob[start:stop] = blob[start:stop].translate(flip)
         return bytes(blob)
 
 

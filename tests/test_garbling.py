@@ -27,15 +27,19 @@ def rows_of(circuit, tables, gi):
     return [tables[o:o + ROW_BYTES] for o in gate_rows(circuit, gi)]
 
 
+def pad_of(key, tables, index, tag):
+    """SHA-256(key || salt || index_be4 || tag)[:18], the salt the 16 bytes
+    after the header."""
+    salt = tables[36:52]
+    return hashlib.sha256(key + salt + index.to_bytes(4, "big")
+                          + bytes([tag])).digest()[:ROW_BYTES]
+
+
 def open_row(key, tables, index, tag, row):
     """Independent hashlib decryption of one row: the label, or None when
-    the authenticator is wrong. The pad is SHA-256(key || salt ||
-    index_be4 || tag)[:18], the salt the 16 bytes after the header; the
-    authenticator is zero, or SHA-256(label)[:2] in an output projection
-    (tags 6, 7)."""
-    salt = tables[36:52]
-    pad = hashlib.sha256(key + salt + index.to_bytes(4, "big")
-                         + bytes([tag])).digest()[:ROW_BYTES]
+    the authenticator is wrong. The authenticator is zero, or
+    SHA-256(label)[:2] in an output projection (tags 6, 7)."""
+    pad = pad_of(key, tables, index, tag)
     dec = bytes(x ^ y for x, y in zip(pad, row))
     auth = hashlib.sha256(dec[:16]).digest()[:2] if tag >= 6 else AUTH_ZERO
     return dec[:16] if dec[16:] == auth else None
@@ -61,6 +65,27 @@ def project_output(tables, w, j, n_outputs, label):
     return open_row(label, tables, w, 6 + r, tables[off:off + ROW_BYTES])
 
 
+def held_labels(circuit, tables, input_labels):
+    """The label the evaluator holds on every wire, replayed with the
+    helpers above: an AND/OR gate at pointer bits (pa, pb) = (0, 0) takes
+    the first 16 bytes of its tag-0 pad, any other opens its sent row
+    pa * 2 + pb - 1."""
+    held = {w: project_input(tables, w, i, input_labels[w])
+            for i, w in enumerate(circuit.input_wires)}
+    for gi, (kind, a, b, out) in enumerate(circuit.gates):
+        if kind == XOR:
+            held[out] = xor_bytes(held[a], held[b])
+        elif kind == NOT:
+            held[out] = held[a]
+        else:
+            key = held[a] + held[b]
+            r = (held[a][-1] & 1) * 2 + (held[b][-1] & 1)
+            held[out] = (open_row(key, tables, gi, r,
+                                  rows_of(circuit, tables, gi)[r - 1])
+                         if r else pad_of(key, tables, gi, 0)[:LABEL_BYTES])
+    return held
+
+
 def run_garbled(circuit, inputs, seed=0):
     """Garble, evaluate and decode; returns output bit groups."""
     rng = random.Random(seed)
@@ -78,8 +103,10 @@ def run_garbled(circuit, inputs, seed=0):
 # [DERIVED] row format pinned against an independent hashlib recomputation:
 # each unit's pad is SHA-256(key || salt || index_be4 || tag)[:18], and
 # row XOR pad = label || authenticator. Input projections (tags 4, 5) map
-# the supplied labels to internal ones, the gate's row (tags 0-3, placed by
-# the keys' LSBs) maps them on, and the output projection (tags 6, 7, whose
+# the supplied labels to internal ones. The gate's row at pointer position
+# (0, 0) is not sent: its pad's first 16 bytes are the output label of its
+# output bit. Rows 1-3 (tags 1-3, placed by the keys' LSBs) carry the
+# other positions' labels, and the output projection (tags 6, 7, whose
 # authenticator is SHA-256(label)[:2]) maps the result to the output
 # encoding.
 def test_row_format_matches_hash_recomputation():
@@ -89,19 +116,36 @@ def test_row_format_matches_hash_recomputation():
     gc = garble(circuit, enc, 7)
     tables = gc.tables
     rows = rows_of(circuit, tables, 0)
-    assert len(rows) == 4 and all(len(r) == ROW_BYTES for r in rows)
-    assert len(tables) == HEADER_BYTES + ROW_BYTES * (2 + 2 + 4 + 2)
+    assert len(rows) == 3 and all(len(r) == ROW_BYTES for r in rows)
+    assert len(tables) == HEADER_BYTES + ROW_BYTES * (2 + 2 + 3 + 2)
+    offset = xor_bytes(project_input(tables, 0, 0, enc[0].zero),
+                       project_input(tables, 0, 0, enc[0].one))
+    by_bit = {0: set(), 1: set()}
+    implicit = []
     for ba in (0, 1):
         for bb in (0, 1):
             ka = project_input(tables, 0, 0, enc[0].label(ba))
             kb = project_input(tables, 1, 1, enc[1].label(bb))
             r = (ka[-1] & 1) * 2 + (kb[-1] & 1)
-            hits = [lab for t in range(4)
-                    if (lab := open_row(ka + kb, tables, 0, t, rows[t]))]
-            assert len(hits) == 1
-            assert open_row(ka + kb, tables, 0, r, rows[r]) == hits[0]
-            out = project_output(tables, 2, 0, 1, hits[0])
+            hits = [lab for t in (1, 2, 3)
+                    if (lab := open_row(ka + kb, tables, 0, t, rows[t - 1]))]
+            if r:
+                assert len(hits) == 1
+                assert open_row(ka + kb, tables, 0, r, rows[r - 1]) == hits[0]
+                lab = hits[0]
+            else:
+                assert hits == []
+                lab = pad_of(ka + kb, tables, 0, 0)[:LABEL_BYTES]
+                implicit.append((lab, ba | bb))
+            by_bit[ba | bb].add(lab)
+            out = project_output(tables, 2, 0, 1, lab)
             assert out == gc.output_encodings[2].label(ba | bb)
+    # One bit pair sits at (0, 0); the wire's labels differ by R, so its
+    # 0-label is the pad's label XOR R when that pair's output bit is 1.
+    [(lab, bit)] = implicit
+    [zero], [one] = by_bit[0], by_bit[1]
+    assert xor_bytes(zero, one) == offset
+    assert (xor_bytes(lab, offset) if bit else lab) == zero
 
 
 def test_not_gate_rows_and_format():
@@ -401,16 +445,18 @@ def test_output_encodings_do_not_expose_the_offset():
         assert len(deltas) == len(gc.output_encodings) == circuit.wire_count
 
 
-# A bit flipped in every row of one unit hits the row the evaluator reads,
-# and evaluation raises EvaluationError whatever the bit: an authenticator
-# bit fails that row, a label bit of an input projection or AND/OR row fails
-# the next row the wrong label keys (at the latest its wire's output
-# projection), and a label bit of an output projection fails that row's
-# label checksum.
+# A bit flipped in every sent row of one unit hits the row the evaluator
+# reads, and evaluation raises EvaluationError whatever the bit: an
+# authenticator bit fails that row, a label bit of an input projection or
+# AND/OR row fails the next sent row the wrong label keys (at the latest its
+# wire's output projection), and a label bit of an output projection fails
+# that row's label checksum. The one exception is an AND/OR gate where the
+# evaluator holds pointer bits (0, 0): it reads no sent row there, so the
+# outputs stay the plaintext ones.
 @pytest.mark.parametrize("region", ["input", "gate", "output"])
 def test_flipped_row_bit_raises_evaluation_error(region):
     rng = random.Random(f"flip:{region}")
-    checked = 0
+    checked = raised = 0
     for trial in range(150):
         circuit = all_wires_out(random_circuit(rng, max_gates=24))
         if not tabled_gates(circuit):
@@ -418,12 +464,32 @@ def test_flipped_row_bit_raises_evaluation_error(region):
         enc = random_input_encodings(circuit, rng)
         gc = garble(circuit, enc, trial)
         bits = {w: rng.getrandbits(1) for w in circuit.input_wires}
+        labels = select_labels(enc, bits)
         flip = 1 << rng.randrange(ROW_BYTES * 8)
+        flipped = unit_rows(circuit, gc.tables, region, rng)
         tampered = bytearray(gc.tables)
-        for off in unit_rows(circuit, gc.tables, region, rng):
+        for off in flipped:
             row = int.from_bytes(tampered[off:off + ROW_BYTES], "big") ^ flip
             tampered[off:off + ROW_BYTES] = row.to_bytes(ROW_BYTES, "big")
-        with pytest.raises(EvaluationError):
-            evaluate(circuit, bytes(tampered), select_labels(enc, bits))
+        gi = next((g for g in tabled_gates(circuit)
+                   if gate_rows(circuit, g) == flipped), None)
         checked += 1
+        if gi is not None:
+            held = held_labels(circuit, gc.tables, labels)
+            _kind, a, b, _out = circuit.gates[gi]
+            if not held[a][-1] & 1 and not held[b][-1] & 1:
+                out = evaluate(circuit, bytes(tampered), labels)
+                inputs = [[bits[w] for w in group]
+                          for group in circuit.input_map]
+                assert [decode(out[0], [gc.output_encodings[w]
+                                        for w in circuit.output_map[0]])] \
+                    == eval_plain(circuit, inputs)
+                continue
+        with pytest.raises(EvaluationError):
+            evaluate(circuit, bytes(tampered), labels)
+        raised += 1
     assert checked > 100
+    if region == "gate":
+        assert raised > 90  # 103 of 146: the others read the implicit row
+    else:
+        assert raised == checked

@@ -49,21 +49,21 @@ VARIANTS = {
 #  frame digest, order-free frame digest)
 GOLDEN = [
     (0, None, 'accept', None,
-     "7cbb7adea0c47be1d36c11d3730d8e209257e999c88615ebb74bf3ffca432541",
-     "f7fdc1ec968bf5b146a90870f1644136d0f9bbb0aa644da6d613e8d5d83ca64e",
-     "7d4babcd4428d7775294c8ba97e6c0149f081a790c0d326466382b59a85de0be"),
+     "9791f3448070b03031ad8880feaacd50cd8ba1a0ca2a64e71b54b615e5225bd3",
+     "bea6e305842261d3f5156bceb9b5a3bdff3893c6e45b8c63bbe1d12828bbe66d",
+     "8500e026dc1da051f614143f86710ae3a07da5d6506de946f6fe4ab3fa627c82"),
     (0, 'inconsistent_labels', 'abort', 'provider:0',
      "9be10aac321909cf25df4600fabb4547cfb336918b362c21c410c38414e03d6c",
      "2da0e0a73991eb45f28b28c14b852e98585328f3f29a97379e2568da800f3c9d",
      "6539693f1e177193ff49f32b9a437fc8079474e76bfe69e05100435225103c3a"),
     (0, 'tamper_garbled_gate', 'abort', 'P1',
-     "5e7e321df54cb5b8927e1d11fa8964067fa746ecbc1efe958b6c81078d693b5f",
-     "4747922930c7ca2a674e42e060d1648b0f06c6d54dbb2267f12e01e0b7e6ed6f",
-     "75f5cabcdaf983c1e33c35884e07899a24d158714883b7d986057c5e0da23b1d"),
+     "7d1ad9d4dc5ee5d3845add00b23b8da511ab29b43b9715e17376cd9a6838689c",
+     "43bb0ec0f53010f1ae014678c8a1991e37fce32b7c7e473e031328cadb519a76",
+     "06ef011e73daff3ba0abbd5432308bb6ad84480d0173dcda894d5b67eae823bf"),
     (0, 'substitute_output_label', 'reject', None,
-     "6fe4d2017b1ab0192f43c3c6cce770385a0f993ef0a95152eca4159b42d96a6c",
-     "09bb4454b4202172131ef6318024479b7091acc2483221a922a4581a84b0d57c",
-     "27c2ec32c2d47680e970adebb41b7e343f781ce00f68fdd8686d3e84b9a4f33c"),
+     "08401d97eac05b9da65dfbaa2183b21b97bd92887c3f24bc02d238cc6485f2e5",
+     "72452dff6d29bb51e6aea6d620363ab33ee5e2e8205d6f044157f922825fd593",
+     "c4f1161a15c388b3ef52f50b5215719f2f8882152621add3074bd4dca84ab583"),
     (0, 'bias_coin_toss', 'abort', 'P2',
      "f943349a196354b049766b424ed24c9bde9d473330f03e9808c952b1775ae7ed",
      "821c654dab88d470426cfa4bfad64581005c184c2eab225d7083a3446ae4dd56",
@@ -77,25 +77,25 @@ GOLDEN = [
      "8a0487fcc6584476db5fd4fa2c3f97f1ea3c8b47d6bac361f5b56e75f6c99917",
      "0b540ae355c5179930db8bbf5c63bcd65832faffea886b2e85170bf2ed5c1a8c"),
     (0, 'false_output_complaint', 'accept', 'provider:0',
-     "6fe4d2017b1ab0192f43c3c6cce770385a0f993ef0a95152eca4159b42d96a6c",
-     "6f8acaad705cae51ce6f21036a3c3649336f34bc7c5c94a634a591fc34cc7b36",
-     "9fd9aff453ac5a770691d49384840152b046ec6ec8cc25cfda66a6bf2e0932e7"),
+     "08401d97eac05b9da65dfbaa2183b21b97bd92887c3f24bc02d238cc6485f2e5",
+     "e8f442a694a415fe3e19f6e0828750bd34193cc042f0c4b9e1442d91a1b6f104",
+     "a10d4d41dc4268a202974dbfa916cc5a1983de5a51168970cb3d276f7716add0"),
     (3, None, 'accept', None,
-     "0d5a2f193f0b9327eb3e9a4ff17f191e769e446ed89714d6883e09ae80fc4eac",
-     "5afdabeb32ad8a0c5d2cf40c80ded41cc3144fbeecd1b4cca46727df7833aa90",
-     "72620253712759d682e2443a34fa98d75eb8e2a823b2279d0fde54c9d55a17e7"),
+     "39b33aaf3924abe7bf6dd7dab6c3e6a71a8398f8af2f76f0a6f6dda84f240049",
+     "5edd52afb843d984aeed1d471b6d0108df783542b7ded9e5432ad8f056a42b5b",
+     "165c77895094620be0e33dd0a3d0a36f2bce00a92f340735f4cc6fdb7b106c36"),
     (3, 'inconsistent_labels', 'abort', 'provider:0',
      "03655e8c124a21a5c94ac21ee786a0c9b5eecb51c5bbcf380d0b2b6825495ac8",
      "b54f3744f2497b04e858d98395b8bf406a9e1662fade45c4f909ed6d522b9910",
      "afca8a0328a0693889dbe9b107ee9ba4fe50352d7d61cfbba986edfe13080008"),
     (3, 'tamper_garbled_gate', 'abort', 'P1',
-     "a4e8b15da161782c439b9848c2e12b3c2c22556e35c426359c6a30cf087264ae",
-     "9501e340b9dcec0e7962a7294e9d2b696fbf98675b39cbc2f4eda389f7e494a8",
-     "864a16b2461e997a0570b5f9227c0b150629e666bbae29d4bc130ca7d3b57377"),
+     "6be6ae77645ea537baa51b85a4827d89f6b651c74d323090553a4a06f8b4678c",
+     "f9e17668ad110ccc3046ae9936d372feddef40397e6d5fb8f030c58508af14b3",
+     "0ead38d26d791eec034d034a4fefff01ec19857694c2789a23c1af3fdac26d43"),
     (3, 'substitute_output_label', 'reject', None,
-     "a0c5be043674ad2169f659e2e6c92b07f1a5abf24f4907104c46de8db97906dc",
-     "591047c4bba4e6779b362051c05c40423390c41415df8224c2e7543ffc2b427b",
-     "c4ec28226ce6c66642832ab65e5d3dbdc35072070086873a09189e0048b307ef"),
+     "7114f9613a9f6e7bcf72ae12bf8b0f8d201b17d522358406fd462086cbda28a0",
+     "e7d7e839ba5c3d83d3fd1361782d6ccf7256ffb54349b1880111d5adeb986094",
+     "92cd0edef0ecaa504d0752e61b2d6cad9d6d5fefcc08192e193e8d1a12b3d39f"),
     (3, 'bias_coin_toss', 'abort', 'P2',
      "f943349a196354b049766b424ed24c9bde9d473330f03e9808c952b1775ae7ed",
      "596e21a34290997f0836065b3c78093b3d72d705aa4b708d13441ce85bb468aa",
@@ -109,25 +109,25 @@ GOLDEN = [
      "9be7095fabbd6f2132dff8e2ccefa81a1fdbbd13ea18967bbd7405a92d3e17c3",
      "b367f069d116a0ebd60e593e305c75b7d990ebd49e12867127b52b7bf88c40e4"),
     (3, 'false_output_complaint', 'accept', 'provider:0',
-     "a0c5be043674ad2169f659e2e6c92b07f1a5abf24f4907104c46de8db97906dc",
-     "e1eeb6df4696a85109368855046efb2ed413da37fb230459189b251ab9bfcbdb",
-     "fc5de3039bbe1052ad084e2a528d136efb524ec7bd19aa60d820bdfffe8d6813"),
+     "7114f9613a9f6e7bcf72ae12bf8b0f8d201b17d522358406fd462086cbda28a0",
+     "97d17a3da0862c24824a9655b40e1dbe7d4784cd57a20db2f5060028fdd5d753",
+     "807ddb29247a5c8a2f6d1309c6d2f217f09a0ec1c8621513acd8a921b314e582"),
     (5, None, 'accept', None,
-     "4d4ad63eec7836e6963496622aec94f55e7d196c220b9cd1c4672afc5e2e1c44",
-     "2057e1ec38a81b35d97e4f5bc6a130ce1d10c16d56d1b0f58c3fcba382d17bcb",
-     "f511ab80df0b6b5c4dc595d96bff4245acd3b54ed2c05597a988402e22e4fde6"),
+     "a98a9eb9a821db1356ace530be75c4c728e84ccb596470b0891ebc4bd1fc9b2e",
+     "e75e4c119b6e002c6332023bee16d21d50fc51a439724bf8eab6d04a5f729dba",
+     "f4f13754c21ce2989e4fa91fdb2e45526c809fee8e20414ac4bc36c3c9aed4ae"),
     (5, 'inconsistent_labels', 'abort', 'provider:0',
      "ce9e4a6bec137f5ff09e6a5a1faa62ebcba9b57ca990e5e83806420debfb38af",
      "ec18ed5bfaab4e89bbb51de40cd77041faf14d214d0b719458ecbfeb62690a0a",
      "ff76608681dfe884a0c767258d71aaf308129ac6d77da2dcf3da8e493a6cfde0"),
     (5, 'tamper_garbled_gate', 'abort', 'P1',
-     "29d86ce9827d7af1d15f74b25a089842d8aba6663e2d93df48cb10cb4ed4a07d",
-     "40011ec7243480ba4c24ab5f6a7668416746cfebe52cf7ab7207ce3826d91495",
-     "27caf4c3db68571d08d6880c9807c6d6a6ca6e585343fef8b92713e5ed65b6ea"),
+     "cae6bf03e46b89b05d76a8d05718e580bf19fb552a0db4bbea7619fdb311582c",
+     "5d4be540b88b56105666c75d76fa99e911b2af4e24b108f65b209fdb005d9065",
+     "06ba899ac826b48f701a4e129fffd5e7db621e9d06899c09734ec6b912286283"),
     (5, 'substitute_output_label', 'reject', None,
-     "1adef1907d9c5cc59ebe1142a9ab8b2d436c427f66122a49fced7cba03eeac95",
-     "8819748451eee5cf49b4b1256a36e3861949d48b097b6e17c8084b033a652a4f",
-     "1eb5e86508a69a5c31128eb34737c8ad49de22ec8843146cf27623a5f61eeb0f"),
+     "e7ddc91ac213f2fdb963984c3b13083962af7648e383e505fd085847850415fe",
+     "495b416cd588b8523c2e44cd7e7ff087210dc6b7a7bd966d83552317257e170d",
+     "74eecf5222f132e3e5cfdca5e6615c3734caa0e8faec406b01cdfdfd2592e331"),
     (5, 'bias_coin_toss', 'abort', 'P2',
      "f943349a196354b049766b424ed24c9bde9d473330f03e9808c952b1775ae7ed",
      "5b10c5571b59411bf0d05e84b9812cb8a7aebb89d428556f7f2426ea01b7d165",
@@ -141,21 +141,21 @@ GOLDEN = [
      "d190be13af14e7705213d3f0dde29270f2ad1223d5c8d7271ce83e82e6ca252f",
      "9481462e374574882f7d9c205d7c8a8ebf79d9a5ace43a82a128d1e25f1125d0"),
     (5, 'false_output_complaint', 'accept', 'provider:0',
-     "1adef1907d9c5cc59ebe1142a9ab8b2d436c427f66122a49fced7cba03eeac95",
-     "6e7a9dd92329ec0cef6b927fccb0b564879e30c6fa9476f744c46fd953314cdb",
-     "bfe40096a2794087bef1b2b8e42851e0bec9afc02463941318e0560d30ed481d"),
+     "e7ddc91ac213f2fdb963984c3b13083962af7648e383e505fd085847850415fe",
+     "916c33c7393de32f5975dc7cef6dc8abb74b3ad3bbfe292725d2172b57aaca51",
+     "8eb7fc5d61ec77ae529dcbe1994377f51d36feb2f215b45cc0cdac9b6b2dd3ff"),
     (0, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "8c798bb6030116363760e05aaadcd7d2b003fd7ad1b46aca7d8e87c8b8983755",
-     "9874915be2d1b5b55d0b99b30e5b3868fb54dce2c82b9cbcd9521fe54555273e",
-     "6d145777686e95b415ef2d847f55374e327fb20a7363848502dab16c3ba4733d"),
+     "7d1ad9d4dc5ee5d3845add00b23b8da511ab29b43b9715e17376cd9a6838689c",
+     "bfb6c0e74a8f054ac10476a8672c18eb376930e26a4f2dd48c4389509220b93a",
+     "cbcd18b653b04c27ecd7b1a5f91689213b607978d6f64b19112fcf401c5c1d29"),
     (0, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "dfb58c3c4402f92510399801b424a2dd93a71fe123b0bc37aaf624efc39a5756",
-     "bee8e21725fe2ec6c21cf7659efc11e05bc2d86a03c79e08ee201be546594c4d",
-     "178e6f50825adb7368e1d3c12043cd123afd279297fd9af71c544cd614b9eb28"),
+     "5eba5d13201466f27001b469086c74a60430185b4a25b1fb551b4b11ce1df7e2",
+     "ea1f8e7ec48f6138045f2e884056a24e1326d40587571c8c48a850b177deb8fc",
+     "76c05ce46a948579c277fc90449accd39357599461673a93b16b3b9b4ee13a33"),
     (0, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "aa86aa04e148408a17a86a098328d6184aed3674792857fa9efabbb2a80a232f",
-     "d1898e015c210ff0d42c579b6492ae41e31cdc928e56a500d99ad94160f17978",
-     "392adc0095db0230167e1b45c466d3e776862dc1e355c72f0ebd6f8b525390c1"),
+     "5a3ccddd4dd4ca3e70c1160a5928375176f2cd8d78468cdab21eb65486b39b17",
+     "b8018b5ce2b57d225dfb1b8a54d7741963a54412ca4e1f5e1e25a0c370cae5f3",
+     "2bcde21887033361531b147ce032e1743fe78a9863597cb33b9dc8cc5c9d594c"),
     (0, 'falsify_check_failure:P2', 'abort', 'P2',
      "441df8fa1edc98636c9760c6c8529bb37a392a3b2d33e9a5d58a4eef26e05d60",
      "782597b8bfa3f1f8dfb011c38a3febf86e3edc787edb4102cba669a5be2e5405",
@@ -173,21 +173,21 @@ GOLDEN = [
      "f067b96c191be35a5f831ce3d2e8c21772e5cbab9d7005f0317f0eb6442ba43f",
      "4bba67ca384699b82f915ec60494dd2362563160d108bf6b69a10a0ece55002e"),
     (0, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "ad4a517204879849a39bab6605a2923a0ba49afc00c2730448974d1029eaba62",
-     "b7bcafad9903f2a6cce145936679f5b380e7aed0c5f71de733ff4e3cd3321313",
-     "4009b47ad590fdfd518704f60149be7945c390bbe121fd4091bbd08b22054e5a"),
+     "1651f343869005c97d4542e7c450f0a7e2299e01de693731442d84b2177e1d8d",
+     "54ee21fa6efd6350e70198dbcae24d6a09ff23dc5790ef1fbc35e81a777e39ad",
+     "fb0a22ed24eff173d1ed60db9f4ac8497ea830ef2df9ea1e35b84b4666d745b4"),
     (3, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "bca99a1433e3ccfec0dad134385f8818b70a74a0c74dd9424c5b6906339bad51",
-     "ce585aab9edfb1a2e3490cec63247856656a3ba9b7cf61915d10845d0b08032f",
-     "490ba8353de30758e2781992f78e54f1dcade67949041a8be6e3c382483f859c"),
+     "6be6ae77645ea537baa51b85a4827d89f6b651c74d323090553a4a06f8b4678c",
+     "5b14b016e61944ebdbff8656bd825c7da086ab5c505814643746c19d81238dea",
+     "ed8328c6452b39ab43f6220979ef5d40979ae4b2f3afbe87a48b44770e4fec6f"),
     (3, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "64ee2b58fca77a78cefb33287ef1fbc5dadf79a80f5ef33fcf74939cb08574eb",
-     "5f90d4ed0889e90239cf4838867b174bde39a1a30a92ff50bf04e9547c91280d",
-     "37182349446b11fd2d8c4c236711acabac940d2bd3b5464e0b9cca10df6863f1"),
+     "156a9b3ffef5e2ddf7311af4a1773e0563e8c255adedadef99bdf1ef24d6b3ef",
+     "7657890984b5ed7ccdca595b0703283f50b12a66b0b7acc2a8ff8ad42401d1aa",
+     "8c9b0f7bf8a4efed742a6e077249296443d62f3877292c34edfa75a3ca9292e2"),
     (3, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "4a4fdaa5f15fd20908b5d4348c62c535a915ca383064842240d68c8b55ec0968",
-     "1e488cb59097351b0cad7679fc1be5f3fbd0a0a67dca333ca3ea249ac250d470",
-     "96434941b7b4c1353a0471da34ee5fae71830754664a102832559424bbdc50a9"),
+     "e10cb0dd034f45a465e7b48d68ef4fe92940c2398b9c9a942f14b8e526d16a3b",
+     "ffa3843f0b2b8fc8add3788633d437d8e14310cb2bb3d167f6ff546bf60e71f2",
+     "50dec4c05fee6d6bdb5788ba8b05d6f820e2de7293bc18ee547032a45545b6a7"),
     (3, 'falsify_check_failure:P2', 'abort', 'P2',
      "a52bd2ae6622613b1a8f16572c86be717852388449b64637944fe8e6bf28de09",
      "72d504317bf9015ee88e24847a2f22f83cf45bd3d4733eddd38794ebf289be72",
@@ -205,21 +205,21 @@ GOLDEN = [
      "ed2a879755979a2547cd547d60ecebac170e2cc61f2a9513edb15c34d7053105",
      "8a4ff420d5c045f25afdb3e7f8bf57120197380b447581623270f2a80e321038"),
     (3, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "a18a98a27dc97853db9f286f87ac3b43d4bb35c7224d3ef9d26a502bf992fda8",
-     "8e989734ee78ff1053f21c4dcfcb996f8d485aab49fdc18f5a434c9b06cf1839",
-     "1bcfd25f57445851de0d8082e4111eb64f471aa7ef48d15692e81cb79baa1a91"),
+     "faa863eba12c1b046f5ef1474f83d32a5613756da82f1bd2f455e4047833683b",
+     "17de5e1984a76ad58e6b00df481a4d1a9438f553d8eb6feddbeb9c475ac27fb5",
+     "0e39128b1801978c8251cfcf30b796f0dd338dd9fff9a0e498e7b4d3af614db1"),
     (5, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "ccac34a9c4b39b7250ca92c246f166c7482e7b155c36e5fea7f9c6844d786d9b",
-     "fc196ac727785c48661520b1c5ecf9b0695af866a0a9087b184f9b4b01c36ee4",
-     "4a3a06bbc83681250d18e90617b160ef92433a76f6ff08d5ea7ace3f794ce852"),
+     "cae6bf03e46b89b05d76a8d05718e580bf19fb552a0db4bbea7619fdb311582c",
+     "3e00073a5e37a49a581451ee2a960e764dea489c23fb4dfd556686202c176cc6",
+     "14636c9fb35da568c2dea3c66dbd9a381bc1f00a7105dede81ba6c3a068d343a"),
     (5, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "45a1f9baf373a49b1c16f3d42ce107019dfa80e044a0bf3639aa00fd84574422",
-     "4e5969fc443a704c37da664334f11151f2d26c8f82f4c4b51fc3442e8311fc06",
-     "e92c00939eca741239d6521b5a46da6940d299eb43d155ed60fd5660e941cdb4"),
+     "9b4943e3009ca003daf45fc64c7ae8d4a893dca11abffb9c64a3b31e8ce441f6",
+     "4c88108ea7e0fd310aaccd6d764f39cd2d909c806bdd5ee685d626118274bd2d",
+     "da9a05b099097becc8fbbc440c1c29f9c39e0877049de35c7aa057a916a826c4"),
     (5, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "d98016e773ff87ac4e7f466dbf109a811682c12e5d9d1ede0dddd3008b946b8b",
-     "e4526f1925464d4876c72266a038baa26c4be6e0c94244d852178c043c42bdb4",
-     "eba54e33595120388bbb80b61e77633e8ce90cd51246987dbfafa9612863fb4d"),
+     "7cc5e76e58e3a1dccc67b5ae68ab30a312dd77b55277a06219fa46cf488b4993",
+     "8d53186812d24684675b9728ea90b6a61198227c39feaa8070e1822de0eb5e18",
+     "eb10f3241b698272415aa9f33786bea6decea45a2faa9a661b3d4b7936d33da1"),
     (5, 'falsify_check_failure:P2', 'abort', 'P2',
      "2d6be7a38faf18874a961209b3ef1e306e7eed9b7149f0f5ee182306b2bbf2f7",
      "8e7ecd974b3ca33216376806ee4f71cbdb084713741f897ef090a1d2f0061f59",
@@ -237,9 +237,9 @@ GOLDEN = [
      "aa1a542290eed79ed54e28e579eb7848daf4f365f364ac5e192ac50004c5cd34",
      "fc05ae2e8e5dbb7bb43ce126759e6d0616033ec9e1ae06a61981fc50705e1c06"),
     (5, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "ea86f431266d92fbd74a156a54a9cf8b795183c288a7d2d4f6d2a64fe1d1d034",
-     "4080b8dfb8cdb3269c4e52dc520e78f1151f6f681396d0b7fe033498209feaf0",
-     "53241f0f00f9ae59e2d5f4e90a0f7be691199dd041f89b7e701b26a8e6846d70"),
+     "b279acd615ee8a9eae543bb0dae3c44bcac240c33c48a78b7fe07c2b80a18d0f",
+     "25f6c61c514c5a094a4a8a48e0f6ed5b806292fbb40c4d541653e5e87a58797c",
+     "73146d55cea890c7e3020252a928b84930cd3fbee1a18e76db7a48abd32390e8"),
 ]
 
 
