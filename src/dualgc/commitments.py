@@ -7,8 +7,9 @@ session RNG; the test harness audits uniqueness).
 
 Every committed message is prefixed with a 1-byte context tag so an opening
 for one context can never be replayed as an opening for another. The tags
-cover the five places commitments appear in the protocol; tag 3, once the
-parties' label-hash lists, is retired.
+cover the four places commitments appear in the protocol. Tag 3, once the
+parties' label-hash lists, and tag 5, once the output labels committed apart
+from the output encodings, are retired.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ DIGEST_BYTES = 32
 # Context tags, prepended to the committed message.
 TAG_INPUT_SET = b"\x01"
 TAG_POSITION = b"\x02"
-TAG_OUTPUT_ENCODING = b"\x04"
-TAG_OUTPUT_LABEL = b"\x05"
+TAG_OUTPUT = b"\x04"
 TAG_COIN = b"\x06"
 
 

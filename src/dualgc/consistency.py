@@ -34,7 +34,9 @@ Failures are publicly arbitrated: a party that claims a bad check copy or a
 failed label-set check presents the wire's pairs, which count only if they
 hash to the digest the arbitrating provider holds, and openings that only
 the provider could have made. A false accusation is attributed to the
-accuser and a real inconsistency to the provider.
+accuser and a real inconsistency to the provider. A check opening that does
+not open its commitment needs no arbitration: the party that received it
+aborts against the provider at once, as for an evaluation opening.
 """
 
 from __future__ import annotations
@@ -266,12 +268,17 @@ def _opens_pair(pair: CommitmentSetPair, openings) -> bool:
         open_commitment(c, o) for c, o in zip(pair.w + pair.w_prime, openings))
 
 
+# The fault of check openings that do not open their commitments: only the
+# provider can be at fault, so a party aborts against it instead of claiming.
+UNOPENED = "opening does not match the broadcast commitment"
+
+
 def check_pair_construction(pair: CommitmentSetPair, openings) -> str | None:
-    """Verify a check copy's four openings; None when well constructed."""
-    if len(openings) != 4:
-        return "expected four input-set openings"
+    """Verify a check copy's four openings; None when well constructed,
+    ``UNOPENED`` when they do not open the pair, else the construction
+    fault."""
     if not _opens_pair(pair, openings):
-        return "opening does not match the broadcast commitment"
+        return UNOPENED
     return _construction_fault(openings)
 
 

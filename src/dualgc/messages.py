@@ -35,8 +35,10 @@ commitment pairs and no digests, every other provider one 32-byte
 and a consistency proof carry the wire's pairs, so that every provider
 can arbitrate against its digest. ``HASH_TUPLE`` keeps its name but now
 is ``(echo digests, label sets)``: a bidder sends no digest and two label
-sets per wire, then each party one digest of every bidder's sets as it
-received them and no sets.
+sets per wire, then each party one digest of every bidder's wire digests
+and sets as it holds them, and no sets. Output commitments go to the
+providers only, one per recipient from each party, and each recipient
+gets one opening from each party.
 ``PROOF_OPENING_REQUEST`` and ``PROOF_OPENING_RESPONSE`` have no schema and
 no flow: they are never sent, and a frame of either type is refused like
 any unexpected type. They stay members so that no type is renumbered and
@@ -145,9 +147,9 @@ FLOW: dict[MessageType, tuple[frozenset, frozenset, str]] = {
     MessageType.EVALSET_OPENINGS: (_PROVIDERS, _PARTIES, PHASE_INPUT),
     MessageType.HASH_TUPLE: (_BIDDERS | _PARTIES, _EVERYONE, PHASE_INPUT),
     MessageType.CONSISTENCY_PROOF: (_PARTIES, _PROVIDERS, PHASE_INPUT),
-    MessageType.CHECK_FAILURE_CLAIM: (_PARTIES, _EVERYONE, PHASE_INPUT),
+    MessageType.CHECK_FAILURE_CLAIM: (_PARTIES, _PROVIDERS, PHASE_INPUT),
     MessageType.GARBLED_CIRCUIT: (_PARTIES, _PARTIES, PHASE_COMPUTE),
-    MessageType.OUTPUT_COMMITMENTS: (_PARTIES, _EVERYONE, PHASE_OUTPUT),
+    MessageType.OUTPUT_COMMITMENTS: (_PARTIES, _PROVIDERS, PHASE_OUTPUT),
     MessageType.BUNDLE_HASH: (_PROVIDERS, _PROVIDERS, PHASE_OUTPUT),
     MessageType.OUTPUT_OPENINGS: (_PARTIES, _PROVIDERS, PHASE_OUTPUT),
     MessageType.FAILURE_PROOF: (_PROVIDERS, _PROVIDERS, PHASE_OUTPUT),
@@ -447,7 +449,8 @@ SCHEMAS: dict[MessageType, Codec] = {
     MessageType.EVALSET_OPENINGS: listof(seq(opening, opening)),
     # (echo digests, label sets): from a bidder no digest and circuit 1's
     # and circuit 2's sorted label sets per wire, in input-map order; from
-    # a party one digest of every bidder's sets and no sets
+    # a party one digest of every bidder's wire digests and sets, and no
+    # sets
     MessageType.HASH_TUPLE: seq(listof(raw(32)),
                                 listof(array(2, array(2, raw(32))))),
     # (wire, the sender's (position, input-set) openings of its evaluation
@@ -459,14 +462,14 @@ SCHEMAS: dict[MessageType, Codec] = {
                                          set_pairs),
     # the tables blob, checked by garbling.parse_tables_blob
     MessageType.GARBLED_CIRCUIT: rest,
-    # (encoding, label) commitments per recipient, in recipient order
-    MessageType.OUTPUT_COMMITMENTS: listof(seq(commitment, commitment)),
-    # the receiver's (encoding opening, label opening)
-    MessageType.OUTPUT_OPENINGS: seq(opening, opening),
+    # one commitment per recipient, in recipient order
+    MessageType.OUTPUT_COMMITMENTS: listof(commitment),
+    # the opening of the sender's commitment for the receiver
+    MessageType.OUTPUT_OPENINGS: opening,
     MessageType.BUNDLE_HASH: raw(32),
-    # the four openings of the sender's own bundle
-    MessageType.FAILURE_PROOF: record(
-        OutputOpenings, e1=opening, o1=opening, e2=opening, o2=opening),
+    # both parties' openings of the sender's own bundle
+    MessageType.FAILURE_PROOF: record(OutputOpenings, p1=opening,
+                                      p2=opening),
     # (blamed role or None, reason)
     MessageType.ABORT: seq(role_or_none, text),
 }

@@ -23,16 +23,19 @@ or fails an opening, and any of these blames its sender:
   and derive their final input encodings and cross labels from the
   evaluation copies, checking them against the label sets each bidder
   attests for its wires, once the parties' echo shows every role holds
-  the same sets. A check-failure claim or a consistency proof carries
-  the wire's copies and the claimant's openings; every provider but the
-  wire's owner checks the copies against its digest and rules, and the
-  cloud's ruling stands unless another differs.
+  the same wire digests and sets. A check opening that does not open
+  aborts against its provider; a check-failure claim, ruled before the
+  echo, or a consistency proof carries the wire's copies and the
+  claimant's openings; every provider but the wire's owner checks the
+  copies against its digest and rules, and the cloud's ruling stands
+  unless another differs.
 * compute: both garbled circuits are exchanged in one round (so both are
   sent before either side evaluates) and evaluated on the cross labels.
-* output: both parties commit to output encodings and evaluated labels
-  for every recipient, open them privately, and each recipient decodes
-  its result twice and accepts only on agreement. Rejections are argued
-  among the providers alone, so the parties learn nothing about outputs.
+* output: each party sends the providers one commitment per recipient to
+  its output encodings and evaluated labels and opens it privately to that
+  recipient, which decodes its result twice and accepts only on agreement.
+  Rejections are argued among the providers alone, so the parties learn
+  nothing about outputs.
 
 Every inter-role byte travels through the transport as a framed message
 and is recorded in the transcript, which is byte-deterministic for a fixed
@@ -61,6 +64,8 @@ from .auction import (
 )
 from .commitments import Opening
 from .consistency import (
+    UNOPENED,
+    WIRE_DIGEST_TAG,
     check_pair_construction,
     coin_toss_commit,
     coin_toss_open,
@@ -94,7 +99,6 @@ from .outputs import (
     OutputDecision,
     OutputOpenings,
     bundle_digest,
-    commit_output_encodings,
     commit_output_labels,
     verify_failure_proof,
     verify_output,
@@ -252,7 +256,8 @@ def _provider_roles(circuit) -> list[M.Role]:
 
 class Participant:
     """What every role keeps: the owner of each input wire, the challenge
-    seed shares, the challenges and the bidders' label sets.
+    seed shares, the challenges and the bidders' wire digests and label
+    sets.
 
     A ``<message type>`` step builds the value the role sends: one value,
     or for a point-to-point type one per receiver role. A ``take_<message
@@ -272,6 +277,7 @@ class Participant:
         self.shares = {}        # party Role -> seed share
         self.rho = {}           # wire -> tuple[int, ...]
         self.label_sets = {}    # bidder Role -> label sets, by input map
+        self.wire_bytes = {}    # bidder Role -> its wire digests' bytes
         self.set_bytes = {}     # bidder Role -> its label sets' bytes
 
     def copies(self, provider: int, checked: bool) -> list:
@@ -301,32 +307,30 @@ class Participant:
         owner = self.wire_owner[wire]
         return lists[owner][self.circuit.input_map[owner.index].index(wire)]
 
-    def sets_digest(self) -> bytes:
-        """SHA-256 over every bidder's label sets, as they lie on the wire."""
+    def echo_digest(self) -> bytes:
+        """SHA-256 over every bidder's wire digests and label sets, as they
+        lie on the wire."""
         return hashlib.sha256(b"".join(
-            self.set_bytes[r] for r in sorted(self.set_bytes))).digest()
+            self.wire_bytes[r] + self.set_bytes[r]
+            for r in sorted(self.set_bytes))).digest()
 
     def take_hash_tuple(self, sender: M.Role, got):
-        """A bidder's label sets, or a party's echo of them all. An echo
-        that misses this role's sets blames no one: a bidder sent roles
-        different sets, or the party lies."""
+        """A bidder's label sets, or a party's echo of every bidder's wire
+        digests and sets. An echo that differs from this role's own digest
+        blames no one: a bidder sent roles different commitments or sets,
+        or the party lies."""
         digests, sets = got
         if sender.kind != M.PROVIDER:
             if len(digests) != 1 or len(sets):
                 raise _Abort(self.role, sender, "echo holds the wrong items")
-            if digests[0] != self.sets_digest():
-                raise _Abort(self.role, None, "label set views diverged")
+            if digests[0] != self.echo_digest():
+                raise _Abort(self.role, None, "input views diverged")
         elif len(digests) or len(sets) != len(
                 self.circuit.input_map[sender.index]):
             raise _Abort(self.role, sender, "label sets cover the wrong wires")
         else:
             self.label_sets[sender] = sets
             self.set_bytes[sender] = bytes(sets)
-
-    def take_output_commitments(self, sender: M.Role, got):
-        if len(got) != len(self.circuit.output_map):
-            raise _Abort(self.role, sender,
-                         "output commitments cover the wrong recipients")
 
 
 class Party(Participant):
@@ -347,11 +351,12 @@ class Party(Participant):
         self.cross_label = {}    # wire -> other-circuit label
         self.gc = None           # own garbled circuit
         self.eval_labels = None  # other circuit's output labels
-        self.out_openings = {}   # recipient -> (enc, labels)
+        self.out_openings = {}   # recipient -> Opening
 
     def take_input_commitments(self, sender: M.Role, got):
         """A party receives no digests and ``s`` pairs per wire of the
-        sender."""
+        sender, and hashes each wire's pairs, undecoded, into the digest
+        the other providers receive."""
         wires = self.circuit.input_map[sender.index]
         digests, pairs = got
         if len(digests) or len(pairs) != len(wires) * self.s:
@@ -359,6 +364,9 @@ class Party(Participant):
                          "input commitments hold the wrong number of copies")
         for k, w in enumerate(wires):
             self.pairs[w] = pairs[k * self.s:(k + 1) * self.s]
+        self.wire_bytes[sender] = b"".join(
+            hashlib.sha256(WIRE_DIGEST_TAG + bytes(self.pairs[w])).digest()
+            for w in wires)
 
     def coin_commit(self):
         share, com, self.coin_opening = coin_toss_commit(self.rng)
@@ -369,13 +377,19 @@ class Party(Participant):
         return self.coin_opening
 
     def take_checkset_openings(self, sender: M.Role, got):
+        """Openings that do not open their copy abort against the sender;
+        a copy they show badly built is kept for a claim."""
         copies = self.copies(sender.index, checked=True)
         if len(got) != len(copies):
             raise _Abort(self.role, sender,
                          "check openings cover the wrong copies")
         for (w, j), openings in zip(copies, got):
             self.stashed_check[(w, j)] = openings
-            if check_pair_construction(self.pairs[w][j], openings):
+            fault = check_pair_construction(self.pairs[w][j], openings)
+            if fault == UNOPENED:
+                raise _Abort(self.role, sender, f"check opening failed on "
+                             f"wire {w} copy {j}")
+            if fault:
                 self.failures.append((w, j))
 
     def claim_of(self, w: int, j: int):
@@ -415,8 +429,9 @@ class Party(Participant):
             self.cross_label[w] = cross
 
     def hash_tuple(self):
-        """The echo: one digest of every bidder's label sets, no sets."""
-        return [self.sets_digest()], []
+        """The echo: one digest of every bidder's wire digests and label
+        sets, no sets."""
+        return [self.echo_digest()], []
 
     def consistency_complaint(self) -> int | None:
         """The first wire whose triples fail its owner's label sets, if
@@ -451,19 +466,20 @@ class Party(Participant):
         return [list(group) for group in self.eval_labels]
 
     def output_commitments(self) -> list:
+        """One commitment per recipient to this party's output encodings
+        and the labels it evaluated."""
         labels = self.output_labels()
         entries = []
         for u, group in enumerate(self.circuit.output_map):
             encs = [self.gc.output_encodings[w] for w in group]
-            enc_com, enc_op = commit_output_encodings(self.rng, encs)
-            lab_com, lab_op = commit_output_labels(self.rng, labels[u])
-            self.out_openings[u] = (enc_op, lab_op)
-            entries.append((enc_com, lab_com))
+            com, self.out_openings[u] = commit_output_labels(self.rng, encs,
+                                                             labels[u])
+            entries.append(com)
         return entries
 
     def output_openings(self) -> dict:
-        """(encoding opening, label opening) per provider role: bidder
-        ``u`` receives output group ``u``, the cloud the last."""
+        """The opening of each provider role's commitment: bidder ``u``
+        receives output group ``u``, the cloud the last."""
         return {role: self.out_openings[u]
                 for u, role in enumerate(_provider_roles(self.circuit))}
 
@@ -482,10 +498,10 @@ class Provider(Participant):
         self.x_bits = dict(zip(self.wires, bits))
         self.material = {}        # wire -> WireMaterial
         self.digests = {}         # bidder Role -> wire digests, by input map
-        self.out_coms = {}        # party name -> [(enc, labels)] by recipient
-        self.bundles = {}         # recipient -> OutputCommitments
+        self.out_coms = {}        # party Role -> commitments by recipient
+        self.bundles = []         # OutputCommitments by recipient
         self.digest = b""
-        self.opened = {}          # party Role -> (enc, labels) openings
+        self.opened = {}          # party Role -> Opening
         self.openings: OutputOpenings | None = None
         self.decision: OutputDecision | None = None
 
@@ -502,6 +518,7 @@ class Provider(Participant):
             copies = self.material[w].pairs()
             digests.append(wire_digest(copies))
             pairs += copies
+        self.wire_bytes[self.role] = b"".join(digests)
         full, short = ([], pairs), (digests, [])
         return {role: short for role in _provider_roles(self.circuit)
                 if role != self.role} | {_P1: full, _P2: full}
@@ -515,6 +532,7 @@ class Provider(Participant):
             raise _Abort(self.role, sender, "input commitments hold the "
                          "wrong number of wire digests")
         self.digests[sender] = digests
+        self.wire_bytes[sender] = bytes(digests)
 
     def checkset_openings(self) -> list:
         return [self.material[w].check_openings(j)
@@ -592,17 +610,16 @@ class Provider(Participant):
                             f"for wire {wire} shows no inconsistency; the "
                             "complaint was false")
 
-    def take_output_commitments(self, sender, got):
-        super().take_output_commitments(sender, got)
-        self.out_coms[sender.name] = got
+    def take_output_commitments(self, sender: M.Role, got):
+        if len(got) != len(self.circuit.output_map):
+            raise _Abort(self.role, sender,
+                         "output commitments cover the wrong recipients")
+        self.out_coms[sender] = got
 
     def bundle_hash(self) -> bytes:
-        coms = self.out_coms
-        self.bundles = {
-            u: OutputCommitments(e1=e1, o1=o1, e2=e2, o2=o2)
-            for u, ((e1, o2), (e2, o1)) in enumerate(zip(coms["P1"],
-                                                         coms["P2"]))}
-        self.digest = bundle_digest(list(self.bundles.values()))
+        self.bundles = [OutputCommitments(p1, p2) for p1, p2 in
+                        zip(self.out_coms[_P1], self.out_coms[_P2])]
+        self.digest = bundle_digest(self.bundles)
         return self.digest
 
     def take_bundle_hash(self, sender: M.Role, digest: bytes):
@@ -614,9 +631,7 @@ class Provider(Participant):
 
     def decide(self) -> OutputDecision:
         u = self.recipient
-        (e1_op, o2_op), (e2_op, o1_op) = self.opened[_P1], self.opened[_P2]
-        self.openings = OutputOpenings(e1=e1_op, o1=o1_op, e2=e2_op,
-                                       o2=o2_op)
+        self.openings = OutputOpenings(self.opened[_P1], self.opened[_P2])
         self.decision = verify_output(self.bundles[u], self.openings,
                                       wires=len(self.circuit.output_map[u]),
                                       party1=_P1, party2=_P2)
@@ -925,7 +940,8 @@ class Session:
                 self._arbitrate(MT.CHECK_FAILURE_CLAIM, party, claim)
         self._round(MT.EVALSET_OPENINGS, self.bidders)
         self._round(MT.HASH_TUPLE, self.bidders)
-        # Each party echoes the sets it holds, so no role can hold others.
+        # Each party echoes the wire digests and sets it holds, so no role
+        # can hold others.
         self._round(MT.HASH_TUPLE, self.parties)
         for party in self.parties:
             proof = party.consistency_proof()

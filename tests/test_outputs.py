@@ -3,13 +3,10 @@
 import random
 
 from dualgc.commitments import Opening
-from dualgc.outputs import (ACCEPT, BLAME, COMMITMENTS_PER_RECIPIENT,
-                            CONFIRMED, REJECT, SPURIOUS, OutputCommitments,
-                            OutputDecision, OutputOpenings,
-                            bundle_digest, commit_output_encodings,
-                            commit_output_labels, parse_output_encodings,
-                            parse_output_labels, verify_failure_proof,
-                            verify_output)
+from dualgc.outputs import (ACCEPT, BLAME, CONFIRMED, REJECT, SPURIOUS,
+                            OutputCommitments, OutputDecision, OutputOpenings,
+                            bundle_digest, commit_output_labels, parse_output,
+                            verify_failure_proof, verify_output)
 from dualgc.garbling import Encoding
 
 
@@ -18,19 +15,18 @@ def fresh_encodings(rng, wires):
 
 
 def build_reveal(rng, bits, enc1=None, enc2=None, labels1=None, labels2=None):
-    """Honest two-circuit output material for one recipient."""
+    """Honest two-circuit output material for one recipient: ``enc1`` and
+    ``labels1`` are circuit 1's encodings and evaluated labels, so the
+    first party commits to ``enc1`` and ``labels2``, the second to ``enc2``
+    and ``labels1``."""
     wires = len(bits)
     enc1 = enc1 or fresh_encodings(rng, wires)
     enc2 = enc2 or fresh_encodings(rng, wires)
     labels1 = labels1 or [enc1[i].label(bits[i]) for i in range(wires)]
     labels2 = labels2 or [enc2[i].label(bits[i]) for i in range(wires)]
-    ce1, oe1 = commit_output_encodings(rng, enc1)
-    ce2, oe2 = commit_output_encodings(rng, enc2)
-    co1, ol1 = commit_output_labels(rng, labels1)
-    co2, ol2 = commit_output_labels(rng, labels2)
-    coms = OutputCommitments(e1=ce1, o1=co1, e2=ce2, o2=co2)
-    ops = OutputOpenings(e1=oe1, o1=ol1, e2=oe2, o2=ol2)
-    return coms, ops
+    c1, o1 = commit_output_labels(rng, enc1, labels2)
+    c2, o2 = commit_output_labels(rng, enc2, labels1)
+    return OutputCommitments(c1, c2), OutputOpenings(o1, o2)
 
 
 def test_honest_reveal_accepts_with_decoded_bits():
@@ -74,10 +70,10 @@ def test_unbound_opening_blames_its_sender():
     rng = random.Random(5)
     coms, ops = build_reveal(rng, [1, 0])
     _, other = build_reveal(rng, [1, 0])
-    forged = OutputOpenings(e1=other.e1, o1=ops.o1, e2=ops.e2, o2=ops.o2)
+    forged = OutputOpenings(p1=other.p1, p2=ops.p2)
     decision = verify_output(coms, forged, 2)
     assert decision.status == BLAME and decision.blamed == "P1"
-    forged = OutputOpenings(e1=ops.e1, o1=other.o1, e2=ops.e2, o2=ops.o2)
+    forged = OutputOpenings(p1=ops.p1, p2=other.p2)
     decision = verify_output(coms, forged, 2)
     assert decision.status == BLAME and decision.blamed == "P2"
 
@@ -91,16 +87,17 @@ def test_wrong_width_blames():
 def test_parse_helpers():
     rng = random.Random(7)
     enc = fresh_encodings(rng, 2)
-    _, opening = commit_output_encodings(rng, enc)
-    assert parse_output_encodings(opening, 2) == enc
-    assert parse_output_encodings(opening, 3) is None
-    labels = [e.zero for e in enc]
-    _, opening = commit_output_labels(rng, labels)
-    assert parse_output_labels(opening, 2) == labels
-    assert parse_output_labels(opening, 1) is None
-    bad = Opening(message=b"\x07" + b"x" * 64, randomness=bytes(16))
-    assert parse_output_encodings(bad, 2) is None
-    assert parse_output_labels(bad, 4) is None
+    labels = [rng.randbytes(16) for _ in enc]
+    _, opening = commit_output_labels(rng, enc, labels)
+    assert parse_output(opening, 2) == (enc, labels)
+    assert parse_output(opening, 3) is None
+    assert parse_output(opening, 1) is None
+    bad = Opening(message=b"\x07" + opening.message[1:], randomness=bytes(16))
+    assert parse_output(bad, 2) is None
+    lab = rng.randbytes(16)
+    _, degenerate = commit_output_labels(rng, [enc[0], Encoding(lab, lab)],
+                                         labels)
+    assert parse_output(degenerate, 2) is None
 
 
 def test_failure_proof_confirmed_on_real_mismatch():
@@ -137,9 +134,10 @@ def test_failure_proof_confirmed_on_degenerate_material():
 def test_bundle_digest_depends_on_every_commitment():
     rng = random.Random(12)
     bundles = [build_reveal(rng, [0, 1])[0] for _ in range(3)]
-    assert len(bundles) * COMMITMENTS_PER_RECIPIENT == 12
     base = bundle_digest(bundles)
     assert base == bundle_digest(list(bundles))
     assert bundle_digest(bundles[::-1]) != base
     swapped = [bundles[1], bundles[0], bundles[2]]
     assert bundle_digest(swapped) != base
+    crossed = [OutputCommitments(bundles[0].p2, bundles[0].p1)] + bundles[1:]
+    assert bundle_digest(crossed) != base

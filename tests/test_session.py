@@ -11,7 +11,8 @@ import pytest
 from dualgc import consistency, outputs, session
 from dualgc import messages as M
 from dualgc.auction import AuctionConfig, build_auction_circuit, oracle_run
-from dualgc.commitments import NONCE_BYTES, Commitment, Opening
+from dualgc.commitments import (NONCE_BYTES, TAG_POSITION, Commitment,
+                               Opening, tagged_commit)
 from dualgc.errors import (DecodeError, ProtocolError, TransportTimeout,
                            UsageError)
 from dualgc.garbling import (HEADER_BYTES, ROW_BYTES, decode, gate_rows,
@@ -173,7 +174,7 @@ def test_commitment_nonces_are_never_reused(monkeypatch):
         monkeypatch.setattr(module, "tagged_commit", recording)
     wires = len(BIDS) * 2 * SMALL.vm_types * SMALL.width
     floor = (wires * 4 * 5        # provider copies: five commitments each
-             + 2 * 2 * (len(BIDS) + 1)  # output commitments per recipient
+             + 2 * (len(BIDS) + 1)  # output: one per party and recipient
              + 2)                 # one coin-toss commitment per party
     for adversary in [None] + list(BEHAVIORS):
         nonces.clear()
@@ -296,9 +297,22 @@ def retyped(frame):
     return frame[:4] + bytes([other]) + frame[5:]
 
 
+def flipped(at):
+    """Flips the low bit of body byte ``at(body length)``."""
+    def edit(body):
+        i = at(len(body))
+        return body[:i] + bytes([body[i] ^ 1]) + body[i + 1:]
+    return reframed(edit)
+
+
+# Each mutates the first frame of a type, which goes to one receiver only.
 FRAME_MUTATIONS = {
     "truncated": reframed(lambda body: body[:-1]),
     "appended": reframed(lambda body: body + b"\x00"),
+    # The last byte of a check opening is its nonce's, so the receiver's
+    # copy no longer opens, which blames the provider, not the receiver.
+    "flipped_last_byte": flipped(lambda n: n - 1),
+    "flipped_middle_byte": flipped(lambda n: n // 2),
     "retyped": retyped,
     # A type that has no schema and no flow is refused like any other
     # unexpected type.
@@ -357,10 +371,11 @@ VALUE_FAULTS = {
     # spurious, like a false complaint.
     "failure_proof_bad_opening": (
         "false_output_complaint", M.MessageType.FAILURE_PROOF,
-        lambda p: dataclasses.replace(p, e1=p.e2, e2=p.e1), (None, None),
+        lambda p: dataclasses.replace(p, p1=p.p2, p2=p.p1), (None, None),
         ("accept", "provider:0")),
     "output_openings_bad_opening": (
-        None, M.MessageType.OUTPUT_OPENINGS, lambda o: (o[1], o[0]),
+        None, M.MessageType.OUTPUT_OPENINGS,
+        lambda o: Opening(o.message, bytes(NONCE_BYTES)),
         ("P2", None), ("abort", "P2")),
     "echo_with_two_digests": (
         None, M.MessageType.HASH_TUPLE, lambda got: (2 * list(got[0]), []),
@@ -910,15 +925,19 @@ def test_input_commitments_of_the_wrong_shape_blame_their_sender(case):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_a_wrong_digest_is_harmless_without_a_claim(seed):
-    """Digests are read only to arbitrate a claim, so an honest session
-    whose provider sent another provider wrong digests still accepts."""
+def test_a_wrong_digest_aborts_at_the_echo_blaming_no_one(seed):
+    """An honest session whose provider sent another provider wrong
+    digests ends at the parties' echo, which covers every bidder's wire
+    digests: the receiver cannot tell whether the bidder or the party that
+    echoed lies, so no one is blamed."""
     fault = value_fault(M.MessageType.INPUT_COMMITMENTS,
                         lambda got: ([bytes(32)] * len(got[0]), got[1]),
                         "provider:0", "provider:1")
     res = run_session(SMALL, BIDS, s=4, seed=seed, transport=fault)
-    assert (res.status, res.blamed) == ("accept", None)
-    assert res.result == oracle_run(SMALL, BIDS)
+    assert (res.status, res.blamed, res.reason, res.detector) == (
+        "abort", None, "input views diverged", "provider:1")
+    assert not any(e.type == "GARBLED_CIRCUIT"
+                   for e in res.transcript.entries)
 
 
 def test_a_result_names_the_role_that_aborted():
@@ -1064,11 +1083,59 @@ def test_label_sets_shown_to_one_party_only_abort_blaming_no_one(
             assert res.blamed == "provider:0", seed
             continue
         assert (res.status, res.blamed, res.reason) == (
-            "abort", None, "label set views diverged"), seed
+            "abort", None, "input views diverged"), seed
         assert not any(e.type == "CONSISTENCY_PROOF"
                        for e in res.transcript.entries), seed
         diverged += 1
     assert diverged
+
+
+class _Equivocator(session._InconsistentLabels):
+    """An honest bidder but for its first wire: it sends P2 the same input
+    sets as P1 but position commitments to the opposite bit, and opens to
+    each party the input set of its own view. Every check passes on its
+    own, and P2 evaluates the opposite bit."""
+
+    make_material = session.Provider.make_material
+
+    def input_commitments(self):
+        sent = super().input_commitments()
+        honest = self.material[self.wires[0]]
+        copies = []
+        for c in honest.copies:
+            com, op = tagged_commit(TAG_POSITION, bytes([c.b ^ 1 ^ honest.x]),
+                                    self.adv_rng.randbytes(NONCE_BYTES))
+            copies.append(dataclasses.replace(
+                c, position_opening=op,
+                pair=dataclasses.replace(c.pair, position=com)))
+        self.p2_view = consistency.WireMaterial(1 - honest.x, copies)
+        digests, pairs = sent[session._P2]
+        return sent | {session._P2: (digests,
+                                     self.p2_view.pairs() + pairs[self.s:])}
+
+    def evalset_openings(self):
+        sent = super().evalset_openings()
+        w0 = self.wires[0]
+        copies = self.copies(self.index, checked=False)
+        for k, (w, j) in enumerate(copies):
+            if w == w0:
+                pos_op, _first, second = self.p2_view.eval_openings(j)
+                sent[session._P2][k] = (pos_op, second)
+        return sent
+
+
+def test_position_commitments_equivocated_to_the_parties_abort_at_the_echo(
+        monkeypatch):
+    """The parties' echo covers every bidder's wire digests, and P2's
+    digest of the equivocated wire is not P1's, so every run ends before
+    either circuit is garbled, blaming no one."""
+    monkeypatch.setitem(session._SCRIPTED, "inconsistent_labels",
+                        (_Equivocator, "provider:0"))
+    for seed in range(12):
+        res = run_session(SMALL, BIDS, s=4, seed=seed,
+                          adversary="inconsistent_labels")
+        assert (res.status, res.blamed, res.reason, res.phase) == (
+            "abort", None, "input views diverged", "input"), seed
 
 
 def test_digests_equivocated_to_one_arbitrator_blame_no_party():
@@ -1091,7 +1158,7 @@ def test_a_failure_proof_confirmed_by_one_provider_rejects(receiver):
     provider: that provider finds it spurious, the others confirm it. The
     bundles are pinned by BUNDLE_HASH, so one confirmation rejects."""
     def zeroed(proof):
-        return dataclasses.replace(proof, e1=Opening(proof.e1.message,
+        return dataclasses.replace(proof, p1=Opening(proof.p1.message,
                                                      bytes(NONCE_BYTES)))
     for seed in range(6):
         res = run_session(SMALL, BIDS, s=4, seed=seed,

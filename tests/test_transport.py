@@ -83,11 +83,10 @@ SAMPLES = {
     T.CHECK_FAILURE_CLAIM: (14, 5, (O(b"a", 1), O(b"b", 2), O(b"c", 3),
                                     O(b"d", 4)), [set_pair(1)]),
     T.GARBLED_CIRCUIT: b"\x00\x01tables",
-    T.OUTPUT_COMMITMENTS: [(C(1), C(2)), (C(3), C(4))],
-    T.OUTPUT_OPENINGS: (O(b"enc", 1), O(b"lab", 2)),
+    T.OUTPUT_COMMITMENTS: [C(1), C(2)],
+    T.OUTPUT_OPENINGS: O(b"out", 1),
     T.BUNDLE_HASH: bytes(range(32)),
-    T.FAILURE_PROOF: OutputOpenings(
-        e1=O(b"e1", 1), o1=O(b"o1", 2), e2=O(b"e2", 3), o2=O(b"o2", 4)),
+    T.FAILURE_PROOF: OutputOpenings(p1=O(b"p1", 1), p2=O(b"p2", 2)),
     T.ABORT: (M.Role(M.PROVIDER, 2), "label mismatch"),
 }
 
@@ -151,18 +150,13 @@ RECORDED_HEX = {
     "OUTPUT_COMMITMENTS": (
         "0000000201010101010101010101010101010101010101010101010101010101"
         "0101010102020202020202020202020202020202020202020202020202020202"
-        "0202020203030303030303030303030303030303030303030303030303030303"
-        "0303030304040404040404040404040404040404040404040404040404040404"
-        "04040404"),
-    "OUTPUT_OPENINGS": (
-        "00000003656e6301010101010101010101010101010101000000036c61620202"
-        "0202020202020202020202020202"),
+        "02020202"),
+    "OUTPUT_OPENINGS": "000000036f757401010101010101010101010101010101",
     "BUNDLE_HASH": (
         "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"),
     "FAILURE_PROOF": (
-        "00000002653101010101010101010101010101010101000000026f3102020202"
-        "0202020202020202020202020000000265320303030303030303030303030303"
-        "0303000000026f3204040404040404040404040404040404"),
+        "0000000270310101010101010101010101010101010100000002703202020202"
+        "020202020202020202020202"),
     "ABORT": "0300020000000e6c6162656c206d69736d61746368",
 }
 
@@ -230,7 +224,7 @@ FIXED_LISTS = {
     "HASH_TUPLE": FixedList(T.HASH_TUPLE, bytes(4), 128, b"", ([], []), 1),
     "HASH_TUPLE digests": FixedList(T.HASH_TUPLE, b"", 32, bytes(4),
                                     ([], []), 0),
-    "OUTPUT_COMMITMENTS": FixedList(T.OUTPUT_COMMITMENTS, b"", 64, b"", [],
+    "OUTPUT_COMMITMENTS": FixedList(T.OUTPUT_COMMITMENTS, b"", 32, b"", [],
                                     None),
 }
 
@@ -360,9 +354,13 @@ def test_check_flow_rejects_wrong_direction():
     with pytest.raises(ProtocolError):
         M.check_flow(M.MessageType.FAILURE_PROOF,
                      M.Role(M.P1), M.Role(M.PROVIDER, 0))
-    with pytest.raises(ProtocolError):
-        M.check_flow(M.MessageType.OUTPUT_OPENINGS,
-                     M.Role(M.P1), M.Role(M.P2))
+    # A party receives no output commitments, no output openings and no
+    # check-failure claims.
+    for mtype in (M.MessageType.OUTPUT_COMMITMENTS,
+                  M.MessageType.OUTPUT_OPENINGS,
+                  M.MessageType.CHECK_FAILURE_CLAIM):
+        with pytest.raises(ProtocolError):
+            M.check_flow(mtype, M.Role(M.P1), M.Role(M.P2))
 
 
 def test_in_process_fifo_and_per_sender_queues():
