@@ -2,8 +2,10 @@
 
 A commitment is the 32-byte digest; the opening is the (message, randomness)
 pair. Randomness is exactly 16 bytes and must never be reused across two
-distinct commitments in one protocol session (callers draw it from a seeded
-session RNG; the test harness audits uniqueness).
+distinct commitments in one protocol session. Callers draw it from a seeded
+session RNG, or, for the four input sets of a cut-and-choose copy, from
+that copy's seed stream (``consistency.expand_seed``), so that the seed
+alone regenerates them; the test harness audits uniqueness.
 
 Every committed message is prefixed with a 1-byte context tag so an opening
 for one context can never be replayed as an opening for another. The tags
@@ -46,12 +48,16 @@ class Opening:
             raise ValueError("commitment randomness must be 16 bytes")
 
 
+def commitment_digest(message: bytes, randomness: bytes) -> bytes:
+    """The digest ``commit`` wraps, for a caller that only compares it."""
+    return hashlib.sha256(randomness + message).digest()
+
+
 def commit(message: bytes, randomness: bytes) -> Commitment:
     """Commit to ``message`` under a fresh 16-byte ``randomness``."""
     if len(randomness) != NONCE_BYTES:
         raise ValueError("commitment randomness must be 16 bytes")
-    digest = hashlib.sha256(randomness + message).digest()
-    return Commitment(digest)
+    return Commitment(commitment_digest(message, randomness))
 
 
 def open_commitment(commitment: Commitment, opening: Opening) -> bool:

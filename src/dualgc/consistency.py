@@ -9,12 +9,19 @@ commitment sets:
 * ``W'`` = ( com(K1_0 || K1_1 || K2_{1-b}), com(K2_0 || K2_1 || K1_{1-b}) )
 
 plus one position commitment to ``p = b XOR x`` (``p = 0`` selects ``W`` as
-the copy's input set), five commitments per copy in total. A jointly tossed
-challenge string marks each copy as a *check* copy (all four input-set
-commitments opened, construction verified) or an *evaluation* copy (the
-position is opened, then the selected set's first commitment goes to the
-first party and its second commitment to the second party). Each party XORs
-its evaluation triples into final labels.
+the copy's input set), five commitments per copy in total. Each copy comes
+from a 16-byte seed the provider draws: SHAKE-256 over a domain tag and
+the seed gives both encodings, ``b`` and the four input-set nonces. The
+position nonce is drawn apart, from the provider's own stream: were it in
+the seed, a party holding the seed could test ``com(p)`` for both ``p``
+and learn ``x = p XOR b``. A jointly tossed challenge string marks each
+copy as a *check* copy (opened by its seed: the party regenerates the four
+input-set commitments and compares) or an *evaluation* copy (the position
+is opened, then the selected set's first commitment goes to the first
+party and its second commitment to the second party). Each party XORs its
+evaluation triples into final labels. This is the seed-opened check of
+Goyal-Mohassel-Smith (EUROCRYPT 2008); check copies are discarded, so their
+seeds reveal nothing that is used later.
 
 The provider then attests each wire's two *label sets*, one per circuit:
 the sorted pair ``{XOR_j H(K_0,j), XOR_j H(K_1,j)}`` over the evaluation
@@ -24,19 +31,19 @@ mixed evaluation set is caught without the party learning the input bit.
 This deviates from the paper, where the two parties compare label hashes
 with each other.
 
-Only the two parties receive a wire's commitment pairs. Every other provider
-receives one ``wire_digest`` per wire instead: a SHA-256 over the wire's
-``s`` pairs in copy order, under a domain tag. This deviates from the
-paper, where every provider receives the full lists; the other providers
-need them only to arbitrate.
+Only the two parties receive a wire's commitment pairs and a provider's
+check seeds. Every other provider receives one ``wire_digest`` per wire
+instead, a SHA-256 over the wire's ``s`` pairs in copy order under a
+domain tag, and one ``seed_digest`` of the provider's check seeds. This
+deviates from the paper, where every provider receives the full lists;
+the other providers need them only to arbitrate.
 
-Failures are publicly arbitrated: a party that claims a bad check copy or a
-failed label-set check presents the wire's pairs, which count only if they
-hash to the digest the arbitrating provider holds, and openings that only
-the provider could have made. A false accusation is attributed to the
-accuser and a real inconsistency to the provider. A check opening that does
-not open its commitment needs no arbitration: the party that received it
-aborts against the provider at once, as for an evaluation opening.
+Failures are publicly arbitrated: a party that claims a check copy is not
+its seed's presents the owner's check seeds and the wire's pairs, and a
+party whose label-set check failed presents the wire's pairs and openings
+that only the provider could have made. Each counts only if it hashes to
+the digests the arbitrating provider holds. A false accusation is
+attributed to the accuser and a real inconsistency to the provider.
 """
 
 from __future__ import annotations
@@ -46,8 +53,8 @@ import random
 from dataclasses import dataclass
 
 from .commitments import (NONCE_BYTES, TAG_COIN, TAG_INPUT_SET,
-                          TAG_POSITION, Commitment, Opening, open_commitment,
-                          opened_body, tagged_commit)
+                          TAG_POSITION, Commitment, Opening, commitment_digest,
+                          open_commitment, opened_body, tagged_commit)
 from .errors import CoinTossCheatError
 from .garbling import LABEL_BYTES, Encoding, xor_bytes
 
@@ -81,6 +88,7 @@ def wire_digest(pairs) -> bytes:
 class CopyMaterial:
     """Provider-side secrets behind one copy's five commitments."""
 
+    seed: bytes
     b: int
     w_openings: tuple[Opening, Opening]
     w_prime_openings: tuple[Opening, Opening]
@@ -102,10 +110,6 @@ class WireMaterial:
     def pairs(self) -> list[CommitmentSetPair]:
         return [c.pair for c in self.copies]
 
-    def check_openings(self, j: int):
-        c = self.copies[j]
-        return c.w_openings + c.w_prime_openings
-
     def eval_openings(self, j: int):
         """(position, first->P1, second->P2) openings of the input set."""
         c = self.copies[j]
@@ -120,32 +124,50 @@ class WireMaterial:
         return tuple(label_set([t[slot] for t in triples]) for slot in (0, 1))
 
 
-def _fresh_encoding(rng: random.Random) -> Encoding:
-    zero = rng.randbytes(LABEL_BYTES)
-    one = rng.randbytes(LABEL_BYTES)
-    while one == zero:  # pragma: no cover
-        one = rng.randbytes(LABEL_BYTES)
-    return Encoding(zero, one)
+SEED_BYTES = 16
+COPY_SEED_TAG = b"dualgc/copy-seed/v1"
+_NONCES_AT = 4 * LABEL_BYTES + 1  # after the four labels and the bit
 
 
-def _commit_copy(rng: random.Random, enc1: Encoding, enc2: Encoding, b: int,
-                 p: int, cross1, cross2) -> CopyMaterial:
-    """cross1/cross2 give the (W cross, W' cross) label per circuit."""
-    def com(tag, body):
-        return tagged_commit(tag, body, rng.randbytes(NONCE_BYTES))
+def expand_seed(seed: bytes):
+    """What a copy seed gives: circuit 1's and circuit 2's encodings, the
+    orientation bit ``b`` and the four input-set nonces, read from
+    SHAKE-256 over a domain tag and the seed. Not the position nonce."""
+    stream = hashlib.shake_256(COPY_SEED_TAG + seed).digest(
+        _NONCES_AT + 4 * NONCE_BYTES)
+    k1, k2 = stream[:2 * LABEL_BYTES], stream[2 * LABEL_BYTES:4 * LABEL_BYTES]
+    return (Encoding(k1[:LABEL_BYTES], k1[LABEL_BYTES:]),
+            Encoding(k2[:LABEL_BYTES], k2[LABEL_BYTES:]),
+            stream[_NONCES_AT - 1] & 1,
+            [stream[k:k + NONCE_BYTES]
+             for k in range(_NONCES_AT, len(stream), NONCE_BYTES)])
 
-    w_first = com(TAG_INPUT_SET, enc1.zero + enc1.one + cross2[0])
-    w_second = com(TAG_INPUT_SET, enc2.zero + enc2.one + cross1[0])
-    wp_first = com(TAG_INPUT_SET, enc1.zero + enc1.one + cross2[1])
-    wp_second = com(TAG_INPUT_SET, enc2.zero + enc2.one + cross1[1])
-    pos = com(TAG_POSITION, bytes([p]))
-    pair = CommitmentSetPair(
-        w=(w_first[0], w_second[0]),
-        w_prime=(wp_first[0], wp_second[0]),
-        position=pos[0])
+
+def _input_sets(seed: bytes, flip_for: int | None = None):
+    """The bit ``b`` of the copy ``seed`` expands to, and its four
+    input-set (body, nonce) pairs, ``W`` then ``W'``. With ``flip_for`` a
+    bit ``x``, the set selected for ``x`` carries circuit-2 cross label
+    ``1 - x``."""
+    enc1, enc2, b, nonces = expand_seed(seed)
+    k1, k2 = enc1.zero + enc1.one, enc2.zero + enc2.one
+    cross2 = [enc2[b], enc2[1 - b]]
+    if flip_for is not None:
+        cross2[b ^ flip_for] = enc2[1 - flip_for]
+    bodies = (k1 + cross2[0], k2 + enc1[b], k1 + cross2[1], k2 + enc1[1 - b])
+    return b, zip(bodies, nonces)
+
+
+def _build_copy(seed: bytes, position_nonce: bytes, x: int,
+                consistent: bool) -> CopyMaterial:
+    b, sets = _input_sets(seed, None if consistent else x)
+    coms = [tagged_commit(TAG_INPUT_SET, body, nonce) for body, nonce in sets]
+    pos = tagged_commit(TAG_POSITION, bytes([b ^ x]), position_nonce)
+    pair = CommitmentSetPair(w=(coms[0][0], coms[1][0]),
+                             w_prime=(coms[2][0], coms[3][0]),
+                             position=pos[0])
     return CopyMaterial(
-        b=b, w_openings=(w_first[1], w_second[1]),
-        w_prime_openings=(wp_first[1], wp_second[1]),
+        seed=seed, b=b, w_openings=(coms[0][1], coms[1][1]),
+        w_prime_openings=(coms[2][1], coms[3][1]),
         position_opening=pos[1], pair=pair)
 
 
@@ -158,9 +180,10 @@ def generate_cheating_material(rng: random.Random, x: int, s: int,
                                consistent: list[bool]) -> WireMaterial:
     """Material where copies with ``consistent[j] == False`` feed bit ``1-x``
     to the first party's circuit-2 cross while keeping everything else
-    honest: the classic input-inconsistency attack. A tampered copy fails
-    the construction check if opened, and mixing tampered with honest
-    copies in the evaluation set fails the label-set check.
+    honest: the classic input-inconsistency attack. Every copy's seed and
+    position nonce are drawn from ``rng``. A tampered copy is no longer its
+    seed's, so it fails the check if opened, and mixing tampered with
+    honest copies in the evaluation set fails the label-set check.
     """
     if x not in (0, 1):
         raise ValueError("input bit must be 0 or 1")
@@ -168,21 +191,9 @@ def generate_cheating_material(rng: random.Random, x: int, s: int,
         raise ValueError("need at least two copies")
     if len(consistent) != s:
         raise ValueError("need one consistency flag per copy")
-    copies = []
-    for j in range(s):
-        enc1 = _fresh_encoding(rng)
-        enc2 = _fresh_encoding(rng)
-        b = rng.getrandbits(1)
-        p = b ^ x
-        cross1 = [enc1.label(b), enc1.label(1 - b)]
-        cross2 = [enc2.label(b), enc2.label(1 - b)]
-        if not consistent[j]:
-            # Flip only the circuit-2 cross inside the selected input set.
-            cross2[p] = enc2.label(1 - x)
-            cross1[p] = enc1.label(x)
-        copies.append(_commit_copy(rng, enc1, enc2, b, p,
-                                   tuple(cross1), tuple(cross2)))
-    return WireMaterial(x=x, copies=copies)
+    return WireMaterial(x=x, copies=[
+        _build_copy(rng.randbytes(SEED_BYTES), rng.randbytes(NONCE_BYTES), x,
+                    ok) for ok in consistent])
 
 
 # --- challenge coin toss -----------------------------------------------------
@@ -239,7 +250,33 @@ def combine_challenge(share_p1: bytes, share_p2: bytes, wire: int,
         ctr += 1
 
 
-# --- construction check (check copies) --------------------------------------
+# --- seed check (check copies) ----------------------------------------------
+
+def seed_digest(seeds: bytes) -> bytes:
+    """SHA-256 over a provider's check seeds, laid end to end in their
+    list order."""
+    return hashlib.sha256(seeds).digest()
+
+
+def check_pair_construction(pair: CommitmentSetPair, seed: bytes) -> bool:
+    """Whether check copy ``pair`` is its seed's: the four input-set
+    commitments the seed regenerates are its ``W`` and ``W'``."""
+    return all(commitment_digest(TAG_INPUT_SET + body, nonce) == com.digest
+               for com, (body, nonce) in zip(pair.w + pair.w_prime,
+                                             _input_sets(seed)[1]))
+
+
+def verify_check_failure_claim(pair: CommitmentSetPair, seeds, at: int,
+                               digest: bytes) -> bool:
+    """Arbitrate a party's claim that check copy ``pair`` is not its
+    seed's: whether the owner's check ``seeds`` hash to the seed
+    ``digest`` the arbitrator holds and the seed at ``at`` does not
+    regenerate the pair. A claim that proves no fault is fabricated."""
+    return (seed_digest(b"".join(seeds)) == digest
+            and not check_pair_construction(pair, seeds[at]))
+
+
+# --- evaluation copies -------------------------------------------------------
 
 def _parse_triple(opening: Opening):
     body = opened_body(TAG_INPUT_SET, opening)
@@ -248,70 +285,6 @@ def _parse_triple(opening: Opening):
     return (body[:LABEL_BYTES], body[LABEL_BYTES:2 * LABEL_BYTES],
             body[2 * LABEL_BYTES:])
 
-
-def _set_orientation(first, second) -> int | None:
-    """The bit both crosses point at, or None if the set is malformed."""
-    k11, k12, k13 = first
-    k21, k22, k23 = second
-    if k11 == k12 or k21 == k22:
-        return None
-    if k23 == k11 and k13 == k21:
-        return 0
-    if k23 == k12 and k13 == k22:
-        return 1
-    return None
-
-
-def _opens_pair(pair: CommitmentSetPair, openings) -> bool:
-    """Whether the openings open the pair's four input-set commitments."""
-    return len(openings) == 4 and all(
-        open_commitment(c, o) for c, o in zip(pair.w + pair.w_prime, openings))
-
-
-# The fault of check openings that do not open their commitments: only the
-# provider can be at fault, so a party aborts against it instead of claiming.
-UNOPENED = "opening does not match the broadcast commitment"
-
-
-def check_pair_construction(pair: CommitmentSetPair, openings) -> str | None:
-    """Verify a check copy's four openings; None when well constructed,
-    ``UNOPENED`` when they do not open the pair, else the construction
-    fault."""
-    if not _opens_pair(pair, openings):
-        return UNOPENED
-    return _construction_fault(openings)
-
-
-def _construction_fault(openings) -> str | None:
-    """What is wrong with a copy built from four opened input sets."""
-    try:
-        triples = [_parse_triple(op) for op in openings]
-    except ValueError:
-        return "malformed input-set opening"
-    b_w = _set_orientation(triples[0], triples[1])
-    b_wp = _set_orientation(triples[2], triples[3])
-    if b_w is None or b_wp is None:
-        return "cross labels do not agree on a bit value"
-    if b_wp != 1 - b_w:
-        return "the two sets of a pair must commit to opposite bit values"
-    if triples[0][:2] != triples[2][:2] or triples[1][:2] != triples[3][:2]:
-        return "the two sets of a pair must share their encodings"
-    return None
-
-
-def verify_check_failure_claim(pair: CommitmentSetPair, openings) -> str | None:
-    """Arbitrate a party's claim that a check copy was badly constructed:
-    the construction fault the claim proves, or None when it proves none.
-
-    The openings must match the provider's broadcast commitments (otherwise
-    the claim is fabricated) and must actually fail the construction check.
-    """
-    if not _opens_pair(pair, openings):
-        return None
-    return _construction_fault(openings)
-
-
-# --- evaluation copies -------------------------------------------------------
 
 def open_position(pair: CommitmentSetPair, opening: Opening) -> int | None:
     if not open_commitment(pair.position, opening):

@@ -20,9 +20,10 @@ a commitment, or a ``seq``, ``array`` or ``record`` of such fields) has
 that ``size``. A list of sized items decodes to a ``Table``: its count is
 checked against the bytes left, and an item is decoded only when it is
 read, which cannot fail. The input commitments' digest and pair lists,
-the pairs of a claim or a proof, the label sets and their echo digests
-and the output commitments are such lists; the opening lists have
-variable width and decode item by item.
+the check seeds and their digest, the seeds and pairs of a claim, the
+pairs of a proof, the label sets and their echo digests and the output
+commitments are such lists; the opening lists have variable width and
+decode item by item.
 
 A body carries only what its receiver cannot derive. Lists are positional
 in an order fixed by the public parameters (the input and output maps,
@@ -31,14 +32,18 @@ decodes without context and the receiver checks the count against what
 it expects. Only a claim's wire and copy and a proof's wire are named.
 Input commitments go point to point: the two parties receive each copy's
 commitment pairs and no digests, every other provider one 32-byte
-``consistency.wire_digest`` per wire and no pairs. A check-failure claim
-and a consistency proof carry the wire's pairs, so that every provider
-can arbitrate against its digest. ``HASH_TUPLE`` keeps its name but now
-is ``(echo digests, label sets)``: a bidder sends no digest and two label
-sets per wire, then each party one digest of every bidder's wire digests
-and sets as it holds them, and no sets. Output commitments go to the
-providers only, one per recipient from each party, and each recipient
-gets one opening from each party.
+``consistency.wire_digest`` per wire and no pairs. ``CHECKSET_OPENINGS``
+keeps its name but carries seeds, with the same ``(digests, items)``
+shape: the two parties receive the 16-byte seed of each check copy and no
+digest, every other provider one ``consistency.seed_digest`` of those
+seeds and no seeds. A check-failure claim carries the owner's check seeds
+and the wire's pairs, a consistency proof the wire's pairs, so that every
+provider can arbitrate against its digests. ``HASH_TUPLE`` keeps its name
+but now is ``(echo digests, label sets)``: a bidder sends no digest and
+two label sets per wire, then each party one digest of every bidder's
+wire digests, seed digest and sets as it holds them, and no sets. Output
+commitments go to the providers only, one per recipient from each party,
+and each recipient gets one opening from each party.
 ``PROOF_OPENING_REQUEST`` and ``PROOF_OPENING_RESPONSE`` have no schema and
 no flow: they are never sent, and a frame of either type is refused like
 any unexpected type. They stay members so that no type is renumbered and
@@ -143,7 +148,7 @@ FLOW: dict[MessageType, tuple[frozenset, frozenset, str]] = {
     MessageType.INPUT_COMMITMENTS: (_PROVIDERS, _EVERYONE, PHASE_INPUT),
     MessageType.COIN_COMMIT: (_PARTIES, _EVERYONE, PHASE_INPUT),
     MessageType.COIN_REVEAL: (_PARTIES, _EVERYONE, PHASE_INPUT),
-    MessageType.CHECKSET_OPENINGS: (_PROVIDERS, _PARTIES, PHASE_INPUT),
+    MessageType.CHECKSET_OPENINGS: (_PROVIDERS, _EVERYONE, PHASE_INPUT),
     MessageType.EVALSET_OPENINGS: (_PROVIDERS, _PARTIES, PHASE_INPUT),
     MessageType.HASH_TUPLE: (_BIDDERS | _PARTIES, _EVERYONE, PHASE_INPUT),
     MessageType.CONSISTENCY_PROOF: (_PARTIES, _PROVIDERS, PHASE_INPUT),
@@ -159,6 +164,7 @@ FLOW: dict[MessageType, tuple[frozenset, frozenset, str]] = {
 # Types whose sender gives each receiver its own value; every other type is
 # one body broadcast to all of its receivers.
 POINT_TO_POINT = frozenset({MessageType.INPUT_COMMITMENTS,
+                            MessageType.CHECKSET_OPENINGS,
                             MessageType.EVALSET_OPENINGS,
                             MessageType.OUTPUT_OPENINGS})
 
@@ -442,8 +448,10 @@ SCHEMAS: dict[MessageType, Codec] = {
     MessageType.INPUT_COMMITMENTS: seq(listof(raw(32)), set_pairs),
     MessageType.COIN_COMMIT: commitment,
     MessageType.COIN_REVEAL: opening,
-    # four input-set openings per check copy, by wire, then by copy
-    MessageType.CHECKSET_OPENINGS: listof(array(4, opening)),
+    # (seed digest, check seeds): to a party no digest and the seed of each
+    # check copy, by wire, then by copy; to any other role one SHA-256 over
+    # those seeds and no seeds
+    MessageType.CHECKSET_OPENINGS: seq(listof(raw(32)), listof(raw(16))),
     # (position opening, input-set opening) per evaluation copy, by wire,
     # then by copy
     MessageType.EVALSET_OPENINGS: listof(seq(opening, opening)),
@@ -457,8 +465,8 @@ SCHEMAS: dict[MessageType, Codec] = {
     # copies, the wire's s pairs)
     MessageType.CONSISTENCY_PROOF: seq(u32, listof(seq(opening, opening)),
                                        set_pairs),
-    # (wire, copy, the copy's four check-set openings, the wire's s pairs)
-    MessageType.CHECK_FAILURE_CLAIM: seq(u32, u16, array(4, opening),
+    # (wire, copy, the owner's check seeds, the wire's s pairs)
+    MessageType.CHECK_FAILURE_CLAIM: seq(u32, u16, listof(raw(16)),
                                          set_pairs),
     # the tables blob, checked by garbling.parse_tables_blob
     MessageType.GARBLED_CIRCUIT: rest,

@@ -19,16 +19,18 @@ or fails an opening, and any of these blames its sender:
 * input: providers send the committed copies of their input-wire
   material to the two parties, and every other provider one digest per
   wire; the parties coin-toss one challenge seed, from which every role
-  derives each wire's challenge string, verify the opened check copies,
-  and derive their final input encodings and cross labels from the
-  evaluation copies, checking them against the label sets each bidder
-  attests for its wires, once the parties' echo shows every role holds
-  the same wire digests and sets. A check opening that does not open
-  aborts against its provider; a check-failure claim, ruled before the
-  echo, or a consistency proof carries the wire's copies and the
-  claimant's openings; every provider but the wire's owner checks the
-  copies against its digest and rules, and the cloud's ruling stands
-  unless another differs.
+  derives each wire's challenge string. Each provider then sends the
+  parties the seed of each check copy, and every other provider one
+  digest of those seeds; a party regenerates each check copy from its
+  seed and keeps a mismatch for a claim. The parties derive their final
+  input encodings and cross labels from the evaluation copies and check
+  them against the label sets each bidder attests for its wires, once
+  the parties' echo shows every role holds the same wire digests, seed
+  digests and sets. Only then are claims ruled: a check-failure claim
+  carries the owner's check seeds and the wire's copies, a consistency
+  proof the wire's copies and the claimant's openings; every provider
+  but the wire's owner checks them against its digests and rules, and
+  the cloud's ruling stands unless another differs.
 * compute: both garbled circuits are exchanged in one round (so both are
   sent before either side evaluates) and evaluated on the cross labels.
 * output: each party sends the providers one commitment per recipient to
@@ -64,7 +66,6 @@ from .auction import (
 )
 from .commitments import Opening
 from .consistency import (
-    UNOPENED,
     WIRE_DIGEST_TAG,
     check_pair_construction,
     coin_toss_commit,
@@ -77,6 +78,7 @@ from .consistency import (
     open_eval_triple,
     open_evidence,
     open_position,
+    seed_digest,
     verify_check_failure_claim,
     wire_digest,
 )
@@ -256,8 +258,8 @@ def _provider_roles(circuit) -> list[M.Role]:
 
 class Participant:
     """What every role keeps: the owner of each input wire, the challenge
-    seed shares, the challenges and the bidders' wire digests and label
-    sets.
+    seed shares, the challenges and the bidders' wire digests, check-seed
+    digests and label sets.
 
     A ``<message type>`` step builds the value the role sends: one value,
     or for a point-to-point type one per receiver role. A ``take_<message
@@ -278,6 +280,7 @@ class Participant:
         self.rho = {}           # wire -> tuple[int, ...]
         self.label_sets = {}    # bidder Role -> label sets, by input map
         self.wire_bytes = {}    # bidder Role -> its wire digests' bytes
+        self.seed_digests = {}  # bidder Role -> digest of its check seeds
         self.set_bytes = {}     # bidder Role -> its label sets' bytes
 
     def copies(self, provider: int, checked: bool) -> list:
@@ -308,17 +311,17 @@ class Participant:
         return lists[owner][self.circuit.input_map[owner.index].index(wire)]
 
     def echo_digest(self) -> bytes:
-        """SHA-256 over every bidder's wire digests and label sets, as they
-        lie on the wire."""
+        """SHA-256 over every bidder's wire digests, check-seed digest and
+        label sets, as they lie on the wire."""
         return hashlib.sha256(b"".join(
-            self.wire_bytes[r] + self.set_bytes[r]
+            self.wire_bytes[r] + self.seed_digests[r] + self.set_bytes[r]
             for r in sorted(self.set_bytes))).digest()
 
     def take_hash_tuple(self, sender: M.Role, got):
         """A bidder's label sets, or a party's echo of every bidder's wire
-        digests and sets. An echo that differs from this role's own digest
-        blames no one: a bidder sent roles different commitments or sets,
-        or the party lies."""
+        digests, seed digest and sets. An echo that differs from this role's
+        own digest blames no one: a bidder sent roles different commitments,
+        seeds or sets, or the party lies."""
         digests, sets = got
         if sender.kind != M.PROVIDER:
             if len(digests) != 1 or len(sets):
@@ -343,7 +346,7 @@ class Party(Participant):
         self.garble_seed = garble_seed
         self.coin_opening = None
         self.pairs = {}          # wire -> its s CommitmentSetPairs
-        self.stashed_check = {}  # (wire, copy) -> check openings
+        self.check_seeds = {}    # bidder Role -> its check seeds
         self.failures = []       # (wire, copy) failing checks, in order
         self.triples = {}        # wire -> eval triples (asc copy)
         self.evidence = {}       # wire -> their eval openings (asc copy)
@@ -377,26 +380,26 @@ class Party(Participant):
         return self.coin_opening
 
     def take_checkset_openings(self, sender: M.Role, got):
-        """Openings that do not open their copy abort against the sender;
-        a copy they show badly built is kept for a claim."""
+        """A party receives no digest and the seed of each of the sender's
+        check copies, and hashes the seeds into the digest the other
+        providers receive. A copy that is not its seed's is kept for a
+        claim, ruled after the echo."""
         copies = self.copies(sender.index, checked=True)
-        if len(got) != len(copies):
+        digests, seeds = got
+        if len(digests) or len(seeds) != len(copies):
             raise _Abort(self.role, sender,
-                         "check openings cover the wrong copies")
-        for (w, j), openings in zip(copies, got):
-            self.stashed_check[(w, j)] = openings
-            fault = check_pair_construction(self.pairs[w][j], openings)
-            if fault == UNOPENED:
-                raise _Abort(self.role, sender, f"check opening failed on "
-                             f"wire {w} copy {j}")
-            if fault:
-                self.failures.append((w, j))
+                         "check seeds cover the wrong copies")
+        self.check_seeds[sender] = seeds
+        self.seed_digests[sender] = seed_digest(bytes(seeds))
+        self.failures += [(w, j) for (w, j), seed in zip(copies, seeds)
+                          if not check_pair_construction(self.pairs[w][j],
+                                                         seed)]
 
     def claim_of(self, w: int, j: int):
         """The CHECK_FAILURE_CLAIM of check copy ``j`` of wire ``w``: the
-        copy's four openings and the wire's pairs, which the providers
-        check against their digest of the wire."""
-        return w, j, self.stashed_check[(w, j)], self.pairs[w]
+        owner's check seeds and the wire's pairs, which the providers check
+        against their digests."""
+        return w, j, self.check_seeds[self.wire_owner[w]], self.pairs[w]
 
     def check_failure_claim(self):
         """The claim for the first failure this party found, if any."""
@@ -508,10 +511,17 @@ class Provider(Participant):
     def make_material(self, w: int):
         return generate_input_material(self.rng, self.x_bits[w], self.s)
 
+    def _split(self, digests: list, items: list) -> dict:
+        """Per receiver role: each party gets ``items`` and no digest,
+        every other provider ``digests`` and no items. Receivers of one kind
+        share one value, which is encoded once."""
+        full, short = ([], items), (digests, [])
+        return {role: short for role in _provider_roles(self.circuit)
+                if role != self.role} | {_P1: full, _P2: full}
+
     def input_commitments(self) -> dict:
-        """Per receiver role: each party gets every copy's pairs, by wire,
-        then by copy; every other provider one digest per wire. Receivers
-        of one kind share one value, which is encoded once."""
+        """Each party gets every copy's pairs, by wire, then by copy; every
+        other provider one digest per wire."""
         pairs, digests = [], []
         for w in self.wires:
             self.material[w] = self.make_material(w)
@@ -519,9 +529,7 @@ class Provider(Participant):
             digests.append(wire_digest(copies))
             pairs += copies
         self.wire_bytes[self.role] = b"".join(digests)
-        full, short = ([], pairs), (digests, [])
-        return {role: short for role in _provider_roles(self.circuit)
-                if role != self.role} | {_P1: full, _P2: full}
+        return self._split(digests, pairs)
 
     def take_input_commitments(self, sender: M.Role, got):
         """A provider receives one digest per wire of the sender and no
@@ -534,9 +542,22 @@ class Provider(Participant):
         self.digests[sender] = digests
         self.wire_bytes[sender] = bytes(digests)
 
-    def checkset_openings(self) -> list:
-        return [self.material[w].check_openings(j)
-                for w, j in self.copies(self.index, checked=True)]
+    def checkset_openings(self) -> dict:
+        """Each party gets the seed of each check copy, by wire, then by
+        copy; every other provider one digest of those seeds."""
+        seeds = [self.material[w].copies[j].seed
+                 for w, j in self.copies(self.index, checked=True)]
+        self.seed_digests[self.role] = seed_digest(b"".join(seeds))
+        return self._split([self.seed_digests[self.role]], seeds)
+
+    def take_checkset_openings(self, sender: M.Role, got):
+        """A provider receives one digest of the sender's check seeds and
+        no seeds."""
+        digests, seeds = got
+        if len(digests) != 1 or len(seeds):
+            raise _Abort(self.role, sender, "check seeds hold the wrong "
+                         "number of digests")
+        self.seed_digests[sender] = digests[0]
 
     def evalset_openings(self) -> dict:
         """Per party role, each evaluation copy's position opening and the
@@ -571,17 +592,20 @@ class Provider(Participant):
         return _Abort(self.role, claimant, false_claim)
 
     def take_check_failure_claim(self, sender: M.Role, claim):
-        """The ruling on a claim that a check copy was badly built."""
-        wire, copy, openings, pairs = claim
+        """The ruling on a claim that a check copy is not its seed's."""
+        wire, copy, seeds, pairs = claim
         if (wire not in self.wire_owner or not 0 <= copy < self.s
                 or not self.rho[wire][copy]):
             raise _Abort(self.role, sender,
                          "check-failure claim names no check copy")
+        owner = self.wire_owner[wire]
 
         def fault(pairs):
-            found = verify_check_failure_claim(pairs[copy], openings)
-            return found and (f"check copy {copy} of wire {wire} failed "
-                              f"construction: {found}")
+            at = self.copies(owner.index, checked=True).index((wire, copy))
+            return verify_check_failure_claim(
+                pairs[copy], seeds, at, self.seed_digests[owner]) and (
+                f"check copy {copy} of wire {wire} failed construction: its "
+                "commitments are not its seed's")
         return self._ruling(sender, wire, pairs, fault, "check-failure claim "
                             "did not verify; the claim was fabricated")
 
@@ -934,19 +958,16 @@ class Session:
         self._round(MT.COIN_COMMIT, self.parties)
         self._round(MT.COIN_REVEAL, self.parties)
         self._round(MT.CHECKSET_OPENINGS, self.bidders)
-        for party in self.parties:
-            claim = party.check_failure_claim()
-            if claim is not None:
-                self._arbitrate(MT.CHECK_FAILURE_CLAIM, party, claim)
         self._round(MT.EVALSET_OPENINGS, self.bidders)
         self._round(MT.HASH_TUPLE, self.bidders)
-        # Each party echoes the wire digests and sets it holds, so no role
-        # can hold others.
+        # Each party echoes the wire digests, seed digests and sets it
+        # holds, so no role can hold others when a claim is ruled.
         self._round(MT.HASH_TUPLE, self.parties)
-        for party in self.parties:
-            proof = party.consistency_proof()
-            if proof is not None:
-                self._arbitrate(MT.CONSISTENCY_PROOF, party, proof)
+        for mtype in (MT.CHECK_FAILURE_CLAIM, MT.CONSISTENCY_PROOF):
+            for party in self.parties:
+                claim = methodcaller(mtype.name.lower())(party)
+                if claim is not None:
+                    self._arbitrate(mtype, party, claim)
 
     def _arbitrate(self, mtype: MT, party, claim):
         """Ends the session on ``party``'s claim. The cloud, which receives

@@ -80,7 +80,7 @@ def _aggregate(labels) -> bytes:
 def wire_outcome(material, rho):
     """Drive one wire's consistency protocol between two honest parties.
 
-    Returns "construction" (a check copy failed), "label_p1"/"label_p2"
+    Returns "construction" (a check copy is not its seed's), "label_p1"/"label_p2"
     (that party's triples failed the provider's label sets), "pass" (labels
     agree on the provider's bit) or "divergent" (checks passed but the two
     circuits received different bits). The provider attests, per circuit,
@@ -94,8 +94,8 @@ def wire_outcome(material, rho):
 
     bad = False
     for j, bit in enumerate(rho):
-        if bit and check_pair_construction(
-                material.copies[j].pair, material.check_openings(j)):
+        if bit and not check_pair_construction(material.copies[j].pair,
+                                               material.copies[j].seed):
             bad = True  # honest parties aggregate before aborting
     if bad:
         return "construction"

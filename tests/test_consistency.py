@@ -7,16 +7,16 @@ import random
 import pytest
 
 from dualgc.commitments import (NONCE_BYTES, TAG_COIN, TAG_POSITION, Opening,
-                                tagged_commit)
+                                open_commitment, tagged_commit)
 from dualgc.consistency import (COMMITMENTS_PER_COPY, CommitmentSetPair,
                                 check_pair_construction, coin_toss_commit,
                                 coin_toss_open, combine_challenge,
-                                evaluate_final_labels,
+                                evaluate_final_labels, expand_seed,
                                 generate_cheating_material,
                                 generate_input_material, hash_label,
                                 label_set, labels_consistent,
                                 open_eval_triple, open_evidence,
-                                open_position, unpack_bits,
+                                open_position, seed_digest, unpack_bits,
                                 verify_check_failure_claim)
 from dualgc.errors import CoinTossCheatError
 
@@ -70,9 +70,30 @@ def test_honest_check_copies_pass_construction():
     rng = random.Random(3)
     for x in (0, 1):
         material = generate_input_material(rng, x=x, s=6)
-        for j in range(6):
-            assert check_pair_construction(
-                material.copies[j].pair, material.check_openings(j)) is None
+        for copy in material.copies:
+            assert check_pair_construction(copy.pair, copy.seed)
+
+
+def test_check_seeds_reveal_no_input_bit():
+    """The same seeds give the same four input-set commitments whatever
+    the bit, and nothing a seed expands to opens the position commitment
+    under either bit: a check seed tells its holder nothing about ``x``."""
+    for trial in range(20):
+        built = [generate_input_material(random.Random(f"privacy:{trial}"),
+                                         x=x, s=6) for x in (0, 1)]
+        for zero, one in zip(built[0].copies, built[1].copies):
+            assert zero.seed == one.seed
+            assert (zero.pair.w + zero.pair.w_prime
+                    == one.pair.w + one.pair.w_prime)
+            assert zero.pair.position != one.pair.position
+            enc1, enc2, _b, nonces = expand_seed(zero.seed)
+            derived = [*enc1, *enc2, *nonces]
+            for copy in (zero, one):
+                assert copy.position_opening.randomness not in derived
+                for nonce in derived:
+                    for p in (0, 1):
+                        assert not open_commitment(copy.pair.position, Opening(
+                            TAG_POSITION + bytes([p]), nonce))
 
 
 def test_position_opens_to_b_xor_x():
@@ -121,11 +142,9 @@ def test_tampered_copy_fails_construction_check():
     for x in (0, 1):
         material = generate_cheating_material(
             rng, x, 4, [False, True, True, True])
-        assert check_pair_construction(
-            material.copies[0].pair, material.check_openings(0)) is not None
-        for j in (1, 2, 3):
-            assert check_pair_construction(
-                material.copies[j].pair, material.check_openings(j)) is None
+        checks = [check_pair_construction(c.pair, c.seed)
+                  for c in material.copies]
+        assert checks == [False, True, True, True]
 
 
 def test_mixed_evaluation_set_detected_by_first_party_only():
@@ -343,30 +362,41 @@ def test_consistency_proof_bad_opening_names_its_party():
 
 
 def test_check_failure_claim_arbitration():
+    """A claim proves a fault only when its seeds hash to the seed digest
+    and the seed at the claimed place does not regenerate the pair."""
     rng = random.Random(20)
     bad = generate_cheating_material(rng, 0, 4, [False, True, True, True])
-    fault = verify_check_failure_claim(bad.copies[0].pair,
-                                       bad.check_openings(0))
-    assert fault == check_pair_construction(bad.copies[0].pair,
-                                            bad.check_openings(0))
-    assert fault is not None
+    seeds = [c.seed for c in bad.copies]
+    digest = seed_digest(b"".join(seeds))
+    assert verify_check_failure_claim(bad.copies[0].pair, seeds, 0, digest)
+    assert not verify_check_failure_claim(bad.copies[1].pair, seeds, 1,
+                                          digest)
+    # Seeds that miss the digest prove nothing: one short, one byte
+    # flipped, or a digest of other seeds.
+    flipped = [bytes([seeds[0][0] ^ 1]) + seeds[0][1:]] + seeds[1:]
+    for forged, held in ((seeds[:-1], digest), (flipped, digest),
+                         (seeds, seed_digest(b"".join(seeds[::-1])))):
+        assert not verify_check_failure_claim(bad.copies[0].pair, forged, 0,
+                                              held)
     good = generate_input_material(rng, 0, 4)
-    assert verify_check_failure_claim(good.copies[0].pair,
-                                      good.check_openings(0)) is None
-    # Fabricated openings do not match the broadcast commitments.
-    assert verify_check_failure_claim(good.copies[0].pair,
-                                      good.check_openings(1)) is None
+    seeds = [c.seed for c in good.copies]
+    digest = seed_digest(b"".join(seeds))
+    assert not any(verify_check_failure_claim(c.pair, seeds, j, digest)
+                   for j, c in enumerate(good.copies))
 
 
 def test_check_detects_specific_malformations():
     rng = random.Random(21)
     material = generate_input_material(rng, 0, 2)
-    copy = material.copies[0]
+    copy, other = material.copies
     pair = copy.pair
-    good = material.check_openings(0)
-    assert check_pair_construction(pair, good[:3]) is not None
-    swapped = (good[1], good[0], good[2], good[3])
-    assert check_pair_construction(pair, swapped) is not None
+    assert check_pair_construction(pair, copy.seed)
+    flipped = bytes([copy.seed[0] ^ 1]) + copy.seed[1:]
+    for seed in (other.seed, flipped, copy.seed[:-1]):
+        assert not check_pair_construction(pair, seed)
+    swapped = CommitmentSetPair(w=pair.w_prime, w_prime=pair.w,
+                                position=pair.position)
+    assert not check_pair_construction(swapped, copy.seed)
 
 
 def test_hash_label_is_sha256():

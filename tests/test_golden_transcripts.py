@@ -49,197 +49,197 @@ VARIANTS = {
 #  frame digest, order-free frame digest)
 GOLDEN = [
     (0, None, 'accept', None,
-     "93df35cb3b21ca66e8905e9ad596c03297057ef56269955bf9ae05ce921ac51c",
-     "a2f12abd4cb5ca189b5e5ca7057f81ac8552161919b452c0e6f19d4ffe98a36b",
-     "a6406dc1c00b4e7f8fe3b3e20e8687cdbe2d6a75661477bb60bdd0c81c6b0056"),
+     "6d3d7de1cc94ab8898cc6ec5f40cd6429378eef65e8f6d6bcfe40546e44432ad",
+     "ea19f9cabe031de9490fc6dacebe2a18d6201f043a12508902fb467a1311b8bf",
+     "102d93f9ee5b211435f79b17a0e36725b41072bceca993af11c56a5dc8725de1"),
     (0, 'inconsistent_labels', 'abort', 'provider:0',
-     "b750d1dd111896fa2ae1bf9d3a0a3ae7ecca52b80b45607588e0f1080afe828a",
-     "ea95aa47f49fbdc1eb2783d7cfbbf09d1e96923dda1fec43f2e767c96d4f876b",
-     "7a97423f4691dfccadfd01a862084999a5a9e70a8e12ee6dd1734068b732064d"),
+     "831e0bd4e085fc60968b56680c34c3e8fa19c0b485ec8b7a7787609558cc00ac",
+     "18b51a1c9b90cc62ea38232c0b11f9561cde5dc494eacf80794e78e1b34d44be",
+     "c9958657587bf1c3c3ea52036297962449ac94b525980f6a41572476eeaa66be"),
     (0, 'tamper_garbled_gate', 'abort', 'P1',
-     "7d1ad9d4dc5ee5d3845add00b23b8da511ab29b43b9715e17376cd9a6838689c",
-     "01f02c3446f6883ac9cff2cf7639eb80722a7e8afef304ccda0f27182bb3d555",
-     "112f34b48ab966865a64bd5060768c5b045449d6a24e169a4a738c0da50daa83"),
+     "671154d20f092d0d7c813800efcb66d81e144b0b5b19638b49fd02e93267d6c5",
+     "e979e1ef1d87e409854f7e333d072eca8ae77b92b221364c68e51bb555b78c2f",
+     "f6c83d9173cc2cad6d5bb746a1c3543e87afd7923b40f0b9c28ebe8862ab7eb2"),
     (0, 'substitute_output_label', 'reject', None,
-     "bc074a1ee46bc6fefdc389658277aa11da504b0b92b10feb39f3256643f19efa",
-     "429b9ba73cf8d71e88831676511afa84aca84468d82b4ece13461a8fa30b6c5c",
-     "9426e16418a3947a23cf121786b271b2ffe24e4e5034ecd54e01b6839e6702dd"),
+     "9f4103010edfc7124ba446be4d1a4d685f2b8b0955a5c6e26630aa3a7def63f1",
+     "da83eca7f78771feaea644c52728039536fabe1d95f1151e90d09506f2888ff8",
+     "0ea3ee975fc85634cd4a78cc2d0ac29ec2da4112c3f6a207c4d700794147195a"),
     (0, 'bias_coin_toss', 'abort', 'P2',
      "f943349a196354b049766b424ed24c9bde9d473330f03e9808c952b1775ae7ed",
-     "821c654dab88d470426cfa4bfad64581005c184c2eab225d7083a3446ae4dd56",
-     "759dda1c194a8550240cacecf4095a686e23af016306f7e0d1f3e173a42c6c8f"),
+     "1a62659300c31ef576f3a54dd3acaab456221ce49a7a06d923b3229d55267a0e",
+     "77970f7c956cd227d47c9428f5c1d30d6f5d04393e403e4263b21871f0aed705"),
     (0, 'falsify_check_failure', 'abort', 'P1',
-     "3401d2ada5c2caeffaf2743cc5cb42933b97c86dd55a8e42a32d4e573097f9f1",
-     "e14d1b2c2a836c9fa4f4c6b6e2b05748147372c22bc8b225483a89cf9d95465e",
-     "89c696bbbcf2ad3cd37bd9adbc1ec1ce57fffd5ed4653463b76f61aa8dd96b03"),
+     "a94e89a2114d7f91ca21a68975a0034a778434342132ad4fbe1a20a3e091ce15",
+     "4dedb486a5431adcb0944c7215d245ccec85d8d36faa60348f92fd99a14b5ad2",
+     "ef7981725b3574369fb88dd405b85452864222190f649007f25384c81ac7bfca"),
     (0, 'forge_consistency_proof', 'abort', 'P1',
-     "0e8903984c55fc5f0a4d295e351fd998466b5a58e9639509e01b506cc1450e1b",
-     "7eab4276cadf6065ab2dd9dd38f41a3b62d7f1dde7a4d9a2be84975ca4e61bac",
-     "a8fec108f7c358399f4059ebaa43b9f99659bec1384e8a32481a24f184a8a39f"),
+     "15162e005a043e225272391fb23d7b3f9d47e6f200845abf31f5db8e8e7b144e",
+     "31c326ebad9a60f58cab24f09a599fed523506a051cf2840627e83e7a708fd9a",
+     "1fc2f33f5a8edef471d04f561608ca3ec80e9b856f1a80f84461fed0001253f6"),
     (0, 'false_output_complaint', 'accept', 'provider:0',
-     "bc074a1ee46bc6fefdc389658277aa11da504b0b92b10feb39f3256643f19efa",
-     "9075cfc08d9e92456e1078e774e9f74035f49c7634a9223279c0d883b0bbba8f",
-     "4585e2e1abb3901956512f1a42a12ce5e36838f516c381a168cae04bd18bc3fb"),
+     "9f4103010edfc7124ba446be4d1a4d685f2b8b0955a5c6e26630aa3a7def63f1",
+     "2351b9dd293902f7cc737ef1af2abd36fcf123020710c84646b7361e1af84f82",
+     "b8fde0eab1e2aa73077f1556559cf554a1feb9fcf45b8912e8f435d8e203d308"),
     (3, None, 'accept', None,
-     "97fad993518ef2fa9d2d70370b819a86af353b1be8c8546cd59f591981230caa",
-     "be0a494f1167ea0f446a73d5f60c11240b285fcc2259e17de2647ccacf4eef01",
-     "c63ad380512f091bcf39fed3a3d5c493e8f4e214db0086ca7128a491a42b0ebc"),
+     "2153519145e55f6985122c3e85c2047045fc8019e0728846bea4171bc1923efa",
+     "1b4e1ade7cf357e28452f4f53807c39821bdc827309cfdede4502bd0fa62da3e",
+     "c04de7060ddd5ae4f6a6e432e8809733d0b00f3b21412714e39e078c40741fdf"),
     (3, 'inconsistent_labels', 'abort', 'provider:0',
-     "03655e8c124a21a5c94ac21ee786a0c9b5eecb51c5bbcf380d0b2b6825495ac8",
-     "30ee1abc187fad7ba5a8e9a78fda8a5088d2b283912b35b4727da1d3cb6ea662",
-     "8e7e99f89da4b447f1669f368527720c78400a6047211c27ec4524b8856d35d8"),
+     "124800e68e46e4961f07d752e1802814f499aba89da39a2a1c2a0f9090290886",
+     "667d173927e21454d5b9b782178a3ac4da657bafea30179891dbbd4737272ff8",
+     "f41e201b7d5c4704a242c0d9ca20ef29ba1b74f0f7d27d7ab14c035f9e0f386c"),
     (3, 'tamper_garbled_gate', 'abort', 'P1',
-     "6be6ae77645ea537baa51b85a4827d89f6b651c74d323090553a4a06f8b4678c",
-     "26eefa85e0e7b97e30528d09fc2502b32d58ad0ad1a9172cf22974aed023781f",
-     "49a2c3140aad119362ae7a0a56e85d9616076cde7e6bbb2446e83ff8beb95001"),
+     "5df4c40ae10ff89925b8bd5ba8b96ae73965c7d7bf89a85d5ad2d69242549534",
+     "7101fc2459a6287c0d98b17b6bd4775502f376e4b1d83721979e8083482e6f83",
+     "5a1884a5b60e8a149c3723408e2e3ab10f6c4894673de423f987a0790debd65c"),
     (3, 'substitute_output_label', 'reject', None,
-     "a98bad052d37058599bac24aaa9b0133b82b4e76946e9ed5535e4956ae62b574",
-     "4b8088f5f4564a7641d056120c8ccff61f47885366b2901b995d9876a53ca4ce",
-     "dab730dcd18591fef076552d6c120644bc934d95eca0c6509053c648be6336d7"),
+     "ecec3f7da304db6575b9700864c41d8b4d575567c54e513da9b58ec07bf9e976",
+     "bbc50dcc02962ca31f68350267c370c99daba2a80e2f8d435f1466934cc9690e",
+     "9f7a9f104567b1040afc5c146ef14bc89f3a44784b20e9341b31ec1996efa0eb"),
     (3, 'bias_coin_toss', 'abort', 'P2',
      "f943349a196354b049766b424ed24c9bde9d473330f03e9808c952b1775ae7ed",
-     "596e21a34290997f0836065b3c78093b3d72d705aa4b708d13441ce85bb468aa",
-     "aa8974ae50862a49ffcf152ee5e8acf4ccee0599d45ea599143861d426f30018"),
+     "c4eec6f78e8398c8fb9a6aa7285ec6702233856b353e0f87dfd01d1bb0722f2f",
+     "1a27c383d400db6c09e257132d9da308f8bfb66faab0357f69e00bec0194d11c"),
     (3, 'falsify_check_failure', 'abort', 'P1',
-     "3fc1bfd6ee875f05b3dacc16cb1551ead76119bfaecc658ae792c7b4c6f4d6bc",
-     "ccea8df9e332f236c5a929a9f2e44547bb2c1d4725bde8eca24e53ff4d2d8c1f",
-     "2df32a4e008e5ba9221ea7d0ae22c81628a6089147003deafbd6589d4313e83d"),
+     "4cbc1aa375a74ce31ae0b11b461f29e7b9a1b9118e65aa0842766e34e7725649",
+     "e1e991c6e33b5217154ce6104f55da1687ea19508814192350771aa6fa893ecf",
+     "c126446c91d81b546676e685b8b240c726b74c8685af0a0a89198572b2eeed8e"),
     (3, 'forge_consistency_proof', 'abort', 'P1',
-     "21ba4929e3a87aeccfbf0bda42be69d798e6ebe135b7be0c76ac30521287f4cd",
-     "f6ec6a39e6a7970467207f61b2a6d012ed1a75a8f050b70af1dbab75f42735e2",
-     "650ae63a8d9213213f9414f0528e2744b7d2933f84127d45f4534202d843272a"),
+     "dbace55b1ef77e892968950b4527a76f24d2ee82d7bd68d236773bb8a59d7861",
+     "8000707ec63103f662bcc89066b146f234a967ee2ed417c021fa8f1eb5526538",
+     "0d6db7efceb886c331ecfdc8f7208b3efb8750c7b67338463ed684aa7f105798"),
     (3, 'false_output_complaint', 'accept', 'provider:0',
-     "a98bad052d37058599bac24aaa9b0133b82b4e76946e9ed5535e4956ae62b574",
-     "2918c3e89493513d5755eab8b438b21a8f4ee5d86527498c9d932683ab2af499",
-     "ae021da8bc26d6690d3c36ca617e351adde7d71d84dc13455d10432c3c6df0bc"),
+     "ecec3f7da304db6575b9700864c41d8b4d575567c54e513da9b58ec07bf9e976",
+     "3460f20df214baa4ee9d91eb875e0f34ce71ae95774b67ed10bb50d6f8779f44",
+     "9c9b5338decab35a2a44d27c185380a1dda17555dad1607b212b8fa89fb479a9"),
     (5, None, 'accept', None,
-     "965a99169afc2098d1d8ed6a893f6d2bf698f76b61ae7c7733d1928379c751fb",
-     "9de741585d7d0eee93b0eaaccc45c74df45af90fa6214d909f3a2a2b5489ab0b",
-     "12d0c5baa6925ed16dddfa19aa3e4d48e230cd36bbd70cb3e01a15cde942fa97"),
+     "2888155dab274f96ad0b0207dc3f7025dcb8b2c5540613a3a7bba0c83c359934",
+     "74533fa39dc3d302d336ba67f3f2086dc8eb74165582aaded7d8746320d90e80",
+     "5334deea9d4dd1b46d022a6d5df7af0d6588cb2a48e3f1cf80d3f5c0233a59a8"),
     (5, 'inconsistent_labels', 'abort', 'provider:0',
-     "ce9e4a6bec137f5ff09e6a5a1faa62ebcba9b57ca990e5e83806420debfb38af",
-     "dd58bd102dc5aa1a0914ecb75638630bce07d281f0bd0276cdc5a45c5694ba7a",
-     "34b63a1d16dec1d4f93f60e1784794b3407a05d7b25121ba831fcd2a26222bdd"),
+     "80d3c184e80ba6223970c15d66f2278d1e1a5cb803b6880e3aa4b398d2a4474c",
+     "1e8b94e1aa50dcd5b21b27df3d121c17842f809f547e8cfe624b44188449580e",
+     "8982c9c024e3b1fcf246ea496f2b4d8763f9f37e78e95538a00cd8094595e8b2"),
     (5, 'tamper_garbled_gate', 'abort', 'P1',
-     "cae6bf03e46b89b05d76a8d05718e580bf19fb552a0db4bbea7619fdb311582c",
-     "e89fa19c55db43cf79bebb22f5c8703165fc008292950be91a18826d773d8968",
-     "5d7a9eb79563584fbdc4de517e10f0a5ffba42b6e1599492073c05a1d378d87d"),
+     "f09bb07a58d86e13683b423a02a3b30bc7edcbc289b648eb65a38f75d542a8e1",
+     "f2e0de2ac9e39fd21084b55fae74610323e2465f19c2a04c94e89470b374776d",
+     "678e0f51506deeeb124db8c2ac37829c07b95b00e921f8ee4c0a60e690daceba"),
     (5, 'substitute_output_label', 'reject', None,
-     "ee2f450e606537f4f5c9b9467354f44c5fb11cc70249f4491961fb62f30f0c88",
-     "6abd3fc7fe1d2d40c6b10ddb59651b328fdd9f322bac9044ff98d292c077f624",
-     "59a3729698d46b4b5a24d5fdb21000c30486eb0e92460375af8ccd24f853e4a9"),
+     "7d6f113c7cc72fb7f3839b7239686ffaa4061fda78993f6b46ddba6c5936a28c",
+     "1cb7532236310326b13ae26f89da6cde373e2c80902cfe33ee1076553197d2fe",
+     "3f2a6336279ebf07d5fe0eeefdf15325ebdd153bd9f7c15373bc494937254db8"),
     (5, 'bias_coin_toss', 'abort', 'P2',
      "f943349a196354b049766b424ed24c9bde9d473330f03e9808c952b1775ae7ed",
-     "5b10c5571b59411bf0d05e84b9812cb8a7aebb89d428556f7f2426ea01b7d165",
-     "70aa896476334ce19ac94f08a4049ee596c08c49faff24f9cafb69aa0fd18d31"),
+     "d8bd47186013dff2331a65e1cf8e9aadc744429099486da1cb3219bad049d95c",
+     "787943ebb22a40e8bd25daf25d405bfd55b64ea7b0f1919beee5e344f43761e3"),
     (5, 'falsify_check_failure', 'abort', 'P1',
-     "bdaf07c3e7054f27f907e1863164d8811e8a088094ab8c712c3cdc2194f1cd7e",
-     "980932e7be064de411e9ccf130e6c337b2176e381a817d46eac9a80b08895bae",
-     "fbb95e90b73ab87f6939303a1eaa05285f17bf83f5aaec9e39142c8d51c8d17b"),
+     "df7fbcfa507bb42eb0dd7eeb84ad0c46e87069d1eee16256d70acebb91f7cda1",
+     "e376c62a146aad5ee5eb47e894e8d2f7e2fc1705f4ebeda31857662566e48e39",
+     "05340b3b47899f6df077148c0ac8f0b95083ac3e5e964f54d1900663795ac9e5"),
     (5, 'forge_consistency_proof', 'abort', 'P1',
-     "0f8875ea3153073854fe5e976d8e363011804fd16a304bd113b9c232f0a42e01",
-     "933734f081202a01c062c75411de3ec5b2ee67f68d77ce09bd896ec5bebca0b7",
-     "3ad4055cc18c5f565371416555893fe2ecd4150abc224dfa72579453c4a84e8f"),
+     "f70b20fe5e00fc1a83da489720f7ea58ff1317527be43092d9c4a292aaa6e98b",
+     "576af244eec73f43631ecc744f05120549be057da749d8dc32038eb7a12f21dc",
+     "1052daf765212bec4b07909a5500694a2f2af928b7de170fed8785d68df39528"),
     (5, 'false_output_complaint', 'accept', 'provider:0',
-     "ee2f450e606537f4f5c9b9467354f44c5fb11cc70249f4491961fb62f30f0c88",
-     "2283813718cf0912a9ce9d27ad4faaa722bceefdbae5314963b68aec76b400f4",
-     "ab3a1ae1dc208a965e869489c84404aea491a1356376d5d84484d3fb14c3b12d"),
+     "7d6f113c7cc72fb7f3839b7239686ffaa4061fda78993f6b46ddba6c5936a28c",
+     "d7514a403668af3f778e4c06f12ef0e34dbe54c7eaebf45f4309d17e5537f52f",
+     "d7d4e1f2e7e79452325945d603971018d4fd1c13dee5a407c2a9f1c51e86193b"),
     (0, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "7d1ad9d4dc5ee5d3845add00b23b8da511ab29b43b9715e17376cd9a6838689c",
-     "32df35396669909279e52c9367720b2fdae4ba81e8fbcd019179b323410b0012",
-     "e711d2ef2833dcda35d7de44b56c4843bd55a3ad272afa937698f9a43b2b4e1d"),
+     "671154d20f092d0d7c813800efcb66d81e144b0b5b19638b49fd02e93267d6c5",
+     "91320de0a93a28a962177eb25f22f8157473761a985e84b73f1ff2860fff2a11",
+     "f8db25947327efdd49bfed5803a0edccdf67b4da2ad2f88c45dc5588cbec8302"),
     (0, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "5eba5d13201466f27001b469086c74a60430185b4a25b1fb551b4b11ce1df7e2",
-     "d23a73f5a33525608950777092d688a7ab4ffd1363a5450fcef438a3c5dcef3c",
-     "96b40987f41229a844dfad70e22f3e148f35981426f8518426f19fe7ab140fc0"),
+     "3c3b1d5d80e00079075e9eaf88676c45ad04b37ce71c7dd0fb90988c924bdc4e",
+     "99c1fc5d0fb10810db957fdbe849f52790b0099cbb3cb0813d28e2a572ab45b0",
+     "def2f80b1e634e558a5435353fdc198dff96939f7bf681e3cabdbc3bbd51ab12"),
     (0, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "d1a447ad7569447e37031aa174c531037ee4e924b00cfc48f0b9eea2cea76f36",
-     "fc9f240bdda70d8931c8ea5c6895bddd34e5b2adc0ee122fce5afec25b5287ca",
-     "83d4f13723e51dac81ccdd7ca2df2a2263c04fc6470148cea42d859873d2d01a"),
+     "a9304f6179737584d4aa4a3c992402b18661b09b2810a94a00b682cfe32d2c7b",
+     "d592343e02d392eeba723336bd5b0ddadd3f10c04156ad3a8ca6f44f06a83f5b",
+     "a44d2b922215143d480da84acbf99df3c62eb9c5e83178c80859f0300a2074be"),
     (0, 'falsify_check_failure:P2', 'abort', 'P2',
-     "3e42ee4f8bb575c54790f2880083c81b87d3dfba0509f379b8e82fa4451e0509",
-     "2291924ac6ede510e906e1cc745eee6dba8a8f39134966218fc9d3276b822a19",
-     "140ab278126c7f5b0ae4851a7f751530817819ffd0b6d69bef04156bcd265a85"),
+     "1f1f73ab731b14b75f778e2467585ab1ddfb699b4e286b4b241744e7f72c4738",
+     "8c91b8207264a8b5a4b0ab3e12c87c92e393e654fe98112e6cdfd84fe1b5668f",
+     "3a32e95506f185eeaf2a5e0de22ca8666766a26063ea16c1f400b13d17dd9c20"),
     (0, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "4011bf549c9844c6316a26df58d78556a7e61b61c4ca3bdccce951f1fb31a2ff",
-     "111cc8659b90bf7053c0f89c274802b1999c130055f9753c86cd6b80adc0e462",
-     "260f9147224beaa3c1bc1f6d50677b0ebf5ca88d409f292cfae1f22104f8ce0e"),
+     "48b82e0a0559c4ffe6fa884f03dca4464a438943725b76caf44f3a5d2550e1ba",
+     "dcae529d2d66f02e288515975c9711855b1700124b3b201d1927dd6e1849efa7",
+     "ae5691addabd38393be6e50eab8df2d4a4ec2c334594a645ca1b770514ad5036"),
     (0, 'bias_coin_toss:P1', 'abort', 'P1',
      "61b2e897a0506973b4d92c948f8d4605488f73db0db1d1827c01c7b9fc7ee5ff",
-     "7fed823878f4c7d349644f06f6e5cdfff8526d1054ae7a029cce4a50f3e06f73",
-     "b7f47072171702ee0665456b87ea006a62c5ce5f235e15f9c30e781e807bfc60"),
+     "f07a49b753f243a7dcd5f5439b59ddd7c05da4f03b0a991c101ccdd648c36a71",
+     "4599cea7450c6cb07d4fa3687337d14453364113842e8c8bec9a0b57681d4aa9"),
     (0, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "b750d1dd111896fa2ae1bf9d3a0a3ae7ecca52b80b45607588e0f1080afe828a",
-     "c51611759ff00cf7a692f43ca8c6bce1a2d980599fc383a1caf7e767536f794e",
-     "49878d9561771220e64429de32982055e03ebb1f556e0e0dd871c6d74e3ef547"),
+     "813b670729ed226429a508daa95bc62a8ad3ee9feb3b6a84391b5b97006db6ff",
+     "ba727be8af241f446f67c7d2accaf57e33b3a087e955ac2a3e22ee6eb0989f5b",
+     "e5278f1ced6346c488843ad59eb5628094c96e74485b105b448b176daecd5bd1"),
     (0, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "8346d9d3dea8b2c474f7f1a7864224babe93ffc923200e7582af541e31ff24e0",
-     "11854c3e6a656c66e0a94f494f3b28156f09ccebdf42499b772cef7fe0fa6bec",
-     "00bc98beafe639246c7b058d33f3beb59f24343abb9c5f42e57082166988570c"),
+     "c641b89f2da65a90755419a97ffa3362c570914ab3eb01410f96a62075a75a4d",
+     "ee96d8f10d551ac80325411c03574be0895fcf31563182d0c48f6c6dfa0610cd",
+     "c9a3b57a16b312182840738df3107dd5e67d41538e3c052d79413b3d74247f7b"),
     (3, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "6be6ae77645ea537baa51b85a4827d89f6b651c74d323090553a4a06f8b4678c",
-     "8779a484aaee50d53790cf936b1525520a466c2c180456eaa881b2731ae67eca",
-     "9a12fe5a3fb5e5d20eee58b7a19558f3d6978f200fb8a6233574cf7e1d6c8765"),
+     "5df4c40ae10ff89925b8bd5ba8b96ae73965c7d7bf89a85d5ad2d69242549534",
+     "87f50acaed1730e26f5b487caa874b4c89da9045bbc8862077c24ec749888c99",
+     "b95b1ca4a666b60e1bcbc2ce321c7aaeb5446f13adac0ec2f24cf20bee424d97"),
     (3, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "156a9b3ffef5e2ddf7311af4a1773e0563e8c255adedadef99bdf1ef24d6b3ef",
-     "f2db5bff3a51b347ae4faa4c9e8d0a2efd760b64581e91b9b67e60aa5a137cba",
-     "aac3a300aa646c958f71145e1f40095b6beeb876cdbef5a01af963c1b30b9e65"),
+     "2f38bd90fcaea649d94f1e5ee594cf3f4687bf5a3c806b65d9397c37f9fb2904",
+     "6fc20988d403695cb4781d9f001f1b23ff095c23d09fa65c84928e753bf9c3e5",
+     "fa90226b0c3b47060eaa7ff7532c7b1802e731a8398be4d156929f715cc0cd8f"),
     (3, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "a7c3db987a4a60fa0f9c0ef950b8fad21ea1dadcabf515a8efb1a41366e043e2",
-     "11ce5085723b2adf3d0adb83b5aeff18e12d506a8b1c29e21726d89ed5586e43",
-     "fb08474970a91a7d5407429a6ab69aadc8f3b280305165c0a450e74e8cbac5a2"),
+     "27e52acd1acc45a9c9be4c85d5ea2e864a40b8f4dbf7c3484b11799ed145da8d",
+     "fa006684f600e714e7a945e6faa9b6b67316b54209be6e4657eb60d06cc47b7a",
+     "e1c81dc8ffc8f87063ab1abddaa5ef3c0a2a342dbb14797a02f16e01fa9c33f0"),
     (3, 'falsify_check_failure:P2', 'abort', 'P2',
-     "d37eca8bdb6f50ec2904d0904f325f4146d23e5f8b5d440f58b673cb776fff0c",
-     "c4da70be4a9f33aec692c18c0ee2b7de11bb0e4c590c16c4b1e893463a532990",
-     "b78dc40dc9abaa91b3cb6764b995491d33187acd76841d8d846adc402397b2a2"),
+     "3a6d6fb091f2068d06af69e05800b4fb19d9404c81f738beafcb234ef4972648",
+     "3dc9649da59b86dcaada66a607648033685ab52f3e18fdf2523ff70a336efa6a",
+     "68a121493a0ab2fee98bc2283292b538add3fe19eaf4663edb6a0be9d5278246"),
     (3, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "5b7ea534fe4398d721901281650b15aca0af94b720e91abf65b4dbfdac682795",
-     "5b271985ebbb94e3d94d138be3d157d706d4fda1972230a2a06da2e6bc9aea22",
-     "fccd3f2105773248dcb55117e2d82cd49e04f7d9ab5ef93fd40428e84eba8b11"),
+     "0b21832f8012a8766f71bf6266c9fa8db8dee07c1a7b54da1b911f919dfba135",
+     "edc0ad2cc69df0dbfdb97fcab9f9f1d256f8abba646e1646344e107257f42d43",
+     "243a6878566747d825a22b032998a7c2cc5fc9607f9ab1a416a3d0f26f67f726"),
     (3, 'bias_coin_toss:P1', 'abort', 'P1',
      "61b2e897a0506973b4d92c948f8d4605488f73db0db1d1827c01c7b9fc7ee5ff",
-     "52d515a0de29a2256e4e56f9fa350c051c4260d05772304bd6572333c77cc93b",
-     "8d20366a10f6d4ca82e31d91e87e53082f33296523d9da0cab8b8513d12cef45"),
+     "5e6a88d4a4f39cca8fd6a9bc978bdcc04aef51871831ba398c9d58712f4bce5c",
+     "8a5bc64ff95afd22ee332e051bdf0ccbf4ff5962b813141dc30f944ba3ea70b5"),
     (3, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "a3582c47538342f2c6dbfc2de9b1050a20d17c1278e5d159dc489674bcb80559",
-     "847eee1214ff4725973889bc5ebfeb0b42ad3d842567114319af52c3edd56900",
-     "6d337200ed8fdf7d82371103bd759cd2e63ca73f5e7dca3a4bd5add78beb9333"),
+     "fafd81ac4bbf0b4a2c658cef9079a0a3d3fbaa098409be86720b2adbde965d95",
+     "4ee57e099ea2290d6d2c2d908ae76dd82a5ae530b80e75f8aac55e6f08078695",
+     "d2f1437fa7493bc19df437b1c1b92d5cd38febbf123a406fa59c7f2c4ed77f5d"),
     (3, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "a5699959c6d75eb13cfa8033be7390b9563f4510a1f091388acbbb7d73528c17",
-     "e71547667646d0790b5c6e44c04152d170926760245203e46b2faa925f87eeca",
-     "0cfb032de2a5ae147f604ce32fa85e160c6c80caf5b0480130916f4e988821a1"),
+     "675b1a78d0e42205975415674d0b9146298f49725d462962447cd74aacd48e87",
+     "2e4609cdb015c476e7cc9109f02dbd76921a8f97efc79021b671690e12be8e46",
+     "480cc014484ada10586150170f7037dd70a62ea57e73295760a909a19ec8338a"),
     (5, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "cae6bf03e46b89b05d76a8d05718e580bf19fb552a0db4bbea7619fdb311582c",
-     "c9a75ba50541c8f07fd075d0fb5ea4b66c3e8147616f77c054e17e9701aa28e7",
-     "5890923559090eb54220cc38c3859f789cae8147f054545bbbfe8b46752788d7"),
+     "f09bb07a58d86e13683b423a02a3b30bc7edcbc289b648eb65a38f75d542a8e1",
+     "c3a7d7100e6d58dac2962759b812a46cda8b6c0805de056da80aca7663774cb1",
+     "5aee162ad95eca1c2a63affad0a4ddd4f14f97f82163f3f6815463ebf00ea1b0"),
     (5, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "9b4943e3009ca003daf45fc64c7ae8d4a893dca11abffb9c64a3b31e8ce441f6",
-     "4706f1bc5b9caf7b6b2ee0c03680f59cb6aac3d22e0a6940cfbd1a93ad213e6b",
-     "b139be9421439268b0a13eb5b41c593ec49028d27e5d0e7d510a32de7809b9bd"),
+     "00dfff01c5a3258ed0cf475df047d2442644b2206a6b67b48956ae5a6bc415d9",
+     "f892f0a742c51d2a3a3ad148c8a7e7a65c76edcdfc7f0de29d1d8de0d850035b",
+     "07475a73cb509e0741b648315681667e407c15cac092e181bf10b214ac01833b"),
     (5, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "e6727752a88d65fb4fc94ec3d4db8f78cb3125c04e28018e697b084009a5f764",
-     "8cf1d0d01e729e0e94ea8a862d62f38d0bb9f662b79db98428c4e1624fc0a559",
-     "a65153429f40e9535f17fef1c7a5611e0bd494d50c5109c309cc5b3c0af96051"),
+     "8e6f6249c6f065250f5998f577a582c77ec02a56d564f093625d2f7cb29eb1ce",
+     "1c1ec82f001be69872a9a2b3e9e3c3710fc9ac99ced7f331746a1d2589af7142",
+     "b0b686d649f31305e9ab0237341151f8d43adf97352d23132b4706a18431c4d0"),
     (5, 'falsify_check_failure:P2', 'abort', 'P2',
-     "540f5396c50644157d4ccddc3221f3709d02a4822cb71ff981b255e37ae37018",
-     "f38f5f866c29340630ad1c58adec1c27c0bf156df260c0a0625ac7b0b04da186",
-     "a1039e81d9be75228045665a2f609c1284192eba16c3136513b7203b3776175a"),
+     "b5118a7214d2abd542d9b411453d5bb0bcb499a787ed09c9edf389cc7783bc11",
+     "6085210e1f91cf654708aeec070a9b621cd869a9e95b9f8806500451d74ac7e5",
+     "61209580933ef177fd9f920babf94c63cff430ef1eb0595d9b276e925f943a49"),
     (5, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "6bec558dad560fad58daaa69ffb3d065cd6770dfe749a7bf317c03a31e5b01fa",
-     "007f33b2bf2a76765bd892c215dd1c1872d2c3a14643f0db8bd07c7dfd54c66f",
-     "91c1c2b6a3ed063a97313b0a9bcf6f8d821cade5e4d621d7c71cc75351ab1169"),
+     "ee2a26663ab620cbc3be317520775e28a3f7ebb11eadc718135ba480b58c4ef7",
+     "c4dff09dc36fa1e993d493ef779844342561a1fed210f946ffbf36991488e228",
+     "3ff5e12ba8e9c718d1f74d843897b83cad186e9a0c43588776f5d67240d91a5d"),
     (5, 'bias_coin_toss:P1', 'abort', 'P1',
      "61b2e897a0506973b4d92c948f8d4605488f73db0db1d1827c01c7b9fc7ee5ff",
-     "a3d368b31d4adf6116204426525f76065cea2701c51f09d5f3884ad04c6383a9",
-     "a8bdcf027749ca4027a640e0dac33240e008a6f3a13d3ddeaf2e66b4d6d011cd"),
+     "f8919aac071fd1c576ab8edb4925091bd2db7c1755d2080d23da6f25b810616b",
+     "e2f90d5a46810b2b84316c8152fb5105b470ffa81c2b6d0ce61c7fcdb6762d28"),
     (5, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "ce9e4a6bec137f5ff09e6a5a1faa62ebcba9b57ca990e5e83806420debfb38af",
-     "3de6dccc6af60718fb24216755debae56012dda1bea6b902992685e9e005bdb7",
-     "1d6c61fb130a76969a8008c090b9d1d7b9a31150558f0a33c1a3dedb05497aff"),
+     "80d3c184e80ba6223970c15d66f2278d1e1a5cb803b6880e3aa4b398d2a4474c",
+     "e8df65a9c76d48555eca8c64be8eb26247b7784972f5bcb0e4b1d8a878d63594",
+     "a261b0892e315aae8dbba7d90d2e10933e671fba9f5f3c632b00bd40e19260cb"),
     (5, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "1b55b5c64828f192a2695251eea3c2bf7649393a63013fb8f4fb5f19b68cca06",
-     "c1d0a1056dc29a71b25509b9d8e92e6d98ede7e137b86e72ead83cb1eb19fa81",
-     "a2e1ecc5cdb3fc317a923cd56f91f4c1d818f6e655d4b3809b7fad1110ca3c95"),
+     "ce6b2030755834203058a95bfb57e7c2e239b1a95e440fdca9f334889f1b13a5",
+     "f9311ca2182d84eae6106d7ed2c4d3af8ced8198149a9ac56487ae860cb75888",
+     "9914752abeb8d90ae1dd1bd73cc1370f19efd54a4530466a7663dade67dcfcfa"),
 ]
 
 

@@ -309,8 +309,9 @@ def flipped(at):
 FRAME_MUTATIONS = {
     "truncated": reframed(lambda body: body[:-1]),
     "appended": reframed(lambda body: body + b"\x00"),
-    # The last byte of a check opening is its nonce's, so the receiver's
-    # copy no longer opens, which blames the provider, not the receiver.
+    # A flipped check seed no longer regenerates its copy at the one
+    # receiver that holds it, whose seed digest then misses the others' at
+    # the echo: the session ends blaming no one, not the provider.
     "flipped_last_byte": flipped(lambda n: n - 1),
     "flipped_middle_byte": flipped(lambda n: n // 2),
     "retyped": retyped,
@@ -350,9 +351,9 @@ def test_mutated_frame_ends_in_a_verdict(mtype, mutation):
 
 def _claim_at(wire=None, copy=None):
     def rewrite(claim):
-        w, j, openings, pairs = claim
+        w, j, seeds, pairs = claim
         return (w if wire is None else wire, j if copy is None else copy,
-                openings, pairs)
+                seeds, pairs)
     return rewrite
 
 
@@ -380,6 +381,14 @@ VALUE_FAULTS = {
     "echo_with_two_digests": (
         None, M.MessageType.HASH_TUPLE, lambda got: (2 * list(got[0]), []),
         ("P1", None), ("abort", "P1")),
+    "check_seeds_one_short": (
+        None, M.MessageType.CHECKSET_OPENINGS,
+        lambda got: (got[0], list(got[1])[:-1]), ("provider:0", "P2"),
+        ("abort", "provider:0")),
+    "two_seed_digests": (
+        None, M.MessageType.CHECKSET_OPENINGS,
+        lambda got: (2 * list(got[0]), got[1]), ("provider:1", "cloud"),
+        ("abort", "provider:1")),
     # A party that echoes other sets to one role may be lying, or a
     # bidder may have sent that role other sets: no one is blamed.
     "echo_zeroed_to_the_cloud": (
@@ -415,11 +424,16 @@ def _first_set_repeated(got):
     return digests, _first_entry_repeated(sets)
 
 
+def _first_seed_repeated(got):
+    digests, seeds = got
+    return digests, list(seeds[:1]) + list(seeds)
+
+
 # counted body -> (behaviour, the sender that fills it, rewrite, reason)
 COUNTED_BODIES = {
     M.MessageType.CHECKSET_OPENINGS: (
-        None, "provider:0", _first_entry_repeated,
-        "check openings cover the wrong copies"),
+        None, "provider:0", _first_seed_repeated,
+        "check seeds cover the wrong copies"),
     M.MessageType.EVALSET_OPENINGS: (
         None, "provider:0", _first_entry_repeated,
         "evaluation openings cover the wrong copies"),
@@ -450,9 +464,10 @@ def test_a_repeated_copy_is_refused(mtype, seed):
 
 def _count_item_reads(monkeypatch) -> Counter:
     """Counts, by list, the items read out of fixed-width lists from now
-    on: an input commitment body's digests ("wire digests") and pairs, the
-    pairs of a claim or a proof, the label sets, the parties' echo
-    digests and the output commitments."""
+    on: an input commitment body's digests ("wire digests") and pairs, a
+    check-seed body's digest ("seed digests") and seeds, the seeds ("claim
+    seeds") and pairs of a claim, the pairs of a proof, the label sets, the
+    parties' echo digests and the output commitments."""
     T = M.MessageType
     counts = Counter()
 
@@ -467,7 +482,10 @@ def _count_item_reads(monkeypatch) -> Counter:
     schemas = {
         T.INPUT_COMMITMENTS: M.seq(counted("wire digests", M.raw(32)),
                                    counted("INPUT_COMMITMENTS", pair)),
-        T.CHECK_FAILURE_CLAIM: M.seq(M.u32, M.u16, M.array(4, M.opening),
+        T.CHECKSET_OPENINGS: M.seq(counted("seed digests", M.raw(32)),
+                                   counted("CHECKSET_OPENINGS", M.raw(16))),
+        T.CHECK_FAILURE_CLAIM: M.seq(M.u32, M.u16,
+                                     counted("claim seeds", M.raw(16)),
                                      counted("CHECK_FAILURE_CLAIM", pair)),
         T.CONSISTENCY_PROOF: M.seq(M.u32, M.listof(M.seq(M.opening,
                                                          M.opening)),
@@ -487,33 +505,43 @@ def _count_item_reads(monkeypatch) -> Counter:
                                        "forge_consistency_proof"])
 def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
     """Each party reads every commitment pair once, in its check or its
-    evaluation, and each wire's label sets once; every role reads each
-    other party's echo digest once; every provider reads both parties'
-    output commitments. A bidder or the cloud reads a wire digest, a
-    commitment pair or a label set only to arbitrate, and the owner of
-    the wire in dispute reads none."""
+    evaluation, every check seed once and each wire's label sets once;
+    every provider reads each other bidder's seed digest once; every role
+    reads each other party's echo digest once; every provider reads both
+    parties' output commitments. A bidder or the cloud reads a wire
+    digest, a commitment pair or a label set only to arbitrate, and the
+    owner of the wire in dispute reads none."""
     counts = _count_item_reads(monkeypatch)
     sess = Session(SMALL, BIDS, s=4, seed=3, adversary=adversary)
     res = sess.run()
     wires, s = len(sess.circuit.input_wires), sess.s
     providers = len(sess.providers)
+    checked = sum(map(sum, sess.p1.rho.values()))
+    seeds = {"CHECKSET_OPENINGS": 2 * checked,
+             "seed digests": len(BIDS) * (providers - 1),
+             "echo digests": 2 * (providers + 1)}
     if adversary is None:
         assert res.status == "accept"
-        assert counts == {"INPUT_COMMITMENTS": 2 * wires * s,
-                          "HASH_TUPLE": 2 * wires,
-                          "echo digests": 2 * (providers + 1),
-                          "OUTPUT_COMMITMENTS": providers * 2 * providers}
+        assert counts == seeds | {"INPUT_COMMITMENTS": 2 * wires * s,
+                                  "HASH_TUPLE": 2 * wires,
+                                  "OUTPUT_COMMITMENTS":
+                                  providers * 2 * providers}
     elif adversary == "falsify_check_failure":
-        # The session ends at the claim: each party has read its check
-        # copies and the claimant the claimed wire's s pairs, to send
-        # them; every provider but the wire's owner reads the wire's
-        # digest, hashes the claim's s pairs and then reads the claimed
-        # one.
+        # The session ends at the claim, ruled after the echo: each party
+        # has read every commitment pair, and the claimant the claimed
+        # wire's s pairs and its owner's check seeds, to send them. Every
+        # provider but the wire's owner reads the wire's digest, hashes
+        # the claim's s pairs and seeds, then reads the claimed pair and
+        # seed.
         assert (res.status, res.blamed) == ("abort", "P1")
-        checked = sum(map(sum, sess.p1.rho.values()))
-        assert counts == {"INPUT_COMMITMENTS": 2 * checked + s,
-                          "wire digests": providers - 1,
-                          "CHECK_FAILURE_CLAIM": (providers - 1) * (s + 1)}
+        owner_checked = sum(sum(sess.p1.rho[w])
+                            for w in sess.circuit.input_map[0])
+        assert counts == seeds | {
+            "CHECKSET_OPENINGS": 2 * checked + owner_checked,
+            "INPUT_COMMITMENTS": 2 * wires * s + s,
+            "wire digests": providers - 1,
+            "CHECK_FAILURE_CLAIM": (providers - 1) * (s + 1),
+            "claim seeds": (providers - 1) * (owner_checked + 1)}
     else:
         # The complainer reads every wire's label sets before it makes
         # its complaint up, and the wire's s pairs to send them; every
@@ -522,12 +550,11 @@ def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
         assert (res.status, res.blamed) == ("abort", "P1")
         w0 = sess.circuit.input_map[0][0]
         evaluated = s - sum(sess.p1.rho[w0])
-        assert counts == {"INPUT_COMMITMENTS": 2 * wires * s + s,
-                          "HASH_TUPLE": wires + providers - 1,
-                          "echo digests": 2 * (providers + 1),
-                          "wire digests": providers - 1,
-                          "CONSISTENCY_PROOF": (providers - 1)
-                          * (s + evaluated)}
+        assert counts == seeds | {
+            "INPUT_COMMITMENTS": 2 * wires * s + s,
+            "HASH_TUPLE": wires + providers - 1,
+            "wire digests": providers - 1,
+            "CONSISTENCY_PROOF": (providers - 1) * (s + evaluated)}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -869,20 +896,104 @@ def test_claim_pairs_that_miss_the_digest_blame_the_claimant(
         assert "the claim was fabricated" in res.reason
 
 
+def _first_seed_flipped(seeds):
+    return [bytes([seeds[0][0] ^ 1]) + seeds[0][1:]] + list(seeds[1:])
+
+
+# rewrite of a genuine claim's check seeds -> why they miss the seed digest
+CLAIM_SEED_REWRITES = {
+    "seed_list_one_short": lambda claim: claim[:2] + (list(claim[2])[:-1],
+                                                      claim[3]),
+    "seed_byte_flipped": lambda claim: claim[:2] + (
+        _first_seed_flipped(claim[2]), claim[3]),
+}
+
+
+@pytest.mark.parametrize("rewrite", sorted(CLAIM_SEED_REWRITES))
+def test_claim_seeds_that_miss_the_digest_blame_the_claimant(
+        inconsistent_labels_scan, rewrite):
+    """A genuine claim with its owner's check seeds changed no longer
+    hashes to the seed digest every provider holds, so it proves nothing
+    and convicts the claimant."""
+    seeds = inconsistent_labels_scan["seeds"]["checked"]
+    assert seeds
+    for seed in seeds:
+        res = run_session(SMALL, BIDS, s=4, seed=seed,
+                          adversary="inconsistent_labels",
+                          transport=value_fault(
+                              M.MessageType.CHECK_FAILURE_CLAIM,
+                              CLAIM_SEED_REWRITES[rewrite]))
+        claimant = next(e.sender for e in res.transcript.entries
+                        if e.type == "CHECK_FAILURE_CLAIM")
+        assert (res.status, res.blamed) == ("abort", claimant), seed
+        assert "the claim was fabricated" in res.reason
+
+
+class _WrongSeed(session._InconsistentLabels):
+    """An honest bidder but for the seed of its first check copy, which
+    no longer regenerates the copy. It sends every role alike: the parties
+    get the wrong seed, every other provider the digest of the seeds
+    holding it."""
+
+    make_material = session.Provider.make_material
+
+    def checkset_openings(self):
+        w, j = self.copies(self.index, checked=True)[0]
+        copies = self.material[w].copies
+        copies[j] = dataclasses.replace(
+            copies[j], seed=self.adv_rng.randbytes(consistency.SEED_BYTES))
+        return super().checkset_openings()
+
+
+def test_a_seed_that_does_not_regenerate_its_copy_blames_the_provider(
+        monkeypatch):
+    """Both parties find the copy is not its seed's, the echo passes, and
+    the cloud's ruling on the first claim convicts the provider."""
+    monkeypatch.setitem(session._SCRIPTED, "inconsistent_labels",
+                        (_WrongSeed, "provider:0"))
+    for seed in range(6):
+        res = run_session(SMALL, BIDS, s=4, seed=seed,
+                          adversary="inconsistent_labels")
+        assert (res.status, res.blamed, res.detector) == (
+            "abort", "provider:0", "cloud"), seed
+        assert "not its seed's" in res.reason
+        types = [e.type for e in res.transcript.entries]
+        assert types.index("CHECK_FAILURE_CLAIM") > max(
+            k for k, e in enumerate(res.transcript.entries)
+            if e.type == "HASH_TUPLE" and e.sender in ("P1", "P2"))
+
+
+def test_a_seed_flipped_to_one_party_aborts_at_the_echo_blaming_no_one():
+    """A check seed that reaches P1 alone flipped makes P1 find a copy
+    that is not its seed's, but P1's seed digest then misses every other
+    role's, so the session ends at the echo, before any claim is ruled."""
+    for seed in range(6):
+        res = run_session(SMALL, BIDS, s=4, seed=seed, transport=value_fault(
+            M.MessageType.CHECKSET_OPENINGS,
+            lambda got: (got[0], _first_seed_flipped(got[1])),
+            "provider:0", "P1"))
+        assert (res.status, res.blamed, res.reason) == (
+            "abort", None, "input views diverged"), seed
+        assert not any(e.type == "CHECK_FAILURE_CLAIM"
+                       for e in res.transcript.entries), seed
+
+
 class _OwnBadCopyClaim(session._FalsifyCheckFailure):
-    """Puts a badly built copy of its own in place of the claimed pair:
-    its openings open that pair and show a construction fault, but the
-    claim's pairs no longer hash to the wire's digest."""
+    """Puts a copy of its own that is not its seed's in place of the
+    claimed pair, and that copy's seed in place of the claimed seed: the
+    seed does not regenerate the pair, but the claim's seeds and pairs no
+    longer hash to the owner's digests."""
 
     def claim_of(self, w, j):
-        w, j, _openings, pairs = super().claim_of(w, j)
+        w, j, seeds, pairs = super().claim_of(w, j)
         bad = consistency.generate_cheating_material(
             self.adv_rng, 0, self.s, [False] * self.s)
-        pairs = list(pairs)
-        pairs[j] = bad.copies[j].pair
-        assert consistency.verify_check_failure_claim(
-            pairs[j], bad.check_openings(j)) is not None
-        return w, j, bad.check_openings(j), pairs
+        at = self.copies(self.wire_owner[w].index, checked=True).index(
+            (w, j))
+        seeds, pairs = list(seeds), list(pairs)
+        seeds[at], pairs[j] = bad.copies[j].seed, bad.copies[j].pair
+        assert not consistency.check_pair_construction(pairs[j], seeds[at])
+        return w, j, seeds, pairs
 
 
 def test_a_claim_about_a_copy_the_provider_never_sent_blames_the_claimant(
@@ -1072,22 +1183,16 @@ def _junk_set(sess, wire):
 def test_label_sets_shown_to_one_party_only_abort_blaming_no_one(
         adversary, fake, seeds):
     """The parties' echo shows that the roles hold different label sets
-    before any role checks them, so the session ends blaming no one,
-    unless a check copy already convicted the provider."""
-    diverged = 0
+    before any role checks them or any claim is ruled, so the session
+    ends blaming no one."""
     for seed in seeds:
         sess = Session(SMALL, BIDS, s=4, seed=seed, adversary=adversary)
         sess.transport = _circuit2_set_to_p1(sess, fake)
         res = sess.run()
-        if res.reason.startswith("check copy 0 of wire"):
-            assert res.blamed == "provider:0", seed
-            continue
         assert (res.status, res.blamed, res.reason) == (
             "abort", None, "input views diverged"), seed
-        assert not any(e.type == "CONSISTENCY_PROOF"
+        assert not any(e.type in ("CHECK_FAILURE_CLAIM", "CONSISTENCY_PROOF")
                        for e in res.transcript.entries), seed
-        diverged += 1
-    assert diverged
 
 
 class _Equivocator(session._InconsistentLabels):
@@ -1140,16 +1245,31 @@ def test_position_commitments_equivocated_to_the_parties_abort_at_the_echo(
 
 def test_digests_equivocated_to_one_arbitrator_blame_no_party():
     """Provider 0 sends provider 1 zero digests and cheats on its first
-    wire. A genuine claim or proof then gets rulings that differ, which end
-    in an abort blaming no one; no honest party is ever blamed."""
+    wire. Claims and proofs are ruled after the echo, which stops every
+    run first, blaming no one; no honest party is ever blamed."""
     for seed in range(30):
         fault = value_fault(M.MessageType.INPUT_COMMITMENTS,
                             lambda got: ([bytes(32)] * len(got[0]), got[1]),
                             "provider:0", "provider:1")
         res = run_session(SMALL, BIDS, s=4, seed=seed,
                           adversary="inconsistent_labels", transport=fault)
-        assert res.status in ("abort", "reject"), seed
-        assert res.blamed is None, seed
+        assert (res.status, res.blamed, res.reason) == (
+            "abort", None, "input views diverged"), seed
+
+
+@pytest.mark.parametrize("script", [
+    AdversaryScript("inconsistent_labels"),
+    AdversaryScript("falsify_check_failure"),
+    AdversaryScript("falsify_check_failure", target="P2"),
+], ids=lambda a: f"{a.behavior}:{a.target}")
+def test_check_claims_never_blame_an_honest_role(script):
+    """Seeds 0-39: a bad check copy convicts its provider, a false claim
+    its claimant, and no other role is ever blamed."""
+    for seed in range(40):
+        res = run_session(SMALL, BIDS, s=4, seed=seed, adversary=script)
+        assert res.blamed in (script.target, None), seed
+        if script.behavior == "falsify_check_failure":
+            assert (res.status, res.blamed) == ("abort", script.target), seed
 
 
 @pytest.mark.parametrize("receiver", ["provider:1", "cloud"])

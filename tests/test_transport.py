@@ -75,13 +75,13 @@ SAMPLES = {
                           [set_pair(1), set_pair(6), set_pair(11)]),
     T.COIN_COMMIT: C(7),
     T.COIN_REVEAL: O(b"seed", 8),
-    T.CHECKSET_OPENINGS: [(O(b"a", 1), O(b"b", 2), O(b"", 3), O(b"d", 4))],
+    T.CHECKSET_OPENINGS: ([b"\x31" * 32], [b"\x41" * 16, b"\x42" * 16]),
     T.EVALSET_OPENINGS: [(O(b"p", 1), O(b"q", 2)), (O(b"r", 3), O(b"s", 4))],
     T.HASH_TUPLE: ([b"\x55" * 32], [((b"\x11" * 32, b"\x22" * 32),
                                      (b"\x33" * 32, b"\x44" * 32))]),
     T.CONSISTENCY_PROOF: (6, [(O(b"p", 1), O(b"q", 2))], [set_pair(1)]),
-    T.CHECK_FAILURE_CLAIM: (14, 5, (O(b"a", 1), O(b"b", 2), O(b"c", 3),
-                                    O(b"d", 4)), [set_pair(1)]),
+    T.CHECK_FAILURE_CLAIM: (14, 5, [b"\x61" * 16, b"\x62" * 16],
+                            [set_pair(1)]),
     T.GARBLED_CIRCUIT: b"\x00\x01tables",
     T.OUTPUT_COMMITMENTS: [C(1), C(2)],
     T.OUTPUT_OPENINGS: O(b"out", 1),
@@ -115,9 +115,9 @@ RECORDED_HEX = {
         "0707070707070707070707070707070707070707070707070707070707070707"),
     "COIN_REVEAL": "000000047365656408080808080808080808080808080808",
     "CHECKSET_OPENINGS": (
-        "0000000100000001610101010101010101010101010101010100000001620202"
-        "0202020202020202020202020202000000000303030303030303030303030303"
-        "0303000000016404040404040404040404040404040404"),
+        "0000000131313131313131313131313131313131313131313131313131313131"
+        "3131313100000002414141414141414141414141414141414242424242424242"
+        "4242424242424242"),
     "EVALSET_OPENINGS": (
         "0000000200000001700101010101010101010101010101010100000001710202"
         "0202020202020202020202020202000000017203030303030303030303030303"
@@ -138,14 +138,13 @@ RECORDED_HEX = {
         "0404040404040404040404040404040404040404040405050505050505050505"
         "05050505050505050505050505050505050505050505"),
     "CHECK_FAILURE_CLAIM": (
-        "0000000e00050000000161010101010101010101010101010101010000000162"
-        "0202020202020202020202020202020200000001630303030303030303030303"
-        "0303030303000000016404040404040404040404040404040404000000010101"
-        "0101010101010101010101010101010101010101010101010101010101010202"
-        "0202020202020202020202020202020202020202020202020202020202020303"
-        "0303030303030303030303030303030303030303030303030303030303030404"
-        "0404040404040404040404040404040404040404040404040404040404040505"
-        "050505050505050505050505050505050505050505050505050505050505"),
+        "0000000e00050000000261616161616161616161616161616161626262626262"
+        "6262626262626262626200000001010101010101010101010101010101010101"
+        "0101010101010101010101010101020202020202020202020202020202020202"
+        "0202020202020202020202020202030303030303030303030303030303030303"
+        "0303030303030303030303030303040404040404040404040404040404040404"
+        "0404040404040404040404040404050505050505050505050505050505050505"
+        "0505050505050505050505050505"),
     "GARBLED_CIRCUIT": "00017461626c6573",
     "OUTPUT_COMMITMENTS": (
         "0000000201010101010101010101010101010101010101010101010101010101"
@@ -207,6 +206,8 @@ _CLAIM_HEAD = M.encode_body(
     T.CHECK_FAILURE_CLAIM, SAMPLES[T.CHECK_FAILURE_CLAIM][:3] + ([],))[:-4]
 _PROOF_HEAD = M.encode_body(
     T.CONSISTENCY_PROOF, SAMPLES[T.CONSISTENCY_PROOF][:2] + ([],))[:-4]
+_CLAIM_PAIRS = M.encode_body(T.CHECK_FAILURE_CLAIM, (
+    0, 0, [], SAMPLES[T.CHECK_FAILURE_CLAIM][3]))[10:]
 
 # The lists of fixed-width items, by name: their count is checked against
 # the bytes left before any item is read.
@@ -215,9 +216,17 @@ FIXED_LISTS = {
                                    ([], []), 1),
     "INPUT_COMMITMENTS digests": FixedList(T.INPUT_COMMITMENTS, b"", 32,
                                            bytes(4), ([], []), 0),
+    "CHECKSET_OPENINGS": FixedList(T.CHECKSET_OPENINGS, bytes(4), 16, b"",
+                                   ([], []), 1),
+    "CHECKSET_OPENINGS digests": FixedList(T.CHECKSET_OPENINGS, b"", 32,
+                                           bytes(4), ([], []), 0),
     "CHECK_FAILURE_CLAIM": FixedList(
         T.CHECK_FAILURE_CLAIM, _CLAIM_HEAD, 160, b"",
         SAMPLES[T.CHECK_FAILURE_CLAIM][:3] + ([],), 3),
+    "CHECK_FAILURE_CLAIM seeds": FixedList(
+        T.CHECK_FAILURE_CLAIM, _CLAIM_HEAD[:6], 16, _CLAIM_PAIRS,
+        SAMPLES[T.CHECK_FAILURE_CLAIM][:2] + (
+            [], SAMPLES[T.CHECK_FAILURE_CLAIM][3]), 2),
     "CONSISTENCY_PROOF": FixedList(
         T.CONSISTENCY_PROOF, _PROOF_HEAD, 160, b"",
         SAMPLES[T.CONSISTENCY_PROOF][:2] + ([],), 2),
