@@ -25,7 +25,7 @@ from . import messages as M
 from .auction import (AuctionConfig, gate_count, load_bids_file, oracle_run,
                       build_auction_circuit)
 from .circuits import to_netlist
-from .errors import DualGCError, UsageError
+from .errors import DualGCError, UsageError, WidthError
 from .session import BEHAVIORS, make_adversary, run_session
 from .transport import TcpTransport
 
@@ -95,12 +95,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_config(m: int, k: int, w: int, max_q: int, max_b: int
-                 ) -> AuctionConfig:
-    if m < 1 or k < 1:
+def _make_config(args, n: int, m: int) -> AuctionConfig:
+    """The auction the flags ask for; flags no session can run with are a
+    usage error."""
+    if n < 1:
+        raise UsageError("--bidders must be positive")
+    if args.copies < 2:
+        raise UsageError("--copies must be at least 2")
+    if m < 1 or args.capacity < 1:
         raise UsageError("vm-types and capacity must be positive")
-    return AuctionConfig(vm_types=m, capacities=(k,) * m, weights=(1,) * m,
-                         width=w, max_quantity=max_q, max_bid=max_b)
+    try:
+        return AuctionConfig(vm_types=m, capacities=(args.capacity,) * m,
+                             weights=(1,) * m, width=args.bits,
+                             max_quantity=args.max_quantity,
+                             max_bid=args.max_bid)
+    except (ValueError, WidthError) as exc:
+        raise UsageError(str(exc))
 
 
 def _random_bids(rng: random.Random, n: int, config: AuctionConfig) -> list:
@@ -148,7 +158,7 @@ def cmd_demo(args) -> int:
         except OSError as exc:
             raise UsageError(f"cannot read bids file: {exc}")
         n, m = len(bids), len(bids[0])
-    config = _make_config(m, k, args.bits, args.max_quantity, args.max_bid)
+    config = _make_config(args, n, m)
     if args.bids_file is None:
         bids = _random_bids(random.Random(f"demo:{args.seed}"), n, config)
     print(f"auction: {n} bidders, {m} VM types, {k} instances per type, "
@@ -198,10 +208,10 @@ def _detected(result, script) -> bool:
 
 def cmd_attack(args) -> int:
     script = make_adversary(args.adversary)
-    n, m, k = args.bidders, args.vm_types, args.capacity
+    n, m = args.bidders, args.vm_types
     if args.trials < 1:
         raise UsageError("--trials must be positive")
-    config = _make_config(m, k, args.bits, args.max_quantity, args.max_bid)
+    config = _make_config(args, n, m)
     detected = 0
     wrong = 0
     honest_blamed = 0
@@ -253,10 +263,8 @@ def cmd_attack(args) -> int:
 
 
 def cmd_dump_circuit(args) -> int:
-    n, m, k = args.bidders, args.vm_types, args.capacity
-    if n < 1:
-        raise UsageError("--bidders must be positive")
-    config = _make_config(m, k, args.bits, args.max_quantity, args.max_bid)
+    n, m = args.bidders, args.vm_types
+    config = _make_config(args, n, m)
     circuit = build_auction_circuit(config, n)
     text = to_netlist(circuit)
     if args.out:

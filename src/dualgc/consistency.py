@@ -31,18 +31,20 @@ mixed evaluation set is caught without the party learning the input bit.
 This deviates from the paper, where the two parties compare label hashes
 with each other.
 
-Only the two parties receive a wire's commitment pairs and a provider's
-check seeds. Every other provider receives one ``wire_digest`` per wire
-instead, a SHA-256 over the wire's ``s`` pairs in copy order under a
-domain tag, and one ``seed_digest`` of the provider's check seeds. This
-deviates from the paper, where every provider receives the full lists;
-the other providers need them only to arbitrate.
+Only the two parties receive a provider's commitment pairs, check seeds
+and label sets. Each party echoes to every other role one record per
+provider: a SHA-256 over its ``wire_digest`` of each wire (a SHA-256 over
+the wire's ``s`` pairs in copy order under a domain tag), the
+``seed_digest`` of its check seeds, and a SHA-256 over its label sets.
+This deviates from the paper, where every provider receives the full
+lists; the other providers need them only to arbitrate.
 
 Failures are publicly arbitrated: a party that claims a check copy is not
-its seed's presents the owner's check seeds and the wire's pairs, and a
-party whose label-set check failed presents the wire's pairs and openings
-that only the provider could have made. Each counts only if it hashes to
-the digests the arbitrating provider holds. A false accusation is
+its seed's presents the owner's wire digests and check seeds and the
+wire's pairs, and a party whose label-set check failed presents the
+owner's wire digests and label sets, the wire's pairs and openings that
+only the provider could have made. Each counts only if it hashes to the
+record the arbitrating provider holds. A false accusation is
 attributed to the accuser and a real inconsistency to the provider.
 """
 

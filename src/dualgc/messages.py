@@ -19,29 +19,25 @@ A codec whose read accepts any bytes of one width (an integer, ``raw(n)``,
 a commitment, or a ``seq``, ``array`` or ``record`` of such fields) has
 that ``size``. A list of sized items decodes to a ``Table``: its count is
 checked against the bytes left, and an item is decoded only when it is
-read, which cannot fail. The input commitments' digest and pair lists,
-the check seeds and their digest, the seeds and pairs of a claim, the
-pairs of a proof, the label sets and their echo digests and the output
-commitments are such lists; the opening lists have variable width and
-decode item by item.
+read, which cannot fail. The commitment pairs, check seeds, label sets,
+wire digests, echo records and output commitments are such lists; the
+opening lists have variable width and decode item by item.
 
 A body carries only what its receiver cannot derive. Lists are positional
 in an order fixed by the public parameters (the input and output maps,
 the copy count ``s`` and the challenge), behind one u32 count, so a body
 decodes without context and the receiver checks the count against what
 it expects. Only a claim's wire and copy and a proof's wire are named.
-Input commitments go point to point: the two parties receive each copy's
-commitment pairs and no digests, every other provider one 32-byte
-``consistency.wire_digest`` per wire and no pairs. ``CHECKSET_OPENINGS``
-keeps its name but carries seeds, with the same ``(digests, items)``
-shape: the two parties receive the 16-byte seed of each check copy and no
-digest, every other provider one ``consistency.seed_digest`` of those
-seeds and no seeds. A check-failure claim carries the owner's check seeds
-and the wire's pairs, a consistency proof the wire's pairs, so that every
-provider can arbitrate against its digests. ``HASH_TUPLE`` keeps its name
-but now is ``(echo digests, label sets)``: a bidder sends no digest and
-two label sets per wire, then each party one digest of every bidder's
-wire digests, seed digest and sets as it holds them, and no sets. Output
+In the input phase a bidder sends to the two parties only: its
+commitment pairs, then (``CHECKSET_OPENINGS`` keeps its name but carries
+seeds) its view of the coin toss and the 16-byte seed of each check copy,
+then to each party its own evaluation openings and the label sets.
+``HASH_TUPLE`` keeps its name but is the parties' echo to every other
+role: the coin-toss view and one record per bidder of digests of what
+the party received from it. A check-failure claim carries the owner's
+wire digests and check seeds and the wire's pairs, a consistency proof
+the owner's wire digests and label sets and the wire's pairs, so that
+every provider can arbitrate against the echoed records. Output
 commitments go to the providers only, one per recipient from each party,
 and each recipient gets one opening from each party.
 ``PROOF_OPENING_REQUEST`` and ``PROOF_OPENING_RESPONSE`` have no schema and
@@ -145,12 +141,12 @@ _EVERYONE = _PARTIES | _PROVIDERS
 
 # type -> (allowed sender kinds, allowed receiver kinds, phase)
 FLOW: dict[MessageType, tuple[frozenset, frozenset, str]] = {
-    MessageType.INPUT_COMMITMENTS: (_PROVIDERS, _EVERYONE, PHASE_INPUT),
+    MessageType.INPUT_COMMITMENTS: (_BIDDERS, _PARTIES, PHASE_INPUT),
     MessageType.COIN_COMMIT: (_PARTIES, _EVERYONE, PHASE_INPUT),
     MessageType.COIN_REVEAL: (_PARTIES, _EVERYONE, PHASE_INPUT),
-    MessageType.CHECKSET_OPENINGS: (_PROVIDERS, _EVERYONE, PHASE_INPUT),
-    MessageType.EVALSET_OPENINGS: (_PROVIDERS, _PARTIES, PHASE_INPUT),
-    MessageType.HASH_TUPLE: (_BIDDERS | _PARTIES, _EVERYONE, PHASE_INPUT),
+    MessageType.CHECKSET_OPENINGS: (_BIDDERS, _PARTIES, PHASE_INPUT),
+    MessageType.EVALSET_OPENINGS: (_BIDDERS, _PARTIES, PHASE_INPUT),
+    MessageType.HASH_TUPLE: (_PARTIES, _EVERYONE, PHASE_INPUT),
     MessageType.CONSISTENCY_PROOF: (_PARTIES, _PROVIDERS, PHASE_INPUT),
     MessageType.CHECK_FAILURE_CLAIM: (_PARTIES, _PROVIDERS, PHASE_INPUT),
     MessageType.GARBLED_CIRCUIT: (_PARTIES, _PARTIES, PHASE_COMPUTE),
@@ -163,9 +159,7 @@ FLOW: dict[MessageType, tuple[frozenset, frozenset, str]] = {
 
 # Types whose sender gives each receiver its own value; every other type is
 # one body broadcast to all of its receivers.
-POINT_TO_POINT = frozenset({MessageType.INPUT_COMMITMENTS,
-                            MessageType.CHECKSET_OPENINGS,
-                            MessageType.EVALSET_OPENINGS,
+POINT_TO_POINT = frozenset({MessageType.EVALSET_OPENINGS,
                             MessageType.OUTPUT_OPENINGS})
 
 
@@ -440,34 +434,37 @@ def listof(item: Codec) -> Codec:
 set_pairs = listof(record(
     CommitmentSetPair, w=array(2, commitment), w_prime=array(2, commitment),
     position=commitment))
+# Circuit 1's and circuit 2's sorted label sets per wire, by input map
+label_sets = listof(array(2, array(2, raw(32))))
+# One 32-byte consistency.wire_digest per wire, by input map
+wire_digests = listof(raw(32))
+# (position opening, input-set opening) per evaluation copy, by wire, then
+# by copy
+eval_openings = listof(seq(opening, opening))
 
 # The wire specification of every message body, and its decoded value.
 SCHEMAS: dict[MessageType, Codec] = {
-    # (wire digests, pairs): to a party no digests and the pairs; to any
-    # other role one digest per wire, in input-map order, and no pairs
-    MessageType.INPUT_COMMITMENTS: seq(listof(raw(32)), set_pairs),
+    # the sender's pairs
+    MessageType.INPUT_COMMITMENTS: set_pairs,
     MessageType.COIN_COMMIT: commitment,
     MessageType.COIN_REVEAL: opening,
-    # (seed digest, check seeds): to a party no digest and the seed of each
-    # check copy, by wire, then by copy; to any other role one SHA-256 over
-    # those seeds and no seeds
-    MessageType.CHECKSET_OPENINGS: seq(listof(raw(32)), listof(raw(16))),
-    # (position opening, input-set opening) per evaluation copy, by wire,
-    # then by copy
-    MessageType.EVALSET_OPENINGS: listof(seq(opening, opening)),
-    # (echo digests, label sets): from a bidder no digest and circuit 1's
-    # and circuit 2's sorted label sets per wire, in input-map order; from
-    # a party one digest of every bidder's wire digests and sets, and no
-    # sets
-    MessageType.HASH_TUPLE: seq(listof(raw(32)),
-                                listof(array(2, array(2, raw(32))))),
-    # (wire, the sender's (position, input-set) openings of its evaluation
-    # copies, the wire's s pairs)
-    MessageType.CONSISTENCY_PROOF: seq(u32, listof(seq(opening, opening)),
-                                       set_pairs),
-    # (wire, copy, the owner's check seeds, the wire's s pairs)
-    MessageType.CHECK_FAILURE_CLAIM: seq(u32, u16, listof(raw(16)),
-                                         set_pairs),
+    # (SHA-256 of the two seed shares the sender holds, the seed of each
+    # check copy, by wire, then by copy)
+    MessageType.CHECKSET_OPENINGS: seq(raw(32), listof(raw(16))),
+    # (the receiving party's openings, the sender's label sets)
+    MessageType.EVALSET_OPENINGS: seq(eval_openings, label_sets),
+    # (SHA-256 of the two seed shares the sender holds, one record per
+    # bidder: SHA-256 of its wire digests, its seed digest, SHA-256 of its
+    # label sets)
+    MessageType.HASH_TUPLE: seq(raw(32), listof(array(3, raw(32)))),
+    # (wire, the sender's openings of its evaluation copies, the owner's
+    # wire digests and label sets, the wire's s pairs)
+    MessageType.CONSISTENCY_PROOF: seq(u32, eval_openings, wire_digests,
+                                       label_sets, set_pairs),
+    # (wire, copy, the owner's wire digests and check seeds, the wire's s
+    # pairs)
+    MessageType.CHECK_FAILURE_CLAIM: seq(u32, u16, wire_digests,
+                                         listof(raw(16)), set_pairs),
     # the tables blob, checked by garbling.parse_tables_blob
     MessageType.GARBLED_CIRCUIT: rest,
     # one commitment per recipient, in recipient order

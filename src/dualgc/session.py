@@ -16,21 +16,19 @@ list is positional, and its count is checked against the input map,
 ``s``, the challenge or the output map, so a wrong list is short, long,
 or fails an opening, and any of these blames its sender:
 
-* input: providers send the committed copies of their input-wire
-  material to the two parties, and every other provider one digest per
-  wire; the parties coin-toss one challenge seed, from which every role
-  derives each wire's challenge string. Each provider then sends the
-  parties the seed of each check copy, and every other provider one
-  digest of those seeds; a party regenerates each check copy from its
-  seed and keeps a mismatch for a claim. The parties derive their final
-  input encodings and cross labels from the evaluation copies and check
-  them against the label sets each bidder attests for its wires, once
-  the parties' echo shows every role holds the same wire digests, seed
-  digests and sets. Only then are claims ruled: a check-failure claim
-  carries the owner's check seeds and the wire's copies, a consistency
-  proof the wire's copies and the claimant's openings; every provider
-  but the wire's owner checks them against its digests and rules, and
-  the cloud's ruling stands unless another differs.
+* input: each bidder sends the two parties, and no other role, the
+  committed copies of its input-wire material; the parties coin-toss one
+  challenge seed, from which every role derives each wire's challenge
+  string. Each bidder then sends the parties its view of the toss and
+  the seed of each check copy, which a party regenerates, keeping a
+  mismatch for a claim; then its evaluation openings and the label sets
+  its final input labels must meet. Each party echoes to every other
+  role its view of the toss and one record per bidder, digests of what
+  it received; a role whose views differ aborts, blaming no one. Only
+  then are claims ruled: a check-failure claim or a consistency proof
+  carries what it disputes, and every provider but the wire's owner
+  checks it against the echoed record and rules; the cloud's ruling
+  stands unless another differs.
 * compute: both garbled circuits are exchanged in one round (so both are
   sent before either side evaluates) and evaluated on the cross labels.
 * output: each party sends the providers one commitment per recipient to
@@ -248,6 +246,11 @@ def _recipient(role: M.Role, circuit) -> int:
     return role.index if role.kind == M.PROVIDER else len(circuit.input_map)
 
 
+def _digest(data) -> bytes:
+    """SHA-256 over bytes, or over a list as it lies on the wire."""
+    return hashlib.sha256(bytes(data)).digest()
+
+
 def _provider_roles(circuit) -> list[M.Role]:
     """Every bidder, by index, then the cloud."""
     return ([M.Role(M.PROVIDER, u) for u in range(len(circuit.input_map))]
@@ -258,8 +261,8 @@ def _provider_roles(circuit) -> list[M.Role]:
 
 class Participant:
     """What every role keeps: the owner of each input wire, the challenge
-    seed shares, the challenges and the bidders' wire digests, check-seed
-    digests and label sets.
+    seed shares, the challenges, its view of the coin toss and one record
+    per bidder of what the parties received from it.
 
     A ``<message type>`` step builds the value the role sends: one value,
     or for a point-to-point type one per receiver role. A ``take_<message
@@ -278,16 +281,21 @@ class Participant:
         self.coin_commits = {}  # party Role -> Commitment
         self.shares = {}        # party Role -> seed share
         self.rho = {}           # wire -> tuple[int, ...]
-        self.label_sets = {}    # bidder Role -> label sets, by input map
-        self.wire_bytes = {}    # bidder Role -> its wire digests' bytes
-        self.seed_digests = {}  # bidder Role -> digest of its check seeds
-        self.set_bytes = {}     # bidder Role -> its label sets' bytes
+        self.coin_view = b""    # SHA-256 of the two seed shares
+        # bidder index -> (SHA-256 of its wire digests, its seed digest,
+        # SHA-256 of its label sets); after the echo, the echoed records
+        self.records = {}
+        self.echo = None        # the first echo read, as it lies on the wire
 
     def copies(self, provider: int, checked: bool) -> list:
         """(wire, copy) of a provider's check or evaluation copies, by wire,
         then by copy: the order of its opening lists."""
         return [(w, j) for w in self.circuit.input_map[provider]
                 for j in range(self.s) if self.rho[w][j] == checked]
+
+    def at(self, wire: int) -> int:
+        """``wire``'s place in its owner's input group."""
+        return self.circuit.input_map[self.wire_owner[wire].index].index(wire)
 
     def take_coin_commit(self, sender: M.Role, com):
         self.coin_commits[sender] = com
@@ -302,38 +310,28 @@ class Participant:
             raise _Abort(self.role, sender, str(exc))
         if len(self.shares) == 2:
             held = (self.shares[_P1], self.shares[_P2])
+            self.coin_view = _digest(b"".join(held))
             for w in self.wire_owner:
                 self.rho[w] = tuple(combine_challenge(*held, w, self.s))
 
-    def held(self, lists: dict, wire: int):
-        """``wire``'s entry in the list its owner sent, by input map."""
-        owner = self.wire_owner[wire]
-        return lists[owner][self.circuit.input_map[owner.index].index(wire)]
-
-    def echo_digest(self) -> bytes:
-        """SHA-256 over every bidder's wire digests, check-seed digest and
-        label sets, as they lie on the wire."""
-        return hashlib.sha256(b"".join(
-            self.wire_bytes[r] + self.seed_digests[r] + self.set_bytes[r]
-            for r in sorted(self.set_bytes))).digest()
-
     def take_hash_tuple(self, sender: M.Role, got):
-        """A bidder's label sets, or a party's echo of every bidder's wire
-        digests, seed digest and sets. An echo that differs from this role's
-        own digest blames no one: a bidder sent roles different commitments,
-        seeds or sets, or the party lies."""
-        digests, sets = got
-        if sender.kind != M.PROVIDER:
-            if len(digests) != 1 or len(sets):
-                raise _Abort(self.role, sender, "echo holds the wrong items")
-            if digests[0] != self.echo_digest():
-                raise _Abort(self.role, None, "input views diverged")
-        elif len(digests) or len(sets) != len(
-                self.circuit.input_map[sender.index]):
-            raise _Abort(self.role, sender, "label sets cover the wrong wires")
-        else:
-            self.label_sets[sender] = sets
-            self.set_bytes[sender] = bytes(sets)
+        """A party's echo. An echo that differs from the first this role
+        read (a party's own, for a party), from its own coin-toss view or,
+        for a bidder, from its own record blames no one: a bidder sent the
+        parties different values, a party equivocated, or a party lies."""
+        coin, records = got
+        if len(records) != len(self.circuit.input_map):
+            raise _Abort(self.role, sender,
+                         "echo holds the wrong number of records")
+        echo = coin + bytes(records)
+        self.echo = self.echo or echo
+        if coin != self.coin_view:
+            raise _Abort(self.role, None, "coin-toss views diverged")
+        me = self.role.index
+        if echo != self.echo or (self.role.kind == M.PROVIDER and tuple(
+                self.records[me]) != records[me]):
+            raise _Abort(self.role, None, "input views diverged")
+        self.records = records
 
 
 class Party(Participant):
@@ -347,6 +345,7 @@ class Party(Participant):
         self.coin_opening = None
         self.pairs = {}          # wire -> its s CommitmentSetPairs
         self.check_seeds = {}    # bidder Role -> its check seeds
+        self.label_sets = {}     # bidder Role -> its label sets
         self.failures = []       # (wire, copy) failing checks, in order
         self.triples = {}        # wire -> eval triples (asc copy)
         self.evidence = {}       # wire -> their eval openings (asc copy)
@@ -356,20 +355,22 @@ class Party(Participant):
         self.eval_labels = None  # other circuit's output labels
         self.out_openings = {}   # recipient -> Opening
 
-    def take_input_commitments(self, sender: M.Role, got):
-        """A party receives no digests and ``s`` pairs per wire of the
-        sender, and hashes each wire's pairs, undecoded, into the digest
-        the other providers receive."""
+    def wire_digests(self, bidder: M.Role) -> list[bytes]:
+        """The bidder's wire digests, by input map, hashed from the pairs
+        as they lie on the wire, undecoded."""
+        return [_digest(WIRE_DIGEST_TAG + bytes(self.pairs[w]))
+                for w in self.circuit.input_map[bidder.index]]
+
+    def take_input_commitments(self, sender: M.Role, pairs):
+        """``s`` pairs per wire of the sender."""
         wires = self.circuit.input_map[sender.index]
-        digests, pairs = got
-        if len(digests) or len(pairs) != len(wires) * self.s:
+        if len(pairs) != len(wires) * self.s:
             raise _Abort(self.role, sender,
                          "input commitments hold the wrong number of copies")
         for k, w in enumerate(wires):
             self.pairs[w] = pairs[k * self.s:(k + 1) * self.s]
-        self.wire_bytes[sender] = b"".join(
-            hashlib.sha256(WIRE_DIGEST_TAG + bytes(self.pairs[w])).digest()
-            for w in wires)
+        self.records[sender.index] = [
+            _digest(b"".join(self.wire_digests(sender)))]
 
     def coin_commit(self):
         share, com, self.coin_opening = coin_toss_commit(self.rng)
@@ -380,37 +381,46 @@ class Party(Participant):
         return self.coin_opening
 
     def take_checkset_openings(self, sender: M.Role, got):
-        """A party receives no digest and the seed of each of the sender's
-        check copies, and hashes the seeds into the digest the other
-        providers receive. A copy that is not its seed's is kept for a
-        claim, ruled after the echo."""
+        """The sender's coin-toss view, then the seed of each of its check
+        copies. A view that is not this party's blames no one: the other
+        party may have sent the sender another seed share. A copy that is
+        not its seed's is kept for a claim, ruled after the echo."""
+        coin, seeds = got
+        if coin != self.coin_view:
+            raise _Abort(self.role, None, "coin-toss views diverged")
         copies = self.copies(sender.index, checked=True)
-        digests, seeds = got
-        if len(digests) or len(seeds) != len(copies):
+        if len(seeds) != len(copies):
             raise _Abort(self.role, sender,
                          "check seeds cover the wrong copies")
         self.check_seeds[sender] = seeds
-        self.seed_digests[sender] = seed_digest(bytes(seeds))
+        self.records[sender.index].append(seed_digest(bytes(seeds)))
         self.failures += [(w, j) for (w, j), seed in zip(copies, seeds)
                           if not check_pair_construction(self.pairs[w][j],
                                                          seed)]
 
     def claim_of(self, w: int, j: int):
         """The CHECK_FAILURE_CLAIM of check copy ``j`` of wire ``w``: the
-        owner's check seeds and the wire's pairs, which the providers check
-        against their digests."""
-        return w, j, self.check_seeds[self.wire_owner[w]], self.pairs[w]
+        owner's wire digests and check seeds and the wire's pairs, which
+        the providers check against the echoed records."""
+        owner = self.wire_owner[w]
+        return (w, j, self.wire_digests(owner), self.check_seeds[owner],
+                self.pairs[w])
 
     def check_failure_claim(self):
         """The claim for the first failure this party found, if any."""
         return self.claim_of(*self.failures[0]) if self.failures else None
 
     def take_evalset_openings(self, sender: M.Role, got):
+        entries, sets = got
         copies = self.copies(sender.index, checked=False)
-        if len(got) != len(copies):
+        if len(entries) != len(copies):
             raise _Abort(self.role, sender,
                          "evaluation openings cover the wrong copies")
-        for (w, j), entry in zip(copies, got):
+        if len(sets) != len(self.circuit.input_map[sender.index]):
+            raise _Abort(self.role, sender, "label sets cover the wrong wires")
+        self.label_sets[sender] = sets
+        self.records[sender.index].append(_digest(sets))
+        for (w, j), entry in zip(copies, entries):
             pos_op, set_op = entry
             pair = self.pairs[w][j]
             pos = open_position(pair, pos_op)
@@ -432,23 +442,30 @@ class Party(Participant):
             self.cross_label[w] = cross
 
     def hash_tuple(self):
-        """The echo: one digest of every bidder's wire digests and label
-        sets, no sets."""
-        return [self.echo_digest()], []
+        """The echo: this party's coin-toss view and its record of every
+        bidder, by index."""
+        records = [tuple(self.records[u])
+                   for u in range(len(self.circuit.input_map))]
+        self.echo = self.coin_view + b"".join(map(b"".join, records))
+        return self.coin_view, records
 
     def consistency_complaint(self) -> int | None:
         """The first wire whose triples fail its owner's label sets, if
         any."""
         return next((w for w in sorted(self.triples) if not labels_consistent(
-            self.triples[w], self.held(self.label_sets, w), self.slot)), None)
+            self.triples[w], self.label_sets[self.wire_owner[w]][self.at(w)],
+            self.slot)), None)
 
     def consistency_proof(self):
         """The CONSISTENCY_PROOF of the complaint, if any: the wire, this
-        party's openings of its evaluation copies and the wire's pairs."""
+        party's openings of its evaluation copies, the owner's wire digests
+        and label sets and the wire's pairs."""
         wire = self.consistency_complaint()
-        if wire is not None:
-            return wire, self.evidence[wire], self.pairs[wire]
-        return None
+        if wire is None:
+            return None
+        owner = self.wire_owner[wire]
+        return (wire, self.evidence[wire], self.wire_digests(owner),
+                self.label_sets[owner], self.pairs[wire])
 
     def garbled_circuit(self) -> bytes:
         self.gc = garble(self.circuit, self.final_enc,
@@ -500,7 +517,6 @@ class Provider(Participant):
                       else list(circuit.input_map[self.index]))
         self.x_bits = dict(zip(self.wires, bits))
         self.material = {}        # wire -> WireMaterial
-        self.digests = {}         # bidder Role -> wire digests, by input map
         self.out_coms = {}        # party Role -> commitments by recipient
         self.bundles = []         # OutputCommitments by recipient
         self.digest = b""
@@ -511,108 +527,80 @@ class Provider(Participant):
     def make_material(self, w: int):
         return generate_input_material(self.rng, self.x_bits[w], self.s)
 
-    def _split(self, digests: list, items: list) -> dict:
-        """Per receiver role: each party gets ``items`` and no digest,
-        every other provider ``digests`` and no items. Receivers of one kind
-        share one value, which is encoded once."""
-        full, short = ([], items), (digests, [])
-        return {role: short for role in _provider_roles(self.circuit)
-                if role != self.role} | {_P1: full, _P2: full}
-
-    def input_commitments(self) -> dict:
-        """Each party gets every copy's pairs, by wire, then by copy; every
-        other provider one digest per wire."""
+    def input_commitments(self) -> list:
+        """Every copy's pairs, by wire, then by copy."""
         pairs, digests = [], []
         for w in self.wires:
             self.material[w] = self.make_material(w)
             copies = self.material[w].pairs()
             digests.append(wire_digest(copies))
             pairs += copies
-        self.wire_bytes[self.role] = b"".join(digests)
-        return self._split(digests, pairs)
+        self.records[self.index] = [_digest(b"".join(digests))]
+        return pairs
 
-    def take_input_commitments(self, sender: M.Role, got):
-        """A provider receives one digest per wire of the sender and no
-        pairs."""
-        wires = self.circuit.input_map[sender.index]
-        digests, pairs = got
-        if len(digests) != len(wires) or len(pairs):
-            raise _Abort(self.role, sender, "input commitments hold the "
-                         "wrong number of wire digests")
-        self.digests[sender] = digests
-        self.wire_bytes[sender] = bytes(digests)
-
-    def checkset_openings(self) -> dict:
-        """Each party gets the seed of each check copy, by wire, then by
-        copy; every other provider one digest of those seeds."""
+    def checkset_openings(self):
+        """This bidder's coin-toss view, then the seed of each check copy,
+        by wire, then by copy."""
         seeds = [self.material[w].copies[j].seed
                  for w, j in self.copies(self.index, checked=True)]
-        self.seed_digests[self.role] = seed_digest(b"".join(seeds))
-        return self._split([self.seed_digests[self.role]], seeds)
-
-    def take_checkset_openings(self, sender: M.Role, got):
-        """A provider receives one digest of the sender's check seeds and
-        no seeds."""
-        digests, seeds = got
-        if len(digests) != 1 or len(seeds):
-            raise _Abort(self.role, sender, "check seeds hold the wrong "
-                         "number of digests")
-        self.seed_digests[sender] = digests[0]
+        self.records[self.index].append(seed_digest(b"".join(seeds)))
+        return self.coin_view, seeds
 
     def evalset_openings(self) -> dict:
         """Per party role, each evaluation copy's position opening and the
-        party's commitment of the selected input set."""
+        party's commitment of the selected input set; then to both,
+        circuit 1's and circuit 2's label sets of each wire, by input
+        map."""
         def entry(w, j, slot):
             pos_op, *chosen = self.material[w].eval_openings(j)
             return (pos_op, chosen[slot])
         copies = self.copies(self.index, checked=False)
-        return {party: [entry(w, j, slot) for w, j in copies]
+        sets = [self.material[w].label_sets(self.rho[w]) for w in self.wires]
+        self.records[self.index].append(_digest(b"".join(
+            v for wire in sets for pair in wire for v in pair)))
+        return {party: ([entry(w, j, slot) for w, j in copies], sets)
                 for slot, party in enumerate((_P1, _P2))}
 
-    def hash_tuple(self):
-        """No digest, and circuit 1's and circuit 2's label sets of each
-        wire, by input map."""
-        sets = [self.material[w].label_sets(self.rho[w]) for w in self.wires]
-        self.set_bytes[self.role] = b"".join(
-            v for wire in sets for pair in wire for v in pair)
-        return [], sets
-
-    def _ruling(self, claimant, wire, pairs, fault,
+    def _ruling(self, claimant, wire, digests, pairs, fault,
                 false_claim) -> _Abort | None:
         """The ruling on a claim about ``wire``: none from its owner; the
-        owner when the claim's pairs hash to this provider's digest of the
-        wire and ``fault(pairs)`` words a fault; else the claimant."""
+        owner when the claim's wire digests hash to the owner's echoed
+        record, its pairs to the wire's digest, and ``fault(record,
+        pairs)`` words a fault; else the claimant."""
         owner = self.wire_owner[wire]
         if owner == self.role:
             return None
-        if wire_digest(pairs) == self.held(self.digests, wire):
-            found = fault(pairs)
+        record = self.records[owner.index]
+        if (_digest(digests) == record[0]
+                and wire_digest(pairs) == digests[self.at(wire)]):
+            found = fault(record, pairs)
             if found:
                 return _Abort(self.role, owner, found)
         return _Abort(self.role, claimant, false_claim)
 
     def take_check_failure_claim(self, sender: M.Role, claim):
         """The ruling on a claim that a check copy is not its seed's."""
-        wire, copy, seeds, pairs = claim
+        wire, copy, digests, seeds, pairs = claim
         if (wire not in self.wire_owner or not 0 <= copy < self.s
                 or not self.rho[wire][copy]):
             raise _Abort(self.role, sender,
                          "check-failure claim names no check copy")
         owner = self.wire_owner[wire]
 
-        def fault(pairs):
+        def fault(record, pairs):
             at = self.copies(owner.index, checked=True).index((wire, copy))
             return verify_check_failure_claim(
-                pairs[copy], seeds, at, self.seed_digests[owner]) and (
+                pairs[copy], seeds, at, record[1]) and (
                 f"check copy {copy} of wire {wire} failed construction: its "
                 "commitments are not its seed's")
-        return self._ruling(sender, wire, pairs, fault, "check-failure claim "
-                            "did not verify; the claim was fabricated")
+        return self._ruling(sender, wire, digests, pairs, fault,
+                            "check-failure claim did not verify; the claim "
+                            "was fabricated")
 
     def take_consistency_proof(self, sender: M.Role, proof):
         """The ruling on a proof that the sender's re-opened triples miss
         the owner's label sets."""
-        wire, openings, pairs = proof
+        wire, openings, digests, sets, pairs = proof
         if wire not in self.wire_owner:
             raise _Abort(self.role, sender,
                          "consistency proof names no input wire")
@@ -622,17 +610,19 @@ class Provider(Participant):
                          "wrong number of openings")
         slot = 0 if sender == _P1 else 1
 
-        def fault(pairs):
+        def fault(record, pairs):
+            if _digest(sets) != record[2]:
+                return None
             triples = open_evidence(pairs, copies, slot, openings)
             if triples is None or labels_consistent(
-                    triples, self.held(self.label_sets, wire), slot):
+                    triples, sets[self.at(wire)], slot):
                 return None
             return (f"labels of wire {wire} disagree between the circuits; "
                     f"{self.wire_owner[wire].name} submitted inconsistent "
                     "inputs")
-        return self._ruling(sender, wire, pairs, fault, f"consistency proof "
-                            f"for wire {wire} shows no inconsistency; the "
-                            "complaint was false")
+        return self._ruling(sender, wire, digests, pairs, fault,
+                            f"consistency proof for wire {wire} shows no "
+                            "inconsistency; the complaint was false")
 
     def take_output_commitments(self, sender: M.Role, got):
         if len(got) != len(self.circuit.output_map):
@@ -846,11 +836,12 @@ class Session:
         its method named after the type) runs once, and its frames go to
         every other role of a kind ``FLOW`` lists as a receiver of the
         type: one broadcast frame, or for a point-to-point type one frame
-        per receiver role, encoded once per distinct value. Every frame is
-        sent before any is received. Then each receiver reads each
-        sender's value, sender by sender, and hands it to its ``take_*``
-        step (a role without one drops it). Returns what the take steps
-        returned, in that order."""
+        per receiver role. Every frame is sent before any is received.
+        Then each receiver reads each sender's value, sender by sender,
+        and hands it to its ``take_*`` step (a role without one drops it).
+        Returns what the take steps returned, in that order. An ``ABORT``
+        reaches every receiver: one that fails to read it does not stop
+        the others."""
         step = step or methodcaller(mtype.name.lower())
         kinds = M.FLOW[mtype][1]
         routes = []
@@ -859,11 +850,8 @@ class Session:
             receivers = [r for r in self._all_states()
                          if r.role.kind in kinds and r is not sender]
             if mtype in M.POINT_TO_POINT:
-                encoded = {}
-                for v in value.values():
-                    if id(v) not in encoded:
-                        encoded[id(v)] = self._frame(mtype, sender, v)
-                frames = {r: encoded[id(value[r.role])] for r in receivers}
+                frames = {r: self._frame(mtype, sender, value[r.role])
+                          for r in receivers}
             else:
                 frames = dict.fromkeys(receivers,
                                        self._frame(mtype, sender, value))
@@ -876,7 +864,12 @@ class Session:
         results = []
         for sender, receivers in routes:
             for r in receivers:
-                value = self._recv(r, sender, mtype)
+                try:
+                    value = self._recv(r, sender, mtype)
+                except (_Abort, TransportTimeout):
+                    if mtype is MT.ABORT:
+                        continue  # the abort announced is the verdict
+                    raise
                 take = getattr(r, f"take_{mtype.name.lower()}", None)
                 if take is not None:
                     results.append(take(sender.role, value))
@@ -892,8 +885,12 @@ class Session:
         timeout, a malformed frame or body, or a frame of the wrong type,
         session or sender is an abort blaming ``sender``."""
         try:
-            frame = self.transport.recv(receiver.role, sender.role)
-            got_type, sid, got_sender, body = M.decode_frame(frame)
+            while True:
+                got_type, sid, got_sender, body = M.decode_frame(
+                    self.transport.recv(receiver.role, sender.role))
+                # An abort overtakes whatever the detector sent before it.
+                if got_type == mtype or mtype is not MT.ABORT:
+                    break
             if got_type != mtype:
                 raise ProtocolError(
                     f"expected {mtype.name}, got {got_type.name}")
@@ -907,9 +904,6 @@ class Session:
         except (FramingError, ProtocolError, TransportError) as exc:
             raise _Abort(receiver.role, sender.role,
                          f"malformed {mtype.name} frame: {exc}")
-
-    def _member(self, role: M.Role) -> Participant:
-        return next(r for r in self._all_states() if r.role == role)
 
     # ------------------------------------------------------------------ run
 
@@ -937,11 +931,9 @@ class Session:
         return [self.p1, self.p2] + self.providers
 
     def _aborted(self, sig: _Abort) -> SessionResult:
-        try:
-            self._round(MT.ABORT, [self._member(sig.detector)],
-                        lambda _: (sig.blamed, sig.reason))
-        except (_Abort, TransportTimeout):
-            pass  # the abort being announced is already the verdict
+        detector = next(r for r in self._all_states()
+                        if r.role == sig.detector)
+        self._round(MT.ABORT, [detector], lambda _: (sig.blamed, sig.reason))
         return SessionResult(
             status=STATUS_ABORT, result=None,
             blamed=sig.blamed.name if sig.blamed else None,
@@ -959,9 +951,8 @@ class Session:
         self._round(MT.COIN_REVEAL, self.parties)
         self._round(MT.CHECKSET_OPENINGS, self.bidders)
         self._round(MT.EVALSET_OPENINGS, self.bidders)
-        self._round(MT.HASH_TUPLE, self.bidders)
-        # Each party echoes the wire digests, seed digests and sets it
-        # holds, so no role can hold others when a claim is ruled.
+        # Each party echoes its coin-toss view and its record of each
+        # bidder, so no role can hold others when a claim is ruled.
         self._round(MT.HASH_TUPLE, self.parties)
         for mtype in (MT.CHECK_FAILURE_CLAIM, MT.CONSISTENCY_PROOF):
             for party in self.parties:

@@ -125,6 +125,23 @@ def test_attack_fails_when_a_verdict_is_wrong(capsys, monkeypatch, case):
     assert line in text
 
 
+@pytest.mark.parametrize("argv", [
+    ["demo", "--bidders", "0"],
+    ["attack", "--bidders", "0", "--trials", "1"],
+    ["demo", "--copies", "1"],
+    ["demo", "--max-bid", "0"],
+    ["demo", "--max-quantity", "0"],
+    ["demo", "--bits", "0"],
+    ["demo", "--capacity", "-1"],
+    ["dump-circuit", "--bidders", "0"],
+], ids=" ".join)
+def test_flags_no_session_can_run_with_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert out == ""
+
+
 def test_attack_unknown_adversary_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, [
         "attack", "--adversary", "replay_everything"] + FAST)

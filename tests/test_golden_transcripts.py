@@ -16,6 +16,7 @@ import hashlib
 
 import pytest
 
+from dualgc import messages as M
 from dualgc.auction import AuctionConfig
 from dualgc.session import AdversaryScript, run_session
 from dualgc.transport import InProcessTransport
@@ -49,197 +50,197 @@ VARIANTS = {
 #  frame digest, order-free frame digest)
 GOLDEN = [
     (0, None, 'accept', None,
-     "6d3d7de1cc94ab8898cc6ec5f40cd6429378eef65e8f6d6bcfe40546e44432ad",
-     "ea19f9cabe031de9490fc6dacebe2a18d6201f043a12508902fb467a1311b8bf",
-     "102d93f9ee5b211435f79b17a0e36725b41072bceca993af11c56a5dc8725de1"),
+     "af85347e5d1e67ccbaefbce93577cdbd9fed1c2b5f3aa27f766a37131f40e433",
+     "b7b07f959f385cc04c1c196d695948730a510ab44c81a2fe30a6e91a94a4e63b",
+     "4c074c44ea9d84ab63de9cddc9bd6c802f32cada6b0e2dd776f1680fd2a5ac01"),
     (0, 'inconsistent_labels', 'abort', 'provider:0',
-     "831e0bd4e085fc60968b56680c34c3e8fa19c0b485ec8b7a7787609558cc00ac",
-     "18b51a1c9b90cc62ea38232c0b11f9561cde5dc494eacf80794e78e1b34d44be",
-     "c9958657587bf1c3c3ea52036297962449ac94b525980f6a41572476eeaa66be"),
+     "eff9f613d0682cd3d096f251c9eb43e27e37ff37973ff644f13323af821dddf4",
+     "8a4434b11f509c94aa1293d16a5224f6e3d4e847768d9019bf2a207c4f08d85b",
+     "d4bb41208b3396289681b5d0bc58acff2fa2d36e04cc3a062959739e4ad18dbd"),
     (0, 'tamper_garbled_gate', 'abort', 'P1',
-     "671154d20f092d0d7c813800efcb66d81e144b0b5b19638b49fd02e93267d6c5",
-     "e979e1ef1d87e409854f7e333d072eca8ae77b92b221364c68e51bb555b78c2f",
-     "f6c83d9173cc2cad6d5bb746a1c3543e87afd7923b40f0b9c28ebe8862ab7eb2"),
+     "a1405cc54e65536226406283173bfce761936b7eb5fea93fdade5416d0aa378b",
+     "b35c804d9db38af9497977b6b0c39f16d4f42721f17eb2294cfd2f83a053479b",
+     "43bf531ad2bcd735c399c1711a0d0e9f14a34f508171e2db4df36288bca2901b"),
     (0, 'substitute_output_label', 'reject', None,
-     "9f4103010edfc7124ba446be4d1a4d685f2b8b0955a5c6e26630aa3a7def63f1",
-     "da83eca7f78771feaea644c52728039536fabe1d95f1151e90d09506f2888ff8",
-     "0ea3ee975fc85634cd4a78cc2d0ac29ec2da4112c3f6a207c4d700794147195a"),
+     "8adf71672f376ad30e10da2f11f650eb8bb7a8c6888d37f463458151d14e1b2e",
+     "0a109c963b10823fbb10808d6d149be3d361d13fd559c9940df6624951a12f80",
+     "dbc8b395e5ce4fbe36914da72aab4ae32fd7632d72bb52141c1a42a608545e01"),
     (0, 'bias_coin_toss', 'abort', 'P2',
-     "f943349a196354b049766b424ed24c9bde9d473330f03e9808c952b1775ae7ed",
-     "1a62659300c31ef576f3a54dd3acaab456221ce49a7a06d923b3229d55267a0e",
-     "77970f7c956cd227d47c9428f5c1d30d6f5d04393e403e4263b21871f0aed705"),
+     "3f7ca7dba567791d4e72e729dc1f3371bccf6a6aa1dee584dd5df9f3e0a976d7",
+     "dc65bb0f466d28e015aed134ea17bf7660aa8d77151d2513136905b7ed861c07",
+     "c04860d554d31b96c9df6f17a4f9e9c6d3f7d9caf10a6b393d526453d6440d03"),
     (0, 'falsify_check_failure', 'abort', 'P1',
-     "a94e89a2114d7f91ca21a68975a0034a778434342132ad4fbe1a20a3e091ce15",
-     "4dedb486a5431adcb0944c7215d245ccec85d8d36faa60348f92fd99a14b5ad2",
-     "ef7981725b3574369fb88dd405b85452864222190f649007f25384c81ac7bfca"),
+     "2d4eea3e68b4718aca75bab47d936b2bae3a8235702da7906ad52b7173242966",
+     "6571c84642dc55a49be789ecc8a11c9a6e8eaa0a66f86cac1c57a29a6dde4b16",
+     "35b47b3f94b04967b736fb51d3a44ade4a02e99818febbba5dfc8238f25cdd63"),
     (0, 'forge_consistency_proof', 'abort', 'P1',
-     "15162e005a043e225272391fb23d7b3f9d47e6f200845abf31f5db8e8e7b144e",
-     "31c326ebad9a60f58cab24f09a599fed523506a051cf2840627e83e7a708fd9a",
-     "1fc2f33f5a8edef471d04f561608ca3ec80e9b856f1a80f84461fed0001253f6"),
+     "e0e57c4bb39782d6f65efa9000627f3a2f53298dfaa01822936db8bf3c6d716e",
+     "ef8d310ee3eb20a1422052bfa99a4db14454d211f65cc4f3fd94612f2cbc0361",
+     "ddb9d46a168af130fc8f84b462e6b7895aff3f6e50bb5ff2da851125182f0d03"),
     (0, 'false_output_complaint', 'accept', 'provider:0',
-     "9f4103010edfc7124ba446be4d1a4d685f2b8b0955a5c6e26630aa3a7def63f1",
-     "2351b9dd293902f7cc737ef1af2abd36fcf123020710c84646b7361e1af84f82",
-     "b8fde0eab1e2aa73077f1556559cf554a1feb9fcf45b8912e8f435d8e203d308"),
+     "8adf71672f376ad30e10da2f11f650eb8bb7a8c6888d37f463458151d14e1b2e",
+     "465577e843b398da6df9a906ce30c851a9ee0c2a1dad6079fec851d8f4a09786",
+     "3fc729b2e114e3da896b1c4ac8f50fb4daafb7e883d766772aa92149584dc193"),
     (3, None, 'accept', None,
-     "2153519145e55f6985122c3e85c2047045fc8019e0728846bea4171bc1923efa",
-     "1b4e1ade7cf357e28452f4f53807c39821bdc827309cfdede4502bd0fa62da3e",
-     "c04de7060ddd5ae4f6a6e432e8809733d0b00f3b21412714e39e078c40741fdf"),
+     "135d32be31b2f7648aa3eee3521f9113ea47a316cd45d1452bc3c53ee96faa7c",
+     "0a82843c14c96d69dc5ffeee8f22ab553252da78fc5fa69bfef486056fedbe1b",
+     "b257bd12809c53a010aff182d763524ee43d0d9c739286c173d03436a59c5fdb"),
     (3, 'inconsistent_labels', 'abort', 'provider:0',
-     "124800e68e46e4961f07d752e1802814f499aba89da39a2a1c2a0f9090290886",
-     "667d173927e21454d5b9b782178a3ac4da657bafea30179891dbbd4737272ff8",
-     "f41e201b7d5c4704a242c0d9ca20ef29ba1b74f0f7d27d7ab14c035f9e0f386c"),
+     "a7daa8fb7c84e2488c7a3af4d372974298279dac4a7cdca43ef18cc016c7a1e3",
+     "5405540a4e4da690a29522b1b56a6687e48a337ca70ee738ea23113c5aa5f9ba",
+     "17c5b271cb743a3d757cf55e064b01760650ff27736369269cccef1b21319649"),
     (3, 'tamper_garbled_gate', 'abort', 'P1',
-     "5df4c40ae10ff89925b8bd5ba8b96ae73965c7d7bf89a85d5ad2d69242549534",
-     "7101fc2459a6287c0d98b17b6bd4775502f376e4b1d83721979e8083482e6f83",
-     "5a1884a5b60e8a149c3723408e2e3ab10f6c4894673de423f987a0790debd65c"),
+     "c98f4ede17f690121c9868353bd4b992b7363416272bf96e062688f8146ae44c",
+     "b5245dd0730345731e42c0ec20f42b27a285daf8d95640d85288e5192be96ba0",
+     "8c1d6b4de7990fef6f9a87fa8d26bc0a1b761b34064e774f686a732ac34e7bb2"),
     (3, 'substitute_output_label', 'reject', None,
-     "ecec3f7da304db6575b9700864c41d8b4d575567c54e513da9b58ec07bf9e976",
-     "bbc50dcc02962ca31f68350267c370c99daba2a80e2f8d435f1466934cc9690e",
-     "9f7a9f104567b1040afc5c146ef14bc89f3a44784b20e9341b31ec1996efa0eb"),
+     "c57d23e489d9bb9f10b2025af77d5089973dd8fbb4c8967bda67b426377431e5",
+     "e68bd0f97f0ef8330d6342a8694f09e60f820e79e1b1345382a31bd24aa8e119",
+     "7b6c619e4baf483aeac5b2114e690fa7f459f5f28c0daf2159e3667db52ec3f1"),
     (3, 'bias_coin_toss', 'abort', 'P2',
-     "f943349a196354b049766b424ed24c9bde9d473330f03e9808c952b1775ae7ed",
-     "c4eec6f78e8398c8fb9a6aa7285ec6702233856b353e0f87dfd01d1bb0722f2f",
-     "1a27c383d400db6c09e257132d9da308f8bfb66faab0357f69e00bec0194d11c"),
+     "3f7ca7dba567791d4e72e729dc1f3371bccf6a6aa1dee584dd5df9f3e0a976d7",
+     "a9864fe4b65238051f3f43bf61d114c26517bc4e93379503162f9d1f35597b0a",
+     "547dfa0bb23464d51986914de9b2d592ff14a3cb209b03747064066c1212c1bb"),
     (3, 'falsify_check_failure', 'abort', 'P1',
-     "4cbc1aa375a74ce31ae0b11b461f29e7b9a1b9118e65aa0842766e34e7725649",
-     "e1e991c6e33b5217154ce6104f55da1687ea19508814192350771aa6fa893ecf",
-     "c126446c91d81b546676e685b8b240c726b74c8685af0a0a89198572b2eeed8e"),
+     "46340ad0a97f10fc48e7df6c0c9735629f5ac24d0cd7c1443b87b63f455c5e50",
+     "db9c35e3e7effe78c40bf637f273fbeb634b70a9c6da0ab6ef188ed178a7e954",
+     "3ba7db4300803a66ffa906caf9028be8e94eda82013c900d09aff848bc151198"),
     (3, 'forge_consistency_proof', 'abort', 'P1',
-     "dbace55b1ef77e892968950b4527a76f24d2ee82d7bd68d236773bb8a59d7861",
-     "8000707ec63103f662bcc89066b146f234a967ee2ed417c021fa8f1eb5526538",
-     "0d6db7efceb886c331ecfdc8f7208b3efb8750c7b67338463ed684aa7f105798"),
+     "7dbcb5ae2503cd30c1b773535d9239b1ee0a0ec407f5748e9d2b8ba956c47212",
+     "508ae81cb783bc148724aca869bf40defd2e9b0409464832d4ec5597d05787e0",
+     "278efadc817ac2f9b9c9dc1e5fd8145f2e855fc3256f638677c1fa8a6dc81f59"),
     (3, 'false_output_complaint', 'accept', 'provider:0',
-     "ecec3f7da304db6575b9700864c41d8b4d575567c54e513da9b58ec07bf9e976",
-     "3460f20df214baa4ee9d91eb875e0f34ce71ae95774b67ed10bb50d6f8779f44",
-     "9c9b5338decab35a2a44d27c185380a1dda17555dad1607b212b8fa89fb479a9"),
+     "c57d23e489d9bb9f10b2025af77d5089973dd8fbb4c8967bda67b426377431e5",
+     "de8933032a8ba3384d626bb32c4c1d23e3ad98c1dd2324800c29dafd23c0b350",
+     "33a833ac52021be4e60da6a4059ea1ae88922a20da6f8b0f31fbf61e360163af"),
     (5, None, 'accept', None,
-     "2888155dab274f96ad0b0207dc3f7025dcb8b2c5540613a3a7bba0c83c359934",
-     "74533fa39dc3d302d336ba67f3f2086dc8eb74165582aaded7d8746320d90e80",
-     "5334deea9d4dd1b46d022a6d5df7af0d6588cb2a48e3f1cf80d3f5c0233a59a8"),
+     "42eca91a7a68af6dc1879a60c78049c66173283051a25b7d3c94fbb6156db5bc",
+     "f737eeacbf6cdce4b76b061864e6a97835cb8e45433586447b6d433b6c4326ab",
+     "b1dd95f204e688a6d95bc2dd9975e15a150ae5483038f7ad438998c690f71f27"),
     (5, 'inconsistent_labels', 'abort', 'provider:0',
-     "80d3c184e80ba6223970c15d66f2278d1e1a5cb803b6880e3aa4b398d2a4474c",
-     "1e8b94e1aa50dcd5b21b27df3d121c17842f809f547e8cfe624b44188449580e",
-     "8982c9c024e3b1fcf246ea496f2b4d8763f9f37e78e95538a00cd8094595e8b2"),
+     "fef4a5622b876ec9d59fd9d55fb5a929765e6b50b10be6a6340759e601077935",
+     "a41e73279068f0834bc0234e299679b56090496b9786a07d797ed42838227526",
+     "580c138ec615ec54950b39abd79b7b6e132ee3558973bbbf587fc6e8c11fadab"),
     (5, 'tamper_garbled_gate', 'abort', 'P1',
-     "f09bb07a58d86e13683b423a02a3b30bc7edcbc289b648eb65a38f75d542a8e1",
-     "f2e0de2ac9e39fd21084b55fae74610323e2465f19c2a04c94e89470b374776d",
-     "678e0f51506deeeb124db8c2ac37829c07b95b00e921f8ee4c0a60e690daceba"),
+     "8a12fe2e427103ff710e1307b757e62d0358388b9622ac654a2d4165df9a817c",
+     "2e8276ecd32965f5d5cd5be26dcc3977e75f89373eb3941c2a01dddcb177dfa9",
+     "7ec3877daa22a435d2ac43d5a65060909a85bd9b7d78f73cb74e5e19132cf825"),
     (5, 'substitute_output_label', 'reject', None,
-     "7d6f113c7cc72fb7f3839b7239686ffaa4061fda78993f6b46ddba6c5936a28c",
-     "1cb7532236310326b13ae26f89da6cde373e2c80902cfe33ee1076553197d2fe",
-     "3f2a6336279ebf07d5fe0eeefdf15325ebdd153bd9f7c15373bc494937254db8"),
+     "e28b58f773bf89cb0c83c3cbd4fbd1fc8b683fc48e5657e66c22adbf61a28da4",
+     "801bc007883dbe1271f681ebad0c9cf4b83f60fddccb5eb9c50d16af570b1b9c",
+     "594659e984af7a21ba0f6b3abf2ca4a2e1702a609d949c678122fde3fda52469"),
     (5, 'bias_coin_toss', 'abort', 'P2',
-     "f943349a196354b049766b424ed24c9bde9d473330f03e9808c952b1775ae7ed",
-     "d8bd47186013dff2331a65e1cf8e9aadc744429099486da1cb3219bad049d95c",
-     "787943ebb22a40e8bd25daf25d405bfd55b64ea7b0f1919beee5e344f43761e3"),
+     "3f7ca7dba567791d4e72e729dc1f3371bccf6a6aa1dee584dd5df9f3e0a976d7",
+     "d3060548a5f6ce0c345492af796c7287fad506ec208be9f6a0abee90cb6ffc7a",
+     "4f44b93be694326967c830aa5558f5f51b693f44da3a893b82d406ecc4e5333c"),
     (5, 'falsify_check_failure', 'abort', 'P1',
-     "df7fbcfa507bb42eb0dd7eeb84ad0c46e87069d1eee16256d70acebb91f7cda1",
-     "e376c62a146aad5ee5eb47e894e8d2f7e2fc1705f4ebeda31857662566e48e39",
-     "05340b3b47899f6df077148c0ac8f0b95083ac3e5e964f54d1900663795ac9e5"),
+     "8e73ecc96c2389c3ad1170131a0b0cc6ee1419d1c504825bb2a26316985192c8",
+     "7729df1110cd710672ddc7c1e46f3ebad15d939b998589f4a30b67ca3b184a84",
+     "0b303055c9c191bf7373bb075e7365827a703d05ce37dc0c56903519c6149468"),
     (5, 'forge_consistency_proof', 'abort', 'P1',
-     "f70b20fe5e00fc1a83da489720f7ea58ff1317527be43092d9c4a292aaa6e98b",
-     "576af244eec73f43631ecc744f05120549be057da749d8dc32038eb7a12f21dc",
-     "1052daf765212bec4b07909a5500694a2f2af928b7de170fed8785d68df39528"),
+     "d2e1c4b445bea01a0db74c13dd1cc125c54e4ca27c4aefc42f5542bf521bfcf5",
+     "e9cb6f169851dabb26f2bd16d266e0233bd6c3a9938ed7d70cf6ee3475e7f03b",
+     "a49b37f14737f51ea905b4bcaeb80e50e74d2daae44d639f23b3267bae6b57ec"),
     (5, 'false_output_complaint', 'accept', 'provider:0',
-     "7d6f113c7cc72fb7f3839b7239686ffaa4061fda78993f6b46ddba6c5936a28c",
-     "d7514a403668af3f778e4c06f12ef0e34dbe54c7eaebf45f4309d17e5537f52f",
-     "d7d4e1f2e7e79452325945d603971018d4fd1c13dee5a407c2a9f1c51e86193b"),
+     "e28b58f773bf89cb0c83c3cbd4fbd1fc8b683fc48e5657e66c22adbf61a28da4",
+     "9cd40608380f724b442de918601bc3aa6bf8dcd84a3a43157a0197843a7259aa",
+     "1bbc9769607cba60c635c8bf4194d3336e55ac09c815ee25379b274de18c45df"),
     (0, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "671154d20f092d0d7c813800efcb66d81e144b0b5b19638b49fd02e93267d6c5",
-     "91320de0a93a28a962177eb25f22f8157473761a985e84b73f1ff2860fff2a11",
-     "f8db25947327efdd49bfed5803a0edccdf67b4da2ad2f88c45dc5588cbec8302"),
+     "a1405cc54e65536226406283173bfce761936b7eb5fea93fdade5416d0aa378b",
+     "9933c762d6556ca619e5bfcc77239378f68023284d0104fcc4e45509fcfa186e",
+     "e94a0b6d4cb81466ed0d073919cb658c33ebd3f8b1823c8c6256281d4e8afa12"),
     (0, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "3c3b1d5d80e00079075e9eaf88676c45ad04b37ce71c7dd0fb90988c924bdc4e",
-     "99c1fc5d0fb10810db957fdbe849f52790b0099cbb3cb0813d28e2a572ab45b0",
-     "def2f80b1e634e558a5435353fdc198dff96939f7bf681e3cabdbc3bbd51ab12"),
+     "e394e2d59beb9af14e9bc7ae93521d8e0173760e1de8684f35f6b833e9a122f6",
+     "a52a9ce41f987b033d9528ece57d549d7bf6ccffae0eaf4ce605fbf890651a7a",
+     "6282324497fab1fd56ab78efe019f5318df324843cd9f5352df9cd5f11d0481e"),
     (0, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "a9304f6179737584d4aa4a3c992402b18661b09b2810a94a00b682cfe32d2c7b",
-     "d592343e02d392eeba723336bd5b0ddadd3f10c04156ad3a8ca6f44f06a83f5b",
-     "a44d2b922215143d480da84acbf99df3c62eb9c5e83178c80859f0300a2074be"),
+     "62da047b57cf3f076db3343c2679d60c88967520c2b57e8a748382317cbc58a4",
+     "9bc21527fee4cac49e2669135f5dc3c8b623d1cd500abef9ffc5bc58aa57b8c7",
+     "b97bdc48ba89636737d40abfb743544df3d63eb31eeb8b4e478c5e74180883b3"),
     (0, 'falsify_check_failure:P2', 'abort', 'P2',
-     "1f1f73ab731b14b75f778e2467585ab1ddfb699b4e286b4b241744e7f72c4738",
-     "8c91b8207264a8b5a4b0ab3e12c87c92e393e654fe98112e6cdfd84fe1b5668f",
-     "3a32e95506f185eeaf2a5e0de22ca8666766a26063ea16c1f400b13d17dd9c20"),
+     "5e5b86229f1f3dad51a5876f48c0c945e7b95644ed4383555a76fac29eb37034",
+     "77c8060a867f388fd19fff49c5662d67c7452ede12548b2825cceae33e31a915",
+     "239b2ca0b586b3acf741c89ce1b9d8d5cc1e70af1b8b629964e89ece50f1f5b7"),
     (0, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "48b82e0a0559c4ffe6fa884f03dca4464a438943725b76caf44f3a5d2550e1ba",
-     "dcae529d2d66f02e288515975c9711855b1700124b3b201d1927dd6e1849efa7",
-     "ae5691addabd38393be6e50eab8df2d4a4ec2c334594a645ca1b770514ad5036"),
+     "9b6e892592d2cc40bdd2d0a54bdc4445d51cbca882a79eb02345ed8a045729d7",
+     "4aa01e6dc2a544babbd6e69da2223082156d170afe21f2a55c4c0d7ea4f4830c",
+     "ade1a6e1d33817a1acb4e8f93830ebb80b476cb74a56737cc1aa214719a29eb8"),
     (0, 'bias_coin_toss:P1', 'abort', 'P1',
-     "61b2e897a0506973b4d92c948f8d4605488f73db0db1d1827c01c7b9fc7ee5ff",
-     "f07a49b753f243a7dcd5f5439b59ddd7c05da4f03b0a991c101ccdd648c36a71",
-     "4599cea7450c6cb07d4fa3687337d14453364113842e8c8bec9a0b57681d4aa9"),
+     "0201ebf55bc42891e0a08e7694012dd1e4628181b3a44eae98731e4dfaf325f4",
+     "d180e06345c392854701df5928e987b8aa266cbb4eec584d4a38cfbfe089f3d9",
+     "fafadc40913d4371e74ca9edcd696a369caad8562847d4fddec6a759c30bdb7b"),
     (0, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "813b670729ed226429a508daa95bc62a8ad3ee9feb3b6a84391b5b97006db6ff",
-     "ba727be8af241f446f67c7d2accaf57e33b3a087e955ac2a3e22ee6eb0989f5b",
-     "e5278f1ced6346c488843ad59eb5628094c96e74485b105b448b176daecd5bd1"),
+     "d6013f8bad973eefcabdaddff095720c8f29538f60765f6884289da0909df483",
+     "4555d79462aab6d8ec49f60ce0cdb863c06bd0eec98954fefe0bc9cdc913b55e",
+     "8a6bd3d61aa22c2e2ec6d66cfc2650b5716e1dc47a53fd94f5c2acce0c847e65"),
     (0, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "c641b89f2da65a90755419a97ffa3362c570914ab3eb01410f96a62075a75a4d",
-     "ee96d8f10d551ac80325411c03574be0895fcf31563182d0c48f6c6dfa0610cd",
-     "c9a3b57a16b312182840738df3107dd5e67d41538e3c052d79413b3d74247f7b"),
+     "2917ab8b1f343e5d802d95c302fef3920ef23d93a9e8f3b99408cfdb27bf3acf",
+     "dfdfc530b192ee8841953f17d8b1644454e7edee45c9cf6d62791896483020eb",
+     "1c7f0bd61b0849ab8feb91e96882685691f86d12daf34c41a67b6e5082b374aa"),
     (3, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "5df4c40ae10ff89925b8bd5ba8b96ae73965c7d7bf89a85d5ad2d69242549534",
-     "87f50acaed1730e26f5b487caa874b4c89da9045bbc8862077c24ec749888c99",
-     "b95b1ca4a666b60e1bcbc2ce321c7aaeb5446f13adac0ec2f24cf20bee424d97"),
+     "c98f4ede17f690121c9868353bd4b992b7363416272bf96e062688f8146ae44c",
+     "3f168cb51e3ed9667652020a3570a974d2d431c4603a7d79a4c1eee12c42ae1f",
+     "b746d6ee3c9c1297e0f28412986f1f89c88e7fa7fc23a142aaa196a366ac5f90"),
     (3, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "2f38bd90fcaea649d94f1e5ee594cf3f4687bf5a3c806b65d9397c37f9fb2904",
-     "6fc20988d403695cb4781d9f001f1b23ff095c23d09fa65c84928e753bf9c3e5",
-     "fa90226b0c3b47060eaa7ff7532c7b1802e731a8398be4d156929f715cc0cd8f"),
+     "da1dbe1a96fbe86c32ffeece8b9f580456eb9726654ea4463360e59324dbce20",
+     "a24f9903d34946dcf5faf45a78327df4f0337df03cf4f00e5e0ee4fdba787cf6",
+     "d6fe042c5bc15a8717f5646b414ebb00eafa553e5e0604401b7b63c4a147416f"),
     (3, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "27e52acd1acc45a9c9be4c85d5ea2e864a40b8f4dbf7c3484b11799ed145da8d",
-     "fa006684f600e714e7a945e6faa9b6b67316b54209be6e4657eb60d06cc47b7a",
-     "e1c81dc8ffc8f87063ab1abddaa5ef3c0a2a342dbb14797a02f16e01fa9c33f0"),
+     "292522e5a58bda19a2665b1ac875830c435218afdaaff71231b4bb786adbdbf4",
+     "ee0de273c1acabede7eec00bd20d532f31213ff5b952c6dd4b8f320eb73cdd49",
+     "2bdb8f1b9f9e92e636b42bbc9ac1e2dbb80151e0c6d486a1a89bd0ce944496dc"),
     (3, 'falsify_check_failure:P2', 'abort', 'P2',
-     "3a6d6fb091f2068d06af69e05800b4fb19d9404c81f738beafcb234ef4972648",
-     "3dc9649da59b86dcaada66a607648033685ab52f3e18fdf2523ff70a336efa6a",
-     "68a121493a0ab2fee98bc2283292b538add3fe19eaf4663edb6a0be9d5278246"),
+     "df1e6f8ac62402cb62ff3946783eca3684928183685557c084c9de81f7759b77",
+     "37b95d1becb077ad887a198c64231d2edbdc2e51dc477fdee2cbd0b90af8294f",
+     "b4d38b222a9cbf7a512bafa47e7f6c47d549db96ccf7b33c5eaf3d6a53efbef4"),
     (3, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "0b21832f8012a8766f71bf6266c9fa8db8dee07c1a7b54da1b911f919dfba135",
-     "edc0ad2cc69df0dbfdb97fcab9f9f1d256f8abba646e1646344e107257f42d43",
-     "243a6878566747d825a22b032998a7c2cc5fc9607f9ab1a416a3d0f26f67f726"),
+     "6b8eb92655ee17781bcdf4dd0eb8c4a395a93aad99eb49e021457e795c102ee9",
+     "889c82d470293cd7e3b475320daeb76da02fc43c7fc18ec0b18cbd7207ca281e",
+     "20cc21fe469b63baf9a0197a499897accbf706b3cd54348cf0e1a5dbef64a973"),
     (3, 'bias_coin_toss:P1', 'abort', 'P1',
-     "61b2e897a0506973b4d92c948f8d4605488f73db0db1d1827c01c7b9fc7ee5ff",
-     "5e6a88d4a4f39cca8fd6a9bc978bdcc04aef51871831ba398c9d58712f4bce5c",
-     "8a5bc64ff95afd22ee332e051bdf0ccbf4ff5962b813141dc30f944ba3ea70b5"),
+     "0201ebf55bc42891e0a08e7694012dd1e4628181b3a44eae98731e4dfaf325f4",
+     "df1c9fac250d005422707bfed4be6e018f1bff808b3aeb62bf661b9d643e3498",
+     "5b30afd6a93ee0e9d6678c3d6295dcac1363a4cf63ef0b724a843aff12d9fca3"),
     (3, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "fafd81ac4bbf0b4a2c658cef9079a0a3d3fbaa098409be86720b2adbde965d95",
-     "4ee57e099ea2290d6d2c2d908ae76dd82a5ae530b80e75f8aac55e6f08078695",
-     "d2f1437fa7493bc19df437b1c1b92d5cd38febbf123a406fa59c7f2c4ed77f5d"),
+     "ea9ed8f65c85534adc0686b7bd9652dc2361e94d928f2c4e1e38e205ae8bbccf",
+     "b9fc6eca9dc346b0a8932b34345d7de30dc0f8887e942608e14133283cc7df44",
+     "fde00ce228d355b4909f862a8f951cd649f85eed5fac5337f51e769d62cb73cc"),
     (3, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "675b1a78d0e42205975415674d0b9146298f49725d462962447cd74aacd48e87",
-     "2e4609cdb015c476e7cc9109f02dbd76921a8f97efc79021b671690e12be8e46",
-     "480cc014484ada10586150170f7037dd70a62ea57e73295760a909a19ec8338a"),
+     "d9af3665d35c30c1284186e3c94137ba78e55705f7e7468b14107a754f2cd570",
+     "4b696e017178066b24b8287f982eb884dfaae3002a4a4f399a8bb8dd6d93d48c",
+     "11ee0c4afb56602a006621121d9cb0c91e71dc23e213c58c26b2a3e89408c7ef"),
     (5, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "f09bb07a58d86e13683b423a02a3b30bc7edcbc289b648eb65a38f75d542a8e1",
-     "c3a7d7100e6d58dac2962759b812a46cda8b6c0805de056da80aca7663774cb1",
-     "5aee162ad95eca1c2a63affad0a4ddd4f14f97f82163f3f6815463ebf00ea1b0"),
+     "8a12fe2e427103ff710e1307b757e62d0358388b9622ac654a2d4165df9a817c",
+     "a790579fc538a992afc08d2b57cef7ff8ac975e9cef4ce214aa4d590b28bab15",
+     "0edc4eaa8acc998ecfd35064994f987417d5ee06243be4131089376de2b27a0f"),
     (5, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "00dfff01c5a3258ed0cf475df047d2442644b2206a6b67b48956ae5a6bc415d9",
-     "f892f0a742c51d2a3a3ad148c8a7e7a65c76edcdfc7f0de29d1d8de0d850035b",
-     "07475a73cb509e0741b648315681667e407c15cac092e181bf10b214ac01833b"),
+     "2961cfe2f3bb4c1e01ad554bb247b0fca9f7ef125ea61279728758abb4f86c35",
+     "9f79bb11a8719aff50f19fabcc10fa425b8b860ff321459740dafb1063388aff",
+     "a753ccf017c2e4b01a4644fc8494bf6b9303708609a0598d9d41ecfb385f6a28"),
     (5, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "8e6f6249c6f065250f5998f577a582c77ec02a56d564f093625d2f7cb29eb1ce",
-     "1c1ec82f001be69872a9a2b3e9e3c3710fc9ac99ced7f331746a1d2589af7142",
-     "b0b686d649f31305e9ab0237341151f8d43adf97352d23132b4706a18431c4d0"),
+     "c16a98d09e01cd311cd7f7ba030a4776079f51dd3d99e27a7280fd7ab2981048",
+     "09a6e510f7eafee77df3233fcc36d1a29077ca1962f5fcbcec7d050d6ec2d4ff",
+     "288e35fffaa5259f9cab8e56a7e624945a6684f1e828afaa458cc505649309d8"),
     (5, 'falsify_check_failure:P2', 'abort', 'P2',
-     "b5118a7214d2abd542d9b411453d5bb0bcb499a787ed09c9edf389cc7783bc11",
-     "6085210e1f91cf654708aeec070a9b621cd869a9e95b9f8806500451d74ac7e5",
-     "61209580933ef177fd9f920babf94c63cff430ef1eb0595d9b276e925f943a49"),
+     "726e930a0d51fd54cfd5418565c070047e025537ad77d7f6aff641145359c808",
+     "9e0ab0fed25134309407308867f576336c5ba2ac8aad37c8633e5dbdd2ba79d9",
+     "b3f33b4b7c6d1ff28bb8107d273bfb229be5d67e3f16908d17ff23c9d17d2415"),
     (5, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "ee2a26663ab620cbc3be317520775e28a3f7ebb11eadc718135ba480b58c4ef7",
-     "c4dff09dc36fa1e993d493ef779844342561a1fed210f946ffbf36991488e228",
-     "3ff5e12ba8e9c718d1f74d843897b83cad186e9a0c43588776f5d67240d91a5d"),
+     "d705a8e82267e9b8602b4ede40cbd7f23889bf19298df47d17753fef46306f74",
+     "de064706483bfbbf87e24ebfc2a56bcf1d3041d3526d43ad4740705ad8a4aa84",
+     "b934d9928754df3e1099cf5fd2e82a7422b68ee3809537b329f9c61365751a66"),
     (5, 'bias_coin_toss:P1', 'abort', 'P1',
-     "61b2e897a0506973b4d92c948f8d4605488f73db0db1d1827c01c7b9fc7ee5ff",
-     "f8919aac071fd1c576ab8edb4925091bd2db7c1755d2080d23da6f25b810616b",
-     "e2f90d5a46810b2b84316c8152fb5105b470ffa81c2b6d0ce61c7fcdb6762d28"),
+     "0201ebf55bc42891e0a08e7694012dd1e4628181b3a44eae98731e4dfaf325f4",
+     "d511ed67eb11ef7ffd7b95745ce644ae39a0f325240ba7c4deb0e168becc7ae7",
+     "2e9797d524b4800faaa02d711e0e1019d4b74616ec8b4a5c14ba8c970569aed5"),
     (5, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "80d3c184e80ba6223970c15d66f2278d1e1a5cb803b6880e3aa4b398d2a4474c",
-     "e8df65a9c76d48555eca8c64be8eb26247b7784972f5bcb0e4b1d8a878d63594",
-     "a261b0892e315aae8dbba7d90d2e10933e671fba9f5f3c632b00bd40e19260cb"),
+     "fef4a5622b876ec9d59fd9d55fb5a929765e6b50b10be6a6340759e601077935",
+     "4389065ecd9c3a44acd97bc0e9e830a59cd03770eab801e857a3f924636e6d8d",
+     "ceca2e060ff266c5a384c46d34f9c4f15f8a99ad86dec02e536003ce0db1d211"),
     (5, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "ce6b2030755834203058a95bfb57e7c2e239b1a95e440fdca9f334889f1b13a5",
-     "f9311ca2182d84eae6106d7ed2c4d3af8ced8198149a9ac56487ae860cb75888",
-     "9914752abeb8d90ae1dd1bd73cc1370f19efd54a4530466a7663dade67dcfcfa"),
+     "9c7802aa9ba048efa619c7f8a6277a66a92f7122fd57a8ac8c9694a96bf59362",
+     "6a7ae7e18692f4ff570d2ff42bfeea8fd8b8ff9894e103527d92b70ff1d04504",
+     "3819f78f5bea66b56b709920eddee8d55d200b8b180618dce67c338fe479beca"),
 ]
 
 
@@ -263,13 +264,15 @@ class FrameDigest(InProcessTransport):
 
 
 def _run(seed, adversary):
-    """(status, blamed, signature, frame digest, order-free digest)."""
+    """The session's transcript, and (status, blamed, signature, frame
+    digest, order-free digest)."""
     transport = FrameDigest()
     res = run_session(SMALL, BIDS, s=4, seed=seed,
                       adversary=VARIANTS.get(adversary, adversary),
                       transport=transport)
-    return (res.status, res.blamed, res.transcript.signature(),
-            transport.digest.hexdigest(), transport.order_free())
+    return res.transcript, (res.status, res.blamed, res.transcript.signature(),
+                            transport.digest.hexdigest(),
+                            transport.order_free())
 
 
 @pytest.mark.parametrize(
@@ -277,8 +280,26 @@ def _run(seed, adversary):
     ids=[f"{row[0]}-{row[1] or 'honest'}" for row in GOLDEN])
 def test_golden_transcript(seed, adversary, status, blamed, signature,
                            frames, order_free):
-    assert _run(seed, adversary) == (status, blamed, signature, frames,
-                                     order_free)
+    transcript, got = _run(seed, adversary)
+    assert got == (status, blamed, signature, frames, order_free)
+    # Before the output phase a bidder sends to the two parties only, but
+    # for an ABORT.
+    assert not [e for e in transcript.entries
+                if e.sender.startswith("provider:") and e.phase != "output"
+                and e.type != "ABORT" and e.receiver not in ("P1", "P2")]
+
+
+def test_bidders_send_input_values_to_the_parties_only():
+    """A bidder's pairs, check seeds, openings and label sets go to the
+    parties only; the parties' echo is what every other role gets."""
+    parties, bidders = frozenset({M.P1, M.P2}), frozenset({M.PROVIDER})
+    T = M.MessageType
+    for mtype in (T.INPUT_COMMITMENTS, T.CHECKSET_OPENINGS,
+                  T.EVALSET_OPENINGS):
+        assert M.FLOW[mtype][:2] == (bidders, parties)
+    assert M.FLOW[T.HASH_TUPLE][:2] == (
+        parties, frozenset({M.P1, M.P2, M.PROVIDER, M.CLOUD}))
+    assert M.POINT_TO_POINT == {T.EVALSET_OPENINGS, T.OUTPUT_OPENINGS}
 
 
 if __name__ == "__main__":
@@ -286,7 +307,7 @@ if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_golden_transcripts.py
     print("GOLDEN = [")
     for seed, adversary, *_ in GOLDEN:
-        status, blamed, *digests = _run(seed, adversary)
+        _, (status, blamed, *digests) = _run(seed, adversary)
         print(f"    ({seed}, {adversary!r}, {status!r}, {blamed!r},")
         print(",\n".join(f'     "{d}"' for d in digests) + "),")
     print("]")

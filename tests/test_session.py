@@ -11,8 +11,8 @@ import pytest
 from dualgc import consistency, outputs, session
 from dualgc import messages as M
 from dualgc.auction import AuctionConfig, build_auction_circuit, oracle_run
-from dualgc.commitments import (NONCE_BYTES, TAG_POSITION, Commitment,
-                               Opening, tagged_commit)
+from dualgc.commitments import (NONCE_BYTES, TAG_POSITION, Opening,
+                               tagged_commit)
 from dualgc.errors import (DecodeError, ProtocolError, TransportTimeout,
                            UsageError)
 from dualgc.garbling import (HEADER_BYTES, ROW_BYTES, decode, gate_rows,
@@ -310,8 +310,8 @@ FRAME_MUTATIONS = {
     "truncated": reframed(lambda body: body[:-1]),
     "appended": reframed(lambda body: body + b"\x00"),
     # A flipped check seed no longer regenerates its copy at the one
-    # receiver that holds it, whose seed digest then misses the others' at
-    # the echo: the session ends blaming no one, not the provider.
+    # party that holds it, whose seed digest then misses the other party's
+    # at the echo: the session ends blaming no one, not the provider.
     "flipped_last_byte": flipped(lambda n: n - 1),
     "flipped_middle_byte": flipped(lambda n: n // 2),
     "retyped": retyped,
@@ -351,9 +351,9 @@ def test_mutated_frame_ends_in_a_verdict(mtype, mutation):
 
 def _claim_at(wire=None, copy=None):
     def rewrite(claim):
-        w, j, seeds, pairs = claim
+        w, j, *rest = claim
         return (w if wire is None else wire, j if copy is None else copy,
-                seeds, pairs)
+                *rest)
     return rewrite
 
 
@@ -378,22 +378,35 @@ VALUE_FAULTS = {
         None, M.MessageType.OUTPUT_OPENINGS,
         lambda o: Opening(o.message, bytes(NONCE_BYTES)),
         ("P2", None), ("abort", "P2")),
+    # An echo holding every record twice
     "echo_with_two_digests": (
-        None, M.MessageType.HASH_TUPLE, lambda got: (2 * list(got[0]), []),
+        None, M.MessageType.HASH_TUPLE, lambda got: (got[0], 2 * list(got[1])),
         ("P1", None), ("abort", "P1")),
     "check_seeds_one_short": (
         None, M.MessageType.CHECKSET_OPENINGS,
         lambda got: (got[0], list(got[1])[:-1]), ("provider:0", "P2"),
         ("abort", "provider:0")),
-    "two_seed_digests": (
-        None, M.MessageType.CHECKSET_OPENINGS,
-        lambda got: (2 * list(got[0]), got[1]), ("provider:1", "cloud"),
+    "label_sets_one_short": (
+        None, M.MessageType.EVALSET_OPENINGS,
+        lambda got: (got[0], list(got[1])[:-1]), ("provider:1", "P1"),
         ("abort", "provider:1")),
-    # A party that echoes other sets to one role may be lying, or a
-    # bidder may have sent that role other sets: no one is blamed.
+    # A bidder whose coin-toss view is not the party's may have been sent
+    # another seed share by the other party: no one is blamed.
+    "coin_view_zeroed_to_a_party": (
+        None, M.MessageType.CHECKSET_OPENINGS,
+        lambda got: (bytes(32), got[1]), ("provider:1", "P2"),
+        ("abort", None)),
+    # A party that echoes other records to one role may be lying, or a
+    # bidder may have sent the parties different values: no one is blamed.
     "echo_zeroed_to_the_cloud": (
-        None, M.MessageType.HASH_TUPLE, lambda got: ([bytes(32)], []),
+        None, M.MessageType.HASH_TUPLE,
+        lambda got: (got[0], [(bytes(32),) * 3] * len(got[1])),
         ("P2", "cloud"), ("abort", None)),
+    # Both echoes agree, but not with what provider 0 sent.
+    "own_record_zeroed_to_its_bidder": (
+        None, M.MessageType.HASH_TUPLE,
+        lambda got: (got[0], [(bytes(32),) * 3] + list(got[1][1:])),
+        (None, "provider:0"), ("abort", None)),
 }
 
 
@@ -414,35 +427,27 @@ def _last_entry_dropped(entries):
     return list(entries[:-1])
 
 
-def _last_pair_dropped(got):
-    digests, pairs = got
-    return digests, _last_entry_dropped(pairs)
-
-
-def _first_set_repeated(got):
-    digests, sets = got
-    return digests, _first_entry_repeated(sets)
-
-
-def _first_seed_repeated(got):
-    digests, seeds = got
-    return digests, list(seeds[:1]) + list(seeds)
+def _first_entry_after_head_repeated(got):
+    """A ``(head, list)`` body with the list's first entry repeated."""
+    head, entries = got
+    return head, _first_entry_repeated(entries)
 
 
 # counted body -> (behaviour, the sender that fills it, rewrite, reason)
 COUNTED_BODIES = {
     M.MessageType.CHECKSET_OPENINGS: (
-        None, "provider:0", _first_seed_repeated,
+        None, "provider:0", _first_entry_after_head_repeated,
         "check seeds cover the wrong copies"),
     M.MessageType.EVALSET_OPENINGS: (
-        None, "provider:0", _first_entry_repeated,
+        None, "provider:0",
+        lambda got: (_first_entry_repeated(got[0]), got[1]),
         "evaluation openings cover the wrong copies"),
     M.MessageType.INPUT_COMMITMENTS: (
-        None, "provider:0", _last_pair_dropped,
+        None, "provider:0", _last_entry_dropped,
         "input commitments hold the wrong number of copies"),
     M.MessageType.HASH_TUPLE: (
-        None, "provider:0", _first_set_repeated,
-        "label sets cover the wrong wires"),
+        None, "P2", _first_entry_after_head_repeated,
+        "echo holds the wrong number of records"),
     M.MessageType.OUTPUT_COMMITMENTS: (
         None, "P2", _last_entry_dropped,
         "output commitments cover the wrong recipients"),
@@ -464,10 +469,10 @@ def test_a_repeated_copy_is_refused(mtype, seed):
 
 def _count_item_reads(monkeypatch) -> Counter:
     """Counts, by list, the items read out of fixed-width lists from now
-    on: an input commitment body's digests ("wire digests") and pairs, a
-    check-seed body's digest ("seed digests") and seeds, the seeds ("claim
-    seeds") and pairs of a claim, the pairs of a proof, the label sets, the
-    parties' echo digests and the output commitments."""
+    on: the input commitment pairs, the check seeds, the label sets, the
+    echo records, the wire digests ("claim digests"), seeds ("claim
+    seeds") and pairs of a claim, the wire digests, label sets and pairs
+    of a proof, and the output commitments."""
     T = M.MessageType
     counts = Counter()
 
@@ -477,21 +482,24 @@ def _count_item_reads(monkeypatch) -> Counter:
             return read_item(data, off)
         return M.listof(item._replace(read=read))
 
-    pair = M.decode_body(T.INPUT_COMMITMENTS, bytes(8))[1].item
-    sets = M.decode_body(T.HASH_TUPLE, bytes(8))[1].item
+    pair = M.decode_body(T.INPUT_COMMITMENTS, bytes(4)).item
+    sets = M.decode_body(T.EVALSET_OPENINGS, bytes(8))[1].item
+    records = M.decode_body(T.HASH_TUPLE, bytes(36))[1].item
+    openings = M.listof(M.seq(M.opening, M.opening))
     schemas = {
-        T.INPUT_COMMITMENTS: M.seq(counted("wire digests", M.raw(32)),
-                                   counted("INPUT_COMMITMENTS", pair)),
-        T.CHECKSET_OPENINGS: M.seq(counted("seed digests", M.raw(32)),
+        T.INPUT_COMMITMENTS: counted("INPUT_COMMITMENTS", pair),
+        T.CHECKSET_OPENINGS: M.seq(M.raw(32),
                                    counted("CHECKSET_OPENINGS", M.raw(16))),
+        T.EVALSET_OPENINGS: M.seq(openings, counted("label sets", sets)),
+        T.HASH_TUPLE: M.seq(M.raw(32), counted("HASH_TUPLE", records)),
         T.CHECK_FAILURE_CLAIM: M.seq(M.u32, M.u16,
+                                     counted("claim digests", M.raw(32)),
                                      counted("claim seeds", M.raw(16)),
                                      counted("CHECK_FAILURE_CLAIM", pair)),
-        T.CONSISTENCY_PROOF: M.seq(M.u32, M.listof(M.seq(M.opening,
-                                                         M.opening)),
+        T.CONSISTENCY_PROOF: M.seq(M.u32, openings,
+                                   counted("proof digests", M.raw(32)),
+                                   counted("proof sets", sets),
                                    counted("CONSISTENCY_PROOF", pair)),
-        T.HASH_TUPLE: M.seq(counted("echo digests", M.raw(32)),
-                            counted("HASH_TUPLE", sets)),
         T.OUTPUT_COMMITMENTS: counted(
             "OUTPUT_COMMITMENTS",
             M.decode_body(T.OUTPUT_COMMITMENTS, bytes(4)).item),
@@ -505,55 +513,57 @@ def _count_item_reads(monkeypatch) -> Counter:
                                        "forge_consistency_proof"])
 def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
     """Each party reads every commitment pair once, in its check or its
-    evaluation, every check seed once and each wire's label sets once;
-    every provider reads each other bidder's seed digest once; every role
-    reads each other party's echo digest once; every provider reads both
-    parties' output commitments. A bidder or the cloud reads a wire
-    digest, a commitment pair or a label set only to arbitrate, and the
-    owner of the wire in dispute reads none."""
+    evaluation, every check seed once and each wire's label sets once,
+    and hashes the lists it echoes undecoded. Each bidder reads its own
+    echoed record, three times over the two echoes; every provider reads
+    both parties' output commitments. An arbitrator reads only the
+    disputed wire's digest, pairs and sets and its owner's record, and
+    the owner of the wire in dispute reads none."""
     counts = _count_item_reads(monkeypatch)
     sess = Session(SMALL, BIDS, s=4, seed=3, adversary=adversary)
     res = sess.run()
     wires, s = len(sess.circuit.input_wires), sess.s
     providers = len(sess.providers)
     checked = sum(map(sum, sess.p1.rho.values()))
-    seeds = {"CHECKSET_OPENINGS": 2 * checked,
-             "seed digests": len(BIDS) * (providers - 1),
-             "echo digests": 2 * (providers + 1)}
+    reads = {"INPUT_COMMITMENTS": 2 * wires * s,
+             "CHECKSET_OPENINGS": 2 * checked,
+             "HASH_TUPLE": 3 * len(BIDS)}
     if adversary is None:
         assert res.status == "accept"
-        assert counts == seeds | {"INPUT_COMMITMENTS": 2 * wires * s,
-                                  "HASH_TUPLE": 2 * wires,
+        assert counts == reads | {"label sets": 2 * wires,
                                   "OUTPUT_COMMITMENTS":
                                   providers * 2 * providers}
     elif adversary == "falsify_check_failure":
-        # The session ends at the claim, ruled after the echo: each party
-        # has read every commitment pair, and the claimant the claimed
-        # wire's s pairs and its owner's check seeds, to send them. Every
-        # provider but the wire's owner reads the wire's digest, hashes
-        # the claim's s pairs and seeds, then reads the claimed pair and
-        # seed.
+        # The session ends at the claim, ruled after the echo: the
+        # claimant reads the claimed wire's s pairs and its owner's check
+        # seeds, to send them. Every provider but the wire's owner reads
+        # the owner's record and the wire's digest, hashes the claim's s
+        # pairs and seeds, then reads the claimed pair and seed.
         assert (res.status, res.blamed) == ("abort", "P1")
         owner_checked = sum(sum(sess.p1.rho[w])
                             for w in sess.circuit.input_map[0])
-        assert counts == seeds | {
+        assert counts == reads | {
             "CHECKSET_OPENINGS": 2 * checked + owner_checked,
             "INPUT_COMMITMENTS": 2 * wires * s + s,
-            "wire digests": providers - 1,
+            "HASH_TUPLE": 3 * len(BIDS) + providers - 1,
+            "claim digests": providers - 1,
             "CHECK_FAILURE_CLAIM": (providers - 1) * (s + 1),
             "claim seeds": (providers - 1) * (owner_checked + 1)}
     else:
         # The complainer reads every wire's label sets before it makes
-        # its complaint up, and the wire's s pairs to send them; every
-        # provider but the wire's owner reads the wire's digest and label
-        # sets, hashes the proof's s pairs and reads each evaluated one.
+        # its complaint up, and the owner's sets and the wire's s pairs to
+        # send them; every provider but the wire's owner reads the owner's
+        # record, the wire's digest and sets, hashes the proof's s pairs
+        # and reads each evaluated one.
         assert (res.status, res.blamed) == ("abort", "P1")
         w0 = sess.circuit.input_map[0][0]
         evaluated = s - sum(sess.p1.rho[w0])
-        assert counts == seeds | {
+        assert counts == reads | {
             "INPUT_COMMITMENTS": 2 * wires * s + s,
-            "HASH_TUPLE": wires + providers - 1,
-            "wire digests": providers - 1,
+            "label sets": wires + len(sess.circuit.input_map[0]),
+            "HASH_TUPLE": 3 * len(BIDS) + providers - 1,
+            "proof digests": providers - 1,
+            "proof sets": providers - 1,
             "CONSISTENCY_PROOF": (providers - 1) * (s + evaluated)}
 
 
@@ -736,8 +746,8 @@ def test_consistency_proof_sent_differently_to_one_receiver(
     evaluation copies, that receiver blames the complainer at once.
     Otherwise the owner, provider 0, gives no ruling on either wire, so
     the others convict it; an odd copy at another provider misses its
-    digest there, and the rulings differ, so no one is blamed: that
-    provider cannot tell this from an owner that sent it wrong digests."""
+    digest there, and the rulings differ, so no one is blamed: the
+    rulings cannot tell which arbitrator was sent something else."""
     for seed, clean in zip(inconsistent_labels_scan["seeds"]["mixed"],
                            inconsistent_labels_scan["mixed"]):
         complainer = next(e.sender for e in clean.transcript.entries
@@ -842,36 +852,35 @@ def test_fabricated_check_failure_blames_the_claimant():
 
 
 def test_input_commitments_go_in_full_to_the_parties_only():
-    """Each party's frame holds the sender's s pairs per wire, 160 bytes
-    each; every other provider's holds one 32-byte digest per wire. Each
-    frame also carries the 16-byte header and two 4-byte counts."""
+    """Each bidder sends its s pairs per wire, 160 bytes each, to the two
+    parties and to no other role. Each frame also carries the 16-byte
+    header and a 4-byte count."""
     sess = Session(SMALL, BIDS, s=4, seed=3)
     res = sess.run()
     assert res.status == "accept"
     frames = [e for e in res.transcript.entries
               if e.type == "INPUT_COMMITMENTS"]
-    assert len(frames) == len(BIDS) * (len(sess.all_roles) - 1)
+    assert len(frames) == len(BIDS) * 2
     for e in frames:
         w_p = len(sess.circuit.input_map[int(e.sender.split(":")[1])])
-        full = e.receiver in ("P1", "P2")
-        assert e.nbytes == 24 + (160 * w_p * sess.s if full else 32 * w_p)
+        assert e.receiver in ("P1", "P2")
+        assert e.nbytes == 20 + 160 * w_p * sess.s
     assert res.transcript.measure()["bytes_by_type"]["INPUT_COMMITMENTS"] \
         == sum(e.nbytes for e in frames)
 
 
 def _one_commitment_altered(claim):
-    wire, copy, openings, pairs = claim
-    pairs = list(pairs)
+    pairs = list(claim[4])
     pairs[-1] = dataclasses.replace(pairs[-1], position=pairs[0].position)
-    return wire, copy, openings, pairs
+    return claim[:4] + (pairs,)
 
 
 # rewrite of a genuine claim's pairs -> why they miss the wire's digest
 CLAIM_PAIR_REWRITES = {
     "one_commitment_altered": _one_commitment_altered,
-    "last_pair_dropped": lambda claim: claim[:3] + (list(claim[3])[:-1],),
-    "first_pair_repeated": lambda claim: claim[:3] + (
-        [claim[3][0]] + list(claim[3]),),
+    "last_pair_dropped": lambda claim: claim[:4] + (list(claim[4])[:-1],),
+    "first_pair_repeated": lambda claim: claim[:4] + (
+        [claim[4][0]] + list(claim[4]),),
 }
 
 
@@ -879,8 +888,9 @@ CLAIM_PAIR_REWRITES = {
 def test_claim_pairs_that_miss_the_digest_blame_the_claimant(
         inconsistent_labels_scan, rewrite):
     """A genuine claim convicts the provider. The same claim with its
-    pairs changed no longer hashes to the digest every provider holds, so
-    it proves nothing and convicts the claimant."""
+    pairs changed no longer hashes to the wire's digest, which hashes to
+    the echoed record every provider holds, so it proves nothing and
+    convicts the claimant."""
     runs = inconsistent_labels_scan["checked"]
     seeds = inconsistent_labels_scan["seeds"]["checked"]
     assert seeds
@@ -902,10 +912,10 @@ def _first_seed_flipped(seeds):
 
 # rewrite of a genuine claim's check seeds -> why they miss the seed digest
 CLAIM_SEED_REWRITES = {
-    "seed_list_one_short": lambda claim: claim[:2] + (list(claim[2])[:-1],
-                                                      claim[3]),
-    "seed_byte_flipped": lambda claim: claim[:2] + (
-        _first_seed_flipped(claim[2]), claim[3]),
+    "seed_list_one_short": lambda claim: claim[:3] + (list(claim[3])[:-1],
+                                                      claim[4]),
+    "seed_byte_flipped": lambda claim: claim[:3] + (
+        _first_seed_flipped(claim[3]), claim[4]),
 }
 
 
@@ -913,8 +923,8 @@ CLAIM_SEED_REWRITES = {
 def test_claim_seeds_that_miss_the_digest_blame_the_claimant(
         inconsistent_labels_scan, rewrite):
     """A genuine claim with its owner's check seeds changed no longer
-    hashes to the seed digest every provider holds, so it proves nothing
-    and convicts the claimant."""
+    hashes to the seed digest of the echoed record every provider holds,
+    so it proves nothing and convicts the claimant."""
     seeds = inconsistent_labels_scan["seeds"]["checked"]
     assert seeds
     for seed in seeds:
@@ -931,9 +941,8 @@ def test_claim_seeds_that_miss_the_digest_blame_the_claimant(
 
 class _WrongSeed(session._InconsistentLabels):
     """An honest bidder but for the seed of its first check copy, which
-    no longer regenerates the copy. It sends every role alike: the parties
-    get the wrong seed, every other provider the digest of the seeds
-    holding it."""
+    no longer regenerates the copy. It sends both parties alike, so the
+    echo passes."""
 
     make_material = session.Provider.make_material
 
@@ -965,8 +974,8 @@ def test_a_seed_that_does_not_regenerate_its_copy_blames_the_provider(
 
 def test_a_seed_flipped_to_one_party_aborts_at_the_echo_blaming_no_one():
     """A check seed that reaches P1 alone flipped makes P1 find a copy
-    that is not its seed's, but P1's seed digest then misses every other
-    role's, so the session ends at the echo, before any claim is ruled."""
+    that is not its seed's, but P1's seed digest then misses P2's, so the
+    session ends at the echo, before any claim is ruled."""
     for seed in range(6):
         res = run_session(SMALL, BIDS, s=4, seed=seed, transport=value_fault(
             M.MessageType.CHECKSET_OPENINGS,
@@ -982,10 +991,10 @@ class _OwnBadCopyClaim(session._FalsifyCheckFailure):
     """Puts a copy of its own that is not its seed's in place of the
     claimed pair, and that copy's seed in place of the claimed seed: the
     seed does not regenerate the pair, but the claim's seeds and pairs no
-    longer hash to the owner's digests."""
+    longer hash to the owner's echoed record."""
 
     def claim_of(self, w, j):
-        w, j, seeds, pairs = super().claim_of(w, j)
+        w, j, digests, seeds, pairs = super().claim_of(w, j)
         bad = consistency.generate_cheating_material(
             self.adv_rng, 0, self.s, [False] * self.s)
         at = self.copies(self.wire_owner[w].index, checked=True).index(
@@ -993,7 +1002,7 @@ class _OwnBadCopyClaim(session._FalsifyCheckFailure):
         seeds, pairs = list(seeds), list(pairs)
         seeds[at], pairs[j] = bad.copies[j].seed, bad.copies[j].pair
         assert not consistency.check_pair_construction(pairs[j], seeds[at])
-        return w, j, seeds, pairs
+        return w, j, digests, seeds, pairs
 
 
 def test_a_claim_about_a_copy_the_provider_never_sent_blames_the_claimant(
@@ -1007,48 +1016,64 @@ def test_a_claim_about_a_copy_the_provider_never_sent_blames_the_claimant(
         assert "the claim was fabricated" in res.reason
 
 
-_ZERO = Commitment(bytes(32))
-_ZERO_PAIR = consistency.CommitmentSetPair(
-    w=(_ZERO, _ZERO), w_prime=(_ZERO, _ZERO), position=_ZERO)
-
-# case -> (receiver, rewrite of provider 0's input commitments, reason)
-INPUT_COMMITMENT_FAULTS = {
-    "digest_dropped": (
-        "provider:1", lambda got: (list(got[0])[:-1], got[1]),
-        "input commitments hold the wrong number of wire digests"),
-    "pairs_to_a_provider": (
-        "cloud", lambda got: (got[0], [_ZERO_PAIR]),
-        "input commitments hold the wrong number of wire digests"),
-    "digests_to_a_party": (
-        "P2", lambda got: ([bytes(32)], got[1]),
-        "input commitments hold the wrong number of copies"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(INPUT_COMMITMENT_FAULTS))
-def test_input_commitments_of_the_wrong_shape_blame_their_sender(case):
-    receiver, rewrite, reason = INPUT_COMMITMENT_FAULTS[case]
-    res = run_session(SMALL, BIDS, s=4, seed=3, transport=value_fault(
-        M.MessageType.INPUT_COMMITMENTS, rewrite, "provider:0", receiver))
-    assert (res.status, res.blamed, res.reason) == (
-        "abort", "provider:0", reason)
-    assert res.detector == receiver
-
-
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_a_wrong_digest_aborts_at_the_echo_blaming_no_one(seed):
-    """An honest session whose provider sent another provider wrong
-    digests ends at the parties' echo, which covers every bidder's wire
-    digests: the receiver cannot tell whether the bidder or the party that
-    echoed lies, so no one is blamed."""
-    fault = value_fault(M.MessageType.INPUT_COMMITMENTS,
-                        lambda got: ([bytes(32)] * len(got[0]), got[1]),
-                        "provider:0", "provider:1")
+    """A party that echoes to one provider a wrong digest of what provider
+    0 sent it: that provider keeps the first echo it reads and finds the
+    other party's differs. It cannot tell which party lies, or whether
+    provider 0 sent the parties different pairs, so no one is blamed."""
+    def rewrite(got):
+        records = list(got[1])
+        records[0] = (bytes(32),) + records[0][1:]
+        return got[0], records
+    fault = value_fault(M.MessageType.HASH_TUPLE, rewrite, "P1", "provider:1")
     res = run_session(SMALL, BIDS, s=4, seed=seed, transport=fault)
     assert (res.status, res.blamed, res.reason, res.detector) == (
         "abort", None, "input views diverged", "provider:1")
     assert not any(e.type == "GARBLED_CIRCUIT"
                    for e in res.transcript.entries)
+
+
+class _OtherSeedShare(InProcessTransport):
+    """Replaces P1's coin commit and reveal to one receiver by another
+    valid pair, so that receiver derives other challenges."""
+
+    def __init__(self, receiver):
+        super().__init__()
+        self.receiver = receiver
+        _, commit, reveal = consistency.coin_toss_commit(
+            random.Random(receiver))
+        self.values = {M.MessageType.COIN_COMMIT: commit,
+                       M.MessageType.COIN_REVEAL: reveal}
+
+    def send(self, sender, receiver, frame):
+        mtype, sid, who, _ = M.decode_frame(frame)
+        if (sender.name, receiver.name) == ("P1", self.receiver) and \
+                mtype in self.values:
+            frame = M.encode_frame(mtype, sid, who, M.encode_body(
+                mtype, self.values[mtype]))
+        super().send(sender, receiver, frame)
+
+
+@pytest.mark.parametrize("bidders", [1, 3])
+@pytest.mark.parametrize("receiver,adversary", [
+    ("provider:0", None), ("cloud", "falsify_check_failure")])
+def test_a_seed_share_shown_to_one_role_blames_no_honest_role(
+        receiver, adversary, bidders):
+    """P1 shows one provider another seed share. A bidder's coin-toss view
+    reaches the parties with its check seeds, the cloud's is compared at
+    the echo, so the session ends blaming no one before any claim is
+    ruled. Compared nowhere, provider 0 sent the seeds of other copies and
+    was blamed, and the cloud, whose challenge put P1's falsely claimed
+    copy at another seed index, convicted provider 0."""
+    for seed in range(10):
+        res = run_session(SMALL, BIDS[:bidders], s=4, seed=seed,
+                          adversary=adversary,
+                          transport=_OtherSeedShare(receiver))
+        assert (res.status, res.blamed, res.reason) == (
+            "abort", None, "coin-toss views diverged"), seed
+        assert not any(e.type == "CHECK_FAILURE_CLAIM"
+                       for e in res.transcript.entries), seed
 
 
 def test_a_result_names_the_role_that_aborted():
@@ -1074,8 +1099,8 @@ class _ExtraEvidence(session._ForgeConsistencyProof):
     opening repeated."""
 
     def consistency_proof(self):
-        wire, openings, pairs = super().consistency_proof()
-        return wire, [openings[0]] + openings, pairs
+        wire, openings, *rest = super().consistency_proof()
+        return (wire, [openings[0]] + openings, *rest)
 
 
 def test_a_wrong_number_of_evidence_openings_blames_the_complainer(
@@ -1111,8 +1136,8 @@ def test_evidence_that_does_not_open_blames_the_complainer(monkeypatch,
     is blamed, never the provider."""
     class Forger(session._ForgeConsistencyProof):
         def consistency_proof(self):
-            wire, openings, pairs = super().consistency_proof()
-            return wire, evidence(self, openings), pairs
+            wire, openings, *rest = super().consistency_proof()
+            return (wire, evidence(self, openings), *rest)
 
     monkeypatch.setitem(session._SCRIPTED, "forge_consistency_proof",
                         (Forger, "P1"))
@@ -1123,18 +1148,18 @@ def test_evidence_that_does_not_open_blames_the_complainer(monkeypatch,
 
 
 class _WrongCircuit2Set(session._InconsistentLabels):
-    """An honest provider but for the circuit-2 label set it attests for
-    its first wire."""
+    """An honest provider but for the circuit-2 label set it attests to
+    both parties for its first wire."""
 
     make_material = session.Provider.make_material
 
-    def hash_tuple(self):
-        digests, sets = super().hash_tuple()
-        sets[0] = (sets[0][0], tuple(sorted(
-            (self.adv_rng.randbytes(32), self.adv_rng.randbytes(32)))))
-        self.set_bytes[self.role] = b"".join(
-            v for wire in sets for pair in wire for v in pair)
-        return digests, sets
+    def evalset_openings(self):
+        material = self.material[self.wires[0]]
+        honest = material.label_sets
+        wrong = tuple(sorted((self.adv_rng.randbytes(32),
+                              self.adv_rng.randbytes(32))))
+        material.label_sets = lambda rho: (honest(rho)[0], wrong)
+        return super().evalset_openings()
 
 
 def test_a_bidder_that_attests_a_wrong_label_set_is_blamed(monkeypatch):
@@ -1154,15 +1179,21 @@ def _circuit2_set_to_p1(sess, fake):
     """A transport that replaces, to P1 only, the circuit-2 set provider 0
     attests for its first wire by ``fake(sess, wire)``."""
     def rewrite(got):
-        digests, sets = got
+        openings, sets = got
         sets = list(sets)
         sets[0] = (sets[0][0], fake(sess, sess.circuit.input_map[0][0]))
-        return digests, sets
-    return value_fault(M.MessageType.HASH_TUPLE, rewrite, "provider:0", "P1")
+        return openings, sets
+    return value_fault(M.MessageType.EVALSET_OPENINGS, rewrite, "provider:0",
+                       "P1")
 
 
 def _holding_p1s_cross_aggregate(sess, wire):
-    cross = consistency._xor_hashes(t[2] for t in sess.p1.triples[wire])
+    """P1's cross labels of ``wire`` are the third labels of the input sets
+    provider 0 opens to it."""
+    material, rho = sess.bidders[0].material[wire], sess.p1.rho[wire]
+    cross = consistency._xor_hashes(
+        consistency._parse_triple(material.eval_openings(j)[1])[2]
+        for j in range(sess.s) if not rho[j])
     return tuple(sorted((cross, bytes(32))))
 
 
@@ -1196,15 +1227,15 @@ def test_label_sets_shown_to_one_party_only_abort_blaming_no_one(
 
 
 class _Equivocator(session._InconsistentLabels):
-    """An honest bidder but for its first wire: it sends P2 the same input
-    sets as P1 but position commitments to the opposite bit, and opens to
-    each party the input set of its own view. Every check passes on its
-    own, and P2 evaluates the opposite bit."""
+    """An honest bidder but for its first wire: it keeps for P2 the same
+    input sets as P1's but position commitments to the opposite bit, and
+    opens to each party the input set of its own view. Every check passes
+    on its own, and P2 would evaluate the opposite bit."""
 
     make_material = session.Provider.make_material
 
     def input_commitments(self):
-        sent = super().input_commitments()
+        pairs = super().input_commitments()
         honest = self.material[self.wires[0]]
         copies = []
         for c in honest.copies:
@@ -1214,9 +1245,7 @@ class _Equivocator(session._InconsistentLabels):
                 c, position_opening=op,
                 pair=dataclasses.replace(c.pair, position=com)))
         self.p2_view = consistency.WireMaterial(1 - honest.x, copies)
-        digests, pairs = sent[session._P2]
-        return sent | {session._P2: (digests,
-                                     self.p2_view.pairs() + pairs[self.s:])}
+        return pairs
 
     def evalset_openings(self):
         sent = super().evalset_openings()
@@ -1225,36 +1254,28 @@ class _Equivocator(session._InconsistentLabels):
         for k, (w, j) in enumerate(copies):
             if w == w0:
                 pos_op, _first, second = self.p2_view.eval_openings(j)
-                sent[session._P2][k] = (pos_op, second)
+                sent[session._P2][0][k] = (pos_op, second)
         return sent
 
 
 def test_position_commitments_equivocated_to_the_parties_abort_at_the_echo(
         monkeypatch):
-    """The parties' echo covers every bidder's wire digests, and P2's
-    digest of the equivocated wire is not P1's, so every run ends before
-    either circuit is garbled, blaming no one."""
+    """The equivocator's pairs reach P2 with its view of the first wire.
+    The parties' echo covers every bidder's wire digests, and P2's digest
+    of the equivocated wire is not P1's, so every run ends before either
+    circuit is garbled, blaming no one."""
     monkeypatch.setitem(session._SCRIPTED, "inconsistent_labels",
                         (_Equivocator, "provider:0"))
     for seed in range(12):
-        res = run_session(SMALL, BIDS, s=4, seed=seed,
-                          adversary="inconsistent_labels")
+        sess = Session(SMALL, BIDS, s=4, seed=seed,
+                       adversary="inconsistent_labels")
+        sess.transport = value_fault(
+            M.MessageType.INPUT_COMMITMENTS,
+            lambda pairs: (sess.bidders[0].p2_view.pairs()
+                           + list(pairs[sess.s:])), "provider:0", "P2")
+        res = sess.run()
         assert (res.status, res.blamed, res.reason, res.phase) == (
             "abort", None, "input views diverged", "input"), seed
-
-
-def test_digests_equivocated_to_one_arbitrator_blame_no_party():
-    """Provider 0 sends provider 1 zero digests and cheats on its first
-    wire. Claims and proofs are ruled after the echo, which stops every
-    run first, blaming no one; no honest party is ever blamed."""
-    for seed in range(30):
-        fault = value_fault(M.MessageType.INPUT_COMMITMENTS,
-                            lambda got: ([bytes(32)] * len(got[0]), got[1]),
-                            "provider:0", "provider:1")
-        res = run_session(SMALL, BIDS, s=4, seed=seed,
-                          adversary="inconsistent_labels", transport=fault)
-        assert (res.status, res.blamed, res.reason) == (
-            "abort", None, "input views diverged"), seed
 
 
 @pytest.mark.parametrize("script", [
@@ -1336,6 +1357,38 @@ def test_aborted_session_announces_the_abort_to_every_role():
     aborts = [e for e in res.transcript.entries if e.type == "ABORT"]
     assert len(aborts) == len(sess.all_roles) - 1
     assert all(e.sender == "P1" for e in aborts)  # first verifier broadcasts
+
+
+class PendingTransport(InProcessTransport):
+    """Counts the frames sent but not yet received, by channel."""
+
+    def __init__(self):
+        super().__init__()
+        self.pending = Counter()
+
+    def send(self, sender, receiver, frame):
+        self.pending[sender.name, receiver.name] += 1
+        super().send(sender, receiver, frame)
+
+    def recv(self, receiver, sender):
+        frame = super().recv(receiver, sender)
+        self.pending[sender.name, receiver.name] -= 1
+        return frame
+
+
+@pytest.mark.parametrize("behavior", ["tamper_garbled_gate",
+                                      "bias_coin_toss"])
+def test_every_role_reads_the_abort(behavior):
+    """A receiver of the detector's ABORT skips the frames the detector
+    queued before it: under a tampered circuit, P2 detects while its own
+    circuit still waits at P1. So no frame from the detector is left."""
+    for seed in (0, 3, 5):
+        transport = PendingTransport()
+        res = run_session(SMALL, BIDS, s=4, seed=seed, adversary=behavior,
+                          transport=transport)
+        assert res.status == "abort"
+        assert not [channel for channel, n in transport.pending.items()
+                    if n and channel[0] == res.detector], seed
 
 
 def _held(value):

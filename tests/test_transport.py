@@ -70,18 +70,20 @@ T = M.MessageType
 RETIRED = {T.PROOF_OPENING_REQUEST, T.PROOF_OPENING_RESPONSE}
 
 # One decoded value per message type with a schema.
+SETS = [((b"\x11" * 32, b"\x22" * 32), (b"\x33" * 32, b"\x44" * 32))]
 SAMPLES = {
-    T.INPUT_COMMITMENTS: ([b"\x21" * 32, b"\x22" * 32],
-                          [set_pair(1), set_pair(6), set_pair(11)]),
+    T.INPUT_COMMITMENTS: [set_pair(1), set_pair(6), set_pair(11)],
     T.COIN_COMMIT: C(7),
     T.COIN_REVEAL: O(b"seed", 8),
-    T.CHECKSET_OPENINGS: ([b"\x31" * 32], [b"\x41" * 16, b"\x42" * 16]),
-    T.EVALSET_OPENINGS: [(O(b"p", 1), O(b"q", 2)), (O(b"r", 3), O(b"s", 4))],
-    T.HASH_TUPLE: ([b"\x55" * 32], [((b"\x11" * 32, b"\x22" * 32),
-                                     (b"\x33" * 32, b"\x44" * 32))]),
-    T.CONSISTENCY_PROOF: (6, [(O(b"p", 1), O(b"q", 2))], [set_pair(1)]),
-    T.CHECK_FAILURE_CLAIM: (14, 5, [b"\x61" * 16, b"\x62" * 16],
-                            [set_pair(1)]),
+    T.CHECKSET_OPENINGS: (b"\x31" * 32, [b"\x41" * 16, b"\x42" * 16]),
+    T.EVALSET_OPENINGS: ([(O(b"p", 1), O(b"q", 2)), (O(b"r", 3), O(b"s", 4))],
+                         SETS),
+    T.HASH_TUPLE: (b"\x55" * 32, [(b"\x66" * 32, b"\x77" * 32,
+                                    b"\x88" * 32)]),
+    T.CONSISTENCY_PROOF: (6, [(O(b"p", 1), O(b"q", 2))], [b"\x21" * 32],
+                          SETS, [set_pair(1)]),
+    T.CHECK_FAILURE_CLAIM: (14, 5, [b"\x21" * 32, b"\x22" * 32],
+                            [b"\x61" * 16, b"\x62" * 16], [set_pair(1)]),
     T.GARBLED_CIRCUIT: b"\x00\x01tables",
     T.OUTPUT_COMMITMENTS: [C(1), C(2)],
     T.OUTPUT_OPENINGS: O(b"out", 1),
@@ -93,58 +95,66 @@ SAMPLES = {
 # Each sample's body, pinned byte for byte.
 RECORDED_HEX = {
     "INPUT_COMMITMENTS": (
-        "0000000221212121212121212121212121212121212121212121212121212121"
-        "2121212122222222222222222222222222222222222222222222222222222222"
-        "2222222200000003010101010101010101010101010101010101010101010101"
-        "0101010101010101020202020202020202020202020202020202020202020202"
-        "0202020202020202030303030303030303030303030303030303030303030303"
-        "0303030303030303040404040404040404040404040404040404040404040404"
-        "0404040404040404050505050505050505050505050505050505050505050505"
-        "0505050505050505060606060606060606060606060606060606060606060606"
-        "0606060606060606070707070707070707070707070707070707070707070707"
-        "0707070707070707080808080808080808080808080808080808080808080808"
-        "0808080808080808090909090909090909090909090909090909090909090909"
-        "09090909090909090a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a"
-        "0a0a0a0a0a0a0a0a0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b"
-        "0b0b0b0b0b0b0b0b0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c"
-        "0c0c0c0c0c0c0c0c0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d"
-        "0d0d0d0d0d0d0d0d0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e"
-        "0e0e0e0e0e0e0e0e0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f"
-        "0f0f0f0f0f0f0f0f"),
+        "0000000301010101010101010101010101010101010101010101010101010101"
+        "0101010102020202020202020202020202020202020202020202020202020202"
+        "0202020203030303030303030303030303030303030303030303030303030303"
+        "0303030304040404040404040404040404040404040404040404040404040404"
+        "0404040405050505050505050505050505050505050505050505050505050505"
+        "0505050506060606060606060606060606060606060606060606060606060606"
+        "0606060607070707070707070707070707070707070707070707070707070707"
+        "0707070708080808080808080808080808080808080808080808080808080808"
+        "0808080809090909090909090909090909090909090909090909090909090909"
+        "090909090a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a"
+        "0a0a0a0a0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b"
+        "0b0b0b0b0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c"
+        "0c0c0c0c0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d"
+        "0d0d0d0d0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e"
+        "0e0e0e0e0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f"
+        "0f0f0f0f"),
     "COIN_COMMIT": (
         "0707070707070707070707070707070707070707070707070707070707070707"),
     "COIN_REVEAL": "000000047365656408080808080808080808080808080808",
     "CHECKSET_OPENINGS": (
-        "0000000131313131313131313131313131313131313131313131313131313131"
-        "3131313100000002414141414141414141414141414141414242424242424242"
-        "4242424242424242"),
+        "3131313131313131313131313131313131313131313131313131313131313131"
+        "0000000241414141414141414141414141414141424242424242424242424242"
+        "42424242"),
     "EVALSET_OPENINGS": (
         "0000000200000001700101010101010101010101010101010100000001710202"
         "0202020202020202020202020202000000017203030303030303030303030303"
-        "030303000000017304040404040404040404040404040404"),
+        "0303030000000173040404040404040404040404040404040000000111111111"
+        "1111111111111111111111111111111111111111111111111111111122222222"
+        "2222222222222222222222222222222222222222222222222222222233333333"
+        "3333333333333333333333333333333333333333333333333333333344444444"
+        "44444444444444444444444444444444444444444444444444444444"),
     "HASH_TUPLE": (
-        "0000000155555555555555555555555555555555555555555555555555555555"
-        "5555555500000001111111111111111111111111111111111111111111111111"
-        "1111111111111111222222222222222222222222222222222222222222222222"
-        "2222222222222222333333333333333333333333333333333333333333333333"
-        "3333333333333333444444444444444444444444444444444444444444444444"
-        "4444444444444444"),
+        "5555555555555555555555555555555555555555555555555555555555555555"
+        "0000000166666666666666666666666666666666666666666666666666666666"
+        "6666666677777777777777777777777777777777777777777777777777777777"
+        "7777777788888888888888888888888888888888888888888888888888888888"
+        "88888888"),
     "CONSISTENCY_PROOF": (
         "0000000600000001000000017001010101010101010101010101010101000000"
-        "0171020202020202020202020202020202020000000101010101010101010101"
-        "0101010101010101010101010101010101010101010102020202020202020202"
-        "0202020202020202020202020202020202020202020203030303030303030303"
-        "0303030303030303030303030303030303030303030304040404040404040404"
-        "0404040404040404040404040404040404040404040405050505050505050505"
-        "05050505050505050505050505050505050505050505"),
+        "0171020202020202020202020202020202020000000121212121212121212121"
+        "2121212121212121212121212121212121212121212100000001111111111111"
+        "1111111111111111111111111111111111111111111111111111222222222222"
+        "2222222222222222222222222222222222222222222222222222333333333333"
+        "3333333333333333333333333333333333333333333333333333444444444444"
+        "4444444444444444444444444444444444444444444444444444000000010101"
+        "0101010101010101010101010101010101010101010101010101010101010202"
+        "0202020202020202020202020202020202020202020202020202020202020303"
+        "0303030303030303030303030303030303030303030303030303030303030404"
+        "0404040404040404040404040404040404040404040404040404040404040505"
+        "050505050505050505050505050505050505050505050505050505050505"),
     "CHECK_FAILURE_CLAIM": (
-        "0000000e00050000000261616161616161616161616161616161626262626262"
-        "6262626262626262626200000001010101010101010101010101010101010101"
-        "0101010101010101010101010101020202020202020202020202020202020202"
-        "0202020202020202020202020202030303030303030303030303030303030303"
-        "0303030303030303030303030303040404040404040404040404040404040404"
-        "0404040404040404040404040404050505050505050505050505050505050505"
-        "0505050505050505050505050505"),
+        "0000000e00050000000221212121212121212121212121212121212121212121"
+        "2121212121212121212122222222222222222222222222222222222222222222"
+        "2222222222222222222200000002616161616161616161616161616161616262"
+        "6262626262626262626262626262000000010101010101010101010101010101"
+        "0101010101010101010101010101010101010202020202020202020202020202"
+        "0202020202020202020202020202020202020303030303030303030303030303"
+        "0303030303030303030303030303030303030404040404040404040404040404"
+        "0404040404040404040404040404040404040505050505050505050505050505"
+        "050505050505050505050505050505050505"),
     "GARBLED_CIRCUIT": "00017461626c6573",
     "OUTPUT_COMMITMENTS": (
         "0000000201010101010101010101010101010101010101010101010101010101"
@@ -193,7 +203,7 @@ EXTRA_INPUTS = [
     (T.COIN_COMMIT, bytes(33), FramingError),
     (T.COIN_REVEAL, bytes.fromhex("00000001ff") + bytes(15), FramingError),
     (T.COIN_REVEAL, bytes.fromhex("00000001ff") + bytes(17), FramingError),
-    (T.CONSISTENCY_PROOF, bytes(12), (0, [], [])),
+    (T.CONSISTENCY_PROOF, bytes(20), (0, [], [], [], [])),
     (T.ABORT, bytes.fromhex("00abcd00000000"), FramingError),
 ]
 
@@ -202,37 +212,32 @@ EXTRA_INPUTS = [
 # list is empty, and the list's field in that value (None: the whole body).
 FixedList = namedtuple("FixedList", "mtype head width tail empty field")
 
-_CLAIM_HEAD = M.encode_body(
-    T.CHECK_FAILURE_CLAIM, SAMPLES[T.CHECK_FAILURE_CLAIM][:3] + ([],))[:-4]
-_PROOF_HEAD = M.encode_body(
-    T.CONSISTENCY_PROOF, SAMPLES[T.CONSISTENCY_PROOF][:2] + ([],))[:-4]
-_CLAIM_PAIRS = M.encode_body(T.CHECK_FAILURE_CLAIM, (
-    0, 0, [], SAMPLES[T.CHECK_FAILURE_CLAIM][3]))[10:]
+
+def _field(mtype, field: int, width: int) -> FixedList:
+    """The list at ``field`` of the type's sample, every other field kept;
+    the fields after it are lists."""
+    value = SAMPLES[mtype]
+    empty = value[:field] + ([],) + value[field + 1:]
+    after = len(value) - field
+    head = M.encode_body(mtype, value[:field] + ([],) * after)[:-4 * after]
+    tail = M.encode_body(mtype, empty)[len(head) + 4:]
+    return FixedList(mtype, head, width, tail, empty, field)
+
 
 # The lists of fixed-width items, by name: their count is checked against
 # the bytes left before any item is read.
 FIXED_LISTS = {
-    "INPUT_COMMITMENTS": FixedList(T.INPUT_COMMITMENTS, bytes(4), 160, b"",
-                                   ([], []), 1),
-    "INPUT_COMMITMENTS digests": FixedList(T.INPUT_COMMITMENTS, b"", 32,
-                                           bytes(4), ([], []), 0),
-    "CHECKSET_OPENINGS": FixedList(T.CHECKSET_OPENINGS, bytes(4), 16, b"",
-                                   ([], []), 1),
-    "CHECKSET_OPENINGS digests": FixedList(T.CHECKSET_OPENINGS, b"", 32,
-                                           bytes(4), ([], []), 0),
-    "CHECK_FAILURE_CLAIM": FixedList(
-        T.CHECK_FAILURE_CLAIM, _CLAIM_HEAD, 160, b"",
-        SAMPLES[T.CHECK_FAILURE_CLAIM][:3] + ([],), 3),
-    "CHECK_FAILURE_CLAIM seeds": FixedList(
-        T.CHECK_FAILURE_CLAIM, _CLAIM_HEAD[:6], 16, _CLAIM_PAIRS,
-        SAMPLES[T.CHECK_FAILURE_CLAIM][:2] + (
-            [], SAMPLES[T.CHECK_FAILURE_CLAIM][3]), 2),
-    "CONSISTENCY_PROOF": FixedList(
-        T.CONSISTENCY_PROOF, _PROOF_HEAD, 160, b"",
-        SAMPLES[T.CONSISTENCY_PROOF][:2] + ([],), 2),
-    "HASH_TUPLE": FixedList(T.HASH_TUPLE, bytes(4), 128, b"", ([], []), 1),
-    "HASH_TUPLE digests": FixedList(T.HASH_TUPLE, b"", 32, bytes(4),
-                                    ([], []), 0),
+    "INPUT_COMMITMENTS": FixedList(T.INPUT_COMMITMENTS, b"", 160, b"", [],
+                                   None),
+    "CHECKSET_OPENINGS": _field(T.CHECKSET_OPENINGS, 1, 16),
+    "EVALSET_OPENINGS sets": _field(T.EVALSET_OPENINGS, 1, 128),
+    "CHECK_FAILURE_CLAIM": _field(T.CHECK_FAILURE_CLAIM, 4, 160),
+    "CHECK_FAILURE_CLAIM digests": _field(T.CHECK_FAILURE_CLAIM, 2, 32),
+    "CHECK_FAILURE_CLAIM seeds": _field(T.CHECK_FAILURE_CLAIM, 3, 16),
+    "CONSISTENCY_PROOF": _field(T.CONSISTENCY_PROOF, 4, 160),
+    "CONSISTENCY_PROOF digests": _field(T.CONSISTENCY_PROOF, 2, 32),
+    "CONSISTENCY_PROOF sets": _field(T.CONSISTENCY_PROOF, 3, 128),
+    "HASH_TUPLE digests": _field(T.HASH_TUPLE, 1, 96),
     "OUTPUT_COMMITMENTS": FixedList(T.OUTPUT_COMMITMENTS, b"", 32, b"", [],
                                     None),
 }
@@ -288,7 +293,7 @@ def _encode(codec, value) -> bytes:
 
 def test_a_table_reads_as_the_list_it_encodes():
     codec = M.set_pairs
-    items = SAMPLES[T.INPUT_COMMITMENTS][1]
+    items = SAMPLES[T.INPUT_COMMITMENTS]
     body = _encode(codec, items)
     table, end = codec.read(body, 0)
     assert end == len(body)
