@@ -73,9 +73,7 @@ from .consistency import (
     generate_cheating_material,
     generate_input_material,
     labels_consistent,
-    open_eval_triple,
     open_evidence,
-    open_position,
     seed_digest,
     verify_check_failure_claim,
     wire_digest,
@@ -420,19 +418,16 @@ class Party(Participant):
             raise _Abort(self.role, sender, "label sets cover the wrong wires")
         self.label_sets[sender] = sets
         self.records[sender.index].append(_digest(sets))
+        by_wire = {}
         for (w, j), entry in zip(copies, entries):
-            pos_op, set_op = entry
-            pair = self.pairs[w][j]
-            pos = open_position(pair, pos_op)
-            if pos is None:
-                raise _Abort(self.role, sender, f"position opening "
-                             f"failed on wire {w} copy {j}")
-            triple = open_eval_triple(pair, pos, self.slot, set_op)
-            if triple is None:
-                raise _Abort(self.role, sender, f"input-set opening "
-                             f"failed on wire {w} copy {j}")
-            self.triples.setdefault(w, []).append(triple)
-            self.evidence.setdefault(w, []).append(entry)
+            by_wire.setdefault(w, []).append((j, entry))
+        for w, opened in by_wire.items():
+            js, openings = zip(*opened)
+            triples = open_evidence(self.pairs[w], js, self.slot, openings)
+            if triples is None:
+                raise _Abort(self.role, sender,
+                             f"evaluation opening failed on wire {w}")
+            self.triples[w], self.evidence[w] = triples, list(openings)
         for w in self.circuit.input_map[sender.index]:
             enc, cross = evaluate_final_labels(self.triples[w])
             if enc.zero == enc.one:
