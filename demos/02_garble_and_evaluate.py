@@ -3,11 +3,11 @@
 A garbled circuit lets one side evaluate a boolean circuit on labels
 instead of bits: the evaluator learns the output labels but not what any
 wire means.  XOR gates are free: the evaluator XORs labels.  AND and OR
-gates send 3 table rows: the row the evaluator would decrypt at pointer
-bits (0, 0) is implicit, its label taken from the hash pad.  Each input and
-output wire sends a 2-row projection.  Every sent row carries a 16-bit
-authenticator, so a tampered row the evaluator reads is rejected instead of
-producing a wrong label.
+gates send two 16-byte ciphertexts (half-gates): the evaluator hashes its
+two labels and XORs in the ciphertexts its labels' pointer bits select.
+Each input and output wire sends a 2-row projection whose rows carry a
+16-bit authenticator.  A tampered ciphertext the evaluator reads gives it a
+wrong label, which fails an output projection instead of decoding.
 """
 
 import random
@@ -39,8 +39,9 @@ def main():
     gc = garble(circuit, enc, rng_seed=2024)
     blob = gc.tables_blob()
     print(f"tables blob: {len(blob)} bytes (32-byte circuit hash, 4-byte "
-          f"gate count, 16-byte salt, 18-byte rows: 2 per input and output "
-          f"wire, 3 per AND/OR gate, none for the 2 XOR gates)")
+          f"gate count, 16-byte salt, two 18-byte rows per input and output "
+          f"wire, two 16-byte ciphertexts per AND/OR gate, none for the 2 "
+          f"XOR gates)")
     zero_label = enc[a].zero
     one_label = enc[a].one
     print(f"wire a: 0 -> {zero_label.hex()[:16]}...  1 -> {one_label.hex()[:16]}...")
@@ -57,12 +58,13 @@ def main():
         print(f"a,b,cin = {bits} -> sum,carry = {tuple(out_bits)} "
               f"(plain evaluation agrees: {out_bits == plain})")
 
-    print("\n=== 3. Tampering is caught when a tampered row is read ===")
+    print("\n=== 3. Tampering is caught when a tampered ciphertext is read ===")
     tampered = bytearray(blob)
-    first_and = tabled_gates(circuit)[0]  # gate 0 is an XOR: it has no rows
-    rows = gate_rows(circuit, first_and)
-    for off in range(rows.start, rows.stop):  # every sent row byte of a & b
-        tampered[off] ^= 0x5A
+    first_and = tabled_gates(circuit)[0]  # gate 0 is an XOR: it sends nothing
+    tg, te = gate_rows(circuit, first_and)
+    for i in range(16):  # a different delta in each ciphertext of a & b
+        tampered[tg + i] ^= 0x5A
+        tampered[te + i] ^= 0xA5
     tables = parse_tables_blob(circuit, bytes(tampered))
     for bits in ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)):
         labels = select_labels(enc, dict(zip((a, b, cin), bits)))
@@ -75,12 +77,12 @@ def main():
                           [gc.output_encodings[w] for w in circuit.output_map[0]])
         print(f"a,b = {bits[:2]}: sum,carry = {tuple(out_bits)}, correct: "
               f"{out_bits == eval_plain(circuit, [list(bits)])[0]}")
-    print(f"Gate {first_and} sends 3 rows.  For the one pair of a and b whose")
-    print("labels have pointer bits (0, 0), the evaluator reads no row: it")
-    print("takes the label from the hash pad, which cannot be tampered with,")
-    print("so the result is right.  For every other pair the row it reads")
-    print("does not authenticate, so it aborts instead of propagating a")
-    print("corrupted label.")
+    print(f"Gate {first_and} sends TG and TE.  For the one pair of a and b whose")
+    print("labels have pointer bits (0, 0), the evaluator reads neither, so the")
+    print("result is right.  For every other pair it XORs in a tampered one and")
+    print("gets a wrong label for a & b; the OR gate hashes it into a wrong carry")
+    print("label, whose output projection does not authenticate, so it aborts")
+    print("instead of decoding a corrupted result.")
 
 
 if __name__ == "__main__":

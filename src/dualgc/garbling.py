@@ -1,47 +1,57 @@
-"""Garbling scheme: free-XOR labels, row-reduced authenticated AND/OR tables.
+"""Garbling scheme: free-XOR labels, half-gate AND/OR gates, authenticated
+input and output projections.
 
 Labels. Each garbling draws one global offset ``R`` (128 bits, least
 significant bit 1) and gives every wire a 0-label ``K``; its 1-label is
 ``K ^ R``. An XOR gate's 0-label is ``K_a ^ K_b`` and a NOT gate's is
-``K_a ^ R``, so XOR and NOT gates carry no rows: the evaluator XORs the
+``K_a ^ R``, so XOR and NOT gates send nothing: the evaluator XORs the
 operand labels, or keeps the operand's label (free-XOR,
 Kolesnikov-Schneider, ICALP 2008). Because ``R`` has LSB 1, a wire's two
 labels have complementary LSBs, and the LSB is the label's pointer bit.
 
-Rows. A row is 18 bytes: a pad ``SHA-256(key || salt || index_be4 ||
-tag)`` truncated to 18 bytes, XORed with ``label || 0x0000``. The 16-bit
-all-zero authenticator tells the evaluator whether a row decrypted validly,
-so a tampered table is rejected and convicts its garbler instead of
-yielding a wrong label. ``salt`` is 16 bytes drawn per garbling attempt and
-sent in the blob. Three kinds of units carry rows:
+Gates. Each AND gate ``gi`` sends two 16-byte ciphertexts (half-gates,
+Zahur-Rosulek-Evans, EUROCRYPT 2015). With ``H_t(x) = SHA-256(x || salt
+|| gi_be4 || t)[:16]``, tag 0 for the garbler half and 1 for the evaluator
+half, operand 0-labels ``A``, ``B`` and their pointer bits ``pa``, ``pb``:
+
+    TG = H_0(A) ^ H_0(A ^ R) ^ pb * R
+    TE = H_1(B) ^ H_1(B ^ R) ^ A
+
+The output's 0-label is ``H_0(A) ^ H_1(B) ^ pa * TG ^ pb * (TE ^ A)``. An
+evaluator holding labels ``Wa``, ``Wb`` with pointer bits ``sa``, ``sb``
+computes ``H_0(Wa) ^ H_1(Wb) ^ sa * TG ^ sb * (TE ^ Wa)``: the output
+label of ``a & b``. An OR gate is an AND gate under free NOTs: both
+operand 0-labels and the output 0-label are flipped by ``R``, so the
+evaluator treats it as an AND gate. The garbler hashes 4 times per gate,
+the evaluator twice. ``salt`` is 16 bytes drawn per garbling attempt and
+sent in the blob.
+
+Projections. A projection row is 18 bytes: a pad ``SHA-256(key || salt ||
+index_be4 || tag)`` truncated to 18 bytes, XORed with ``label ||
+authenticator``. The evaluator checks the authenticator of each row it
+decrypts, so a tampered row convicts its garbler.
 
 * each circuit-input wire ``w``: a 2-row projection from its externally
   supplied encoding (in the protocol, XORs of data-provider copies) onto
-  ``(K, K ^ R)``; keys are the supplied labels, index ``w``, tags 4 and 5.
-  The supplied labels' LSBs may coincide, so the rows sit at a random
-  garbler-chosen pointer bit and the evaluator decrypts both, accepting the
-  unique one that authenticates. These are the only rows tried blind.
-* each AND/OR gate ``gi``: 3 point-and-permute rows keyed by
-  ``K_a || K_b``, index ``gi``, tags 1-3; the operands' pointer bits
-  ``(pa, pb)`` pick the one row ``r = pa * 2 + pb`` the evaluator decrypts.
-  Row 0 is implicit and never sent (garbled row reduction,
-  Naor-Pinkas-Sumner, EC 1999; with free-XOR as in
-  Pinkas-Schneider-Smart-Williams, ASIACRYPT 2009): the first 16 bytes of
-  its tag-0 pad are the output label of its output bit, which fixes the
-  wire's 0-label, so an evaluator at ``(0, 0)`` takes its label from the
-  pad and reads no row. Row ``r`` of 1-3 is sent at position ``r - 1``.
-  The garbler still hashes all four positions.
+  ``(K, K ^ R)``; keys are the supplied labels, index ``w``, tags 4 and 5,
+  authenticator ``0x0000``. The supplied labels' LSBs may coincide, so the
+  rows sit at a random garbler-chosen pointer bit and the evaluator
+  decrypts both, accepting the unique one that authenticates.
 * each distinct output wire ``w``: a 2-row projection from ``(K, K ^ R)``
   onto a fresh, independent pair, placed by pointer bits; index ``w``,
   tags 6 and 7. The output encodings are what recipients later open, so
-  ``R`` never leaves the garbler. These rows are the last an output label
-  passes, so their authenticator is ``SHA-256(label)[:2]`` instead of
-  zero: a flipped label bit fails it too. Elsewhere a flipped label bit
-  fails the next *sent* row the wrong label keys, or its output
-  projection: through an implicit row a wrong label only yields another
-  wrong label. A row that is not sent cannot be tampered with, so
-  tampering with a gate convicts its garbler only when the evaluator
-  reads one of its sent rows.
+  ``R`` never leaves the garbler. The authenticator is
+  ``SHA-256(label)[:2]``, so a flipped label bit fails it too.
+
+Tampering. Gate ciphertexts carry no authenticator. A ciphertext changed
+by ``d`` gives an evaluator whose pointer bit reads it (``sa`` for ``TG``,
+``sb`` for ``TE``) an output label off by ``d``, or by both deltas at
+``(1, 1)`` (so equal deltas cancel there): a label that is neither of the
+wire's two. XOR and NOT gates carry its offset and AND/OR gates hash it
+into another wrong label; one that reaches an output fails its
+projection, which convicts the garbler (unless two equal offsets cancel
+in an XOR on the way). An evaluator at pointer bits ``(0, 0)`` reads
+neither ciphertext, so a tamper there does nothing.
 
 Ambiguity. An input projection is ambiguous when the wrong row also
 authenticates under one of the supplied labels: the two labels' pad tails
@@ -53,12 +63,12 @@ projection.
 
 Layout: a garbled circuit is one flat byte string, the same in memory and
 on the wire: circuit hash (32) || gate count (4, big-endian) || salt (16)
-|| input projections in input-wire order || AND/OR rows in gate order ||
-output projections in order of first appearance in the output map,
-``ROW_BYTES`` per row. ``GarbledCircuit.tables`` is that string,
+|| input projections in input-wire order || ``TG || TE`` per AND/OR gate
+in gate order || output projections in order of first appearance in the
+output map. ``GarbledCircuit.tables`` is that string,
 ``parse_tables_blob`` checks a received one's header and exact length, and
-``evaluate`` reads each row straight from it. ``gate_rows`` gives one
-gate's row offsets (none for XOR/NOT).
+``evaluate`` reads each row and ciphertext straight from it. ``gate_rows``
+gives one gate's ciphertext offsets (none for XOR/NOT).
 """
 
 from __future__ import annotations
@@ -72,7 +82,8 @@ from .circuits import AND, NOT, OR, XOR, Circuit
 from .errors import DecodeError, EncodingCoverageError, EvaluationError, ProtocolError
 
 LABEL_BYTES = 16
-ROW_BYTES = LABEL_BYTES + 2
+ROW_BYTES = LABEL_BYTES + 2  # a projection row
+GATE_BYTES = 2 * LABEL_BYTES  # an AND/OR gate's TG || TE
 AUTH_ZERO = b"\x00\x00"
 AUTH_MASK = 0xFFFF  # the authenticator bits of a row read as an int
 SALT_BYTES = 16
@@ -81,21 +92,10 @@ MAX_GARBLE_ATTEMPTS = 64
 
 _sha256 = hashlib.sha256
 _from_bytes = int.from_bytes
-# Row tags: AND/OR positions 0-3 (position 0 is never sent), input
-# projections 4-5, output projections 6-7.
+# Hash tags: garbler and evaluator halves 0-1, input projections 4-5,
+# output projections 6-7.
 _ROW_TAG = [bytes([t]) for t in range(8)]
 _IN_TAG, _OUT_TAG = 4, 6
-
-# Output bit of each tabled gate kind, indexed by bit_a * 2 + bit_b.
-_TRUTH = {AND: (0, 0, 0, 1), OR: (0, 1, 1, 1)}
-# The same truth tables in row order, for operands whose 0-labels have
-# pointer bits (sa, sb): _ROW_BITS[kind][sa * 2 + sb][r] is the output bit
-# of row r = pa * 2 + pb, whose operands hold the bits pa ^ sa and pb ^ sb.
-_ROW_BITS = {
-    kind: tuple(tuple(truth[(pa ^ sa) * 2 + (pb ^ sb)]
-                      for pa in (0, 1) for pb in (0, 1))
-                for sa in (0, 1) for sb in (0, 1))
-    for kind, truth in _TRUTH.items()}
 
 
 class Encoding(NamedTuple):
@@ -135,17 +135,17 @@ def _and_or_count(gates) -> int:
 
 
 def tabled_gates(circuit: Circuit) -> list[int]:
-    """Indices of the gates that carry rows: the AND and OR gates."""
+    """Indices of the gates that send ciphertexts: the AND and OR gates."""
     return [gi for gi, gate in enumerate(circuit.gates) if _tabled(gate[0])]
 
 
 def gate_rows(circuit: Circuit, gi: int) -> range:
-    """Offsets of gate ``gi``'s rows in the tables (and so in the blob);
-    empty for an XOR or NOT gate."""
-    start = HEADER_BYTES + ROW_BYTES * (
-        2 * len(circuit.input_wires) + 3 * _and_or_count(circuit.gates[:gi]))
-    rows = 3 if _tabled(circuit.gates[gi][0]) else 0
-    return range(start, start + ROW_BYTES * rows, ROW_BYTES)
+    """Offsets of gate ``gi``'s ciphertexts TG and TE in the tables (and so
+    in the blob); empty for an XOR or NOT gate."""
+    start = (HEADER_BYTES + 2 * ROW_BYTES * len(circuit.input_wires)
+             + GATE_BYTES * _and_or_count(circuit.gates[:gi]))
+    stop = start + GATE_BYTES if _tabled(circuit.gates[gi][0]) else start
+    return range(start, stop, LABEL_BYTES)
 
 
 def parse_tables_blob(circuit: Circuit, blob: bytes) -> bytes:
@@ -157,9 +157,9 @@ def parse_tables_blob(circuit: Circuit, blob: bytes) -> bytes:
     count = int.from_bytes(blob[32:36], "big")
     if count != len(circuit.gates):
         raise ProtocolError("garbled circuit gate count mismatch")
-    size = HEADER_BYTES + ROW_BYTES * (
-        2 * len(circuit.input_wires) + 3 * _and_or_count(circuit.gates)
-        + 2 * len(_distinct_outputs(circuit)))
+    size = (HEADER_BYTES + GATE_BYTES * _and_or_count(circuit.gates)
+            + 2 * ROW_BYTES * (len(circuit.input_wires)
+                               + len(_distinct_outputs(circuit))))
     if len(blob) < size:
         raise ProtocolError("garbled circuit blob is truncated")
     if len(blob) > size:
@@ -168,8 +168,8 @@ def parse_tables_blob(circuit: Circuit, blob: bytes) -> bytes:
 
 
 def _pad(key: bytes, site: bytes, tag: int) -> int:
-    """The pad of the row tagged ``tag`` at ``site`` (salt || index_be4)
-    under ``key`` (one label, or two concatenated)."""
+    """The pad of the projection row tagged ``tag`` at ``site`` (salt ||
+    index_be4) under the label ``key``."""
     return _from_bytes(_sha256(key + site + _ROW_TAG[tag]).digest()[:ROW_BYTES],
                        "big")
 
@@ -253,29 +253,25 @@ def garble(circuit: Circuit, input_encodings: dict[int, Encoding],
         if kind == NOT:
             zeros[out] = zeros[a] ^ offset
             continue
-        # a0/a1 (b0/b1) are the operand labels whose pointer bit is 0/1, so
-        # row pa * 2 + pb is keyed by the pair a<pa>, b<pb>.
-        za, zb = zeros[a], zeros[b]
-        sa, sb = za & 1, zb & 1
-        la = za ^ offset if sa else za
-        lb = zb ^ offset if sb else zb
-        a0, a1 = la.to_bytes(LABEL_BYTES, "big"), (la ^ offset).to_bytes(LABEL_BYTES, "big")
-        b0, b1 = lb.to_bytes(LABEL_BYTES, "big"), (lb ^ offset).to_bytes(LABEL_BYTES, "big")
+        # a | b == ~(~a & ~b): an OR gate flips its 0-labels by R.
+        flip = offset if kind == OR else 0
+        za, zb = zeros[a] ^ flip, zeros[b] ^ flip
         site = salt + gi.to_bytes(4, "big")
-        bit0, bit1, bit2, bit3 = _ROW_BITS[kind][sa * 2 + sb]
-        # Row 0 is not sent: its pad's label part is the label of its
-        # output bit, which fixes the wire's 0-label.
-        k = from_bytes(sha(a0 + b0 + site + b"\x00").digest()[:LABEL_BYTES], "big")
-        k = zeros[out] = k ^ offset if bit0 else k
-        # Output label || 0x0000 by output bit.
-        masks = (k << 16, (k ^ offset) << 16)
-        parts.append(
-            (from_bytes(sha(a0 + b1 + site + b"\x01").digest()[:ROW_BYTES], "big")
-             ^ masks[bit1]).to_bytes(ROW_BYTES, "big")
-            + (from_bytes(sha(a1 + b0 + site + b"\x02").digest()[:ROW_BYTES], "big")
-               ^ masks[bit2]).to_bytes(ROW_BYTES, "big")
-            + (from_bytes(sha(a1 + b1 + site + b"\x03").digest()[:ROW_BYTES], "big")
-               ^ masks[bit3]).to_bytes(ROW_BYTES, "big"))
+        g_site, e_site = site + b"\x00", site + b"\x01"
+        g0 = from_bytes(sha(za.to_bytes(LABEL_BYTES, "big") + g_site)
+                        .digest()[:LABEL_BYTES], "big")
+        g1 = from_bytes(sha((za ^ offset).to_bytes(LABEL_BYTES, "big")
+                            + g_site).digest()[:LABEL_BYTES], "big")
+        e0 = from_bytes(sha(zb.to_bytes(LABEL_BYTES, "big") + e_site)
+                        .digest()[:LABEL_BYTES], "big")
+        e1 = from_bytes(sha((zb ^ offset).to_bytes(LABEL_BYTES, "big")
+                            + e_site).digest()[:LABEL_BYTES], "big")
+        tg = g0 ^ g1 ^ offset if zb & 1 else g0 ^ g1
+        te = e0 ^ e1 ^ za
+        # The output 0-label is what an evaluator holding (za, zb) gets.
+        k = g0 ^ e0 ^ (tg if za & 1 else 0) ^ (te ^ za if zb & 1 else 0)
+        zeros[out] = k ^ flip
+        parts.append((tg << 8 * LABEL_BYTES | te).to_bytes(GATE_BYTES, "big"))
 
     output_encodings = {}
     for w in _distinct_outputs(circuit):
@@ -298,10 +294,11 @@ def evaluate(circuit: Circuit, tables: bytes,
     """Evaluate garbled tables on one label per input wire.
 
     ``tables`` is the flat layout ``garble`` and ``parse_tables_blob``
-    return; each row is read at its offset. Returns output labels grouped
-    like the circuit's output map. Raises EvaluationError when a row the
-    evaluator decrypts does not authenticate, or when both rows of an input
-    projection do.
+    return; each row and ciphertext is read at its offset. Returns output
+    labels grouped like the circuit's output map. Raises EvaluationError
+    when a projection row the evaluator decrypts does not authenticate, or
+    when both rows of an input projection do; a tampered gate ciphertext
+    fails at an output projection.
     """
     input_wires = circuit.input_wires
     for w in input_wires:
@@ -334,20 +331,18 @@ def evaluate(circuit: Circuit, tables: bytes,
             vals[out] = vals[a]
         else:
             la, lb = vals[a], vals[b]
-            r = (la & 1) * 2 + (lb & 1)
-            pad = from_bytes(sha(la.to_bytes(LABEL_BYTES, "big")
-                                 + lb.to_bytes(LABEL_BYTES, "big") + salt
-                                 + gi.to_bytes(4, "big") + _ROW_TAG[r])
-                             .digest()[:ROW_BYTES], "big")
-            if r:
-                o = off + (r - 1) * ROW_BYTES
-                dec = pad ^ from_bytes(tables[o:o + ROW_BYTES], "big")
-                if dec & AUTH_MASK:
-                    raise EvaluationError(f"gate {gi}: no row authenticates")
-                vals[out] = dec >> 16
-            else:  # the implicit row: the label is the pad's
-                vals[out] = pad >> 16
-            off += 3 * ROW_BYTES
+            site = salt + gi.to_bytes(4, "big")
+            k = (from_bytes(sha(la.to_bytes(LABEL_BYTES, "big") + site
+                                + b"\x00").digest()[:LABEL_BYTES], "big")
+                 ^ from_bytes(sha(lb.to_bytes(LABEL_BYTES, "big") + site
+                                  + b"\x01").digest()[:LABEL_BYTES], "big"))
+            if la & 1:
+                k ^= from_bytes(tables[off:off + LABEL_BYTES], "big")
+            if lb & 1:
+                k ^= from_bytes(tables[off + LABEL_BYTES:off + GATE_BYTES],
+                                "big") ^ la
+            vals[out] = k
+            off += GATE_BYTES
 
     out_labels = {}
     for w in _distinct_outputs(circuit):

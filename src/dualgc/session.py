@@ -88,7 +88,7 @@ from .errors import (
     UsageError,
 )
 from .garbling import (LABEL_BYTES, evaluate, garble, gate_rows,
-                       parse_tables_blob, tabled_gates)
+                       parse_tables_blob, tabled_gates, xor_bytes)
 from .outputs import (
     BLAME,
     CONFIRMED,
@@ -114,9 +114,9 @@ class AdversaryScript:
 
     ``wires`` are offsets into the corrupted provider's input group;
     ``recipient``/``wire`` pick the output a party substitutes; ``gate``/
-    ``mask`` select the garbled rows to corrupt: ``gate`` must name an AND
-    or OR gate, since XOR and NOT gates have none (``gate=None`` corrupts
-    every AND/OR gate's rows). ``pattern`` marks which of the s
+    ``mask`` select the gate ciphertexts to corrupt: ``gate`` must name an
+    AND or OR gate, since XOR and NOT gates have none (``gate=None``
+    corrupts every AND/OR gate's). ``pattern`` marks which of the s
     copies stay honest (``False`` entries are tampered); ``None`` tampers
     exactly one copy.
     """
@@ -685,20 +685,25 @@ class _InconsistentLabels(_Scripted, Provider):
 
 
 class _TamperGarbledGate(_Scripted, Party):
-    """XORs the mask into every byte of one AND/OR gate's rows or, by
-    default, of every AND/OR gate's: the evaluator reads no row of a gate
-    where it holds pointer bits (0, 0), since that row is never sent."""
+    """XORs the mask into every byte of one AND/OR gate's ciphertext TG or,
+    by default, of every AND/OR gate's, and that delta shifted left by one
+    bit into TE: with one delta in both, an evaluator at pointer bits
+    (1, 1) would XOR it in twice and get its right label. Only at (0, 0)
+    does the evaluator read neither ciphertext."""
 
     def garbled_circuit(self):
-        blob = bytearray(super().garbled_circuit())
+        blob = super().garbled_circuit()
         gates = ([self.script.gate] if self.script.gate is not None
                  else tabled_gates(self.circuit))
-        # The AND/OR rows lie back to back in gate order.
+        # The AND/OR ciphertexts lie back to back in gate order.
         start = gate_rows(self.circuit, gates[0]).start
         stop = gate_rows(self.circuit, gates[-1]).stop
-        flip = bytes(b ^ self.script.mask for b in range(256))
-        blob[start:stop] = blob[start:stop].translate(flip)
-        return bytes(blob)
+        tg = int.from_bytes(bytes([self.script.mask]) * LABEL_BYTES, "big")
+        te = tg << 1 & (1 << 8 * LABEL_BYTES) - 1
+        delta = (tg << 8 * LABEL_BYTES | te).to_bytes(2 * LABEL_BYTES, "big")
+        return (blob[:start]
+                + xor_bytes(blob[start:stop], delta * len(gates))
+                + blob[stop:])
 
 
 class _SubstituteOutputLabel(_Scripted, Party):

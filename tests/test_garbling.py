@@ -1,4 +1,5 @@
-"""Garbling scheme tests: row format, correctness, authenticity, obliviousness."""
+"""Garbling scheme tests: row and ciphertext format, correctness,
+authenticity, obliviousness."""
 
 import hashlib
 import random
@@ -8,9 +9,9 @@ import pytest
 from dualgc.circuits import AND, NOT, OR, XOR, Circuit, eval_plain, int_to_bits
 from dualgc.errors import (DecodeError, EncodingCoverageError, EvaluationError,
                            ProtocolError)
-from dualgc.garbling import (AUTH_ZERO, HEADER_BYTES, LABEL_BYTES, ROW_BYTES,
-                             Encoding, GarbledCircuit, decode, evaluate,
-                             garble, gate_rows, parse_tables_blob,
+from dualgc.garbling import (AUTH_ZERO, GATE_BYTES, HEADER_BYTES, LABEL_BYTES,
+                             ROW_BYTES, Encoding, GarbledCircuit, decode,
+                             evaluate, garble, gate_rows, parse_tables_blob,
                              random_input_encodings, select_labels,
                              tabled_gates, xor_bytes)
 
@@ -23,8 +24,21 @@ def two_in_circuit(kind):
 
 
 def rows_of(circuit, tables, gi):
-    """Gate ``gi``'s rows, read at the offsets ``evaluate`` reads."""
-    return [tables[o:o + ROW_BYTES] for o in gate_rows(circuit, gi)]
+    """Gate ``gi``'s ciphertexts, read at the offsets ``evaluate`` reads."""
+    return [tables[o:o + LABEL_BYTES] for o in gate_rows(circuit, gi)]
+
+
+def half(label, tables, gi, tag):
+    """SHA-256(label || salt || gi_be4 || tag)[:16]: tag 0 hashes for the
+    garbler half, tag 1 for the evaluator half."""
+    return pad_of(label, tables, gi, tag)[:LABEL_BYTES]
+
+
+def rotl(x):
+    """A 128-bit delta rotated left by one bit. For a one-bit ``x``,
+    rotl(x) != x, so a tamper of TG by x and of TE by rotl(x) cannot
+    cancel."""
+    return (x << 1 | x >> 127) & (1 << 128) - 1
 
 
 def pad_of(key, tables, index, tag):
@@ -65,11 +79,22 @@ def project_output(tables, w, j, n_outputs, label):
     return open_row(label, tables, w, 6 + r, tables[off:off + ROW_BYTES])
 
 
+def half_gate(tables, gi, tg, te, wa, wb):
+    """The half-gate equation an evaluator holding ``wa``, ``wb`` applies:
+    H_0(wa) ^ H_1(wb) ^ sa * TG ^ sb * (TE ^ wa), with sa, sb the labels'
+    pointer bits (their LSBs)."""
+    out = xor_bytes(half(wa, tables, gi, 0), half(wb, tables, gi, 1))
+    if wa[-1] & 1:
+        out = xor_bytes(out, tg)
+    if wb[-1] & 1:
+        out = xor_bytes(out, xor_bytes(te, wa))
+    return out
+
+
 def held_labels(circuit, tables, input_labels):
     """The label the evaluator holds on every wire, replayed with the
-    helpers above: an AND/OR gate at pointer bits (pa, pb) = (0, 0) takes
-    the first 16 bytes of its tag-0 pad, any other opens its sent row
-    pa * 2 + pb - 1."""
+    helpers above: XOR gates XOR their operand labels, NOT gates keep
+    theirs, AND/OR gates apply the half-gate equation to their ciphertexts."""
     held = {w: project_input(tables, w, i, input_labels[w])
             for i, w in enumerate(circuit.input_wires)}
     for gi, (kind, a, b, out) in enumerate(circuit.gates):
@@ -78,11 +103,8 @@ def held_labels(circuit, tables, input_labels):
         elif kind == NOT:
             held[out] = held[a]
         else:
-            key = held[a] + held[b]
-            r = (held[a][-1] & 1) * 2 + (held[b][-1] & 1)
-            held[out] = (open_row(key, tables, gi, r,
-                                  rows_of(circuit, tables, gi)[r - 1])
-                         if r else pad_of(key, tables, gi, 0)[:LABEL_BYTES])
+            held[out] = half_gate(tables, gi, *rows_of(circuit, tables, gi),
+                                  held[a], held[b])
     return held
 
 
@@ -100,15 +122,15 @@ def run_garbled(circuit, inputs, seed=0):
             for group, wires in zip(out_labels, circuit.output_map)]
 
 
-# [DERIVED] row format pinned against an independent hashlib recomputation:
-# each unit's pad is SHA-256(key || salt || index_be4 || tag)[:18], and
+# [DERIVED] format pinned against an independent hashlib recomputation:
+# each projection pad is SHA-256(key || salt || index_be4 || tag)[:18], and
 # row XOR pad = label || authenticator. Input projections (tags 4, 5) map
-# the supplied labels to internal ones. The gate's row at pointer position
-# (0, 0) is not sent: its pad's first 16 bytes are the output label of its
-# output bit. Rows 1-3 (tags 1-3, placed by the keys' LSBs) carry the
-# other positions' labels, and the output projection (tags 6, 7, whose
-# authenticator is SHA-256(label)[:2]) maps the result to the output
-# encoding.
+# the supplied labels to internal ones. An OR gate is an AND gate on the
+# flipped 0-labels A = K_a ^ R, B = K_b ^ R: it sends
+# TG = H_0(A) ^ H_0(A ^ R) ^ pb * R and TE = H_1(B) ^ H_1(B ^ R) ^ A, and its
+# output 0-label is H_0(A) ^ H_1(B) ^ pa * TG ^ pb * (TE ^ A), flipped by R.
+# The output projection (tags 6, 7, whose authenticator is
+# SHA-256(label)[:2]) maps the result to the output encoding.
 def test_row_format_matches_hash_recomputation():
     circuit = two_in_circuit(OR)
     rng = random.Random(7)
@@ -116,36 +138,29 @@ def test_row_format_matches_hash_recomputation():
     gc = garble(circuit, enc, 7)
     tables = gc.tables
     rows = rows_of(circuit, tables, 0)
-    assert len(rows) == 3 and all(len(r) == ROW_BYTES for r in rows)
-    assert len(tables) == HEADER_BYTES + ROW_BYTES * (2 + 2 + 3 + 2)
+    assert len(rows) == 2 and all(len(r) == LABEL_BYTES for r in rows)
+    assert len(tables) == HEADER_BYTES + ROW_BYTES * (2 + 2 + 2) + GATE_BYTES
     offset = xor_bytes(project_input(tables, 0, 0, enc[0].zero),
                        project_input(tables, 0, 0, enc[0].one))
-    by_bit = {0: set(), 1: set()}
-    implicit = []
+    a = xor_bytes(project_input(tables, 0, 0, enc[0].zero), offset)
+    b = xor_bytes(project_input(tables, 1, 1, enc[1].zero), offset)
+    no = bytes(LABEL_BYTES)
+    tg, te = rows
+    assert tg == xor_bytes(xor_bytes(half(a, tables, 0, 0),
+                                     half(xor_bytes(a, offset), tables, 0, 0)),
+                           offset if b[-1] & 1 else no)
+    assert te == xor_bytes(xor_bytes(half(b, tables, 0, 1),
+                                     half(xor_bytes(b, offset), tables, 0, 1)),
+                           a)
+    zero = xor_bytes(half_gate(tables, 0, tg, te, a, b), offset)
     for ba in (0, 1):
         for bb in (0, 1):
             ka = project_input(tables, 0, 0, enc[0].label(ba))
             kb = project_input(tables, 1, 1, enc[1].label(bb))
-            r = (ka[-1] & 1) * 2 + (kb[-1] & 1)
-            hits = [lab for t in (1, 2, 3)
-                    if (lab := open_row(ka + kb, tables, 0, t, rows[t - 1]))]
-            if r:
-                assert len(hits) == 1
-                assert open_row(ka + kb, tables, 0, r, rows[r - 1]) == hits[0]
-                lab = hits[0]
-            else:
-                assert hits == []
-                lab = pad_of(ka + kb, tables, 0, 0)[:LABEL_BYTES]
-                implicit.append((lab, ba | bb))
-            by_bit[ba | bb].add(lab)
+            lab = half_gate(tables, 0, tg, te, ka, kb)
+            assert lab == (xor_bytes(zero, offset) if ba | bb else zero)
             out = project_output(tables, 2, 0, 1, lab)
             assert out == gc.output_encodings[2].label(ba | bb)
-    # One bit pair sits at (0, 0); the wire's labels differ by R, so its
-    # 0-label is the pad's label XOR R when that pair's output bit is 1.
-    [(lab, bit)] = implicit
-    [zero], [one] = by_bit[0], by_bit[1]
-    assert xor_bytes(zero, one) == offset
-    assert (xor_bytes(lab, offset) if bit else lab) == zero
 
 
 def test_not_gate_rows_and_format():
@@ -445,17 +460,20 @@ def test_output_encodings_do_not_expose_the_offset():
         assert len(deltas) == len(gc.output_encodings) == circuit.wire_count
 
 
-# A bit flipped in every sent row of one unit hits the row the evaluator
-# reads, and evaluation raises EvaluationError whatever the bit: an
-# authenticator bit fails that row, a label bit of an input projection or
-# AND/OR row fails the next sent row the wrong label keys (at the latest its
-# wire's output projection), and a label bit of an output projection fails
-# that row's label checksum. The one exception is an AND/OR gate where the
-# evaluator holds pointer bits (0, 0): it reads no sent row there, so the
-# outputs stay the plaintext ones.
+# A bit flipped in every row or ciphertext of one unit hits what the
+# evaluator reads, and evaluation raises EvaluationError whatever the bit:
+# an authenticator bit fails that row, a label bit of an input projection
+# or a bit of a gate ciphertext yields a wrong label that fails its wire's
+# output projection (every wire is an output here), and a label bit of an
+# output projection fails that row's label checksum. TE's delta is TG's
+# rotated by one bit, so the two never cancel at pointer bits (1, 1). The
+# one exception is an AND/OR gate where the evaluator holds pointer bits
+# (0, 0): it reads neither ciphertext there, so the outputs stay the
+# plaintext ones.
 @pytest.mark.parametrize("region", ["input", "gate", "output"])
 def test_flipped_row_bit_raises_evaluation_error(region):
     rng = random.Random(f"flip:{region}")
+    width = LABEL_BYTES if region == "gate" else ROW_BYTES
     checked = raised = 0
     for trial in range(150):
         circuit = all_wires_out(random_circuit(rng, max_gates=24))
@@ -465,12 +483,13 @@ def test_flipped_row_bit_raises_evaluation_error(region):
         gc = garble(circuit, enc, trial)
         bits = {w: rng.getrandbits(1) for w in circuit.input_wires}
         labels = select_labels(enc, bits)
-        flip = 1 << rng.randrange(ROW_BYTES * 8)
+        flip = 1 << rng.randrange(width * 8)
+        flips = (flip, rotl(flip)) if region == "gate" else (flip, flip)
         flipped = unit_rows(circuit, gc.tables, region, rng)
         tampered = bytearray(gc.tables)
-        for off in flipped:
-            row = int.from_bytes(tampered[off:off + ROW_BYTES], "big") ^ flip
-            tampered[off:off + ROW_BYTES] = row.to_bytes(ROW_BYTES, "big")
+        for off, delta in zip(flipped, flips):
+            row = int.from_bytes(tampered[off:off + width], "big") ^ delta
+            tampered[off:off + width] = row.to_bytes(width, "big")
         gi = next((g for g in tabled_gates(circuit)
                    if gate_rows(circuit, g) == flipped), None)
         checked += 1
@@ -490,6 +509,41 @@ def test_flipped_row_bit_raises_evaluation_error(region):
         raised += 1
     assert checked > 100
     if region == "gate":
-        assert raised > 90  # 103 of 146: the others read the implicit row
+        assert raised > 90  # 108 of 147: the others hold pointer bits (0, 0)
     else:
         assert raised == checked
+
+
+# [DERIVED] the half-gate read set: the evaluator XORs in TG exactly when
+# its label on operand a has pointer bit 1, and TE exactly when its label
+# on operand b has. So a flipped TG raises exactly at pa = 1 and a flipped
+# TE exactly at pb = 1, at the output projection; otherwise the tamper is
+# never read and the outputs decode to the plaintext ones.
+@pytest.mark.parametrize("kind", [AND, OR])
+def test_each_ciphertext_is_read_exactly_at_its_pointer_bit(kind):
+    circuit = two_in_circuit(kind)
+    rng = random.Random(f"read-set:{kind}")
+    seen = set()
+    for seed in range(8):
+        enc = random_input_encodings(circuit, rng)
+        gc = garble(circuit, enc, seed)
+        for ba in (0, 1):
+            for bb in (0, 1):
+                labels = {0: enc[0].label(ba), 1: enc[1].label(bb)}
+                held = held_labels(circuit, gc.tables, labels)
+                pa, pb = held[0][-1] & 1, held[1][-1] & 1
+                seen.add((pa, pb))
+                for which, read in ((0, pa), (1, pb)):
+                    off = gate_rows(circuit, 0)[which]
+                    tampered = bytearray(gc.tables)
+                    tampered[off + rng.randrange(LABEL_BYTES)] ^= \
+                        1 << rng.randrange(8)
+                    if read:
+                        with pytest.raises(EvaluationError,
+                                           match="output wire 2"):
+                            evaluate(circuit, bytes(tampered), labels)
+                    else:
+                        out = evaluate(circuit, bytes(tampered), labels)
+                        assert [decode(out[0], [gc.output_encodings[2]])] \
+                            == eval_plain(circuit, [[ba], [bb]])
+    assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}

@@ -16,17 +16,17 @@ from dualgc.auction import AuctionConfig, build_auction_circuit
 from dualgc.circuits import AND, NOT, OR, XOR, Circuit, eval_plain
 from dualgc.errors import (DecodeError, DualGCError, EncodingCoverageError,
                            EvaluationError, ProtocolError)
-from dualgc.garbling import (HEADER_BYTES, LABEL_BYTES, ROW_BYTES, Encoding,
-                             decode, evaluate, garble, parse_tables_blob,
-                             random_input_encodings, select_labels,
-                             tabled_gates)
+from dualgc.garbling import (GATE_BYTES, HEADER_BYTES, LABEL_BYTES, ROW_BYTES,
+                             Encoding, decode, evaluate, garble,
+                             parse_tables_blob, random_input_encodings,
+                             select_labels, tabled_gates)
 
 from oracles import random_circuit, recursive_eval
 
 # sha256 of garble(...).tables_blob() for the 6-bidder, 2-VM-type auction
 # circuit under the encodings and seed of test_n6m2_blob_is_pinned.
 N6M2_BLOB_SHA256 = \
-    "c695ce74ee6f2222d2c74f0335c61e24d336d1d6b6a47ab8ff42bec5dc47916f"
+    "d2f64aea9894f2b30498afb11c3f78745c9c4da782ed94626eac8c29ed8b4284"
 
 
 def outcome(circuit, gc, blob, labels):
@@ -208,21 +208,21 @@ def test_n6m2_blob_is_pinned(n6m2):
     circuit, _enc, gc = n6m2
     assert len(circuit.gates) == 29_364
     # 384 input projections, 10,474 AND/OR gates, 126 output projections.
-    assert len(gc.tables_blob()) == HEADER_BYTES + ROW_BYTES * 32_442
-    assert len(gc.tables_blob()) == 584_008
+    assert len(gc.tables_blob()) == (HEADER_BYTES + ROW_BYTES * (768 + 252)
+                                     + GATE_BYTES * 10_474)
+    assert len(gc.tables_blob()) == 353_580
     assert hashlib.sha256(gc.tables_blob()).hexdigest() == N6M2_BLOB_SHA256
 
 
 def test_n6m2_circuit_size_is_pinned(n6m2):
-    # Two rows per input wire and per distinct output wire, three per AND
-    # or OR gate. Both sorts are odd-even merge networks, the payment divides
-    # at the divisor's own width and no dead gate is kept.
+    # Two projection rows per input wire and per distinct output wire, two
+    # ciphertexts per AND or OR gate. Both sorts are odd-even merge
+    # networks, the payment divides at the divisor's own width and no dead
+    # gate is kept.
     circuit, _enc, _gc = n6m2
-    and_or = len(tabled_gates(circuit))
-    assert and_or == 10_474
-    rows = (2 * len(circuit.input_wires) + 3 * and_or
-            + 2 * len(set(circuit.output_wires)))
-    assert rows == 32_442
+    assert len(tabled_gates(circuit)) == 10_474
+    rows = 2 * len(circuit.input_wires) + 2 * len(set(circuit.output_wires))
+    assert rows == 768 + 252
 
 
 def test_n6m2_evaluation_matches_the_reference(n6m2):

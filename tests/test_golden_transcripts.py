@@ -28,9 +28,10 @@ BIDS = [((2, 9),), ((1, 5),), ((3, 14),)]
 # Scripts beyond each behaviour's default: other targets, recipients, wires
 # and gate choices.
 VARIANTS = {
-    # Gate 7 is an AND gate of the SMALL circuit, so it has a table.
-    "tamper_garbled_gate:gate7-mask01": AdversaryScript(
-        "tamper_garbled_gate", gate=7, mask=0x01),
+    # Gate 5 is an AND gate of the SMALL circuit, so it has ciphertexts,
+    # and at seeds 0, 3 and 5 P2 reads at least one of them.
+    "tamper_garbled_gate:gate5-mask01": AdversaryScript(
+        "tamper_garbled_gate", gate=5, mask=0x01),
     "tamper_garbled_gate:P2": AdversaryScript("tamper_garbled_gate",
                                               target="P2"),
     "substitute_output_label:P2-recipient1": AdversaryScript(
@@ -50,21 +51,21 @@ VARIANTS = {
 #  frame digest, order-free frame digest)
 GOLDEN = [
     (0, None, 'accept', None,
-     "af85347e5d1e67ccbaefbce93577cdbd9fed1c2b5f3aa27f766a37131f40e433",
-     "b7b07f959f385cc04c1c196d695948730a510ab44c81a2fe30a6e91a94a4e63b",
-     "4c074c44ea9d84ab63de9cddc9bd6c802f32cada6b0e2dd776f1680fd2a5ac01"),
+     "a08f3023799afabe1074784768c4b30be4ba06d41205aeb9030906d7f844ac87",
+     "8a387338318e74bc593f3420aff9df5f6aa43cd8d415e5c0fcb556569c8ef3ca",
+     "fb025e09da2c6e0cc93d9d4d65d8b25b0df596b74e328cd2bdaab3d17c72ad62"),
     (0, 'inconsistent_labels', 'abort', 'provider:0',
      "eff9f613d0682cd3d096f251c9eb43e27e37ff37973ff644f13323af821dddf4",
      "8a4434b11f509c94aa1293d16a5224f6e3d4e847768d9019bf2a207c4f08d85b",
      "d4bb41208b3396289681b5d0bc58acff2fa2d36e04cc3a062959739e4ad18dbd"),
     (0, 'tamper_garbled_gate', 'abort', 'P1',
-     "a1405cc54e65536226406283173bfce761936b7eb5fea93fdade5416d0aa378b",
-     "b35c804d9db38af9497977b6b0c39f16d4f42721f17eb2294cfd2f83a053479b",
-     "43bf531ad2bcd735c399c1711a0d0e9f14a34f508171e2db4df36288bca2901b"),
+     "c20ea72a680aebb21e272f0257b6c36f058988dad280afc56dd1dc4b393592f0",
+     "0e00e93ad44968769cacd9bb2f4714f887a150277d4e7b2873f87fd9e20c816d",
+     "d55eefcb6d68a1eb35e9047faebacf4c364867ccc8086523c8c3244d6a0cf489"),
     (0, 'substitute_output_label', 'reject', None,
-     "8adf71672f376ad30e10da2f11f650eb8bb7a8c6888d37f463458151d14e1b2e",
-     "0a109c963b10823fbb10808d6d149be3d361d13fd559c9940df6624951a12f80",
-     "dbc8b395e5ce4fbe36914da72aab4ae32fd7632d72bb52141c1a42a608545e01"),
+     "7012177f8a3839af616e30367cdd51e8c7779b847b1e9429570014575729ce4b",
+     "2c4a9921da970e74f186ad696169258da69446c00dbe9943f994c1d5795f5c3e",
+     "059fd19d62fe40ebbd5621df93e1dbd818fc7c97b3a898e81a39fbc22c884332"),
     (0, 'bias_coin_toss', 'abort', 'P2',
      "3f7ca7dba567791d4e72e729dc1f3371bccf6a6aa1dee584dd5df9f3e0a976d7",
      "dc65bb0f466d28e015aed134ea17bf7660aa8d77151d2513136905b7ed861c07",
@@ -78,25 +79,25 @@ GOLDEN = [
      "ef8d310ee3eb20a1422052bfa99a4db14454d211f65cc4f3fd94612f2cbc0361",
      "ddb9d46a168af130fc8f84b462e6b7895aff3f6e50bb5ff2da851125182f0d03"),
     (0, 'false_output_complaint', 'accept', 'provider:0',
-     "8adf71672f376ad30e10da2f11f650eb8bb7a8c6888d37f463458151d14e1b2e",
-     "465577e843b398da6df9a906ce30c851a9ee0c2a1dad6079fec851d8f4a09786",
-     "3fc729b2e114e3da896b1c4ac8f50fb4daafb7e883d766772aa92149584dc193"),
+     "7012177f8a3839af616e30367cdd51e8c7779b847b1e9429570014575729ce4b",
+     "95a364a20d1387fcb991a490d219077c235f5af33150118f6019b349216884f7",
+     "72b5f0083d4eb162afea6c61dd1649aa2640c7ed0ed148fe4d24196fcc76bbe1"),
     (3, None, 'accept', None,
-     "135d32be31b2f7648aa3eee3521f9113ea47a316cd45d1452bc3c53ee96faa7c",
-     "0a82843c14c96d69dc5ffeee8f22ab553252da78fc5fa69bfef486056fedbe1b",
-     "b257bd12809c53a010aff182d763524ee43d0d9c739286c173d03436a59c5fdb"),
+     "52bcc7e9957eb7e6e9aab672cf1c6cd03390bee60aa3a7b1aa4c65cc31bfa052",
+     "9a8e8b2e3aa6005ca51877ffa298b8111bb4b042e97da479ecf4201afbe94457",
+     "0a4d920eac06e0f973103e0a0f68f68937d080026162aa2359dcc3ca5e7624fe"),
     (3, 'inconsistent_labels', 'abort', 'provider:0',
      "a7daa8fb7c84e2488c7a3af4d372974298279dac4a7cdca43ef18cc016c7a1e3",
      "5405540a4e4da690a29522b1b56a6687e48a337ca70ee738ea23113c5aa5f9ba",
      "17c5b271cb743a3d757cf55e064b01760650ff27736369269cccef1b21319649"),
     (3, 'tamper_garbled_gate', 'abort', 'P1',
-     "c98f4ede17f690121c9868353bd4b992b7363416272bf96e062688f8146ae44c",
-     "b5245dd0730345731e42c0ec20f42b27a285daf8d95640d85288e5192be96ba0",
-     "8c1d6b4de7990fef6f9a87fa8d26bc0a1b761b34064e774f686a732ac34e7bb2"),
+     "e046d137a7b3f212862646c9ef32ffb48f1f3a648c33da46d8075dee55d931f9",
+     "37e62759b15d976242360e67245e59bb84fd3eddc8b6514c6e3d5c4735df5f5a",
+     "62c1d904fa1025929428644097886af10d7bdfdefcb4d985e3cf26af963ca711"),
     (3, 'substitute_output_label', 'reject', None,
-     "c57d23e489d9bb9f10b2025af77d5089973dd8fbb4c8967bda67b426377431e5",
-     "e68bd0f97f0ef8330d6342a8694f09e60f820e79e1b1345382a31bd24aa8e119",
-     "7b6c619e4baf483aeac5b2114e690fa7f459f5f28c0daf2159e3667db52ec3f1"),
+     "02c8f1e0059ad1128c7992d352dc0ee45e1ca2b3f6ddec7d78a872fd922d8ea2",
+     "f0f4ac6601371e8e452e32517fd8653f58d6ed0893d9b36b2683b641f59f8394",
+     "e86d1fdb39e0dc33dac45cad75008f57b070753090a084baf90ca1bdd88ad27a"),
     (3, 'bias_coin_toss', 'abort', 'P2',
      "3f7ca7dba567791d4e72e729dc1f3371bccf6a6aa1dee584dd5df9f3e0a976d7",
      "a9864fe4b65238051f3f43bf61d114c26517bc4e93379503162f9d1f35597b0a",
@@ -110,25 +111,25 @@ GOLDEN = [
      "508ae81cb783bc148724aca869bf40defd2e9b0409464832d4ec5597d05787e0",
      "278efadc817ac2f9b9c9dc1e5fd8145f2e855fc3256f638677c1fa8a6dc81f59"),
     (3, 'false_output_complaint', 'accept', 'provider:0',
-     "c57d23e489d9bb9f10b2025af77d5089973dd8fbb4c8967bda67b426377431e5",
-     "de8933032a8ba3384d626bb32c4c1d23e3ad98c1dd2324800c29dafd23c0b350",
-     "33a833ac52021be4e60da6a4059ea1ae88922a20da6f8b0f31fbf61e360163af"),
+     "02c8f1e0059ad1128c7992d352dc0ee45e1ca2b3f6ddec7d78a872fd922d8ea2",
+     "94dcb75aa878b625219bb336d276968228cb08cfde584dbbc37d851b8469fc3b",
+     "1704becdc3c2857209189c3812a938b75537d1da0782f946049a750c97593779"),
     (5, None, 'accept', None,
-     "42eca91a7a68af6dc1879a60c78049c66173283051a25b7d3c94fbb6156db5bc",
-     "f737eeacbf6cdce4b76b061864e6a97835cb8e45433586447b6d433b6c4326ab",
-     "b1dd95f204e688a6d95bc2dd9975e15a150ae5483038f7ad438998c690f71f27"),
+     "2803136eebcd44ad30d664e35fe5cb2260c74470b725f5f46e8091553b5e0ab6",
+     "69e0e458b2919f31ee2623bb3f67e44cf80ea21b097251d8a06248846d486fce",
+     "7b96b142be82ad8e3369e8681004ba3fb5c94da5fbd7669dd96cb2d26ce8db0f"),
     (5, 'inconsistent_labels', 'abort', 'provider:0',
      "fef4a5622b876ec9d59fd9d55fb5a929765e6b50b10be6a6340759e601077935",
      "a41e73279068f0834bc0234e299679b56090496b9786a07d797ed42838227526",
      "580c138ec615ec54950b39abd79b7b6e132ee3558973bbbf587fc6e8c11fadab"),
     (5, 'tamper_garbled_gate', 'abort', 'P1',
-     "8a12fe2e427103ff710e1307b757e62d0358388b9622ac654a2d4165df9a817c",
-     "2e8276ecd32965f5d5cd5be26dcc3977e75f89373eb3941c2a01dddcb177dfa9",
-     "7ec3877daa22a435d2ac43d5a65060909a85bd9b7d78f73cb74e5e19132cf825"),
+     "fd01cc9a13cb12123b9c8ca66252efffa98abde1e1ca84236bcaae8a2a8473af",
+     "17d5e0ca1b77d42e0e6a2e9cb502b915c47a8647f5e9e502cfa161a5d5566397",
+     "6a3cb8f135ac93c6c5c03deefd590f5a29b96f59308b35ef1c1566ff5df276b8"),
     (5, 'substitute_output_label', 'reject', None,
-     "e28b58f773bf89cb0c83c3cbd4fbd1fc8b683fc48e5657e66c22adbf61a28da4",
-     "801bc007883dbe1271f681ebad0c9cf4b83f60fddccb5eb9c50d16af570b1b9c",
-     "594659e984af7a21ba0f6b3abf2ca4a2e1702a609d949c678122fde3fda52469"),
+     "dbc25b33bb6d644489b124542d0529d1f7f6d065a22a1d7ad911fd7d3a9674b0",
+     "80f5a7845d6c4aa912d13dc908195f9549153c84f7856ad2b9074bb1c9a3dfd8",
+     "65b6d402656f0645907ad2e6fccccc3f4a6e110dbb83fca8f4ce8251d2eedc89"),
     (5, 'bias_coin_toss', 'abort', 'P2',
      "3f7ca7dba567791d4e72e729dc1f3371bccf6a6aa1dee584dd5df9f3e0a976d7",
      "d3060548a5f6ce0c345492af796c7287fad506ec208be9f6a0abee90cb6ffc7a",
@@ -142,21 +143,21 @@ GOLDEN = [
      "e9cb6f169851dabb26f2bd16d266e0233bd6c3a9938ed7d70cf6ee3475e7f03b",
      "a49b37f14737f51ea905b4bcaeb80e50e74d2daae44d639f23b3267bae6b57ec"),
     (5, 'false_output_complaint', 'accept', 'provider:0',
-     "e28b58f773bf89cb0c83c3cbd4fbd1fc8b683fc48e5657e66c22adbf61a28da4",
-     "9cd40608380f724b442de918601bc3aa6bf8dcd84a3a43157a0197843a7259aa",
-     "1bbc9769607cba60c635c8bf4194d3336e55ac09c815ee25379b274de18c45df"),
-    (0, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "a1405cc54e65536226406283173bfce761936b7eb5fea93fdade5416d0aa378b",
-     "9933c762d6556ca619e5bfcc77239378f68023284d0104fcc4e45509fcfa186e",
-     "e94a0b6d4cb81466ed0d073919cb658c33ebd3f8b1823c8c6256281d4e8afa12"),
+     "dbc25b33bb6d644489b124542d0529d1f7f6d065a22a1d7ad911fd7d3a9674b0",
+     "36ae4f4d011bf621db3e7bdc5686e5baefe2477e5827943a8e0f810c542df893",
+     "b93bc7b23393be25d95cb1a76d560f15d5e379a6eae2833a4c0cf41e8a28cdda"),
+    (0, 'tamper_garbled_gate:gate5-mask01', 'abort', 'P1',
+     "c20ea72a680aebb21e272f0257b6c36f058988dad280afc56dd1dc4b393592f0",
+     "abdffa5626490ac5901a83fd5d5c8f89da99b3c9f2ea16e589dd5816ee86e532",
+     "3fedf8b1dd4724b163632f7e00d008994e9d629792b873606b6786281e2dff8d"),
     (0, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "e394e2d59beb9af14e9bc7ae93521d8e0173760e1de8684f35f6b833e9a122f6",
-     "a52a9ce41f987b033d9528ece57d549d7bf6ccffae0eaf4ce605fbf890651a7a",
-     "6282324497fab1fd56ab78efe019f5318df324843cd9f5352df9cd5f11d0481e"),
+     "5931c9f09194a2758936f1e8f26e2f819c59ddc627be02d490a08a82b6b2bbda",
+     "e55a6f2a257e92c2dfdf86855a2760c584f13c6645dc99c714f4ab396d5088e0",
+     "95235ef238d8d53b5bab492cb6fb1062fcc70f5e604ec306ff12ffc971cc809f"),
     (0, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "62da047b57cf3f076db3343c2679d60c88967520c2b57e8a748382317cbc58a4",
-     "9bc21527fee4cac49e2669135f5dc3c8b623d1cd500abef9ffc5bc58aa57b8c7",
-     "b97bdc48ba89636737d40abfb743544df3d63eb31eeb8b4e478c5e74180883b3"),
+     "0ded02617d542f47c50cab75646f0d04a80b03fb35278d9c98e37aeec7da0c35",
+     "f0b093b8083c8d27f109f57c54aa8c63dea8fa5f76873525c16244491f5085f1",
+     "ddaec7cf7ea0d557a61429e9c323cf432557a6631d6803adbf39e199bf101b8e"),
     (0, 'falsify_check_failure:P2', 'abort', 'P2',
      "5e5b86229f1f3dad51a5876f48c0c945e7b95644ed4383555a76fac29eb37034",
      "77c8060a867f388fd19fff49c5662d67c7452ede12548b2825cceae33e31a915",
@@ -174,21 +175,21 @@ GOLDEN = [
      "4555d79462aab6d8ec49f60ce0cdb863c06bd0eec98954fefe0bc9cdc913b55e",
      "8a6bd3d61aa22c2e2ec6d66cfc2650b5716e1dc47a53fd94f5c2acce0c847e65"),
     (0, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "2917ab8b1f343e5d802d95c302fef3920ef23d93a9e8f3b99408cfdb27bf3acf",
-     "dfdfc530b192ee8841953f17d8b1644454e7edee45c9cf6d62791896483020eb",
-     "1c7f0bd61b0849ab8feb91e96882685691f86d12daf34c41a67b6e5082b374aa"),
-    (3, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "c98f4ede17f690121c9868353bd4b992b7363416272bf96e062688f8146ae44c",
-     "3f168cb51e3ed9667652020a3570a974d2d431c4603a7d79a4c1eee12c42ae1f",
-     "b746d6ee3c9c1297e0f28412986f1f89c88e7fa7fc23a142aaa196a366ac5f90"),
+     "01870887fe9e7444b5a0a69fd59b3f9ac5ca3ea7c1ce58a9687fda513d727ef0",
+     "6b958d8fa738fceff8512c92046ddd5627d6ed20e5a9d168636ff587cd1b06bc",
+     "1adf899ba381223cb0ce96cce0ec73bde4fb54a0d28b1b559e2d3c66ba4a9e03"),
+    (3, 'tamper_garbled_gate:gate5-mask01', 'abort', 'P1',
+     "e046d137a7b3f212862646c9ef32ffb48f1f3a648c33da46d8075dee55d931f9",
+     "18ace63eb187a6497bd2d64787f480a7b17084c3db74f4781bfb59294efe67ff",
+     "a852f2716880bf8e309e055eca4a64c1d143665bff912a1ce80b70c1fae04e0c"),
     (3, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "da1dbe1a96fbe86c32ffeece8b9f580456eb9726654ea4463360e59324dbce20",
-     "a24f9903d34946dcf5faf45a78327df4f0337df03cf4f00e5e0ee4fdba787cf6",
-     "d6fe042c5bc15a8717f5646b414ebb00eafa553e5e0604401b7b63c4a147416f"),
+     "c8a6275e5a9738071e078b6ff76f9a8c867a28286c332adc2259308804db5f3d",
+     "70a000a5cc3f9d9998e87fee5aebfdd5467180f0f7f0c664ea3bc67732e32b4f",
+     "a284e14f5a7983fdbc89b7682ee33a35883f70ac7d355afaecf8d7a7dbcbf998"),
     (3, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "292522e5a58bda19a2665b1ac875830c435218afdaaff71231b4bb786adbdbf4",
-     "ee0de273c1acabede7eec00bd20d532f31213ff5b952c6dd4b8f320eb73cdd49",
-     "2bdb8f1b9f9e92e636b42bbc9ac1e2dbb80151e0c6d486a1a89bd0ce944496dc"),
+     "22fb66006a0448266d8d469f873e70fd87cffb57dd39841d45d432053b735a04",
+     "607594d608531032e03ace168ae07e59b11fd9d2460727b8e1156d36350ea826",
+     "4dad2101dd2424df1111a67969f7f9ea39d0ff930a245035f9596b96d24db9e8"),
     (3, 'falsify_check_failure:P2', 'abort', 'P2',
      "df1e6f8ac62402cb62ff3946783eca3684928183685557c084c9de81f7759b77",
      "37b95d1becb077ad887a198c64231d2edbdc2e51dc477fdee2cbd0b90af8294f",
@@ -206,21 +207,21 @@ GOLDEN = [
      "b9fc6eca9dc346b0a8932b34345d7de30dc0f8887e942608e14133283cc7df44",
      "fde00ce228d355b4909f862a8f951cd649f85eed5fac5337f51e769d62cb73cc"),
     (3, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "d9af3665d35c30c1284186e3c94137ba78e55705f7e7468b14107a754f2cd570",
-     "4b696e017178066b24b8287f982eb884dfaae3002a4a4f399a8bb8dd6d93d48c",
-     "11ee0c4afb56602a006621121d9cb0c91e71dc23e213c58c26b2a3e89408c7ef"),
-    (5, 'tamper_garbled_gate:gate7-mask01', 'abort', 'P1',
-     "8a12fe2e427103ff710e1307b757e62d0358388b9622ac654a2d4165df9a817c",
-     "a790579fc538a992afc08d2b57cef7ff8ac975e9cef4ce214aa4d590b28bab15",
-     "0edc4eaa8acc998ecfd35064994f987417d5ee06243be4131089376de2b27a0f"),
+     "ed757b754c1fac3f563256af02e367dbf6540ddc1ba5a9dce61d48f97753e49e",
+     "281a951520cc698e629eb33a7ca8b05d103b39cebc38b2581f691ea3d88f1945",
+     "29686efc00a83005b3db1deb663ba8cfe72801052eb2278e9d6a6e3a58a34511"),
+    (5, 'tamper_garbled_gate:gate5-mask01', 'abort', 'P1',
+     "fd01cc9a13cb12123b9c8ca66252efffa98abde1e1ca84236bcaae8a2a8473af",
+     "415a1ae098ed4b57080f84c9ee51d7cbeedf1da2d7d792501ae47f465d56425b",
+     "8d3cea0af51b35e9da0adf1fe551a140627f8b570d8fe810ccbe5ffedb828639"),
     (5, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "2961cfe2f3bb4c1e01ad554bb247b0fca9f7ef125ea61279728758abb4f86c35",
-     "9f79bb11a8719aff50f19fabcc10fa425b8b860ff321459740dafb1063388aff",
-     "a753ccf017c2e4b01a4644fc8494bf6b9303708609a0598d9d41ecfb385f6a28"),
+     "63a122791849211acc3b4124369ae21bee877de89883213dcc1f3cea072ed564",
+     "2ec450776483df5bc0048aa7a123b9eecf686790dbd2cb8f658712615e7fcd48",
+     "7dbeb28838046c14494958575c4ea888fd22b03b2695a6a9d479c2a583c420ec"),
     (5, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "c16a98d09e01cd311cd7f7ba030a4776079f51dd3d99e27a7280fd7ab2981048",
-     "09a6e510f7eafee77df3233fcc36d1a29077ca1962f5fcbcec7d050d6ec2d4ff",
-     "288e35fffaa5259f9cab8e56a7e624945a6684f1e828afaa458cc505649309d8"),
+     "69d87eee8281026cbfd162ebbaff7821287dbae3bb6b80815dfa8764b6902a8f",
+     "1576b62e8985ba43ae28dac3ae9cad007476e6eb600bd48472978c99f687c32a",
+     "4051e28dee6d54053766c2bdfc5cf72ff41e23d4dbb09d556f64c2ca9a852782"),
     (5, 'falsify_check_failure:P2', 'abort', 'P2',
      "726e930a0d51fd54cfd5418565c070047e025537ad77d7f6aff641145359c808",
      "9e0ab0fed25134309407308867f576336c5ba2ac8aad37c8633e5dbdd2ba79d9",
@@ -238,9 +239,9 @@ GOLDEN = [
      "4389065ecd9c3a44acd97bc0e9e830a59cd03770eab801e857a3f924636e6d8d",
      "ceca2e060ff266c5a384c46d34f9c4f15f8a99ad86dec02e536003ce0db1d211"),
     (5, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "9c7802aa9ba048efa619c7f8a6277a66a92f7122fd57a8ac8c9694a96bf59362",
-     "6a7ae7e18692f4ff570d2ff42bfeea8fd8b8ff9894e103527d92b70ff1d04504",
-     "3819f78f5bea66b56b709920eddee8d55d200b8b180618dce67c338fe479beca"),
+     "0341b4a3dcaa91ab01cb7d5e261c066fc0cba2224bdba207646acad1fd20f24b",
+     "6cdbf0fc0ab467b6d0f9e7d515389f9db04b48c1c054a150fa08fc347efbed84",
+     "9bb7db86de772268ed2af26ccad479ee8586099ab50aef24f2fc534af093aaed"),
 ]
 
 

@@ -15,8 +15,8 @@ from dualgc.commitments import (NONCE_BYTES, TAG_POSITION, Opening,
                                tagged_commit)
 from dualgc.errors import (DecodeError, ProtocolError, TransportTimeout,
                            UsageError)
-from dualgc.garbling import (HEADER_BYTES, ROW_BYTES, decode, gate_rows,
-                             tabled_gates)
+from dualgc.garbling import (HEADER_BYTES, LABEL_BYTES, ROW_BYTES, decode,
+                             gate_rows, tabled_gates)
 from dualgc.outputs import ACCEPT, REJECT
 from dualgc.session import (BEHAVIORS, AdversaryScript, Session, Transcript,
                             make_adversary, run_session)
@@ -581,24 +581,28 @@ def test_abort_with_a_non_utf8_reason_keeps_the_verdict(seed):
 
 
 def flip_a_row_bit(region):
-    """A blob rewrite flipping one random bit in every row of the first
-    input projection, the first AND gate or the first output projection,
-    so the row the evaluator reads is corrupted."""
+    """A blob rewrite flipping one random bit in both rows of the first
+    input projection or the first output projection, or in both
+    ciphertexts of the first AND gate, so what the evaluator reads is
+    corrupted. TE's bit is one above TG's (their 128-bit deltas differ by a
+    rotation), so the two flips cannot cancel at pointer bits (1, 1)."""
     circuit = build_auction_circuit(SMALL, len(BIDS))
-    bit = random.Random(region).randrange(ROW_BYTES * 8)
+    width = LABEL_BYTES if region == "gate" else ROW_BYTES
+    bit = random.Random(region).randrange(width * 8)
 
     def rewrite(blob):
         if region == "input":
-            start, count = HEADER_BYTES, 2
+            offsets = range(HEADER_BYTES, HEADER_BYTES + 2 * ROW_BYTES,
+                            ROW_BYTES)
         elif region == "gate":
-            rows = gate_rows(circuit, tabled_gates(circuit)[0])
-            start, count = rows.start, len(rows)
+            offsets = gate_rows(circuit, tabled_gates(circuit)[0])
         else:
             start = len(blob) - 2 * ROW_BYTES * len(set(circuit.output_wires))
-            count = 2
+            offsets = range(start, start + 2 * ROW_BYTES, ROW_BYTES)
         bad = bytearray(blob)
-        for off in range(start, start + count * ROW_BYTES, ROW_BYTES):
-            bad[off + ROW_BYTES - 1 - bit // 8] ^= 1 << bit % 8
+        for i, off in enumerate(offsets):
+            b = (bit + i) % (width * 8) if region == "gate" else bit
+            bad[off + width - 1 - b // 8] ^= 1 << b % 8
         return bytes(bad)
     return rewrite
 
@@ -787,10 +791,11 @@ def test_tampered_garbled_gate_aborts_against_the_garbler():
     assert res.status == "abort"
     assert res.blamed == "P1"
     assert res.phase == "compute"
-    # Gate 0 is a NOT gate, which has no table; the first AND gate has.
-    # At seed 5 P2 holds pointer bits (0, 0) there, so it reads the
-    # implicit row, which cannot be tampered with: the session accepts the
-    # right result. At gate 7 it reads a sent row.
+    # Gate 0 is a NOT gate, which has no ciphertexts; the first AND gate
+    # has. At seed 5 P2 holds pointer bits (0, 0) there, so it reads
+    # neither ciphertext: the session accepts the right result. At gate 7
+    # it holds (1, 1) and reads both, and the wrong label fails an output
+    # projection.
     first_and = tabled_gates(build_auction_circuit(SMALL, len(BIDS)))[0]
     first = AdversaryScript("tamper_garbled_gate", gate=first_and, mask=0x01)
     res = run_session(SMALL, BIDS, s=4, seed=5, adversary=first)
@@ -799,16 +804,18 @@ def test_tampered_garbled_gate_aborts_against_the_garbler():
     read = AdversaryScript("tamper_garbled_gate", gate=7, mask=0x01)
     res = run_session(SMALL, BIDS, s=4, seed=5, adversary=read)
     assert (res.status, res.blamed, res.phase) == ("abort", "P1", "compute")
-    assert "gate 7: no row authenticates" in res.reason
+    assert res.reason.startswith("garbled circuit rejected: output wire")
+    assert res.reason.endswith("no row authenticates")
     on_p2 = AdversaryScript("tamper_garbled_gate", target="P2")
     res = run_session(SMALL, BIDS, s=4, seed=5, adversary=on_p2)
     assert res.blamed == "P2"
 
 
-# The default script corrupts every sent AND/OR row, so the evaluator reads
-# a corrupted row at the first gate where its pointer bits are not (0, 0),
-# whatever the seed. The benchmark's verdict check counts any other outcome
-# as a failed session.
+# The default script corrupts every AND/OR ciphertext, so the evaluator
+# reads a corrupted one at the first gate where its pointer bits are not
+# (0, 0), whatever the seed, and the wrong label fails an output
+# projection. The benchmark's verdict check counts any other outcome as a
+# failed session.
 @pytest.mark.parametrize("target", ["P1", "P2"])
 def test_default_garbled_gate_tamper_always_aborts_against_its_target(target):
     script = AdversaryScript("tamper_garbled_gate", target=target)
