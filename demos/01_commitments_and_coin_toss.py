@@ -9,7 +9,7 @@ including what happens when someone tries to cheat.
 import hashlib
 import random
 
-from dualgc import (CoinTossCheatError, Commitment, Opening, coin_toss_commit,
+from dualgc import (CoinTossCheatError, Opening, coin_toss_commit,
                     coin_toss_open, combine_challenge, commit,
                     open_commitment)
 from dualgc.consistency import unpack_bits
@@ -23,7 +23,7 @@ def main():
     nonce = rng.randbytes(16)
     com = commit(secret, nonce)
     print(f"message    : {secret!r}")
-    print(f"commitment : {com.digest.hex()[:32]}...")
+    print(f"commitment : {com.hex()[:32]}...")
     print("The digest reveals nothing about the message (hiding).")
 
     opening = Opening(secret, nonce)
@@ -41,9 +41,9 @@ def main():
     share1, com1, open1 = coin_toss_commit(rng)
     share2, com2, open2 = coin_toss_commit(rng)
     print(f"P1 share: {share1.hex()[:16]}...  "
-          f"(committed first: {com1.digest.hex()[:16]}...)")
+          f"(committed first: {com1.hex()[:16]}...)")
     print(f"P2 share: {share2.hex()[:16]}...  "
-          f"(committed first: {com2.digest.hex()[:16]}...)")
+          f"(committed first: {com2.hex()[:16]}...)")
     got1 = coin_toss_open(com1, open1, "P1")
     got2 = coin_toss_open(com2, open2, "P2")
     for wire in range(3):

@@ -26,11 +26,11 @@ from .auction import (AuctionConfig, AuctionResult, build_auction_circuit,
                       load_bids_file, oracle_run)
 from .circuits import (AND, NOT, OR, XOR, Circuit, eval_plain, from_netlist,
                        to_netlist)
-from .commitments import Commitment, Opening, commit, open_commitment
-from .consistency import (CommitmentSetPair, WireMaterial, coin_toss_commit,
-                          coin_toss_open, combine_challenge,
-                          generate_input_material, label_set,
-                          labels_consistent, verify_check_failure_claim)
+from .commitments import Opening, commit, open_commitment
+from .consistency import (WireMaterial, coin_toss_commit, coin_toss_open,
+                          combine_challenge, generate_input_material,
+                          label_set, labels_consistent,
+                          verify_check_failure_claim)
 from .errors import (CoinTossCheatError, DecodeError, DualGCError,
                      EncodingCoverageError, EvaluationError, FramingError,
                      InputShapeError, OpeningError, ProtocolError,
@@ -50,7 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AND", "NOT", "OR", "XOR",
     "AdversaryScript", "AuctionConfig", "AuctionResult", "Circuit",
-    "Commitment", "CommitmentSetPair", "CoinTossCheatError",
+    "CoinTossCheatError",
     "DecodeError", "DualGCError", "Encoding", "EncodingCoverageError",
     "EvaluationError", "FramingError", "GarbledCircuit",
     "InProcessTransport", "InputShapeError", "MessageType", "Opening",

@@ -30,15 +30,6 @@ TAG_COIN = b"\x06"
 
 
 @dataclass(frozen=True)
-class Commitment:
-    digest: bytes
-
-    def __post_init__(self):
-        if len(self.digest) != DIGEST_BYTES:
-            raise ValueError("commitment digest must be 32 bytes")
-
-
-@dataclass(frozen=True)
 class Opening:
     message: bytes
     randomness: bytes
@@ -48,24 +39,21 @@ class Opening:
             raise ValueError("commitment randomness must be 16 bytes")
 
 
-def commitment_digest(message: bytes, randomness: bytes) -> bytes:
-    """The digest ``commit`` wraps, for a caller that only compares it."""
+def commit(message: bytes, randomness: bytes) -> bytes:
+    """The digest committing to ``message`` under a fresh 16-byte
+    ``randomness``."""
+    if len(randomness) != NONCE_BYTES:
+        raise ValueError("commitment randomness must be 16 bytes")
     return hashlib.sha256(randomness + message).digest()
 
 
-def commit(message: bytes, randomness: bytes) -> Commitment:
-    """Commit to ``message`` under a fresh 16-byte ``randomness``."""
-    if len(randomness) != NONCE_BYTES:
-        raise ValueError("commitment randomness must be 16 bytes")
-    return Commitment(commitment_digest(message, randomness))
-
-
-def open_commitment(commitment: Commitment, opening: Opening) -> bool:
+def open_commitment(commitment: bytes, opening: Opening) -> bool:
     """Recompute the digest from the opening and compare."""
-    return commit(opening.message, opening.randomness).digest == commitment.digest
+    return commit(opening.message, opening.randomness) == commitment
 
 
-def tagged_commit(tag: bytes, body: bytes, randomness: bytes) -> tuple[Commitment, Opening]:
+def tagged_commit(tag: bytes, body: bytes,
+                  randomness: bytes) -> tuple[bytes, Opening]:
     """Commit to ``tag || body`` and return both halves."""
     opening = Opening(tag + body, randomness)
     return commit(opening.message, opening.randomness), opening

@@ -23,6 +23,10 @@ evaluation triples into final labels. This is the seed-opened check of
 Goyal-Mohassel-Smith (EUROCRYPT 2008); check copies are discarded, so their
 seeds reveal nothing that is used later.
 
+A commitment is its 32-byte digest, and a copy's public *pair* is its five
+commitments laid end to end, ``W_0 || W_1 || W'_0 || W'_1 || position``:
+160 bytes, as on the wire.
+
 The provider then attests each wire's two *label sets*, one per circuit:
 the sorted pair ``{XOR_j H(K_0,j), XOR_j H(K_1,j)}`` over the evaluation
 copies. A party checks that its own encoding gives its circuit's set and
@@ -54,48 +58,37 @@ import hashlib
 import random
 from dataclasses import dataclass
 
-from .commitments import (NONCE_BYTES, TAG_COIN, TAG_INPUT_SET,
-                          TAG_POSITION, Commitment, Opening, commitment_digest,
-                          open_commitment, opened_body, tagged_commit)
+from .commitments import (DIGEST_BYTES, NONCE_BYTES, TAG_COIN, TAG_INPUT_SET,
+                          TAG_POSITION, Opening, commit, open_commitment,
+                          opened_body, tagged_commit)
 from .errors import CoinTossCheatError
 from .garbling import LABEL_BYTES, Encoding, xor_bytes
 
 COMMITMENTS_PER_COPY = 5
-
-
-@dataclass(frozen=True)
-class CommitmentSetPair:
-    """Public view of one copy: the W / W' sets and the position commitment."""
-
-    w: tuple[Commitment, Commitment]
-    w_prime: tuple[Commitment, Commitment]
-    position: Commitment
-
+PAIR_BYTES = COMMITMENTS_PER_COPY * DIGEST_BYTES
+_POSITION_AT = 4 * DIGEST_BYTES  # after W and W'
 
 WIRE_DIGEST_TAG = b"dualgc/wire-commitments/v1"
 
 
-def wire_digest(pairs) -> bytes:
+def wire_digest(pairs: bytes) -> bytes:
     """The 32-byte digest binding one wire's committed copies: SHA-256
-    under a domain tag over each pair's five commitments (``W``, ``W'``,
-    position) in copy order, the order they take on the wire."""
-    h = hashlib.sha256(WIRE_DIGEST_TAG)
-    for pair in pairs:
-        for com in pair.w + pair.w_prime + (pair.position,):
-            h.update(com.digest)
-    return h.digest()
+    under a domain tag over its ``s`` pairs laid end to end in copy order,
+    as they lie on the wire."""
+    return hashlib.sha256(WIRE_DIGEST_TAG + pairs).digest()
 
 
 @dataclass(frozen=True)
 class CopyMaterial:
-    """Provider-side secrets behind one copy's five commitments."""
+    """Provider-side secrets behind one copy's five commitments, and its
+    public 160-byte pair."""
 
     seed: bytes
     b: int
     w_openings: tuple[Opening, Opening]
     w_prime_openings: tuple[Opening, Opening]
     position_opening: Opening
-    pair: CommitmentSetPair
+    pair: bytes
 
 
 @dataclass
@@ -109,7 +102,7 @@ class WireMaterial:
     def s(self) -> int:
         return len(self.copies)
 
-    def pairs(self) -> list[CommitmentSetPair]:
+    def pairs(self) -> list[bytes]:
         return [c.pair for c in self.copies]
 
     def eval_openings(self, j: int):
@@ -163,14 +156,11 @@ def _build_copy(seed: bytes, position_nonce: bytes, x: int,
                 consistent: bool) -> CopyMaterial:
     b, sets = _input_sets(seed, None if consistent else x)
     coms = [tagged_commit(TAG_INPUT_SET, body, nonce) for body, nonce in sets]
-    pos = tagged_commit(TAG_POSITION, bytes([b ^ x]), position_nonce)
-    pair = CommitmentSetPair(w=(coms[0][0], coms[1][0]),
-                             w_prime=(coms[2][0], coms[3][0]),
-                             position=pos[0])
-    return CopyMaterial(
-        seed=seed, b=b, w_openings=(coms[0][1], coms[1][1]),
-        w_prime_openings=(coms[2][1], coms[3][1]),
-        position_opening=pos[1], pair=pair)
+    coms.append(tagged_commit(TAG_POSITION, bytes([b ^ x]), position_nonce))
+    digests, openings = zip(*coms)
+    return CopyMaterial(seed=seed, b=b, w_openings=openings[:2],
+                        w_prime_openings=openings[2:4],
+                        position_opening=openings[4], pair=b"".join(digests))
 
 
 def generate_input_material(rng: random.Random, x: int, s: int) -> WireMaterial:
@@ -216,7 +206,7 @@ def coin_toss_commit(rng: random.Random):
     return share, commitment, opening
 
 
-def coin_toss_open(commitment: Commitment, opening: Opening,
+def coin_toss_open(commitment: bytes, opening: Opening,
                    party: str) -> bytes:
     """Verify a counterpart's seed-share reveal against its commitment."""
     if not open_commitment(commitment, opening):
@@ -260,15 +250,14 @@ def seed_digest(seeds: bytes) -> bytes:
     return hashlib.sha256(seeds).digest()
 
 
-def check_pair_construction(pair: CommitmentSetPair, seed: bytes) -> bool:
+def check_pair_construction(pair: bytes, seed: bytes) -> bool:
     """Whether check copy ``pair`` is its seed's: the four input-set
     commitments the seed regenerates are its ``W`` and ``W'``."""
-    return all(commitment_digest(TAG_INPUT_SET + body, nonce) == com.digest
-               for com, (body, nonce) in zip(pair.w + pair.w_prime,
-                                             _input_sets(seed)[1]))
+    return b"".join(commit(TAG_INPUT_SET + body, nonce) for body, nonce
+                    in _input_sets(seed)[1]) == pair[:_POSITION_AT]
 
 
-def verify_check_failure_claim(pair: CommitmentSetPair, seeds, at: int,
+def verify_check_failure_claim(pair: bytes, seeds, at: int,
                                digest: bytes) -> bool:
     """Arbitrate a party's claim that check copy ``pair`` is not its
     seed's: whether the owner's check ``seeds`` hash to the seed
@@ -288,8 +277,8 @@ def _parse_triple(opening: Opening):
             body[2 * LABEL_BYTES:])
 
 
-def open_position(pair: CommitmentSetPair, opening: Opening) -> int | None:
-    if not open_commitment(pair.position, opening):
+def open_position(pair: bytes, opening: Opening) -> int | None:
+    if not open_commitment(pair[_POSITION_AT:], opening):
         return None
     try:
         body = opened_body(TAG_POSITION, opening)
@@ -300,15 +289,15 @@ def open_position(pair: CommitmentSetPair, opening: Opening) -> int | None:
     return body[0]
 
 
-def open_eval_triple(pair: CommitmentSetPair, position: int, slot: int,
+def open_eval_triple(pair: bytes, position: int, slot: int,
                      opening: Opening):
     """Open one commitment of the copy's input set.
 
     ``slot`` 0 is the first commitment (first party), 1 the second. Returns
     the (label0, label1, cross) triple, or None when the opening fails.
     """
-    chosen = pair.w if position == 0 else pair.w_prime
-    if not open_commitment(chosen[slot], opening):
+    at = (2 * position + slot) * DIGEST_BYTES
+    if not open_commitment(pair[at:at + DIGEST_BYTES], opening):
         return None
     try:
         return _parse_triple(opening)

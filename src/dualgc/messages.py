@@ -7,21 +7,21 @@ message body. ``encode_frame``/``decode_frame`` are this raw frame layer.
 
 ``SCHEMAS`` is the wire specification of every body: one codec per message
 type, composed from field codecs. Integers are big-endian ``u16``/``u32``;
-``raw(n)`` is n bytes; commitments are their 32-byte digests; ``text`` is
-a u32 length and UTF-8 bytes, an opening a u32 length, the message and 16
-bytes of randomness; ``listof`` is a u32 count and the items; ``record``
-a dataclass's fields in declaration order. ``encode_body``/``decode_body``
-run a schema; decoding refuses a truncated body, trailing bytes, non-UTF-8
-text or a non-zero "no one" role tag with ``FramingError``, alike for
-every type.
+``raw(n)`` is n bytes; a commitment is its 32-byte digest, ``raw(32)``,
+and a copy's commitment pair its five digests, ``raw(160)``; ``text`` is a
+u32 length and UTF-8 bytes, an opening a u32 length, the message and 16
+bytes of randomness; ``listof`` is a u32 count and the items.
+``encode_body``/``decode_body`` run a schema; decoding refuses a truncated
+body, trailing bytes, non-UTF-8 text or a non-zero "no one" role tag with
+``FramingError``, alike for every type.
 
 A codec whose read accepts any bytes of one width (an integer, ``raw(n)``,
-a commitment, or a ``seq``, ``array`` or ``record`` of such fields) has
-that ``size``. A list of sized items decodes to a ``Table``: its count is
-checked against the bytes left, and an item is decoded only when it is
-read, which cannot fail. The commitment pairs, check seeds, label sets,
-wire digests, echo records and output commitments are such lists; the
-opening lists have variable width and decode item by item.
+or a ``seq`` or ``array`` of such fields) has that ``size``. A list of
+sized items decodes to a ``Table``: its count is checked against the bytes
+left, and an item is decoded only when it is read, which cannot fail. The
+commitment pairs, check seeds, label sets, wire digests, echo records and
+output commitments are such lists; the opening lists have variable width
+and decode item by item.
 
 A body carries only what its receiver cannot derive. Lists are positional
 in an order fixed by the public parameters (the input and output maps,
@@ -58,18 +58,16 @@ decoded results.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter, methodcaller
+from operator import methodcaller
 
-from .commitments import DIGEST_BYTES, NONCE_BYTES, Commitment, Opening
-from .consistency import CommitmentSetPair
+from .commitments import DIGEST_BYTES, NONCE_BYTES, Opening
+from .consistency import PAIR_BYTES
 from .errors import FramingError, ProtocolError
-from .outputs import OutputOpenings
 
 HEADER_BYTES = 13  # length + type + session id
 ROLE_PREFIX_BYTES = 3
@@ -246,7 +244,7 @@ def raw(n: int) -> Codec:
     return _fixed(n, bytes, bytes)
 
 
-commitment = _fixed(DIGEST_BYTES, attrgetter("digest"), Commitment)
+commitment = raw(DIGEST_BYTES)
 _NO_ROLE = bytes(ROLE_PREFIX_BYTES)
 
 
@@ -308,16 +306,11 @@ rest = Codec(lambda out, b: out.append(b),
              lambda data, off: (data[off:], len(data)))
 
 
-def _width(fields) -> int | None:
-    """The summed width of fixed-width fields, or None."""
-    sizes = [f.size for f in fields]
-    return None if None in sizes else sum(sizes)
-
-
 def seq(*fields: Codec) -> Codec:
     """The fields one after another, as a tuple."""
     writers = tuple(f.write for f in fields)
     readers = tuple(f.read for f in fields)
+    sizes = [f.size for f in fields]
 
     def write(out, values):
         if len(values) != len(writers):
@@ -332,34 +325,12 @@ def seq(*fields: Codec) -> Codec:
             values.append(value)
         return tuple(values), off
 
-    return Codec(write, read, _width(fields))
+    return Codec(write, read, None if None in sizes else sum(sizes))
 
 
 def array(n: int, item: Codec) -> Codec:
     """``n`` items and no count, as a tuple."""
     return seq(*(item,) * n)
-
-
-def record(cls, **fields: Codec) -> Codec:
-    """A dataclass, its fields on the wire in declaration order. ``cls``
-    must accept any field values, so that a fixed-width record is total."""
-    if tuple(fields) != tuple(f.name for f in dataclasses.fields(cls)):
-        raise ProtocolError(f"schema fields do not match {cls.__name__}")
-    writers = tuple((name, f.write) for name, f in fields.items())
-    readers = tuple(f.read for f in fields.values())
-
-    def write(out, value):
-        for name, w in writers:
-            w(out, getattr(value, name))
-
-    def read(data, off):
-        values = []
-        for r in readers:
-            value, off = r(data, off)
-            values.append(value)
-        return cls(*values), off
-
-    return Codec(write, read, _width(fields.values()))
 
 
 class Table(Sequence):
@@ -430,10 +401,9 @@ def listof(item: Codec) -> Codec:
 
 # --- message schemas ---------------------------------------------------------
 
-# A list of CommitmentSetPairs, s per wire: by wire, then by copy
-set_pairs = listof(record(
-    CommitmentSetPair, w=array(2, commitment), w_prime=array(2, commitment),
-    position=commitment))
+# A list of commitment pairs (W_0, W_1, W'_0, W'_1, position), s per wire:
+# by wire, then by copy
+set_pairs = listof(raw(PAIR_BYTES))
 # Circuit 1's and circuit 2's sorted label sets per wire, by input map
 label_sets = listof(array(2, array(2, raw(32))))
 # One 32-byte consistency.wire_digest per wire, by input map
@@ -473,8 +443,7 @@ SCHEMAS: dict[MessageType, Codec] = {
     MessageType.OUTPUT_OPENINGS: opening,
     MessageType.BUNDLE_HASH: raw(32),
     # both parties' openings of the sender's own bundle
-    MessageType.FAILURE_PROOF: record(OutputOpenings, p1=opening,
-                                      p2=opening),
+    MessageType.FAILURE_PROOF: seq(opening, opening),
     # (blamed role or None, reason)
     MessageType.ABORT: seq(role_or_none, text),
 }

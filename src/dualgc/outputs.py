@@ -23,9 +23,10 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .commitments import (NONCE_BYTES, TAG_OUTPUT, Commitment, Opening,
-                          open_commitment, opened_body, tagged_commit)
+from .commitments import (NONCE_BYTES, TAG_OUTPUT, Opening, open_commitment,
+                          opened_body, tagged_commit)
 from .errors import DecodeError
 from .garbling import LABEL_BYTES, Encoding, decode
 
@@ -37,16 +38,14 @@ CONFIRMED = "confirmed"
 SPURIOUS = "spurious"
 
 
-@dataclass(frozen=True)
-class OutputCommitments:
+class OutputCommitments(NamedTuple):
     """The broadcast commitments concerning one recipient, one per party."""
 
-    p1: Commitment
-    p2: Commitment
+    p1: bytes
+    p2: bytes
 
 
-@dataclass(frozen=True)
-class OutputOpenings:
+class OutputOpenings(NamedTuple):
     p1: Opening
     p2: Opening
 
@@ -59,7 +58,7 @@ class OutputDecision:
 
 
 def commit_output_labels(rng: random.Random, encodings,
-                         labels) -> tuple[Commitment, Opening]:
+                         labels) -> tuple[bytes, Opening]:
     """Commit to a party's own circuit's output encodings for one
     recipient, followed by the labels it evaluated on the other circuit."""
     body = b"".join(e.zero + e.one for e in encodings) + b"".join(labels)
@@ -86,7 +85,7 @@ def bundle_digest(bundles) -> bytes:
     """Fingerprint of the broadcast commitment bundle, in recipient order."""
     h = hashlib.sha256()
     for b in bundles:
-        h.update(b.p1.digest + b.p2.digest)
+        h.update(b.p1 + b.p2)
     return h.digest()
 
 

@@ -64,7 +64,6 @@ from .auction import (
 )
 from .commitments import Opening
 from .consistency import (
-    WIRE_DIGEST_TAG,
     check_pair_construction,
     coin_toss_commit,
     coin_toss_open,
@@ -276,7 +275,7 @@ class Participant:
         self.wire_owner = {     # wire -> provider Role
             w: role for role, group in zip(_provider_roles(circuit),
                                            circuit.input_map) for w in group}
-        self.coin_commits = {}  # party Role -> Commitment
+        self.coin_commits = {}  # party Role -> commitment
         self.shares = {}        # party Role -> seed share
         self.rho = {}           # wire -> tuple[int, ...]
         self.coin_view = b""    # SHA-256 of the two seed shares
@@ -341,7 +340,7 @@ class Party(Participant):
         self.slot = 0 if role == _P1 else 1
         self.garble_seed = garble_seed
         self.coin_opening = None
-        self.pairs = {}          # wire -> its s CommitmentSetPairs
+        self.pairs = {}          # wire -> its s commitment pairs
         self.check_seeds = {}    # bidder Role -> its check seeds
         self.label_sets = {}     # bidder Role -> its label sets
         self.failures = []       # (wire, copy) failing checks, in order
@@ -356,7 +355,7 @@ class Party(Participant):
     def wire_digests(self, bidder: M.Role) -> list[bytes]:
         """The bidder's wire digests, by input map, hashed from the pairs
         as they lie on the wire, undecoded."""
-        return [_digest(WIRE_DIGEST_TAG + bytes(self.pairs[w]))
+        return [wire_digest(bytes(self.pairs[w]))
                 for w in self.circuit.input_map[bidder.index]]
 
     def take_input_commitments(self, sender: M.Role, pairs):
@@ -528,7 +527,7 @@ class Provider(Participant):
         for w in self.wires:
             self.material[w] = self.make_material(w)
             copies = self.material[w].pairs()
-            digests.append(wire_digest(copies))
+            digests.append(wire_digest(b"".join(copies)))
             pairs += copies
         self.records[self.index] = [_digest(b"".join(digests))]
         return pairs
@@ -567,7 +566,7 @@ class Provider(Participant):
             return None
         record = self.records[owner.index]
         if (_digest(digests) == record[0]
-                and wire_digest(pairs) == digests[self.at(wire)]):
+                and wire_digest(bytes(pairs)) == digests[self.at(wire)]):
             found = fault(record, pairs)
             if found:
                 return _Abort(self.role, owner, found)
@@ -659,7 +658,7 @@ class Provider(Participant):
         """This provider's verdict on the sender's failure proof: openings
         of the sender's own bundle."""
         u = _recipient(sender, self.circuit)
-        return verify_failure_proof(self.bundles[u], got,
+        return verify_failure_proof(self.bundles[u], OutputOpenings(*got),
                                     wires=len(self.circuit.output_map[u]))
 
 

@@ -13,6 +13,7 @@ import random
 import time
 from fractions import Fraction
 
+from dualgc import commitments
 from dualgc.auction import AuctionConfig, circuit_run, oracle_run
 from dualgc.circuits import eval_plain
 from dualgc.consistency import (coin_toss_commit, coin_toss_open,
@@ -113,15 +114,21 @@ def test_criterion_2_cut_and_choose_soundness_bound():
           f"MC rate {rate:.4f} vs {p:.4f} (3*sigma={3 * sigma:.4f})")
 
 
-def test_criterion_3_commitment_count_per_provider():
-    """16 input wires at s=10 cost exactly 16*10*5 = 800 commitments."""
+def test_criterion_3_commitment_count_per_provider(monkeypatch):
+    """16 input wires at s=10 cost exactly 16*10*5 = 800 commitments: the
+    ``commitments.commit`` calls made while generating their material."""
     rng = random.Random("volume")
-    total = 0
+    made = []
+    commit = commitments.commit
+
+    def counted(message, randomness):
+        made.append(message)
+        return commit(message, randomness)
+
+    monkeypatch.setattr(commitments, "commit", counted)
     for _ in range(16):
-        material = generate_input_material(rng, rng.getrandbits(1), 10)
-        for pair in material.pairs():
-            total += len(pair.w) + len(pair.w_prime) + 1
-    assert total == 16 * 10 * 5 == 800
+        generate_input_material(rng, rng.getrandbits(1), 10)
+    assert len(made) == 16 * 10 * 5 == 800
     _line("criterion 3", "16 wires x 10 copies -> 800 commitments")
 
 

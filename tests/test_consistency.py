@@ -8,7 +8,7 @@ import pytest
 
 from dualgc.commitments import (NONCE_BYTES, TAG_COIN, TAG_POSITION, Opening,
                                 open_commitment, tagged_commit)
-from dualgc.consistency import (COMMITMENTS_PER_COPY, CommitmentSetPair,
+from dualgc.consistency import (COMMITMENTS_PER_COPY, PAIR_BYTES,
                                 check_pair_construction, coin_toss_commit,
                                 coin_toss_open, combine_challenge,
                                 evaluate_final_labels, expand_seed,
@@ -49,8 +49,8 @@ def test_material_shape_and_commitment_count():
     digests = set()
     for copy in material.copies:
         pair = copy.pair
-        digests.update(c.digest for c in
-                       pair.w + pair.w_prime + (pair.position,))
+        assert len(pair) == PAIR_BYTES
+        digests.update(pair[k:k + 32] for k in range(0, PAIR_BYTES, 32))
     # 5 distinct commitments per copy; 16 wires at s=10 give 800 total.
     assert len(digests) == 10 * COMMITMENTS_PER_COPY
     assert 16 * 10 * COMMITMENTS_PER_COPY == 800
@@ -83,16 +83,15 @@ def test_check_seeds_reveal_no_input_bit():
                                          x=x, s=6) for x in (0, 1)]
         for zero, one in zip(built[0].copies, built[1].copies):
             assert zero.seed == one.seed
-            assert (zero.pair.w + zero.pair.w_prime
-                    == one.pair.w + one.pair.w_prime)
-            assert zero.pair.position != one.pair.position
+            assert zero.pair[:128] == one.pair[:128]
+            assert zero.pair[128:] != one.pair[128:]
             enc1, enc2, _b, nonces = expand_seed(zero.seed)
             derived = [*enc1, *enc2, *nonces]
             for copy in (zero, one):
                 assert copy.position_opening.randomness not in derived
                 for nonce in derived:
                     for p in (0, 1):
-                        assert not open_commitment(copy.pair.position, Opening(
+                        assert not open_commitment(copy.pair[128:], Opening(
                             TAG_POSITION + bytes([p]), nonce))
 
 
@@ -394,8 +393,7 @@ def test_check_detects_specific_malformations():
     flipped = bytes([copy.seed[0] ^ 1]) + copy.seed[1:]
     for seed in (other.seed, flipped, copy.seed[:-1]):
         assert not check_pair_construction(pair, seed)
-    swapped = CommitmentSetPair(w=pair.w_prime, w_prime=pair.w,
-                                position=pair.position)
+    swapped = pair[64:128] + pair[:64] + pair[128:]
     assert not check_pair_construction(swapped, copy.seed)
 
 
@@ -408,6 +406,7 @@ def test_cheating_material_keeps_public_shape():
     rng = random.Random(22)
     honest = generate_input_material(rng, 0, 5)
     cheat = generate_cheating_material(rng, 0, 5, [False] * 5)
-    assert isinstance(cheat.copies[0].pair, CommitmentSetPair)
+    assert isinstance(cheat.copies[0].pair, bytes)
+    assert len(cheat.copies[0].pair) == PAIR_BYTES
     assert len(cheat.copies) == len(honest.copies)
     assert cheat.copies[0].b in (0, 1)

@@ -372,7 +372,7 @@ VALUE_FAULTS = {
     # spurious, like a false complaint.
     "failure_proof_bad_opening": (
         "false_output_complaint", M.MessageType.FAILURE_PROOF,
-        lambda p: dataclasses.replace(p, p1=p.p2, p2=p.p1), (None, None),
+        lambda p: (p[1], p[0]), (None, None),
         ("accept", "provider:0")),
     "output_openings_bad_opening": (
         None, M.MessageType.OUTPUT_OPENINGS,
@@ -516,9 +516,10 @@ def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
     evaluation, every check seed once and each wire's label sets once,
     and hashes the lists it echoes undecoded. Each bidder reads its own
     echoed record, three times over the two echoes; every provider reads
-    both parties' output commitments. An arbitrator reads only the
-    disputed wire's digest, pairs and sets and its owner's record, and
-    the owner of the wire in dispute reads none."""
+    both parties' output commitments. An arbitrator hashes the disputed
+    wire's pairs undecoded and reads only the pairs it opens, the wire's
+    digest and sets and its owner's record, and the owner of the wire in
+    dispute reads none."""
     counts = _count_item_reads(monkeypatch)
     sess = Session(SMALL, BIDS, s=4, seed=3, adversary=adversary)
     res = sess.run()
@@ -538,7 +539,8 @@ def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
         # claimant reads the claimed wire's s pairs and its owner's check
         # seeds, to send them. Every provider but the wire's owner reads
         # the owner's record and the wire's digest, hashes the claim's s
-        # pairs and seeds, then reads the claimed pair and seed.
+        # pairs undecoded, reads and hashes its seeds, then reads the
+        # claimed pair and seed.
         assert (res.status, res.blamed) == ("abort", "P1")
         owner_checked = sum(sum(sess.p1.rho[w])
                             for w in sess.circuit.input_map[0])
@@ -547,14 +549,14 @@ def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
             "INPUT_COMMITMENTS": 2 * wires * s + s,
             "HASH_TUPLE": 3 * len(BIDS) + providers - 1,
             "claim digests": providers - 1,
-            "CHECK_FAILURE_CLAIM": (providers - 1) * (s + 1),
+            "CHECK_FAILURE_CLAIM": providers - 1,
             "claim seeds": (providers - 1) * (owner_checked + 1)}
     else:
         # The complainer reads every wire's label sets before it makes
         # its complaint up, and the owner's sets and the wire's s pairs to
         # send them; every provider but the wire's owner reads the owner's
         # record, the wire's digest and sets, hashes the proof's s pairs
-        # and reads each evaluated one.
+        # undecoded and reads each evaluated one.
         assert (res.status, res.blamed) == ("abort", "P1")
         w0 = sess.circuit.input_map[0][0]
         evaluated = s - sum(sess.p1.rho[w0])
@@ -564,7 +566,7 @@ def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
             "HASH_TUPLE": 3 * len(BIDS) + providers - 1,
             "proof digests": providers - 1,
             "proof sets": providers - 1,
-            "CONSISTENCY_PROOF": (providers - 1) * (s + evaluated)}
+            "CONSISTENCY_PROOF": (providers - 1) * evaluated}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -878,7 +880,7 @@ def test_input_commitments_go_in_full_to_the_parties_only():
 
 def _one_commitment_altered(claim):
     pairs = list(claim[4])
-    pairs[-1] = dataclasses.replace(pairs[-1], position=pairs[0].position)
+    pairs[-1] = pairs[-1][:128] + pairs[0][128:]  # pair 0's position
     return claim[:4] + (pairs,)
 
 
@@ -1248,9 +1250,8 @@ class _Equivocator(session._InconsistentLabels):
         for c in honest.copies:
             com, op = tagged_commit(TAG_POSITION, bytes([c.b ^ 1 ^ honest.x]),
                                     self.adv_rng.randbytes(NONCE_BYTES))
-            copies.append(dataclasses.replace(
-                c, position_opening=op,
-                pair=dataclasses.replace(c.pair, position=com)))
+            copies.append(dataclasses.replace(c, position_opening=op,
+                                              pair=c.pair[:128] + com))
         self.p2_view = consistency.WireMaterial(1 - honest.x, copies)
         return pairs
 
@@ -1306,8 +1307,8 @@ def test_a_failure_proof_confirmed_by_one_provider_rejects(receiver):
     provider: that provider finds it spurious, the others confirm it. The
     bundles are pinned by BUNDLE_HASH, so one confirmation rejects."""
     def zeroed(proof):
-        return dataclasses.replace(proof, p1=Opening(proof.p1.message,
-                                                     bytes(NONCE_BYTES)))
+        p1, p2 = proof
+        return Opening(p1.message, bytes(NONCE_BYTES)), p2
     for seed in range(6):
         res = run_session(SMALL, BIDS, s=4, seed=seed,
                           adversary="substitute_output_label",

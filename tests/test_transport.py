@@ -6,8 +6,7 @@ from collections import namedtuple
 import pytest
 
 from dualgc import messages as M
-from dualgc.commitments import Commitment, Opening
-from dualgc.consistency import CommitmentSetPair
+from dualgc.commitments import Opening
 from dualgc.errors import FramingError, ProtocolError, TransportError
 from dualgc.outputs import OutputOpenings
 from dualgc.transport import InProcessTransport, TcpTransport
@@ -54,7 +53,7 @@ def test_frame_rejects_malformed():
 
 
 def C(k):
-    return Commitment(bytes([k]) * 32)
+    return bytes([k]) * 32
 
 
 def O(message, k):
@@ -62,8 +61,8 @@ def O(message, k):
 
 
 def set_pair(k):
-    return CommitmentSetPair(w=(C(k), C(k + 1)), w_prime=(C(k + 2), C(k + 3)),
-                             position=C(k + 4))
+    """A copy's pair: W_0, W_1, W'_0, W'_1 and position, end to end."""
+    return b"".join(C(k + i) for i in range(5))
 
 
 T = M.MessageType
