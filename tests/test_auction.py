@@ -10,6 +10,7 @@ from dualgc.auction import (AuctionConfig, AuctionResult, build_auction_circuit,
                             circuit_run, decode_bidder_bits, decode_cloud_bits,
                             encode_bid_bits, gate_count, load_bids_file,
                             oracle_run)
+from dualgc.circuits import AND, OR
 from dualgc.errors import InputShapeError, WidthError
 
 ONE_TYPE = AuctionConfig(vm_types=1, capacities=(1,), weights=(1,), width=8)
@@ -202,3 +203,51 @@ def test_load_bids_file(tmp_path):
     bad.write_text("# only comments\n")
     with pytest.raises(InputShapeError):
         load_bids_file(bad)
+
+
+# Compiled circuits, pinned at the first 16 hex digits of Circuit.hash() and
+# the AND/OR count. A refactor of the gadgets or of the auction compiler
+# must leave every row as it is: the hash binds each gate and wire number,
+# so the blob, every frame and every transcript stay byte-identical. The
+# rows span 1-3 VM types, widths 4-16, fraction bits 0 and 8, maxima on
+# both sides of _clamp's no-compare shortcut, and 1-8 bidders.
+# (vm_types, capacities, weights, width, fraction_bits, max_quantity,
+#  max_bid, bidders, hash prefix, AND/OR gates)
+PINNED_CIRCUITS = [
+    (1, (1,), (1,), 4, 0, 3, 15, 1, "c1b43bfb5853cf1e", 6),
+    (1, (1,), (1,), 4, 0, 3, 15, 2, "ea040b40e109c84a", 306),
+    (1, (2,), (1,), 4, 8, 15, 100, 2, "7f18aa6fd1d30fe2", 1136),
+    (1, (3,), (2,), 4, 8, 1, 7, 3, "8b6b3b21d6d753a9", 827),
+    (1, (1,), (1,), 8, 8, 3, 100, 2, "aea361e001801e63", 985),
+    (1, (5,), (3,), 8, 0, 255, 255, 2, "24054e8b267921a1", 3061),
+    (1, (4,), (1,), 8, 8, 3, 100, 4, "690676113f85ffd5", 3129),
+    (1, (7,), (1,), 16, 8, 3, 100, 5, "d009cec8a60b1c47", 4816),
+    (1, (2,), (1,), 6, 8, 2, 63, 8, "005d0f320f838ffd", 7656),
+    (1, (3,), (1,), 5, 0, 31, 9, 7, "a897e8a02393516d", 10010),
+    (2, (4, 6), (1, 2), 8, 8, 3, 100, 1, "44d4a54811033a89", 29),
+    (2, (4, 6), (1, 2), 8, 8, 3, 100, 3, "db6a641186d7aaa5", 3296),
+    (2, (2, 3), (1, 1), 4, 0, 3, 15, 2, "026a3dc3b09cc4d0", 530),
+    (2, (9, 9), (2, 3), 4, 8, 15, 15, 2, "0ecb5dc52dd94072", 1887),
+    (2, (1, 2), (1, 1), 16, 0, 3, 100, 4, "91bac762a8c52067", 3389),
+    (2, (6, 4), (1, 2), 16, 8, 3, 100, 6, "629450429865f3f4", 10569),
+    (2, (3, 3), (1, 1), 12, 8, 5, 4095, 3, "f13c4af7bc6e4f06", 5323),
+    (2, (5, 1), (4, 1), 10, 0, 1023, 2, 2, "d7e8df780d6cdff1", 2892),
+    (3, (2, 2, 2), (1, 1, 1), 4, 0, 3, 15, 2, "4d0a3025b5241aa3", 778),
+    (3, (3, 1, 2), (1, 2, 3), 8, 8, 3, 100, 3, "3b5ddaa7030fd5f7", 4026),
+    (3, (9, 9, 9), (1, 1, 1), 4, 8, 15, 15, 1, "408873abdaa8937a", 26),
+    (3, (4, 5, 6), (2, 1, 1), 16, 0, 2, 200, 4, "e94563836b98451a", 4790),
+    (3, (1, 1, 1), (1, 1, 1), 6, 8, 63, 3, 2, "02315471e1a1e680", 2349),
+    (3, (2, 4, 8), (3, 2, 1), 16, 8, 3, 100, 8, "184b61e4675e4899", 20222),
+]
+
+
+@pytest.mark.parametrize(
+    "m, caps, weights, width, frac, max_q, max_b, bidders, digest, and_or",
+    PINNED_CIRCUITS)
+def test_compiled_circuits_are_pinned(m, caps, weights, width, frac, max_q,
+                                      max_b, bidders, digest, and_or):
+    config = AuctionConfig(m, caps, weights, width=width, fraction_bits=frac,
+                           max_quantity=max_q, max_bid=max_b)
+    circuit = build_auction_circuit(config, bidders)
+    assert circuit.hash().hex()[:16] == digest
+    assert sum(kind in (AND, OR) for kind, *_ in circuit.gates) == and_or
