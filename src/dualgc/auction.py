@@ -75,10 +75,6 @@ class AuctionConfig:
         return self.max_quantity.bit_length()
 
     @property
-    def bid_bits(self) -> int:
-        return self.max_bid.bit_length()
-
-    @property
     def value_width(self) -> int:
         """Bits needed for S_j = sum of clamped quantity * bid products."""
         return (self.vm_types * self.max_quantity * self.max_bid).bit_length()
@@ -231,6 +227,15 @@ def build_auction_circuit(config: AuctionConfig, bidders: int) -> Circuit:
         wires = bld.inputs(2 * m * w)
         raw.append([wires[i * w:(i + 1) * w] for i in range(2 * m)])
 
+    # A sort record is the flat bus S^2 | T | has_T | index | S | k_1..k_m,
+    # which the sorts move whole; its fields are these slices.
+    S2 = slice(0, 2 * s_w)
+    T = slice(S2.stop, S2.stop + t_w)
+    HAS_T = T.stop
+    IDX = slice(HAS_T + 1, HAS_T + 1 + i_w)
+    S = slice(IDX.stop, IDX.stop + s_w)
+    K = [slice(S.stop + i * kq, S.stop + (i + 1) * kq) for i in range(m)]
+
     # Per-bidder aggregates on clamped values.
     records = []
     for j in range(bidders):
@@ -242,44 +247,22 @@ def build_auction_circuit(config: AuctionConfig, bidders: int) -> Circuit:
                       const_bus(bld, config.weights[i], config.weights[i].bit_length()))
                   for i in range(m)], t_w)
         s2_bus = mul(bld, s_bus, s_bus)
-        records.append({
-            "s2": s2_bus, "t": t_bus, "has_t": or_reduce(bld, t_bus),
-            "idx": const_bus(bld, j, i_w), "s": s_bus, "k": khat,
-        })
+        records.append(s2_bus + t_bus + [or_reduce(bld, t_bus)]
+                       + const_bus(bld, j, i_w) + s_bus
+                       + [wire for k in khat for wire in k])
 
-    layout = [("s2", 2 * s_w), ("t", t_w), ("has_t", 1), ("idx", i_w),
-              ("s", s_w)] + [("k%d" % i, kq) for i in range(m)]
-
-    def pack(rec):
-        flat = rec["s2"] + rec["t"] + [rec["has_t"]] + rec["idx"] + rec["s"]
-        for bus in rec["k"]:
-            flat += bus
-        return flat
-
-    def unpack(flat):
-        rec = {}
-        off = 0
-        for name, width in layout:
-            rec[name] = flat[off:off + width]
-            off += width
-        rec["has_t"] = rec["has_t"][0]
-        rec["k"] = [rec.pop("k%d" % i) for i in range(m)]
-        return rec
-
-    def rank_before(bld_, left, right):
-        a, b = unpack(left), unpack(right)
-        cross_ab = mul(bld_, a["s2"], b["t"])
-        cross_ba = mul(bld_, b["s2"], a["t"])
-        t_wins = bld_.AND(a["has_t"], bld_.NOT(b["has_t"]))
-        t_ties = bld_.NOT(bld_.XOR(a["has_t"], b["has_t"]))
+    def rank_before(bld_, a, b):
+        cross_ab = mul(bld_, a[S2], b[T])
+        cross_ba = mul(bld_, b[S2], a[T])
+        t_wins = bld_.AND(a[HAS_T], bld_.NOT(b[HAS_T]))
+        t_ties = bld_.NOT(bld_.XOR(a[HAS_T], b[HAS_T]))
         dens_wins = gt(bld_, cross_ab, cross_ba)
         dens_ties = eq(bld_, cross_ab, cross_ba)
-        idx_wins = gt(bld_, b["idx"], a["idx"])
+        idx_wins = gt(bld_, b[IDX], a[IDX])
         return bld_.OR(t_wins, bld_.AND(
             t_ties, bld_.OR(dens_wins, bld_.AND(dens_ties, idx_wins))))
 
-    ranked = [unpack(flat) for flat in
-              odd_even_merge_sort(bld, [pack(r) for r in records], rank_before)]
+    ranked = odd_even_merge_sort(bld, records, rank_before)
 
     # Size load accumulators by the configured word width, not the capacity
     # values, so the circuit (and hence message volume) does not depend on
@@ -288,11 +271,11 @@ def build_auction_circuit(config: AuctionConfig, bidders: int) -> Circuit:
     cap_consts = [const_bus(bld, c, cap_w + 1) for c in config.capacities]
 
     def greedy_step(used, rec):
-        sums = [add(bld, used[i], zext(bld, rec["k"][i], cap_w)) for i in range(m)]
+        sums = [add(bld, used[i], zext(bld, rec[K[i]], cap_w)) for i in range(m)]
         fits = bld.const(1)
         for i in range(m):
             fits = bld.AND(fits, ge(bld, cap_consts[i], sums[i]))
-        x = bld.AND(fits, rec["has_t"])
+        x = bld.AND(fits, rec[HAS_T])
         next_used = [mux(bld, x, used[i], sums[i][1:]) for i in range(m)]
         return x, next_used
 
@@ -320,17 +303,17 @@ def build_auction_circuit(config: AuctionConfig, bidders: int) -> Circuit:
             x_r, used_p = greedy_step(used_p, ranked[r])
             sel = bld.AND(bld.AND(bld.NOT(alloc[r]), x_r), bld.NOT(found))
             found = bld.OR(found, sel)
-            crit_s = _onehot_select(bld, crit_s, sel, ranked[r]["s"])
-            crit_t = _onehot_select(bld, crit_t, sel, ranked[r]["t"])
+            crit_s = _onehot_select(bld, crit_s, sel, ranked[r][S])
+            crit_t = _onehot_select(bld, crit_t, sel, ranked[r][T])
         crit_t = mux(bld, found, const_bus(bld, 1, t_w), crit_t)
-        dividend = ranked[p]["t"] + [bld.const(0)] * f2
+        dividend = ranked[p][T] + [bld.const(0)] * f2
         quotient = divide(bld, dividend, crit_t)
         root = isqrt(bld, quotient)
         amount = mul(bld, crit_s, root)
         pay.append([bld.AND(bit, alloc[p]) for bit in amount])
 
     # Restore bidder order by sorting on the carried index.
-    out_records = [ranked[p]["idx"] + [alloc[p]] + pay[p] for p in range(bidders)]
+    out_records = [ranked[p][IDX] + [alloc[p]] + pay[p] for p in range(bidders)]
 
     def idx_before(bld_, left, right):
         return gt(bld_, right[:i_w], left[:i_w])

@@ -4,6 +4,10 @@ All gadgets operate on unsigned big-endian buses (lists of wire ids, MSB
 first) and contain no data-dependent branching: selections are realized with
 mux gates so the gate sequence is a fixed function of the shape parameters.
 
+Add and subtract share one ripple loop, because a borrow is a carry with
+``a`` complemented in the carry terms; divide and square root share one
+restoring step.
+
 The builder constant-folds gates touching known-constant wires, which keeps
 circuits that compare against public constants (capacities, weights) small
 without changing semantics, and ``Builder.finish`` drops every gate whose
@@ -57,29 +61,23 @@ class Builder:
         self.gates.append((kind, a, b, out))
         return out
 
-    def AND(self, a: int, b: int) -> int:
+    def _fold(self, kind: int, absorbing: int, a: int, b: int) -> int:
+        """AND (absorbing constant 0) or OR (1): the absorbing constant
+        wins, the other constant and a repeated operand pass through."""
         ca, cb = self._const_of.get(a), self._const_of.get(b)
-        if ca == 0 or cb == 0:
-            return self.const(0)
-        if ca == 1:
+        if absorbing in (ca, cb):
+            return self.const(absorbing)
+        if ca is not None:
             return b
-        if cb == 1:
+        if cb is not None or a == b:
             return a
-        if a == b:
-            return a
-        return self._emit(AND, a, b)
+        return self._emit(kind, a, b)
+
+    def AND(self, a: int, b: int) -> int:
+        return self._fold(AND, 0, a, b)
 
     def OR(self, a: int, b: int) -> int:
-        ca, cb = self._const_of.get(a), self._const_of.get(b)
-        if ca == 1 or cb == 1:
-            return self.const(1)
-        if ca == 0:
-            return b
-        if cb == 0:
-            return a
-        if a == b:
-            return a
-        return self._emit(OR, a, b)
+        return self._fold(OR, 1, a, b)
 
     def XOR(self, a: int, b: int) -> int:
         ca, cb = self._const_of.get(a), self._const_of.get(b)
@@ -155,8 +153,10 @@ def zext(bld: Builder, bus, width: int) -> list[int]:
     return [bld.const(0)] * (width - len(bus)) + list(bus)
 
 
-def add(bld: Builder, a, b) -> list[int]:
-    """Full sum, width max(len(a), len(b)) + 1."""
+def _ripple(bld: Builder, a, b, flip) -> tuple[list[int], int]:
+    """The sum bits of a + b (MSB first) and the carry out, where the carry
+    terms read flip(a) for a: flip = NOT turns the carry into the borrow
+    of a - b, whose difference bits are the same XORs."""
     w = max(len(a), len(b))
     a = zext(bld, a, w)
     b = zext(bld, b, w)
@@ -166,47 +166,31 @@ def add(bld: Builder, a, b) -> list[int]:
         ai, bi = a[i], b[i]
         if carry is None:
             out.append(bld.XOR(ai, bi))
-            carry = bld.AND(ai, bi)
+            carry = bld.AND(flip(ai), bi)
         elif bld.is_const(ai) or bld.is_const(bi):
             # Folds to fewer gates than the 1-AND form below.
             axb = bld.XOR(ai, bi)
             out.append(bld.XOR(axb, carry))
-            carry = bld.OR(bld.AND(ai, bi), bld.AND(axb, carry))
+            carry = bld.OR(bld.AND(flip(ai), bi), bld.AND(flip(axb), carry))
         else:
             # One AND per bit (Kolesnikov-Sadeghi-Schneider, CANS 2009):
             # carry = c ^ ((a ^ c) & (b ^ c)).
             axc = bld.XOR(ai, carry)
             out.append(bld.XOR(axc, bi))
-            carry = bld.XOR(carry, bld.AND(axc, bld.XOR(bi, carry)))
-    out.append(carry)
+            carry = bld.XOR(carry, bld.AND(flip(axc), bld.XOR(bi, carry)))
     out.reverse()
-    return out
+    return out, carry
+
+
+def add(bld: Builder, a, b) -> list[int]:
+    """Full sum, width max(len(a), len(b)) + 1."""
+    total, carry = _ripple(bld, a, b, lambda w: w)
+    return [carry] + total
 
 
 def sub(bld: Builder, a, b) -> tuple[list[int], int]:
     """(a - b) mod 2^w and the borrow-out wire (1 iff a < b)."""
-    w = max(len(a), len(b))
-    a = zext(bld, a, w)
-    b = zext(bld, b, w)
-    borrow = None
-    out = []
-    for i in range(w - 1, -1, -1):
-        ai, bi = a[i], b[i]
-        if borrow is None:
-            out.append(bld.XOR(ai, bi))
-            borrow = bld.AND(bld.NOT(ai), bi)
-        elif bld.is_const(ai) or bld.is_const(bi):
-            axb = bld.XOR(ai, bi)
-            out.append(bld.XOR(axb, borrow))
-            borrow = bld.OR(bld.AND(bld.NOT(ai), bi),
-                            bld.AND(bld.NOT(axb), borrow))
-        else:
-            # borrow = c ^ (~(a ^ c) & (b ^ c)), one AND per bit.
-            axc = bld.XOR(ai, borrow)
-            out.append(bld.XOR(axc, bi))
-            borrow = bld.XOR(borrow, bld.AND(bld.NOT(axc), bld.XOR(bi, borrow)))
-    out.reverse()
-    return out, borrow
+    return _ripple(bld, a, b, bld.NOT)
 
 
 def ge(bld: Builder, a, b) -> int:
@@ -268,6 +252,13 @@ def mul(bld: Builder, a, b) -> list[int]:
     return zext(bld, acc, wa + wb)
 
 
+def _restore(bld: Builder, rem, d) -> tuple[int, list[int]]:
+    """One restoring step: take = (rem >= d), and rem - d if take else rem."""
+    diff, borrow = sub(bld, rem, d)
+    take = bld.NOT(borrow)
+    return take, mux(bld, take, rem, diff)
+
+
 def divide(bld: Builder, a, d) -> list[int]:
     """Restoring long division: quotient of len(a) bits.
 
@@ -275,16 +266,11 @@ def divide(bld: Builder, a, d) -> list[int]:
     below d, so a register of len(d) + 1 bits holds it. Division by zero
     yields all ones (every trial subtraction succeeds).
     """
-    wd = len(d)
-    rem = [bld.const(0)] * (wd + 1)
-    d_wide = zext(bld, d, wd + 1)
+    rem = [bld.const(0)] * (len(d) + 1)
     quotient = []
-    for i in range(len(a)):
-        rem = rem[1:] + [a[i]]
-        diff, borrow = sub(bld, rem, d_wide)
-        take = bld.NOT(borrow)
+    for bit in a:
+        take, rem = _restore(bld, rem[1:] + [bit], d)
         quotient.append(take)
-        rem = mux(bld, take, rem, diff)
     return quotient
 
 
@@ -292,23 +278,16 @@ def isqrt(bld: Builder, a) -> list[int]:
     """Bit-serial integer square root, one result bit per iteration pair.
 
     Width ceil(len(a)/2); each of the len(a)/2 iterations shifts in two
-    operand bits, trial-subtracts (res << 2) | 1, and keeps the difference
-    through a mux when it does not borrow.
+    operand bits and takes a restoring step against (res << 2) | 1.
     """
     if len(a) % 2:
         a = [bld.const(0)] + list(a)
-    steps = len(a) // 2
     res: list[int] = []
     rem: list[int] = []
-    for i in range(steps):
-        rem = rem + a[2 * i:2 * i + 2]
-        trial = res + [bld.const(0), bld.const(1)]
-        w = max(len(rem), len(trial))
-        rem = zext(bld, rem, w)
-        diff, borrow = sub(bld, rem, zext(bld, trial, w))
-        take = bld.NOT(borrow)
-        rem = mux(bld, take, rem, diff)
-        res = res + [take]
+    for i in range(0, len(a), 2):
+        take, rem = _restore(bld, rem + a[i:i + 2],
+                             res + [bld.const(0), bld.const(1)])
+        res.append(take)
     return res
 
 
