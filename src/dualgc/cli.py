@@ -37,7 +37,8 @@ DEFAULT_MAX_QUANTITY = 3
 DEFAULT_MAX_BID = 100
 
 
-def _common_flags(sub, *, bidders: int, vm_types: int):
+def _auction_flags(sub, *, bidders: int, vm_types: int):
+    """The flags that shape the auction circuit."""
     sub.add_argument("--bidders", type=int, default=bidders,
                      help=f"number of bidders (default {bidders})")
     sub.add_argument("--vm-types", type=int, default=vm_types,
@@ -45,16 +46,23 @@ def _common_flags(sub, *, bidders: int, vm_types: int):
     sub.add_argument("--capacity", type=int, default=DEFAULT_CAPACITY,
                      help=f"cloud instances per VM type (default "
                           f"{DEFAULT_CAPACITY})")
+    sub.add_argument("--bits", type=int, default=DEFAULT_BITS,
+                     help=f"bits per input value (default {DEFAULT_BITS})")
+    sub.add_argument("--max-quantity", type=int, default=DEFAULT_MAX_QUANTITY,
+                     help="larger quantities count as this; random bids "
+                          "request 0..this many instances")
+    sub.add_argument("--max-bid", type=int, default=DEFAULT_MAX_BID,
+                     help="larger per-unit bids count as this; random "
+                          "bids range over 0..this")
+
+
+def _session_flags(sub, *, bidders: int, vm_types: int):
+    """The auction's flags and those of the sessions run on it."""
+    _auction_flags(sub, bidders=bidders, vm_types=vm_types)
     sub.add_argument("--copies", type=int, default=DEFAULT_COPIES,
                      help="committed copies per input wire (default "
                           f"{DEFAULT_COPIES})")
-    sub.add_argument("--bits", type=int, default=DEFAULT_BITS,
-                     help=f"bits per input value (default {DEFAULT_BITS})")
     sub.add_argument("--seed", type=int, default=0, help="base seed")
-    sub.add_argument("--max-quantity", type=int, default=DEFAULT_MAX_QUANTITY,
-                     help="random bids request 0..this many instances")
-    sub.add_argument("--max-bid", type=int, default=DEFAULT_MAX_BID,
-                     help="random per-unit bids range over 0..this")
     sub.add_argument("--tcp", default=None, metavar="HOST:PORT",
                      help="run over loopback TCP instead of in-process "
                           "queues (port 0 picks a free port)")
@@ -69,14 +77,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = subs.add_parser("demo", help="run one session and print the "
                                         "auction outcome")
-    _common_flags(demo, bidders=4, vm_types=DEFAULT_VM_TYPES)
+    _session_flags(demo, bidders=4, vm_types=DEFAULT_VM_TYPES)
     demo.add_argument("--bids-file", default=None,
                       help="CSV of bidder_id,k_1,b_1,...,k_m,b_m rows")
     demo.set_defaults(func=cmd_demo)
 
     attack = subs.add_parser("attack", help="run sessions against a "
                                             "scripted adversary")
-    _common_flags(attack, bidders=2, vm_types=2)
+    _session_flags(attack, bidders=2, vm_types=2)
     attack.add_argument("--adversary", default=None,
                         help="one of: " + ", ".join(BEHAVIORS) +
                              " (default: honest baseline)")
@@ -88,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dump = subs.add_parser("dump-circuit", help="write the auction circuit "
                                                 "as a text netlist")
-    _common_flags(dump, bidders=4, vm_types=DEFAULT_VM_TYPES)
+    _auction_flags(dump, bidders=4, vm_types=DEFAULT_VM_TYPES)
     dump.add_argument("--out", default=None, help="netlist path (default "
                                                   "stdout)")
     dump.set_defaults(func=cmd_dump_circuit)
@@ -96,12 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_config(args, n: int, m: int) -> AuctionConfig:
-    """The auction the flags ask for; flags no session can run with are a
-    usage error."""
+    """The auction the flags ask for; flags no auction can be built with
+    are a usage error."""
     if n < 1:
         raise UsageError("--bidders must be positive")
-    if args.copies < 2:
-        raise UsageError("--copies must be at least 2")
     if m < 1 or args.capacity < 1:
         raise UsageError("vm-types and capacity must be positive")
     try:
@@ -111,6 +117,14 @@ def _make_config(args, n: int, m: int) -> AuctionConfig:
                              max_bid=args.max_bid)
     except (ValueError, WidthError) as exc:
         raise UsageError(str(exc))
+
+
+def _session_config(args, n: int, m: int) -> AuctionConfig:
+    """``_make_config``, and a copy count no session can run with is a
+    usage error too."""
+    if args.copies < 2:
+        raise UsageError("--copies must be at least 2")
+    return _make_config(args, n, m)
 
 
 def _random_bids(rng: random.Random, n: int, config: AuctionConfig) -> list:
@@ -158,7 +172,7 @@ def cmd_demo(args) -> int:
         except OSError as exc:
             raise UsageError(f"cannot read bids file: {exc}")
         n, m = len(bids), len(bids[0])
-    config = _make_config(args, n, m)
+    config = _session_config(args, n, m)
     if args.bids_file is None:
         bids = _random_bids(random.Random(f"demo:{args.seed}"), n, config)
     print(f"auction: {n} bidders, {m} VM types, {k} instances per type, "
@@ -211,7 +225,7 @@ def cmd_attack(args) -> int:
     n, m = args.bidders, args.vm_types
     if args.trials < 1:
         raise UsageError("--trials must be positive")
-    config = _make_config(args, n, m)
+    config = _session_config(args, n, m)
     detected = 0
     wrong = 0
     honest_blamed = 0

@@ -257,14 +257,15 @@ def check_pair_construction(pair: bytes, seed: bytes) -> bool:
                     in _input_sets(seed)[1]) == pair[:_POSITION_AT]
 
 
-def verify_check_failure_claim(pair: bytes, seeds, at: int,
+def verify_check_failure_claim(pair: bytes, seeds: bytes, at: int,
                                digest: bytes) -> bool:
     """Arbitrate a party's claim that check copy ``pair`` is not its
-    seed's: whether the owner's check ``seeds`` hash to the seed
-    ``digest`` the arbitrator holds and the seed at ``at`` does not
-    regenerate the pair. A claim that proves no fault is fabricated."""
-    return (seed_digest(b"".join(seeds)) == digest
-            and not check_pair_construction(pair, seeds[at]))
+    seed's: whether the owner's check ``seeds``, as they lie on the wire,
+    hash to the seed ``digest`` the arbitrator holds and the seed at
+    ``at`` does not regenerate the pair. A claim that proves no fault is
+    fabricated."""
+    return (seed_digest(seeds) == digest and not check_pair_construction(
+        pair, seeds[at * SEED_BYTES:(at + 1) * SEED_BYTES]))
 
 
 # --- evaluation copies -------------------------------------------------------

@@ -584,7 +584,7 @@ class Provider(Participant):
         def fault(record, pairs):
             at = self.copies(owner.index, checked=True).index((wire, copy))
             return verify_check_failure_claim(
-                pairs[copy], seeds, at, record[1]) and (
+                pairs[copy], bytes(seeds), at, record[1]) and (
                 f"check copy {copy} of wire {wire} failed construction: its "
                 "commitments are not its seed's")
         return self._ruling(sender, wire, digests, pairs, fault,
@@ -1007,7 +1007,8 @@ class Session:
             bits = list(decisions[prov.role.name].value)
             if decode_bidder_bits(self.config, bits) != (
                     result.allocations[u], result.payments_fp[u]):
-                raise ProtocolError("recipient views of the result diverged")
+                raise _Abort(self.cloud.role, None,
+                             "recipient views of the result diverged")
         reason = ""
         if spurious is not None:
             reason = (f"{spurious} complained about an output that every "

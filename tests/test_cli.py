@@ -172,6 +172,17 @@ def test_dump_circuit_to_stdout(capsys):
     assert out.startswith("circuit ")
 
 
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--copies", "1"],
+                                  ["--tcp", "127.0.0.1:0"]], ids=" ".join)
+def test_dump_circuit_refuses_session_flags(capsys, flag):
+    """dump-circuit takes only the flags that shape the auction."""
+    with pytest.raises(SystemExit) as exc:
+        main(["dump-circuit", "--bidders", "1"] + flag)
+    assert exc.value.code == 2
+    _, err = capsys.readouterr()
+    assert "unrecognized arguments: " + flag[0] in err
+
+
 def test_tcp_flag_validation(capsys):
     code, _, err = run_cli(capsys, ["demo", "--tcp", "localhost"] + FAST
                            + ["--bidders", "2"])

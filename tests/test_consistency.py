@@ -362,24 +362,26 @@ def test_consistency_proof_bad_opening_names_its_party():
 
 def test_check_failure_claim_arbitration():
     """A claim proves a fault only when its seeds hash to the seed digest
-    and the seed at the claimed place does not regenerate the pair."""
+    and the seed at the claimed place does not regenerate the pair. The
+    seeds come as they lie on the wire: laid end to end."""
     rng = random.Random(20)
     bad = generate_cheating_material(rng, 0, 4, [False, True, True, True])
     seeds = [c.seed for c in bad.copies]
     digest = seed_digest(b"".join(seeds))
-    assert verify_check_failure_claim(bad.copies[0].pair, seeds, 0, digest)
-    assert not verify_check_failure_claim(bad.copies[1].pair, seeds, 1,
-                                          digest)
+    assert verify_check_failure_claim(bad.copies[0].pair, b"".join(seeds),
+                                      0, digest)
+    assert not verify_check_failure_claim(bad.copies[1].pair,
+                                          b"".join(seeds), 1, digest)
     # Seeds that miss the digest prove nothing: one short, one byte
     # flipped, or a digest of other seeds.
     flipped = [bytes([seeds[0][0] ^ 1]) + seeds[0][1:]] + seeds[1:]
     for forged, held in ((seeds[:-1], digest), (flipped, digest),
                          (seeds, seed_digest(b"".join(seeds[::-1])))):
-        assert not verify_check_failure_claim(bad.copies[0].pair, forged, 0,
-                                              held)
+        assert not verify_check_failure_claim(bad.copies[0].pair,
+                                              b"".join(forged), 0, held)
     good = generate_input_material(rng, 0, 4)
-    seeds = [c.seed for c in good.copies]
-    digest = seed_digest(b"".join(seeds))
+    seeds = b"".join(c.seed for c in good.copies)
+    digest = seed_digest(seeds)
     assert not any(verify_check_failure_claim(c.pair, seeds, j, digest)
                    for j, c in enumerate(good.copies))
 

@@ -267,21 +267,37 @@ def test_malformed_garbled_circuit_aborts_against_its_producer(producer,
     assert res.result is None
 
 
-class FirstFrameFault(InProcessTransport):
-    """Applies ``mutate`` to the first frame of one type and records who
-    sent it."""
+class FrameFault(InProcessTransport):
+    """Applies ``mutation`` (a name in ``FRAME_MUTATIONS``) to one frame
+    of type ``mtype``: the first that the type's first sender sends to the
+    ``at``-th receiver of its frames of that type, in send order. Records
+    that sender and those receivers.
 
-    def __init__(self, mtype, mutate):
+    "reorder" holds the frame back until the sender's next frame on that
+    channel and sends it after that one; with no next frame it is never
+    sent."""
+
+    def __init__(self, mtype, mutation, at):
         super().__init__()
-        self.mtype = mtype
-        self.mutate = mutate
+        self.mtype, self.mutation, self.at = mtype, mutation, at
         self.sender = None
+        self.receivers = []
+        self.held = {}
 
     def send(self, sender, receiver, frame):
-        if self.sender is None and frame[4] == self.mtype:
+        frames = [frame] + self.held.pop((sender, receiver), [])
+        if (frame[4] == self.mtype and self.sender in (None, sender.name)
+                and receiver not in self.receivers):
             self.sender = sender.name
-            frame = self.mutate(frame)
-        super().send(sender, receiver, frame)
+            self.receivers.append(receiver)
+            if len(self.receivers) == self.at + 1:
+                if self.mutation == "reorder":
+                    self.held[sender, receiver] = frames
+                    frames = []
+                else:
+                    frames = FRAME_MUTATIONS[self.mutation](frame)
+        for f in frames:
+            super().send(sender, receiver, f)
 
 
 def reframed(edit):
@@ -305,20 +321,28 @@ def flipped(at):
     return reframed(edit)
 
 
-# Each mutates the first frame of a type, which goes to one receiver only.
+def rewritten(mutate):
+    return lambda frame: [mutate(frame)]
+
+
+# Each maps the one frame it mutates to the frames sent in its place.
 FRAME_MUTATIONS = {
-    "truncated": reframed(lambda body: body[:-1]),
-    "appended": reframed(lambda body: body + b"\x00"),
+    "truncated": rewritten(reframed(lambda body: body[:-1])),
+    "appended": rewritten(reframed(lambda body: body + b"\x00")),
     # A flipped check seed no longer regenerates its copy at the one
     # party that holds it, whose seed digest then misses the other party's
     # at the echo: the session ends blaming no one, not the provider.
-    "flipped_last_byte": flipped(lambda n: n - 1),
-    "flipped_middle_byte": flipped(lambda n: n // 2),
-    "retyped": retyped,
+    "flipped_last_byte": rewritten(flipped(lambda n: n - 1)),
+    "flipped_middle_byte": rewritten(flipped(lambda n: n // 2)),
+    "retyped": rewritten(retyped),
     # A type that has no schema and no flow is refused like any other
     # unexpected type.
-    "retired_type": lambda frame: (
-        frame[:4] + bytes([M.MessageType.PROOF_OPENING_REQUEST]) + frame[5:]),
+    "retired_type": rewritten(lambda frame: (
+        frame[:4] + bytes([M.MessageType.PROOF_OPENING_REQUEST])
+        + frame[5:])),
+    "drop": lambda frame: [],
+    "duplicate": lambda frame: [frame, frame],
+    "reorder": None,  # see FrameFault
 }
 
 # message type -> a scripted behaviour whose run sends it (None: honest)
@@ -334,19 +358,26 @@ SENT_BY.update({
 @pytest.mark.parametrize("mutation", sorted(FRAME_MUTATIONS))
 @pytest.mark.parametrize("mtype", list(M.FLOW), ids=lambda t: t.name)
 def test_mutated_frame_ends_in_a_verdict(mtype, mutation):
+    """One run per receiver of the first sender's frames of the type, each
+    mutating that receiver's frame only, then one clean run."""
     adversary = SENT_BY[mtype]
-    transport = FirstFrameFault(mtype, FRAME_MUTATIONS[mutation])
-    res = run_session(SMALL, BIDS, s=4, seed=3, adversary=adversary,
-                      transport=transport)
-    assert transport.sender is not None
-    assert not (res.status == "accept" and res.result != oracle_run(SMALL,
-                                                                    BIDS))
+    runs = []
+    while True:
+        transport = FrameFault(mtype, mutation, len(runs))
+        clean = run_session(SMALL, BIDS, s=4, seed=3, adversary=adversary,
+                            transport=transport)
+        if len(runs) == len(transport.receivers):
+            break  # every receiver has had its frame mutated
+        runs.append((transport.sender, clean))
+    assert runs
     cheater = make_adversary(adversary).target if adversary else None
-    assert res.blamed in {transport.sender, cheater, None}
-    if mtype is M.MessageType.ABORT:
-        clean = run_session(SMALL, BIDS, s=4, seed=3, adversary=adversary)
-        assert (res.status, res.blamed, res.reason) == (
-            clean.status, clean.blamed, clean.reason)
+    for sender, res in runs:
+        assert not (res.status == "accept"
+                    and res.result != oracle_run(SMALL, BIDS))
+        assert res.blamed in {sender, cheater, None}
+        if mtype is M.MessageType.ABORT:
+            assert (res.status, res.blamed, res.reason) == (
+                clean.status, clean.blamed, clean.reason)
 
 
 def _claim_at(wire=None, copy=None):
@@ -539,8 +570,8 @@ def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
         # claimant reads the claimed wire's s pairs and its owner's check
         # seeds, to send them. Every provider but the wire's owner reads
         # the owner's record and the wire's digest, hashes the claim's s
-        # pairs undecoded, reads and hashes its seeds, then reads the
-        # claimed pair and seed.
+        # pairs and its seeds undecoded, then reads the claimed pair and
+        # slices the claimed seed out of the seeds' bytes.
         assert (res.status, res.blamed) == ("abort", "P1")
         owner_checked = sum(sum(sess.p1.rho[w])
                             for w in sess.circuit.input_map[0])
@@ -549,8 +580,7 @@ def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
             "INPUT_COMMITMENTS": 2 * wires * s + s,
             "HASH_TUPLE": 3 * len(BIDS) + providers - 1,
             "claim digests": providers - 1,
-            "CHECK_FAILURE_CLAIM": providers - 1,
-            "claim seeds": (providers - 1) * (owner_checked + 1)}
+            "CHECK_FAILURE_CLAIM": providers - 1}
     else:
         # The complainer reads every wire's label sets before it makes
         # its complaint up, and the owner's sets and the wire's s pairs to
@@ -961,6 +991,29 @@ class _WrongSeed(session._InconsistentLabels):
         copies[j] = dataclasses.replace(
             copies[j], seed=self.adv_rng.randbytes(consistency.SEED_BYTES))
         return super().checkset_openings()
+
+
+class _FlipsOwnAllocation(session._Scripted, session.Provider):
+    """An honest bidder but for the allocation bit it decides, which it
+    flips: its view of the result then differs from the cloud's."""
+
+    def decide(self):
+        decision = super().decide()
+        self.decision = dataclasses.replace(
+            decision, value=(1 - decision.value[0],) + decision.value[1:])
+        return self.decision
+
+
+def test_diverging_recipient_views_abort_blaming_no_one(monkeypatch):
+    """Every opening verifies, but a bidder's decoded result disagrees with
+    the cloud's: the cloud aborts, and cannot tell whom to blame."""
+    monkeypatch.setitem(session._SCRIPTED, "false_output_complaint",
+                        (_FlipsOwnAllocation, "provider:0"))
+    res = run_session(SMALL, BIDS, s=4, seed=3,
+                      adversary="false_output_complaint")
+    assert (res.status, res.blamed, res.detector, res.phase) == (
+        "abort", None, "cloud", "output")
+    assert res.reason == "recipient views of the result diverged"
 
 
 def test_a_seed_that_does_not_regenerate_its_copy_blames_the_provider(
