@@ -2,7 +2,7 @@
 
 For every input wire, its data provider prepares ``s`` independent copies of
 the wire's label material. Copy ``j`` holds fresh encodings for both
-circuits plus an orientation bit ``b``; it is published as a pair of
+circuits plus an orientation bit ``b``; it is committed as a pair of
 commitment sets:
 
 * ``W``  = ( com(K1_0 || K1_1 || K2_b),     com(K2_0 || K2_1 || K1_b) )
@@ -15,17 +15,24 @@ the seed gives both encodings, ``b`` and the four input-set nonces. The
 position nonce is drawn apart, from the provider's own stream: were it in
 the seed, a party holding the seed could test ``com(p)`` for both ``p``
 and learn ``x = p XOR b``. A jointly tossed challenge string marks each
-copy as a *check* copy (opened by its seed: the party regenerates the four
-input-set commitments and compares) or an *evaluation* copy (the position
-is opened, then the selected set's first commitment goes to the first
-party and its second commitment to the second party). Each party XORs its
-evaluation triples into final labels. This is the seed-opened check of
-Goyal-Mohassel-Smith (EUROCRYPT 2008); check copies are discarded, so their
-seeds reveal nothing that is used later.
+copy as a *check* copy (opened by its seed) or an *evaluation* copy (the
+position is opened, then the selected set's first commitment goes to the
+first party and its second commitment to the second party). Each party
+XORs its evaluation triples into final labels. This is the seed-opened
+check of Goyal-Mohassel-Smith (EUROCRYPT 2008); check copies are
+discarded, so their seeds reveal nothing that is used later.
 
-A commitment is its 32-byte digest, and a copy's public *pair* is its five
-commitments laid end to end, ``W_0 || W_1 || W'_0 || W'_1 || position``:
-160 bytes, as on the wire.
+A commitment is its 32-byte digest. The parties do not receive a copy's
+five commitments but one 32-byte *leaf* over them, a small hash tree
+(Merkle, CRYPTO 1987): ``leaf = H(H(W_0 || W_1) || H(W'_0 || W'_1) ||
+position)``, ``H`` being SHA-256. A check copy's seed travels with its
+position commitment, and the party rebuilds the leaf from the four
+input-set commitments the seed regenerates. An evaluation copy's openings
+travel with two *siblings*, the other party's commitment of the selected
+set and ``H`` of the set not selected, and the party rebuilds the leaf
+from its own two openings and them. A leaf is a hash of commitments the
+party could be sent, so it learns nothing from it, and a leaf that does
+not rebuild names its copy.
 
 The provider then attests each wire's two *label sets*, one per circuit:
 the sorted pair ``{XOR_j H(K_0,j), XOR_j H(K_1,j)}`` over the evaluation
@@ -35,18 +42,18 @@ mixed evaluation set is caught without the party learning the input bit.
 This deviates from the paper, where the two parties compare label hashes
 with each other.
 
-Only the two parties receive a provider's commitment pairs, check seeds
-and label sets. Each party echoes to every other role one record per
-provider: a SHA-256 over its ``wire_digest`` of each wire (a SHA-256 over
-the wire's ``s`` pairs in copy order under a domain tag), the
-``seed_digest`` of its check seeds, and a SHA-256 over its label sets.
-This deviates from the paper, where every provider receives the full
-lists; the other providers need them only to arbitrate.
+Only the two parties receive a provider's leaves, check seeds and label
+sets. Each party echoes to every other role one record per provider: a
+SHA-256 over its ``wire_digest`` of each wire (a SHA-256 over the wire's
+``s`` leaves in copy order under a domain tag), the ``seed_digest`` of its
+check seeds and their position commitments, and a SHA-256 over its label
+sets. This deviates from the paper, where every provider receives the
+full lists; the other providers need them only to arbitrate.
 
 Failures are publicly arbitrated: a party that claims a check copy is not
 its seed's presents the owner's wire digests and check seeds and the
-wire's pairs, and a party whose label-set check failed presents the
-owner's wire digests and label sets, the wire's pairs and openings that
+wire's leaves, and a party whose label-set check failed presents the
+owner's wire digests and label sets, the wire's leaves and openings that
 only the provider could have made. Each counts only if it hashes to the
 record the arbitrating provider holds. A false accusation is
 attributed to the accuser and a real inconsistency to the provider.
@@ -58,37 +65,53 @@ import hashlib
 import random
 from dataclasses import dataclass
 
+# ``commitments.commit`` is looked up at each call, so that whatever wraps
+# it (a counter, a tracer) sees every digest this module computes.
+from . import commitments
 from .commitments import (DIGEST_BYTES, NONCE_BYTES, TAG_COIN, TAG_INPUT_SET,
-                          TAG_POSITION, Opening, commit, open_commitment,
-                          opened_body, tagged_commit)
+                          TAG_POSITION, Opening, open_commitment, opened_body,
+                          tagged_commit)
 from .errors import CoinTossCheatError
 from .garbling import LABEL_BYTES, Encoding, xor_bytes
 
 COMMITMENTS_PER_COPY = 5
-PAIR_BYTES = COMMITMENTS_PER_COPY * DIGEST_BYTES
-_POSITION_AT = 4 * DIGEST_BYTES  # after W and W'
+LEAF_BYTES = DIGEST_BYTES
+_SET_BYTES = 2 * DIGEST_BYTES  # one input set: its two commitments
 
-WIRE_DIGEST_TAG = b"dualgc/wire-commitments/v1"
+WIRE_DIGEST_TAG = b"dualgc/wire-leaves/v2"
 
 
-def wire_digest(pairs: bytes) -> bytes:
+def _h(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
+
+
+def wire_digest(leaves: bytes) -> bytes:
     """The 32-byte digest binding one wire's committed copies: SHA-256
-    under a domain tag over its ``s`` pairs laid end to end in copy order,
+    under a domain tag over its ``s`` leaves laid end to end in copy order,
     as they lie on the wire."""
-    return hashlib.sha256(WIRE_DIGEST_TAG + pairs).digest()
+    return _h(WIRE_DIGEST_TAG + leaves)
+
+
+def copy_leaf(coms: bytes) -> bytes:
+    """The leaf of a copy's five commitments ``W_0 || W_1 || W'_0 || W'_1
+    || position``: ``H(H(W_0 || W_1) || H(W'_0 || W'_1) || position)``."""
+    return _h(_h(coms[:_SET_BYTES]) + _h(coms[_SET_BYTES:2 * _SET_BYTES])
+              + coms[2 * _SET_BYTES:])
 
 
 @dataclass(frozen=True)
 class CopyMaterial:
-    """Provider-side secrets behind one copy's five commitments, and its
-    public 160-byte pair."""
+    """Provider-side secrets of one copy: its seed, its bit ``b``, the
+    (body, nonce) of its four input sets' commitments, ``W`` then ``W'``,
+    and its position nonce; then its five commitments end to end (160
+    bytes) and its public leaf."""
 
     seed: bytes
     b: int
-    w_openings: tuple[Opening, Opening]
-    w_prime_openings: tuple[Opening, Opening]
-    position_opening: Opening
-    pair: bytes
+    sets: tuple
+    position_nonce: bytes
+    coms: bytes
+    leaf: bytes
 
 
 @dataclass
@@ -102,21 +125,38 @@ class WireMaterial:
     def s(self) -> int:
         return len(self.copies)
 
-    def pairs(self) -> list[bytes]:
-        return [c.pair for c in self.copies]
+    def leaves(self) -> list[bytes]:
+        return [c.leaf for c in self.copies]
 
-    def eval_openings(self, j: int):
-        """(position, first->P1, second->P2) openings of the input set."""
+    def check_seed(self, j: int) -> tuple[bytes, bytes]:
+        """Check copy ``j``'s seed and its position commitment, as sent."""
         c = self.copies[j]
-        chosen = c.w_openings if (c.b ^ self.x) == 0 else c.w_prime_openings
-        return c.position_opening, chosen[0], chosen[1]
+        return c.seed, c.coms[2 * _SET_BYTES:]
+
+    def _selected(self, j: int) -> int:
+        """The index, 0 for ``W`` or 2 for ``W'``, of copy ``j``'s input
+        set among its four commitments."""
+        return 2 * (self.copies[j].b ^ self.x)
+
+    def eval_openings(self, j: int, slot: int) -> tuple:
+        """Party ``slot``'s (0 for the first) entry for evaluation copy
+        ``j``: the position byte and nonce, the body and nonce of its
+        commitment of the selected input set, and the siblings that rebuild
+        the copy's leaf: the other party's commitment of that set and ``H``
+        of the set not selected."""
+        c, at = self.copies[j], self._selected(j)
+        other = (at + 1 - slot) * DIGEST_BYTES
+        unselected = (2 - at) * DIGEST_BYTES
+        return (bytes([at // 2]), c.position_nonce, *c.sets[at + slot],
+                c.coms[other:other + DIGEST_BYTES],
+                _h(c.coms[unselected:unselected + _SET_BYTES]))
 
     def label_sets(self, rho) -> tuple:
         """Circuit 1's and circuit 2's label sets over the evaluation
         copies, those with ``rho[j] == 0``."""
-        triples = [[_parse_triple(o) for o in self.eval_openings(j)[1:]]
-                   for j in range(self.s) if not rho[j]]
-        return tuple(label_set([t[slot] for t in triples]) for slot in (0, 1))
+        return tuple(label_set([
+            _triple(self.copies[j].sets[self._selected(j) + slot][0])
+            for j in range(self.s) if not rho[j]]) for slot in (0, 1))
 
 
 SEED_BYTES = 16
@@ -124,43 +164,42 @@ COPY_SEED_TAG = b"dualgc/copy-seed/v1"
 _NONCES_AT = 4 * LABEL_BYTES + 1  # after the four labels and the bit
 
 
-def expand_seed(seed: bytes):
-    """What a copy seed gives: circuit 1's and circuit 2's encodings, the
-    orientation bit ``b`` and the four input-set nonces, read from
-    SHAKE-256 over a domain tag and the seed. Not the position nonce."""
-    stream = hashlib.shake_256(COPY_SEED_TAG + seed).digest(
-        _NONCES_AT + 4 * NONCE_BYTES)
-    k1, k2 = stream[:2 * LABEL_BYTES], stream[2 * LABEL_BYTES:4 * LABEL_BYTES]
-    return (Encoding(k1[:LABEL_BYTES], k1[LABEL_BYTES:]),
-            Encoding(k2[:LABEL_BYTES], k2[LABEL_BYTES:]),
-            stream[_NONCES_AT - 1] & 1,
-            [stream[k:k + NONCE_BYTES]
-             for k in range(_NONCES_AT, len(stream), NONCE_BYTES)])
-
-
-def _input_sets(seed: bytes, flip_for: int | None = None):
-    """The bit ``b`` of the copy ``seed`` expands to, and its four
-    input-set (body, nonce) pairs, ``W`` then ``W'``. With ``flip_for`` a
-    bit ``x``, the set selected for ``x`` carries circuit-2 cross label
+def expand_seed(seed: bytes, flip_for: int | None = None):
+    """What a copy seed gives: the orientation bit ``b`` and its four
+    input-set (body, nonce) pairs, ``W`` then ``W'``, read from SHAKE-256
+    over a domain tag and the seed: circuit 1's two labels, circuit 2's,
+    ``b``, then the four nonces. Not the position nonce. With ``flip_for``
+    a bit ``x``, the set selected for ``x`` carries circuit-2 cross label
     ``1 - x``."""
-    enc1, enc2, b, nonces = expand_seed(seed)
-    k1, k2 = enc1.zero + enc1.one, enc2.zero + enc2.one
+    s = hashlib.shake_256(COPY_SEED_TAG + seed).digest(
+        _NONCES_AT + 4 * NONCE_BYTES)
+    L, N, at = LABEL_BYTES, NONCE_BYTES, _NONCES_AT
+    k1, k2, b = s[:2 * L], s[2 * L:4 * L], s[at - 1] & 1
+    enc1, enc2 = (k1[:L], k1[L:]), (k2[:L], k2[L:])
     cross2 = [enc2[b], enc2[1 - b]]
     if flip_for is not None:
         cross2[b ^ flip_for] = enc2[1 - flip_for]
-    bodies = (k1 + cross2[0], k2 + enc1[b], k1 + cross2[1], k2 + enc1[1 - b])
-    return b, zip(bodies, nonces)
+    return b, ((k1 + cross2[0], s[at:at + N]),
+               (k2 + enc1[b], s[at + N:at + 2 * N]),
+               (k1 + cross2[1], s[at + 2 * N:at + 3 * N]),
+               (k2 + enc1[1 - b], s[at + 3 * N:]))
+
+
+def _set_commitments(sets) -> bytes:
+    """The four input-set commitments of (body, nonce) pairs, end to
+    end."""
+    return b"".join(commitments.commit(TAG_INPUT_SET + body, nonce)
+                    for body, nonce in sets)
 
 
 def _build_copy(seed: bytes, position_nonce: bytes, x: int,
                 consistent: bool) -> CopyMaterial:
-    b, sets = _input_sets(seed, None if consistent else x)
-    coms = [tagged_commit(TAG_INPUT_SET, body, nonce) for body, nonce in sets]
-    coms.append(tagged_commit(TAG_POSITION, bytes([b ^ x]), position_nonce))
-    digests, openings = zip(*coms)
-    return CopyMaterial(seed=seed, b=b, w_openings=openings[:2],
-                        w_prime_openings=openings[2:4],
-                        position_opening=openings[4], pair=b"".join(digests))
+    b, sets = expand_seed(seed, None if consistent else x)
+    coms = _set_commitments(sets) + commitments.commit(
+        TAG_POSITION + bytes([b ^ x]), position_nonce)
+    return CopyMaterial(seed=seed, b=b, sets=sets,
+                        position_nonce=position_nonce, coms=coms,
+                        leaf=copy_leaf(coms))
 
 
 def generate_input_material(rng: random.Random, x: int, s: int) -> WireMaterial:
@@ -244,66 +283,62 @@ def combine_challenge(share_p1: bytes, share_p2: bytes, wire: int,
 
 # --- seed check (check copies) ----------------------------------------------
 
+# A check copy's seed and its position commitment, as sent
+CHECK_BYTES = SEED_BYTES + DIGEST_BYTES
+
+
 def seed_digest(seeds: bytes) -> bytes:
-    """SHA-256 over a provider's check seeds, laid end to end in their
-    list order."""
-    return hashlib.sha256(seeds).digest()
+    """SHA-256 over a provider's check seeds, each with its position
+    commitment, laid end to end in their list order."""
+    return _h(seeds)
 
 
-def check_pair_construction(pair: bytes, seed: bytes) -> bool:
-    """Whether check copy ``pair`` is its seed's: the four input-set
-    commitments the seed regenerates are its ``W`` and ``W'``."""
-    return b"".join(commit(TAG_INPUT_SET + body, nonce) for body, nonce
-                    in _input_sets(seed)[1]) == pair[:_POSITION_AT]
+def check_pair_construction(leaf: bytes, seed: bytes,
+                            position: bytes) -> bool:
+    """Whether check copy ``leaf`` is its seed's: the four input-set
+    commitments the seed regenerates and the ``position`` commitment sent
+    with it rebuild the leaf."""
+    return copy_leaf(_set_commitments(expand_seed(seed)[1])
+                     + position) == leaf
 
 
-def verify_check_failure_claim(pair: bytes, seeds: bytes, at: int,
+def verify_check_failure_claim(leaf: bytes, seeds: bytes, at: int,
                                digest: bytes) -> bool:
-    """Arbitrate a party's claim that check copy ``pair`` is not its
-    seed's: whether the owner's check ``seeds``, as they lie on the wire,
-    hash to the seed ``digest`` the arbitrator holds and the seed at
-    ``at`` does not regenerate the pair. A claim that proves no fault is
-    fabricated."""
+    """Arbitrate a party's claim that check copy ``leaf`` is not its
+    seed's: whether the owner's check ``seeds``, each with its position
+    commitment, as they lie on the wire, hash to the seed ``digest`` the
+    arbitrator holds and the check at ``at`` does not rebuild the leaf. A
+    claim that proves no fault is fabricated."""
+    check = seeds[at * CHECK_BYTES:(at + 1) * CHECK_BYTES]
     return (seed_digest(seeds) == digest and not check_pair_construction(
-        pair, seeds[at * SEED_BYTES:(at + 1) * SEED_BYTES]))
+        leaf, check[:SEED_BYTES], check[SEED_BYTES:]))
 
 
 # --- evaluation copies -------------------------------------------------------
 
-def _parse_triple(opening: Opening):
-    body = opened_body(TAG_INPUT_SET, opening)
-    if len(body) != 3 * LABEL_BYTES:
-        raise ValueError("input-set opening must hold three labels")
+def _triple(body: bytes):
     return (body[:LABEL_BYTES], body[LABEL_BYTES:2 * LABEL_BYTES],
             body[2 * LABEL_BYTES:])
 
 
-def open_position(pair: bytes, opening: Opening) -> int | None:
-    if not open_commitment(pair[_POSITION_AT:], opening):
-        return None
-    try:
-        body = opened_body(TAG_POSITION, opening)
-    except ValueError:
-        return None
-    if len(body) != 1 or body[0] not in (0, 1):
-        return None
-    return body[0]
+def open_position(entry) -> int | None:
+    """The position an evaluation entry opens, or None when its position
+    byte is neither 0 nor 1."""
+    return entry[0][0] if entry[0] in (b"\x00", b"\x01") else None
 
 
-def open_eval_triple(pair: bytes, position: int, slot: int,
-                     opening: Opening):
-    """Open one commitment of the copy's input set.
-
-    ``slot`` 0 is the first commitment (first party), 1 the second. Returns
-    the (label0, label1, cross) triple, or None when the opening fails.
-    """
-    at = (2 * position + slot) * DIGEST_BYTES
-    if not open_commitment(pair[at:at + DIGEST_BYTES], opening):
-        return None
-    try:
-        return _parse_triple(opening)
-    except ValueError:
-        return None
+def entry_leaf(entry, slot: int) -> bytes:
+    """The leaf that party ``slot``'s evaluation entry rebuilds: its
+    commitment and the other party's make the selected set, which the
+    position puts before or after the set not selected. The position byte
+    must be 0 or 1."""
+    position, position_nonce, body, nonce, other, unselected = entry
+    own = commitments.commit(TAG_INPUT_SET + body, nonce)
+    selected = _h(own + other if slot == 0 else other + own)
+    sets = (selected + unselected if position == b"\x00"
+            else unselected + selected)
+    return _h(sets + commitments.commit(TAG_POSITION + position,
+                                        position_nonce))
 
 
 def evaluate_final_labels(triples):
@@ -345,16 +380,14 @@ def labels_consistent(triples, sets, slot: int) -> bool:
             and _xor_hashes(t[2] for t in triples) in sets[1 - slot])
 
 
-def open_evidence(pairs, copies, slot: int, openings) -> list | None:
-    """The triples that party ``slot``'s (position, input-set) openings of
-    the evaluation copies ``copies`` reveal, or None when one fails."""
+def open_evidence(leaves, copies, slot: int, entries) -> list | None:
+    """The triples that party ``slot``'s entries for the evaluation copies
+    ``copies`` reveal, or None when one does not rebuild its copy's leaf
+    in ``leaves``."""
     triples = []
-    for j, (pos_op, set_op) in zip(copies, openings):
-        pair = pairs[j]
-        pos = open_position(pair, pos_op)
-        triple = None if pos is None else open_eval_triple(pair, pos, slot,
-                                                           set_op)
-        if triple is None:
+    for j, entry in zip(copies, entries):
+        if (open_position(entry) is None
+                or entry_leaf(entry, slot) != leaves[j]):
             return None
-        triples.append(triple)
+        triples.append(_triple(entry[2]))
     return triples

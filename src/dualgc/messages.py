@@ -7,10 +7,10 @@ message body. ``encode_frame``/``decode_frame`` are this raw frame layer.
 
 ``SCHEMAS`` is the wire specification of every body: one codec per message
 type, composed from field codecs. Integers are big-endian ``u16``/``u32``;
-``raw(n)`` is n bytes; a commitment is its 32-byte digest, ``raw(32)``,
-and a copy's commitment pair its five digests, ``raw(160)``; ``text`` is a
-u32 length and UTF-8 bytes, an opening a u32 length, the message and 16
-bytes of randomness; ``listof`` is a u32 count and the items.
+``raw(n)`` is n bytes; a commitment and a copy's leaf are 32-byte digests,
+``raw(32)``; ``text`` is a u32 length and UTF-8 bytes, an opening a u32
+length, the message and 16 bytes of randomness; ``listof`` is a u32 count
+and the items.
 ``encode_body``/``decode_body`` run a schema; decoding refuses a truncated
 body, trailing bytes, non-UTF-8 text or a non-zero "no one" role tag with
 ``FramingError``, alike for every type.
@@ -19,24 +19,28 @@ A codec whose read accepts any bytes of one width (an integer, ``raw(n)``,
 or a ``seq`` or ``array`` of such fields) has that ``size``. A list of
 sized items decodes to a ``Table``: its count is checked against the bytes
 left, and an item is decoded only when it is read, which cannot fail. The
-commitment pairs, check seeds, label sets, wire digests, echo records and
-output commitments are such lists; the opening lists have variable width
-and decode item by item.
+leaves, check seeds, evaluation entries, label sets, wire digests, echo
+records and output commitments are such lists. An evaluation entry is a
+fixed 145 bytes: its two openings' context tags and lengths are derived,
+not sent, and its receiver puts the tags back when it recomputes the
+commitments.
 
 A body carries only what its receiver cannot derive. Lists are positional
 in an order fixed by the public parameters (the input and output maps,
 the copy count ``s`` and the challenge), behind one u32 count, so a body
 decodes without context and the receiver checks the count against what
 it expects. Only a claim's wire and copy and a proof's wire are named.
-In the input phase a bidder sends to the two parties only: its
-commitment pairs, then (``CHECKSET_OPENINGS`` keeps its name but carries
-seeds) its view of the coin toss and the 16-byte seed of each check copy,
-then to each party its own evaluation openings and the label sets.
+In the input phase a bidder sends to the two parties only: one 32-byte
+leaf per copy, then (``CHECKSET_OPENINGS`` keeps its name but carries
+seeds) its view of the coin toss and the 16-byte seed and 32-byte position
+commitment of each check copy, then to each party its own evaluation
+entries, each with the two siblings that rebuild its copy's leaf, and the
+label sets.
 ``HASH_TUPLE`` keeps its name but is the parties' echo to every other
 role: the coin-toss view and one record per bidder of digests of what
 the party received from it. A check-failure claim carries the owner's
-wire digests and check seeds and the wire's pairs, a consistency proof
-the owner's wire digests and label sets and the wire's pairs, so that
+wire digests and check seeds and the wire's leaves, a consistency proof
+the owner's wire digests and label sets and the wire's leaves, so that
 every provider can arbitrate against the echoed records. Output
 commitments go to the providers only, one per recipient from each party,
 and each recipient gets one opening from each party.
@@ -66,8 +70,9 @@ from functools import partial
 from operator import methodcaller
 
 from .commitments import DIGEST_BYTES, NONCE_BYTES, Opening
-from .consistency import PAIR_BYTES
+from .consistency import LEAF_BYTES, SEED_BYTES
 from .errors import FramingError, ProtocolError
+from .garbling import LABEL_BYTES
 
 HEADER_BYTES = 13  # length + type + session id
 ROLE_PREFIX_BYTES = 3
@@ -401,40 +406,43 @@ def listof(item: Codec) -> Codec:
 
 # --- message schemas ---------------------------------------------------------
 
-# A list of commitment pairs (W_0, W_1, W'_0, W'_1, position), s per wire:
-# by wire, then by copy
-set_pairs = listof(raw(PAIR_BYTES))
+# One leaf per copy, s per wire: by wire, then by copy
+leaves = listof(raw(LEAF_BYTES))
+# (seed, position commitment) per check copy, by wire, then by copy
+check_seeds = listof(seq(raw(SEED_BYTES), commitment))
 # Circuit 1's and circuit 2's sorted label sets per wire, by input map
 label_sets = listof(array(2, array(2, raw(32))))
 # One 32-byte consistency.wire_digest per wire, by input map
 wire_digests = listof(raw(32))
-# (position opening, input-set opening) per evaluation copy, by wire, then
-# by copy
-eval_openings = listof(seq(opening, opening))
+# One fixed-width entry per evaluation copy, by wire, then by copy: the
+# position byte and nonce, the body and nonce of the receiving party's
+# commitment of the selected input set, the other party's commitment of
+# that set and SHA-256 of the set not selected
+eval_openings = listof(seq(raw(1), raw(NONCE_BYTES), raw(3 * LABEL_BYTES),
+                           raw(NONCE_BYTES), commitment, raw(DIGEST_BYTES)))
 
 # The wire specification of every message body, and its decoded value.
 SCHEMAS: dict[MessageType, Codec] = {
-    # the sender's pairs
-    MessageType.INPUT_COMMITMENTS: set_pairs,
+    # the sender's leaves
+    MessageType.INPUT_COMMITMENTS: leaves,
     MessageType.COIN_COMMIT: commitment,
     MessageType.COIN_REVEAL: opening,
-    # (SHA-256 of the two seed shares the sender holds, the seed of each
-    # check copy, by wire, then by copy)
-    MessageType.CHECKSET_OPENINGS: seq(raw(32), listof(raw(16))),
-    # (the receiving party's openings, the sender's label sets)
+    # (SHA-256 of the two seed shares the sender holds, its check seeds)
+    MessageType.CHECKSET_OPENINGS: seq(raw(32), check_seeds),
+    # (the receiving party's entries, the sender's label sets)
     MessageType.EVALSET_OPENINGS: seq(eval_openings, label_sets),
     # (SHA-256 of the two seed shares the sender holds, one record per
     # bidder: SHA-256 of its wire digests, its seed digest, SHA-256 of its
     # label sets)
     MessageType.HASH_TUPLE: seq(raw(32), listof(array(3, raw(32)))),
-    # (wire, the sender's openings of its evaluation copies, the owner's
-    # wire digests and label sets, the wire's s pairs)
+    # (wire, the sender's entries of its evaluation copies, the owner's
+    # wire digests and label sets, the wire's s leaves)
     MessageType.CONSISTENCY_PROOF: seq(u32, eval_openings, wire_digests,
-                                       label_sets, set_pairs),
+                                       label_sets, leaves),
     # (wire, copy, the owner's wire digests and check seeds, the wire's s
-    # pairs)
-    MessageType.CHECK_FAILURE_CLAIM: seq(u32, u16, wire_digests,
-                                         listof(raw(16)), set_pairs),
+    # leaves)
+    MessageType.CHECK_FAILURE_CLAIM: seq(u32, u16, wire_digests, check_seeds,
+                                         leaves),
     # the tables blob, checked by garbling.parse_tables_blob
     MessageType.GARBLED_CIRCUIT: rest,
     # one commitment per recipient, in recipient order

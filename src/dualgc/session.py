@@ -16,15 +16,17 @@ list is positional, and its count is checked against the input map,
 ``s``, the challenge or the output map, so a wrong list is short, long,
 or fails an opening, and any of these blames its sender:
 
-* input: each bidder sends the two parties, and no other role, the
-  committed copies of its input-wire material; the parties coin-toss one
+* input: each bidder sends the two parties, and no other role, one leaf
+  per committed copy of its input-wire material; the parties coin-toss one
   challenge seed, from which every role derives each wire's challenge
   string. Each bidder then sends the parties its view of the toss and
-  the seed of each check copy, which a party regenerates, keeping a
-  mismatch for a claim; then its evaluation openings and the label sets
-  its final input labels must meet. Each party echoes to every other
-  role its view of the toss and one record per bidder, digests of what
-  it received; a role whose views differ aborts, blaming no one. Only
+  the seed and position commitment of each check copy, from which a
+  party rebuilds the copy's leaf, keeping a mismatch for a claim; then its
+  evaluation openings, each with the siblings that rebuild its copy's
+  leaf, and the label sets its final input labels must meet. Each party
+  echoes to every other role its view of the toss and one record per
+  bidder, digests of what it received; a role whose views differ aborts,
+  blaming no one. Only
   then are claims ruled: a check-failure claim or a consistency proof
   carries what it disputes, and every provider but the wire's owner
   checks it against the echoed record and rules; the cloud's ruling
@@ -340,12 +342,12 @@ class Party(Participant):
         self.slot = 0 if role == _P1 else 1
         self.garble_seed = garble_seed
         self.coin_opening = None
-        self.pairs = {}          # wire -> its s commitment pairs
-        self.check_seeds = {}    # bidder Role -> its check seeds
+        self.leaves = {}         # wire -> its s leaves
+        self.check_seeds = {}    # bidder Role -> its (seed, position) checks
         self.label_sets = {}     # bidder Role -> its label sets
         self.failures = []       # (wire, copy) failing checks, in order
         self.triples = {}        # wire -> eval triples (asc copy)
-        self.evidence = {}       # wire -> their eval openings (asc copy)
+        self.evidence = {}       # wire -> their eval entries (asc copy)
         self.final_enc = {}      # wire -> own-circuit Encoding
         self.cross_label = {}    # wire -> other-circuit label
         self.gc = None           # own garbled circuit
@@ -353,19 +355,19 @@ class Party(Participant):
         self.out_openings = {}   # recipient -> Opening
 
     def wire_digests(self, bidder: M.Role) -> list[bytes]:
-        """The bidder's wire digests, by input map, hashed from the pairs
+        """The bidder's wire digests, by input map, hashed from the leaves
         as they lie on the wire, undecoded."""
-        return [wire_digest(bytes(self.pairs[w]))
+        return [wire_digest(bytes(self.leaves[w]))
                 for w in self.circuit.input_map[bidder.index]]
 
-    def take_input_commitments(self, sender: M.Role, pairs):
-        """``s`` pairs per wire of the sender."""
+    def take_input_commitments(self, sender: M.Role, leaves):
+        """``s`` leaves per wire of the sender."""
         wires = self.circuit.input_map[sender.index]
-        if len(pairs) != len(wires) * self.s:
+        if len(leaves) != len(wires) * self.s:
             raise _Abort(self.role, sender,
                          "input commitments hold the wrong number of copies")
         for k, w in enumerate(wires):
-            self.pairs[w] = pairs[k * self.s:(k + 1) * self.s]
+            self.leaves[w] = leaves[k * self.s:(k + 1) * self.s]
         self.records[sender.index] = [
             _digest(b"".join(self.wire_digests(sender)))]
 
@@ -378,30 +380,31 @@ class Party(Participant):
         return self.coin_opening
 
     def take_checkset_openings(self, sender: M.Role, got):
-        """The sender's coin-toss view, then the seed of each of its check
-        copies. A view that is not this party's blames no one: the other
-        party may have sent the sender another seed share. A copy that is
-        not its seed's is kept for a claim, ruled after the echo."""
-        coin, seeds = got
+        """The sender's coin-toss view, then the seed and position
+        commitment of each of its check copies. A view that is not this
+        party's blames no one: the other party may have sent the sender
+        another seed share. A copy whose leaf they do not rebuild is kept
+        for a claim, ruled after the echo."""
+        coin, checks = got
         if coin != self.coin_view:
             raise _Abort(self.role, None, "coin-toss views diverged")
         copies = self.copies(sender.index, checked=True)
-        if len(seeds) != len(copies):
+        if len(checks) != len(copies):
             raise _Abort(self.role, sender,
                          "check seeds cover the wrong copies")
-        self.check_seeds[sender] = seeds
-        self.records[sender.index].append(seed_digest(bytes(seeds)))
-        self.failures += [(w, j) for (w, j), seed in zip(copies, seeds)
-                          if not check_pair_construction(self.pairs[w][j],
-                                                         seed)]
+        self.check_seeds[sender] = checks
+        self.records[sender.index].append(seed_digest(bytes(checks)))
+        self.failures += [
+            (w, j) for (w, j), (seed, position) in zip(copies, checks)
+            if not check_pair_construction(self.leaves[w][j], seed, position)]
 
     def claim_of(self, w: int, j: int):
         """The CHECK_FAILURE_CLAIM of check copy ``j`` of wire ``w``: the
-        owner's wire digests and check seeds and the wire's pairs, which
+        owner's wire digests and check seeds and the wire's leaves, which
         the providers check against the echoed records."""
         owner = self.wire_owner[w]
         return (w, j, self.wire_digests(owner), self.check_seeds[owner],
-                self.pairs[w])
+                self.leaves[w])
 
     def check_failure_claim(self):
         """The claim for the first failure this party found, if any."""
@@ -422,7 +425,7 @@ class Party(Participant):
             by_wire.setdefault(w, []).append((j, entry))
         for w, opened in by_wire.items():
             js, openings = zip(*opened)
-            triples = open_evidence(self.pairs[w], js, self.slot, openings)
+            triples = open_evidence(self.leaves[w], js, self.slot, openings)
             if triples is None:
                 raise _Abort(self.role, sender,
                              f"evaluation opening failed on wire {w}")
@@ -452,14 +455,14 @@ class Party(Participant):
 
     def consistency_proof(self):
         """The CONSISTENCY_PROOF of the complaint, if any: the wire, this
-        party's openings of its evaluation copies, the owner's wire digests
-        and label sets and the wire's pairs."""
+        party's entries of its evaluation copies, the owner's wire digests
+        and label sets and the wire's leaves."""
         wire = self.consistency_complaint()
         if wire is None:
             return None
         owner = self.wire_owner[wire]
         return (wire, self.evidence[wire], self.wire_digests(owner),
-                self.label_sets[owner], self.pairs[wire])
+                self.label_sets[owner], self.leaves[wire])
 
     def garbled_circuit(self) -> bytes:
         self.gc = garble(self.circuit, self.final_enc,
@@ -522,79 +525,77 @@ class Provider(Participant):
         return generate_input_material(self.rng, self.x_bits[w], self.s)
 
     def input_commitments(self) -> list:
-        """Every copy's pairs, by wire, then by copy."""
-        pairs, digests = [], []
+        """Every copy's leaf, by wire, then by copy."""
+        leaves, digests = [], []
         for w in self.wires:
             self.material[w] = self.make_material(w)
-            copies = self.material[w].pairs()
+            copies = self.material[w].leaves()
             digests.append(wire_digest(b"".join(copies)))
-            pairs += copies
+            leaves += copies
         self.records[self.index] = [_digest(b"".join(digests))]
-        return pairs
+        return leaves
 
     def checkset_openings(self):
-        """This bidder's coin-toss view, then the seed of each check copy,
-        by wire, then by copy."""
-        seeds = [self.material[w].copies[j].seed
-                 for w, j in self.copies(self.index, checked=True)]
-        self.records[self.index].append(seed_digest(b"".join(seeds)))
-        return self.coin_view, seeds
+        """This bidder's coin-toss view, then the seed and position
+        commitment of each check copy, by wire, then by copy."""
+        checks = [self.material[w].check_seed(j)
+                  for w, j in self.copies(self.index, checked=True)]
+        self.records[self.index].append(seed_digest(b"".join(
+            map(b"".join, checks))))
+        return self.coin_view, checks
 
     def evalset_openings(self) -> dict:
-        """Per party role, each evaluation copy's position opening and the
-        party's commitment of the selected input set; then to both,
-        circuit 1's and circuit 2's label sets of each wire, by input
-        map."""
-        def entry(w, j, slot):
-            pos_op, *chosen = self.material[w].eval_openings(j)
-            return (pos_op, chosen[slot])
+        """Per party role, each evaluation copy's entry for that party;
+        then to both, circuit 1's and circuit 2's label sets of each wire,
+        by input map."""
         copies = self.copies(self.index, checked=False)
         sets = [self.material[w].label_sets(self.rho[w]) for w in self.wires]
         self.records[self.index].append(_digest(b"".join(
             v for wire in sets for pair in wire for v in pair)))
-        return {party: ([entry(w, j, slot) for w, j in copies], sets)
+        return {party: ([self.material[w].eval_openings(j, slot)
+                         for w, j in copies], sets)
                 for slot, party in enumerate((_P1, _P2))}
 
-    def _ruling(self, claimant, wire, digests, pairs, fault,
+    def _ruling(self, claimant, wire, digests, leaves, fault,
                 false_claim) -> _Abort | None:
         """The ruling on a claim about ``wire``: none from its owner; the
         owner when the claim's wire digests hash to the owner's echoed
-        record, its pairs to the wire's digest, and ``fault(record,
-        pairs)`` words a fault; else the claimant."""
+        record, its leaves to the wire's digest, and ``fault(record,
+        leaves)`` words a fault; else the claimant."""
         owner = self.wire_owner[wire]
         if owner == self.role:
             return None
         record = self.records[owner.index]
         if (_digest(digests) == record[0]
-                and wire_digest(bytes(pairs)) == digests[self.at(wire)]):
-            found = fault(record, pairs)
+                and wire_digest(bytes(leaves)) == digests[self.at(wire)]):
+            found = fault(record, leaves)
             if found:
                 return _Abort(self.role, owner, found)
         return _Abort(self.role, claimant, false_claim)
 
     def take_check_failure_claim(self, sender: M.Role, claim):
         """The ruling on a claim that a check copy is not its seed's."""
-        wire, copy, digests, seeds, pairs = claim
+        wire, copy, digests, checks, leaves = claim
         if (wire not in self.wire_owner or not 0 <= copy < self.s
                 or not self.rho[wire][copy]):
             raise _Abort(self.role, sender,
                          "check-failure claim names no check copy")
         owner = self.wire_owner[wire]
 
-        def fault(record, pairs):
+        def fault(record, leaves):
             at = self.copies(owner.index, checked=True).index((wire, copy))
             return verify_check_failure_claim(
-                pairs[copy], bytes(seeds), at, record[1]) and (
+                leaves[copy], bytes(checks), at, record[1]) and (
                 f"check copy {copy} of wire {wire} failed construction: its "
                 "commitments are not its seed's")
-        return self._ruling(sender, wire, digests, pairs, fault,
+        return self._ruling(sender, wire, digests, leaves, fault,
                             "check-failure claim did not verify; the claim "
                             "was fabricated")
 
     def take_consistency_proof(self, sender: M.Role, proof):
         """The ruling on a proof that the sender's re-opened triples miss
         the owner's label sets."""
-        wire, openings, digests, sets, pairs = proof
+        wire, openings, digests, sets, leaves = proof
         if wire not in self.wire_owner:
             raise _Abort(self.role, sender,
                          "consistency proof names no input wire")
@@ -604,17 +605,17 @@ class Provider(Participant):
                          "wrong number of openings")
         slot = 0 if sender == _P1 else 1
 
-        def fault(record, pairs):
+        def fault(record, leaves):
             if _digest(sets) != record[2]:
                 return None
-            triples = open_evidence(pairs, copies, slot, openings)
+            triples = open_evidence(leaves, copies, slot, openings)
             if triples is None or labels_consistent(
                     triples, sets[self.at(wire)], slot):
                 return None
             return (f"labels of wire {wire} disagree between the circuits; "
                     f"{self.wire_owner[wire].name} submitted inconsistent "
                     "inputs")
-        return self._ruling(sender, wire, digests, pairs, fault,
+        return self._ruling(sender, wire, digests, leaves, fault,
                             f"consistency proof for wire {wire} shows no "
                             "inconsistency; the complaint was false")
 

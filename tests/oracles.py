@@ -89,30 +89,21 @@ def wire_outcome(material, rho):
     member of the other circuit's pair.
     """
     from dualgc.consistency import (check_pair_construction,
-                                    evaluate_final_labels, open_eval_triple,
-                                    open_position)
+                                    evaluate_final_labels, open_evidence)
 
     bad = False
     for j, bit in enumerate(rho):
-        if bit and not check_pair_construction(material.copies[j].pair,
-                                               material.copies[j].seed):
+        if bit and not check_pair_construction(material.copies[j].leaf,
+                                               *material.check_seed(j)):
             bad = True  # honest parties aggregate before aborting
     if bad:
         return "construction"
-    p1_triples = []
-    p2_triples = []
-    for j, bit in enumerate(rho):
-        if bit:
-            continue
-        pair = material.copies[j].pair
-        pos_op, first, second = material.eval_openings(j)
-        p = open_position(pair, pos_op)
-        assert p is not None
-        t1 = open_eval_triple(pair, p, 0, first)
-        t2 = open_eval_triple(pair, p, 1, second)
-        assert t1 is not None and t2 is not None
-        p1_triples.append(t1)
-        p2_triples.append(t2)
+    copies = [j for j, bit in enumerate(rho) if not bit]
+    p1_triples, p2_triples = (
+        open_evidence(material.leaves(), copies, slot,
+                      [material.eval_openings(j, slot) for j in copies])
+        for slot in (0, 1))
+    assert p1_triples is not None and p2_triples is not None
     # An honest provider's sets: what it opened is what the parties hold.
     sets = [{_aggregate(t[0] for t in triples),
              _aggregate(t[1] for t in triples)}

@@ -116,7 +116,9 @@ def test_criterion_2_cut_and_choose_soundness_bound():
 
 def test_criterion_3_commitment_count_per_provider(monkeypatch):
     """16 input wires at s=10 cost exactly 16*10*5 = 800 commitments: the
-    ``commitments.commit`` calls made while generating their material."""
+    ``commitments.commit`` calls made while generating their material. A
+    copy's leaf is a hash over its five commitments, not a commitment, so
+    it adds none."""
     rng = random.Random("volume")
     made = []
     commit = commitments.commit

@@ -7,15 +7,14 @@ import random
 import pytest
 
 from dualgc.commitments import (NONCE_BYTES, TAG_COIN, TAG_POSITION, Opening,
-                                open_commitment, tagged_commit)
-from dualgc.consistency import (COMMITMENTS_PER_COPY, PAIR_BYTES,
+                                commit, open_commitment, tagged_commit)
+from dualgc.consistency import (COMMITMENTS_PER_COPY, LEAF_BYTES,
                                 check_pair_construction, coin_toss_commit,
-                                coin_toss_open, combine_challenge,
-                                evaluate_final_labels, expand_seed,
-                                generate_cheating_material,
+                                coin_toss_open, combine_challenge, copy_leaf,
+                                entry_leaf, evaluate_final_labels,
+                                expand_seed, generate_cheating_material,
                                 generate_input_material, hash_label,
-                                label_set, labels_consistent,
-                                open_eval_triple, open_evidence,
+                                label_set, labels_consistent, open_evidence,
                                 open_position, seed_digest, unpack_bits,
                                 verify_check_failure_claim)
 from dualgc.errors import CoinTossCheatError
@@ -30,16 +29,12 @@ def all_valid_challenges(s):
 
 
 def eval_triples(material, rho):
-    p1, p2 = [], []
-    for j, bit in enumerate(rho):
-        if bit:
-            continue
-        pair = material.copies[j].pair
-        pos_op, first, second = material.eval_openings(j)
-        p = open_position(pair, pos_op)
-        p1.append(open_eval_triple(pair, p, 0, first))
-        p2.append(open_eval_triple(pair, p, 1, second))
-    return p1, p2
+    """Each party's triples of the evaluation copies, opened from its
+    entries against the copies' leaves."""
+    copies = [j for j, bit in enumerate(rho) if not bit]
+    return tuple(open_evidence(material.leaves(), copies, slot,
+                               [material.eval_openings(j, slot)
+                                for j in copies]) for slot in (0, 1))
 
 
 def test_material_shape_and_commitment_count():
@@ -48,9 +43,10 @@ def test_material_shape_and_commitment_count():
     assert material.s == 10
     digests = set()
     for copy in material.copies:
-        pair = copy.pair
-        assert len(pair) == PAIR_BYTES
-        digests.update(pair[k:k + 32] for k in range(0, PAIR_BYTES, 32))
+        coms = copy.coms
+        assert len(coms) == COMMITMENTS_PER_COPY * 32
+        assert copy.leaf == copy_leaf(coms) and len(copy.leaf) == LEAF_BYTES
+        digests.update(coms[k:k + 32] for k in range(0, len(coms), 32))
     # 5 distinct commitments per copy; 16 wires at s=10 give 800 total.
     assert len(digests) == 10 * COMMITMENTS_PER_COPY
     assert 16 * 10 * COMMITMENTS_PER_COPY == 800
@@ -70,28 +66,35 @@ def test_honest_check_copies_pass_construction():
     rng = random.Random(3)
     for x in (0, 1):
         material = generate_input_material(rng, x=x, s=6)
-        for copy in material.copies:
-            assert check_pair_construction(copy.pair, copy.seed)
+        for j, copy in enumerate(material.copies):
+            assert check_pair_construction(copy.leaf,
+                                           *material.check_seed(j))
 
 
 def test_check_seeds_reveal_no_input_bit():
     """The same seeds give the same four input-set commitments whatever
     the bit, and nothing a seed expands to opens the position commitment
-    under either bit: a check seed tells its holder nothing about ``x``."""
+    sent with it under either bit: a check seed and its position
+    commitment tell their holder nothing about ``x``."""
     for trial in range(20):
         built = [generate_input_material(random.Random(f"privacy:{trial}"),
                                          x=x, s=6) for x in (0, 1)]
-        for zero, one in zip(built[0].copies, built[1].copies):
+        for j, (zero, one) in enumerate(zip(built[0].copies,
+                                            built[1].copies)):
             assert zero.seed == one.seed
-            assert zero.pair[:128] == one.pair[:128]
-            assert zero.pair[128:] != one.pair[128:]
-            enc1, enc2, _b, nonces = expand_seed(zero.seed)
-            derived = [*enc1, *enc2, *nonces]
-            for copy in (zero, one):
-                assert copy.position_opening.randomness not in derived
+            assert zero.coms[:128] == one.coms[:128]
+            assert zero.coms[128:] != one.coms[128:]
+            _b, sets = expand_seed(zero.seed)
+            assert sets == zero.sets == one.sets
+            derived = [body[k:k + 16] for body, _nonce in sets
+                       for k in (0, 16, 32)] + [n for _body, n in sets]
+            for material, copy in zip(built, (zero, one)):
+                seed, position = material.check_seed(j)
+                assert (seed, position) == (copy.seed, copy.coms[128:])
+                assert copy.position_nonce not in derived
                 for nonce in derived:
                     for p in (0, 1):
-                        assert not open_commitment(copy.pair[128:], Opening(
+                        assert not open_commitment(position, Opening(
                             TAG_POSITION + bytes([p]), nonce))
 
 
@@ -99,17 +102,33 @@ def test_position_opens_to_b_xor_x():
     rng = random.Random(4)
     for x in (0, 1):
         material = generate_input_material(rng, x=x, s=8)
-        for copy in material.copies:
-            p = open_position(copy.pair, copy.position_opening)
-            assert p == copy.b ^ x
+        for j, copy in enumerate(material.copies):
+            for slot in (0, 1):
+                entry = material.eval_openings(j, slot)
+                assert open_position(entry) == copy.b ^ x
+                assert commit(TAG_POSITION + entry[0],
+                              entry[1]) == copy.coms[128:]
+
+
+def _with(entry, field, value):
+    return entry[:field] + (value,) + entry[field + 1:]
 
 
 def test_position_rejects_forged_openings():
+    """A position byte other than 0 or 1 opens no position; another copy's
+    position nonce, the flipped position, or the other party's entry does
+    not rebuild the copy's leaf."""
     rng = random.Random(5)
     material = generate_input_material(rng, 0, 4)
-    a, b = material.copies[0], material.copies[1]
-    assert open_position(a.pair, b.position_opening) is None
-    assert open_eval_triple(a.pair, 0, 0, a.w_openings[1]) is None
+    a, b = material.eval_openings(0, 0), material.eval_openings(1, 0)
+    for byte in (2, 0x80, 0xFF):
+        assert open_position(_with(a, 0, bytes([byte]))) is None
+    leaf = material.copies[0].leaf
+    assert entry_leaf(a, 0) == leaf
+    flipped = bytes([a[0][0] ^ 1])
+    for forged, slot in ((_with(a, 1, b[1]), 0), (_with(a, 0, flipped), 0),
+                         (material.eval_openings(0, 1), 0), (a, 1)):
+        assert entry_leaf(forged, slot) != leaf
 
 
 def test_final_labels_encode_the_input_bit():
@@ -141,8 +160,8 @@ def test_tampered_copy_fails_construction_check():
     for x in (0, 1):
         material = generate_cheating_material(
             rng, x, 4, [False, True, True, True])
-        checks = [check_pair_construction(c.pair, c.seed)
-                  for c in material.copies]
+        checks = [check_pair_construction(c.leaf, *material.check_seed(j))
+                  for j, c in enumerate(material.copies)]
         assert checks == [False, True, True, True]
 
 
@@ -286,11 +305,10 @@ def test_hash_tuple_structure_and_permutation():
 
 
 def _evidence(material, rho, slot):
-    """Party ``slot``'s (position, input-set) openings of the evaluation
-    copies, and those copies."""
+    """Party ``slot``'s entries of the evaluation copies, and those
+    copies."""
     copies = [j for j, bit in enumerate(rho) if not bit]
-    return [material.eval_openings(j)[:2] if slot == 0
-            else material.eval_openings(j)[::2] for j in copies], copies
+    return [material.eval_openings(j, slot) for j in copies], copies
 
 
 def _cheating_wire(seed):
@@ -305,7 +323,7 @@ def _cheating_wire(seed):
 def test_consistency_proof_confirms_real_cheat():
     material, rho, sets = _cheating_wire(15)
     openings, copies = _evidence(material, rho, 0)
-    triples = open_evidence(material.pairs(), copies, 0, openings)
+    triples = open_evidence(material.leaves(), copies, 0, openings)
     assert triples == eval_triples(material, rho)[0]
     assert not labels_consistent(triples, sets, 0)
 
@@ -318,7 +336,7 @@ def test_consistency_proof_false_alarm_blames_complainer():
     rho = [0, 1, 0, 1]
     for slot in (0, 1):
         openings, copies = _evidence(material, rho, slot)
-        triples = open_evidence(material.pairs(), copies, slot, openings)
+        triples = open_evidence(material.leaves(), copies, slot, openings)
         assert labels_consistent(triples, material.label_sets(rho), slot)
 
 
@@ -327,9 +345,9 @@ def test_consistency_proof_forged_contents_blame_complainer():
     material, rho, _sets = _cheating_wire(17)
     other, _rho, _sets = _cheating_wire(20)
     openings, copies = _evidence(other, rho, 0)
-    assert open_evidence(material.pairs(), copies, 0, openings) is None
+    assert open_evidence(material.leaves(), copies, 0, openings) is None
     openings, copies = _evidence(material, rho, 1)
-    assert open_evidence(material.pairs(), copies, 0, openings) is None
+    assert open_evidence(material.leaves(), copies, 0, openings) is None
 
 
 def test_consistency_proof_lying_provider_caught_by_recompute():
@@ -343,60 +361,91 @@ def test_consistency_proof_lying_provider_caught_by_recompute():
     lying = (sets[0], (bytes(32), b"\xff" * 32))
     for slot in (0, 1):
         openings, copies = _evidence(material, rho, slot)
-        triples = open_evidence(material.pairs(), copies, slot, openings)
+        triples = open_evidence(material.leaves(), copies, slot, openings)
         assert labels_consistent(triples, sets, slot)
         assert not labels_consistent(triples, lying, slot)
 
 
 def test_consistency_proof_bad_opening_names_its_party():
-    """Evidence with one opening that fails is no evidence: the
-    complainer that sent it is blamed."""
+    """Evidence with one entry that does not rebuild its leaf is no
+    evidence: the complainer that sent it is blamed. Every field counts:
+    the position byte and nonce, the body, its nonce and both
+    siblings."""
     material, rho, _sets = _cheating_wire(19)
     openings, copies = _evidence(material, rho, 0)
-    pos_op, set_op = openings[0]
-    for bad in ((set_op, pos_op),
-                (pos_op, Opening(set_op.message, bytes(NONCE_BYTES)))):
-        forged = [bad] + openings[1:]
-        assert open_evidence(material.pairs(), copies, 0, forged) is None
+    entry = openings[0]
+    for field, value in enumerate(entry):
+        flipped = bytes([value[0] ^ 1]) + value[1:]
+        forged = [_with(entry, field, flipped)] + openings[1:]
+        assert open_evidence(material.leaves(), copies, 0, forged) is None
 
 
 def test_check_failure_claim_arbitration():
     """A claim proves a fault only when its seeds hash to the seed digest
-    and the seed at the claimed place does not regenerate the pair. The
-    seeds come as they lie on the wire: laid end to end."""
+    and the seed and position commitment at the claimed place do not
+    rebuild the leaf. The seeds come as they lie on the wire: each with its
+    position commitment, laid end to end."""
     rng = random.Random(20)
     bad = generate_cheating_material(rng, 0, 4, [False, True, True, True])
-    seeds = [c.seed for c in bad.copies]
+    seeds = [b"".join(bad.check_seed(j)) for j in range(bad.s)]
     digest = seed_digest(b"".join(seeds))
-    assert verify_check_failure_claim(bad.copies[0].pair, b"".join(seeds),
+    assert verify_check_failure_claim(bad.copies[0].leaf, b"".join(seeds),
                                       0, digest)
-    assert not verify_check_failure_claim(bad.copies[1].pair,
+    assert not verify_check_failure_claim(bad.copies[1].leaf,
                                           b"".join(seeds), 1, digest)
     # Seeds that miss the digest prove nothing: one short, one byte
-    # flipped, or a digest of other seeds.
+    # flipped, a position commitment flipped, or a digest of other seeds.
     flipped = [bytes([seeds[0][0] ^ 1]) + seeds[0][1:]] + seeds[1:]
+    position = [seeds[0][:-1] + bytes([seeds[0][-1] ^ 1])] + seeds[1:]
     for forged, held in ((seeds[:-1], digest), (flipped, digest),
+                         (position, digest),
                          (seeds, seed_digest(b"".join(seeds[::-1])))):
-        assert not verify_check_failure_claim(bad.copies[0].pair,
+        assert not verify_check_failure_claim(bad.copies[0].leaf,
                                               b"".join(forged), 0, held)
     good = generate_input_material(rng, 0, 4)
-    seeds = b"".join(c.seed for c in good.copies)
+    seeds = b"".join(b"".join(good.check_seed(j)) for j in range(good.s))
     digest = seed_digest(seeds)
-    assert not any(verify_check_failure_claim(c.pair, seeds, j, digest)
+    assert not any(verify_check_failure_claim(c.leaf, seeds, j, digest)
                    for j, c in enumerate(good.copies))
+
+
+def test_leaves_bind_what_they_cover():
+    """A check copy's leaf is rebuilt from its seed and position
+    commitment, an evaluation copy's from either party's openings and
+    siblings; a flipped sibling or position commitment rebuilds another
+    leaf."""
+    rng = random.Random(23)
+    for x in (0, 1):
+        material = generate_input_material(rng, x, 6)
+        for j, copy in enumerate(material.copies):
+            seed, position = material.check_seed(j)
+            assert check_pair_construction(copy.leaf, seed, position)
+            flipped = position[:-1] + bytes([position[-1] ^ 1])
+            assert not check_pair_construction(copy.leaf, seed, flipped)
+            for slot in (0, 1):
+                entry = material.eval_openings(j, slot)
+                assert entry_leaf(entry, slot) == copy.leaf
+                for sibling in (4, 5):
+                    value = entry[sibling]
+                    forged = _with(entry, sibling,
+                                   value[:-1] + bytes([value[-1] ^ 1]))
+                    assert entry_leaf(forged, slot) != copy.leaf
 
 
 def test_check_detects_specific_malformations():
     rng = random.Random(21)
     material = generate_input_material(rng, 0, 2)
     copy, other = material.copies
-    pair = copy.pair
-    assert check_pair_construction(pair, copy.seed)
+    leaf, position = copy.leaf, copy.coms[128:]
+    assert check_pair_construction(leaf, copy.seed, position)
     flipped = bytes([copy.seed[0] ^ 1]) + copy.seed[1:]
     for seed in (other.seed, flipped, copy.seed[:-1]):
-        assert not check_pair_construction(pair, seed)
-    swapped = pair[64:128] + pair[:64] + pair[128:]
-    assert not check_pair_construction(swapped, copy.seed)
+        assert not check_pair_construction(leaf, seed, position)
+    for wrong in (other.coms[128:], position[:-1] + bytes([position[-1] ^ 1])):
+        assert not check_pair_construction(leaf, copy.seed, wrong)
+    coms = copy.coms
+    swapped = copy_leaf(coms[64:128] + coms[:64] + coms[128:])
+    assert not check_pair_construction(swapped, copy.seed, position)
 
 
 def test_hash_label_is_sha256():
@@ -408,7 +457,8 @@ def test_cheating_material_keeps_public_shape():
     rng = random.Random(22)
     honest = generate_input_material(rng, 0, 5)
     cheat = generate_cheating_material(rng, 0, 5, [False] * 5)
-    assert isinstance(cheat.copies[0].pair, bytes)
-    assert len(cheat.copies[0].pair) == PAIR_BYTES
+    assert isinstance(cheat.copies[0].leaf, bytes)
+    assert len(cheat.copies[0].leaf) == LEAF_BYTES
+    assert len(cheat.copies[0].coms) == len(honest.copies[0].coms)
     assert len(cheat.copies) == len(honest.copies)
     assert cheat.copies[0].b in (0, 1)

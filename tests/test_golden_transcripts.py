@@ -51,197 +51,197 @@ VARIANTS = {
 #  frame digest, order-free frame digest)
 GOLDEN = [
     (0, None, 'accept', None,
-     "a08f3023799afabe1074784768c4b30be4ba06d41205aeb9030906d7f844ac87",
-     "8a387338318e74bc593f3420aff9df5f6aa43cd8d415e5c0fcb556569c8ef3ca",
-     "fb025e09da2c6e0cc93d9d4d65d8b25b0df596b74e328cd2bdaab3d17c72ad62"),
+     "82d044b6c4cd74199b2bb2367c0eb463a6d87ba389832642d4132bef015dc60a",
+     "d324d8e214548d6c8a769044290395cb98528b63dea0234d13e39dab826cea11",
+     "452533f1ee39c87467bd6990da3e647f48b2e7a56b74486006247a306aa3469e"),
     (0, 'inconsistent_labels', 'abort', 'provider:0',
-     "eff9f613d0682cd3d096f251c9eb43e27e37ff37973ff644f13323af821dddf4",
-     "8a4434b11f509c94aa1293d16a5224f6e3d4e847768d9019bf2a207c4f08d85b",
-     "d4bb41208b3396289681b5d0bc58acff2fa2d36e04cc3a062959739e4ad18dbd"),
+     "85375f98d062199e15fc7653e95f09c055d92eb3692a9e376c37ab6f438a903e",
+     "e8e70dc5ec43c8da2e293b2d271cfebba1a77974bac3a29eed384bc3fce8e0ef",
+     "963a113db55937beec79e490efeaf3d1e778fe687355ca46264f3e53cc734689"),
     (0, 'tamper_garbled_gate', 'abort', 'P1',
-     "c20ea72a680aebb21e272f0257b6c36f058988dad280afc56dd1dc4b393592f0",
-     "0e00e93ad44968769cacd9bb2f4714f887a150277d4e7b2873f87fd9e20c816d",
-     "d55eefcb6d68a1eb35e9047faebacf4c364867ccc8086523c8c3244d6a0cf489"),
+     "d63acf5783ece471d80170cd31ec7cc673098964bb88ec3db949b33acfb8799c",
+     "d90383d17246e9126933c8dff74ccf3baf3b91bc34048dfa00e6e5929c5f39e6",
+     "bb9ce13d290c62c3916bdf69590a6ec187d55fef45217fb99eee289679cafb4b"),
     (0, 'substitute_output_label', 'reject', None,
-     "7012177f8a3839af616e30367cdd51e8c7779b847b1e9429570014575729ce4b",
-     "2c4a9921da970e74f186ad696169258da69446c00dbe9943f994c1d5795f5c3e",
-     "059fd19d62fe40ebbd5621df93e1dbd818fc7c97b3a898e81a39fbc22c884332"),
+     "fa2beadde456094ee329efcea8ebb37b439534a3f652a7ca2160c963b9c70de5",
+     "2de448ed16c767a5b409f347cc95ddb7b05a1dea2e7962a7c55d45c04f4fb5e7",
+     "1ef8d4d0274573ba5356a3381bbbaa9759c09656cfc1e53ad1667f4590aad62d"),
     (0, 'bias_coin_toss', 'abort', 'P2',
-     "3f7ca7dba567791d4e72e729dc1f3371bccf6a6aa1dee584dd5df9f3e0a976d7",
-     "dc65bb0f466d28e015aed134ea17bf7660aa8d77151d2513136905b7ed861c07",
-     "c04860d554d31b96c9df6f17a4f9e9c6d3f7d9caf10a6b393d526453d6440d03"),
+     "d5cc122bd764fafa310c8fc3eac15b5015df0677ebf2067756ad1417e246a791",
+     "9c69f95cec8e5752d492e4c0aa93abfbd92f04cd29cef66eff726c2171d07d77",
+     "1a860d246ad3e7e06e1b2c9427e24c02d76404ef7b416e07cddfbb4ad3bf4319"),
     (0, 'falsify_check_failure', 'abort', 'P1',
-     "2d4eea3e68b4718aca75bab47d936b2bae3a8235702da7906ad52b7173242966",
-     "6571c84642dc55a49be789ecc8a11c9a6e8eaa0a66f86cac1c57a29a6dde4b16",
-     "35b47b3f94b04967b736fb51d3a44ade4a02e99818febbba5dfc8238f25cdd63"),
+     "c98934231bb0e6a923a1519b6ade7e1e9374b4dc9562da621c8ce0a55ffce231",
+     "8db1d263255d64789ad518d048f2593308c41a5ab5074c1f157aa1656c90bbcf",
+     "c0af59abe0058ed979b04278ad1a62ec6d65bf0b06108d5aa9d0875402dd90ff"),
     (0, 'forge_consistency_proof', 'abort', 'P1',
-     "e0e57c4bb39782d6f65efa9000627f3a2f53298dfaa01822936db8bf3c6d716e",
-     "ef8d310ee3eb20a1422052bfa99a4db14454d211f65cc4f3fd94612f2cbc0361",
-     "ddb9d46a168af130fc8f84b462e6b7895aff3f6e50bb5ff2da851125182f0d03"),
+     "06a978e677527c7409afa85f4a5960167ec713d8aae34763a593556a527adf6e",
+     "91b7ec0b88fe88ef9565460637229b600e6fd659b07db0a6a8e68d5c7da1a29e",
+     "04f5e82db2ee8fa255c315b7ec73d36e3b8d2139ba1308d3744f4fe39feb77e8"),
     (0, 'false_output_complaint', 'accept', 'provider:0',
-     "7012177f8a3839af616e30367cdd51e8c7779b847b1e9429570014575729ce4b",
-     "95a364a20d1387fcb991a490d219077c235f5af33150118f6019b349216884f7",
-     "72b5f0083d4eb162afea6c61dd1649aa2640c7ed0ed148fe4d24196fcc76bbe1"),
+     "fa2beadde456094ee329efcea8ebb37b439534a3f652a7ca2160c963b9c70de5",
+     "c72a76f3e0821b05b4f0c92fd96c345e7388e81deac199d9fbf802a84d892bcb",
+     "af4e28cf7baf5ceb78b907384051dacfbd371647f57946c5bf93730b8e45e895"),
     (3, None, 'accept', None,
-     "52bcc7e9957eb7e6e9aab672cf1c6cd03390bee60aa3a7b1aa4c65cc31bfa052",
-     "9a8e8b2e3aa6005ca51877ffa298b8111bb4b042e97da479ecf4201afbe94457",
-     "0a4d920eac06e0f973103e0a0f68f68937d080026162aa2359dcc3ca5e7624fe"),
+     "6d4bdec7658a7c59250137cf6fde67adc9602673c0c82d30e8360102309377a3",
+     "0b04b164bcd29162503409cd3d7979c21310e7d083e15d38cc473d73bed5af35",
+     "e0b578b76f6ae56149ad78d1636089bdd25fbe851ba8034e346cd4622a8d6630"),
     (3, 'inconsistent_labels', 'abort', 'provider:0',
-     "a7daa8fb7c84e2488c7a3af4d372974298279dac4a7cdca43ef18cc016c7a1e3",
-     "5405540a4e4da690a29522b1b56a6687e48a337ca70ee738ea23113c5aa5f9ba",
-     "17c5b271cb743a3d757cf55e064b01760650ff27736369269cccef1b21319649"),
+     "4cd4f7dab1f92b191d1bfd04dd8c0bc6b7c4832d40b7a4e61b55567cc65e2b9f",
+     "9fbb7a37e0f28b89a32e83713fc86019556d3af21e01d150dfac8661f8e9a395",
+     "7856fe58a6b9ffb6e47722592fa177a50ff101b6ef9c7a7cced2f0571b10130e"),
     (3, 'tamper_garbled_gate', 'abort', 'P1',
-     "e046d137a7b3f212862646c9ef32ffb48f1f3a648c33da46d8075dee55d931f9",
-     "37e62759b15d976242360e67245e59bb84fd3eddc8b6514c6e3d5c4735df5f5a",
-     "62c1d904fa1025929428644097886af10d7bdfdefcb4d985e3cf26af963ca711"),
+     "30d14c71aec61305959ae91d869f91f3a0f1cad2634d31c90c095a097cfc970f",
+     "99448a0ab53e52de1a308b6befb6289baf8ac22a2c84f2aa3ea7ec99b364a3e5",
+     "e2ba040d98ac779b2dd4097fbd177267a852c32066fe0d985b486696cd171c93"),
     (3, 'substitute_output_label', 'reject', None,
-     "02c8f1e0059ad1128c7992d352dc0ee45e1ca2b3f6ddec7d78a872fd922d8ea2",
-     "f0f4ac6601371e8e452e32517fd8653f58d6ed0893d9b36b2683b641f59f8394",
-     "e86d1fdb39e0dc33dac45cad75008f57b070753090a084baf90ca1bdd88ad27a"),
+     "b953db77c035fd8219ab4cb35a6c868d3caf5cd63b9f158ca7cb8b1731b8b22f",
+     "de57b2e6285da2c0eccad82ef6aaa1ca42b22fe346a8dedb23240adb17f8c6b3",
+     "fc0aca3c1d82a260765213e896db28f9866f405c80158c94b3462ad66983aa8a"),
     (3, 'bias_coin_toss', 'abort', 'P2',
-     "3f7ca7dba567791d4e72e729dc1f3371bccf6a6aa1dee584dd5df9f3e0a976d7",
-     "a9864fe4b65238051f3f43bf61d114c26517bc4e93379503162f9d1f35597b0a",
-     "547dfa0bb23464d51986914de9b2d592ff14a3cb209b03747064066c1212c1bb"),
+     "d5cc122bd764fafa310c8fc3eac15b5015df0677ebf2067756ad1417e246a791",
+     "369243b149aedaa3232240debd94fe463ac2073728a7859fad59e299864b4f93",
+     "16baf1bf0288393cc6b9a1a22624b4dae9d96bcd8888cc8a0ef96527cf25d34c"),
     (3, 'falsify_check_failure', 'abort', 'P1',
-     "46340ad0a97f10fc48e7df6c0c9735629f5ac24d0cd7c1443b87b63f455c5e50",
-     "db9c35e3e7effe78c40bf637f273fbeb634b70a9c6da0ab6ef188ed178a7e954",
-     "3ba7db4300803a66ffa906caf9028be8e94eda82013c900d09aff848bc151198"),
+     "9d9b5274d066c276ecf0b14b7ff4372153e28ddf7ff4a38856cf8237ed88acfa",
+     "8078d53aa42aa3ac3430879a69231f0fc72942f51e9b9e1292e43258b56ba177",
+     "ac959239c1f15cb54949276b8be78671a5539f79f50f91123040dec518bc8bd1"),
     (3, 'forge_consistency_proof', 'abort', 'P1',
-     "7dbcb5ae2503cd30c1b773535d9239b1ee0a0ec407f5748e9d2b8ba956c47212",
-     "508ae81cb783bc148724aca869bf40defd2e9b0409464832d4ec5597d05787e0",
-     "278efadc817ac2f9b9c9dc1e5fd8145f2e855fc3256f638677c1fa8a6dc81f59"),
+     "0855b36abbff44364cf659d4c5b16f83a7c50a8a61676f10bef26c149c293c21",
+     "43387c69ec4e04416bce9b5e6a670c378ba88490d8c779658c3298e0ba35956d",
+     "987c36d78ee91686a24bef039831fb48979703362e2ce460e7ed722a40a60866"),
     (3, 'false_output_complaint', 'accept', 'provider:0',
-     "02c8f1e0059ad1128c7992d352dc0ee45e1ca2b3f6ddec7d78a872fd922d8ea2",
-     "94dcb75aa878b625219bb336d276968228cb08cfde584dbbc37d851b8469fc3b",
-     "1704becdc3c2857209189c3812a938b75537d1da0782f946049a750c97593779"),
+     "b953db77c035fd8219ab4cb35a6c868d3caf5cd63b9f158ca7cb8b1731b8b22f",
+     "b1cafabaf30fc63e7f18c5f41fca6a7278c021fbb5959c5e8ac76902ba2c2487",
+     "02be971dd7abef83fed39abeb35a065f147782f3aaa3d0c62a966f7ac14c03a2"),
     (5, None, 'accept', None,
-     "2803136eebcd44ad30d664e35fe5cb2260c74470b725f5f46e8091553b5e0ab6",
-     "69e0e458b2919f31ee2623bb3f67e44cf80ea21b097251d8a06248846d486fce",
-     "7b96b142be82ad8e3369e8681004ba3fb5c94da5fbd7669dd96cb2d26ce8db0f"),
+     "ff2d38f0846d2121f10ab78eb2b0275f73502bd73bc92733341da77ec2b7c9c9",
+     "375c470f0ffb5bf9c8a89146c54cfb7d67f93dba9e55ad196756bc0c52894209",
+     "abb7421d4141bcc6fd7180bc677a4e6f0d114048d3cf151b1f483422c4fbfe2d"),
     (5, 'inconsistent_labels', 'abort', 'provider:0',
-     "fef4a5622b876ec9d59fd9d55fb5a929765e6b50b10be6a6340759e601077935",
-     "a41e73279068f0834bc0234e299679b56090496b9786a07d797ed42838227526",
-     "580c138ec615ec54950b39abd79b7b6e132ee3558973bbbf587fc6e8c11fadab"),
+     "5c33e2ff9d5e9d1a623fa819bd8f87fa460ba62d1900469a045eda9efb0b4d53",
+     "fc6cba6e77659e1ef4f79e92d1a441bf23708f80343d2ec8e54cf3903508f412",
+     "6460d215c101a19a0baa6ae8cf8b320dc04e5d9e0abeece3a8c07f9591a2f58d"),
     (5, 'tamper_garbled_gate', 'abort', 'P1',
-     "fd01cc9a13cb12123b9c8ca66252efffa98abde1e1ca84236bcaae8a2a8473af",
-     "17d5e0ca1b77d42e0e6a2e9cb502b915c47a8647f5e9e502cfa161a5d5566397",
-     "6a3cb8f135ac93c6c5c03deefd590f5a29b96f59308b35ef1c1566ff5df276b8"),
+     "26c1ef5605deba363a99d0e63c066bcac8b17c6af59aa1e9b2163d51d91f36ea",
+     "346656440beb54786a8b3856ee4d3322a04915645a272eb001de36c301f11031",
+     "38755e9c2635db75cae8701e8ed872a9807d68c15777e8ae51cf59e70b4c536d"),
     (5, 'substitute_output_label', 'reject', None,
-     "dbc25b33bb6d644489b124542d0529d1f7f6d065a22a1d7ad911fd7d3a9674b0",
-     "80f5a7845d6c4aa912d13dc908195f9549153c84f7856ad2b9074bb1c9a3dfd8",
-     "65b6d402656f0645907ad2e6fccccc3f4a6e110dbb83fca8f4ce8251d2eedc89"),
+     "f6ed6052358de8a2832fc49e1f916bf8623cd74239d23301c87b690c69051799",
+     "ee6a4c80bf22d7d4e282785037b47e1d3dada1fdd3cd14eed2990cd4193ba467",
+     "285dbd09800c2bca532fd41fe273ea35e687e13536d4be5366248445d3a06bed"),
     (5, 'bias_coin_toss', 'abort', 'P2',
-     "3f7ca7dba567791d4e72e729dc1f3371bccf6a6aa1dee584dd5df9f3e0a976d7",
-     "d3060548a5f6ce0c345492af796c7287fad506ec208be9f6a0abee90cb6ffc7a",
-     "4f44b93be694326967c830aa5558f5f51b693f44da3a893b82d406ecc4e5333c"),
+     "d5cc122bd764fafa310c8fc3eac15b5015df0677ebf2067756ad1417e246a791",
+     "4662ab42590460e24ff42bcb546d487a0f4df29217501fc33c1df42bc5d7f6ea",
+     "982905850942494be9b0332f9871a0f757d7af60ca2252c86af5bbcece2dd1cf"),
     (5, 'falsify_check_failure', 'abort', 'P1',
-     "8e73ecc96c2389c3ad1170131a0b0cc6ee1419d1c504825bb2a26316985192c8",
-     "7729df1110cd710672ddc7c1e46f3ebad15d939b998589f4a30b67ca3b184a84",
-     "0b303055c9c191bf7373bb075e7365827a703d05ce37dc0c56903519c6149468"),
+     "022e780b3bbbe7468fc2314766c514bf31a993d68f1e5c62e2b52f70d5055035",
+     "1dd22d0a578d63b3096b9a59bcd0bf7555dcf35889d427466c7caaa0cd704c61",
+     "f1b5a29b7daf0ecfd744946563cdc04f7a576d7fa7211230dae2ac572213065d"),
     (5, 'forge_consistency_proof', 'abort', 'P1',
-     "d2e1c4b445bea01a0db74c13dd1cc125c54e4ca27c4aefc42f5542bf521bfcf5",
-     "e9cb6f169851dabb26f2bd16d266e0233bd6c3a9938ed7d70cf6ee3475e7f03b",
-     "a49b37f14737f51ea905b4bcaeb80e50e74d2daae44d639f23b3267bae6b57ec"),
+     "94ad49ad5b3019f91a47951e172be5c8513d36c6a5efbd1e48e7df9f9fae0eb6",
+     "261ec611ab39b76c052b08503846e552e989768263693367141ea2564acc46b8",
+     "2f588d5571759c76d4d4ceb576383e5728ec56fa9f7dd2174d9ac59a1f9910fc"),
     (5, 'false_output_complaint', 'accept', 'provider:0',
-     "dbc25b33bb6d644489b124542d0529d1f7f6d065a22a1d7ad911fd7d3a9674b0",
-     "36ae4f4d011bf621db3e7bdc5686e5baefe2477e5827943a8e0f810c542df893",
-     "b93bc7b23393be25d95cb1a76d560f15d5e379a6eae2833a4c0cf41e8a28cdda"),
+     "f6ed6052358de8a2832fc49e1f916bf8623cd74239d23301c87b690c69051799",
+     "388c2af7315ca4f238459e353eb9137b6bf47a84ec5bd462b00d62173f78d94a",
+     "40eda44ed71f1b91afd8c0652a2f957d8a2554dfbbf5b5c2ff7e4c8fcd2ac3e2"),
     (0, 'tamper_garbled_gate:gate5-mask01', 'abort', 'P1',
-     "c20ea72a680aebb21e272f0257b6c36f058988dad280afc56dd1dc4b393592f0",
-     "abdffa5626490ac5901a83fd5d5c8f89da99b3c9f2ea16e589dd5816ee86e532",
-     "3fedf8b1dd4724b163632f7e00d008994e9d629792b873606b6786281e2dff8d"),
+     "d63acf5783ece471d80170cd31ec7cc673098964bb88ec3db949b33acfb8799c",
+     "b07374b8d045db00d1f74b47b667fc92d4ad5b89fb3a56a35fa6ed37d170749e",
+     "93eb110768bf272eaae4f7973f1fc456d3b1042d5447b78ef6ad51f9f2fb87c7"),
     (0, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "5931c9f09194a2758936f1e8f26e2f819c59ddc627be02d490a08a82b6b2bbda",
-     "e55a6f2a257e92c2dfdf86855a2760c584f13c6645dc99c714f4ab396d5088e0",
-     "95235ef238d8d53b5bab492cb6fb1062fcc70f5e604ec306ff12ffc971cc809f"),
+     "acffcd2f973fab4e30f323bb31bbc29eba5f8369e52dcba6ee2906def4aa69ad",
+     "8ce86b8a5cddad9e528a2fb9f462cb45cff0310a0f6f0f08cddf75593972a72c",
+     "275eb87845b8809cb93cc4bc9c96e6fe36dbc135fd033a0894a24046048be516"),
     (0, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "0ded02617d542f47c50cab75646f0d04a80b03fb35278d9c98e37aeec7da0c35",
-     "f0b093b8083c8d27f109f57c54aa8c63dea8fa5f76873525c16244491f5085f1",
-     "ddaec7cf7ea0d557a61429e9c323cf432557a6631d6803adbf39e199bf101b8e"),
+     "b7afa5dd1f18db1e69770ac6bd570d56a357215ec29976eb9c50f2ee13da8524",
+     "06644fa4b012ce05ea1fc1968ba0a5b7e9c66ae111e4f1f5373ec4be78601bc4",
+     "bafc05f6a151cc6e3d5bf6a7bd6c097117c5f41c17e8dd07c579fc300e8e74c3"),
     (0, 'falsify_check_failure:P2', 'abort', 'P2',
-     "5e5b86229f1f3dad51a5876f48c0c945e7b95644ed4383555a76fac29eb37034",
-     "77c8060a867f388fd19fff49c5662d67c7452ede12548b2825cceae33e31a915",
-     "239b2ca0b586b3acf741c89ce1b9d8d5cc1e70af1b8b629964e89ece50f1f5b7"),
+     "65e140106d905974711baec931068f115a6e7802151dc60b506afe90ab4a483e",
+     "f2b95d98c243ed2c7533f7dba1b22464da7e6f9b5a83c307c35052b1d0a81cbf",
+     "d182c26deed0e07403114009b8ef1248dde0272dbd6dc3a1f90fd14ef45b327c"),
     (0, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "9b6e892592d2cc40bdd2d0a54bdc4445d51cbca882a79eb02345ed8a045729d7",
-     "4aa01e6dc2a544babbd6e69da2223082156d170afe21f2a55c4c0d7ea4f4830c",
-     "ade1a6e1d33817a1acb4e8f93830ebb80b476cb74a56737cc1aa214719a29eb8"),
+     "05aee0a866adcb3c549e4d5ac5656f4b47fbaa925318a29665be821232b6a232",
+     "91dd5e80d568895d328792d1ddd6f00dbee79fb552858c897aab3e8c832a06b1",
+     "cccca757267da627eac98b0d3027062b88a113d154cca1bbf8df12f944e4e92f"),
     (0, 'bias_coin_toss:P1', 'abort', 'P1',
-     "0201ebf55bc42891e0a08e7694012dd1e4628181b3a44eae98731e4dfaf325f4",
-     "d180e06345c392854701df5928e987b8aa266cbb4eec584d4a38cfbfe089f3d9",
-     "fafadc40913d4371e74ca9edcd696a369caad8562847d4fddec6a759c30bdb7b"),
+     "be69783dd5e9c82a3832cb01fc43b60ae92744c83f8133483fd82619bd4d44cd",
+     "3650411d84acc599c884dd4a2342bcb4c569b859022da20d977bd89ccea1be36",
+     "408fc5014b778b77d39d2c133b79823a3d0f855dc6b1aaed89a60c203b033e16"),
     (0, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "d6013f8bad973eefcabdaddff095720c8f29538f60765f6884289da0909df483",
-     "4555d79462aab6d8ec49f60ce0cdb863c06bd0eec98954fefe0bc9cdc913b55e",
-     "8a6bd3d61aa22c2e2ec6d66cfc2650b5716e1dc47a53fd94f5c2acce0c847e65"),
+     "74db31fc2c49200af6daf1f2658928de34e26bf2f3b2a8a314bdaf13cae8c33e",
+     "8c7e3cd16466cbf490b3d0d6a6ec7a605ed23640e08f5d0d0585c2b3da6a982a",
+     "680be832086d8cd96ee5626adca8b273bb01c4e0d7533b7a3e22904d9bfe0a4b"),
     (0, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "01870887fe9e7444b5a0a69fd59b3f9ac5ca3ea7c1ce58a9687fda513d727ef0",
-     "6b958d8fa738fceff8512c92046ddd5627d6ed20e5a9d168636ff587cd1b06bc",
-     "1adf899ba381223cb0ce96cce0ec73bde4fb54a0d28b1b559e2d3c66ba4a9e03"),
+     "2712e089d641ad82f77224ccb8eeba59f82eaeb52d8f1d5fdfa1adcfef9f6cc1",
+     "1ef4cdfdfceefbb13f7604037d43be66df4084ca277c004a5bda9ff06ff3d65a",
+     "09cee7917e875d4a9be3bd7eaeb2f5942332d1db0925b955a2f723c428c7f935"),
     (3, 'tamper_garbled_gate:gate5-mask01', 'abort', 'P1',
-     "e046d137a7b3f212862646c9ef32ffb48f1f3a648c33da46d8075dee55d931f9",
-     "18ace63eb187a6497bd2d64787f480a7b17084c3db74f4781bfb59294efe67ff",
-     "a852f2716880bf8e309e055eca4a64c1d143665bff912a1ce80b70c1fae04e0c"),
+     "30d14c71aec61305959ae91d869f91f3a0f1cad2634d31c90c095a097cfc970f",
+     "50344870298f00cbda818bbd99be61fd3edbc4bf2cead3e8d8e4bf3996be586a",
+     "35a958bbbad28c98c299c5304db06d9ca8d4ea6281ce0538945fb18cc2705f44"),
     (3, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "c8a6275e5a9738071e078b6ff76f9a8c867a28286c332adc2259308804db5f3d",
-     "70a000a5cc3f9d9998e87fee5aebfdd5467180f0f7f0c664ea3bc67732e32b4f",
-     "a284e14f5a7983fdbc89b7682ee33a35883f70ac7d355afaecf8d7a7dbcbf998"),
+     "830d3dd9f51650e0c4842faba94eb0cbe5e2979e4d82d389be1ee10ba795069d",
+     "4ba3fb0eaaed29e6a347e49f28b1dda0398dc8b5286851465a499cd8028500ef",
+     "3c2501ff38784871a211c6a0501651f1952204af79e03cbfdbee2b573ac5d447"),
     (3, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "22fb66006a0448266d8d469f873e70fd87cffb57dd39841d45d432053b735a04",
-     "607594d608531032e03ace168ae07e59b11fd9d2460727b8e1156d36350ea826",
-     "4dad2101dd2424df1111a67969f7f9ea39d0ff930a245035f9596b96d24db9e8"),
+     "b3c75188bf47ed7a4286bee1f8a611ab3a8fc5610e97e6797c72f4015bd36ac6",
+     "a1fdff4128a41d11ef89d5fcdad543486faddca7dcf96cf0767875883b4a2b41",
+     "86cd4fd3b9f968804cb7e0d5fd8009273f28a9761ce07f74ffe86ea904b85c94"),
     (3, 'falsify_check_failure:P2', 'abort', 'P2',
-     "df1e6f8ac62402cb62ff3946783eca3684928183685557c084c9de81f7759b77",
-     "37b95d1becb077ad887a198c64231d2edbdc2e51dc477fdee2cbd0b90af8294f",
-     "b4d38b222a9cbf7a512bafa47e7f6c47d549db96ccf7b33c5eaf3d6a53efbef4"),
+     "b46e2c79da3fcd93357725c813dc086d5d843aeea702c0b754c6012a9c4756e2",
+     "b2d791bf630215a130036b2bfa707161ce75d256f1f54db602a64bb8259e4c16",
+     "1b082ed3cc8aad76afcb86b4e96c44cb9faeaa74e78735c88eb5273305667e7e"),
     (3, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "6b8eb92655ee17781bcdf4dd0eb8c4a395a93aad99eb49e021457e795c102ee9",
-     "889c82d470293cd7e3b475320daeb76da02fc43c7fc18ec0b18cbd7207ca281e",
-     "20cc21fe469b63baf9a0197a499897accbf706b3cd54348cf0e1a5dbef64a973"),
+     "f3bb11ea294f49c46317bfdfd13d26680b87dd5d11459fe92787a25847b3d8e2",
+     "a1e8b2bf4423ee0d78307c35395dcb194e94d6c02ef586f8020de6968c8410f0",
+     "226edc652c595367563cc746452b228f7d4f4f8e3c6185f1261dd2fd51a21bce"),
     (3, 'bias_coin_toss:P1', 'abort', 'P1',
-     "0201ebf55bc42891e0a08e7694012dd1e4628181b3a44eae98731e4dfaf325f4",
-     "df1c9fac250d005422707bfed4be6e018f1bff808b3aeb62bf661b9d643e3498",
-     "5b30afd6a93ee0e9d6678c3d6295dcac1363a4cf63ef0b724a843aff12d9fca3"),
+     "be69783dd5e9c82a3832cb01fc43b60ae92744c83f8133483fd82619bd4d44cd",
+     "0c8748fc75986043deb7838a6a8a48a8fd991dcefd58ac18fb64c9ef317d6c57",
+     "2a56ba3ff007990c8b4a7bfcc1dc79ba910705cd81cd2e6fe91c2eed4457200a"),
     (3, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "ea9ed8f65c85534adc0686b7bd9652dc2361e94d928f2c4e1e38e205ae8bbccf",
-     "b9fc6eca9dc346b0a8932b34345d7de30dc0f8887e942608e14133283cc7df44",
-     "fde00ce228d355b4909f862a8f951cd649f85eed5fac5337f51e769d62cb73cc"),
+     "46f3061b011499c43ef978e03c72975c05b16955f6254d4906f87584219b5276",
+     "a1c369ddd97cd9d4d0d66e81ac35c57c4d4e3568983c4d014d663c5b32c9a8d5",
+     "7a7f6334543f4b1a0040e31e1cba8c746bf94c3edda35d05f8cf02aebedbecdd"),
     (3, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "ed757b754c1fac3f563256af02e367dbf6540ddc1ba5a9dce61d48f97753e49e",
-     "281a951520cc698e629eb33a7ca8b05d103b39cebc38b2581f691ea3d88f1945",
-     "29686efc00a83005b3db1deb663ba8cfe72801052eb2278e9d6a6e3a58a34511"),
+     "06f7f1ffa426e68091e94e593a6ebd7a049af1d6d6e7571e8f42d62bf0384877",
+     "935a52b16cd7d0371b5947e39968d609c26bae32c597f8965b2750a3ebf01b8d",
+     "4cad6f8fc1f6bcd6b5b3becc1c1bcfce89b41546daec96f8b6a14220469f1a23"),
     (5, 'tamper_garbled_gate:gate5-mask01', 'abort', 'P1',
-     "fd01cc9a13cb12123b9c8ca66252efffa98abde1e1ca84236bcaae8a2a8473af",
-     "415a1ae098ed4b57080f84c9ee51d7cbeedf1da2d7d792501ae47f465d56425b",
-     "8d3cea0af51b35e9da0adf1fe551a140627f8b570d8fe810ccbe5ffedb828639"),
+     "26c1ef5605deba363a99d0e63c066bcac8b17c6af59aa1e9b2163d51d91f36ea",
+     "f93dd8169f8a80d3dd7a1b82a59e9a4922578db0c90184b58bbda079d6201e76",
+     "b19d43afe5d3eb5f6c46705578b088e08e8e5060fef25699492d56c8e47eb989"),
     (5, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "63a122791849211acc3b4124369ae21bee877de89883213dcc1f3cea072ed564",
-     "2ec450776483df5bc0048aa7a123b9eecf686790dbd2cb8f658712615e7fcd48",
-     "7dbeb28838046c14494958575c4ea888fd22b03b2695a6a9d479c2a583c420ec"),
+     "87e566a4684bdc701f4ecaf8b2819c448a286e54eccbb30d651e2a6a14d59e5c",
+     "96785e7ab112a51bcfb84a859f90653aee4747c2ac7a761571386d8bf54385d9",
+     "4c267814563ec4d6d66ca4469ec86b9eba1511d6fa9155da7a2d2015f2705701"),
     (5, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "69d87eee8281026cbfd162ebbaff7821287dbae3bb6b80815dfa8764b6902a8f",
-     "1576b62e8985ba43ae28dac3ae9cad007476e6eb600bd48472978c99f687c32a",
-     "4051e28dee6d54053766c2bdfc5cf72ff41e23d4dbb09d556f64c2ca9a852782"),
+     "491baa5c925d551aa6ceb9ed2297985764028b685c3eece55f1de0a430841afb",
+     "c11e07e1638901456a5a80d0d6c8c72c79aaf2165ca55b9b66b397d8c1bcf23a",
+     "0a609c8bbd69a9b98acf65809685340d2573645568d0398f615b15205534f338"),
     (5, 'falsify_check_failure:P2', 'abort', 'P2',
-     "726e930a0d51fd54cfd5418565c070047e025537ad77d7f6aff641145359c808",
-     "9e0ab0fed25134309407308867f576336c5ba2ac8aad37c8633e5dbdd2ba79d9",
-     "b3f33b4b7c6d1ff28bb8107d273bfb229be5d67e3f16908d17ff23c9d17d2415"),
+     "fc4ddebc5def309ade375ba91f1a52baba43551bd2ac2cad1f349cce7a5732fe",
+     "72d4b3271faa20bb08b67aa10a2eeca944209b4e334c44a4237750a6dd8cedaa",
+     "6e1825aead13007067c9ba89d7b2e3d7ac89b8b964a6796bf672650b54003305"),
     (5, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "d705a8e82267e9b8602b4ede40cbd7f23889bf19298df47d17753fef46306f74",
-     "de064706483bfbbf87e24ebfc2a56bcf1d3041d3526d43ad4740705ad8a4aa84",
-     "b934d9928754df3e1099cf5fd2e82a7422b68ee3809537b329f9c61365751a66"),
+     "4c4d21df5be7a3cb56673ac5fb16a43ab7b356022d2d04a911778fff764c0f20",
+     "37196588c8a4b7dfa681eacfbcb34c8fbef0b109bf44912bb6346f23c285b09a",
+     "d1a6346ce42ca122ad451a146620c832fbc4e5cc0bb24400cec371890ef45ca8"),
     (5, 'bias_coin_toss:P1', 'abort', 'P1',
-     "0201ebf55bc42891e0a08e7694012dd1e4628181b3a44eae98731e4dfaf325f4",
-     "d511ed67eb11ef7ffd7b95745ce644ae39a0f325240ba7c4deb0e168becc7ae7",
-     "2e9797d524b4800faaa02d711e0e1019d4b74616ec8b4a5c14ba8c970569aed5"),
+     "be69783dd5e9c82a3832cb01fc43b60ae92744c83f8133483fd82619bd4d44cd",
+     "cdd5dcc5e802547c70a1d55aa1e4334857f1ff16cb55e021f9e6739dab595447",
+     "4e7ea2f94b0f42f0be4966b5b9648b52d4f1cc2a7e30241cdf8754e131e76866"),
     (5, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "fef4a5622b876ec9d59fd9d55fb5a929765e6b50b10be6a6340759e601077935",
-     "4389065ecd9c3a44acd97bc0e9e830a59cd03770eab801e857a3f924636e6d8d",
-     "ceca2e060ff266c5a384c46d34f9c4f15f8a99ad86dec02e536003ce0db1d211"),
+     "5c33e2ff9d5e9d1a623fa819bd8f87fa460ba62d1900469a045eda9efb0b4d53",
+     "c63204156ff83151b719d69359d21409a618824c9f86b34d5c260c83e060dd89",
+     "63f9f7876e60bcb4cd1fc27a6952d849852e63ae4aa29c6f25c3ef01baf5205c"),
     (5, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "0341b4a3dcaa91ab01cb7d5e261c066fc0cba2224bdba207646acad1fd20f24b",
-     "6cdbf0fc0ab467b6d0f9e7d515389f9db04b48c1c054a150fa08fc347efbed84",
-     "9bb7db86de772268ed2af26ccad479ee8586099ab50aef24f2fc534af093aaed"),
+     "a2bcf083bdd086defb0970d53fc228e6c59a8ba2f9e6fb8189535de8a6712fb8",
+     "ff62f506888aaa731341f629805cc5db313f2cf49690adcf20416c12c402125e",
+     "20283c84ec9389c8b8b97a22ae3d0c941c6879ded73c197bb46426866b1322f0"),
 ]
 
 
@@ -291,7 +291,7 @@ def test_golden_transcript(seed, adversary, status, blamed, signature,
 
 
 def test_bidders_send_input_values_to_the_parties_only():
-    """A bidder's pairs, check seeds, openings and label sets go to the
+    """A bidder's leaves, check seeds, openings and label sets go to the
     parties only; the parties' echo is what every other role gets."""
     parties, bidders = frozenset({M.P1, M.P2}), frozenset({M.PROVIDER})
     T = M.MessageType

@@ -11,8 +11,7 @@ import pytest
 from dualgc import consistency, outputs, session
 from dualgc import messages as M
 from dualgc.auction import AuctionConfig, build_auction_circuit, oracle_run
-from dualgc.commitments import (NONCE_BYTES, TAG_POSITION, Opening,
-                               tagged_commit)
+from dualgc.commitments import NONCE_BYTES, TAG_POSITION, Opening, commit
 from dualgc.errors import (DecodeError, ProtocolError, TransportTimeout,
                            UsageError)
 from dualgc.garbling import (HEADER_BYTES, LABEL_BYTES, ROW_BYTES, decode,
@@ -62,7 +61,9 @@ def test_input_phase_traffic_has_commitment_lower_bound():
     s = 4
     res = run_session(SMALL, BIDS, s=s, seed=3)
     wires = len(BIDS) * 2 * SMALL.vm_types * SMALL.width
-    floor = wires * 5 * s * 32  # five 32-byte commitments per copy, sent once
+    # Each party gets a 32-byte leaf per copy, and at least a 16-byte seed
+    # and 32-byte position commitment to open it (an entry is larger).
+    floor = wires * s * 2 * (32 + 16 + 32)
     assert res.transcript.measure()["bytes_by_phase"]["input"] >= floor
 
 
@@ -160,10 +161,20 @@ def test_neither_party_can_decode_its_own_circuit():
     assert not own1 & own2
 
 
+def _copy_nonces(sess):
+    """The nonces of the five commitments of every copy the bidders
+    made."""
+    return [nonce for bidder in sess.bidders
+            for material in bidder.material.values()
+            for c in material.copies
+            for nonce in [n for _body, n in c.sets] + [c.position_nonce]]
+
+
 def test_commitment_nonces_are_never_reused(monkeypatch):
-    """Every commitment a run creates, seen where the consistency and
-    output layers call ``tagged_commit``, has its own nonce: in the honest
-    run and under each scripted behaviour."""
+    """Every commitment a run creates has its own nonce: the five of each
+    copy, read from the bidders' material, and those the consistency and
+    output layers make through ``tagged_commit``. In the honest run and
+    under each scripted behaviour."""
     nonces, plant = [], []
     for module in (consistency, outputs):
         def recording(tag, body, randomness, _commit=module.tagged_commit):
@@ -178,11 +189,13 @@ def test_commitment_nonces_are_never_reused(monkeypatch):
              + 2)                 # one coin-toss commitment per party
     for adversary in [None] + list(BEHAVIORS):
         nonces.clear()
-        res = run_session(SMALL, BIDS, s=4, seed=3, adversary=adversary)
+        sess = Session(SMALL, BIDS, s=4, seed=3, adversary=adversary)
+        res = sess.run()
+        made = nonces + _copy_nonces(sess)
         if adversary is None:
             assert res.status == "accept"
-            assert len(nonces) >= floor
-        assert nonces and len(set(nonces)) == len(nonces), adversary
+            assert len(made) >= floor
+        assert nonces and len(set(made)) == len(made), adversary
     plant.append(True)
     nonces.clear()
     run_session(SMALL, BIDS, s=4, seed=3)
@@ -500,10 +513,11 @@ def test_a_repeated_copy_is_refused(mtype, seed):
 
 def _count_item_reads(monkeypatch) -> Counter:
     """Counts, by list, the items read out of fixed-width lists from now
-    on: the input commitment pairs, the check seeds, the label sets, the
-    echo records, the wire digests ("claim digests"), seeds ("claim
-    seeds") and pairs of a claim, the wire digests, label sets and pairs
-    of a proof, and the output commitments."""
+    on: the input leaves, the check seeds, the evaluation entries, the
+    label sets, the echo records, the wire digests ("claim digests"),
+    check seeds ("claim seeds") and leaves of a claim, the entries ("proof
+    entries"), wire digests, label sets and leaves of a proof, and the
+    output commitments."""
     T = M.MessageType
     counts = Counter()
 
@@ -513,24 +527,26 @@ def _count_item_reads(monkeypatch) -> Counter:
             return read_item(data, off)
         return M.listof(item._replace(read=read))
 
-    pair = M.decode_body(T.INPUT_COMMITMENTS, bytes(4)).item
-    sets = M.decode_body(T.EVALSET_OPENINGS, bytes(8))[1].item
+    leaf = M.decode_body(T.INPUT_COMMITMENTS, bytes(4)).item
+    entry, sets = (f.item for f in M.decode_body(T.EVALSET_OPENINGS,
+                                                  bytes(8)))
+    check = M.decode_body(T.CHECKSET_OPENINGS, bytes(36))[1].item
     records = M.decode_body(T.HASH_TUPLE, bytes(36))[1].item
-    openings = M.listof(M.seq(M.opening, M.opening))
     schemas = {
-        T.INPUT_COMMITMENTS: counted("INPUT_COMMITMENTS", pair),
+        T.INPUT_COMMITMENTS: counted("INPUT_COMMITMENTS", leaf),
         T.CHECKSET_OPENINGS: M.seq(M.raw(32),
-                                   counted("CHECKSET_OPENINGS", M.raw(16))),
-        T.EVALSET_OPENINGS: M.seq(openings, counted("label sets", sets)),
+                                   counted("CHECKSET_OPENINGS", check)),
+        T.EVALSET_OPENINGS: M.seq(counted("EVALSET_OPENINGS", entry),
+                                  counted("label sets", sets)),
         T.HASH_TUPLE: M.seq(M.raw(32), counted("HASH_TUPLE", records)),
         T.CHECK_FAILURE_CLAIM: M.seq(M.u32, M.u16,
                                      counted("claim digests", M.raw(32)),
-                                     counted("claim seeds", M.raw(16)),
-                                     counted("CHECK_FAILURE_CLAIM", pair)),
-        T.CONSISTENCY_PROOF: M.seq(M.u32, openings,
+                                     counted("claim seeds", check),
+                                     counted("CHECK_FAILURE_CLAIM", leaf)),
+        T.CONSISTENCY_PROOF: M.seq(M.u32, counted("proof entries", entry),
                                    counted("proof digests", M.raw(32)),
                                    counted("proof sets", sets),
-                                   counted("CONSISTENCY_PROOF", pair)),
+                                   counted("CONSISTENCY_PROOF", leaf)),
         T.OUTPUT_COMMITMENTS: counted(
             "OUTPUT_COMMITMENTS",
             M.decode_body(T.OUTPUT_COMMITMENTS, bytes(4)).item),
@@ -543,14 +559,15 @@ def _count_item_reads(monkeypatch) -> Counter:
 @pytest.mark.parametrize("adversary", [None, "falsify_check_failure",
                                        "forge_consistency_proof"])
 def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
-    """Each party reads every commitment pair once, in its check or its
-    evaluation, every check seed once and each wire's label sets once,
-    and hashes the lists it echoes undecoded. Each bidder reads its own
-    echoed record, three times over the two echoes; every provider reads
-    both parties' output commitments. An arbitrator hashes the disputed
-    wire's pairs undecoded and reads only the pairs it opens, the wire's
-    digest and sets and its owner's record, and the owner of the wire in
-    dispute reads none."""
+    """Each party reads every leaf once, in its check or its evaluation,
+    every check seed and evaluation entry once and each wire's label sets
+    once, and hashes the lists it echoes undecoded. Each bidder reads its
+    own echoed record, three times over the two echoes; every provider
+    reads both parties' output commitments. An arbitrator hashes the
+    disputed wire's leaves undecoded and reads only the leaves it
+    rebuilds, the entries that rebuild them, the wire's digest and sets
+    and its owner's record, and the owner of the wire in dispute reads
+    none."""
     counts = _count_item_reads(monkeypatch)
     sess = Session(SMALL, BIDS, s=4, seed=3, adversary=adversary)
     res = sess.run()
@@ -559,6 +576,7 @@ def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
     checked = sum(map(sum, sess.p1.rho.values()))
     reads = {"INPUT_COMMITMENTS": 2 * wires * s,
              "CHECKSET_OPENINGS": 2 * checked,
+             "EVALSET_OPENINGS": 2 * (wires * s - checked),
              "HASH_TUPLE": 3 * len(BIDS)}
     if adversary is None:
         assert res.status == "accept"
@@ -567,10 +585,10 @@ def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
                                   providers * 2 * providers}
     elif adversary == "falsify_check_failure":
         # The session ends at the claim, ruled after the echo: the
-        # claimant reads the claimed wire's s pairs and its owner's check
+        # claimant reads the claimed wire's s leaves and its owner's check
         # seeds, to send them. Every provider but the wire's owner reads
         # the owner's record and the wire's digest, hashes the claim's s
-        # pairs and its seeds undecoded, then reads the claimed pair and
+        # leaves and its seeds undecoded, then reads the claimed leaf and
         # slices the claimed seed out of the seeds' bytes.
         assert (res.status, res.blamed) == ("abort", "P1")
         owner_checked = sum(sum(sess.p1.rho[w])
@@ -583,10 +601,11 @@ def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
             "CHECK_FAILURE_CLAIM": providers - 1}
     else:
         # The complainer reads every wire's label sets before it makes
-        # its complaint up, and the owner's sets and the wire's s pairs to
+        # its complaint up, and the owner's sets and the wire's s leaves to
         # send them; every provider but the wire's owner reads the owner's
-        # record, the wire's digest and sets, hashes the proof's s pairs
-        # undecoded and reads each evaluated one.
+        # record, the wire's digest and sets, hashes the proof's s leaves
+        # undecoded and reads each evaluated one and the entry that
+        # rebuilds it.
         assert (res.status, res.blamed) == ("abort", "P1")
         w0 = sess.circuit.input_map[0][0]
         evaluated = s - sum(sess.p1.rho[w0])
@@ -594,6 +613,7 @@ def test_receivers_decode_only_the_items_they_read(monkeypatch, adversary):
             "INPUT_COMMITMENTS": 2 * wires * s + s,
             "label sets": wires + len(sess.circuit.input_map[0]),
             "HASH_TUPLE": 3 * len(BIDS) + providers - 1,
+            "proof entries": (providers - 1) * evaluated,
             "proof digests": providers - 1,
             "proof sets": providers - 1,
             "CONSISTENCY_PROOF": (providers - 1) * evaluated}
@@ -891,7 +911,7 @@ def test_fabricated_check_failure_blames_the_claimant():
 
 
 def test_input_commitments_go_in_full_to_the_parties_only():
-    """Each bidder sends its s pairs per wire, 160 bytes each, to the two
+    """Each bidder sends its s leaves per wire, 32 bytes each, to the two
     parties and to no other role. Each frame also carries the 16-byte
     header and a 4-byte count."""
     sess = Session(SMALL, BIDS, s=4, seed=3)
@@ -903,18 +923,53 @@ def test_input_commitments_go_in_full_to_the_parties_only():
     for e in frames:
         w_p = len(sess.circuit.input_map[int(e.sender.split(":")[1])])
         assert e.receiver in ("P1", "P2")
-        assert e.nbytes == 20 + 160 * w_p * sess.s
+        assert e.nbytes == 20 + consistency.LEAF_BYTES * w_p * sess.s
     assert res.transcript.measure()["bytes_by_type"]["INPUT_COMMITMENTS"] \
         == sum(e.nbytes for e in frames)
 
 
+def test_readme_session_bytes_by_type_are_pinned():
+    """The README's library example, 6 bidders of 64 input wires at
+    s = 10, by message type. A frame carries a 16-byte header. Each bidder
+    sends each party a 4-byte count and 640 leaves of 32 bytes; its coin
+    view, a count and a 48-byte seed and position commitment per check
+    copy; and a count and a 145-byte entry per evaluation copy, then a
+    count and the 128-byte label sets of each wire."""
+    config = AuctionConfig(vm_types=2, capacities=(3, 3), weights=(1, 2),
+                           width=16)
+    rng = random.Random(0)
+    bids = [tuple((rng.randint(0, 3), rng.randint(0, 100)) for _ in range(2))
+            for _ in range(6)]
+    sess = Session(config, bids, s=10, seed=0)
+    res = sess.run()
+    assert res.status == "accept"
+    frames = 2 * len(bids)
+    checked = sum(map(sum, sess.p1.rho.values()))
+    evaluated = 6 * 64 * 10 - checked
+    assert checked == 1934
+    assert res.transcript.measure()["bytes_by_type"] == {
+        "INPUT_COMMITMENTS": 12 * (20 + 640 * 32),
+        "COIN_COMMIT": 768,
+        "COIN_REVEAL": 1104,
+        "CHECKSET_OPENINGS": frames * (16 + 32 + 4) + 2 * 48 * checked,
+        "EVALSET_OPENINGS": (frames * (16 + 4 + 4 + 64 * 128)
+                             + 2 * 145 * evaluated),
+        "HASH_TUPLE": 10048,
+        "GARBLED_CIRCUIT": 707192,
+        "OUTPUT_COMMITMENTS": 3416,
+        "BUNDLE_HASH": 2016,
+        "OUTPUT_OPENINGS": 24710,
+    }
+    assert res.transcript.measure()["bytes_total"] == 1832874
+
+
 def _one_commitment_altered(claim):
-    pairs = list(claim[4])
-    pairs[-1] = pairs[-1][:128] + pairs[0][128:]  # pair 0's position
-    return claim[:4] + (pairs,)
+    leaves = list(claim[4])
+    leaves[-1] = leaves[-1][:-1] + bytes([leaves[-1][-1] ^ 1])
+    return claim[:4] + (leaves,)
 
 
-# rewrite of a genuine claim's pairs -> why they miss the wire's digest
+# rewrite of a genuine claim's leaves -> why they miss the wire's digest
 CLAIM_PAIR_REWRITES = {
     "one_commitment_altered": _one_commitment_altered,
     "last_pair_dropped": lambda claim: claim[:4] + (list(claim[4])[:-1],),
@@ -927,7 +982,7 @@ CLAIM_PAIR_REWRITES = {
 def test_claim_pairs_that_miss_the_digest_blame_the_claimant(
         inconsistent_labels_scan, rewrite):
     """A genuine claim convicts the provider. The same claim with its
-    pairs changed no longer hashes to the wire's digest, which hashes to
+    leaves changed no longer hashes to the wire's digest, which hashes to
     the echoed record every provider holds, so it proves nothing and
     convicts the claimant."""
     runs = inconsistent_labels_scan["checked"]
@@ -945,8 +1000,9 @@ def test_claim_pairs_that_miss_the_digest_blame_the_claimant(
         assert "the claim was fabricated" in res.reason
 
 
-def _first_seed_flipped(seeds):
-    return [bytes([seeds[0][0] ^ 1]) + seeds[0][1:]] + list(seeds[1:])
+def _first_seed_flipped(checks):
+    seed, position = checks[0]
+    return [(bytes([seed[0] ^ 1]) + seed[1:], position)] + list(checks[1:])
 
 
 # rewrite of a genuine claim's check seeds -> why they miss the seed digest
@@ -1034,6 +1090,65 @@ def test_a_seed_that_does_not_regenerate_its_copy_blames_the_provider(
             if e.type == "HASH_TUPLE" and e.sender in ("P1", "P2"))
 
 
+class _WrongPosition(session._InconsistentLabels):
+    """An honest bidder but for the position commitment it sends with the
+    seed of its first check copy, which then misses the copy's leaf. It
+    sends both parties alike, so the echo passes."""
+
+    make_material = session.Provider.make_material
+
+    def checkset_openings(self):
+        w, j = self.copies(self.index, checked=True)[0]
+        copies = self.material[w].copies
+        copies[j] = dataclasses.replace(
+            copies[j], coms=copies[j].coms[:128] + self.adv_rng.randbytes(32))
+        return super().checkset_openings()
+
+
+def test_a_position_commitment_that_misses_its_leaf_blames_the_provider(
+        monkeypatch):
+    """Both parties find the check copy's leaf is not rebuilt, the echo
+    passes, and the cloud's ruling on the first claim convicts the
+    provider."""
+    monkeypatch.setitem(session._SCRIPTED, "inconsistent_labels",
+                        (_WrongPosition, "provider:0"))
+    for seed in range(6):
+        res = run_session(SMALL, BIDS, s=4, seed=seed,
+                          adversary="inconsistent_labels")
+        assert (res.status, res.blamed, res.detector) == (
+            "abort", "provider:0", "cloud"), seed
+        assert "not its seed's" in res.reason
+        assert any(e.type == "CHECK_FAILURE_CLAIM"
+                   for e in res.transcript.entries), seed
+
+
+class _WrongSibling(session._InconsistentLabels):
+    """An honest bidder but for one sibling of the first evaluation entry
+    it sends P1, which then rebuilds another leaf."""
+
+    make_material = session.Provider.make_material
+
+    def evalset_openings(self):
+        sent = super().evalset_openings()
+        entries = sent[session._P1][0]
+        *head, sibling = entries[0]
+        entries[0] = (*head, bytes([sibling[0] ^ 1]) + sibling[1:])
+        return sent
+
+
+def test_a_wrong_sibling_aborts_against_its_provider(monkeypatch):
+    monkeypatch.setitem(session._SCRIPTED, "inconsistent_labels",
+                        (_WrongSibling, "provider:0"))
+    for seed in range(6):
+        sess = Session(SMALL, BIDS, s=4, seed=seed,
+                       adversary="inconsistent_labels")
+        res = sess.run()
+        w, _j = sess.p1.copies(0, checked=False)[0]
+        assert (res.status, res.blamed, res.detector, res.reason) == (
+            "abort", "provider:0", "P1",
+            f"evaluation opening failed on wire {w}"), seed
+
+
 def test_a_seed_flipped_to_one_party_aborts_at_the_echo_blaming_no_one():
     """A check seed that reaches P1 alone flipped makes P1 find a copy
     that is not its seed's, but P1's seed digest then misses P2's, so the
@@ -1051,20 +1166,20 @@ def test_a_seed_flipped_to_one_party_aborts_at_the_echo_blaming_no_one():
 
 class _OwnBadCopyClaim(session._FalsifyCheckFailure):
     """Puts a copy of its own that is not its seed's in place of the
-    claimed pair, and that copy's seed in place of the claimed seed: the
-    seed does not regenerate the pair, but the claim's seeds and pairs no
-    longer hash to the owner's echoed record."""
+    claimed leaf, and that copy's seed and position commitment in place of
+    the claimed ones: they do not rebuild the leaf, but the claim's seeds
+    and leaves no longer hash to the owner's echoed record."""
 
     def claim_of(self, w, j):
-        w, j, digests, seeds, pairs = super().claim_of(w, j)
+        w, j, digests, seeds, leaves = super().claim_of(w, j)
         bad = consistency.generate_cheating_material(
             self.adv_rng, 0, self.s, [False] * self.s)
         at = self.copies(self.wire_owner[w].index, checked=True).index(
             (w, j))
-        seeds, pairs = list(seeds), list(pairs)
-        seeds[at], pairs[j] = bad.copies[j].seed, bad.copies[j].pair
-        assert not consistency.check_pair_construction(pairs[j], seeds[at])
-        return w, j, digests, seeds, pairs
+        seeds, leaves = list(seeds), list(leaves)
+        seeds[at], leaves[j] = bad.check_seed(j), bad.copies[j].leaf
+        assert not consistency.check_pair_construction(leaves[j], *seeds[at])
+        return w, j, digests, seeds, leaves
 
 
 def test_a_claim_about_a_copy_the_provider_never_sent_blames_the_claimant(
@@ -1178,9 +1293,15 @@ def test_a_wrong_number_of_evidence_openings_blames_the_complainer(
 
 
 def _nonce_changed(party, openings):
-    pos_op, set_op = openings[-1]
-    nonce = bytes([set_op.randomness[0] ^ 1]) + set_op.randomness[1:]
-    return openings[:-1] + [(pos_op, Opening(set_op.message, nonce))]
+    *head, nonce, other, unselected = openings[-1]
+    nonce = bytes([nonce[0] ^ 1]) + nonce[1:]
+    return openings[:-1] + [(*head, nonce, other, unselected)]
+
+
+def _sibling_changed(party, openings):
+    *head, other, unselected = openings[-1]
+    other = bytes([other[0] ^ 1]) + other[1:]
+    return openings[:-1] + [(*head, other, unselected)]
 
 
 def _another_wires_openings(party, openings):
@@ -1188,14 +1309,14 @@ def _another_wires_openings(party, openings):
     return party.evidence[_another_wire_of_its_provider(w0)]
 
 
-@pytest.mark.parametrize("evidence", [_nonce_changed,
+@pytest.mark.parametrize("evidence", [_nonce_changed, _sibling_changed,
                                       _another_wires_openings],
                          ids=lambda f: f.__name__.strip("_"))
 def test_evidence_that_does_not_open_blames_the_complainer(monkeypatch,
                                                            evidence):
     """A party that complains about provider 0's consistent first wire
-    with openings that only it could have changed, or with another wire's,
-    is blamed, never the provider."""
+    with openings or siblings that only it could have changed, or with
+    another wire's, is blamed, never the provider."""
     class Forger(session._ForgeConsistencyProof):
         def consistency_proof(self):
             wire, openings, *rest = super().consistency_proof()
@@ -1254,7 +1375,7 @@ def _holding_p1s_cross_aggregate(sess, wire):
     provider 0 opens to it."""
     material, rho = sess.bidders[0].material[wire], sess.p1.rho[wire]
     cross = consistency._xor_hashes(
-        consistency._parse_triple(material.eval_openings(j)[1])[2]
+        consistency._triple(material.eval_openings(j, 0)[2])[2]
         for j in range(sess.s) if not rho[j])
     return tuple(sorted((cross, bytes(32))))
 
@@ -1297,16 +1418,18 @@ class _Equivocator(session._InconsistentLabels):
     make_material = session.Provider.make_material
 
     def input_commitments(self):
-        pairs = super().input_commitments()
+        leaves = super().input_commitments()
         honest = self.material[self.wires[0]]
         copies = []
         for c in honest.copies:
-            com, op = tagged_commit(TAG_POSITION, bytes([c.b ^ 1 ^ honest.x]),
-                                    self.adv_rng.randbytes(NONCE_BYTES))
-            copies.append(dataclasses.replace(c, position_opening=op,
-                                              pair=c.pair[:128] + com))
+            nonce = self.adv_rng.randbytes(NONCE_BYTES)
+            coms = c.coms[:128] + commit(
+                TAG_POSITION + bytes([c.b ^ 1 ^ honest.x]), nonce)
+            copies.append(dataclasses.replace(
+                c, position_nonce=nonce, coms=coms,
+                leaf=consistency.copy_leaf(coms)))
         self.p2_view = consistency.WireMaterial(1 - honest.x, copies)
-        return pairs
+        return leaves
 
     def evalset_openings(self):
         sent = super().evalset_openings()
@@ -1314,14 +1437,13 @@ class _Equivocator(session._InconsistentLabels):
         copies = self.copies(self.index, checked=False)
         for k, (w, j) in enumerate(copies):
             if w == w0:
-                pos_op, _first, second = self.p2_view.eval_openings(j)
-                sent[session._P2][0][k] = (pos_op, second)
+                sent[session._P2][0][k] = self.p2_view.eval_openings(j, 1)
         return sent
 
 
 def test_position_commitments_equivocated_to_the_parties_abort_at_the_echo(
         monkeypatch):
-    """The equivocator's pairs reach P2 with its view of the first wire.
+    """The equivocator's leaves reach P2 with its view of the first wire.
     The parties' echo covers every bidder's wire digests, and P2's digest
     of the equivocated wire is not P1's, so every run ends before either
     circuit is garbled, blaming no one."""
@@ -1332,8 +1454,8 @@ def test_position_commitments_equivocated_to_the_parties_abort_at_the_echo(
                        adversary="inconsistent_labels")
         sess.transport = value_fault(
             M.MessageType.INPUT_COMMITMENTS,
-            lambda pairs: (sess.bidders[0].p2_view.pairs()
-                           + list(pairs[sess.s:])), "provider:0", "P2")
+            lambda leaves: (sess.bidders[0].p2_view.leaves()
+                            + list(leaves[sess.s:])), "provider:0", "P2")
         res = sess.run()
         assert (res.status, res.blamed, res.reason, res.phase) == (
             "abort", None, "input views diverged", "input"), seed

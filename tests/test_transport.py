@@ -60,9 +60,11 @@ def O(message, k):
     return Opening(message, bytes([k]) * 16)
 
 
-def set_pair(k):
-    """A copy's pair: W_0, W_1, W'_0, W'_1 and position, end to end."""
-    return b"".join(C(k + i) for i in range(5))
+def entry(k):
+    """An evaluation entry: position byte and nonce, input-set body and
+    nonce, and the two siblings."""
+    return (bytes([k & 1]), bytes([k]) * 16, bytes([k + 1]) * 48,
+            bytes([k + 2]) * 16, C(k + 3), C(k + 4))
 
 
 T = M.MessageType
@@ -71,18 +73,18 @@ RETIRED = {T.PROOF_OPENING_REQUEST, T.PROOF_OPENING_RESPONSE}
 # One decoded value per message type with a schema.
 SETS = [((b"\x11" * 32, b"\x22" * 32), (b"\x33" * 32, b"\x44" * 32))]
 SAMPLES = {
-    T.INPUT_COMMITMENTS: [set_pair(1), set_pair(6), set_pair(11)],
+    T.INPUT_COMMITMENTS: [C(1), C(2), C(3)],
     T.COIN_COMMIT: C(7),
     T.COIN_REVEAL: O(b"seed", 8),
-    T.CHECKSET_OPENINGS: (b"\x31" * 32, [b"\x41" * 16, b"\x42" * 16]),
-    T.EVALSET_OPENINGS: ([(O(b"p", 1), O(b"q", 2)), (O(b"r", 3), O(b"s", 4))],
-                         SETS),
+    T.CHECKSET_OPENINGS: (b"\x31" * 32, [(b"\x41" * 16, C(0x51)),
+                                         (b"\x42" * 16, C(0x52))]),
+    T.EVALSET_OPENINGS: ([entry(0x10), entry(0x21)], SETS),
     T.HASH_TUPLE: (b"\x55" * 32, [(b"\x66" * 32, b"\x77" * 32,
                                     b"\x88" * 32)]),
-    T.CONSISTENCY_PROOF: (6, [(O(b"p", 1), O(b"q", 2))], [b"\x21" * 32],
-                          SETS, [set_pair(1)]),
+    T.CONSISTENCY_PROOF: (6, [entry(0x10)], [b"\x21" * 32], SETS, [C(1)]),
     T.CHECK_FAILURE_CLAIM: (14, 5, [b"\x21" * 32, b"\x22" * 32],
-                            [b"\x61" * 16, b"\x62" * 16], [set_pair(1)]),
+                            [(b"\x61" * 16, C(0x71)), (b"\x62" * 16, C(0x72))],
+                            [C(1), C(2)]),
     T.GARBLED_CIRCUIT: b"\x00\x01tables",
     T.OUTPUT_COMMITMENTS: [C(1), C(2)],
     T.OUTPUT_OPENINGS: O(b"out", 1),
@@ -97,34 +99,31 @@ RECORDED_HEX = {
         "0000000301010101010101010101010101010101010101010101010101010101"
         "0101010102020202020202020202020202020202020202020202020202020202"
         "0202020203030303030303030303030303030303030303030303030303030303"
-        "0303030304040404040404040404040404040404040404040404040404040404"
-        "0404040405050505050505050505050505050505050505050505050505050505"
-        "0505050506060606060606060606060606060606060606060606060606060606"
-        "0606060607070707070707070707070707070707070707070707070707070707"
-        "0707070708080808080808080808080808080808080808080808080808080808"
-        "0808080809090909090909090909090909090909090909090909090909090909"
-        "090909090a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a"
-        "0a0a0a0a0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b"
-        "0b0b0b0b0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c0c"
-        "0c0c0c0c0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d0d"
-        "0d0d0d0d0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e0e"
-        "0e0e0e0e0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f0f"
-        "0f0f0f0f"),
+        "03030303"),
     "COIN_COMMIT": (
         "0707070707070707070707070707070707070707070707070707070707070707"),
     "COIN_REVEAL": "000000047365656408080808080808080808080808080808",
     "CHECKSET_OPENINGS": (
         "3131313131313131313131313131313131313131313131313131313131313131"
-        "0000000241414141414141414141414141414141424242424242424242424242"
-        "42424242"),
+        "0000000241414141414141414141414141414141515151515151515151515151"
+        "5151515151515151515151515151515151515151424242424242424242424242"
+        "4242424252525252525252525252525252525252525252525252525252525252"
+        "52525252"),
     "EVALSET_OPENINGS": (
-        "0000000200000001700101010101010101010101010101010100000001710202"
-        "0202020202020202020202020202000000017203030303030303030303030303"
-        "0303030000000173040404040404040404040404040404040000000111111111"
-        "1111111111111111111111111111111111111111111111111111111122222222"
-        "2222222222222222222222222222222222222222222222222222222233333333"
-        "3333333333333333333333333333333333333333333333333333333344444444"
-        "44444444444444444444444444444444444444444444444444444444"),
+        "0000000200101010101010101010101010101010101111111111111111111111"
+        "1111111111111111111111111111111111111111111111111111111111111111"
+        "1111111111121212121212121212121212121212121313131313131313131313"
+        "1313131313131313131313131313131313131313131414141414141414141414"
+        "1414141414141414141414141414141414141414140121212121212121212121"
+        "2121212121212222222222222222222222222222222222222222222222222222"
+        "2222222222222222222222222222222222222222222223232323232323232323"
+        "2323232323232424242424242424242424242424242424242424242424242424"
+        "2424242424242525252525252525252525252525252525252525252525252525"
+        "2525252525250000000111111111111111111111111111111111111111111111"
+        "1111111111111111111122222222222222222222222222222222222222222222"
+        "2222222222222222222233333333333333333333333333333333333333333333"
+        "3333333333333333333344444444444444444444444444444444444444444444"
+        "44444444444444444444"),
     "HASH_TUPLE": (
         "5555555555555555555555555555555555555555555555555555555555555555"
         "0000000166666666666666666666666666666666666666666666666666666666"
@@ -132,28 +131,27 @@ RECORDED_HEX = {
         "7777777788888888888888888888888888888888888888888888888888888888"
         "88888888"),
     "CONSISTENCY_PROOF": (
-        "0000000600000001000000017001010101010101010101010101010101000000"
-        "0171020202020202020202020202020202020000000121212121212121212121"
-        "2121212121212121212121212121212121212121212100000001111111111111"
-        "1111111111111111111111111111111111111111111111111111222222222222"
-        "2222222222222222222222222222222222222222222222222222333333333333"
-        "3333333333333333333333333333333333333333333333333333444444444444"
-        "4444444444444444444444444444444444444444444444444444000000010101"
-        "0101010101010101010101010101010101010101010101010101010101010202"
-        "0202020202020202020202020202020202020202020202020202020202020303"
-        "0303030303030303030303030303030303030303030303030303030303030404"
-        "0404040404040404040404040404040404040404040404040404040404040505"
-        "050505050505050505050505050505050505050505050505050505050505"),
+        "0000000600000001001010101010101010101010101010101011111111111111"
+        "1111111111111111111111111111111111111111111111111111111111111111"
+        "1111111111111111111212121212121212121212121212121213131313131313"
+        "1313131313131313131313131313131313131313131313131314141414141414"
+        "1414141414141414141414141414141414141414141414141400000001212121"
+        "2121212121212121212121212121212121212121212121212121212121000000"
+        "0111111111111111111111111111111111111111111111111111111111111111"
+        "1122222222222222222222222222222222222222222222222222222222222222"
+        "2233333333333333333333333333333333333333333333333333333333333333"
+        "3344444444444444444444444444444444444444444444444444444444444444"
+        "4400000001010101010101010101010101010101010101010101010101010101"
+        "0101010101"),
     "CHECK_FAILURE_CLAIM": (
         "0000000e00050000000221212121212121212121212121212121212121212121"
         "2121212121212121212122222222222222222222222222222222222222222222"
-        "2222222222222222222200000002616161616161616161616161616161616262"
-        "6262626262626262626262626262000000010101010101010101010101010101"
+        "2222222222222222222200000002616161616161616161616161616161617171"
+        "7171717171717171717171717171717171717171717171717171717171716262"
+        "6262626262626262626262626262727272727272727272727272727272727272"
+        "7272727272727272727272727272000000020101010101010101010101010101"
         "0101010101010101010101010101010101010202020202020202020202020202"
-        "0202020202020202020202020202020202020303030303030303030303030303"
-        "0303030303030303030303030303030303030404040404040404040404040404"
-        "0404040404040404040404040404040404040505050505050505050505050505"
-        "050505050505050505050505050505050505"),
+        "020202020202020202020202020202020202"),
     "GARBLED_CIRCUIT": "00017461626c6573",
     "OUTPUT_COMMITMENTS": (
         "0000000201010101010101010101010101010101010101010101010101010101"
@@ -226,14 +224,16 @@ def _field(mtype, field: int, width: int) -> FixedList:
 # The lists of fixed-width items, by name: their count is checked against
 # the bytes left before any item is read.
 FIXED_LISTS = {
-    "INPUT_COMMITMENTS": FixedList(T.INPUT_COMMITMENTS, b"", 160, b"", [],
+    "INPUT_COMMITMENTS": FixedList(T.INPUT_COMMITMENTS, b"", 32, b"", [],
                                    None),
-    "CHECKSET_OPENINGS": _field(T.CHECKSET_OPENINGS, 1, 16),
+    "CHECKSET_OPENINGS": _field(T.CHECKSET_OPENINGS, 1, 48),
+    "EVALSET_OPENINGS": _field(T.EVALSET_OPENINGS, 0, 145),
     "EVALSET_OPENINGS sets": _field(T.EVALSET_OPENINGS, 1, 128),
-    "CHECK_FAILURE_CLAIM": _field(T.CHECK_FAILURE_CLAIM, 4, 160),
+    "CHECK_FAILURE_CLAIM": _field(T.CHECK_FAILURE_CLAIM, 4, 32),
     "CHECK_FAILURE_CLAIM digests": _field(T.CHECK_FAILURE_CLAIM, 2, 32),
-    "CHECK_FAILURE_CLAIM seeds": _field(T.CHECK_FAILURE_CLAIM, 3, 16),
-    "CONSISTENCY_PROOF": _field(T.CONSISTENCY_PROOF, 4, 160),
+    "CHECK_FAILURE_CLAIM seeds": _field(T.CHECK_FAILURE_CLAIM, 3, 48),
+    "CONSISTENCY_PROOF": _field(T.CONSISTENCY_PROOF, 4, 32),
+    "CONSISTENCY_PROOF openings": _field(T.CONSISTENCY_PROOF, 1, 145),
     "CONSISTENCY_PROOF digests": _field(T.CONSISTENCY_PROOF, 2, 32),
     "CONSISTENCY_PROOF sets": _field(T.CONSISTENCY_PROOF, 3, 128),
     "HASH_TUPLE digests": _field(T.HASH_TUPLE, 1, 96),
@@ -291,7 +291,7 @@ def _encode(codec, value) -> bytes:
 
 
 def test_a_table_reads_as_the_list_it_encodes():
-    codec = M.set_pairs
+    codec = M.leaves
     items = SAMPLES[T.INPUT_COMMITMENTS]
     body = _encode(codec, items)
     table, end = codec.read(body, 0)
