@@ -13,7 +13,11 @@ compiles the identical computation to AND/OR/XOR/NOT gates so it can be
 garbled. The two agree bit-exactly on every encodable input: both clamp
 quantities and bids to the declared maxima, and both order bidders by the
 same total rank (load > 0 first, then value density descending, then bidder
-index ascending).
+index ascending). The oracle compares densities as exact fractions; the
+circuit compares each bidder's integer rank key
+floor(S_j^2 * 2^(2 t_w) / T_j), with t_w the load's bit width, which keeps
+that order exactly because unequal densities differ by more than
+2^(-2 t_w).
 """
 
 from __future__ import annotations
@@ -25,10 +29,10 @@ from functools import lru_cache
 
 from .circuits import Circuit, bits_to_int, int_to_bits
 from .errors import InputShapeError, WidthError
-from .gadgets import (Builder, add, const_bus, divide, eq, ge, gt, isqrt,
+from .gadgets import (Builder, add, const_bus, divide, ge, gt, isqrt,
                       mul, mux, odd_even_merge_sort, or_reduce, zext)
 
-MAX_CROSS_BITS = 64
+MAX_OPERAND_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -62,11 +66,11 @@ class AuctionConfig:
             raise ValueError("fraction_bits must be non-negative")
         if self.max_quantity < 1 or self.max_bid < 1:
             raise ValueError("max_quantity and max_bid must be positive")
-        if 2 * self.value_width + self.load_width > MAX_CROSS_BITS:
+        if 2 * self.value_width + 2 * self.load_width > MAX_OPERAND_BITS:
             raise WidthError(
-                "rank comparison would need more than 64 bits; shrink "
+                "rank key would need more than 64 bits; shrink "
                 "vm_types, max_quantity, max_bid or the weights")
-        if self.load_width + 2 * self.fraction_bits > MAX_CROSS_BITS:
+        if self.load_width + 2 * self.fraction_bits > MAX_OPERAND_BITS:
             raise WidthError("payment dividend would need more than 64 bits; "
                              "shrink fraction_bits or the weights")
 
@@ -122,6 +126,14 @@ def _value_and_load(config: AuctionConfig, bidder):
     return s, t
 
 
+def density_rank(value: int, load: int, index: int) -> tuple:
+    """A bidder's place in the oracle's order, smallest first: load > 0
+    first, then value density S^2 / T descending, then index ascending."""
+    if load == 0:
+        return (1, Fraction(0), index)
+    return (0, -Fraction(value * value, load), index)
+
+
 def oracle_run(config: AuctionConfig, bids) -> AuctionResult:
     """Plaintext auction outcome; the circuit reproduces this bit for bit."""
     _check_bids(config, bids)
@@ -133,12 +145,7 @@ def oracle_run(config: AuctionConfig, bids) -> AuctionResult:
     for j, bidder in enumerate(bids):
         value[j], load[j] = _value_and_load(config, bidder)
 
-    def rank_key(j):
-        if load[j] == 0:
-            return (1, Fraction(0), j)
-        return (0, -Fraction(value[j] * value[j], load[j]), j)
-
-    order = sorted(range(n), key=rank_key)
+    order = sorted(range(n), key=lambda j: density_rank(value[j], load[j], j))
 
     def greedy(skip=None):
         used = [0] * m
@@ -175,12 +182,17 @@ def oracle_run(config: AuctionConfig, bids) -> AuctionResult:
 # --- circuit compilation ---------------------------------------------------
 
 def _clamp(bld: Builder, bus, bound: int):
-    """min(bus, bound) narrowed to bound.bit_length() bits."""
+    """min(bus, bound) narrowed to bound.bit_length() bits: the bus is over
+    the bound if a bit above the bound's width is set or its low bits
+    exceed the bound."""
     bw = bound.bit_length()
     if bound >= (1 << len(bus)) - 1:
         return zext(bld, bus, bw)
-    over = gt(bld, bus, const_bus(bld, bound, len(bus)))
-    return mux(bld, over, bus[-bw:], const_bus(bld, bound, bw))
+    low = bus[-bw:]
+    over = gt(bld, low, const_bus(bld, bound, bw))
+    if len(bus) > bw:
+        over = bld.OR(or_reduce(bld, bus[:-bw]), over)
+    return mux(bld, over, low, const_bus(bld, bound, bw))
 
 
 def _accumulate(bld: Builder, terms, width: int):
@@ -199,7 +211,9 @@ def _accumulate(bld: Builder, terms, width: int):
 
 
 def _onehot_select(bld: Builder, acc, sel: int, bus):
-    return [bld.OR(a, bld.AND(sel, b)) for a, b in zip(acc, bus)]
+    """acc, or bus where sel is 1; at most one sel of a chain is 1 and acc
+    starts at 0, so XOR (free) selects as OR would."""
+    return [bld.XOR(a, bld.AND(sel, b)) for a, b in zip(acc, bus)]
 
 
 @lru_cache(maxsize=32)
@@ -227,13 +241,14 @@ def build_auction_circuit(config: AuctionConfig, bidders: int) -> Circuit:
         wires = bld.inputs(2 * m * w)
         raw.append([wires[i * w:(i + 1) * w] for i in range(2 * m)])
 
-    # A sort record is the flat bus S^2 | T | has_T | index | S | k_1..k_m,
+    # A sort record is the flat bus has_T | key | index | T | S | k_1..k_m,
     # which the sorts move whole; its fields are these slices.
-    S2 = slice(0, 2 * s_w)
-    T = slice(S2.stop, S2.stop + t_w)
-    HAS_T = T.stop
-    IDX = slice(HAS_T + 1, HAS_T + 1 + i_w)
-    S = slice(IDX.stop, IDX.stop + s_w)
+    key_w = 2 * s_w + 2 * t_w
+    HAS_T = 0
+    KEY = slice(1, 1 + key_w)
+    IDX = slice(KEY.stop, KEY.stop + i_w)
+    T = slice(IDX.stop, IDX.stop + t_w)
+    S = slice(T.stop, T.stop + s_w)
     K = [slice(S.stop + i * kq, S.stop + (i + 1) * kq) for i in range(m)]
 
     # Per-bidder aggregates on clamped values.
@@ -246,21 +261,19 @@ def build_auction_circuit(config: AuctionConfig, bidders: int) -> Circuit:
             bld, [mul(bld, khat[i],
                       const_bus(bld, config.weights[i], config.weights[i].bit_length()))
                   for i in range(m)], t_w)
-        s2_bus = mul(bld, s_bus, s_bus)
-        records.append(s2_bus + t_bus + [or_reduce(bld, t_bus)]
-                       + const_bus(bld, j, i_w) + s_bus
-                       + [wire for k in khat for wire in k])
+        # The rank key floor(S^2 * 2^(2 t_w) / T) orders densities exactly:
+        # T < 2^t_w, so unequal densities differ by more than 2^(-2 t_w)
+        # and keep their order under the floor, and equal ones tie. T = 0
+        # gives the all-ones key, and has_T ranks such a bidder last.
+        key = divide(bld, mul(bld, s_bus, s_bus) + const_bus(bld, 0, 2 * t_w),
+                     t_bus)
+        records.append([or_reduce(bld, t_bus)] + key + const_bus(bld, j, i_w)
+                       + t_bus + s_bus + [wire for k in khat for wire in k])
 
     def rank_before(bld_, a, b):
-        cross_ab = mul(bld_, a[S2], b[T])
-        cross_ba = mul(bld_, b[S2], a[T])
-        t_wins = bld_.AND(a[HAS_T], bld_.NOT(b[HAS_T]))
-        t_ties = bld_.NOT(bld_.XOR(a[HAS_T], b[HAS_T]))
-        dens_wins = gt(bld_, cross_ab, cross_ba)
-        dens_ties = eq(bld_, cross_ab, cross_ba)
-        idx_wins = gt(bld_, b[IDX], a[IDX])
-        return bld_.OR(t_wins, bld_.AND(
-            t_ties, bld_.OR(dens_wins, bld_.AND(dens_ties, idx_wins))))
+        # has_T, then key descending, then index ascending: the indices
+        # are swapped, so the lower one makes its record's bus the larger.
+        return gt(bld_, a[:IDX.start] + b[IDX], b[:IDX.start] + a[IDX])
 
     ranked = odd_even_merge_sort(bld, records, rank_before)
 

@@ -64,6 +64,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # ``commitments.commit`` is looked up at each call, so that whatever wraps
 # it (a counter, a tracer) sees every digest this module computes.
@@ -99,8 +100,7 @@ def copy_leaf(coms: bytes) -> bytes:
               + coms[2 * _SET_BYTES:])
 
 
-@dataclass(frozen=True)
-class CopyMaterial:
+class CopyMaterial(NamedTuple):
     """Provider-side secrets of one copy: its seed, its bit ``b``, the
     (body, nonce) of its four input sets' commitments, ``W`` then ``W'``,
     and its position nonce; then its five commitments end to end (160

@@ -6,11 +6,14 @@ mux gates so the gate sequence is a fixed function of the shape parameters.
 
 Add and subtract share one ripple loop, because a borrow is a carry with
 ``a`` complemented in the carry terms; divide and square root share one
-restoring step.
+non-restoring step, an add or subtract on a two's-complement remainder
+through that loop's carry-in, so each step costs one AND per bit.
 
 The builder constant-folds gates touching known-constant wires, which keeps
 circuits that compare against public constants (capacities, weights) small
-without changing semantics, and ``Builder.finish`` drops every gate whose
+without changing semantics. It also hashes structure: an AND or OR gate
+whose kind and operands match an earlier gate's reuses that gate's wire
+(CBMC-GC, Franz et al., CC 2014). ``Builder.finish`` drops every gate whose
 output reaches no output wire.
 """
 
@@ -20,7 +23,8 @@ from .circuits import AND, NOT, OR, XOR, Circuit, int_to_bits
 
 
 class Builder:
-    """Allocates wires and emits gates with light constant folding."""
+    """Allocates wires and emits gates with light constant folding and
+    structural hashing."""
 
     def __init__(self):
         self.gates = []
@@ -29,6 +33,7 @@ class Builder:
         self._const_wires = [None, None]
         self._const_of = {}
         self._not_of = {}
+        self._hashed = {}
 
     def new_wire(self) -> int:
         w = self.wire_count
@@ -63,7 +68,8 @@ class Builder:
 
     def _fold(self, kind: int, absorbing: int, a: int, b: int) -> int:
         """AND (absorbing constant 0) or OR (1): the absorbing constant
-        wins, the other constant and a repeated operand pass through."""
+        wins, the other constant and a repeated operand pass through, and
+        a gate already emitted on the same operands is reused."""
         ca, cb = self._const_of.get(a), self._const_of.get(b)
         if absorbing in (ca, cb):
             return self.const(absorbing)
@@ -71,7 +77,15 @@ class Builder:
             return b
         if cb is not None or a == b:
             return a
-        return self._emit(kind, a, b)
+        # Only the garbled gates are hashed: XOR and NOT are free, and
+        # hashing them too cost more build time than the few AND/OR gates
+        # it saved. An int key, unlike a tuple, is never scanned by the
+        # garbage collector.
+        key = (a << 32 | b if a < b else b << 32 | a) << 1 | kind
+        out = self._hashed.get(key)
+        if out is None:
+            out = self._hashed[key] = self._emit(kind, a, b)
+        return out
 
     def AND(self, a: int, b: int) -> int:
         return self._fold(AND, 0, a, b)
@@ -83,6 +97,8 @@ class Builder:
         ca, cb = self._const_of.get(a), self._const_of.get(b)
         if a == b:
             return self.const(0)
+        if self._not_of.get(a) == b:
+            return self.const(1)
         if ca == 0:
             return b
         if cb == 0:
@@ -153,14 +169,14 @@ def zext(bld: Builder, bus, width: int) -> list[int]:
     return [bld.const(0)] * (width - len(bus)) + list(bus)
 
 
-def _ripple(bld: Builder, a, b, flip) -> tuple[list[int], int]:
-    """The sum bits of a + b (MSB first) and the carry out, where the carry
-    terms read flip(a) for a: flip = NOT turns the carry into the borrow
-    of a - b, whose difference bits are the same XORs."""
+def _ripple(bld: Builder, a, b, flip, carry=None) -> tuple[list[int], int]:
+    """The sum bits of a + b + carry (MSB first) and the carry out, where
+    the carry terms read flip(a) for a: flip = NOT turns the carry into the
+    borrow of a - b, whose difference bits are the same XORs. No carry wire
+    means a carry-in of 0."""
     w = max(len(a), len(b))
     a = zext(bld, a, w)
     b = zext(bld, b, w)
-    carry = None
     out = []
     for i in range(w - 1, -1, -1):
         ai, bi = a[i], b[i]
@@ -252,41 +268,52 @@ def mul(bld: Builder, a, b) -> list[int]:
     return zext(bld, acc, wa + wb)
 
 
-def _restore(bld: Builder, rem, d) -> tuple[int, list[int]]:
-    """One restoring step: take = (rem >= d), and rem - d if take else rem."""
-    diff, borrow = sub(bld, rem, d)
-    take = bld.NOT(borrow)
-    return take, mux(bld, take, rem, diff)
+def _nonrestoring(bld: Builder, rem, y, take) -> tuple[int, list[int]]:
+    """One non-restoring step on the two's-complement remainder ``rem``:
+    rem - y if take (the last remainder was non-negative), else rem + y, as
+    one addition of y XOR take with carry-in take. Returns the next take
+    (the new remainder is non-negative) and the new remainder, mod
+    2^len(rem)."""
+    ops = [bld.XOR(take, bit) for bit in zext(bld, y, len(rem))]
+    total, _ = _ripple(bld, rem, ops, lambda w: w, take)
+    return bld.NOT(total[0]), total
 
 
 def divide(bld: Builder, a, d) -> list[int]:
-    """Restoring long division: quotient of len(a) bits.
+    """Non-restoring long division: quotient of len(a) bits.
 
-    The divisor may be narrower than the dividend: the remainder stays
-    below d, so a register of len(d) + 1 bits holds it. Division by zero
-    yields all ones (every trial subtraction succeeds).
+    The partial remainder stays in [-d, d), so a two's-complement register
+    of len(d) + 1 bits holds it, and each quotient bit (the remainder is
+    non-negative) is the restoring division's. Division by zero yields all
+    ones, which a guard on d == 0 forces.
     """
+    zero = bld.NOT(or_reduce(bld, d))
     rem = [bld.const(0)] * (len(d) + 1)
+    take = bld.const(1)
     quotient = []
     for bit in a:
-        take, rem = _restore(bld, rem[1:] + [bit], d)
-        quotient.append(take)
+        take, rem = _nonrestoring(bld, rem[1:] + [bit], d, take)
+        quotient.append(bld.OR(take, zero))
     return quotient
 
 
 def isqrt(bld: Builder, a) -> list[int]:
-    """Bit-serial integer square root, one result bit per iteration pair.
+    """Bit-serial non-restoring integer square root.
 
     Width ceil(len(a)/2); each of the len(a)/2 iterations shifts in two
-    operand bits and takes a restoring step against (res << 2) | 1.
+    operand bits and subtracts (res << 2) | 1 from a non-negative
+    remainder, or adds (res << 2) | 3 to a negative one. With k result
+    bits so far the new remainder lies in [-(4 res + 1), 4 res + 2], so a
+    two's-complement register of k + 3 bits holds it.
     """
     if len(a) % 2:
         a = [bld.const(0)] + list(a)
     res: list[int] = []
-    rem: list[int] = []
+    rem = [bld.const(0)] * 2
+    take = bld.const(1)
     for i in range(0, len(a), 2):
-        take, rem = _restore(bld, rem + a[i:i + 2],
-                             res + [bld.const(0), bld.const(1)])
+        take, rem = _nonrestoring(bld, rem[1:] + a[i:i + 2],
+                                  res + [bld.NOT(take), bld.const(1)], take)
         res.append(take)
     return res
 

@@ -67,6 +67,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate
 from operator import methodcaller
 
 from .commitments import DIGEST_BYTES, NONCE_BYTES, Opening
@@ -215,25 +216,34 @@ def decode_frame(frame: bytes):
 # ``read(data, off)`` returns ``(value, offset after it)`` and raises
 # ``FramingError`` if ``data`` ends first. ``size`` is the field's width in
 # bytes when it has one and its read cannot fail on any bytes of that
-# width, else None.
-Codec = namedtuple("Codec", "write read size", defaults=(None,))
+# width, else None. A sized field's value is ``convert`` applied to its
+# bytes, or the bytes themselves where ``convert`` is None.
+Codec = namedtuple("Codec", "write read size convert", defaults=(None, None))
 
 
 _TRUNCATED = "message payload truncated"
 
 
-def _fixed(n: int, to_bytes, from_bytes) -> Codec:
-    """An ``n``-byte field."""
-    def write(out, value):
-        out.append(to_bytes(value))
-
+def _sized_read(n: int, convert):
+    """The read of an ``n``-byte field: one bounds check, then ``convert``
+    (if any) on its bytes."""
     def read(data, off):
         end = off + n
         if end > len(data):
             raise FramingError(_TRUNCATED)
-        return from_bytes(data[off:end]), end
+        if convert is None:
+            return data[off:end], end
+        return convert(data[off:end]), end
 
-    return Codec(write, read, n)
+    return read
+
+
+def _fixed(n: int, to_bytes, from_bytes=None) -> Codec:
+    """An ``n``-byte field."""
+    def write(out, value):
+        out.append(to_bytes(value))
+
+    return Codec(write, _sized_read(n, from_bytes), n, from_bytes)
 
 
 def _uint(n: int) -> Codec:
@@ -246,7 +256,7 @@ u16, u32 = _uint(2), _uint(4)
 
 def raw(n: int) -> Codec:
     """Exactly ``n`` bytes."""
-    return _fixed(n, bytes, bytes)
+    return _fixed(n, bytes)
 
 
 commitment = raw(DIGEST_BYTES)
@@ -265,7 +275,7 @@ def _role_or_none(tag: bytes):
 # has no size.
 role_or_none = _fixed(
     ROLE_PREFIX_BYTES, lambda r: _NO_ROLE if r is None else r.tag(),
-    _role_or_none)._replace(size=None)
+    _role_or_none)._replace(size=None, convert=None)
 
 
 def _write_var(out, value: bytes):
@@ -312,7 +322,9 @@ rest = Codec(lambda out, b: out.append(b),
 
 
 def seq(*fields: Codec) -> Codec:
-    """The fields one after another, as a tuple."""
+    """The fields one after another, as a tuple. When every field is
+    sized, the tuple is sized too: one bounds check, then each field is
+    sliced at an offset fixed in advance."""
     writers = tuple(f.write for f in fields)
     readers = tuple(f.read for f in fields)
     sizes = [f.size for f in fields]
@@ -323,14 +335,25 @@ def seq(*fields: Codec) -> Codec:
         for w, value in zip(writers, values):
             w(out, value)
 
-    def read(data, off):
-        values = []
-        for r in readers:
-            value, off = r(data, off)
-            values.append(value)
-        return tuple(values), off
+    if None in sizes:
+        def read(data, off):
+            values = []
+            for r in readers:
+                value, off = r(data, off)
+                values.append(value)
+            return tuple(values), off
 
-    return Codec(write, read, None if None in sizes else sum(sizes))
+        return Codec(write, read)
+
+    spans = tuple((f.convert, at, at + f.size) for f, at in
+                  zip(fields, accumulate([0] + sizes[:-1])))
+
+    def convert(item):
+        return tuple([item[a:b] if c is None else c(item[a:b])
+                      for c, a, b in spans])
+
+    size = sum(sizes)
+    return Codec(write, _sized_read(size, convert), size, convert)
 
 
 def array(n: int, item: Codec) -> Codec:
@@ -380,8 +403,8 @@ def listof(item: Codec) -> Codec:
     """A u32 count, then that many items. A list of fixed-width items
     decodes to a ``Table`` once the body is long enough for them; any other
     list decodes to a list, item by item."""
-    write_count, read_count, _ = u32
-    write_item, read_item, size = item
+    write_count, read_count = u32.write, u32.read
+    write_item, read_item, size = item.write, item.read, item.size
 
     def write(out, values):
         write_count(out, len(values))
@@ -465,6 +488,7 @@ def encode_body(mtype: MessageType, value) -> bytes:
 
 def decode_body(mtype: MessageType, body: bytes):
     """The value of a message body; FramingError/ProtocolError if malformed."""
+    body = bytes(body)  # a raw field's value is a slice of it
     value, off = SCHEMAS[mtype].read(body, 0)
     if off != len(body):
         raise FramingError("message payload has trailing bytes")

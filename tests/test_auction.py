@@ -2,16 +2,17 @@
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
-from dualgc.auction import (AuctionConfig, AuctionResult, build_auction_circuit,
-                            circuit_run, decode_bidder_bits, decode_cloud_bits,
-                            encode_bid_bits, gate_count, load_bids_file,
-                            oracle_run)
-from dualgc.circuits import AND, OR
+from dualgc.auction import (AuctionConfig, AuctionResult, _clamp,
+                            build_auction_circuit, circuit_run,
+                            decode_bidder_bits, decode_cloud_bits,
+                            density_rank, encode_bid_bits, gate_count,
+                            load_bids_file, oracle_run)
+from dualgc.circuits import AND, OR, bits_to_int, eval_plain, int_to_bits
 from dualgc.errors import InputShapeError, WidthError
+from dualgc.gadgets import Builder
 
 ONE_TYPE = AuctionConfig(vm_types=1, capacities=(1,), weights=(1,), width=8)
 TWO_TYPE = AuctionConfig(vm_types=2, capacities=(4, 6), weights=(1, 2), width=8)
@@ -70,6 +71,20 @@ def test_maximum_as_wide_as_the_value_width_is_clamped():
     assert circuit_run(config, wild) == oracle_run(config, tame)
 
 
+def test_clamp_exhaustive():
+    # min(x, bound) for every bus of 1-6 bits and every bound below its
+    # all-ones value, above which _clamp only narrows the bus.
+    for w in range(1, 7):
+        for bound in range(1, 1 << w):
+            bld = Builder()
+            bus = bld.inputs(w)
+            circuit = bld.finish([_clamp(bld, bus, bound)])
+            for x in range(1 << w):
+                out = eval_plain(circuit, [int_to_bits(x, w)])[0]
+                assert len(out) == bound.bit_length()
+                assert bits_to_int(out) == min(x, bound), (w, bound, x)
+
+
 def test_zero_load_bidders_lose_and_pay_nothing():
     bids = [((0, 99),), ((1, 1),), ((0, 0),)]
     result = oracle_run(ONE_TYPE, bids)
@@ -93,14 +108,30 @@ def test_everyone_fits_no_payments():
     assert circuit_run(config, bids) == result
 
 
-def test_oracle_rank_matches_exact_fractions():
-    # Cross-multiplied comparisons in the circuit must equal exact S^2/T.
-    rng = random.Random(400)
-    for _ in range(200):
-        s1, t1 = rng.randrange(1, 600), rng.randrange(1, 10)
-        s2, t2 = rng.randrange(1, 600), rng.randrange(1, 10)
-        assert (s1 * s1 * t2 > s2 * s2 * t1) == \
-            (Fraction(s1 * s1, t1) > Fraction(s2 * s2, t2))
+def test_rank_key_orders_as_the_oracle_exhaustive():
+    # The circuit ranks a bidder by (has_T, key, index) with
+    # key = floor(S^2 * 2^(2 t_w) / T), all ones when T = 0 (0 / 0 in
+    # divide). Over every (S, T) of the n6m2 config, in shuffled index
+    # order, that must be the oracle's order, ties included.
+    config = AuctionConfig(vm_types=2, capacities=(3, 3), weights=(1, 2),
+                           width=16)
+    s_max, t_max = 600, 9
+    assert config.value_width == s_max.bit_length()
+    assert config.load_width == t_max.bit_length()
+    t_w = config.load_width
+    all_ones = (1 << 2 * config.value_width + 2 * t_w) - 1
+    records = [(s, t) for s in range(s_max + 1) for t in range(t_max + 1)]
+    assert len(records) == 6010
+    random.Random("rank-key").shuffle(records)
+
+    def circuit_rank(j):
+        s, t = records[j]
+        key = (s * s << 2 * t_w) // t if t else all_ones
+        return (-int(t > 0), -key, j)
+
+    indices = range(len(records))
+    assert sorted(indices, key=circuit_rank) == sorted(
+        indices, key=lambda j: density_rank(*records[j], j))
 
 
 def test_random_instances_oracle_equals_circuit():
@@ -117,6 +148,44 @@ def test_random_instances_oracle_equals_circuit():
                       for _ in range(m)) for _ in range(n)]
         assert circuit_run(config, bids) == oracle_run(config, bids), \
             f"trial {trial}: {config} {bids}"
+
+
+def test_random_instances_with_ties_and_zero_loads_oracle_equals_circuit():
+    # 400 instances of 1-7 bidders over four configs. A bidder repeats an
+    # earlier bidder's bids (a density tie) or requests nothing (zero load)
+    # often, and values go past the declared maxima.
+    configs = [
+        AuctionConfig(2, (3, 3), (1, 2), width=16),
+        AuctionConfig(1, (2,), (1,), width=8, fraction_bits=4),
+        AuctionConfig(2, (4, 6), (1, 2), width=8),
+        AuctionConfig(3, (2, 1, 3), (1, 2, 3), width=8, fraction_bits=0,
+                      max_quantity=2, max_bid=20),
+    ]
+    rng = random.Random("ties-and-zero-loads")
+    ties = zero_loads = 0
+    for trial in range(400):
+        config = configs[trial % len(configs)]
+        m = config.vm_types
+
+        def request(quantity):
+            return tuple((quantity(), rng.randrange(config.max_bid + 21))
+                         for _ in range(m))
+
+        bids = []
+        for _ in range(rng.randrange(1, 8)):
+            r = rng.random()
+            if r < 0.25 and bids:
+                bids.append(rng.choice(bids))
+            elif r < 0.4:
+                bids.append(request(lambda: 0))
+            else:
+                bids.append(request(
+                    lambda: rng.randrange(config.max_quantity + 3)))
+        ties += len(set(bids)) < len(bids)
+        zero_loads += any(all(k == 0 for k, _ in bid) for bid in bids)
+        assert circuit_run(config, bids) == oracle_run(config, bids), \
+            f"trial {trial}: {config} {bids}"
+    assert ties >= 50 and zero_loads >= 100
 
 
 def test_config_validation():
@@ -210,40 +279,70 @@ def test_load_bids_file(tmp_path):
 # must leave every row as it is: the hash binds each gate and wire number,
 # so the blob, every frame and every transcript stay byte-identical. The
 # rows span 1-3 VM types, widths 4-16, fraction bits 0 and 8, maxima on
-# both sides of _clamp's no-compare shortcut, and 1-8 bidders.
+# both sides of _clamp's no-compare shortcut, and 1-8 bidders. A change
+# that compiles other circuits re-records the hash and count and says why;
+# the last field, the hash and count the row was first pinned at, only
+# names the row, so that its test keeps its name.
 # (vm_types, capacities, weights, width, fraction_bits, max_quantity,
-#  max_bid, bidders, hash prefix, AND/OR gates)
+#  max_bid, bidders, hash prefix, AND/OR gates, first pinned at)
 PINNED_CIRCUITS = [
-    (1, (1,), (1,), 4, 0, 3, 15, 1, "c1b43bfb5853cf1e", 6),
-    (1, (1,), (1,), 4, 0, 3, 15, 2, "ea040b40e109c84a", 306),
-    (1, (2,), (1,), 4, 8, 15, 100, 2, "7f18aa6fd1d30fe2", 1136),
-    (1, (3,), (2,), 4, 8, 1, 7, 3, "8b6b3b21d6d753a9", 827),
-    (1, (1,), (1,), 8, 8, 3, 100, 2, "aea361e001801e63", 985),
-    (1, (5,), (3,), 8, 0, 255, 255, 2, "24054e8b267921a1", 3061),
-    (1, (4,), (1,), 8, 8, 3, 100, 4, "690676113f85ffd5", 3129),
-    (1, (7,), (1,), 16, 8, 3, 100, 5, "d009cec8a60b1c47", 4816),
-    (1, (2,), (1,), 6, 8, 2, 63, 8, "005d0f320f838ffd", 7656),
-    (1, (3,), (1,), 5, 0, 31, 9, 7, "a897e8a02393516d", 10010),
-    (2, (4, 6), (1, 2), 8, 8, 3, 100, 1, "44d4a54811033a89", 29),
-    (2, (4, 6), (1, 2), 8, 8, 3, 100, 3, "db6a641186d7aaa5", 3296),
-    (2, (2, 3), (1, 1), 4, 0, 3, 15, 2, "026a3dc3b09cc4d0", 530),
-    (2, (9, 9), (2, 3), 4, 8, 15, 15, 2, "0ecb5dc52dd94072", 1887),
-    (2, (1, 2), (1, 1), 16, 0, 3, 100, 4, "91bac762a8c52067", 3389),
-    (2, (6, 4), (1, 2), 16, 8, 3, 100, 6, "629450429865f3f4", 10569),
-    (2, (3, 3), (1, 1), 12, 8, 5, 4095, 3, "f13c4af7bc6e4f06", 5323),
-    (2, (5, 1), (4, 1), 10, 0, 1023, 2, 2, "d7e8df780d6cdff1", 2892),
-    (3, (2, 2, 2), (1, 1, 1), 4, 0, 3, 15, 2, "4d0a3025b5241aa3", 778),
-    (3, (3, 1, 2), (1, 2, 3), 8, 8, 3, 100, 3, "3b5ddaa7030fd5f7", 4026),
-    (3, (9, 9, 9), (1, 1, 1), 4, 8, 15, 15, 1, "408873abdaa8937a", 26),
-    (3, (4, 5, 6), (2, 1, 1), 16, 0, 2, 200, 4, "e94563836b98451a", 4790),
-    (3, (1, 1, 1), (1, 1, 1), 6, 8, 63, 3, 2, "02315471e1a1e680", 2349),
-    (3, (2, 4, 8), (3, 2, 1), 16, 8, 3, 100, 8, "184b61e4675e4899", 20222),
+    (1, (1,), (1,), 4, 0, 3, 15, 1, "d6166b2e35c0e658", 5,
+     "c1b43bfb5853cf1e-6"),
+    (1, (1,), (1,), 4, 0, 3, 15, 2, "7614164e6eda09f5", 296,
+     "ea040b40e109c84a-306"),
+    (1, (2,), (1,), 4, 8, 15, 100, 2, "3c97f8f67aa9b370", 976,
+     "7f18aa6fd1d30fe2-1136"),
+    (1, (3,), (2,), 4, 8, 1, 7, 3, "5ee54beca4e8e197", 608,
+     "8b6b3b21d6d753a9-827"),
+    (1, (1,), (1,), 8, 8, 3, 100, 2, "da6d38abc6750129", 807,
+     "aea361e001801e63-985"),
+    (1, (5,), (3,), 8, 0, 255, 255, 2, "3102aacb152f0ea0", 2641,
+     "24054e8b267921a1-3061"),
+    (1, (4,), (1,), 8, 8, 3, 100, 4, "2a3568f8f4c9f8f6", 2295,
+     "690676113f85ffd5-3129"),
+    (1, (7,), (1,), 16, 8, 3, 100, 5, "392b1f2bf8dfa48c", 3292,
+     "d009cec8a60b1c47-4816"),
+    (1, (2,), (1,), 6, 8, 2, 63, 8, "98b391c85cac4643", 5228,
+     "005d0f320f838ffd-7656"),
+    (1, (3,), (1,), 5, 0, 31, 9, 7, "d8038dac88a1e4c1", 5380,
+     "a897e8a02393516d-10010"),
+    (2, (4, 6), (1, 2), 8, 8, 3, 100, 1, "8b421456ae852bfd", 19,
+     "44d4a54811033a89-29"),
+    (2, (4, 6), (1, 2), 8, 8, 3, 100, 3, "0ba4684551a9383f", 2317,
+     "db6a641186d7aaa5-3296"),
+    (2, (2, 3), (1, 1), 4, 0, 3, 15, 2, "90fdedfef977ae88", 496,
+     "026a3dc3b09cc4d0-530"),
+    (2, (9, 9), (2, 3), 4, 8, 15, 15, 2, "619f6b4776d7d717", 1538,
+     "0ecb5dc52dd94072-1887"),
+    (2, (1, 2), (1, 1), 16, 0, 3, 100, 4, "5df2ed4a9c0e426d", 2390,
+     "91bac762a8c52067-3389"),
+    (2, (6, 4), (1, 2), 16, 8, 3, 100, 6, "6963deb17690bef6", 6428,
+     "629450429865f3f4-10569"),
+    (2, (3, 3), (1, 1), 12, 8, 5, 4095, 3, "d50546bd001e6075", 3759,
+     "f13c4af7bc6e4f06-5323"),
+    (2, (5, 1), (4, 1), 10, 0, 1023, 2, 2, "326a631fc9ae6b7a", 2725,
+     "d7e8df780d6cdff1-2892"),
+    (3, (2, 2, 2), (1, 1, 1), 4, 0, 3, 15, 2, "9fe13b0cf4091e16", 720,
+     "4d0a3025b5241aa3-778"),
+    (3, (3, 1, 2), (1, 2, 3), 8, 8, 3, 100, 3, "8853233a243b527e", 2806,
+     "3b5ddaa7030fd5f7-4026"),
+    (3, (9, 9, 9), (1, 1, 1), 4, 8, 15, 15, 1, "408873abdaa8937a", 26,
+     "408873abdaa8937a-26"),
+    (3, (4, 5, 6), (2, 1, 1), 16, 0, 2, 200, 4, "b469010ee9f2fbcb", 3296,
+     "e94563836b98451a-4790"),
+    (3, (1, 1, 1), (1, 1, 1), 6, 8, 63, 3, 2, "91b0e078cb764b2d", 1940,
+     "02315471e1a1e680-2349"),
+    (3, (2, 4, 8), (3, 2, 1), 16, 8, 3, 100, 8, "4725629ba0c26087", 11980,
+     "184b61e4675e4899-20222"),
 ]
 
 
 @pytest.mark.parametrize(
     "m, caps, weights, width, frac, max_q, max_b, bidders, digest, and_or",
-    PINNED_CIRCUITS)
+    [row[:-1] for row in PINNED_CIRCUITS],
+    ids=[f"{m}-caps{i}-weights{i}-{width}-{frac}-{max_q}-{max_b}-{n}-{first}"
+         for i, (m, _, _, width, frac, max_q, max_b, n, _, _, first)
+         in enumerate(PINNED_CIRCUITS)])
 def test_compiled_circuits_are_pinned(m, caps, weights, width, frac, max_q,
                                       max_b, bidders, digest, and_or):
     config = AuctionConfig(m, caps, weights, width=width, fraction_bits=frac,

@@ -216,6 +216,11 @@ ARITHMETIC = {
             lambda x, y, w: [int_to_bits((x - y) % (1 << w), w), [int(x < y)]]),
     "ge": (lambda bld, a, b: [[ge(bld, a, b)]], lambda x, y, w: [[int(x >= y)]]),
     "gt": (lambda bld, a, b: [[gt(bld, a, b)]], lambda x, y, w: [[int(x > y)]]),
+    "divide": (lambda bld, a, b: [divide(bld, a, b)],
+               lambda x, y, w: [int_to_bits(x // y if y else (1 << w) - 1,
+                                            w)]),
+    "isqrt": (lambda bld, a, b: [isqrt(bld, a)],
+              lambda x, y, w: [int_to_bits(math.isqrt(x), (w + 1) // 2)]),
 }
 
 
@@ -388,6 +393,55 @@ def test_divide_by_a_narrower_divisor_exhaustive():
             for y in range(1 << wd):
                 want = x // y if y else (1 << 6) - 1
                 assert run1(circuit, x, y) == [want], (wd, x, y)
+
+
+def test_divide_and_isqrt_exhaustive():
+    # Every dividend of 1-9 bits by every divisor of 1-5 bits, zero
+    # included, and every operand of 1-14 bits for the square root.
+    for wa in range(1, 10):
+        for wd in range(1, 6):
+            bld = Builder()
+            a, d = bld.inputs(wa), bld.inputs(wd)
+            circuit = bld.finish([divide(bld, a, d)])
+            for x in range(1 << wa):
+                for y in range(1 << wd):
+                    want = x // y if y else (1 << wa) - 1
+                    assert run1(circuit, x, y) == [want], (wa, wd, x, y)
+    for w in range(1, 15):
+        bld = Builder()
+        a = bld.inputs(w)
+        circuit = bld.finish([isqrt(bld, a)])
+        for x in range(1 << w):
+            assert run1(circuit, x) == [math.isqrt(x)], (w, x)
+
+
+def test_nonrestoring_steps_cost_one_and_per_remainder_bit():
+    # A divide step adds or subtracts on a len(d) + 1 bit remainder, and
+    # the zero guard costs len(d) - 1 ORs and one OR per quotient bit.
+    # The square root's k-th step works on k + 3 bits.
+    def and_or(circuit):
+        return sum(kind in (AND, OR) for kind, *_ in circuit.gates)
+
+    for wa, wd in ((8, 4), (16, 8), (12, 3)):
+        bld = Builder()
+        a, d = bld.inputs(wa), bld.inputs(wd)
+        assert and_or(bld.finish([divide(bld, a, d)])) <= (
+            wa * (wd + 1) + (wd - 1) + wa)
+    for w in (8, 16, 32):
+        bld = Builder()
+        a = bld.inputs(w)
+        assert and_or(bld.finish([isqrt(bld, a)])) <= sum(
+            k + 3 for k in range(w // 2))
+
+
+def test_structural_hashing_reuses_an_and_or_gate_in_either_operand_order():
+    bld = Builder()
+    a, b = bld.inputs(2)
+    assert bld.AND(a, b) == bld.AND(b, a)
+    assert bld.OR(b, a) == bld.OR(a, b)
+    assert bld.OR(a, b) != bld.AND(a, b)
+    assert bld.XOR(a, bld.NOT(a)) == bld.const(1)
+    assert [g[0] for g in bld.gates] == [AND, OR, NOT, XOR, NOT]
 
 
 def test_finish_drops_dead_gates_and_numbers_inputs_first():

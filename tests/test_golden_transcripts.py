@@ -17,7 +17,8 @@ import hashlib
 import pytest
 
 from dualgc import messages as M
-from dualgc.auction import AuctionConfig
+from dualgc.auction import AuctionConfig, build_auction_circuit
+from dualgc.circuits import AND
 from dualgc.session import AdversaryScript, run_session
 from dualgc.transport import InProcessTransport
 
@@ -51,21 +52,21 @@ VARIANTS = {
 #  frame digest, order-free frame digest)
 GOLDEN = [
     (0, None, 'accept', None,
-     "82d044b6c4cd74199b2bb2367c0eb463a6d87ba389832642d4132bef015dc60a",
-     "d324d8e214548d6c8a769044290395cb98528b63dea0234d13e39dab826cea11",
-     "452533f1ee39c87467bd6990da3e647f48b2e7a56b74486006247a306aa3469e"),
+     "85d68c6e739f06a225fbd35a916ff18a5c9f9d27c14f0b499031b934a809717b",
+     "63f6c5a0db32be1cac76f4d26925f545c99a3ff86cb0c57f0ec76d0944710811",
+     "6c0d1a4709564bf3f206aaf8d9773696396c1aa8af293235da56c4b0699f1c60"),
     (0, 'inconsistent_labels', 'abort', 'provider:0',
      "85375f98d062199e15fc7653e95f09c055d92eb3692a9e376c37ab6f438a903e",
      "e8e70dc5ec43c8da2e293b2d271cfebba1a77974bac3a29eed384bc3fce8e0ef",
      "963a113db55937beec79e490efeaf3d1e778fe687355ca46264f3e53cc734689"),
     (0, 'tamper_garbled_gate', 'abort', 'P1',
-     "d63acf5783ece471d80170cd31ec7cc673098964bb88ec3db949b33acfb8799c",
-     "d90383d17246e9126933c8dff74ccf3baf3b91bc34048dfa00e6e5929c5f39e6",
-     "bb9ce13d290c62c3916bdf69590a6ec187d55fef45217fb99eee289679cafb4b"),
+     "c2ad00a3c8996fd9b657cfa39f734c0e29f4ccaedcb4b8853b689f2289de5b66",
+     "f35725606e75b4863d45711e1ea2f3f085d09430d8e4c3a5f6c21826f99cba36",
+     "c75ec6653d427ad53398581af3e1b0f53361ebbda68c322eb3aeeb3b0b01691a"),
     (0, 'substitute_output_label', 'reject', None,
-     "fa2beadde456094ee329efcea8ebb37b439534a3f652a7ca2160c963b9c70de5",
-     "2de448ed16c767a5b409f347cc95ddb7b05a1dea2e7962a7c55d45c04f4fb5e7",
-     "1ef8d4d0274573ba5356a3381bbbaa9759c09656cfc1e53ad1667f4590aad62d"),
+     "ecc7a0a17609a5c78f41b1a726fa55a81e95e709d3f60f0accc9a17b5330afd3",
+     "b7f6e541fede45b969b33945e34235cf8a23170c085f944861d8ed1fb68c7e46",
+     "e0377267acdbeb9edd1245f29a5b9aa78feb99530a1b57b6a1aecbe7ef4b4b9d"),
     (0, 'bias_coin_toss', 'abort', 'P2',
      "d5cc122bd764fafa310c8fc3eac15b5015df0677ebf2067756ad1417e246a791",
      "9c69f95cec8e5752d492e4c0aa93abfbd92f04cd29cef66eff726c2171d07d77",
@@ -79,25 +80,25 @@ GOLDEN = [
      "91b7ec0b88fe88ef9565460637229b600e6fd659b07db0a6a8e68d5c7da1a29e",
      "04f5e82db2ee8fa255c315b7ec73d36e3b8d2139ba1308d3744f4fe39feb77e8"),
     (0, 'false_output_complaint', 'accept', 'provider:0',
-     "fa2beadde456094ee329efcea8ebb37b439534a3f652a7ca2160c963b9c70de5",
-     "c72a76f3e0821b05b4f0c92fd96c345e7388e81deac199d9fbf802a84d892bcb",
-     "af4e28cf7baf5ceb78b907384051dacfbd371647f57946c5bf93730b8e45e895"),
+     "ecc7a0a17609a5c78f41b1a726fa55a81e95e709d3f60f0accc9a17b5330afd3",
+     "4d2582da8af77f3569a89db30e4ef84b7db9cdc0573abe09086ec7adec1af1e4",
+     "d4c01e5bcb3bf3d36ee8a3c4d69e6cf32930cdfec264e7db74ae98f667d85d30"),
     (3, None, 'accept', None,
-     "6d4bdec7658a7c59250137cf6fde67adc9602673c0c82d30e8360102309377a3",
-     "0b04b164bcd29162503409cd3d7979c21310e7d083e15d38cc473d73bed5af35",
-     "e0b578b76f6ae56149ad78d1636089bdd25fbe851ba8034e346cd4622a8d6630"),
+     "3e80623ac2bff5a1e2edbda12954b45249a9b8547f16169623647c1d091b930d",
+     "d2685a1ed373b8b5c41854b2b08d5c7f871c771ca819a9bcbfa45be008708c86",
+     "43b463d020d4e7ba80730aa00a1dcc58f9e196345403de1fc831c2a50df39c9e"),
     (3, 'inconsistent_labels', 'abort', 'provider:0',
      "4cd4f7dab1f92b191d1bfd04dd8c0bc6b7c4832d40b7a4e61b55567cc65e2b9f",
      "9fbb7a37e0f28b89a32e83713fc86019556d3af21e01d150dfac8661f8e9a395",
      "7856fe58a6b9ffb6e47722592fa177a50ff101b6ef9c7a7cced2f0571b10130e"),
     (3, 'tamper_garbled_gate', 'abort', 'P1',
-     "30d14c71aec61305959ae91d869f91f3a0f1cad2634d31c90c095a097cfc970f",
-     "99448a0ab53e52de1a308b6befb6289baf8ac22a2c84f2aa3ea7ec99b364a3e5",
-     "e2ba040d98ac779b2dd4097fbd177267a852c32066fe0d985b486696cd171c93"),
+     "0595d730d2481ad25130326255bfc4d0f47194f4e5dce4d52fb626bd59e9d3ea",
+     "0175913b3e32e32c62c9d3b8a685500fa0458a3eb57963214ed497297205c213",
+     "671c3c40fe00940f7df1b8a5a17974615488f722b9840cada129af9d84839674"),
     (3, 'substitute_output_label', 'reject', None,
-     "b953db77c035fd8219ab4cb35a6c868d3caf5cd63b9f158ca7cb8b1731b8b22f",
-     "de57b2e6285da2c0eccad82ef6aaa1ca42b22fe346a8dedb23240adb17f8c6b3",
-     "fc0aca3c1d82a260765213e896db28f9866f405c80158c94b3462ad66983aa8a"),
+     "cd2bf94a8245d7699635845e463996e66ea499aec2c8d04d6c2397b3beb0eb9c",
+     "c9b13e502bff10838e8d153f1fe07738e343c386ae453b01210df2049503b874",
+     "8b59b552331f5ab68f5bf81b8ece5c5b4feaef2cc42aec51772173e3cd847ea0"),
     (3, 'bias_coin_toss', 'abort', 'P2',
      "d5cc122bd764fafa310c8fc3eac15b5015df0677ebf2067756ad1417e246a791",
      "369243b149aedaa3232240debd94fe463ac2073728a7859fad59e299864b4f93",
@@ -111,25 +112,25 @@ GOLDEN = [
      "43387c69ec4e04416bce9b5e6a670c378ba88490d8c779658c3298e0ba35956d",
      "987c36d78ee91686a24bef039831fb48979703362e2ce460e7ed722a40a60866"),
     (3, 'false_output_complaint', 'accept', 'provider:0',
-     "b953db77c035fd8219ab4cb35a6c868d3caf5cd63b9f158ca7cb8b1731b8b22f",
-     "b1cafabaf30fc63e7f18c5f41fca6a7278c021fbb5959c5e8ac76902ba2c2487",
-     "02be971dd7abef83fed39abeb35a065f147782f3aaa3d0c62a966f7ac14c03a2"),
+     "cd2bf94a8245d7699635845e463996e66ea499aec2c8d04d6c2397b3beb0eb9c",
+     "75647b1279845ba03486527a9c5bc0fad4f5daf0925abea08e9c154ddf520b3f",
+     "413b57a87b22dab1d6214c76055fa394cfd6f6df39c71b98d103f920021b6f37"),
     (5, None, 'accept', None,
-     "ff2d38f0846d2121f10ab78eb2b0275f73502bd73bc92733341da77ec2b7c9c9",
-     "375c470f0ffb5bf9c8a89146c54cfb7d67f93dba9e55ad196756bc0c52894209",
-     "abb7421d4141bcc6fd7180bc677a4e6f0d114048d3cf151b1f483422c4fbfe2d"),
+     "53be979717c841e4648468855cf6dcaf3f7a8687c79513b46e452c534ba0d7d7",
+     "dbf192f2377c3a59233c8e2d0838bc00a0cfd0aa669a96886d59bbfbe53f361e",
+     "6ac7cb027d807fe003042dd764501bb0d64009a384c88ecb5c1e3211f16498c0"),
     (5, 'inconsistent_labels', 'abort', 'provider:0',
      "5c33e2ff9d5e9d1a623fa819bd8f87fa460ba62d1900469a045eda9efb0b4d53",
      "fc6cba6e77659e1ef4f79e92d1a441bf23708f80343d2ec8e54cf3903508f412",
      "6460d215c101a19a0baa6ae8cf8b320dc04e5d9e0abeece3a8c07f9591a2f58d"),
     (5, 'tamper_garbled_gate', 'abort', 'P1',
-     "26c1ef5605deba363a99d0e63c066bcac8b17c6af59aa1e9b2163d51d91f36ea",
-     "346656440beb54786a8b3856ee4d3322a04915645a272eb001de36c301f11031",
-     "38755e9c2635db75cae8701e8ed872a9807d68c15777e8ae51cf59e70b4c536d"),
+     "a99069865bc2bbb6efd6003f64181154a22f4b32cbdf86ca815d6861b8086968",
+     "832a6a92e74ef7a72b91332a7dd16d93932e37187d458836da65d4b7a1896879",
+     "562ebcf876c76c776d2bbd70fc98192f308167c13bc65540f7692366a059380f"),
     (5, 'substitute_output_label', 'reject', None,
-     "f6ed6052358de8a2832fc49e1f916bf8623cd74239d23301c87b690c69051799",
-     "ee6a4c80bf22d7d4e282785037b47e1d3dada1fdd3cd14eed2990cd4193ba467",
-     "285dbd09800c2bca532fd41fe273ea35e687e13536d4be5366248445d3a06bed"),
+     "4ab5cfcdf26c83b6fbff559936b6b710f896e89e78f3935d9599390ce7e1fafd",
+     "5ad8d27e472c1817f002585b3995da75114f8c94164350de00376fbf0de37eb4",
+     "30ddaeee0c64ae572642fa3a0ba2f00cfceb403448588fb3dedadfcd96162042"),
     (5, 'bias_coin_toss', 'abort', 'P2',
      "d5cc122bd764fafa310c8fc3eac15b5015df0677ebf2067756ad1417e246a791",
      "4662ab42590460e24ff42bcb546d487a0f4df29217501fc33c1df42bc5d7f6ea",
@@ -143,21 +144,21 @@ GOLDEN = [
      "261ec611ab39b76c052b08503846e552e989768263693367141ea2564acc46b8",
      "2f588d5571759c76d4d4ceb576383e5728ec56fa9f7dd2174d9ac59a1f9910fc"),
     (5, 'false_output_complaint', 'accept', 'provider:0',
-     "f6ed6052358de8a2832fc49e1f916bf8623cd74239d23301c87b690c69051799",
-     "388c2af7315ca4f238459e353eb9137b6bf47a84ec5bd462b00d62173f78d94a",
-     "40eda44ed71f1b91afd8c0652a2f957d8a2554dfbbf5b5c2ff7e4c8fcd2ac3e2"),
+     "4ab5cfcdf26c83b6fbff559936b6b710f896e89e78f3935d9599390ce7e1fafd",
+     "f12a9ab8b8afbc5a826dac3c23f4da4f57b3bf278935149242110e534cd8ddeb",
+     "59aa8a5d43e7026e127d7a337003cb8dda7dac7200bdb09e255573809d9f383b"),
     (0, 'tamper_garbled_gate:gate5-mask01', 'abort', 'P1',
-     "d63acf5783ece471d80170cd31ec7cc673098964bb88ec3db949b33acfb8799c",
-     "b07374b8d045db00d1f74b47b667fc92d4ad5b89fb3a56a35fa6ed37d170749e",
-     "93eb110768bf272eaae4f7973f1fc456d3b1042d5447b78ef6ad51f9f2fb87c7"),
+     "c2ad00a3c8996fd9b657cfa39f734c0e29f4ccaedcb4b8853b689f2289de5b66",
+     "f28c00e8c6cb30b5aa9fea713b5482a633bc58b6c08836f56906b8aabb247322",
+     "008e9f00f805d75bd9c288ff5ab9e4a79bfbfbbdd36e005ccfb623d88fda1e14"),
     (0, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "acffcd2f973fab4e30f323bb31bbc29eba5f8369e52dcba6ee2906def4aa69ad",
-     "8ce86b8a5cddad9e528a2fb9f462cb45cff0310a0f6f0f08cddf75593972a72c",
-     "275eb87845b8809cb93cc4bc9c96e6fe36dbc135fd033a0894a24046048be516"),
+     "2c231b04cc6579b38c67de649cc1ec76de711d962375c3121839b045dc661dfe",
+     "5b5dc9f16912a72a7f02ef02e79c73410a1be6230b21202bd02070701d745376",
+     "ccdeb4c7c74ef27ca4534dfac2a8c37a4e0ea7b120cac8f7cb9ff10bb42869c6"),
     (0, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "b7afa5dd1f18db1e69770ac6bd570d56a357215ec29976eb9c50f2ee13da8524",
-     "06644fa4b012ce05ea1fc1968ba0a5b7e9c66ae111e4f1f5373ec4be78601bc4",
-     "bafc05f6a151cc6e3d5bf6a7bd6c097117c5f41c17e8dd07c579fc300e8e74c3"),
+     "509ed332cfb455418ef281f7040ca4279fba84ad485d790fe9a1c90ba747d243",
+     "a6eba6333a3350d00446cabb80abfed18ff46484037719cd83a712765454592d",
+     "d050430bd0ca64154b0de3978acecd7ad3e52deee69a960b0d0c9ca2db138627"),
     (0, 'falsify_check_failure:P2', 'abort', 'P2',
      "65e140106d905974711baec931068f115a6e7802151dc60b506afe90ab4a483e",
      "f2b95d98c243ed2c7533f7dba1b22464da7e6f9b5a83c307c35052b1d0a81cbf",
@@ -175,21 +176,21 @@ GOLDEN = [
      "8c7e3cd16466cbf490b3d0d6a6ec7a605ed23640e08f5d0d0585c2b3da6a982a",
      "680be832086d8cd96ee5626adca8b273bb01c4e0d7533b7a3e22904d9bfe0a4b"),
     (0, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "2712e089d641ad82f77224ccb8eeba59f82eaeb52d8f1d5fdfa1adcfef9f6cc1",
-     "1ef4cdfdfceefbb13f7604037d43be66df4084ca277c004a5bda9ff06ff3d65a",
-     "09cee7917e875d4a9be3bd7eaeb2f5942332d1db0925b955a2f723c428c7f935"),
+     "89e91c0331d06435c3db462236d0b754a0bd7953927bf3f99a85b98391eb70fe",
+     "da7b66b186140e511f23a6cb60de60594b9a1c3ab2cbe845a61b6ad33ecc74c0",
+     "3b9f55e212e3f1261ff2a5af27de96ef00ef86224604a663a6e2ac35b32a0f23"),
     (3, 'tamper_garbled_gate:gate5-mask01', 'abort', 'P1',
-     "30d14c71aec61305959ae91d869f91f3a0f1cad2634d31c90c095a097cfc970f",
-     "50344870298f00cbda818bbd99be61fd3edbc4bf2cead3e8d8e4bf3996be586a",
-     "35a958bbbad28c98c299c5304db06d9ca8d4ea6281ce0538945fb18cc2705f44"),
+     "0595d730d2481ad25130326255bfc4d0f47194f4e5dce4d52fb626bd59e9d3ea",
+     "99fb146f4563098fc0902f5520f8dcfc9ffbff99976a66f772e15ecb985a03a5",
+     "398e10320138db19ee750dcb15c365dbb48a81c6c55ea082dca085b4675114fc"),
     (3, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "830d3dd9f51650e0c4842faba94eb0cbe5e2979e4d82d389be1ee10ba795069d",
-     "4ba3fb0eaaed29e6a347e49f28b1dda0398dc8b5286851465a499cd8028500ef",
-     "3c2501ff38784871a211c6a0501651f1952204af79e03cbfdbee2b573ac5d447"),
+     "2b5f04ad35e24768a0ac4674aaff26eee387a702cc19b2e92bf7aa3f8e74e07a",
+     "d18f2f5bafbaa7c49bfc33b7c51a9b60d2764c35d8eb8ebd0a154647ce2cf551",
+     "fc70f0bbb3ca30a9f686d7179e773ec9754a281ca236231a9a542d210b0dc4c2"),
     (3, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "b3c75188bf47ed7a4286bee1f8a611ab3a8fc5610e97e6797c72f4015bd36ac6",
-     "a1fdff4128a41d11ef89d5fcdad543486faddca7dcf96cf0767875883b4a2b41",
-     "86cd4fd3b9f968804cb7e0d5fd8009273f28a9761ce07f74ffe86ea904b85c94"),
+     "43980dbf625cb54f346e32df241117ce16a1b26316ea984215b7f22200b188f2",
+     "499935fa644d15bd12b2a54b4b70e2f2ed6ae40eadd24550eedaebfc39b426f8",
+     "a44d47862ccfd22ed002f0ef16f2684f49d0762323a18f8134f01127eb9eff12"),
     (3, 'falsify_check_failure:P2', 'abort', 'P2',
      "b46e2c79da3fcd93357725c813dc086d5d843aeea702c0b754c6012a9c4756e2",
      "b2d791bf630215a130036b2bfa707161ce75d256f1f54db602a64bb8259e4c16",
@@ -207,21 +208,21 @@ GOLDEN = [
      "a1c369ddd97cd9d4d0d66e81ac35c57c4d4e3568983c4d014d663c5b32c9a8d5",
      "7a7f6334543f4b1a0040e31e1cba8c746bf94c3edda35d05f8cf02aebedbecdd"),
     (3, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "06f7f1ffa426e68091e94e593a6ebd7a049af1d6d6e7571e8f42d62bf0384877",
-     "935a52b16cd7d0371b5947e39968d609c26bae32c597f8965b2750a3ebf01b8d",
-     "4cad6f8fc1f6bcd6b5b3becc1c1bcfce89b41546daec96f8b6a14220469f1a23"),
+     "11007d993f9c89e89f531659988358cc0992f193db7808ce9f441e92f0ec601f",
+     "374a6157f5a8758dfac37bb33b83c64a90b61d307e86806c417476b10d4bf1a1",
+     "aeab37cb08ddc2982364f146cbe5fd9fde9034a812e4741231df5a21dc5cee43"),
     (5, 'tamper_garbled_gate:gate5-mask01', 'abort', 'P1',
-     "26c1ef5605deba363a99d0e63c066bcac8b17c6af59aa1e9b2163d51d91f36ea",
-     "f93dd8169f8a80d3dd7a1b82a59e9a4922578db0c90184b58bbda079d6201e76",
-     "b19d43afe5d3eb5f6c46705578b088e08e8e5060fef25699492d56c8e47eb989"),
+     "a99069865bc2bbb6efd6003f64181154a22f4b32cbdf86ca815d6861b8086968",
+     "7301d8d89b142e08bbde3ea371fd8f5e58009d5ef4e9df95e246dcad0ea8e290",
+     "ee5314a6ed4925840be6657bacaed4560e125f0c854af709d633dbce39f93f64"),
     (5, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "87e566a4684bdc701f4ecaf8b2819c448a286e54eccbb30d651e2a6a14d59e5c",
-     "96785e7ab112a51bcfb84a859f90653aee4747c2ac7a761571386d8bf54385d9",
-     "4c267814563ec4d6d66ca4469ec86b9eba1511d6fa9155da7a2d2015f2705701"),
+     "038efd377732ef660ff756c989e2419bb454b9a1db036f271d5473e7d676622e",
+     "1e42cd959b1d046383874e9d9525b2c79791576de1baefbf889b9511d1a403f3",
+     "67a0e6382fc8a3fc45b439b4cf965533cf88df057647b9c9d8ff88b32c33fdd1"),
     (5, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "491baa5c925d551aa6ceb9ed2297985764028b685c3eece55f1de0a430841afb",
-     "c11e07e1638901456a5a80d0d6c8c72c79aaf2165ca55b9b66b397d8c1bcf23a",
-     "0a609c8bbd69a9b98acf65809685340d2573645568d0398f615b15205534f338"),
+     "74db1e68b553a656436756878bd30e9de51a7f6e981ee890da67138e86df1b6a",
+     "6bc5ed23a484bcb7261423b29baf6f6028b6fa3e97be7836a130262daf6da841",
+     "34451bd78cd77e7a36e34849b72b00f97dfd1faf361d1c8441501a598d13660f"),
     (5, 'falsify_check_failure:P2', 'abort', 'P2',
      "fc4ddebc5def309ade375ba91f1a52baba43551bd2ac2cad1f349cce7a5732fe",
      "72d4b3271faa20bb08b67aa10a2eeca944209b4e334c44a4237750a6dd8cedaa",
@@ -239,9 +240,9 @@ GOLDEN = [
      "c63204156ff83151b719d69359d21409a618824c9f86b34d5c260c83e060dd89",
      "63f9f7876e60bcb4cd1fc27a6952d849852e63ae4aa29c6f25c3ef01baf5205c"),
     (5, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "a2bcf083bdd086defb0970d53fc228e6c59a8ba2f9e6fb8189535de8a6712fb8",
-     "ff62f506888aaa731341f629805cc5db313f2cf49690adcf20416c12c402125e",
-     "20283c84ec9389c8b8b97a22ae3d0c941c6879ded73c197bb46426866b1322f0"),
+     "3e0b5bb047ad731c1e775120761dd3e6bc76f9d002de57ad626bd6837db3a069",
+     "6864abcb8b8cc4f3a45bde1845470eb40db94aef2b8bb752fb56bf39153ca7d3",
+     "d098926e24e409a5363a5b1bd25ba8aa356ca02fc1620aa022327db7e16c53ac"),
 ]
 
 
@@ -288,6 +289,12 @@ def test_golden_transcript(seed, adversary, status, blamed, signature,
     assert not [e for e in transcript.entries
                 if e.sender.startswith("provider:") and e.phase != "output"
                 and e.type != "ABORT" and e.receiver not in ("P1", "P2")]
+
+
+def test_the_gate5_variant_tampers_an_and_gate():
+    """The variant's gate must keep its ciphertexts as the circuit changes,
+    or the script would tamper with nothing."""
+    assert build_auction_circuit(SMALL, len(BIDS)).gates[5][0] == AND
 
 
 def test_bidders_send_input_values_to_the_parties_only():

@@ -843,21 +843,27 @@ def test_tampered_garbled_gate_aborts_against_the_garbler():
     assert res.status == "abort"
     assert res.blamed == "P1"
     assert res.phase == "compute"
-    # Gate 0 is a NOT gate, which has no ciphertexts; the first AND gate
-    # has. At seed 5 P2 holds pointer bits (0, 0) there, so it reads
-    # neither ciphertext: the session accepts the right result. At gate 7
-    # it holds (1, 1) and reads both, and the wrong label fails an output
-    # projection.
-    first_and = tabled_gates(build_auction_circuit(SMALL, len(BIDS)))[0]
-    first = AdversaryScript("tamper_garbled_gate", gate=first_and, mask=0x01)
-    res = run_session(SMALL, BIDS, s=4, seed=5, adversary=first)
-    assert (res.status, res.blamed) == ("accept", None)
-    assert res.result == oracle_run(SMALL, BIDS)
-    read = AdversaryScript("tamper_garbled_gate", gate=7, mask=0x01)
-    res = run_session(SMALL, BIDS, s=4, seed=5, adversary=read)
-    assert (res.status, res.blamed, res.phase) == ("abort", "P1", "compute")
-    assert res.reason.startswith("garbled circuit rejected: output wire")
-    assert res.reason.endswith("no row authenticates")
+    # Gate 0 is a NOT gate, which has no ciphertexts; the AND/OR gates
+    # have. Where P2 holds pointer bits (0, 0) it reads neither ciphertext,
+    # so a tamper there leaves the right result: at seed 5 that holds for
+    # the first AND/OR gate. Elsewhere it reads one or both, and the wrong
+    # label fails an output projection. The gates are taken from the
+    # circuit, so the scan holds whatever gate numbers the compiler gives.
+    outcomes = []
+    for gate in tabled_gates(build_auction_circuit(SMALL, len(BIDS)))[:8]:
+        script = AdversaryScript("tamper_garbled_gate", gate=gate, mask=0x01)
+        res = run_session(SMALL, BIDS, s=4, seed=5, adversary=script)
+        if res.status == "accept":
+            assert (res.blamed, res.result) == (None, oracle_run(SMALL, BIDS))
+        else:
+            assert (res.status, res.blamed, res.phase) == (
+                "abort", "P1", "compute")
+            assert res.reason.startswith(
+                "garbled circuit rejected: output wire")
+            assert res.reason.endswith("no row authenticates")
+        outcomes.append(res.status)
+    assert outcomes[0] == "accept"
+    assert "abort" in outcomes
     on_p2 = AdversaryScript("tamper_garbled_gate", target="P2")
     res = run_session(SMALL, BIDS, s=4, seed=5, adversary=on_p2)
     assert res.blamed == "P2"
@@ -955,12 +961,12 @@ def test_readme_session_bytes_by_type_are_pinned():
         "EVALSET_OPENINGS": (frames * (16 + 4 + 4 + 64 * 128)
                              + 2 * 145 * evaluated),
         "HASH_TUPLE": 10048,
-        "GARBLED_CIRCUIT": 707192,
+        "GARBLED_CIRCUIT": 442168,
         "OUTPUT_COMMITMENTS": 3416,
         "BUNDLE_HASH": 2016,
         "OUTPUT_OPENINGS": 24710,
     }
-    assert res.transcript.measure()["bytes_total"] == 1832874
+    assert res.transcript.measure()["bytes_total"] == 1567850
 
 
 def _one_commitment_altered(claim):
@@ -1044,8 +1050,8 @@ class _WrongSeed(session._InconsistentLabels):
     def checkset_openings(self):
         w, j = self.copies(self.index, checked=True)[0]
         copies = self.material[w].copies
-        copies[j] = dataclasses.replace(
-            copies[j], seed=self.adv_rng.randbytes(consistency.SEED_BYTES))
+        copies[j] = copies[j]._replace(
+            seed=self.adv_rng.randbytes(consistency.SEED_BYTES))
         return super().checkset_openings()
 
 
@@ -1100,8 +1106,8 @@ class _WrongPosition(session._InconsistentLabels):
     def checkset_openings(self):
         w, j = self.copies(self.index, checked=True)[0]
         copies = self.material[w].copies
-        copies[j] = dataclasses.replace(
-            copies[j], coms=copies[j].coms[:128] + self.adv_rng.randbytes(32))
+        copies[j] = copies[j]._replace(
+            coms=copies[j].coms[:128] + self.adv_rng.randbytes(32))
         return super().checkset_openings()
 
 
@@ -1425,9 +1431,8 @@ class _Equivocator(session._InconsistentLabels):
             nonce = self.adv_rng.randbytes(NONCE_BYTES)
             coms = c.coms[:128] + commit(
                 TAG_POSITION + bytes([c.b ^ 1 ^ honest.x]), nonce)
-            copies.append(dataclasses.replace(
-                c, position_nonce=nonce, coms=coms,
-                leaf=consistency.copy_leaf(coms)))
+            copies.append(c._replace(position_nonce=nonce, coms=coms,
+                                     leaf=consistency.copy_leaf(coms)))
         self.p2_view = consistency.WireMaterial(1 - honest.x, copies)
         return leaves
 

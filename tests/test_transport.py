@@ -347,6 +347,23 @@ def test_a_sized_codec_reads_any_bytes_of_its_width(name):
         assert b"".join(out) == data
 
 
+def test_a_sized_seq_reads_its_fields_in_turn_behind_one_bounds_check():
+    fields = (M.u16, M.raw(3), M.array(2, M.u32), M.seq(M.raw(1), M.u16))
+    codec = M.seq(*fields)
+    assert codec.size == 2 + 3 + 8 + 3
+    rng = random.Random("sized-seq")
+    for off in (0, 1, 7):
+        data = rng.randbytes(off + codec.size + 5)
+        want, at = [], off
+        for field in fields:
+            value, at = field.read(data, at)
+            want.append(value)
+        assert codec.read(data, off) == (tuple(want), off + codec.size)
+        for cut in range(off + codec.size):
+            with pytest.raises(FramingError):
+                codec.read(data[:cut], off)
+
+
 def test_a_codec_that_can_refuse_its_bytes_has_no_size():
     assert M.role_or_none.size is None
     assert M.SCHEMAS[T.ABORT].size is None
