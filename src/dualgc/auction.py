@@ -318,12 +318,12 @@ def build_auction_circuit(config: AuctionConfig, bidders: int) -> Circuit:
             found = bld.OR(found, sel)
             crit_s = _onehot_select(bld, crit_s, sel, ranked[r][S])
             crit_t = _onehot_select(bld, crit_t, sel, ranked[r][T])
-        crit_t = mux(bld, found, const_bus(bld, 1, t_w), crit_t)
+        # No critical bidder leaves crit_s = 0, which zeroes the amount
+        # whatever dividing by crit_t = 0 gives. A loser's skip pass
+        # replays the main pass, so it finds no critical bidder either.
         dividend = ranked[p][T] + [bld.const(0)] * f2
-        quotient = divide(bld, dividend, crit_t)
-        root = isqrt(bld, quotient)
-        amount = mul(bld, crit_s, root)
-        pay.append([bld.AND(bit, alloc[p]) for bit in amount])
+        root = isqrt(bld, divide(bld, dividend, crit_t))
+        pay.append(mul(bld, crit_s, root))
 
     # Restore bidder order by sorting on the carried index.
     out_records = [ranked[p][IDX] + [alloc[p]] + pay[p] for p in range(bidders)]

@@ -5,9 +5,11 @@ first) and contain no data-dependent branching: selections are realized with
 mux gates so the gate sequence is a fixed function of the shape parameters.
 
 Add and subtract share one ripple loop, because a borrow is a carry with
-``a`` complemented in the carry terms; divide and square root share one
-non-restoring step, an add or subtract on a two's-complement remainder
-through that loop's carry-in, so each step costs one AND per bit.
+``a`` complemented in the carry terms, and the loop has one carry rule,
+which costs at most one AND or OR per bit. Divide and square root share
+one non-restoring step, an add or subtract on a two's-complement
+remainder through that loop's carry-in, so each step costs one AND per
+bit. Division by zero is not guarded; ``divide`` says what it gives.
 
 The builder constant-folds gates touching known-constant wires, which keeps
 circuits that compare against public constants (capacities, weights) small
@@ -58,8 +60,9 @@ class Builder:
             self._const_of[out] = bit
         return self._const_wires[bit]
 
-    def is_const(self, w: int) -> bool:
-        return w in self._const_of
+    def constant(self, w: int) -> int | None:
+        """The constant ``w`` carries, or None if it depends on an input."""
+        return self._const_of.get(w)
 
     def _emit(self, kind: int, a: int, b: int) -> int:
         out = self.new_wire()
@@ -173,26 +176,30 @@ def _ripple(bld: Builder, a, b, flip, carry=None) -> tuple[list[int], int]:
     """The sum bits of a + b + carry (MSB first) and the carry out, where
     the carry terms read flip(a) for a: flip = NOT turns the carry into the
     borrow of a - b, whose difference bits are the same XORs. No carry wire
-    means a carry-in of 0."""
+    means a carry-in of 0.
+
+    Each carry out is the majority of flip(a), b and the carry in. If one
+    of the three is a constant, that is one AND (constant 0) or one OR
+    (constant 1) of the other two; otherwise it is c ^ ((a ^ c) & (b ^ c)),
+    one AND (Kolesnikov-Sadeghi-Schneider, CANS 2009)."""
     w = max(len(a), len(b))
     a = zext(bld, a, w)
     b = zext(bld, b, w)
+    if carry is None:
+        carry = bld.const(0)
     out = []
     for i in range(w - 1, -1, -1):
         ai, bi = a[i], b[i]
-        if carry is None:
-            out.append(bld.XOR(ai, bi))
-            carry = bld.AND(flip(ai), bi)
-        elif bld.is_const(ai) or bld.is_const(bi):
-            # Folds to fewer gates than the 1-AND form below.
-            axb = bld.XOR(ai, bi)
-            out.append(bld.XOR(axb, carry))
-            carry = bld.OR(bld.AND(flip(ai), bi), bld.AND(flip(axb), carry))
+        axc = bld.XOR(ai, carry)
+        out.append(bld.XOR(axc, bi))
+        fa = flip(ai)
+        for term, x, y in ((fa, bi, carry), (bi, carry, fa),
+                           (carry, fa, bi)):
+            k = bld.constant(term)
+            if k is not None:
+                carry = bld.OR(x, y) if k else bld.AND(x, y)
+                break
         else:
-            # One AND per bit (Kolesnikov-Sadeghi-Schneider, CANS 2009):
-            # carry = c ^ ((a ^ c) & (b ^ c)).
-            axc = bld.XOR(ai, carry)
-            out.append(bld.XOR(axc, bi))
             carry = bld.XOR(carry, bld.AND(flip(axc), bld.XOR(bi, carry)))
     out.reverse()
     return out, carry
@@ -219,17 +226,6 @@ def gt(bld: Builder, a, b) -> int:
     """1 iff a > b, i.e. NOT (b >= a)."""
     _, borrow = sub(bld, b, a)
     return borrow
-
-
-def eq(bld: Builder, a, b) -> int:
-    w = max(len(a), len(b))
-    a = zext(bld, a, w)
-    b = zext(bld, b, w)
-    diff = None
-    for ai, bi in zip(a, b):
-        x = bld.XOR(ai, bi)
-        diff = x if diff is None else bld.OR(diff, x)
-    return bld.NOT(diff)
 
 
 def or_reduce(bld: Builder, bus) -> int:
@@ -284,16 +280,18 @@ def divide(bld: Builder, a, d) -> list[int]:
 
     The partial remainder stays in [-d, d), so a two's-complement register
     of len(d) + 1 bits holds it, and each quotient bit (the remainder is
-    non-negative) is the restoring division's. Division by zero yields all
-    ones, which a guard on d == 0 forces.
+    non-negative) is the restoring division's. A zero divisor is not
+    guarded: every step adds 0, so the register only shifts ``a`` in, and
+    each quotient bit is the complement of the bit of ``a`` len(d) places
+    before it. That gives (2^len(a) - 1) XOR (a >> len(d)), all ones for
+    a = 0.
     """
-    zero = bld.NOT(or_reduce(bld, d))
     rem = [bld.const(0)] * (len(d) + 1)
     take = bld.const(1)
     quotient = []
     for bit in a:
         take, rem = _nonrestoring(bld, rem[1:] + [bit], d, take)
-        quotient.append(bld.OR(take, zero))
+        quotient.append(take)
     return quotient
 
 

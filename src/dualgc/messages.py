@@ -16,14 +16,15 @@ body, trailing bytes, non-UTF-8 text or a non-zero "no one" role tag with
 ``FramingError``, alike for every type.
 
 A codec whose read accepts any bytes of one width (an integer, ``raw(n)``,
-or a ``seq`` or ``array`` of such fields) has that ``size``. A list of
-sized items decodes to a ``Table``: its count is checked against the bytes
-left, and an item is decoded only when it is read, which cannot fail. The
-leaves, check seeds, evaluation entries, label sets, wire digests, echo
-records and output commitments are such lists. An evaluation entry is a
-fixed 145 bytes: its two openings' context tags and lengths are derived,
-not sent, and its receiver puts the tags back when it recomputes the
-commitments.
+or a ``seq`` or ``array`` of such fields) has that ``size``. Every list
+has sized items (``listof`` refuses any other item when the schema is
+built) and decodes to a ``Table``: its count is checked against the bytes
+left, and an item is sliced and decoded only when it is read, which cannot
+fail. The leaves, check seeds, evaluation entries, label sets, wire
+digests, echo records and output commitments are such lists. An evaluation
+entry is a fixed 145 bytes: its two openings' context tags and lengths are
+derived, not sent, and its receiver puts the tags back when it recomputes
+the commitments.
 
 A body carries only what its receiver cannot derive. Lists are positional
 in an order fixed by the public parameters (the input and output maps,
@@ -378,7 +379,10 @@ class Table(Sequence):
         at = range(self.count)[i]
         size = self.item.size
         if isinstance(at, int):
-            return self.item.read(self.data, self.off + at * size)[0]
+            start = self.off + at * size
+            value = self.data[start:start + size]
+            convert = self.item.convert
+            return value if convert is None else convert(value)
         if at.step != 1:
             return [self[k] for k in at]
         return Table(self.data, self.off + at.start * size, len(at),
@@ -400,11 +404,12 @@ class Table(Sequence):
 
 
 def listof(item: Codec) -> Codec:
-    """A u32 count, then that many items. A list of fixed-width items
-    decodes to a ``Table`` once the body is long enough for them; any other
-    list decodes to a list, item by item."""
-    write_count, read_count = u32.write, u32.read
-    write_item, read_item, size = item.write, item.read, item.size
+    """A u32 count, then that many fixed-width items, decoded to a
+    ``Table`` once the body is long enough for them."""
+    size = item.size
+    if size is None:
+        raise ValueError("a list's items must have a fixed width")
+    write_count, read_count, write_item = u32.write, u32.read, item.write
 
     def write(out, values):
         write_count(out, len(values))
@@ -413,16 +418,10 @@ def listof(item: Codec) -> Codec:
 
     def read(data, off):
         n, off = read_count(data, off)
-        if size is not None:
-            end = off + n * size
-            if end > len(data):
-                raise FramingError(_TRUNCATED)
-            return Table(data, off, n, item), end
-        values = []
-        for _ in range(n):
-            value, off = read_item(data, off)
-            values.append(value)
-        return values, off
+        end = off + n * size
+        if end > len(data):
+            raise FramingError(_TRUNCATED)
+        return Table(data, off, n, item), end
 
     return Codec(write, read)
 

@@ -60,7 +60,6 @@ from .auction import (
     AuctionConfig,
     AuctionResult,
     build_auction_circuit,
-    decode_bidder_bits,
     decode_cloud_bits,
     encode_bid_bits,
 )
@@ -1002,14 +1001,13 @@ class Session:
                        "rejection confirmed by the opened failure proof",
                 decisions=decisions, transcript=self.transcript,
                 phase=self._phase)
-        cloud_bits = list(decisions["cloud"].value)
-        result = decode_cloud_bits(self.config, self.n, cloud_bits)
-        for u, prov in enumerate(self.bidders):
-            bits = list(decisions[prov.role.name].value)
-            if decode_bidder_bits(self.config, bits) != (
-                    result.allocations[u], result.payments_fp[u]):
-                raise _Abort(self.cloud.role, None,
-                             "recipient views of the result diverged")
+        # The cloud's output group is the bidders' groups end to end.
+        cloud_bits = decisions["cloud"].value
+        if cloud_bits != tuple(bit for prov in self.bidders
+                               for bit in decisions[prov.role.name].value):
+            raise _Abort(self.cloud.role, None,
+                         "recipient views of the result diverged")
+        result = decode_cloud_bits(self.config, self.n, list(cloud_bits))
         reason = ""
         if spurious is not None:
             reason = (f"{spurious} complained about an output that every "

@@ -188,6 +188,44 @@ def test_random_instances_with_ties_and_zero_loads_oracle_equals_circuit():
     assert ties >= 50 and zero_loads >= 100
 
 
+def test_every_small_auction_oracle_equals_circuit():
+    # Every bid vector of 3 bidders for 1 VM type, quantities 0-2 and bids
+    # 0-3, at capacities 1 and 2: 3,456 auctions. The circuit leaves a
+    # zero-load bidder's 0 / 0 rank key, a loser's payment and a winner's
+    # payment without a critical bidder to arithmetic alone, so the
+    # enumeration must hold each of these cases.
+    offers = [((k, b),) for k in range(3) for b in range(4)]
+    cases = set()
+    runs = 0
+    for capacity in (1, 2):
+        config = AuctionConfig(1, (capacity,), (1,), width=4,
+                               fraction_bits=4, max_quantity=2, max_bid=3)
+        for a in offers:
+            for b in offers:
+                for c in offers:
+                    bids = [a, b, c]
+                    want = oracle_run(config, bids)
+                    assert circuit_run(config, bids) == want, (config, bids)
+                    runs += 1
+                    x = want.allocations
+                    for j, ((k, _),) in enumerate(bids):
+                        if k == 0:
+                            cases.add("zero load")
+                        elif not x[j]:
+                            cases.add("loser")
+                        else:
+                            # Skipping j changes no one ranked before it,
+                            # so a critical bidder is any loser that wins
+                            # once j requests nothing.
+                            without = oracle_run(
+                                config, bids[:j] + [((0, 0),)] + bids[j + 1:])
+                            if not any(without.allocations[q] > x[q]
+                                       for q in range(3)):
+                                cases.add("winner without a critical bidder")
+    assert runs == 3456
+    assert cases == {"zero load", "loser", "winner without a critical bidder"}
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AuctionConfig(vm_types=0, capacities=(), weights=())
@@ -286,53 +324,53 @@ def test_load_bids_file(tmp_path):
 # (vm_types, capacities, weights, width, fraction_bits, max_quantity,
 #  max_bid, bidders, hash prefix, AND/OR gates, first pinned at)
 PINNED_CIRCUITS = [
-    (1, (1,), (1,), 4, 0, 3, 15, 1, "d6166b2e35c0e658", 5,
+    (1, (1,), (1,), 4, 0, 3, 15, 1, "ef938cbf6ffdeacf", 5,
      "c1b43bfb5853cf1e-6"),
-    (1, (1,), (1,), 4, 0, 3, 15, 2, "7614164e6eda09f5", 296,
+    (1, (1,), (1,), 4, 0, 3, 15, 2, "16e141947ce57568", 251,
      "ea040b40e109c84a-306"),
-    (1, (2,), (1,), 4, 8, 15, 100, 2, "3c97f8f67aa9b370", 976,
+    (1, (2,), (1,), 4, 8, 15, 100, 2, "f967a38543401b42", 854,
      "7f18aa6fd1d30fe2-1136"),
-    (1, (3,), (2,), 4, 8, 1, 7, 3, "5ee54beca4e8e197", 608,
+    (1, (3,), (2,), 4, 8, 1, 7, 3, "26d996f48729c44e", 451,
      "8b6b3b21d6d753a9-827"),
-    (1, (1,), (1,), 8, 8, 3, 100, 2, "da6d38abc6750129", 807,
+    (1, (1,), (1,), 8, 8, 3, 100, 2, "280df67b847d02ce", 708,
      "aea361e001801e63-985"),
-    (1, (5,), (3,), 8, 0, 255, 255, 2, "3102aacb152f0ea0", 2641,
+    (1, (5,), (3,), 8, 0, 255, 255, 2, "9fd7b5c0706f8d9c", 2466,
      "24054e8b267921a1-3061"),
-    (1, (4,), (1,), 8, 8, 3, 100, 4, "2a3568f8f4c9f8f6", 2295,
+    (1, (4,), (1,), 8, 8, 3, 100, 4, "d0f77d12ff397973", 2035,
      "690676113f85ffd5-3129"),
-    (1, (7,), (1,), 16, 8, 3, 100, 5, "392b1f2bf8dfa48c", 3292,
+    (1, (7,), (1,), 16, 8, 3, 100, 5, "6adbb4319a641abb", 2965,
      "d009cec8a60b1c47-4816"),
-    (1, (2,), (1,), 6, 8, 2, 63, 8, "98b391c85cac4643", 5228,
+    (1, (2,), (1,), 6, 8, 2, 63, 8, "4682413f3e24ccb5", 4617,
      "005d0f320f838ffd-7656"),
-    (1, (3,), (1,), 5, 0, 31, 9, 7, "d8038dac88a1e4c1", 5380,
+    (1, (3,), (1,), 5, 0, 31, 9, 7, "305d74891ef59df9", 4858,
      "a897e8a02393516d-10010"),
-    (2, (4, 6), (1, 2), 8, 8, 3, 100, 1, "8b421456ae852bfd", 19,
+    (2, (4, 6), (1, 2), 8, 8, 3, 100, 1, "bf0c745ba2ebeaa8", 19,
      "44d4a54811033a89-29"),
-    (2, (4, 6), (1, 2), 8, 8, 3, 100, 3, "0ba4684551a9383f", 2317,
+    (2, (4, 6), (1, 2), 8, 8, 3, 100, 3, "b3caf16b6f33661c", 2094,
      "db6a641186d7aaa5-3296"),
-    (2, (2, 3), (1, 1), 4, 0, 3, 15, 2, "90fdedfef977ae88", 496,
+    (2, (2, 3), (1, 1), 4, 0, 3, 15, 2, "08d8abe8a88918cc", 437,
      "026a3dc3b09cc4d0-530"),
-    (2, (9, 9), (2, 3), 4, 8, 15, 15, 2, "619f6b4776d7d717", 1538,
+    (2, (9, 9), (2, 3), 4, 8, 15, 15, 2, "d46a74cf8aab8ed2", 1398,
      "0ecb5dc52dd94072-1887"),
-    (2, (1, 2), (1, 1), 16, 0, 3, 100, 4, "5df2ed4a9c0e426d", 2390,
+    (2, (1, 2), (1, 1), 16, 0, 3, 100, 4, "3aa37e3c9e71bd33", 2169,
      "91bac762a8c52067-3389"),
-    (2, (6, 4), (1, 2), 16, 8, 3, 100, 6, "6963deb17690bef6", 6428,
+    (2, (6, 4), (1, 2), 16, 8, 3, 100, 6, "a9fadac65d824134", 5844,
      "629450429865f3f4-10569"),
-    (2, (3, 3), (1, 1), 12, 8, 5, 4095, 3, "d50546bd001e6075", 3759,
+    (2, (3, 3), (1, 1), 12, 8, 5, 4095, 3, "9911bba456dfd5b3", 3502,
      "f13c4af7bc6e4f06-5323"),
-    (2, (5, 1), (4, 1), 10, 0, 1023, 2, 2, "326a631fc9ae6b7a", 2725,
+    (2, (5, 1), (4, 1), 10, 0, 1023, 2, 2, "dea7ff7c2c604568", 2515,
      "d7e8df780d6cdff1-2892"),
-    (3, (2, 2, 2), (1, 1, 1), 4, 0, 3, 15, 2, "9fe13b0cf4091e16", 720,
+    (3, (2, 2, 2), (1, 1, 1), 4, 0, 3, 15, 2, "f0d9f892767a5f6d", 646,
      "4d0a3025b5241aa3-778"),
-    (3, (3, 1, 2), (1, 2, 3), 8, 8, 3, 100, 3, "8853233a243b527e", 2806,
+    (3, (3, 1, 2), (1, 2, 3), 8, 8, 3, 100, 3, "1105ce7d16af75e1", 2555,
      "3b5ddaa7030fd5f7-4026"),
-    (3, (9, 9, 9), (1, 1, 1), 4, 8, 15, 15, 1, "408873abdaa8937a", 26,
+    (3, (9, 9, 9), (1, 1, 1), 4, 8, 15, 15, 1, "bba72eb98c45cf5a", 23,
      "408873abdaa8937a-26"),
-    (3, (4, 5, 6), (2, 1, 1), 16, 0, 2, 200, 4, "b469010ee9f2fbcb", 3296,
+    (3, (4, 5, 6), (2, 1, 1), 16, 0, 2, 200, 4, "aca6550735f6501e", 3022,
      "e94563836b98451a-4790"),
-    (3, (1, 1, 1), (1, 1, 1), 6, 8, 63, 3, 2, "91b0e078cb764b2d", 1940,
+    (3, (1, 1, 1), (1, 1, 1), 6, 8, 63, 3, 2, "fb3964fbcf6389d2", 1756,
      "02315471e1a1e680-2349"),
-    (3, (2, 4, 8), (3, 2, 1), 16, 8, 3, 100, 8, "4725629ba0c26087", 11980,
+    (3, (2, 4, 8), (3, 2, 1), 16, 8, 3, 100, 8, "39d9366a46a2a1bd", 10818,
      "184b61e4675e4899-20222"),
 ]
 

@@ -20,8 +20,8 @@ from dualgc.circuits import (
 )
 from dualgc.auction import AuctionConfig, build_auction_circuit
 from dualgc.errors import InputShapeError
-from dualgc.gadgets import (Builder, add, cond_swap, const_bus, divide, eq,
-                            ge, gt, isqrt, mul, mux, odd_even_merge_sort, sub)
+from dualgc.gadgets import (Builder, add, cond_swap, const_bus, divide, ge,
+                            gt, isqrt, mul, mux, odd_even_merge_sort, sub)
 
 from oracles import random_circuit, random_inputs, recursive_eval
 
@@ -184,12 +184,18 @@ def test_gadget_width_errors():
         build_gadget("barrel-shifter", 8)
 
 
+def quotient(x, y, wa, wd):
+    """divide's quotient of a wa-bit x by a wd-bit y: x // y, and for y = 0
+    the complement of x >> wd, which is all ones for x = 0."""
+    return x // y if y else ((1 << wa) - 1) ^ (x >> wd)
+
+
 GADGET_ORACLES = {
     "adder": lambda a, b, w: (a + b) % (1 << w),
     "subtractor": lambda a, b, w: (a - b) % (1 << w),
     "multiplier": lambda a, b, w: a * b,
     "comparator": lambda a, b, w: int(a >= b),
-    "divider": lambda a, b, w: a // b if b else (1 << w) - 1,
+    "divider": lambda a, b, w: quotient(a, b, w, w),
 }
 
 
@@ -217,8 +223,7 @@ ARITHMETIC = {
     "ge": (lambda bld, a, b: [[ge(bld, a, b)]], lambda x, y, w: [[int(x >= y)]]),
     "gt": (lambda bld, a, b: [[gt(bld, a, b)]], lambda x, y, w: [[int(x > y)]]),
     "divide": (lambda bld, a, b: [divide(bld, a, b)],
-               lambda x, y, w: [int_to_bits(x // y if y else (1 << w) - 1,
-                                            w)]),
+               lambda x, y, w: [int_to_bits(quotient(x, y, w, w), w)]),
     "isqrt": (lambda bld, a, b: [isqrt(bld, a)],
               lambda x, y, w: [int_to_bits(math.isqrt(x), (w + 1) // 2)]),
 }
@@ -307,10 +312,9 @@ def build_sorting_network(n: int, key_width: int, payload_width: int = 0) -> Cir
     def rank_before(b, x, y):
         kx, ix = x[:key_width], x[key_width:key_width + idx_w]
         ky, iy = y[:key_width], y[key_width:key_width + idx_w]
-        key_gt = gt(b, kx, ky)
-        key_eq = eq(b, kx, ky)
-        idx_lt = gt(b, iy, ix)
-        return b.OR(key_gt, b.AND(key_eq, idx_lt))
+        # key descending, then index ascending: the indices are swapped,
+        # so the lower one makes its record's bus the larger.
+        return gt(b, kx + iy, ky + ix)
 
     ranked = odd_even_merge_sort(bld, records, rank_before)
     return bld.finish([r[:key_width] + r[key_width + idx_w:] for r in ranked])
@@ -391,8 +395,8 @@ def test_divide_by_a_narrower_divisor_exhaustive():
         circuit = bld.finish([divide(bld, a, d)])
         for x in range(1 << 6):
             for y in range(1 << wd):
-                want = x // y if y else (1 << 6) - 1
-                assert run1(circuit, x, y) == [want], (wd, x, y)
+                assert run1(circuit, x, y) == [quotient(x, y, 6, wd)], (
+                    wd, x, y)
 
 
 def test_divide_and_isqrt_exhaustive():
@@ -405,8 +409,8 @@ def test_divide_and_isqrt_exhaustive():
             circuit = bld.finish([divide(bld, a, d)])
             for x in range(1 << wa):
                 for y in range(1 << wd):
-                    want = x // y if y else (1 << wa) - 1
-                    assert run1(circuit, x, y) == [want], (wa, wd, x, y)
+                    assert run1(circuit, x, y) == [
+                        quotient(x, y, wa, wd)], (wa, wd, x, y)
     for w in range(1, 15):
         bld = Builder()
         a = bld.inputs(w)
@@ -417,16 +421,14 @@ def test_divide_and_isqrt_exhaustive():
 
 def test_nonrestoring_steps_cost_one_and_per_remainder_bit():
     # A divide step adds or subtracts on a len(d) + 1 bit remainder, and
-    # the zero guard costs len(d) - 1 ORs and one OR per quotient bit.
-    # The square root's k-th step works on k + 3 bits.
+    # the square root's k-th step works on k + 3 bits.
     def and_or(circuit):
         return sum(kind in (AND, OR) for kind, *_ in circuit.gates)
 
     for wa, wd in ((8, 4), (16, 8), (12, 3)):
         bld = Builder()
         a, d = bld.inputs(wa), bld.inputs(wd)
-        assert and_or(bld.finish([divide(bld, a, d)])) <= (
-            wa * (wd + 1) + (wd - 1) + wa)
+        assert and_or(bld.finish([divide(bld, a, d)])) <= wa * (wd + 1)
     for w in (8, 16, 32):
         bld = Builder()
         a = bld.inputs(w)

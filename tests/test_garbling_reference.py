@@ -26,7 +26,7 @@ from oracles import random_circuit, recursive_eval
 # sha256 of garble(...).tables_blob() for the 6-bidder, 2-VM-type auction
 # circuit under the encodings and seed of test_n6m2_blob_is_pinned.
 N6M2_BLOB_SHA256 = \
-    "ddd77abde1af86915f814cdf38bc91049459dc01e7ee0519d8815eac57d79544"
+    "595ed89ecf8688f3ccd6caff9a0d11b9108e8f9f30d5195dccd0660383d3049f"
 
 
 def outcome(circuit, gc, blob, labels):
@@ -206,11 +206,11 @@ def n6m2():
 
 def test_n6m2_blob_is_pinned(n6m2):
     circuit, _enc, gc = n6m2
-    assert len(circuit.gates) == 22_060
-    # 384 input projections, 6,333 AND/OR gates, 126 output projections.
+    assert len(circuit.gates) == 21_347
+    # 384 input projections, 5,768 AND/OR gates, 126 output projections.
     assert len(gc.tables_blob()) == (HEADER_BYTES + ROW_BYTES * (768 + 252)
-                                     + GATE_BYTES * 6_333)
-    assert len(gc.tables_blob()) == 221_068
+                                     + GATE_BYTES * 5_768)
+    assert len(gc.tables_blob()) == 202_988
     assert hashlib.sha256(gc.tables_blob()).hexdigest() == N6M2_BLOB_SHA256
 
 
@@ -220,7 +220,7 @@ def test_n6m2_circuit_size_is_pinned(n6m2):
     # networks, the payment divides at the divisor's own width and no dead
     # gate is kept.
     circuit, _enc, _gc = n6m2
-    assert len(tabled_gates(circuit)) == 6_333
+    assert len(tabled_gates(circuit)) == 5_768
     rows = 2 * len(circuit.input_wires) + 2 * len(set(circuit.output_wires))
     assert rows == 768 + 252
 

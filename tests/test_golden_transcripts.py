@@ -52,21 +52,21 @@ VARIANTS = {
 #  frame digest, order-free frame digest)
 GOLDEN = [
     (0, None, 'accept', None,
-     "85d68c6e739f06a225fbd35a916ff18a5c9f9d27c14f0b499031b934a809717b",
-     "63f6c5a0db32be1cac76f4d26925f545c99a3ff86cb0c57f0ec76d0944710811",
-     "6c0d1a4709564bf3f206aaf8d9773696396c1aa8af293235da56c4b0699f1c60"),
+     "f3e6d3879f3d9531cc6e0a98a71d4ae9574375781f335ceb299a64226f0b685b",
+     "cf6452053e88d69c9edd819a9f01016067d68937ffd6e08bd76c0c8486d62762",
+     "b93d0156af413c490acb7597b3694a5669a17f31ffe804d0aa9c2f16261140a2"),
     (0, 'inconsistent_labels', 'abort', 'provider:0',
      "85375f98d062199e15fc7653e95f09c055d92eb3692a9e376c37ab6f438a903e",
      "e8e70dc5ec43c8da2e293b2d271cfebba1a77974bac3a29eed384bc3fce8e0ef",
      "963a113db55937beec79e490efeaf3d1e778fe687355ca46264f3e53cc734689"),
     (0, 'tamper_garbled_gate', 'abort', 'P1',
-     "c2ad00a3c8996fd9b657cfa39f734c0e29f4ccaedcb4b8853b689f2289de5b66",
-     "f35725606e75b4863d45711e1ea2f3f085d09430d8e4c3a5f6c21826f99cba36",
-     "c75ec6653d427ad53398581af3e1b0f53361ebbda68c322eb3aeeb3b0b01691a"),
+     "56f2abaa98f615a2a6968f86a05d16a87c3b4de19c953ad1db5b00de1762d68e",
+     "120dc2499f233ccf0846c59cb2fc25c7648d6bf5242d31bd8fae99acddfdb839",
+     "afc2c75b5313b6b9450a1dc761b5ddd232c592ab2f9ecc023a034fbc4c118c42"),
     (0, 'substitute_output_label', 'reject', None,
-     "ecc7a0a17609a5c78f41b1a726fa55a81e95e709d3f60f0accc9a17b5330afd3",
-     "b7f6e541fede45b969b33945e34235cf8a23170c085f944861d8ed1fb68c7e46",
-     "e0377267acdbeb9edd1245f29a5b9aa78feb99530a1b57b6a1aecbe7ef4b4b9d"),
+     "17492f22de900ada424574ead0d71813cb92d989b36e9b01f67a15bb72c0e456",
+     "8542db08095006ed21913e5edc1ffc2b0f31ebbd3e8ab409a599db005dcd0db5",
+     "f7b9587395722497fcd6ce239a7816e9c680a8f847823329b7bd8bd6de8b89be"),
     (0, 'bias_coin_toss', 'abort', 'P2',
      "d5cc122bd764fafa310c8fc3eac15b5015df0677ebf2067756ad1417e246a791",
      "9c69f95cec8e5752d492e4c0aa93abfbd92f04cd29cef66eff726c2171d07d77",
@@ -80,25 +80,25 @@ GOLDEN = [
      "91b7ec0b88fe88ef9565460637229b600e6fd659b07db0a6a8e68d5c7da1a29e",
      "04f5e82db2ee8fa255c315b7ec73d36e3b8d2139ba1308d3744f4fe39feb77e8"),
     (0, 'false_output_complaint', 'accept', 'provider:0',
-     "ecc7a0a17609a5c78f41b1a726fa55a81e95e709d3f60f0accc9a17b5330afd3",
-     "4d2582da8af77f3569a89db30e4ef84b7db9cdc0573abe09086ec7adec1af1e4",
-     "d4c01e5bcb3bf3d36ee8a3c4d69e6cf32930cdfec264e7db74ae98f667d85d30"),
+     "17492f22de900ada424574ead0d71813cb92d989b36e9b01f67a15bb72c0e456",
+     "a359a68eb23d20a9449bedbc37c80a7ce06919a51b3d75ef00803179ba6c068a",
+     "9aa0706ad33ace0c85a73e5706a1a0d52e64c18f78db1fd00dfc168010a43086"),
     (3, None, 'accept', None,
-     "3e80623ac2bff5a1e2edbda12954b45249a9b8547f16169623647c1d091b930d",
-     "d2685a1ed373b8b5c41854b2b08d5c7f871c771ca819a9bcbfa45be008708c86",
-     "43b463d020d4e7ba80730aa00a1dcc58f9e196345403de1fc831c2a50df39c9e"),
+     "4bdf2b5267488010c49092ab1cba9fbafa9fbfdb287080f2231ef5fd5ce1bbc8",
+     "3b37870b3374d857bb9b70eca109622b798cbe2fcef391b1dab99f31f09e777d",
+     "f8d8de56b2b790a617723d85ddcacc38ac36926c717091c16980faadaa363b72"),
     (3, 'inconsistent_labels', 'abort', 'provider:0',
      "4cd4f7dab1f92b191d1bfd04dd8c0bc6b7c4832d40b7a4e61b55567cc65e2b9f",
      "9fbb7a37e0f28b89a32e83713fc86019556d3af21e01d150dfac8661f8e9a395",
      "7856fe58a6b9ffb6e47722592fa177a50ff101b6ef9c7a7cced2f0571b10130e"),
     (3, 'tamper_garbled_gate', 'abort', 'P1',
-     "0595d730d2481ad25130326255bfc4d0f47194f4e5dce4d52fb626bd59e9d3ea",
-     "0175913b3e32e32c62c9d3b8a685500fa0458a3eb57963214ed497297205c213",
-     "671c3c40fe00940f7df1b8a5a17974615488f722b9840cada129af9d84839674"),
+     "b604e419f083b87ed18d6bd3a24aa1e0eaaa5c8a7b7b3cc2676294219df0ea97",
+     "c40e310ba6c9d1c5b86a73b4870d34d8c5983d47ec46215eb5a4672bc87ac0e3",
+     "6095b95f431468f8289dbb70f58ee6b3adf807e47e760be2b3beb383fe2e3719"),
     (3, 'substitute_output_label', 'reject', None,
-     "cd2bf94a8245d7699635845e463996e66ea499aec2c8d04d6c2397b3beb0eb9c",
-     "c9b13e502bff10838e8d153f1fe07738e343c386ae453b01210df2049503b874",
-     "8b59b552331f5ab68f5bf81b8ece5c5b4feaef2cc42aec51772173e3cd847ea0"),
+     "e074a1a0cc610ff30df075442b38869fa16bd79718434d7f95bb46ae14146fde",
+     "2e0418ada67cc9b541a62d79d151c4b5058bb08592a5cc5cc50899092c6efe3b",
+     "4b7ad2793f386060e2c662dd584595b15a36e8d0a4239a7ca673e2750531a5aa"),
     (3, 'bias_coin_toss', 'abort', 'P2',
      "d5cc122bd764fafa310c8fc3eac15b5015df0677ebf2067756ad1417e246a791",
      "369243b149aedaa3232240debd94fe463ac2073728a7859fad59e299864b4f93",
@@ -112,25 +112,25 @@ GOLDEN = [
      "43387c69ec4e04416bce9b5e6a670c378ba88490d8c779658c3298e0ba35956d",
      "987c36d78ee91686a24bef039831fb48979703362e2ce460e7ed722a40a60866"),
     (3, 'false_output_complaint', 'accept', 'provider:0',
-     "cd2bf94a8245d7699635845e463996e66ea499aec2c8d04d6c2397b3beb0eb9c",
-     "75647b1279845ba03486527a9c5bc0fad4f5daf0925abea08e9c154ddf520b3f",
-     "413b57a87b22dab1d6214c76055fa394cfd6f6df39c71b98d103f920021b6f37"),
+     "e074a1a0cc610ff30df075442b38869fa16bd79718434d7f95bb46ae14146fde",
+     "9e6a25d62f8a8b9dc1c987bfa3b5b00fc70208f08116a2f8987d274502665831",
+     "c40a33f3a6b6d15cd8903196e1a9995b667b1fb99c0970b9923f800f87eb85af"),
     (5, None, 'accept', None,
-     "53be979717c841e4648468855cf6dcaf3f7a8687c79513b46e452c534ba0d7d7",
-     "dbf192f2377c3a59233c8e2d0838bc00a0cfd0aa669a96886d59bbfbe53f361e",
-     "6ac7cb027d807fe003042dd764501bb0d64009a384c88ecb5c1e3211f16498c0"),
+     "62ded977cfbf429c0d702d38140d90b6817ab16194dba35d2a9bddec2ff98902",
+     "97a4e34503d612e8d379434fdafd5f290352cac50f5594e14e87b935921790c4",
+     "fe4044852e35b687c519972203447d0a0c3999e184d52cc3838122b333606923"),
     (5, 'inconsistent_labels', 'abort', 'provider:0',
      "5c33e2ff9d5e9d1a623fa819bd8f87fa460ba62d1900469a045eda9efb0b4d53",
      "fc6cba6e77659e1ef4f79e92d1a441bf23708f80343d2ec8e54cf3903508f412",
      "6460d215c101a19a0baa6ae8cf8b320dc04e5d9e0abeece3a8c07f9591a2f58d"),
     (5, 'tamper_garbled_gate', 'abort', 'P1',
-     "a99069865bc2bbb6efd6003f64181154a22f4b32cbdf86ca815d6861b8086968",
-     "832a6a92e74ef7a72b91332a7dd16d93932e37187d458836da65d4b7a1896879",
-     "562ebcf876c76c776d2bbd70fc98192f308167c13bc65540f7692366a059380f"),
+     "75a779b990102ca57626ff7a9247fd8a939f966bc431f755a76e49eb7e9c18e8",
+     "a1ad17f1452310fa73cded6391a9ccaa63b62de7f89fcd8b90a5b0de5d60945f",
+     "5467092fd93e026d508d0fdb88c19846b28a3f71a272cc0eb8fefe9eaae318ec"),
     (5, 'substitute_output_label', 'reject', None,
-     "4ab5cfcdf26c83b6fbff559936b6b710f896e89e78f3935d9599390ce7e1fafd",
-     "5ad8d27e472c1817f002585b3995da75114f8c94164350de00376fbf0de37eb4",
-     "30ddaeee0c64ae572642fa3a0ba2f00cfceb403448588fb3dedadfcd96162042"),
+     "9fc2cb718c952e672e07c82d2d157cb0822bac83072b377a865609d6e3771f17",
+     "2d166198cee688cbce24c73e595bae61feb24cc916fe8c3cdbf027a802febf14",
+     "86d0c20edec9e7584d64218f8b1cbd3ec1f8ddd4c964ccc6df5cd60c2bdd5b0c"),
     (5, 'bias_coin_toss', 'abort', 'P2',
      "d5cc122bd764fafa310c8fc3eac15b5015df0677ebf2067756ad1417e246a791",
      "4662ab42590460e24ff42bcb546d487a0f4df29217501fc33c1df42bc5d7f6ea",
@@ -144,21 +144,21 @@ GOLDEN = [
      "261ec611ab39b76c052b08503846e552e989768263693367141ea2564acc46b8",
      "2f588d5571759c76d4d4ceb576383e5728ec56fa9f7dd2174d9ac59a1f9910fc"),
     (5, 'false_output_complaint', 'accept', 'provider:0',
-     "4ab5cfcdf26c83b6fbff559936b6b710f896e89e78f3935d9599390ce7e1fafd",
-     "f12a9ab8b8afbc5a826dac3c23f4da4f57b3bf278935149242110e534cd8ddeb",
-     "59aa8a5d43e7026e127d7a337003cb8dda7dac7200bdb09e255573809d9f383b"),
+     "9fc2cb718c952e672e07c82d2d157cb0822bac83072b377a865609d6e3771f17",
+     "09168251d5a38bf2b1bcb0c851fc8328334bb698eb43e439fc83ff7bbb8d2ee4",
+     "81689e2a9a672a5495e3a53604c0b2fea51eee3630c12730654580b090d9e238"),
     (0, 'tamper_garbled_gate:gate5-mask01', 'abort', 'P1',
-     "c2ad00a3c8996fd9b657cfa39f734c0e29f4ccaedcb4b8853b689f2289de5b66",
-     "f28c00e8c6cb30b5aa9fea713b5482a633bc58b6c08836f56906b8aabb247322",
-     "008e9f00f805d75bd9c288ff5ab9e4a79bfbfbbdd36e005ccfb623d88fda1e14"),
+     "56f2abaa98f615a2a6968f86a05d16a87c3b4de19c953ad1db5b00de1762d68e",
+     "702d6e8da8df3db1d09b38cd8761c78619ac2d2ee19e23476c0e2fc98c64f641",
+     "ca4550309b85653f2c995c4b9f065a8e41c6a5a6de58a1cb8053e32afd07aaa2"),
     (0, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "2c231b04cc6579b38c67de649cc1ec76de711d962375c3121839b045dc661dfe",
-     "5b5dc9f16912a72a7f02ef02e79c73410a1be6230b21202bd02070701d745376",
-     "ccdeb4c7c74ef27ca4534dfac2a8c37a4e0ea7b120cac8f7cb9ff10bb42869c6"),
+     "30ac620454fc45899a88fff237014487593519bc914a2cd99d5d8ad08a1ed659",
+     "1db30710f265169c772d038119613f11b68c1d5a77fba6a8aec2780fc0b4c5b8",
+     "3d3ba5e96f8610e381979fa5da8d29279ad81abff849f43733f24657985226e6"),
     (0, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "509ed332cfb455418ef281f7040ca4279fba84ad485d790fe9a1c90ba747d243",
-     "a6eba6333a3350d00446cabb80abfed18ff46484037719cd83a712765454592d",
-     "d050430bd0ca64154b0de3978acecd7ad3e52deee69a960b0d0c9ca2db138627"),
+     "b97fbb3ad53ad0498b4af6690716d32484e9a2fb8c91efc99dfe29595095547f",
+     "3d98dff93a6e9758154c9e59232958011725895198ff0b35a7c74c02f41857e2",
+     "938c33d62c6a779b694acf7c47c5398ea4f192efa5e8e0946e9ba76b332cf3e7"),
     (0, 'falsify_check_failure:P2', 'abort', 'P2',
      "65e140106d905974711baec931068f115a6e7802151dc60b506afe90ab4a483e",
      "f2b95d98c243ed2c7533f7dba1b22464da7e6f9b5a83c307c35052b1d0a81cbf",
@@ -176,21 +176,21 @@ GOLDEN = [
      "8c7e3cd16466cbf490b3d0d6a6ec7a605ed23640e08f5d0d0585c2b3da6a982a",
      "680be832086d8cd96ee5626adca8b273bb01c4e0d7533b7a3e22904d9bfe0a4b"),
     (0, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "89e91c0331d06435c3db462236d0b754a0bd7953927bf3f99a85b98391eb70fe",
-     "da7b66b186140e511f23a6cb60de60594b9a1c3ab2cbe845a61b6ad33ecc74c0",
-     "3b9f55e212e3f1261ff2a5af27de96ef00ef86224604a663a6e2ac35b32a0f23"),
+     "7306a37a8fba608c62db2949510691321686ef1b7a591c974d3a09df346edac7",
+     "34328397db19215ac2de2dc8d4d5ea429718a9a11879468508ac3d000778630f",
+     "91cc324d39c1f7707ec0e71e87f00d81037bac8bc50e3c29b5a972a482e8b416"),
     (3, 'tamper_garbled_gate:gate5-mask01', 'abort', 'P1',
-     "0595d730d2481ad25130326255bfc4d0f47194f4e5dce4d52fb626bd59e9d3ea",
-     "99fb146f4563098fc0902f5520f8dcfc9ffbff99976a66f772e15ecb985a03a5",
-     "398e10320138db19ee750dcb15c365dbb48a81c6c55ea082dca085b4675114fc"),
+     "b604e419f083b87ed18d6bd3a24aa1e0eaaa5c8a7b7b3cc2676294219df0ea97",
+     "764f16bafd63e63f7c06ff7f4caf1b3d58dda8e6cb700b0e5ff54058ab00f14f",
+     "ba111cfc58a52a45595b1288d3b9547affaa5f6cde450ab7bc572d34d3e50279"),
     (3, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "2b5f04ad35e24768a0ac4674aaff26eee387a702cc19b2e92bf7aa3f8e74e07a",
-     "d18f2f5bafbaa7c49bfc33b7c51a9b60d2764c35d8eb8ebd0a154647ce2cf551",
-     "fc70f0bbb3ca30a9f686d7179e773ec9754a281ca236231a9a542d210b0dc4c2"),
+     "0a85e6c21f1a2fcdabbd1a06b47aa13f63af9d4dbeb491698df66cc67bb64530",
+     "9ada723ae152e3e8471d3b3aaa919cc2f33797fbddb53bdf81f3ca05a1b1b690",
+     "4c8d82cd7a85d762a413580696568be63a536b92e78c6d35677c618dc512f66b"),
     (3, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "43980dbf625cb54f346e32df241117ce16a1b26316ea984215b7f22200b188f2",
-     "499935fa644d15bd12b2a54b4b70e2f2ed6ae40eadd24550eedaebfc39b426f8",
-     "a44d47862ccfd22ed002f0ef16f2684f49d0762323a18f8134f01127eb9eff12"),
+     "51560a7fe04f0862a30c4359a0ab02eb97b7443c3fccb5081dba8b1869fcbd32",
+     "f04b9e1dac377c7294e5f75cd50fdbee7d53abe06265b48addd9383cc74b1613",
+     "5d4cead9944b10b5bdfd65654b170a03dd56820ff506d03e9195b07a0758e26b"),
     (3, 'falsify_check_failure:P2', 'abort', 'P2',
      "b46e2c79da3fcd93357725c813dc086d5d843aeea702c0b754c6012a9c4756e2",
      "b2d791bf630215a130036b2bfa707161ce75d256f1f54db602a64bb8259e4c16",
@@ -208,21 +208,21 @@ GOLDEN = [
      "a1c369ddd97cd9d4d0d66e81ac35c57c4d4e3568983c4d014d663c5b32c9a8d5",
      "7a7f6334543f4b1a0040e31e1cba8c746bf94c3edda35d05f8cf02aebedbecdd"),
     (3, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "11007d993f9c89e89f531659988358cc0992f193db7808ce9f441e92f0ec601f",
-     "374a6157f5a8758dfac37bb33b83c64a90b61d307e86806c417476b10d4bf1a1",
-     "aeab37cb08ddc2982364f146cbe5fd9fde9034a812e4741231df5a21dc5cee43"),
+     "c5c17e83d5d52f24284ea74871c39143e54185bf823a8e84ed24248bfe5927a1",
+     "d8f60d48886d35f60f68f00db46ad456768f97d8f7c4eeda73946d11d02ed2ca",
+     "6f55e6059b14116979ee9de8ebf3ef069ed689a002e37af7751d57651462909e"),
     (5, 'tamper_garbled_gate:gate5-mask01', 'abort', 'P1',
-     "a99069865bc2bbb6efd6003f64181154a22f4b32cbdf86ca815d6861b8086968",
-     "7301d8d89b142e08bbde3ea371fd8f5e58009d5ef4e9df95e246dcad0ea8e290",
-     "ee5314a6ed4925840be6657bacaed4560e125f0c854af709d633dbce39f93f64"),
+     "75a779b990102ca57626ff7a9247fd8a939f966bc431f755a76e49eb7e9c18e8",
+     "2ac31f4b65342878c553085b99bfbb4b9aca71af02aee742e93e736c96f3473b",
+     "7ab6736287f3c91cbf4c6a833338e802c42a993357894b688933cb6421918425"),
     (5, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "038efd377732ef660ff756c989e2419bb454b9a1db036f271d5473e7d676622e",
-     "1e42cd959b1d046383874e9d9525b2c79791576de1baefbf889b9511d1a403f3",
-     "67a0e6382fc8a3fc45b439b4cf965533cf88df057647b9c9d8ff88b32c33fdd1"),
+     "26f7ac1957a49f54bedd2bef5af72bd23a8ea4eac588636d2fe67081f5cbb169",
+     "836b510d6abe09227f5c0bb28686530998cce886bb7fb48442e8ad87a0594e49",
+     "56790920b1ddfa5b92b353c83df70cd59c894444cf7f1d833bfe17866b4b9c1e"),
     (5, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "74db1e68b553a656436756878bd30e9de51a7f6e981ee890da67138e86df1b6a",
-     "6bc5ed23a484bcb7261423b29baf6f6028b6fa3e97be7836a130262daf6da841",
-     "34451bd78cd77e7a36e34849b72b00f97dfd1faf361d1c8441501a598d13660f"),
+     "95cfb2e8981b27344a5c3999187ab95f1f13773f68a4a09a0421bd0fc92a5c78",
+     "a4a97aa83cda61711befbcc5728fa3129f51ce5bdcead5d031d31660a305a01f",
+     "6c11dc29961ff3b235d6ee9b3d2e56f158fffe0530628256f8ea0bca3f7baed9"),
     (5, 'falsify_check_failure:P2', 'abort', 'P2',
      "fc4ddebc5def309ade375ba91f1a52baba43551bd2ac2cad1f349cce7a5732fe",
      "72d4b3271faa20bb08b67aa10a2eeca944209b4e334c44a4237750a6dd8cedaa",
@@ -240,9 +240,9 @@ GOLDEN = [
      "c63204156ff83151b719d69359d21409a618824c9f86b34d5c260c83e060dd89",
      "63f9f7876e60bcb4cd1fc27a6952d849852e63ae4aa29c6f25c3ef01baf5205c"),
     (5, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "3e0b5bb047ad731c1e775120761dd3e6bc76f9d002de57ad626bd6837db3a069",
-     "6864abcb8b8cc4f3a45bde1845470eb40db94aef2b8bb752fb56bf39153ca7d3",
-     "d098926e24e409a5363a5b1bd25ba8aa356ca02fc1620aa022327db7e16c53ac"),
+     "24163df518d3fcf2709c0799af48eb89ef3c686ad9c9b58c4b55a591edd3093d",
+     "2196498cc1dbb3502f8f67dba67ad33e894ddbf84d6431b4784724cc3bcd7192",
+     "13b03d7ae299fd69fab3d98b90c6c83e759e5d413d15c32ae5ddfa0db2121a81"),
 ]
 
 

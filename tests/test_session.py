@@ -4,7 +4,9 @@ transcript determinism and accounting, and the catch-the-cheater paths."""
 import dataclasses
 import hashlib
 import random
+import re
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -522,10 +524,10 @@ def _count_item_reads(monkeypatch) -> Counter:
     counts = Counter()
 
     def counted(name, item):
-        def read(data, off, read_item=item.read):
+        def convert(value, convert_item=item.convert):
             counts[name] += 1
-            return read_item(data, off)
-        return M.listof(item._replace(read=read))
+            return value if convert_item is None else convert_item(value)
+        return M.listof(item._replace(convert=convert))
 
     leaf = M.decode_body(T.INPUT_COMMITMENTS, bytes(4)).item
     entry, sets = (f.item for f in M.decode_body(T.EVALSET_OPENINGS,
@@ -934,6 +936,11 @@ def test_input_commitments_go_in_full_to_the_parties_only():
         == sum(e.nbytes for e in frames)
 
 
+# The README's library example session in bytes, as README "Wire format"
+# quotes it.
+README_SESSION_BYTES = 1_531_690
+
+
 def test_readme_session_bytes_by_type_are_pinned():
     """The README's library example, 6 bidders of 64 input wires at
     s = 10, by message type. A frame carries a 16-byte header. Each bidder
@@ -961,12 +968,30 @@ def test_readme_session_bytes_by_type_are_pinned():
         "EVALSET_OPENINGS": (frames * (16 + 4 + 4 + 64 * 128)
                              + 2 * 145 * evaluated),
         "HASH_TUPLE": 10048,
-        "GARBLED_CIRCUIT": 442168,
+        "GARBLED_CIRCUIT": 406008,
         "OUTPUT_COMMITMENTS": 3416,
         "BUNDLE_HASH": 2016,
         "OUTPUT_OPENINGS": 24710,
     }
-    assert res.transcript.measure()["bytes_total"] == 1567850
+    assert res.transcript.measure()["bytes_total"] == README_SESSION_BYTES
+
+
+def test_readme_quotes_the_pinned_gate_count_and_session_bytes():
+    """The README's n6m2 AND/OR count is the compiled circuit's, and its
+    session size the one pinned above."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())
+
+    def quoted(pattern):
+        found = re.findall(pattern, text)
+        assert len(found) == 1, pattern
+        return int(found[0].replace(",", ""))
+
+    config = AuctionConfig(vm_types=2, capacities=(3, 3), weights=(1, 2),
+                           width=16)
+    assert quoted(r"this leaves ([\d,]+) AND/OR gates") == len(
+        tabled_gates(build_auction_circuit(config, 6)))
+    assert quoted(r"a session is ([\d,]+) bytes") == README_SESSION_BYTES
 
 
 def _one_commitment_altered(claim):

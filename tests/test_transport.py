@@ -334,14 +334,17 @@ def _sized_codecs():
 
 @pytest.mark.parametrize("name", sorted(_sized_codecs()))
 def test_a_sized_codec_reads_any_bytes_of_its_width(name):
-    """A table decodes an item only when it is read, so an item's read must
-    not be able to fail once the list's length has been checked."""
+    """A table decodes an item only when it is read, by ``convert`` on the
+    item's bytes, so that must not be able to fail once the list's length
+    has been checked, and must give what the bounds-checked read gives."""
     codec = _sized_codecs()[name]
     rng = random.Random(name)
     for _ in range(200):
         data = rng.randbytes(codec.size)
         value, end = codec.read(data, 0)
         assert end == codec.size
+        assert value == (data if codec.convert is None
+                         else codec.convert(data))
         out = []
         codec.write(out, value)
         assert b"".join(out) == data
@@ -367,6 +370,11 @@ def test_a_sized_seq_reads_its_fields_in_turn_behind_one_bounds_check():
 def test_a_codec_that_can_refuse_its_bytes_has_no_size():
     assert M.role_or_none.size is None
     assert M.SCHEMAS[T.ABORT].size is None
+
+
+def test_a_list_of_items_without_a_fixed_width_is_refused():
+    with pytest.raises(ValueError, match="fixed width"):
+        M.listof(M.opening)
 
 
 def test_flow_table_covers_every_type_and_passes_audit():
