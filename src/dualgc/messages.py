@@ -15,16 +15,15 @@ and the items.
 body, trailing bytes, non-UTF-8 text or a non-zero "no one" role tag with
 ``FramingError``, alike for every type.
 
-A codec whose read accepts any bytes of one width (an integer, ``raw(n)``,
-or a ``seq`` or ``array`` of such fields) has that ``size``. Every list
-has sized items (``listof`` refuses any other item when the schema is
-built) and decodes to a ``Table``: its count is checked against the bytes
-left, and an item is sliced and decoded only when it is read, which cannot
-fail. The leaves, check seeds, evaluation entries, label sets, wire
-digests, echo records and output commitments are such lists. An evaluation
-entry is a fixed 145 bytes: its two openings' context tags and lengths are
-derived, not sent, and its receiver puts the tags back when it recomputes
-the commitments.
+A list decodes to a plain list, each item through its codec's ``read``,
+after one check that its count does not exceed the bytes left (every item
+takes at least one byte). ``packed`` lays a list's items end to end as
+they lie in the body, without the count; a digest over a list (a wire's
+leaves, a bidder's wire digests, check seeds or label sets, the echoed
+records) is taken over that, so its sender and every receiver compute it
+with the same call. An evaluation entry is a fixed 145 bytes: its two
+openings' context tags and lengths are derived, not sent, and its receiver
+puts the tags back when it recomputes the commitments.
 
 A body carries only what its receiver cannot derive. Lists are positional
 in an order fixed by the public parameters (the input and output maps,
@@ -65,10 +64,8 @@ from __future__ import annotations
 
 import enum
 from collections import namedtuple
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate
 from operator import methodcaller
 
 from .commitments import DIGEST_BYTES, NONCE_BYTES, Opening
@@ -215,36 +212,27 @@ def decode_frame(frame: bytes):
 
 # ``write(out, value)`` appends the value's bytes to the list ``out``;
 # ``read(data, off)`` returns ``(value, offset after it)`` and raises
-# ``FramingError`` if ``data`` ends first. ``size`` is the field's width in
-# bytes when it has one and its read cannot fail on any bytes of that
-# width, else None. A sized field's value is ``convert`` applied to its
-# bytes, or the bytes themselves where ``convert`` is None.
-Codec = namedtuple("Codec", "write read size convert", defaults=(None, None))
+# ``FramingError`` if ``data`` ends first or holds no such value.
+Codec = namedtuple("Codec", "write read")
 
 
 _TRUNCATED = "message payload truncated"
 
 
-def _sized_read(n: int, convert):
-    """The read of an ``n``-byte field: one bounds check, then ``convert``
-    (if any) on its bytes."""
+def _fixed(n: int, to_bytes, from_bytes=None) -> Codec:
+    """An ``n``-byte field: its bytes, or ``from_bytes`` of them."""
+    def write(out, value):
+        out.append(to_bytes(value))
+
     def read(data, off):
         end = off + n
         if end > len(data):
             raise FramingError(_TRUNCATED)
-        if convert is None:
+        if from_bytes is None:
             return data[off:end], end
-        return convert(data[off:end]), end
+        return from_bytes(data[off:end]), end
 
-    return read
-
-
-def _fixed(n: int, to_bytes, from_bytes=None) -> Codec:
-    """An ``n``-byte field."""
-    def write(out, value):
-        out.append(to_bytes(value))
-
-    return Codec(write, _sized_read(n, from_bytes), n, from_bytes)
+    return Codec(write, read)
 
 
 def _uint(n: int) -> Codec:
@@ -272,11 +260,10 @@ def _role_or_none(tag: bytes):
     return role_from_tag(tag)
 
 
-# A role tag, or three zero bytes for None; it can refuse its bytes, so it
-# has no size.
+# A role tag, or three zero bytes for None
 role_or_none = _fixed(
     ROLE_PREFIX_BYTES, lambda r: _NO_ROLE if r is None else r.tag(),
-    _role_or_none)._replace(size=None, convert=None)
+    _role_or_none)
 
 
 def _write_var(out, value: bytes):
@@ -323,12 +310,9 @@ rest = Codec(lambda out, b: out.append(b),
 
 
 def seq(*fields: Codec) -> Codec:
-    """The fields one after another, as a tuple. When every field is
-    sized, the tuple is sized too: one bounds check, then each field is
-    sliced at an offset fixed in advance."""
+    """The fields one after another, as a tuple."""
     writers = tuple(f.write for f in fields)
     readers = tuple(f.read for f in fields)
-    sizes = [f.size for f in fields]
 
     def write(out, values):
         if len(values) != len(writers):
@@ -336,25 +320,14 @@ def seq(*fields: Codec) -> Codec:
         for w, value in zip(writers, values):
             w(out, value)
 
-    if None in sizes:
-        def read(data, off):
-            values = []
-            for r in readers:
-                value, off = r(data, off)
-                values.append(value)
-            return tuple(values), off
+    def read(data, off):
+        values = []
+        for r in readers:
+            value, off = r(data, off)
+            values.append(value)
+        return tuple(values), off
 
-        return Codec(write, read)
-
-    spans = tuple((f.convert, at, at + f.size) for f, at in
-                  zip(fields, accumulate([0] + sizes[:-1])))
-
-    def convert(item):
-        return tuple([item[a:b] if c is None else c(item[a:b])
-                      for c, a, b in spans])
-
-    size = sum(sizes)
-    return Codec(write, _sized_read(size, convert), size, convert)
+    return Codec(write, read)
 
 
 def array(n: int, item: Codec) -> Codec:
@@ -362,54 +335,11 @@ def array(n: int, item: Codec) -> Codec:
     return seq(*(item,) * n)
 
 
-class Table(Sequence):
-    """A read-only list of ``count`` fixed-width ``item``s laid out in
-    ``data`` from ``off``. An item is decoded each time it is read, which
-    cannot fail; a unit-step slice is a view over the same bytes."""
-
-    __slots__ = ("data", "off", "count", "item")
-
-    def __init__(self, data, off: int, count: int, item: Codec):
-        self.data, self.off, self.count, self.item = data, off, count, item
-
-    def __len__(self):
-        return self.count
-
-    def __getitem__(self, i):
-        at = range(self.count)[i]
-        size = self.item.size
-        if isinstance(at, int):
-            start = self.off + at * size
-            value = self.data[start:start + size]
-            convert = self.item.convert
-            return value if convert is None else convert(value)
-        if at.step != 1:
-            return [self[k] for k in at]
-        return Table(self.data, self.off + at.start * size, len(at),
-                     self.item)
-
-    def __bytes__(self):
-        """The items as they lie in the body, none of them decoded."""
-        size = self.item.size
-        return bytes(self.data[self.off:self.off + self.count * size])
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(
-            a == b for a, b in zip(self, other))
-
-    def __repr__(self):
-        return f"Table({list(self)!r})"
-
-
 def listof(item: Codec) -> Codec:
-    """A u32 count, then that many fixed-width items, decoded to a
-    ``Table`` once the body is long enough for them."""
-    size = item.size
-    if size is None:
-        raise ValueError("a list's items must have a fixed width")
-    write_count, read_count, write_item = u32.write, u32.read, item.write
+    """A u32 count, then that many items, as a list. A count larger than
+    the bytes left is refused before any item is read."""
+    write_count, read_count = u32.write, u32.read
+    write_item, read_item = item.write, item.read
 
     def write(out, values):
         write_count(out, len(values))
@@ -418,12 +348,22 @@ def listof(item: Codec) -> Codec:
 
     def read(data, off):
         n, off = read_count(data, off)
-        end = off + n * size
-        if end > len(data):
+        if n > len(data) - off:
             raise FramingError(_TRUNCATED)
-        return Table(data, off, n, item), end
+        values = []
+        for _ in range(n):
+            value, off = read_item(data, off)
+            values.append(value)
+        return values, off
 
     return Codec(write, read)
+
+
+def packed(items) -> bytes:
+    """A list's items end to end as they lie in a body, without the count:
+    each item is bytes or a tuple of such items."""
+    return b"".join(item if isinstance(item, bytes) else packed(item)
+                    for item in items)
 
 
 # --- message schemas ---------------------------------------------------------

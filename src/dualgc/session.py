@@ -244,9 +244,10 @@ def _recipient(role: M.Role, circuit) -> int:
     return role.index if role.kind == M.PROVIDER else len(circuit.input_map)
 
 
-def _digest(data) -> bytes:
-    """SHA-256 over bytes, or over a list as it lies on the wire."""
-    return hashlib.sha256(bytes(data)).digest()
+def _digest(data: bytes) -> bytes:
+    """SHA-256 over bytes; a list is hashed as ``messages.packed`` lays it
+    out."""
+    return hashlib.sha256(data).digest()
 
 
 def _provider_roles(circuit) -> list[M.Role]:
@@ -321,7 +322,7 @@ class Participant:
         if len(records) != len(self.circuit.input_map):
             raise _Abort(self.role, sender,
                          "echo holds the wrong number of records")
-        echo = coin + bytes(records)
+        echo = coin + M.packed(records)
         self.echo = self.echo or echo
         if coin != self.coin_view:
             raise _Abort(self.role, None, "coin-toss views diverged")
@@ -345,7 +346,6 @@ class Party(Participant):
         self.check_seeds = {}    # bidder Role -> its (seed, position) checks
         self.label_sets = {}     # bidder Role -> its label sets
         self.failures = []       # (wire, copy) failing checks, in order
-        self.triples = {}        # wire -> eval triples (asc copy)
         self.evidence = {}       # wire -> their eval entries (asc copy)
         self.final_enc = {}      # wire -> own-circuit Encoding
         self.cross_label = {}    # wire -> other-circuit label
@@ -354,9 +354,8 @@ class Party(Participant):
         self.out_openings = {}   # recipient -> Opening
 
     def wire_digests(self, bidder: M.Role) -> list[bytes]:
-        """The bidder's wire digests, by input map, hashed from the leaves
-        as they lie on the wire, undecoded."""
-        return [wire_digest(bytes(self.leaves[w]))
+        """The bidder's wire digests, by input map."""
+        return [wire_digest(M.packed(self.leaves[w]))
                 for w in self.circuit.input_map[bidder.index]]
 
     def take_input_commitments(self, sender: M.Role, leaves):
@@ -368,7 +367,7 @@ class Party(Participant):
         for k, w in enumerate(wires):
             self.leaves[w] = leaves[k * self.s:(k + 1) * self.s]
         self.records[sender.index] = [
-            _digest(b"".join(self.wire_digests(sender)))]
+            _digest(M.packed(self.wire_digests(sender)))]
 
     def coin_commit(self):
         share, com, self.coin_opening = coin_toss_commit(self.rng)
@@ -392,7 +391,7 @@ class Party(Participant):
             raise _Abort(self.role, sender,
                          "check seeds cover the wrong copies")
         self.check_seeds[sender] = checks
-        self.records[sender.index].append(seed_digest(bytes(checks)))
+        self.records[sender.index].append(seed_digest(M.packed(checks)))
         self.failures += [
             (w, j) for (w, j), (seed, position) in zip(copies, checks)
             if not check_pair_construction(self.leaves[w][j], seed, position)]
@@ -418,19 +417,19 @@ class Party(Participant):
         if len(sets) != len(self.circuit.input_map[sender.index]):
             raise _Abort(self.role, sender, "label sets cover the wrong wires")
         self.label_sets[sender] = sets
-        self.records[sender.index].append(_digest(sets))
-        by_wire = {}
+        self.records[sender.index].append(_digest(M.packed(sets)))
+        by_wire, triples = {}, {}
         for (w, j), entry in zip(copies, entries):
             by_wire.setdefault(w, []).append((j, entry))
         for w, opened in by_wire.items():
             js, openings = zip(*opened)
-            triples = open_evidence(self.leaves[w], js, self.slot, openings)
-            if triples is None:
+            triples[w] = open_evidence(self.leaves[w], js, self.slot, openings)
+            if triples[w] is None:
                 raise _Abort(self.role, sender,
                              f"evaluation opening failed on wire {w}")
-            self.triples[w], self.evidence[w] = triples, list(openings)
+            self.evidence[w] = list(openings)
         for w in self.circuit.input_map[sender.index]:
-            enc, cross = evaluate_final_labels(self.triples[w])
+            enc, cross = evaluate_final_labels(triples[w])
             if enc.zero == enc.one:
                 raise _Abort(self.role, sender,
                              f"wire {w} final encoding is degenerate")
@@ -442,15 +441,20 @@ class Party(Participant):
         bidder, by index."""
         records = [tuple(self.records[u])
                    for u in range(len(self.circuit.input_map))]
-        self.echo = self.coin_view + b"".join(map(b"".join, records))
+        self.echo = self.coin_view + M.packed(records)
         return self.coin_view, records
 
     def consistency_complaint(self) -> int | None:
-        """The first wire whose triples fail its owner's label sets, if
-        any."""
-        return next((w for w in sorted(self.triples) if not labels_consistent(
-            self.triples[w], self.label_sets[self.wire_owner[w]][self.at(w)],
-            self.slot)), None)
+        """The first wire whose triples, sliced from this party's entries,
+        fail its owner's label sets, if any."""
+        L = LABEL_BYTES
+        for w in sorted(self.evidence):
+            triples = [(body[:L], body[L:2 * L], body[2 * L:])
+                       for _, _, body, *_ in self.evidence[w]]
+            sets = self.label_sets[self.wire_owner[w]][self.at(w)]
+            if not labels_consistent(triples, sets, self.slot):
+                return w
+        return None
 
     def consistency_proof(self):
         """The CONSISTENCY_PROOF of the complaint, if any: the wire, this
@@ -529,9 +533,9 @@ class Provider(Participant):
         for w in self.wires:
             self.material[w] = self.make_material(w)
             copies = self.material[w].leaves()
-            digests.append(wire_digest(b"".join(copies)))
+            digests.append(wire_digest(M.packed(copies)))
             leaves += copies
-        self.records[self.index] = [_digest(b"".join(digests))]
+        self.records[self.index] = [_digest(M.packed(digests))]
         return leaves
 
     def checkset_openings(self):
@@ -539,8 +543,7 @@ class Provider(Participant):
         commitment of each check copy, by wire, then by copy."""
         checks = [self.material[w].check_seed(j)
                   for w, j in self.copies(self.index, checked=True)]
-        self.records[self.index].append(seed_digest(b"".join(
-            map(b"".join, checks))))
+        self.records[self.index].append(seed_digest(M.packed(checks)))
         return self.coin_view, checks
 
     def evalset_openings(self) -> dict:
@@ -549,8 +552,7 @@ class Provider(Participant):
         by input map."""
         copies = self.copies(self.index, checked=False)
         sets = [self.material[w].label_sets(self.rho[w]) for w in self.wires]
-        self.records[self.index].append(_digest(b"".join(
-            v for wire in sets for pair in wire for v in pair)))
+        self.records[self.index].append(_digest(M.packed(sets)))
         return {party: ([self.material[w].eval_openings(j, slot)
                          for w, j in copies], sets)
                 for slot, party in enumerate((_P1, _P2))}
@@ -565,8 +567,8 @@ class Provider(Participant):
         if owner == self.role:
             return None
         record = self.records[owner.index]
-        if (_digest(digests) == record[0]
-                and wire_digest(bytes(leaves)) == digests[self.at(wire)]):
+        if (_digest(M.packed(digests)) == record[0]
+                and wire_digest(M.packed(leaves)) == digests[self.at(wire)]):
             found = fault(record, leaves)
             if found:
                 return _Abort(self.role, owner, found)
@@ -584,7 +586,7 @@ class Provider(Participant):
         def fault(record, leaves):
             at = self.copies(owner.index, checked=True).index((wire, copy))
             return verify_check_failure_claim(
-                leaves[copy], bytes(checks), at, record[1]) and (
+                leaves[copy], M.packed(checks), at, record[1]) and (
                 f"check copy {copy} of wire {wire} failed construction: its "
                 "commitments are not its seed's")
         return self._ruling(sender, wire, digests, leaves, fault,
@@ -605,7 +607,7 @@ class Provider(Participant):
         slot = 0 if sender == _P1 else 1
 
         def fault(record, leaves):
-            if _digest(sets) != record[2]:
+            if _digest(M.packed(sets)) != record[2]:
                 return None
             triples = open_evidence(leaves, copies, slot, openings)
             if triples is None or labels_consistent(
@@ -1001,12 +1003,16 @@ class Session:
                        "rejection confirmed by the opened failure proof",
                 decisions=decisions, transcript=self.transcript,
                 phase=self._phase)
-        # The cloud's output group is the bidders' groups end to end.
-        cloud_bits = decisions["cloud"].value
-        if cloud_bits != tuple(bit for prov in self.bidders
-                               for bit in decisions[prov.role.name].value):
-            raise _Abort(self.cloud.role, None,
-                         "recipient views of the result diverged")
+        # The cloud's output group is the bidders' groups end to end; a
+        # bidder that rejected has no value to hold against it.
+        cloud_bits, at = decisions["cloud"].value, 0
+        for prov in self.bidders:
+            end = at + len(self.circuit.output_map[prov.recipient])
+            if decisions[prov.role.name].value not in (None,
+                                                       cloud_bits[at:end]):
+                raise _Abort(self.cloud.role, None,
+                             "recipient views of the result diverged")
+            at = end
         result = decode_cloud_bits(self.config, self.n, list(cloud_bits))
         reason = ""
         if spurious is not None:

@@ -269,112 +269,71 @@ def test_schema_extra_inputs(mtype, body, expected):
         assert M.encode_body(mtype, expected) == body
 
 
-def _table(fixed: FixedList) -> M.Table:
-    """The fixed-width list of a body whose list is empty."""
-    value = M.decode_body(fixed.mtype, _list_body(fixed, 0, 0))
+def _items(fixed: FixedList, value):
+    """The list of a value of the body's type."""
     return value if fixed.field is None else value[fixed.field]
 
 
-def test_only_the_commitment_lists_decode_to_tables():
-    for mtype, value in SAMPLES.items():
-        got = M.decode_body(mtype, M.encode_body(mtype, value))
-        fields = got if isinstance(got, tuple) else (got,)
-        tables = [f for f in fields if isinstance(f, M.Table)]
-        assert len(tables) == sum(f.mtype is mtype
-                                  for f in FIXED_LISTS.values())
+@pytest.mark.parametrize("name", sorted(FIXED_LISTS))
+def test_a_list_packs_as_it_lies_in_the_body(name):
+    """``packed`` gives a list's items as they lie in the body, without the
+    count, both for the value sent and for the value decoded."""
+    fixed = FIXED_LISTS[name]
+    value = SAMPLES[fixed.mtype]
+    body = M.encode_body(fixed.mtype, value)
+    got = M.decode_body(fixed.mtype, body)
+    items = _items(fixed, value)
+    assert items and _items(fixed, got) == items
+    packed = M.packed(items)
+    assert M.packed(_items(fixed, got)) == packed
+    assert len(packed) == len(items) * fixed.width
+    assert body == (fixed.head + len(items).to_bytes(4, "big") + packed
+                    + fixed.tail)
 
 
-def _encode(codec, value) -> bytes:
-    out = []
-    codec.write(out, value)
-    return b"".join(out)
-
-
-def test_a_table_reads_as_the_list_it_encodes():
-    codec = M.leaves
-    items = SAMPLES[T.INPUT_COMMITMENTS]
-    body = _encode(codec, items)
-    table, end = codec.read(body, 0)
-    assert end == len(body)
-    assert list(table) == items
-    assert table == items and len(table) == len(items)
-    assert list(iter(table)) == items
-    for i in range(-len(items), len(items)):
-        assert table[i] == items[i]
-    for i in (len(items), -len(items) - 1):
-        with pytest.raises(IndexError):
-            table[i]
-    for cut in (slice(None), slice(1, None), slice(None, -1), slice(1, 2),
-                slice(2, 1), slice(-2, None), slice(5, 9)):
-        view = table[cut]
-        assert isinstance(view, M.Table)
-        assert view == items[cut] and list(view) == items[cut]
-        assert _encode(codec, view) == _encode(codec, items[cut])
-        assert bytes(view) == _encode(codec, items[cut])[4:]
-    assert table[1:][1:] == items[2:]
-    assert table[::2] == items[::2] and table[::-1] == items[::-1]
-    assert table != items[:-1] and table != items[::-1]
-    assert _encode(codec, table) == body
-
-
-def _sized_codecs():
-    """Every fixed-width codec: the field codecs, the fixed-width bodies
-    and the items of the fixed-width lists."""
-    codecs = {"u16": M.u16, "u32": M.u32, "raw(32)": M.raw(32),
-              "commitment": M.commitment}
-    for mtype, codec in M.SCHEMAS.items():
-        if codec.size is not None:
-            codecs[mtype.name] = codec
-    for name, fixed in FIXED_LISTS.items():
-        item = _table(fixed).item
-        assert item.size == fixed.width
-        codecs[f"{name} item"] = item
-    return codecs
-
-
-@pytest.mark.parametrize("name", sorted(_sized_codecs()))
-def test_a_sized_codec_reads_any_bytes_of_its_width(name):
-    """A table decodes an item only when it is read, by ``convert`` on the
-    item's bytes, so that must not be able to fail once the list's length
-    has been checked, and must give what the bounds-checked read gives."""
-    codec = _sized_codecs()[name]
-    rng = random.Random(name)
-    for _ in range(200):
-        data = rng.randbytes(codec.size)
+def _field_round_trip(codec):
+    def round_trip(data):
         value, end = codec.read(data, 0)
-        assert end == codec.size
-        assert value == (data if codec.convert is None
-                         else codec.convert(data))
+        assert end == len(data)
         out = []
         codec.write(out, value)
-        assert b"".join(out) == data
+        return b"".join(out)
+    return round_trip
 
 
-def test_a_sized_seq_reads_its_fields_in_turn_behind_one_bounds_check():
-    fields = (M.u16, M.raw(3), M.array(2, M.u32), M.seq(M.raw(1), M.u16))
-    codec = M.seq(*fields)
-    assert codec.size == 2 + 3 + 8 + 3
-    rng = random.Random("sized-seq")
-    for off in (0, 1, 7):
-        data = rng.randbytes(off + codec.size + 5)
-        want, at = [], off
-        for field in fields:
-            value, at = field.read(data, at)
-            want.append(value)
-        assert codec.read(data, off) == (tuple(want), off + codec.size)
-        for cut in range(off + codec.size):
-            with pytest.raises(FramingError):
-                codec.read(data[:cut], off)
+def _body_round_trip(mtype, head=b"", tail=b""):
+    def round_trip(data):
+        body = head + data + tail
+        got = M.encode_body(mtype, M.decode_body(mtype, body))
+        assert got[:len(head)] == head and got[len(head) + len(data):] == tail
+        return got[len(head):len(head) + len(data)]
+    return round_trip
 
 
-def test_a_codec_that_can_refuse_its_bytes_has_no_size():
-    assert M.role_or_none.size is None
-    assert M.SCHEMAS[T.ABORT].size is None
+# Every field of one fixed width, by name: its width, and what bytes of that
+# width decode and encode back to, as a field codec, a whole body or one
+# list item in a body.
+FIXED_WIDTH = {
+    "u16": (2, _field_round_trip(M.u16)),
+    "u32": (4, _field_round_trip(M.u32)),
+    "raw(32)": (32, _field_round_trip(M.raw(32))),
+    "commitment": (32, _field_round_trip(M.commitment)),
+    "BUNDLE_HASH": (32, _body_round_trip(T.BUNDLE_HASH)),
+    "COIN_COMMIT": (32, _body_round_trip(T.COIN_COMMIT)),
+} | {f"{name} item": (fixed.width, _body_round_trip(
+        fixed.mtype, fixed.head + (1).to_bytes(4, "big"), fixed.tail))
+     for name, fixed in FIXED_LISTS.items()}
 
 
-def test_a_list_of_items_without_a_fixed_width_is_refused():
-    with pytest.raises(ValueError, match="fixed width"):
-        M.listof(M.opening)
+@pytest.mark.parametrize("name", sorted(FIXED_WIDTH))
+def test_a_sized_codec_reads_any_bytes_of_its_width(name):
+    """A fixed-width field decodes any bytes of its width and encodes them
+    back, so a list of such items can fail to decode only on its length."""
+    width, round_trip = FIXED_WIDTH[name]
+    rng = random.Random(name)
+    for _ in range(200):
+        data = rng.randbytes(width)
+        assert round_trip(data) == data
 
 
 def test_flow_table_covers_every_type_and_passes_audit():
