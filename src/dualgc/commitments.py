@@ -4,8 +4,10 @@ A commitment is the 32-byte digest; the opening is the (message, randomness)
 pair. Randomness is exactly 16 bytes and must never be reused across two
 distinct commitments in one protocol session. Callers draw it from a seeded
 session RNG, or, for the four input sets of a cut-and-choose copy, from
-that copy's seed stream (``consistency.expand_seed``), so that the seed
-alone regenerates them; the test harness audits uniqueness.
+the sub-seed of the circuit whose party holds the commitment
+(``consistency.expand_subseed``), which the copy's seed gives, so that the
+seed alone regenerates all four and a sub-seed its party's two; the test
+harness audits uniqueness.
 
 Every committed message is prefixed with a 1-byte context tag so an opening
 for one context can never be replayed as an opening for another. The tags

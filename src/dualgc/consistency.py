@@ -11,26 +11,29 @@ commitment sets:
 plus one position commitment to ``p = b XOR x`` (``p = 0`` selects ``W`` as
 the copy's input set), five commitments per copy in total. Each copy comes
 from a 16-byte seed the provider draws: SHAKE-256 over a domain tag and
-the seed gives both encodings, ``b`` and the four input-set nonces. The
-position nonce is drawn apart, from the provider's own stream: were it in
-the seed, a party holding the seed could test ``com(p)`` for both ``p``
-and learn ``x = p XOR b``. A jointly tossed challenge string marks each
-copy as a *check* copy (opened by its seed) or an *evaluation* copy (the
-position is opened, then the selected set's first commitment goes to the
-first party and its second commitment to the second party). Each party
-XORs its evaluation triples into final labels. This is the seed-opened
-check of Goyal-Mohassel-Smith (EUROCRYPT 2008); check copies are
-discarded, so their seeds reveal nothing that is used later.
+the seed gives ``b`` and one 16-byte *sub-seed* per circuit, and SHA-512
+over another tag and circuit ``i``'s sub-seed gives its two labels
+``Ki_0, Ki_1`` and the nonces of party ``i``'s commitments in ``W`` and
+``W'``. The position nonce is drawn apart, from the provider's own stream:
+were it in the seed, a party holding the seed could test ``com(p)`` for
+both ``p`` and learn ``x = p XOR b``. A jointly tossed challenge string
+marks each copy as a *check* copy (opened by its seed) or an *evaluation*
+copy (the position is opened, then each party gets its circuit's sub-seed
+and the cross label of its commitment of the selected set, from which it
+rebuilds that commitment). Each party XORs its evaluation triples
+``(Ki_0, Ki_1, cross)`` into final labels. This is the seed-opened check of
+Goyal-Mohassel-Smith (EUROCRYPT 2008); check copies are discarded, so
+their seeds reveal nothing that is used later.
 
 A commitment is its 32-byte digest. The parties do not receive a copy's
 five commitments but one 32-byte *leaf* over them, a small hash tree
 (Merkle, CRYPTO 1987): ``leaf = H(H(W_0 || W_1) || H(W'_0 || W'_1) ||
 position)``, ``H`` being SHA-256. A check copy's seed travels with its
 position commitment, and the party rebuilds the leaf from the four
-input-set commitments the seed regenerates. An evaluation copy's openings
-travel with two *siblings*, the other party's commitment of the selected
+input-set commitments the seed regenerates. An evaluation copy's entry
+travels with two *siblings*, the other party's commitment of the selected
 set and ``H`` of the set not selected, and the party rebuilds the leaf
-from its own two openings and them. A leaf is a hash of commitments the
+from its own commitment and them. A leaf is a hash of commitments the
 party could be sent, so it learns nothing from it, and a leaf that does
 not rebuild names its copy.
 
@@ -73,7 +76,7 @@ from .commitments import (DIGEST_BYTES, NONCE_BYTES, TAG_COIN, TAG_INPUT_SET,
                           TAG_POSITION, Opening, open_commitment, opened_body,
                           tagged_commit)
 from .errors import CoinTossCheatError
-from .garbling import LABEL_BYTES, Encoding, xor_bytes
+from .garbling import LABEL_BYTES, Encoding
 
 COMMITMENTS_PER_COPY = 5
 LEAF_BYTES = DIGEST_BYTES
@@ -101,16 +104,19 @@ def copy_leaf(coms: bytes) -> bytes:
 
 
 class CopyMaterial(NamedTuple):
-    """Provider-side secrets of one copy: its seed, its bit ``b``, the
-    (body, nonce) of its four input sets' commitments, ``W`` then ``W'``,
-    and its position nonce; then its five commitments end to end (160
-    bytes) and its public leaf."""
+    """Provider-side secrets of one copy: its seed, its bit ``b``, its two
+    sub-seeds end to end, the bodies of its four input-set commitments
+    (``W`` then ``W'``) and its position nonce; then its five commitments
+    end to end (160 bytes), ``H(W_0 || W_1) || H(W'_0 || W'_1)`` and its
+    public leaf."""
 
     seed: bytes
     b: int
-    sets: tuple
+    subseeds: bytes
+    bodies: tuple
     position_nonce: bytes
     coms: bytes
+    set_hashes: bytes
     leaf: bytes
 
 
@@ -134,72 +140,94 @@ class WireMaterial:
         return c.seed, c.coms[2 * _SET_BYTES:]
 
     def _selected(self, j: int) -> int:
-        """The index, 0 for ``W`` or 2 for ``W'``, of copy ``j``'s input
-        set among its four commitments."""
-        return 2 * (self.copies[j].b ^ self.x)
+        """Copy ``j``'s position: 0 when ``W`` is its input set, 1 for
+        ``W'``."""
+        return self.copies[j].b ^ self.x
 
     def eval_openings(self, j: int, slot: int) -> tuple:
         """Party ``slot``'s (0 for the first) entry for evaluation copy
-        ``j``: the position byte and nonce, the body and nonce of its
-        commitment of the selected input set, and the siblings that rebuild
-        the copy's leaf: the other party's commitment of that set and ``H``
-        of the set not selected."""
+        ``j``: the position byte and nonce, the party's sub-seed and the
+        cross label of its commitment of the selected input set, and the
+        siblings that rebuild the copy's leaf: the other party's commitment
+        of that set and ``H`` of the set not selected."""
         c, at = self.copies[j], self._selected(j)
-        other = (at + 1 - slot) * DIGEST_BYTES
-        unselected = (2 - at) * DIGEST_BYTES
-        return (bytes([at // 2]), c.position_nonce, *c.sets[at + slot],
-                c.coms[other:other + DIGEST_BYTES],
-                _h(c.coms[unselected:unselected + _SET_BYTES]))
+        own, other = 2 * at + slot, 2 * at + 1 - slot
+        D = DIGEST_BYTES
+        return (bytes([at]), c.position_nonce,
+                c.subseeds[slot * SEED_BYTES:(slot + 1) * SEED_BYTES],
+                c.bodies[own][2 * LABEL_BYTES:],
+                c.coms[other * D:(other + 1) * D],
+                c.set_hashes[(1 - at) * D:(2 - at) * D])
 
     def label_sets(self, rho) -> tuple:
         """Circuit 1's and circuit 2's label sets over the evaluation
         copies, those with ``rho[j] == 0``."""
+        L = LABEL_BYTES
         return tuple(label_set([
-            _triple(self.copies[j].sets[self._selected(j) + slot][0])
-            for j in range(self.s) if not rho[j]]) for slot in (0, 1))
+            (c.bodies[slot][:L], c.bodies[slot][L:2 * L])
+            for c, checked in zip(self.copies, rho) if not checked])
+            for slot in (0, 1))
 
 
-SEED_BYTES = 16
-COPY_SEED_TAG = b"dualgc/copy-seed/v1"
-_NONCES_AT = 4 * LABEL_BYTES + 1  # after the four labels and the bit
+SEED_BYTES = 16  # a copy seed, and each of its two sub-seeds
+COPY_SEED_TAG = b"dualgc/copy-seed/v2"
+SUBSEED_TAG = b"dualgc/sub-seed/v1"
+_NONCES_AT = 2 * LABEL_BYTES  # in a sub-seed's expansion
 
 
-def expand_seed(seed: bytes, flip_for: int | None = None):
-    """What a copy seed gives: the orientation bit ``b`` and its four
-    input-set (body, nonce) pairs, ``W`` then ``W'``, read from SHAKE-256
-    over a domain tag and the seed: circuit 1's two labels, circuit 2's,
-    ``b``, then the four nonces. Not the position nonce. With ``flip_for``
-    a bit ``x``, the set selected for ``x`` carries circuit-2 cross label
-    ``1 - x``."""
-    s = hashlib.shake_256(COPY_SEED_TAG + seed).digest(
-        _NONCES_AT + 4 * NONCE_BYTES)
+def expand_seed(seed: bytes) -> tuple[int, bytes]:
+    """What a copy seed gives, read from SHAKE-256 over a domain tag and
+    the seed: the orientation bit ``b`` and circuit 1's and circuit 2's
+    sub-seeds end to end. Not the position nonce."""
+    s = hashlib.shake_256(COPY_SEED_TAG + seed).digest(2 * SEED_BYTES + 1)
+    return s[-1] & 1, s[:-1]
+
+
+def expand_subseed(subseed: bytes) -> bytes:
+    """What circuit ``i``'s sub-seed gives, SHA-512 over a domain tag and
+    it: the circuit's labels ``Ki_0 || Ki_1``, then the nonces of party
+    ``i``'s commitments in ``W`` and in ``W'``."""
+    return hashlib.sha512(SUBSEED_TAG + subseed).digest()
+
+
+def input_sets(b: int, subseeds: bytes,
+               flip_for: int | None = None) -> tuple[tuple, tuple]:
+    """The bodies and the nonces of a copy's four input-set commitments,
+    ``W_0, W_1, W'_0, W'_1``. With ``flip_for`` a bit ``x``, the first
+    party's commitment of the set selected for ``x`` carries circuit-2
+    cross label ``1 - x``."""
     L, N, at = LABEL_BYTES, NONCE_BYTES, _NONCES_AT
-    k1, k2, b = s[:2 * L], s[2 * L:4 * L], s[at - 1] & 1
+    e1 = expand_subseed(subseeds[:SEED_BYTES])
+    e2 = expand_subseed(subseeds[SEED_BYTES:])
+    k1, k2 = e1[:2 * L], e2[:2 * L]
     enc1, enc2 = (k1[:L], k1[L:]), (k2[:L], k2[L:])
     cross2 = [enc2[b], enc2[1 - b]]
     if flip_for is not None:
         cross2[b ^ flip_for] = enc2[1 - flip_for]
-    return b, ((k1 + cross2[0], s[at:at + N]),
-               (k2 + enc1[b], s[at + N:at + 2 * N]),
-               (k1 + cross2[1], s[at + 2 * N:at + 3 * N]),
-               (k2 + enc1[1 - b], s[at + 3 * N:]))
+    return ((k1 + cross2[0], k2 + enc1[b], k1 + cross2[1], k2 + enc1[1 - b]),
+            (e1[at:at + N], e2[at:at + N], e1[at + N:], e2[at + N:]))
 
 
-def _set_commitments(sets) -> bytes:
-    """The four input-set commitments of (body, nonce) pairs, end to
-    end."""
-    return b"".join(commitments.commit(TAG_INPUT_SET + body, nonce)
-                    for body, nonce in sets)
+def _set_commitments(bodies, nonces) -> list[bytes]:
+    """The four input-set commitments of ``input_sets``."""
+    commit = commitments.commit
+    return [commit(TAG_INPUT_SET + body, nonce)
+            for body, nonce in zip(bodies, nonces)]
 
 
 def _build_copy(seed: bytes, position_nonce: bytes, x: int,
                 consistent: bool) -> CopyMaterial:
-    b, sets = expand_seed(seed, None if consistent else x)
-    coms = _set_commitments(sets) + commitments.commit(
-        TAG_POSITION + bytes([b ^ x]), position_nonce)
-    return CopyMaterial(seed=seed, b=b, sets=sets,
-                        position_nonce=position_nonce, coms=coms,
-                        leaf=copy_leaf(coms))
+    b, subseeds = expand_seed(seed)
+    bodies, nonces = input_sets(b, subseeds, None if consistent else x)
+    sets = _set_commitments(bodies, nonces)
+    position = commitments.commit(TAG_POSITION + bytes([b ^ x]),
+                                  position_nonce)
+    set_hashes = _h(sets[0] + sets[1]) + _h(sets[2] + sets[3])
+    return CopyMaterial(seed=seed, b=b, subseeds=subseeds, bodies=bodies,
+                        position_nonce=position_nonce,
+                        coms=b"".join(sets) + position,
+                        set_hashes=set_hashes,
+                        leaf=_h(set_hashes + position))
 
 
 def generate_input_material(rng: random.Random, x: int, s: int) -> WireMaterial:
@@ -298,8 +326,8 @@ def check_pair_construction(leaf: bytes, seed: bytes,
     """Whether check copy ``leaf`` is its seed's: the four input-set
     commitments the seed regenerates and the ``position`` commitment sent
     with it rebuild the leaf."""
-    return copy_leaf(_set_commitments(expand_seed(seed)[1])
-                     + position) == leaf
+    sets = _set_commitments(*input_sets(*expand_seed(seed)))
+    return copy_leaf(b"".join(sets) + position) == leaf
 
 
 def verify_check_failure_claim(leaf: bytes, seeds: bytes, at: int,
@@ -316,40 +344,41 @@ def verify_check_failure_claim(leaf: bytes, seeds: bytes, at: int,
 
 # --- evaluation copies -------------------------------------------------------
 
-def _triple(body: bytes):
-    return (body[:LABEL_BYTES], body[LABEL_BYTES:2 * LABEL_BYTES],
-            body[2 * LABEL_BYTES:])
-
-
 def open_position(entry) -> int | None:
     """The position an evaluation entry opens, or None when its position
     byte is neither 0 nor 1."""
     return entry[0][0] if entry[0] in (b"\x00", b"\x01") else None
 
 
-def entry_leaf(entry, slot: int) -> bytes:
-    """The leaf that party ``slot``'s evaluation entry rebuilds: its
-    commitment and the other party's make the selected set, which the
+def open_entry(entry, slot: int) -> tuple[tuple, bytes]:
+    """Party ``slot``'s evaluation entry opened: its triple ``(K_0, K_1,
+    cross)`` and the leaf it rebuilds. The sub-seed gives the party's
+    labels and its commitment's nonce in the set the position selects;
+    that commitment and the other party's make the selected set, which the
     position puts before or after the set not selected. The position byte
     must be 0 or 1."""
-    position, position_nonce, body, nonce, other, unselected = entry
-    own = commitments.commit(TAG_INPUT_SET + body, nonce)
+    position, position_nonce, subseed, cross, other, unselected = entry
+    e, L = expand_subseed(subseed), LABEL_BYTES
+    at = _NONCES_AT + position[0] * NONCE_BYTES
+    own = commitments.commit(TAG_INPUT_SET + e[:2 * L] + cross,
+                             e[at:at + NONCE_BYTES])
     selected = _h(own + other if slot == 0 else other + own)
     sets = (selected + unselected if position == b"\x00"
             else unselected + selected)
-    return _h(sets + commitments.commit(TAG_POSITION + position,
-                                        position_nonce))
+    return (e[:L], e[L:2 * L], cross), _h(
+        sets + commitments.commit(TAG_POSITION + position, position_nonce))
 
 
 def evaluate_final_labels(triples):
     """XOR per-copy triples into (own-circuit encoding, other-circuit label)."""
-    zero = bytes(LABEL_BYTES)
-    k1 = k2 = k3 = zero
+    k0 = k1 = cross = 0
     for a, b, c in triples:
-        k1 = xor_bytes(k1, a)
-        k2 = xor_bytes(k2, b)
-        k3 = xor_bytes(k3, c)
-    return Encoding(k1, k2), k3
+        k0 ^= int.from_bytes(a, "big")
+        k1 ^= int.from_bytes(b, "big")
+        cross ^= int.from_bytes(c, "big")
+    return (Encoding(k0.to_bytes(LABEL_BYTES, "big"),
+                     k1.to_bytes(LABEL_BYTES, "big")),
+            cross.to_bytes(LABEL_BYTES, "big"))
 
 
 # --- label-set check ---------------------------------------------------------
@@ -359,10 +388,10 @@ def hash_label(label: bytes) -> bytes:
 
 
 def _xor_hashes(labels) -> bytes:
-    acc = bytes(32)
+    acc = 0
     for label in labels:
-        acc = xor_bytes(acc, hash_label(label))
-    return acc
+        acc ^= int.from_bytes(hash_label(label), "big")
+    return acc.to_bytes(DIGEST_BYTES, "big")
 
 
 def label_set(triples) -> tuple[bytes, bytes]:
@@ -386,8 +415,10 @@ def open_evidence(leaves, copies, slot: int, entries) -> list | None:
     in ``leaves``."""
     triples = []
     for j, entry in zip(copies, entries):
-        if (open_position(entry) is None
-                or entry_leaf(entry, slot) != leaves[j]):
+        if open_position(entry) is None:
             return None
-        triples.append(_triple(entry[2]))
+        triple, leaf = open_entry(entry, slot)
+        if leaf != leaves[j]:
+            return None
+        triples.append(triple)
     return triples

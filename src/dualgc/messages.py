@@ -21,9 +21,11 @@ takes at least one byte). ``packed`` lays a list's items end to end as
 they lie in the body, without the count; a digest over a list (a wire's
 leaves, a bidder's wire digests, check seeds or label sets, the echoed
 records) is taken over that, so its sender and every receiver compute it
-with the same call. An evaluation entry is a fixed 145 bytes: its two
-openings' context tags and lengths are derived, not sent, and its receiver
-puts the tags back when it recomputes the commitments.
+with the same call. An evaluation entry is a fixed 113 bytes: it opens
+the party's commitment by the circuit's 16-byte sub-seed and the cross
+label, not by the commitment's body and nonce; the openings' context tags
+and lengths are derived, not sent, and its receiver puts the tags back
+when it recomputes the commitments.
 
 A body carries only what its receiver cannot derive. Lists are positional
 in an order fixed by the public parameters (the input and output maps,
@@ -377,11 +379,11 @@ label_sets = listof(array(2, array(2, raw(32))))
 # One 32-byte consistency.wire_digest per wire, by input map
 wire_digests = listof(raw(32))
 # One fixed-width entry per evaluation copy, by wire, then by copy: the
-# position byte and nonce, the body and nonce of the receiving party's
-# commitment of the selected input set, the other party's commitment of
-# that set and SHA-256 of the set not selected
-eval_openings = listof(seq(raw(1), raw(NONCE_BYTES), raw(3 * LABEL_BYTES),
-                           raw(NONCE_BYTES), commitment, raw(DIGEST_BYTES)))
+# position byte and nonce, the receiving party's sub-seed and the cross
+# label of its commitment of the selected input set, the other party's
+# commitment of that set and SHA-256 of the set not selected
+eval_openings = listof(seq(raw(1), raw(NONCE_BYTES), raw(SEED_BYTES),
+                           raw(LABEL_BYTES), commitment, raw(DIGEST_BYTES)))
 
 # The wire specification of every message body, and its decoded value.
 SCHEMAS: dict[MessageType, Codec] = {

@@ -347,6 +347,7 @@ class Party(Participant):
         self.label_sets = {}     # bidder Role -> its label sets
         self.failures = []       # (wire, copy) failing checks, in order
         self.evidence = {}       # wire -> their eval entries (asc copy)
+        self.complaint = None    # lowest wire failing its label sets
         self.final_enc = {}      # wire -> own-circuit Encoding
         self.cross_label = {}    # wire -> other-circuit label
         self.gc = None           # own garbled circuit
@@ -418,18 +419,22 @@ class Party(Participant):
             raise _Abort(self.role, sender, "label sets cover the wrong wires")
         self.label_sets[sender] = sets
         self.records[sender.index].append(_digest(M.packed(sets)))
-        by_wire, triples = {}, {}
+        by_wire, finals = {}, {}
         for (w, j), entry in zip(copies, entries):
             by_wire.setdefault(w, []).append((j, entry))
-        for w, opened in by_wire.items():
+        for k, (w, opened) in enumerate(by_wire.items()):
             js, openings = zip(*opened)
-            triples[w] = open_evidence(self.leaves[w], js, self.slot, openings)
-            if triples[w] is None:
+            triples = open_evidence(self.leaves[w], js, self.slot, openings)
+            if triples is None:
                 raise _Abort(self.role, sender,
                              f"evaluation opening failed on wire {w}")
             self.evidence[w] = list(openings)
+            if not labels_consistent(triples, sets[k], self.slot) and (
+                    self.complaint is None or w < self.complaint):
+                self.complaint = w
+            finals[w] = evaluate_final_labels(triples)
         for w in self.circuit.input_map[sender.index]:
-            enc, cross = evaluate_final_labels(triples[w])
+            enc, cross = finals[w]
             if enc.zero == enc.one:
                 raise _Abort(self.role, sender,
                              f"wire {w} final encoding is degenerate")
@@ -445,16 +450,9 @@ class Party(Participant):
         return self.coin_view, records
 
     def consistency_complaint(self) -> int | None:
-        """The first wire whose triples, sliced from this party's entries,
-        fail its owner's label sets, if any."""
-        L = LABEL_BYTES
-        for w in sorted(self.evidence):
-            triples = [(body[:L], body[L:2 * L], body[2 * L:])
-                       for _, _, body, *_ in self.evidence[w]]
-            sets = self.label_sets[self.wire_owner[w]][self.at(w)]
-            if not labels_consistent(triples, sets, self.slot):
-                return w
-        return None
+        """The lowest wire whose triples, opened from this party's entries,
+        failed its owner's label sets, if any."""
+        return self.complaint
 
     def consistency_proof(self):
         """The CONSISTENCY_PROOF of the complaint, if any: the wire, this

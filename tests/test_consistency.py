@@ -6,16 +6,18 @@ import random
 
 import pytest
 
+from dualgc import messages as M
 from dualgc.commitments import (NONCE_BYTES, TAG_COIN, TAG_POSITION, Opening,
                                 commit, open_commitment, tagged_commit)
 from dualgc.consistency import (COMMITMENTS_PER_COPY, LEAF_BYTES,
                                 check_pair_construction, coin_toss_commit,
                                 coin_toss_open, combine_challenge, copy_leaf,
-                                entry_leaf, evaluate_final_labels,
-                                expand_seed, generate_cheating_material,
+                                evaluate_final_labels, expand_seed,
+                                expand_subseed, generate_cheating_material,
                                 generate_input_material, hash_label,
-                                label_set, labels_consistent, open_evidence,
-                                open_position, seed_digest, unpack_bits,
+                                input_sets, label_set, labels_consistent,
+                                open_entry, open_evidence, open_position,
+                                seed_digest, unpack_bits,
                                 verify_check_failure_claim)
 from dualgc.errors import CoinTossCheatError
 
@@ -84,10 +86,13 @@ def test_check_seeds_reveal_no_input_bit():
             assert zero.seed == one.seed
             assert zero.coms[:128] == one.coms[:128]
             assert zero.coms[128:] != one.coms[128:]
-            _b, sets = expand_seed(zero.seed)
-            assert sets == zero.sets == one.sets
-            derived = [body[k:k + 16] for body, _nonce in sets
-                       for k in (0, 16, 32)] + [n for _body, n in sets]
+            b, subseeds = expand_seed(zero.seed)
+            assert (b, subseeds) == (zero.b, zero.subseeds) == (one.b,
+                                                                one.subseeds)
+            bodies, nonces = input_sets(b, subseeds)
+            assert bodies == zero.bodies == one.bodies
+            derived = [piece[k:k + 16] for piece in (subseeds, *bodies)
+                       for k in range(0, len(piece), 16)] + list(nonces)
             for material, copy in zip(built, (zero, one)):
                 seed, position = material.check_seed(j)
                 assert (seed, position) == (copy.seed, copy.coms[128:])
@@ -124,11 +129,11 @@ def test_position_rejects_forged_openings():
     for byte in (2, 0x80, 0xFF):
         assert open_position(_with(a, 0, bytes([byte]))) is None
     leaf = material.copies[0].leaf
-    assert entry_leaf(a, 0) == leaf
+    assert open_entry(a, 0)[1] == leaf
     flipped = bytes([a[0][0] ^ 1])
     for forged, slot in ((_with(a, 1, b[1]), 0), (_with(a, 0, flipped), 0),
                          (material.eval_openings(0, 1), 0), (a, 1)):
-        assert entry_leaf(forged, slot) != leaf
+        assert open_entry(forged, slot)[1] != leaf
 
 
 def test_final_labels_encode_the_input_bit():
@@ -411,9 +416,10 @@ def test_check_failure_claim_arbitration():
 
 def test_leaves_bind_what_they_cover():
     """A check copy's leaf is rebuilt from its seed and position
-    commitment, an evaluation copy's from either party's openings and
-    siblings; a flipped sibling or position commitment rebuilds another
-    leaf."""
+    commitment, an evaluation copy's from either party's entry; a flipped
+    sibling or position commitment, another copy's sub-seed, the other
+    slot's, a flipped cross label or a swapped position byte rebuilds
+    another leaf."""
     rng = random.Random(23)
     for x in (0, 1):
         material = generate_input_material(rng, x, 6)
@@ -424,12 +430,63 @@ def test_leaves_bind_what_they_cover():
             assert not check_pair_construction(copy.leaf, seed, flipped)
             for slot in (0, 1):
                 entry = material.eval_openings(j, slot)
-                assert entry_leaf(entry, slot) == copy.leaf
-                for sibling in (4, 5):
-                    value = entry[sibling]
-                    forged = _with(entry, sibling,
-                                   value[:-1] + bytes([value[-1] ^ 1]))
-                    assert entry_leaf(forged, slot) != copy.leaf
+                assert open_entry(entry, slot)[1] == copy.leaf
+                forgeries = [
+                    _with(entry, 2, material.eval_openings((j + 1) % 6,
+                                                           slot)[2]),
+                    _with(entry, 2, material.eval_openings(j, 1 - slot)[2]),
+                    _with(entry, 0, bytes([entry[0][0] ^ 1]))]
+                for field in (3, 4, 5):
+                    value = entry[field]
+                    forgeries.append(_with(
+                        entry, field, value[:-1] + bytes([value[-1] ^ 1])))
+                for forged in forgeries:
+                    assert open_entry(forged, slot)[1] != copy.leaf
+
+
+def test_an_evaluation_entry_is_113_bytes():
+    """The position byte and nonce, the sub-seed, the cross label and two
+    32-byte siblings, behind the list's one 4-byte count."""
+    material = generate_input_material(random.Random(24), 1, 4)
+    entry = material.eval_openings(0, 0)
+    assert [len(field) for field in entry] == [1, 16, 16, 16, 32, 32]
+    out = []
+    M.eval_openings.write(out, [entry] * 3)
+    assert len(b"".join(out)) == 4 + 3 * 113
+
+
+def test_a_sub_seed_yields_its_own_circuit_only():
+    """Circuit ``i``'s sub-seed expands to circuit ``i``'s two labels and
+    to no label of the other circuit."""
+    material = generate_input_material(random.Random(26), 0, 8)
+    for copy in material.copies:
+        expanded = [expand_subseed(copy.subseeds[k:k + 16]) for k in (0, 16)]
+        labels = [{e[:16], e[16:32]} for e in expanded]
+        for i in (0, 1):
+            own = copy.bodies[i]
+            assert labels[i] == {own[:16], own[16:32]}
+            chunks = {expanded[i][k:k + 16] for k in range(0, 64, 16)}
+            assert not chunks & labels[1 - i]
+
+
+def test_a_partys_entries_show_no_other_circuit_label_but_its_cross():
+    """Across a wire's evaluation copies, every 16-byte piece of what a
+    party's entries hold or expand to that is a label of the other circuit
+    is the entry's own cross label, the other circuit's label for ``x``."""
+    rng = random.Random(27)
+    for x in (0, 1):
+        material = generate_input_material(rng, x, 6)
+        rho = [0, 1, 0, 0, 1, 0]
+        for slot in (0, 1):
+            other = 1 - slot
+            others = {c.bodies[other][16 * bit:16 * (bit + 1)]
+                      for c in material.copies for bit in (0, 1)}
+            for j in (j for j, checked in enumerate(rho) if not checked):
+                entry = material.eval_openings(j, slot)
+                held = b"".join(entry) + expand_subseed(entry[2])
+                pieces = {held[k:k + 16] for k in range(len(held) - 15)}
+                mine = material.copies[j].bodies[other][16 * x:16 * (x + 1)]
+                assert pieces & others == {entry[3]} == {mine}
 
 
 def test_check_detects_specific_malformations():

@@ -52,197 +52,197 @@ VARIANTS = {
 #  frame digest, order-free frame digest)
 GOLDEN = [
     (0, None, 'accept', None,
-     "f3e6d3879f3d9531cc6e0a98a71d4ae9574375781f335ceb299a64226f0b685b",
-     "cf6452053e88d69c9edd819a9f01016067d68937ffd6e08bd76c0c8486d62762",
-     "b93d0156af413c490acb7597b3694a5669a17f31ffe804d0aa9c2f16261140a2"),
+     "286b4a6b45d12e52188805655ba8af38d41fff3c470097dfb195f123c9e83490",
+     "62a25cc28e0d6240bf863fcadb52a4bbb4711e27f15d909199ee93885a07b0b5",
+     "a2ae157cb952f40410ea943a1f34fb0c1fa624d8a1741d80f4027f9a7b034d49"),
     (0, 'inconsistent_labels', 'abort', 'provider:0',
-     "85375f98d062199e15fc7653e95f09c055d92eb3692a9e376c37ab6f438a903e",
-     "e8e70dc5ec43c8da2e293b2d271cfebba1a77974bac3a29eed384bc3fce8e0ef",
-     "963a113db55937beec79e490efeaf3d1e778fe687355ca46264f3e53cc734689"),
+     "f956c12039c76f20c6e747209b554f779855e4854627754fe2630f16df4c2f68",
+     "322c45044bf133d99add32f401ef5c01359875402625ad076b39b0ff8928a85f",
+     "e064ccdfe5823302817b2476e5c079632abd8494c2a39551bc2c1b866635fbbb"),
     (0, 'tamper_garbled_gate', 'abort', 'P1',
-     "56f2abaa98f615a2a6968f86a05d16a87c3b4de19c953ad1db5b00de1762d68e",
-     "120dc2499f233ccf0846c59cb2fc25c7648d6bf5242d31bd8fae99acddfdb839",
-     "afc2c75b5313b6b9450a1dc761b5ddd232c592ab2f9ecc023a034fbc4c118c42"),
+     "4e7e5a9de64dd37f89df67546f0a69eae46a114c4cd1b11aa26a6ecff082010a",
+     "a772b39eca54a503f78b4972f5e298c1796a18628abd5f0c68663f64b6139fc4",
+     "9adc2389f6f77db5368e26b18d0851cba7f49cccc5ef1c0cded7c4394d272bb3"),
     (0, 'substitute_output_label', 'reject', None,
-     "17492f22de900ada424574ead0d71813cb92d989b36e9b01f67a15bb72c0e456",
-     "8542db08095006ed21913e5edc1ffc2b0f31ebbd3e8ab409a599db005dcd0db5",
-     "f7b9587395722497fcd6ce239a7816e9c680a8f847823329b7bd8bd6de8b89be"),
+     "d250b80c0dbec42bbf6b01bb673790bcedd1515015735d2e64c57f03ab8130ec",
+     "71c4b0160692ce47cb1ab3170f2497b8f557404b04560a7604cf00cbf6f2a62d",
+     "85c62230a8c03042c5096ae79a5db71359a703e2d5e61c40620425ff35d8b4b8"),
     (0, 'bias_coin_toss', 'abort', 'P2',
      "d5cc122bd764fafa310c8fc3eac15b5015df0677ebf2067756ad1417e246a791",
-     "9c69f95cec8e5752d492e4c0aa93abfbd92f04cd29cef66eff726c2171d07d77",
-     "1a860d246ad3e7e06e1b2c9427e24c02d76404ef7b416e07cddfbb4ad3bf4319"),
+     "3d1f56b94b7113b8e006ab124bc8f353337b052890a08a6b32ea4dcc9fc4236b",
+     "f028561e99663bf234ac1db106a5131643700ac0c5e10f727b1a8de51b57afed"),
     (0, 'falsify_check_failure', 'abort', 'P1',
-     "c98934231bb0e6a923a1519b6ade7e1e9374b4dc9562da621c8ce0a55ffce231",
-     "8db1d263255d64789ad518d048f2593308c41a5ab5074c1f157aa1656c90bbcf",
-     "c0af59abe0058ed979b04278ad1a62ec6d65bf0b06108d5aa9d0875402dd90ff"),
+     "0b88eea80b99da2fb4015402d09d48a9ccba218940908150f18e0408906f2544",
+     "f02c59a73dacfac9cc259b856f2a614cfaa76068e578f602f0cf42a3d6990cc9",
+     "5ec4a65d21d18d864ace9fbbd0a0118f312caa08059e1aa4663adc0e67a5fa87"),
     (0, 'forge_consistency_proof', 'abort', 'P1',
-     "06a978e677527c7409afa85f4a5960167ec713d8aae34763a593556a527adf6e",
-     "91b7ec0b88fe88ef9565460637229b600e6fd659b07db0a6a8e68d5c7da1a29e",
-     "04f5e82db2ee8fa255c315b7ec73d36e3b8d2139ba1308d3744f4fe39feb77e8"),
+     "ad9735cdf5f5189add912dbfe9e46591f6e2ea2102ca4ed5793c12520379cd8d",
+     "05bf475a466897c66da9eee41641236048eedae334ecb06ec94bb39cb00f62a8",
+     "0baa9e05acc2f1fab1df1b45f40355335080bd50ea14db3312000f58614f70ec"),
     (0, 'false_output_complaint', 'accept', 'provider:0',
-     "17492f22de900ada424574ead0d71813cb92d989b36e9b01f67a15bb72c0e456",
-     "a359a68eb23d20a9449bedbc37c80a7ce06919a51b3d75ef00803179ba6c068a",
-     "9aa0706ad33ace0c85a73e5706a1a0d52e64c18f78db1fd00dfc168010a43086"),
+     "d250b80c0dbec42bbf6b01bb673790bcedd1515015735d2e64c57f03ab8130ec",
+     "5e5aac9f9696eae043c61c0d0929b84350e5db4f726067b6ec5fc3537ba1de72",
+     "aa9e9bb3e271de1fc75842f829e47ee3382419b0efad64f18806d9d33cdc8b9d"),
     (3, None, 'accept', None,
-     "4bdf2b5267488010c49092ab1cba9fbafa9fbfdb287080f2231ef5fd5ce1bbc8",
-     "3b37870b3374d857bb9b70eca109622b798cbe2fcef391b1dab99f31f09e777d",
-     "f8d8de56b2b790a617723d85ddcacc38ac36926c717091c16980faadaa363b72"),
+     "90f90d01903051fa050e136ea345769615b4b2921abdc1b33d4291e45cb26822",
+     "89b1c603c5bf7f4cb88b0cde4207a180e9be89c3ac9e6c6281813554d4b32a9e",
+     "886c48b33075dad1cd6cadcc21ffff2aca860339038e69b11dbe9457b1294969"),
     (3, 'inconsistent_labels', 'abort', 'provider:0',
-     "4cd4f7dab1f92b191d1bfd04dd8c0bc6b7c4832d40b7a4e61b55567cc65e2b9f",
-     "9fbb7a37e0f28b89a32e83713fc86019556d3af21e01d150dfac8661f8e9a395",
-     "7856fe58a6b9ffb6e47722592fa177a50ff101b6ef9c7a7cced2f0571b10130e"),
+     "4007c0df15d2ae64b80768665d01953e4483e8d905963817217c42af1cf58369",
+     "eee3623b9686067385788021b3c3309405eee305c8ea328eec2947ca1120f62d",
+     "c56a13f563d4b0c1c7a5ac37c8eca385deb528b8f17e2c32455493062d37e7f0"),
     (3, 'tamper_garbled_gate', 'abort', 'P1',
-     "b604e419f083b87ed18d6bd3a24aa1e0eaaa5c8a7b7b3cc2676294219df0ea97",
-     "c40e310ba6c9d1c5b86a73b4870d34d8c5983d47ec46215eb5a4672bc87ac0e3",
-     "6095b95f431468f8289dbb70f58ee6b3adf807e47e760be2b3beb383fe2e3719"),
+     "0a1fcd7a80ac1b5d22f97c6f69be6d4d867ac08865af3b35058d169d06246449",
+     "b5e2fbe8d31b40873752f090b4fe2ab0ea01b9cf160f6f8c06eb4a9bab695e69",
+     "e9740860aff6ab78b1bc8fd55a1e555c9010d110190909de977d3027e8c225f9"),
     (3, 'substitute_output_label', 'reject', None,
-     "e074a1a0cc610ff30df075442b38869fa16bd79718434d7f95bb46ae14146fde",
-     "2e0418ada67cc9b541a62d79d151c4b5058bb08592a5cc5cc50899092c6efe3b",
-     "4b7ad2793f386060e2c662dd584595b15a36e8d0a4239a7ca673e2750531a5aa"),
+     "98bc4e13e0e14bc85b8dd7e5efec0f598a9e3d04858a665bb8985f05b5775a91",
+     "6ab9e7afe9349ad1aeb728bb7c2b0f2fdf227294ff610fc0684070206fb53a70",
+     "2387569648ab5f57e726185a5280d9cf41d88105dba19efedba09384a77b7b81"),
     (3, 'bias_coin_toss', 'abort', 'P2',
      "d5cc122bd764fafa310c8fc3eac15b5015df0677ebf2067756ad1417e246a791",
-     "369243b149aedaa3232240debd94fe463ac2073728a7859fad59e299864b4f93",
-     "16baf1bf0288393cc6b9a1a22624b4dae9d96bcd8888cc8a0ef96527cf25d34c"),
+     "f19f19cad80c5c9031ec1a9ae6d47357866e6c03740722dc4c09b3f771eba979",
+     "4320c24e1666fe17447d5a189f705e37dfc319eec44f27c0170d971de5bc9239"),
     (3, 'falsify_check_failure', 'abort', 'P1',
-     "9d9b5274d066c276ecf0b14b7ff4372153e28ddf7ff4a38856cf8237ed88acfa",
-     "8078d53aa42aa3ac3430879a69231f0fc72942f51e9b9e1292e43258b56ba177",
-     "ac959239c1f15cb54949276b8be78671a5539f79f50f91123040dec518bc8bd1"),
+     "3522a1cbaaf4b35eadd3d32c1333386ca0cedcc877164bd764f0a9550d178f84",
+     "6331fc7c68e4e7f87911e0d1b42ef9fb6dca70e79d580df489907174c379008c",
+     "90071187cab2d24e9f55b4c4106dc0171fd098af1005ee10bb8b22dd3d4e3c11"),
     (3, 'forge_consistency_proof', 'abort', 'P1',
-     "0855b36abbff44364cf659d4c5b16f83a7c50a8a61676f10bef26c149c293c21",
-     "43387c69ec4e04416bce9b5e6a670c378ba88490d8c779658c3298e0ba35956d",
-     "987c36d78ee91686a24bef039831fb48979703362e2ce460e7ed722a40a60866"),
+     "2ea0c769a4c17c40c52d1bb7fe540901992266602ffca7398c1ed7bd4f4bc441",
+     "fa71d33969883410b101827fa089a2707e9bfa5be6d49a0ab259fbcfedae9a62",
+     "eca7cfecfde0cb1a0f950b4ff4760b3f56b5b86cbd2e415357e06c0024243103"),
     (3, 'false_output_complaint', 'accept', 'provider:0',
-     "e074a1a0cc610ff30df075442b38869fa16bd79718434d7f95bb46ae14146fde",
-     "9e6a25d62f8a8b9dc1c987bfa3b5b00fc70208f08116a2f8987d274502665831",
-     "c40a33f3a6b6d15cd8903196e1a9995b667b1fb99c0970b9923f800f87eb85af"),
+     "98bc4e13e0e14bc85b8dd7e5efec0f598a9e3d04858a665bb8985f05b5775a91",
+     "fd849fab6fa3c42a0b66b8302aea5fc23d46aa5fea26b34c16b07a780f1151af",
+     "0131572013c08c46dbcbed8f6a9c82d9ff1a29d755180c5c99684fcbbfb7a3d8"),
     (5, None, 'accept', None,
-     "62ded977cfbf429c0d702d38140d90b6817ab16194dba35d2a9bddec2ff98902",
-     "97a4e34503d612e8d379434fdafd5f290352cac50f5594e14e87b935921790c4",
-     "fe4044852e35b687c519972203447d0a0c3999e184d52cc3838122b333606923"),
+     "d8aa65111b5a77727796fad0a3d83e1956d8362dda2e93276774cd9a6522a3bb",
+     "094fda75a3435bfc977c9fd15f658268c8528449a2ee9537e54f27037264b93d",
+     "194e07f06f7c03c946758edb267f2b3c6d15be4098e74fc794bbf26aa18d0261"),
     (5, 'inconsistent_labels', 'abort', 'provider:0',
-     "5c33e2ff9d5e9d1a623fa819bd8f87fa460ba62d1900469a045eda9efb0b4d53",
-     "fc6cba6e77659e1ef4f79e92d1a441bf23708f80343d2ec8e54cf3903508f412",
-     "6460d215c101a19a0baa6ae8cf8b320dc04e5d9e0abeece3a8c07f9591a2f58d"),
+     "7732b2e2fd5ff2886300b965c003f320c6d5134a5c1446194d2667ffeb1dcc03",
+     "cad1a038cc1f9600fd83ab3e68a06425474440d5fe7f1e785fdc6e250f2134a9",
+     "31c4f91328713d9a8d7aa1a1f5bfb59e10f77efd21a74a37e63d857b8d561357"),
     (5, 'tamper_garbled_gate', 'abort', 'P1',
-     "75a779b990102ca57626ff7a9247fd8a939f966bc431f755a76e49eb7e9c18e8",
-     "a1ad17f1452310fa73cded6391a9ccaa63b62de7f89fcd8b90a5b0de5d60945f",
-     "5467092fd93e026d508d0fdb88c19846b28a3f71a272cc0eb8fefe9eaae318ec"),
+     "8a4209ad95b974ff74533cdf89b53a5c42a8560b930f99f4dc83aba94cf2313e",
+     "7da0b1c321c582526129285235766f53c0fbc1ab157938d686f07dc56f6cc970",
+     "8fed0ed6fc345e598e4168201e34cd0839827fab9d04261cb0de3192285bbcc0"),
     (5, 'substitute_output_label', 'reject', None,
-     "9fc2cb718c952e672e07c82d2d157cb0822bac83072b377a865609d6e3771f17",
-     "2d166198cee688cbce24c73e595bae61feb24cc916fe8c3cdbf027a802febf14",
-     "86d0c20edec9e7584d64218f8b1cbd3ec1f8ddd4c964ccc6df5cd60c2bdd5b0c"),
+     "39218378c12f9d6a26c16327b214efe8a61cbc82346061937485613e8b1cbf3a",
+     "176da118448bf3b1f3573dab8ab9fe3cc31688aaa9783b2d8f5e14f96ac24ad2",
+     "cf241ccb8bc6c5a8bfc719f951ed03a6fd1f67fa876618b2773bcbefb78c1c4f"),
     (5, 'bias_coin_toss', 'abort', 'P2',
      "d5cc122bd764fafa310c8fc3eac15b5015df0677ebf2067756ad1417e246a791",
-     "4662ab42590460e24ff42bcb546d487a0f4df29217501fc33c1df42bc5d7f6ea",
-     "982905850942494be9b0332f9871a0f757d7af60ca2252c86af5bbcece2dd1cf"),
+     "9c741babe853bdccf867dd8f85c0cf03bed417c72cf1b3a8f3f804ae568cea20",
+     "9fb2de677cc4c0c71fda3324377fffc9b787d37f68634cd429eac2ff1dad87a4"),
     (5, 'falsify_check_failure', 'abort', 'P1',
-     "022e780b3bbbe7468fc2314766c514bf31a993d68f1e5c62e2b52f70d5055035",
-     "1dd22d0a578d63b3096b9a59bcd0bf7555dcf35889d427466c7caaa0cd704c61",
-     "f1b5a29b7daf0ecfd744946563cdc04f7a576d7fa7211230dae2ac572213065d"),
+     "4227defc6fb29634830b5c414b5d08a18982af4de416237309478011a1bac2ea",
+     "3f0b70b451dc0825bbb2f26060c7f1aa960816c474cccfc3bb69cd7e12617494",
+     "799a366123a8bc818fce91d22e96449122f68c17547688ddeafa38be569dd459"),
     (5, 'forge_consistency_proof', 'abort', 'P1',
-     "94ad49ad5b3019f91a47951e172be5c8513d36c6a5efbd1e48e7df9f9fae0eb6",
-     "261ec611ab39b76c052b08503846e552e989768263693367141ea2564acc46b8",
-     "2f588d5571759c76d4d4ceb576383e5728ec56fa9f7dd2174d9ac59a1f9910fc"),
+     "590a25b7593110d1a9f30724c30bee1878d589be2c0a00f4fe6942006b47194e",
+     "d1313cfc85c5545d72b67a2942943940142a3cb44cacb29c45bededebb83c194",
+     "9ea4c439af171040a79ef99c8f313a4b7f8fc832b7bf45ae330a1b360ba3f34d"),
     (5, 'false_output_complaint', 'accept', 'provider:0',
-     "9fc2cb718c952e672e07c82d2d157cb0822bac83072b377a865609d6e3771f17",
-     "09168251d5a38bf2b1bcb0c851fc8328334bb698eb43e439fc83ff7bbb8d2ee4",
-     "81689e2a9a672a5495e3a53604c0b2fea51eee3630c12730654580b090d9e238"),
+     "39218378c12f9d6a26c16327b214efe8a61cbc82346061937485613e8b1cbf3a",
+     "21a74eca7933ef2356bf04ebe385849efe377e0261820ff0f392e1ea39a0882c",
+     "771e0e0ed18fbe7f89ffb830a0f6bd219352bbb9e7f454d8e7acb7c6ca67621a"),
     (0, 'tamper_garbled_gate:gate5-mask01', 'abort', 'P1',
-     "56f2abaa98f615a2a6968f86a05d16a87c3b4de19c953ad1db5b00de1762d68e",
-     "702d6e8da8df3db1d09b38cd8761c78619ac2d2ee19e23476c0e2fc98c64f641",
-     "ca4550309b85653f2c995c4b9f065a8e41c6a5a6de58a1cb8053e32afd07aaa2"),
+     "4e7e5a9de64dd37f89df67546f0a69eae46a114c4cd1b11aa26a6ecff082010a",
+     "6d46789a53526930bb262eed01bbd10976055a90ea93b102f1d67afc05237c97",
+     "5b179c4c255d23359c7c65ada7f00d1a21ce0953c3390e3a79c4d2980c8f66bc"),
     (0, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "30ac620454fc45899a88fff237014487593519bc914a2cd99d5d8ad08a1ed659",
-     "1db30710f265169c772d038119613f11b68c1d5a77fba6a8aec2780fc0b4c5b8",
-     "3d3ba5e96f8610e381979fa5da8d29279ad81abff849f43733f24657985226e6"),
+     "727d9d8d4ececa7f4ff16bbf643fb38b161f0fc88d8feda9613c48d03c4735ec",
+     "1cc591cdc09e90111a78b5ee8183f02f6e0d7b0e9c9ceef5fce31655e3565a1c",
+     "a71af0a43e3ca4d04ca4acc0ef690e3a45614547732a8f21d2be334ccb2f7c65"),
     (0, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "b97fbb3ad53ad0498b4af6690716d32484e9a2fb8c91efc99dfe29595095547f",
-     "3d98dff93a6e9758154c9e59232958011725895198ff0b35a7c74c02f41857e2",
-     "938c33d62c6a779b694acf7c47c5398ea4f192efa5e8e0946e9ba76b332cf3e7"),
+     "13140ee3e7fd5c20c74860a1efa371521a517c10668433b29e83f8bcb6bab344",
+     "0ef1bff3446290a07b22883ce08dad58b6864ac1126c9c4e45c5e634b0ea19a6",
+     "9a71accfad3ba6b8cfee6fe487b24046db6846db241c0a0050fd807dce46b98a"),
     (0, 'falsify_check_failure:P2', 'abort', 'P2',
-     "65e140106d905974711baec931068f115a6e7802151dc60b506afe90ab4a483e",
-     "f2b95d98c243ed2c7533f7dba1b22464da7e6f9b5a83c307c35052b1d0a81cbf",
-     "d182c26deed0e07403114009b8ef1248dde0272dbd6dc3a1f90fd14ef45b327c"),
+     "f35126f0aa43a232e15f83f2bf6fe49fc44be325bde40c494d99b021cfff45c8",
+     "a2b9ae8a20cebf0fdc225fc4894f9f7535ede97aed03d045c1dca1603c102b89",
+     "031791b4eb03c32aeedffcee3ad1ab89a5ece3c9b7773acbaece3aded998bfdc"),
     (0, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "05aee0a866adcb3c549e4d5ac5656f4b47fbaa925318a29665be821232b6a232",
-     "91dd5e80d568895d328792d1ddd6f00dbee79fb552858c897aab3e8c832a06b1",
-     "cccca757267da627eac98b0d3027062b88a113d154cca1bbf8df12f944e4e92f"),
+     "35ec2eb45a5a9c3d04f3861735c68f3766e0d21a4492801199b9301029ad67b5",
+     "b22e8d9ea71de54c765552a68a85f5066f7d5ebdf879d1062f1a6de63fe40e50",
+     "7353e839873b0bafb61b1d163b8a84d42749b890851fecfe577701e57de888c0"),
     (0, 'bias_coin_toss:P1', 'abort', 'P1',
      "be69783dd5e9c82a3832cb01fc43b60ae92744c83f8133483fd82619bd4d44cd",
-     "3650411d84acc599c884dd4a2342bcb4c569b859022da20d977bd89ccea1be36",
-     "408fc5014b778b77d39d2c133b79823a3d0f855dc6b1aaed89a60c203b033e16"),
+     "4efcce6bbe5594c197c3e9d372e41fc79a55bd22011526cd380e467e6d6ea71d",
+     "0de5021a34a587d3493c004e9dad0fcaaa864b7fa0165acf5ea0f2cd212879ea"),
     (0, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "74db31fc2c49200af6daf1f2658928de34e26bf2f3b2a8a314bdaf13cae8c33e",
-     "8c7e3cd16466cbf490b3d0d6a6ec7a605ed23640e08f5d0d0585c2b3da6a982a",
-     "680be832086d8cd96ee5626adca8b273bb01c4e0d7533b7a3e22904d9bfe0a4b"),
+     "16fd448bb434d7e741e06e9ba55dcc2a7f117f7c266edcaea651580aa92fc710",
+     "d38a98ebf03199f0104f9271d58d9025d5d92890e0434f15abc4dbdde2acab18",
+     "6a4760cd8f5e5ae282a29788908cd0944bf99cbe983e99805b72e93e993a8239"),
     (0, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "7306a37a8fba608c62db2949510691321686ef1b7a591c974d3a09df346edac7",
-     "34328397db19215ac2de2dc8d4d5ea429718a9a11879468508ac3d000778630f",
-     "91cc324d39c1f7707ec0e71e87f00d81037bac8bc50e3c29b5a972a482e8b416"),
+     "11f67e10f4cb9f8e13ee1498207f32b694b067bb4a3f94c644dc08f45feff680",
+     "f2f3849cebdfa1dd1609cca34df97d995c4dda47a14a6eb757a39d42d7310b91",
+     "ee2ee1cd0305ebf3e76a9b6fee88fcc70deb45568404b21a7f84e61a4830f2b5"),
     (3, 'tamper_garbled_gate:gate5-mask01', 'abort', 'P1',
-     "b604e419f083b87ed18d6bd3a24aa1e0eaaa5c8a7b7b3cc2676294219df0ea97",
-     "764f16bafd63e63f7c06ff7f4caf1b3d58dda8e6cb700b0e5ff54058ab00f14f",
-     "ba111cfc58a52a45595b1288d3b9547affaa5f6cde450ab7bc572d34d3e50279"),
+     "0a1fcd7a80ac1b5d22f97c6f69be6d4d867ac08865af3b35058d169d06246449",
+     "32bc6c42d7387a3fa575c68e7a60e63625ed60506ba84912855d704d279a04ab",
+     "ebb503c3076854e26de187c57e4a5b1637f99e1c71ead321b5a2599cf57dab64"),
     (3, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "0a85e6c21f1a2fcdabbd1a06b47aa13f63af9d4dbeb491698df66cc67bb64530",
-     "9ada723ae152e3e8471d3b3aaa919cc2f33797fbddb53bdf81f3ca05a1b1b690",
-     "4c8d82cd7a85d762a413580696568be63a536b92e78c6d35677c618dc512f66b"),
+     "c85aa8212e1024bd3579b0b0915afca8017f8dcb595a58a3ae930e4bfd85f4da",
+     "384af2c819fcef347d6eb0115dd2ad321f810b6ec4496d0fab3982ab361878d2",
+     "7d2fa3e79cbc366365f5c584a486ffc4e253032e7c001ed854a4eee0033ffe67"),
     (3, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "51560a7fe04f0862a30c4359a0ab02eb97b7443c3fccb5081dba8b1869fcbd32",
-     "f04b9e1dac377c7294e5f75cd50fdbee7d53abe06265b48addd9383cc74b1613",
-     "5d4cead9944b10b5bdfd65654b170a03dd56820ff506d03e9195b07a0758e26b"),
+     "4ba1ae50572fd26a12a3eaf046c0e0f9f565d9a20cbf293033c6eda84dd80b1f",
+     "db4b8ab56f6152f924e819f25c5fc5a363da19fb6f628fda7dbe0495b79228e8",
+     "e206900c5b03ecef219b52221061442200c86f3ea21be5715a86a081d660bd3b"),
     (3, 'falsify_check_failure:P2', 'abort', 'P2',
-     "b46e2c79da3fcd93357725c813dc086d5d843aeea702c0b754c6012a9c4756e2",
-     "b2d791bf630215a130036b2bfa707161ce75d256f1f54db602a64bb8259e4c16",
-     "1b082ed3cc8aad76afcb86b4e96c44cb9faeaa74e78735c88eb5273305667e7e"),
+     "097cdf549777fdca95ef06e6c9bbe89705282445882653423d66166d031a1a26",
+     "49d6ded73b4881439251bee04f095cc3dc7bb144c37ee772bac788c8dbfcc52b",
+     "35e13147ccff7e8e169144554c6f91b878c1b1f382e820922cc5f67e889bb04c"),
     (3, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "f3bb11ea294f49c46317bfdfd13d26680b87dd5d11459fe92787a25847b3d8e2",
-     "a1e8b2bf4423ee0d78307c35395dcb194e94d6c02ef586f8020de6968c8410f0",
-     "226edc652c595367563cc746452b228f7d4f4f8e3c6185f1261dd2fd51a21bce"),
+     "e1061d8fd71b0dcf536008a733030cf655fa85830d08d17a0dba78cf3612c869",
+     "dbe5816cb2fafb8328300602a9d348da8e54b826ba34ccb462da5acb07992ca7",
+     "7f51af2eb388d5c0d40e2746253d0d3cadabf8550270ae9b5e57eee4e7735798"),
     (3, 'bias_coin_toss:P1', 'abort', 'P1',
      "be69783dd5e9c82a3832cb01fc43b60ae92744c83f8133483fd82619bd4d44cd",
-     "0c8748fc75986043deb7838a6a8a48a8fd991dcefd58ac18fb64c9ef317d6c57",
-     "2a56ba3ff007990c8b4a7bfcc1dc79ba910705cd81cd2e6fe91c2eed4457200a"),
+     "414eaba17159cb75ecff43924c39d36acd808392ed49c544179904b9e09d93c0",
+     "ff7dd0b37015f57ad7af80b4dd73591389f0f067d3b9fe06598df9569d4ed25b"),
     (3, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "46f3061b011499c43ef978e03c72975c05b16955f6254d4906f87584219b5276",
-     "a1c369ddd97cd9d4d0d66e81ac35c57c4d4e3568983c4d014d663c5b32c9a8d5",
-     "7a7f6334543f4b1a0040e31e1cba8c746bf94c3edda35d05f8cf02aebedbecdd"),
+     "aa3aab7e0518db80e7274b92190cf7ffc1744870b0acba712f306ee0c8f725b3",
+     "e45541ded07f1c0567db83505c51a73ea54b6e650b6d5ed97b23dc4f132f5dc2",
+     "53c4f65a4f174680ac3d13b3f4f66ec1b548332c8cab21583098318a3d16ea68"),
     (3, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "c5c17e83d5d52f24284ea74871c39143e54185bf823a8e84ed24248bfe5927a1",
-     "d8f60d48886d35f60f68f00db46ad456768f97d8f7c4eeda73946d11d02ed2ca",
-     "6f55e6059b14116979ee9de8ebf3ef069ed689a002e37af7751d57651462909e"),
+     "ca4c80bd610e582d3ce6d50fc5c40ff232b55cd9d673972dab6a77a308305e99",
+     "e647e180be8990ca42f991b2bc9e777628b219b9bc27139db1bbdf293eec9b73",
+     "d82e8702b2b1f82e5cd88d2d35a279928547c0bd5e25574595b970601d3fc99b"),
     (5, 'tamper_garbled_gate:gate5-mask01', 'abort', 'P1',
-     "75a779b990102ca57626ff7a9247fd8a939f966bc431f755a76e49eb7e9c18e8",
-     "2ac31f4b65342878c553085b99bfbb4b9aca71af02aee742e93e736c96f3473b",
-     "7ab6736287f3c91cbf4c6a833338e802c42a993357894b688933cb6421918425"),
+     "8a4209ad95b974ff74533cdf89b53a5c42a8560b930f99f4dc83aba94cf2313e",
+     "b5e862d772ab9ae36f817e90e15a00afcae21fdabaa26a2e7ffa0805e0b898db",
+     "64920a491a534480315b6626c5b8e811e66ecb0f20ded58c283a0d65adadef02"),
     (5, 'tamper_garbled_gate:P2', 'abort', 'P2',
-     "26f7ac1957a49f54bedd2bef5af72bd23a8ea4eac588636d2fe67081f5cbb169",
-     "836b510d6abe09227f5c0bb28686530998cce886bb7fb48442e8ad87a0594e49",
-     "56790920b1ddfa5b92b353c83df70cd59c894444cf7f1d833bfe17866b4b9c1e"),
+     "d0353a6f9becdf41aeb0750261ed9917551df85e63e0f7d7e5353f0c9c550eff",
+     "e4764c1d8463857f3599022a24163117e549f76b442022260d03b79035b74b47",
+     "1d8124dfe99f01fa16db632c4821401fe215324a4f95df4964b10e5da3958cf1"),
     (5, 'substitute_output_label:P2-recipient1', 'reject', None,
-     "95cfb2e8981b27344a5c3999187ab95f1f13773f68a4a09a0421bd0fc92a5c78",
-     "a4a97aa83cda61711befbcc5728fa3129f51ce5bdcead5d031d31660a305a01f",
-     "6c11dc29961ff3b235d6ee9b3d2e56f158fffe0530628256f8ea0bca3f7baed9"),
+     "f238c9db6265824724fdd7233dec5dad553826ecfc33716d23a92286dbb8f597",
+     "5be89570350071b450dd98230018d932ec3c741b03ca712d343ad463ccf51e32",
+     "836f176e1b36ef0236ea7e5520d24cecf47b8ad257d223b343cb0ca5d21b6745"),
     (5, 'falsify_check_failure:P2', 'abort', 'P2',
-     "fc4ddebc5def309ade375ba91f1a52baba43551bd2ac2cad1f349cce7a5732fe",
-     "72d4b3271faa20bb08b67aa10a2eeca944209b4e334c44a4237750a6dd8cedaa",
-     "6e1825aead13007067c9ba89d7b2e3d7ac89b8b964a6796bf672650b54003305"),
+     "18d285c3a0ea6b737463ee59cd073e5e7df16df21a5a3c1fb201046a002ef4bf",
+     "00abd1e4253f117ac14732783b3a2f810558ac03dd3538fd7decc30580286c66",
+     "9cc923eaac6c2f62dde804ae1172ca63d6c20e1111a916e059cdf56f2de595b5"),
     (5, 'forge_consistency_proof:P2', 'abort', 'P2',
-     "4c4d21df5be7a3cb56673ac5fb16a43ab7b356022d2d04a911778fff764c0f20",
-     "37196588c8a4b7dfa681eacfbcb34c8fbef0b109bf44912bb6346f23c285b09a",
-     "d1a6346ce42ca122ad451a146620c832fbc4e5cc0bb24400cec371890ef45ca8"),
+     "3806fe8241c8da24f3e560419885539b6b635388ce69a56af8f46ff55520673b",
+     "65aa7344a49d1827039d54b877eb7d606e2184bc0f07c6bcb4a17700f020c211",
+     "16a49df592f706fee1af5e3bd8af0cb1366fc5cfd0ad68a84c79a6d23b503393"),
     (5, 'bias_coin_toss:P1', 'abort', 'P1',
      "be69783dd5e9c82a3832cb01fc43b60ae92744c83f8133483fd82619bd4d44cd",
-     "cdd5dcc5e802547c70a1d55aa1e4334857f1ff16cb55e021f9e6739dab595447",
-     "4e7ea2f94b0f42f0be4966b5b9648b52d4f1cc2a7e30241cdf8754e131e76866"),
+     "12b0d80efcbe531f572318096940c662ac2e70ddca949ad0d8a0f4f3c039317a",
+     "06b76c1c240348c94bb794ee78301d370ec125b033a34bbf6c2d827aa1472d13"),
     (5, 'inconsistent_labels:provider1-wires01', 'abort', 'provider:1',
-     "5c33e2ff9d5e9d1a623fa819bd8f87fa460ba62d1900469a045eda9efb0b4d53",
-     "c63204156ff83151b719d69359d21409a618824c9f86b34d5c260c83e060dd89",
-     "63f9f7876e60bcb4cd1fc27a6952d849852e63ae4aa29c6f25c3ef01baf5205c"),
+     "7732b2e2fd5ff2886300b965c003f320c6d5134a5c1446194d2667ffeb1dcc03",
+     "16f89883e9f4132a52322282d1da9b2b092115b60d63716755a24fd5d3b749c6",
+     "b22f4b3e1be3dd0d3a71501fa7ba9f7769c15902c0383035aa58823f10d5b3ec"),
     (5, 'false_output_complaint:provider2', 'accept', 'provider:2',
-     "24163df518d3fcf2709c0799af48eb89ef3c686ad9c9b58c4b55a591edd3093d",
-     "2196498cc1dbb3502f8f67dba67ad33e894ddbf84d6431b4784724cc3bcd7192",
-     "13b03d7ae299fd69fab3d98b90c6c83e759e5d413d15c32ae5ddfa0db2121a81"),
+     "f7938330b523aa2ad6291ef6b8a87e5dcfeabb8517c258de567dc86dc9c6e812",
+     "44d41849132edd9c4ced4926d763a941f71c299a23fc5274df2de33162a4de04",
+     "b76fd3ea86a9b88c964213cc9ec12a3ad8967462cc0721cdc9346096e657009a"),
 ]
 
 

@@ -165,11 +165,12 @@ def test_neither_party_can_decode_its_own_circuit():
 
 def _copy_nonces(sess):
     """The nonces of the five commitments of every copy the bidders
-    made."""
+    made: four from the copy's sub-seeds, and its position nonce."""
     return [nonce for bidder in sess.bidders
             for material in bidder.material.values()
             for c in material.copies
-            for nonce in [n for _body, n in c.sets] + [c.position_nonce]]
+            for nonce in (*consistency.input_sets(c.b, c.subseeds)[1],
+                          c.position_nonce)]
 
 
 def test_commitment_nonces_are_never_reused(monkeypatch):
@@ -830,7 +831,7 @@ def test_input_commitments_go_in_full_to_the_parties_only():
 
 # The README's library example session in bytes, as README "Wire format"
 # quotes it.
-README_SESSION_BYTES = 1_531_690
+README_SESSION_BYTES = 1_409_706
 
 
 def test_readme_session_bytes_by_type_are_pinned():
@@ -838,7 +839,7 @@ def test_readme_session_bytes_by_type_are_pinned():
     s = 10, by message type. A frame carries a 16-byte header. Each bidder
     sends each party a 4-byte count and 640 leaves of 32 bytes; its coin
     view, a count and a 48-byte seed and position commitment per check
-    copy; and a count and a 145-byte entry per evaluation copy, then a
+    copy; and a count and a 113-byte entry per evaluation copy, then a
     count and the 128-byte label sets of each wire."""
     config = AuctionConfig(vm_types=2, capacities=(3, 3), weights=(1, 2),
                            width=16)
@@ -858,7 +859,7 @@ def test_readme_session_bytes_by_type_are_pinned():
         "COIN_REVEAL": 1104,
         "CHECKSET_OPENINGS": frames * (16 + 32 + 4) + 2 * 48 * checked,
         "EVALSET_OPENINGS": (frames * (16 + 4 + 4 + 64 * 128)
-                             + 2 * 145 * evaluated),
+                             + 2 * 113 * evaluated),
         "HASH_TUPLE": 10048,
         "GARBLED_CIRCUIT": 406008,
         "OUTPUT_COMMITMENTS": 3416,
@@ -1039,20 +1040,33 @@ class _RejectsHonestCircuit(session._Scripted, session.Party):
                              "output wire 0: no row authenticates")
 
 
-# An abort names its culprit on the detector's word alone, so a party that
-# makes one up gets an honest role blamed (ROADMAP item 1).
+class _RefusesHonestCoinReveal(session._Scripted, session.Provider):
+    """Takes P1's honest coin reveal, then aborts as if it did not open."""
+
+    def take_coin_reveal(self, sender, opening):
+        super().take_coin_reveal(sender, opening)
+        if sender == session._P1:
+            raise session._Abort(self.role, sender, "challenge share reveal "
+                                 "does not match its commitment")
+
+
+# An abort names its culprit on the detector's word alone, so a role that
+# makes one up gets an honest role blamed (ROADMAP item 1). A lying party
+# replaces P1, a lying bidder provider 0.
 @pytest.mark.xfail(strict=True, reason="blame rests on the detector's word")
 @pytest.mark.parametrize("liar", [_RefusesHonestOpenings,
-                                  _RejectsHonestCircuit],
+                                  _RejectsHonestCircuit,
+                                  _RefusesHonestCoinReveal],
                          ids=lambda cls: cls.__name__.strip("_"))
 def test_a_made_up_abort_blames_no_honest_role(monkeypatch, liar):
-    monkeypatch.setitem(session._SCRIPTED, "tamper_garbled_gate",
-                        (liar, "P1"))
+    behavior = ("inconsistent_labels" if issubclass(liar, session.Provider)
+                else "tamper_garbled_gate")
+    liar_name = session._SCRIPTED[behavior][1]
+    monkeypatch.setitem(session._SCRIPTED, behavior, (liar, liar_name))
     for seed in range(5):
-        res = run_session(SMALL, BIDS, s=4, seed=seed,
-                          adversary="tamper_garbled_gate")
-        assert (res.status, res.detector) == ("abort", "P1"), seed
-        assert res.blamed in (None, "P1"), seed
+        res = run_session(SMALL, BIDS, s=4, seed=seed, adversary=behavior)
+        assert (res.status, res.detector) == ("abort", liar_name), seed
+        assert res.blamed in (None, liar_name), seed
 
 
 def test_a_seed_that_does_not_regenerate_its_copy_blames_the_provider(
@@ -1276,9 +1290,9 @@ def test_a_wrong_number_of_evidence_openings_blames_the_complainer(
 
 
 def _nonce_changed(party, openings):
-    *head, nonce, other, unselected = openings[-1]
+    position, nonce, *tail = openings[-1]
     nonce = bytes([nonce[0] ^ 1]) + nonce[1:]
-    return openings[:-1] + [(*head, nonce, other, unselected)]
+    return openings[:-1] + [(position, nonce, *tail)]
 
 
 def _sibling_changed(party, openings):
@@ -1358,8 +1372,7 @@ def _holding_p1s_cross_aggregate(sess, wire):
     provider 0 opens to it."""
     material, rho = sess.bidders[0].material[wire], sess.p1.rho[wire]
     cross = consistency._xor_hashes(
-        consistency._triple(material.eval_openings(j, 0)[2])[2]
-        for j in range(sess.s) if not rho[j])
+        material.eval_openings(j, 0)[3] for j in range(sess.s) if not rho[j])
     return tuple(sorted((cross, bytes(32))))
 
 

@@ -61,9 +61,9 @@ def O(message, k):
 
 
 def entry(k):
-    """An evaluation entry: position byte and nonce, input-set body and
-    nonce, and the two siblings."""
-    return (bytes([k & 1]), bytes([k]) * 16, bytes([k + 1]) * 48,
+    """An evaluation entry: position byte and nonce, sub-seed and cross
+    label, and the two siblings."""
+    return (bytes([k & 1]), bytes([k]) * 16, bytes([k + 1]) * 16,
             bytes([k + 2]) * 16, C(k + 3), C(k + 4))
 
 
@@ -111,12 +111,10 @@ RECORDED_HEX = {
         "52525252"),
     "EVALSET_OPENINGS": (
         "0000000200101010101010101010101010101010101111111111111111111111"
-        "1111111111111111111111111111111111111111111111111111111111111111"
         "1111111111121212121212121212121212121212121313131313131313131313"
         "1313131313131313131313131313131313131313131414141414141414141414"
         "1414141414141414141414141414141414141414140121212121212121212121"
-        "2121212121212222222222222222222222222222222222222222222222222222"
-        "2222222222222222222222222222222222222222222223232323232323232323"
+        "2121212121212222222222222222222222222222222223232323232323232323"
         "2323232323232424242424242424242424242424242424242424242424242424"
         "2424242424242525252525252525252525252525252525252525252525252525"
         "2525252525250000000111111111111111111111111111111111111111111111"
@@ -132,7 +130,6 @@ RECORDED_HEX = {
         "88888888"),
     "CONSISTENCY_PROOF": (
         "0000000600000001001010101010101010101010101010101011111111111111"
-        "1111111111111111111111111111111111111111111111111111111111111111"
         "1111111111111111111212121212121212121212121212121213131313131313"
         "1313131313131313131313131313131313131313131313131314141414141414"
         "1414141414141414141414141414141414141414141414141400000001212121"
@@ -227,13 +224,13 @@ FIXED_LISTS = {
     "INPUT_COMMITMENTS": FixedList(T.INPUT_COMMITMENTS, b"", 32, b"", [],
                                    None),
     "CHECKSET_OPENINGS": _field(T.CHECKSET_OPENINGS, 1, 48),
-    "EVALSET_OPENINGS": _field(T.EVALSET_OPENINGS, 0, 145),
+    "EVALSET_OPENINGS": _field(T.EVALSET_OPENINGS, 0, 113),
     "EVALSET_OPENINGS sets": _field(T.EVALSET_OPENINGS, 1, 128),
     "CHECK_FAILURE_CLAIM": _field(T.CHECK_FAILURE_CLAIM, 4, 32),
     "CHECK_FAILURE_CLAIM digests": _field(T.CHECK_FAILURE_CLAIM, 2, 32),
     "CHECK_FAILURE_CLAIM seeds": _field(T.CHECK_FAILURE_CLAIM, 3, 48),
     "CONSISTENCY_PROOF": _field(T.CONSISTENCY_PROOF, 4, 32),
-    "CONSISTENCY_PROOF openings": _field(T.CONSISTENCY_PROOF, 1, 145),
+    "CONSISTENCY_PROOF openings": _field(T.CONSISTENCY_PROOF, 1, 113),
     "CONSISTENCY_PROOF digests": _field(T.CONSISTENCY_PROOF, 2, 32),
     "CONSISTENCY_PROOF sets": _field(T.CONSISTENCY_PROOF, 3, 128),
     "HASH_TUPLE digests": _field(T.HASH_TUPLE, 1, 96),
